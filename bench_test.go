@@ -2,7 +2,7 @@
 // evaluation (run with `go test -bench=. -benchmem`). Each benchmark
 // executes the same experiment runner the CLI uses, at a reduced slot
 // budget so a full `-bench=.` pass stays in CI territory; the CLI
-// regenerates publication-scale sweeps.
+// regenerates publication-scale sweeps from the embedded paper specs.
 //
 //	BenchmarkTable1Characterization — Table 1 (node-switch LUTs)
 //	BenchmarkTable2SRAM             — Table 2 (buffer bit energy)
@@ -21,6 +21,7 @@
 package fabricpower_test
 
 import (
+	"context"
 	"io"
 	"math/rand"
 	"testing"
@@ -38,8 +39,38 @@ import (
 	"fabricpower/study"
 )
 
-func benchParams() exp.SimParams {
-	return exp.SimParams{WarmupSlots: 100, MeasureSlots: 600, Seed: 1}
+// benchSim is the reduced simulation window of the figure benchmarks.
+func benchSim() study.SimSpec { return benchWindow(100, 600) }
+
+// benchWindow bounds a benchmark spec's runs (seed 1).
+func benchWindow(warmup, measure uint64) study.SimSpec {
+	return study.SimSpec{WarmupSlots: &warmup, MeasureSlots: measure, Seed: 1}
+}
+
+// paperSizes and paperLoads are the paper's port configurations
+// (4×4 … 32×32) and Fig. 9 throughput sweep (10%–50%).
+var (
+	paperSizes = study.Axis{Name: "ports", Ints: []int{4, 8, 16, 32}}
+	paperLoads = study.Axis{Name: "load", Floats: []float64{0.10, 0.20, 0.30, 0.40, 0.50}}
+	allArchs   = study.Axis{Name: "arch", Strings: []string{"crossbar", "fullyconnected", "banyan", "batcherbanyan"}}
+)
+
+// benchStudy runs a study spec b.N times on the given worker count,
+// rendering the report when render is set.
+func benchStudy(b *testing.B, kind string, base study.Scenario, axes []study.Axis, workers int, render bool) {
+	b.Helper()
+	spec := study.Spec{Version: study.SpecVersion, Kind: kind, Grid: study.Grid{Base: base, Axes: axes}}
+	for i := 0; i < b.N; i++ {
+		rep, err := exp.RunSpecOpts(context.Background(), spec, study.RunOptions{Workers: workers})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if render {
+			if err := rep.Render(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 // BenchmarkTable1Characterization regenerates Table 1: gate-level
@@ -85,59 +116,31 @@ func BenchmarkTechETBit(b *testing.B) {
 // under 10–50% traffic throughput for all four architectures and the
 // paper's four port configurations.
 func BenchmarkFig9PowerVsThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f9, err := exp.RunFig9(study.PaperModel(), exp.DefaultSizes(), exp.DefaultLoads(), benchParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := f9.Render(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchStudy(b, "fig9", study.Scenario{Sim: benchSim()},
+		[]study.Axis{paperSizes, allArchs, paperLoads}, 0, true)
 }
 
 // BenchmarkFig10PowerVsPorts regenerates the Fig. 10 comparison at 50%
 // throughput, including the fully-connected vs Batcher-Banyan gap.
 func BenchmarkFig10PowerVsPorts(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f10, err := exp.RunFig10(study.PaperModel(), exp.DefaultSizes(), 0.5, benchParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := f10.Render(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchStudy(b, "fig10", study.Scenario{Traffic: study.TrafficSpec{Load: 0.5}, Sim: benchSim()},
+		[]study.Axis{paperSizes, allArchs}, 0, true)
 }
 
 // BenchmarkObs1Crossover regenerates §6 observation 1's crossover search
 // at 32×32 under the per-word buffer reading (the one that reproduces the
 // paper's ≈35% figure).
 func BenchmarkObs1Crossover(b *testing.B) {
-	loads := []float64{0.1, 0.2, 0.3, 0.4, 0.5}
-	for i := 0; i < b.N; i++ {
-		c, err := exp.RunCrossover(study.PerWordModel(), 32, loads, benchParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := c.Render(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
+	base := study.Scenario{Model: study.PerWordModel(), Fabric: study.FabricSpec{Ports: 32}, Sim: benchSim()}
+	benchStudy(b, "crossover", base, []study.Axis{paperLoads, allArchs}, 0, true)
 }
 
 // BenchmarkSaturationCeiling regenerates the input-buffered saturation
 // study behind the paper's 58.6% maximum-throughput statement.
 func BenchmarkSaturationCeiling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s, err := exp.RunSaturation(study.PaperModel(), 16, benchParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := s.Render(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
+	base := study.Scenario{Fabric: study.FabricSpec{Arch: "crossbar", Ports: 16}, Sim: benchSim()}
+	loads := study.Axis{Name: "load", Floats: []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}}
+	benchStudy(b, "saturate", base, []study.Axis{loads}, 0, true)
 }
 
 // --- sweep engine ---------------------------------------------------------
@@ -146,14 +149,11 @@ func BenchmarkSaturationCeiling(b *testing.B) {
 // loads = 24 points) with the given worker count.
 func benchSweep(b *testing.B, workers int) {
 	b.Helper()
-	p := exp.SimParams{WarmupSlots: 50, MeasureSlots: 400, Seed: 1, Workers: workers}
-	sizes := []int{8, 16}
-	loads := []float64{0.2, 0.35, 0.5}
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.RunFig9(study.PaperModel(), sizes, loads, p); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchStudy(b, "fig9", study.Scenario{Sim: benchWindow(50, 400)}, []study.Axis{
+		{Name: "ports", Ints: []int{8, 16}},
+		allArchs,
+		{Name: "load", Floats: []float64{0.2, 0.35, 0.5}},
+	}, workers, false)
 }
 
 // BenchmarkSweepSequential is the single-worker baseline.

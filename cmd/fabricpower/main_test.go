@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -11,91 +12,69 @@ import (
 	"strings"
 	"testing"
 
+	"fabricpower/internal/exp"
 	"fabricpower/study"
 )
 
-func TestParseSizes(t *testing.T) {
-	got, err := parseSizes("4,8, 16,32")
+// paperSpec decodes a study alias's embedded spec, for tests to edit
+// the way a user edits -print-scenario output.
+func paperSpec(t *testing.T, cmd string) study.Spec {
+	t.Helper()
+	data, ok := exp.PaperSpec(cmd)
+	if !ok {
+		t.Fatalf("no embedded spec for %s", cmd)
+	}
+	spec, err := study.DecodeSpec(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []int{4, 8, 16, 32}
-	if len(got) != len(want) {
-		t.Fatalf("len %d", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v", got)
-		}
-	}
+	return spec
 }
 
-func TestParseSizesEmpty(t *testing.T) {
-	got, err := parseSizes("")
-	if err != nil || got != nil {
-		t.Fatalf("empty should give nil, got %v/%v", got, err)
-	}
-}
-
-func TestParseSizesRejectsGarbage(t *testing.T) {
-	if _, err := parseSizes("4,eight"); err == nil {
-		t.Fatal("garbage should fail")
-	}
-}
-
-func TestSimParamsHelper(t *testing.T) {
-	p := simParams(1234, 9, 3)
-	if p.MeasureSlots != 1234 || p.Seed != 9 || p.Workers != 3 {
-		t.Fatalf("params %+v", p)
-	}
-}
-
-func TestParseLoads(t *testing.T) {
-	got, err := parseLoads("0.1, 0.25,0.5")
+// specFile encodes spec into a temp file for `run`.
+func specFile(t *testing.T, spec study.Spec) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "spec.json")
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []float64{0.1, 0.25, 0.5}
-	if len(got) != len(want) {
-		t.Fatalf("len %d", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v", got)
-		}
-	}
-	if got, err := parseLoads(""); err != nil || got != nil {
-		t.Fatalf("empty should give nil, got %v/%v", got, err)
-	}
-	if _, err := parseLoads("0.1,none"); err == nil {
-		t.Fatal("garbage should fail")
-	}
-}
-
-func TestParseArchs(t *testing.T) {
-	got, err := parseArchs("banyan, crossbar")
-	if err != nil {
+	defer f.Close()
+	if err := spec.Encode(f); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].String() != "banyan" || got[1].String() != "crossbar" {
-		t.Fatalf("got %v", got)
-	}
-	if _, err := parseArchs("toroidal"); err == nil {
-		t.Fatal("unknown architecture should fail")
-	}
+	return path
 }
 
-// TestRunNetTiny drives the net subcommand end to end on a small grid
-// and checks the CSV side channel carries every point.
+// netSpec is the embedded net study narrowed to the given grid and
+// measured window of slots.
+func netSpec(t *testing.T, topos, routings, policies []string, loads []float64, slots uint64) study.Spec {
+	t.Helper()
+	spec := paperSpec(t, "net")
+	spec.Base.Sim.MeasureSlots = slots
+	spec.Axes = []study.Axis{
+		{Name: "topology", Strings: topos},
+		{Name: "routing", Strings: routings},
+		{Name: "dpm", Strings: policies},
+		{Name: "load", Floats: loads},
+	}
+	return spec
+}
+
+// bothRoutings and bothPolicies are the net study's default routing
+// and DPM axes.
+var (
+	bothRoutings = []string{"shortest", "consolidate"}
+	bothPolicies = []string{"alwayson", "idlegate"}
+)
+
+// TestRunNetTiny runs a small net study spec end to end and checks the
+// CSV side channel carries every point.
 func TestRunNetTiny(t *testing.T) {
 	csv := filepath.Join(t.TempDir(), "net.csv")
+	spec := netSpec(t, []string{"fattree"}, bothRoutings, bothPolicies, []float64{0.1}, 400)
 	// Discard the rendered table: the test only asserts the CSV.
-	err := runNet(context.Background(), []string{
-		"-topos", "fattree", "-nodes", "4",
-		"-routings", "shortest,consolidate", "-policies", "alwayson,idlegate",
-		"-loads", "0.1", "-slots", "400", "-csv", csv,
-	}, io.Discard)
-	if err != nil {
+	if err := dispatch(context.Background(), "run", []string{"-csv", csv, specFile(t, spec)}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(csv)
@@ -111,47 +90,57 @@ func TestRunNetTiny(t *testing.T) {
 	}
 }
 
+// TestRunNetRejectsBadFlags: a net spec naming an unknown topology,
+// architecture or traffic matrix fails.
 func TestRunNetRejectsBadFlags(t *testing.T) {
 	ctx := context.Background()
-	if err := runNet(ctx, []string{"-topos", "moebius", "-loads", "0.1", "-slots", "50"}, io.Discard); err == nil {
+	run := func(spec study.Spec) error {
+		return dispatch(ctx, "run", []string{specFile(t, spec)}, io.Discard)
+	}
+	if err := run(netSpec(t, []string{"moebius"}, bothRoutings, bothPolicies, []float64{0.1}, 50)); err == nil {
 		t.Error("unknown topology should fail")
 	}
-	if err := runNet(ctx, []string{"-arch", "toroidal"}, io.Discard); err == nil {
+	arch := paperSpec(t, "net")
+	arch.Base.Fabric.Arch = "toroidal"
+	if err := run(arch); err == nil {
 		t.Error("unknown architecture should fail")
 	}
-	if err := runNet(ctx, []string{"-matrix", "chaos", "-topos", "ring", "-loads", "0.1", "-slots", "50"}, io.Discard); err == nil {
+	matrix := netSpec(t, []string{"ring"}, bothRoutings, bothPolicies, []float64{0.1}, 50)
+	matrix.Base.Network.Matrix = "chaos"
+	if err := run(matrix); err == nil {
 		t.Error("unknown matrix should fail")
 	}
 }
 
-// TestPrintScenarioRoundTripByteIdentical pins the acceptance
-// contract of the declarative layer: for every legacy study
-// subcommand, `<subcmd> -print-scenario | run -` reproduces the
-// subcommand's output byte for byte.
+// TestPrintScenarioRoundTripByteIdentical pins the contract of the
+// study aliases: for each of the paper's studies at its embedded
+// default, `<cmd>` ≡ `<cmd> -print-scenario | run -` ≡ the pinned
+// report in scenarios/golden/paper/. Extra args are run's flags, which
+// both sides accept. Re-pin deliberately with UPDATE_GOLDEN=1.
 func TestPrintScenarioRoundTripByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
 		cmd  string
 		args []string
 	}{
-		{"fig9", []string{"-sizes", "4", "-slots", "150"}},
-		{"fig10", []string{"-sizes", "4,8", "-slots", "150"}},
-		{"crossover", []string{"-ports", "8", "-slots", "120", "-perword"}},
-		{"saturate", []string{"-ports", "8", "-slots", "120"}},
-		{"simulate", []string{"-arch", "banyan", "-ports", "8", "-load", "0.3", "-slots", "200"}},
-		{"dpm", []string{"-archs", "banyan", "-ports", "8", "-loads", "0.1", "-slots", "200"}},
-		{"net", []string{"-topos", "ring", "-nodes", "4", "-loads", "0.1", "-slots", "200"}},
-		{"net", []string{"-topos", "fattree", "-nodes", "4", "-traffic", "bursty", "-shards", "2", "-loads", "0.1", "-slots", "200"}},
-		{"table1", []string{"-cycles", "24", "-width", "8"}},
+		{"fig9", nil},
+		{"fig10", nil},
+		{"crossover", nil},
+		{"saturate", nil},
+		{"simulate", nil},
+		{"dpm", nil},
+		{"net", nil},
+		{"net", []string{"-timeout", "10m"}},
+		{"table1", nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.cmd, func(t *testing.T) {
-			var legacy strings.Builder
-			if err := dispatch(ctx, tc.cmd, tc.args, &legacy); err != nil {
+			var alias strings.Builder
+			if err := dispatch(ctx, tc.cmd, tc.args, &alias); err != nil {
 				t.Fatal(err)
 			}
 			var spec strings.Builder
-			if err := dispatch(ctx, tc.cmd, append(append([]string{}, tc.args...), "-print-scenario"), &spec); err != nil {
+			if err := dispatch(ctx, tc.cmd, []string{"-print-scenario"}, &spec); err != nil {
 				t.Fatal(err)
 			}
 			specPath := filepath.Join(t.TempDir(), "spec.json")
@@ -159,14 +148,52 @@ func TestPrintScenarioRoundTripByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			var viaSpec strings.Builder
-			if err := dispatch(ctx, "run", []string{specPath}, &viaSpec); err != nil {
+			if err := dispatch(ctx, "run", append(append([]string{}, tc.args...), specPath), &viaSpec); err != nil {
 				t.Fatal(err)
 			}
-			if legacy.String() != viaSpec.String() {
-				t.Fatalf("printed-scenario run diverged from the legacy subcommand:\n--- legacy ---\n%s\n--- via spec ---\n%s",
-					legacy.String(), viaSpec.String())
+			if alias.String() != viaSpec.String() {
+				t.Fatalf("printed-scenario run diverged from the alias:\n--- alias ---\n%s\n--- via spec ---\n%s",
+					alias.String(), viaSpec.String())
+			}
+			golden := filepath.Join("..", "..", "scenarios", "golden", "paper", tc.cmd+".txt")
+			if updateGolden {
+				if err := os.WriteFile(golden, []byte(alias.String()), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if alias.String() != string(want) {
+				t.Errorf("%s drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", tc.cmd, golden, alias.String(), want)
 			}
 		})
+	}
+}
+
+// TestStudyAliasFlags: an alias takes exactly run's flags plus
+// -print-scenario, which prints the embedded file verbatim, and no
+// positional spec path.
+func TestStudyAliasFlags(t *testing.T) {
+	ctx := context.Background()
+	var out strings.Builder
+	if err := dispatch(ctx, "simulate", []string{"-print-scenario"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := exp.PaperSpec("simulate"); out.String() != string(want) {
+		t.Errorf("-print-scenario is not the embedded file:\n%s", out.String())
+	}
+	if err := dispatch(ctx, "simulate", []string{"extra.json"}, io.Discard); err == nil {
+		t.Error("an alias should refuse a positional spec path")
+	}
+	out.Reset()
+	if err := dispatch(ctx, "simulate", []string{"-json"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var rec study.ResultRecord
+	if err := json.Unmarshal([]byte(out.String()), &rec); err != nil || rec.Result.Arch != "banyan" {
+		t.Errorf("simulate -json = %q (%v), want one banyan record", out.String(), err)
 	}
 }
 
@@ -186,6 +213,17 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 	}
 	if err := dispatch(ctx, "run", nil, io.Discard); err == nil {
 		t.Error("missing path should fail")
+	}
+	// A single-point kind renders one scenario, so an axis would be
+	// silently dropped: both the report and -json refuse it.
+	point := paperSpec(t, "simulate")
+	point.Base.Traffic.Load = 0.2
+	point.Axes = []study.Axis{{Name: "load", Floats: []float64{0.1, 0.4}}}
+	pointPath := specFile(t, point)
+	for _, args := range [][]string{{pointPath}, {"-json", pointPath}} {
+		if err := dispatch(ctx, "run", args, io.Discard); err == nil || !strings.Contains(err.Error(), "takes no axes") {
+			t.Errorf("run %v on a point spec with axes: err = %v", args, err)
+		}
 	}
 }
 
@@ -228,61 +266,45 @@ func TestRunJSON(t *testing.T) {
 	}
 }
 
-func TestParseNames(t *testing.T) {
-	got := parseNames(" alwayson ,, idlegate ")
-	if len(got) != 2 || got[0] != "alwayson" || got[1] != "idlegate" {
-		t.Fatalf("got %v", got)
-	}
-	if parseNames("") != nil {
-		t.Fatal("empty should give nil")
-	}
-}
-
-// TestRunNetFaultFlags drives the failure plumbing end to end from the
-// CLI: -mtbf/-mttr inject generated link flaps (the table grows the
-// lost column), a -faults file pins explicit events, and bad inputs
-// fail loudly.
+// TestRunNetFaultFlags drives the failure plumbing end to end from a
+// spec's failures block: generated link flaps (mtbf/mttr) grow the
+// table's lost column, explicit events do too, and bad inputs — a
+// missing spec file, mtbf without mttr — fail loudly.
 func TestRunNetFaultFlags(t *testing.T) {
 	ctx := context.Background()
+	ring := func(failures *study.FailureSpec, loads []float64, slots uint64) string {
+		spec := netSpec(t, []string{"ring"}, []string{"shortest"}, []string{"alwayson"}, loads, slots)
+		spec.Base.Network.Failures = failures
+		return specFile(t, spec)
+	}
 	var out strings.Builder
-	err := runNet(ctx, []string{
-		"-topos", "ring", "-nodes", "4", "-routings", "shortest",
-		"-policies", "alwayson", "-loads", "0.2", "-slots", "400",
-		"-mtbf", "150", "-mttr", "40",
-	}, &out)
-	if err != nil {
+	if err := dispatch(ctx, "run", []string{ring(&study.FailureSpec{MTBF: 150, MTTR: 40}, []float64{0.2}, 400)}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "lost") {
 		t.Errorf("fault run did not render the lost column:\n%s", out.String())
 	}
 
-	faults := filepath.Join(t.TempDir(), "faults.json")
-	if err := os.WriteFile(faults, []byte(
-		`{"events": [{"slot": 100, "node": 1, "down": true}, {"slot": 200, "node": 1, "down": false}], "residualMW": 2}`,
-	), 0o644); err != nil {
-		t.Fatal(err)
+	node := 1
+	events := &study.FailureSpec{
+		Events:     []study.FaultEventSpec{{Slot: 100, Node: &node, Down: true}, {Slot: 200, Node: &node, Down: false}},
+		ResidualMW: 2,
 	}
 	out.Reset()
-	err = runNet(ctx, []string{
-		"-topos", "ring", "-nodes", "4", "-routings", "shortest",
-		"-policies", "alwayson", "-loads", "0.2", "-slots", "400",
-		"-faults", faults,
-	}, &out)
-	if err != nil {
+	if err := dispatch(ctx, "run", []string{ring(events, []float64{0.2}, 400)}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "lost") {
-		t.Errorf("-faults run did not render the lost column:\n%s", out.String())
+		t.Errorf("explicit-event run did not render the lost column:\n%s", out.String())
 	}
 
-	if err := runNet(ctx, []string{"-faults", filepath.Join(t.TempDir(), "missing.json")}, io.Discard); err == nil {
-		t.Error("missing -faults file should fail")
+	if err := dispatch(ctx, "run", []string{filepath.Join(t.TempDir(), "missing.json")}, io.Discard); err == nil {
+		t.Error("missing spec file should fail")
 	}
-	if err := runNet(ctx, []string{
-		"-topos", "ring", "-loads", "0.1", "-slots", "50", "-mtbf", "100",
-	}, io.Discard); err == nil {
-		t.Error("-mtbf without -mttr should fail validation")
+	noMTTR := netSpec(t, []string{"ring"}, bothRoutings, bothPolicies, []float64{0.1}, 50)
+	noMTTR.Base.Network.Failures = &study.FailureSpec{MTBF: 100}
+	if err := dispatch(ctx, "run", []string{specFile(t, noMTTR)}, io.Discard); err == nil {
+		t.Error("mtbf without mttr should fail validation")
 	}
 }
 
@@ -293,10 +315,9 @@ func TestRunNetFaultFlags(t *testing.T) {
 // JSONL, a Chrome trace, and a metrics snapshot.
 func TestObservabilityFlagsLeaveStdoutIdentical(t *testing.T) {
 	ctx := context.Background()
-	args := []string{"-topos", "ring", "-nodes", "4", "-policies", "idlegate",
-		"-loads", "0.1,0.3", "-slots", "300"}
+	spec := specFile(t, netSpec(t, []string{"ring"}, bothRoutings, []string{"idlegate"}, []float64{0.1, 0.3}, 300))
 	var plain strings.Builder
-	if err := runNet(ctx, args, &plain); err != nil {
+	if err := dispatch(ctx, "run", []string{spec}, &plain); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
@@ -304,10 +325,10 @@ func TestObservabilityFlagsLeaveStdoutIdentical(t *testing.T) {
 	tracePath := filepath.Join(dir, "run.trace.json")
 	metricsPath := filepath.Join(dir, "metrics.json")
 	var tapped strings.Builder
-	withObs := append(append([]string{}, args...),
+	withObs := []string{spec,
 		"-v", "-telemetry", telPath, "-tsample", "50",
-		"-trace", tracePath, "-metrics", metricsPath)
-	if err := runNet(ctx, withObs, &tapped); err != nil {
+		"-trace", tracePath, "-metrics", metricsPath}
+	if err := dispatch(ctx, "run", withObs, &tapped); err != nil {
 		t.Fatal(err)
 	}
 	if plain.String() != tapped.String() {

@@ -23,6 +23,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -36,28 +37,40 @@ func main() {
 	slots := flag.Uint64("slots", 3000, "measured slots per operating point")
 	flag.Parse()
 
-	model := fpstudy.ModelSpec{Static: true}
+	spec := fpstudy.Spec{
+		Kind: "net",
+		Grid: fpstudy.Grid{
+			Base: fpstudy.Scenario{
+				Model: fpstudy.ModelSpec{Static: true},
+				// Bursty flows: on/off Markov bursts crossing every hop.
+				Traffic: fpstudy.TrafficSpec{Kind: "bursty"},
+				Sim:     fpstudy.SimSpec{MeasureSlots: *slots, Seed: 1},
+				Network: &fpstudy.NetworkSpec{
+					Nodes: 4, // leaves; BuildTopology adds 2 spines
+					// A sharded kernel: each network steps its routers
+					// on one shard per core with the deterministic
+					// two-phase barrier — the results are bit-identical
+					// to a single shard.
+					Shards: -1,
+				},
+			},
+			Axes: []fpstudy.Axis{
+				{Name: "topology", Strings: []string{"fattree"}},
+				{Name: "routing", Strings: []string{"shortest", "consolidate"}},
+				{Name: "dpm", Strings: []string{"alwayson", "idlegate"}},
+				{Name: "load", Floats: []float64{0.10, 0.30}},
+			},
+		},
+	}
 
 	fmt.Println("Fat-tree backbone (2 spines + 4 leaves) with static power attached")
 	fmt.Println()
 
-	opt := exp.NetworkStudyOptions{
-		Topologies: []string{"fattree"},
-		Nodes:      4, // leaves; BuildTopology adds 2 spines
-		Routings:   []string{"shortest", "consolidate"},
-		Policies:   []string{"alwayson", "idlegate"},
-		Loads:      []float64{0.10, 0.30},
-		// Bursty flows (on/off Markov bursts crossing every hop) and a
-		// sharded kernel: each network steps its routers on one shard
-		// per core with the deterministic two-phase barrier — the
-		// results are bit-identical to -shards 1.
-		Traffic: "bursty",
-		Shards:  -1,
-	}
-	study, err := exp.RunNetworkStudy(model, opt, exp.SimParams{MeasureSlots: *slots, Seed: 1})
+	rep, err := exp.RunSpecOpts(context.Background(), spec, fpstudy.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	study := rep.(*exp.NetworkStudy)
 	if err := study.Render(os.Stdout); err != nil {
 		log.Fatal(err)
 	}

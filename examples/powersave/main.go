@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -33,16 +34,32 @@ func main() {
 	slots := flag.Uint64("slots", 3000, "measured slots per operating point")
 	flag.Parse()
 
-	model := fpstudy.ModelSpec{Static: true}
+	// The dpm study kind renders a policy × architecture × load grid;
+	// Static attaches the default static-power model to every router.
+	spec := fpstudy.Spec{
+		Kind: "dpm",
+		Grid: fpstudy.Grid{
+			Base: fpstudy.Scenario{
+				Model:  fpstudy.ModelSpec{Static: true},
+				Fabric: fpstudy.FabricSpec{Ports: 16},
+				Sim:    fpstudy.SimSpec{MeasureSlots: *slots, Seed: 1},
+			},
+			Axes: []fpstudy.Axis{
+				{Name: "dpm", Strings: fpstudy.DPMPolicyNames()},
+				{Name: "arch", Strings: []string{"banyan"}},
+				{Name: "load", Floats: []float64{0.10, 0.30, 0.50}},
+			},
+		},
+	}
 
 	fmt.Println("16×16 Banyan with static power attached (leakage + clock trees)")
 	fmt.Println()
 
-	study, err := exp.RunDPMStudy(model, nil, []core.Architecture{core.Banyan},
-		16, []float64{0.10, 0.30, 0.50}, exp.SimParams{MeasureSlots: *slots, Seed: 1})
+	rep, err := exp.RunSpecOpts(context.Background(), spec, fpstudy.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	study := rep.(*exp.DPMStudy)
 	if err := study.Render(os.Stdout); err != nil {
 		log.Fatal(err)
 	}

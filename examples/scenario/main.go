@@ -11,7 +11,7 @@
 //  3. registers a custom traffic source and drives it by name from a
 //     scenario, and
 //  4. prints the grid as JSON — the exact format `fabricpower run`
-//     executes, and what every legacy subcommand emits under
+//     executes, and what every paper study alias prints under
 //     -print-scenario.
 //
 // Run with:

@@ -89,16 +89,6 @@ func RunDPMPoint(model core.Model, policy string, arch core.Architecture, ports 
 	})
 }
 
-// RunDPMStudy sweeps the policy × architecture × load grid at one
-// fabric size: the DPMSpec scenario grid on the sweep engine
-// (p.Workers goroutines, bit-identical results for any worker count).
-// Defaults: every available policy, all four architectures, 16 ports,
-// the paper's 10–50% loads. Set model.Static for idle power to manage;
-// without it the study degenerates to the paper's dynamic-only numbers.
-func RunDPMStudy(model study.ModelSpec, policies []string, archs []core.Architecture, ports int, loads []float64, p SimParams) (*DPMStudy, error) {
-	return dpmFromSpec(context.Background(), DPMSpec(model, policies, archs, ports, loads, p), study.RunOptions{Workers: p.Workers})
-}
-
 // dpmFromSpec runs the grid and shapes the results into the study.
 func dpmFromSpec(ctx context.Context, spec study.Spec, opt study.RunOptions) (*DPMStudy, error) {
 	gr, err := spec.Grid.Run(ctx, opt)

@@ -16,8 +16,15 @@ func dpmModel() core.Model {
 	return m
 }
 
-// dpmSpec is dpmModel in declarative form, for the study-level runners.
-func dpmSpec() study.ModelSpec { return study.ModelSpec{Static: true} }
+// dpmStudySpec is the power-management study at one size: dpmModel in
+// declarative form, policies × architectures × loads.
+func dpmStudySpec(policies []string, archs []core.Architecture, ports int, loads []float64, sim study.SimSpec) study.Spec {
+	return gridSpec("dpm", study.Scenario{
+		Model:  study.ModelSpec{Static: true},
+		Fabric: study.FabricSpec{Ports: ports},
+		Sim:    sim,
+	}, stringAxis("dpm", policies...), archAxis(archs...), floatAxis("load", loads...))
+}
 
 // TestAlwaysOnZeroStaticBitIdentical pins the acceptance contract: an
 // AlwaysOn manager over the paper's zero-static model reproduces
@@ -90,12 +97,7 @@ func TestDPMStudyParallelDeterminism(t *testing.T) {
 	loads := []float64{0.1, 0.4}
 	run := func(workers int) *DPMStudy {
 		t.Helper()
-		s, err := RunDPMStudy(dpmSpec(), nil, archs, 8, loads,
-			SimParams{WarmupSlots: 60, MeasureSlots: 300, Seed: 11, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
+		return runReport[*DPMStudy](t, dpmStudySpec(study.DPMPolicyNames(), archs, 8, loads, simSpec(60, 300, 11)), workers)
 	}
 	seq := run(1)
 	for _, workers := range []int{0, 8} {
@@ -107,12 +109,8 @@ func TestDPMStudyParallelDeterminism(t *testing.T) {
 
 // TestDPMStudyRenderAndCSV smoke-tests the reporting paths.
 func TestDPMStudyRenderAndCSV(t *testing.T) {
-	s, err := RunDPMStudy(dpmSpec(), []string{"alwayson", "idlegate"},
-		[]core.Architecture{core.Banyan}, 8, []float64{0.1},
-		SimParams{WarmupSlots: 50, MeasureSlots: 200, Seed: 3, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := runReport[*DPMStudy](t, dpmStudySpec([]string{"alwayson", "idlegate"},
+		[]core.Architecture{core.Banyan}, 8, []float64{0.1}, simSpec(50, 200, 3)), 1)
 	var buf bytes.Buffer
 	if err := s.Render(&buf); err != nil {
 		t.Fatal(err)
@@ -137,12 +135,8 @@ func TestDPMStudyRenderAndCSV(t *testing.T) {
 // TestDPMStudySkipsInfeasibleBatcher mirrors the figure runners' grid
 // filtering.
 func TestDPMStudySkipsInfeasibleBatcher(t *testing.T) {
-	s, err := RunDPMStudy(dpmSpec(), []string{"alwayson"},
-		[]core.Architecture{core.BatcherBanyan}, 2, []float64{0.2},
-		SimParams{WarmupSlots: 20, MeasureSlots: 50, Seed: 1, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := runReport[*DPMStudy](t, dpmStudySpec([]string{"alwayson"},
+		[]core.Architecture{core.BatcherBanyan}, 2, []float64{0.2}, simSpec(20, 50, 1)), 1)
 	if len(s.Points) != 0 {
 		t.Fatalf("2-port Batcher-Banyan points should be filtered, got %d", len(s.Points))
 	}

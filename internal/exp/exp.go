@@ -4,28 +4,32 @@
 // where applicable CSV, so the CLI, the tests and the benchmarks share
 // one implementation.
 //
-// Every study-level runner is a thin scenario-grid construction over the
-// declarative study layer: a Spec constructor describes the experiment
-// as a study.Grid (see Fig9Spec and friends in spec.go), the grid runs
-// on the deterministic sweep engine (SimParams.Workers goroutines,
-// results bit-identical to a sequential run — see internal/sweep), and
-// an assembly step shapes the results into the report struct. RunSpec
-// dispatches a decoded spec to the same paths, which is what makes
-// `fabricpower <subcmd> -print-scenario | fabricpower run -` reproduce
-// the subcommand byte for byte.
+// The paper's studies are data, not code: each is a checked-in spec
+// file under paper/ (embedded; PaperSpec looks one up by its
+// fabricpower subcommand name), and RunSpecOpts runs any spec as a
+// study.Grid on the deterministic sweep engine (results bit-identical
+// to a sequential run for any worker count — see internal/sweep),
+// then shapes the results into the report struct of the spec's kind.
+// `fabricpower <cmd>` is `fabricpower run` on the embedded file, which
+// is why `fabricpower <cmd> -print-scenario | fabricpower run -`
+// reproduces the subcommand byte for byte.
 //
-// Experiment index:
+// Experiment index (spec file and study kind, or Go runner):
 //
-//	Table 1  — RunTable1: node-switch LUTs, gate-level recharacterization
+//	Table 1  — paper/table1.json (kind table1): node-switch LUTs,
+//	           gate-level recharacterization (RunTable1)
 //	Table 2  — RunTable2: Banyan shared-SRAM buffer bit energy
 //	§5.1     — TechReport: E_T_bit derivation (87 fJ)
-//	Fig. 9   — RunFig9: power vs throughput, 4 architectures × 4 sizes
-//	Fig. 10  — RunFig10: power vs ports at 50% throughput
-//	Obs. 1   — RunCrossover: Banyan's low-load advantage at 32×32
-//	§5.2/§6  — RunSaturation: input-buffered 58.6% ceiling
+//	Fig. 9   — paper/fig9.json: power vs throughput, 4 architectures × 4 sizes
+//	Fig. 10  — paper/fig10.json: power vs ports at 50% throughput
+//	Obs. 1   — paper/crossover.json: Banyan's low-load advantage at 32×32
+//	§5.2/§6  — paper/saturate.json: input-buffered 58.6% ceiling
+//	Point    — paper/simulate.json (kind point): one operating point
 //	Ablations — RunBufferAblation, RunFCWireAblation, RunQueueAblation
-//	Extension — RunDPMStudy: power-management policies × architectures ×
+//	Extension — paper/dpm.json: power-management policies × architectures ×
 //	loads with static power attached (internal/dpm)
+//	Extension — paper/net.json: topology × routing × DPM policy × load over
+//	a network of routers (internal/netsim)
 package exp
 
 import (
@@ -52,12 +56,6 @@ type SimParams struct {
 	CellBits int
 	// Queue selects the ingress discipline (default FIFO, the paper's).
 	Queue router.QueueDiscipline
-	// Workers bounds a sweep's parallelism: every figure and study
-	// runner fans its independent operating points across this many
-	// goroutines via internal/sweep (0 = one per core, 1 = sequential).
-	// Results are bit-identical for any worker count — see sweep's
-	// package documentation for why.
-	Workers int
 }
 
 // WithDefaults fills unset fields.
@@ -105,12 +103,6 @@ func RunPoint(model core.Model, arch core.Architecture, ports int, load float64,
 		MeasureSlots: p.MeasureSlots,
 	})
 }
-
-// DefaultSizes returns the paper's port configurations (4×4 … 32×32).
-func DefaultSizes() []int { return []int{4, 8, 16, 32} }
-
-// DefaultLoads returns the paper's Fig. 9 throughput sweep, 10%–50%.
-func DefaultLoads() []float64 { return []float64{0.10, 0.20, 0.30, 0.40, 0.50} }
 
 // fmtMW formats a milliwatt value for tables.
 func fmtMW(v float64) string { return fmt.Sprintf("%.3f", v) }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -14,6 +15,105 @@ import (
 // stable statistics.
 func quickParams() SimParams {
 	return SimParams{WarmupSlots: 150, MeasureSlots: 900, Seed: 7}
+}
+
+// quickSim is quickParams as a spec's simulation block.
+func quickSim() study.SimSpec { return simSpec(150, 900, 7) }
+
+// simSpec bounds a spec's runs explicitly.
+func simSpec(warmup, measure uint64, seed int64) study.SimSpec {
+	return study.SimSpec{WarmupSlots: &warmup, MeasureSlots: measure, Seed: seed}
+}
+
+// gridSpec assembles a study spec of the given kind.
+func gridSpec(kind string, base study.Scenario, axes ...study.Axis) study.Spec {
+	return study.Spec{Version: study.SpecVersion, Kind: kind, Grid: study.Grid{Base: base, Axes: axes}}
+}
+
+func intAxis(name string, v ...int) study.Axis { return study.Axis{Name: name, Ints: v} }
+
+func floatAxis(name string, v ...float64) study.Axis { return study.Axis{Name: name, Floats: v} }
+
+func stringAxis(name string, v ...string) study.Axis { return study.Axis{Name: name, Strings: v} }
+
+// archAxis sweeps the given architectures, all four when none are named.
+func archAxis(archs ...core.Architecture) study.Axis {
+	if len(archs) == 0 {
+		archs = core.Architectures()
+	}
+	a := study.Axis{Name: "arch"}
+	for _, arch := range archs {
+		a.Strings = append(a.Strings, arch.String())
+	}
+	return a
+}
+
+// runReport runs spec through RunSpecOpts on the given worker count
+// and returns its report as the concrete type of the spec's kind.
+func runReport[R Report](t testing.TB, spec study.Spec, workers int) R {
+	t.Helper()
+	rep, err := RunSpecOpts(context.Background(), spec, study.RunOptions{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, ok := rep.(R)
+	if !ok {
+		t.Fatalf("kind %q rendered %T", spec.Kind, rep)
+	}
+	return r
+}
+
+// TestPaperSpecsCanonical pins the embedded paper specs as canonical
+// spec files: decoding one and encoding it again reproduces the file
+// byte for byte, so what -print-scenario prints is exactly what runs.
+func TestPaperSpecsCanonical(t *testing.T) {
+	for _, name := range []string{"fig9", "fig10", "crossover", "saturate", "dpm", "net", "simulate", "table1"} {
+		data, ok := PaperSpec(name)
+		if !ok {
+			t.Fatalf("no embedded spec for %s", name)
+		}
+		spec, err := study.DecodeSpec(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := CheckSpec(spec); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var buf bytes.Buffer
+		if err := spec.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != string(data) {
+			t.Errorf("%s is not canonical:\n--- file ---\n%s\n--- re-encoded ---\n%s", name, data, buf.String())
+		}
+	}
+	if _, ok := PaperSpec("tech"); ok {
+		t.Error("tech is not a spec study")
+	}
+}
+
+// TestSinglePointKindsRejectAxes: point and table1 render exactly one
+// scenario, so a spec sweeping an axis under either kind fails instead
+// of silently rendering only its base (a load axis [0.1, 0.4] over base
+// load 0.2 used to print the 20% point, neither axis value).
+func TestSinglePointKindsRejectAxes(t *testing.T) {
+	point := gridSpec("point", study.Scenario{
+		Fabric:  study.FabricSpec{Arch: "banyan", Ports: 8},
+		Traffic: study.TrafficSpec{Load: 0.2},
+		Sim:     simSpec(50, 200, 1),
+	}, floatAxis("load", 0.1, 0.4))
+	if _, err := RunSpecOpts(context.Background(), point, study.RunOptions{}); err == nil || !strings.Contains(err.Error(), "takes no axes") {
+		t.Errorf("point spec with axes: err = %v", err)
+	}
+	table1 := gridSpec("table1", study.Scenario{Char: &study.CharSpec{Cycles: 24, BusWidth: 8}},
+		intAxis("seed", 1, 2))
+	if _, err := RunSpecOpts(context.Background(), table1, study.RunOptions{}); err == nil || !strings.Contains(err.Error(), "takes no axes") {
+		t.Errorf("table1 spec with axes: err = %v", err)
+	}
+	point.Axes = nil
+	if p := runReport[*PointReport](t, point, 1); p.Result.Slots != 200 {
+		t.Errorf("axis-free point ran %d slots, want 200", p.Result.Slots)
+	}
 }
 
 func TestRunPointBasics(t *testing.T) {
@@ -39,7 +139,12 @@ func TestRunPointRejectsBadConfig(t *testing.T) {
 }
 
 func TestDefaults(t *testing.T) {
-	if len(DefaultSizes()) != 4 || len(DefaultLoads()) != 5 {
+	data, _ := PaperSpec("fig9")
+	fig9, err := study.DecodeSpec(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(axisInts(fig9.Axes, "ports", nil)) != 4 || len(axisFloats(fig9.Axes, "load", nil)) != 5 {
 		t.Fatal("paper sweep dimensions")
 	}
 	p := SimParams{}.WithDefaults()
@@ -53,11 +158,8 @@ func TestDefaults(t *testing.T) {
 
 func fig9ForTest(t *testing.T) *Fig9 {
 	t.Helper()
-	f, err := RunFig9(study.PaperModel(), []int{4, 16}, []float64{0.1, 0.3, 0.5}, quickParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
+	return runReport[*Fig9](t, gridSpec("fig9", study.Scenario{Sim: quickSim()},
+		intAxis("ports", 4, 16), archAxis(), floatAxis("load", 0.1, 0.3, 0.5)), 0)
 }
 
 // TestFig9BanyanSuperlinear reproduces §6 observation 1's first half: the
@@ -151,14 +253,23 @@ func TestFig9RenderAndCSV(t *testing.T) {
 	}
 }
 
+// fig10Spec is Fig. 10 at 50% load over the given sizes.
+func fig10Spec(sizes ...int) study.Spec {
+	return gridSpec("fig10", study.Scenario{Traffic: study.TrafficSpec{Load: 0.5}, Sim: quickSim()},
+		intAxis("ports", sizes...), archAxis())
+}
+
+// crossoverSpec is the crossover study at one size over the given loads.
+func crossoverSpec(model study.ModelSpec, ports int, sim study.SimSpec, loads ...float64) study.Spec {
+	return gridSpec("crossover", study.Scenario{Model: model, Fabric: study.FabricSpec{Ports: ports}, Sim: sim},
+		floatAxis("load", loads...), archAxis())
+}
+
 // TestFig10GapNarrows reproduces Fig. 10's headline: the fully-connected
 // vs Batcher-Banyan gap decreases monotonically with port count (paper:
 // 37% -> 20%; our constants give larger magnitudes, same direction).
 func TestFig10GapNarrows(t *testing.T) {
-	f, err := RunFig10(study.PaperModel(), []int{4, 8, 16, 32}, 0.5, quickParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := runReport[*Fig10](t, fig10Spec(4, 8, 16, 32), 0)
 	prev := 2.0
 	for _, n := range []int{4, 8, 16, 32} {
 		gap, err := f.FCBatcherGap(n)
@@ -189,10 +300,7 @@ func TestFig10GapNarrows(t *testing.T) {
 // TestFig10PowerGrowsWithPorts: every architecture's power rises with N
 // at fixed load.
 func TestFig10PowerGrowsWithPorts(t *testing.T) {
-	f, err := RunFig10(study.PaperModel(), []int{4, 16}, 0.5, quickParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := runReport[*Fig10](t, fig10Spec(4, 16), 0)
 	for _, a := range core.Architectures() {
 		p4, ok1 := f.Power(a, 4)
 		p16, ok2 := f.Power(a, 16)
@@ -209,10 +317,7 @@ func TestFig10PowerGrowsWithPorts(t *testing.T) {
 // the Banyan is the cheapest 32×32 fabric at 30% load (§6 obs. 1's
 // crossover regime).
 func TestCrossoverPerWordAccounting(t *testing.T) {
-	c, err := RunCrossover(study.PerWordModel(), 32, []float64{0.10, 0.30}, quickParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := runReport[*Crossover](t, crossoverSpec(study.PerWordModel(), 32, quickSim(), 0.10, 0.30), 0)
 	for i, w := range c.Winner {
 		if w != core.Banyan {
 			t.Errorf("per-word accounting: banyan should win at %.0f%%, got %v", c.Loads[i]*100, w)
@@ -228,10 +333,7 @@ func TestCrossoverPerWordAccounting(t *testing.T) {
 // buffer penalty moves the crossover to very low loads, and Banyan is no
 // longer cheapest at 30%.
 func TestCrossoverPerBitAccounting(t *testing.T) {
-	c, err := RunCrossover(study.PaperModel(), 32, []float64{0.02, 0.30}, quickParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := runReport[*Crossover](t, crossoverSpec(study.PaperModel(), 32, quickSim(), 0.02, 0.30), 0)
 	if c.Winner[0] != core.Banyan {
 		t.Errorf("at 2%% the banyan should still win, got %v", c.Winner[0])
 	}
@@ -240,12 +342,23 @@ func TestCrossoverPerBitAccounting(t *testing.T) {
 	}
 }
 
+// TestCrossoverRejectsSwappedAxes: the winner reduction reads each
+// load's architectures as one contiguous run, so a spec sweeping arch
+// outermost fails instead of crowning the wrong architectures.
+func TestCrossoverRejectsSwappedAxes(t *testing.T) {
+	spec := crossoverSpec(study.PaperModel(), 8, simSpec(20, 50, 1), 0.1, 0.3)
+	spec.Axes[0], spec.Axes[1] = spec.Axes[1], spec.Axes[0]
+	if _, err := RunSpecOpts(context.Background(), spec, study.RunOptions{}); err == nil || !strings.Contains(err.Error(), "load axis before the arch axis") {
+		t.Errorf("arch-outermost crossover spec: err = %v", err)
+	}
+}
+
 // TestSaturationCeiling reproduces the input-buffering limit.
 func TestSaturationCeiling(t *testing.T) {
-	s, err := RunSaturation(study.PaperModel(), 16, quickParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := runReport[*Saturation](t, gridSpec("saturate", study.Scenario{
+		Fabric: study.FabricSpec{Arch: "crossbar", Ports: 16},
+		Sim:    quickSim(),
+	}, floatAxis("load", 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)), 0)
 	if s.Ceiling < 0.55 || s.Ceiling > 0.65 {
 		t.Fatalf("ceiling %.3f, want ≈0.60 at N=16", s.Ceiling)
 	}

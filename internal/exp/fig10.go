@@ -26,12 +26,6 @@ type Fig10 struct {
 	Points []Fig10Point
 }
 
-// RunFig10 regenerates Fig. 10 at the given load (the paper uses 50%):
-// the Fig10Spec scenario grid run with p.Workers goroutines.
-func RunFig10(model study.ModelSpec, sizes []int, load float64, p SimParams) (*Fig10, error) {
-	return fig10FromSpec(context.Background(), Fig10Spec(model, sizes, load, p), study.RunOptions{Workers: p.Workers})
-}
-
 // fig10FromSpec runs the grid and shapes the results into the figure.
 func fig10FromSpec(ctx context.Context, spec study.Spec, opt study.RunOptions) (*Fig10, error) {
 	gr, err := spec.Grid.Run(ctx, opt)

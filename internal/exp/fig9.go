@@ -26,16 +26,6 @@ type Fig9 struct {
 	Points []Fig9Point
 }
 
-// RunFig9 regenerates Fig. 9: for each port configuration and offered
-// load (10–50%), measure the power of all four architectures under the
-// same Bernoulli uniform traffic with input buffering and the FCFS-RR
-// arbiter. The study is a scenario grid (Fig9Spec) run on the sweep
-// engine, fanned across p.Workers goroutines with deterministic,
-// order-preserving results.
-func RunFig9(model study.ModelSpec, sizes []int, loads []float64, p SimParams) (*Fig9, error) {
-	return fig9FromSpec(context.Background(), Fig9Spec(model, sizes, loads, p), study.RunOptions{Workers: p.Workers})
-}
-
 // fig9FromSpec runs the grid and shapes the results into the figure.
 func fig9FromSpec(ctx context.Context, spec study.Spec, opt study.RunOptions) (*Fig9, error) {
 	gr, err := spec.Grid.Run(ctx, opt)

@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"fabricpower/internal/core"
-	"fabricpower/internal/netsim"
 	"fabricpower/internal/plot"
 	"fabricpower/study"
 )
@@ -32,80 +31,6 @@ type NetworkStudy struct {
 	Policies   []string
 	Loads      []float64
 	Points     []NetPoint
-}
-
-// NetworkStudyOptions parameterizes RunNetworkStudy. Zero values select
-// the defaults noted on each field.
-type NetworkStudyOptions struct {
-	// Arch is every node's fabric architecture (default Crossbar).
-	Arch core.Architecture
-	// Nodes sizes each topology (default 4; for "fattree" it counts the
-	// leaves — see netsim.BuildTopology).
-	Nodes int
-	// Topologies, Routings, Policies and Loads span the grid. Defaults:
-	// all topologies, all routing policies, alwayson+idlegate, the
-	// paper's 10–50% loads.
-	Topologies []string
-	Routings   []string
-	Policies   []string
-	Loads      []float64
-	// Matrix names the traffic matrix (default "uniform"); one matrix
-	// per study so every grid point compares under the same demand
-	// shape.
-	Matrix string
-	// Traffic names the per-flow injection process (default "uniform"
-	// Bernoulli): any network-capable traffic kind — "bursty",
-	// "packet", a RegisterTraffic extension — so burstiness crosses
-	// hops. One kind per study, like Matrix.
-	Traffic string
-	// Shards partitions each network's routers across worker
-	// goroutines (deterministic two-phase kernel; results are
-	// bit-identical for any value). 0 or 1 is single-threaded, -1 one
-	// shard per core.
-	Shards int
-	// Failures schedules deterministic link/router faults on every
-	// grid point (study.FailureSpec). The fault streams are seeded
-	// from the same network seed as the traffic, which excludes
-	// routing and DPM — so every (routing, policy) pair at one point
-	// sees the identical failure schedule. Nil or empty runs fault-free.
-	Failures *study.FailureSpec
-	// IdleSkip selects the kernel's idle-node fast path: "" or "auto"
-	// and "on" enable it, "off" forces the full per-slot walk. Both are
-	// bit-identical; the switch is the CLI's divergence-bisection hatch.
-	IdleSkip string
-}
-
-func (o NetworkStudyOptions) withDefaults() NetworkStudyOptions {
-	if o.Nodes == 0 {
-		o.Nodes = 4
-	}
-	if len(o.Topologies) == 0 {
-		o.Topologies = netsim.TopologyNames()
-	}
-	if len(o.Routings) == 0 {
-		o.Routings = netsim.RoutingNames()
-	}
-	if len(o.Policies) == 0 {
-		o.Policies = []string{"alwayson", "idlegate"}
-	}
-	if len(o.Loads) == 0 {
-		o.Loads = DefaultLoads()
-	}
-	if o.Matrix == "" {
-		o.Matrix = "uniform"
-	}
-	return o
-}
-
-// RunNetworkStudy sweeps the topology × routing × DPM policy × load
-// grid: the NetSpec scenario grid on the sweep engine (p.Workers
-// goroutines, bit-identical results for any worker count: every
-// point's network is seeded from its own coordinates and simulated
-// independently). Set model.Static for the study to show
-// power-management savings; without it the study prices dynamic energy
-// only.
-func RunNetworkStudy(model study.ModelSpec, opt NetworkStudyOptions, p SimParams) (*NetworkStudy, error) {
-	return netFromSpec(context.Background(), NetSpec(model, opt, p), study.RunOptions{Workers: p.Workers})
 }
 
 // netFromSpec runs the grid and shapes the results into the study.

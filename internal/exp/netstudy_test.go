@@ -9,28 +9,27 @@ import (
 	"fabricpower/study"
 )
 
-func netTestParams(workers int) SimParams {
-	return SimParams{WarmupSlots: 100, MeasureSlots: 500, Seed: 3, CellBits: 256, Workers: workers}
+// netTestSpec is the network study on 4-node topologies with the
+// default static model attached: topologies × shortest/consolidate ×
+// alwayson/idlegate × loads.
+func netTestSpec(topologies []string, loads ...float64) study.Spec {
+	return gridSpec("net", study.Scenario{
+		Model:   study.ModelSpec{Static: true},
+		Fabric:  study.FabricSpec{Arch: "crossbar", CellBits: 256},
+		Sim:     simSpec(100, 500, 3),
+		Network: &study.NetworkSpec{Nodes: 4, Matrix: "uniform"},
+	},
+		stringAxis("topology", topologies...),
+		stringAxis("routing", "shortest", "consolidate"),
+		stringAxis("dpm", "alwayson", "idlegate"),
+		floatAxis("load", loads...))
 }
 
-func netTestOptions() NetworkStudyOptions {
-	return NetworkStudyOptions{
-		Nodes:      4,
-		Topologies: []string{"ring", "fattree"},
-		Routings:   []string{"shortest", "consolidate"},
-		Policies:   []string{"alwayson", "idlegate"},
-		Loads:      []float64{0.1, 0.3},
-	}
-}
-
-// staticSpec attaches the default static model, in declarative form.
-func staticSpec() study.ModelSpec { return study.ModelSpec{Static: true} }
+// ringAndFattree is the grid most network-study tests run.
+func ringAndFattree() study.Spec { return netTestSpec([]string{"ring", "fattree"}, 0.1, 0.3) }
 
 func TestRunNetworkStudy(t *testing.T) {
-	s, err := RunNetworkStudy(staticSpec(), netTestOptions(), netTestParams(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := runReport[*NetworkStudy](t, ringAndFattree(), 1)
 	if want := 2 * 2 * 2 * 2; len(s.Points) != want {
 		t.Fatalf("points = %d, want %d", len(s.Points), want)
 	}
@@ -66,26 +65,15 @@ func TestRunNetworkStudy(t *testing.T) {
 // TestRunNetworkStudyWorkerDeterminism pins the sweep invariant on the
 // network study: a parallel run is bit-identical to the sequential one.
 func TestRunNetworkStudyWorkerDeterminism(t *testing.T) {
-	seq, err := RunNetworkStudy(staticSpec(), netTestOptions(), netTestParams(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunNetworkStudy(staticSpec(), netTestOptions(), netTestParams(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := runReport[*NetworkStudy](t, ringAndFattree(), 1)
+	par := runReport[*NetworkStudy](t, ringAndFattree(), 8)
 	if !reflect.DeepEqual(seq, par) {
 		t.Error("network study differs between Workers:1 and Workers:8")
 	}
 }
 
 func TestNetworkStudyRenderAndCSV(t *testing.T) {
-	opt := netTestOptions()
-	opt.Topologies = []string{"fattree"}
-	s, err := RunNetworkStudy(staticSpec(), opt, netTestParams(0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := runReport[*NetworkStudy](t, netTestSpec([]string{"fattree"}, 0.1, 0.3), 0)
 	var buf bytes.Buffer
 	if err := s.Render(&buf); err != nil {
 		t.Fatal(err)
@@ -113,13 +101,7 @@ func TestNetworkStudyRenderAndCSV(t *testing.T) {
 // on the fat-tree at low load, the energy-aware pairing saves network
 // power over the baseline pairing.
 func TestNetworkStudyConsolidationSavings(t *testing.T) {
-	opt := netTestOptions()
-	opt.Topologies = []string{"fattree"}
-	opt.Loads = []float64{0.1}
-	s, err := RunNetworkStudy(staticSpec(), opt, netTestParams(0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := runReport[*NetworkStudy](t, netTestSpec([]string{"fattree"}, 0.1), 0)
 	base, ok1 := s.Point("fattree", "shortest", "alwayson", 0.1)
 	green, ok2 := s.Point("fattree", "consolidate", "idlegate", 0.1)
 	if !ok1 || !ok2 {

@@ -8,27 +8,18 @@ import (
 	"fabricpower/study"
 )
 
-// parallelParams keeps the determinism sweeps small but non-trivial.
-func parallelParams(workers int) SimParams {
-	return SimParams{WarmupSlots: 60, MeasureSlots: 300, Seed: 11, Workers: workers}
-}
+// parallelSim keeps the determinism sweeps small but non-trivial.
+func parallelSim() study.SimSpec { return simSpec(60, 300, 11) }
 
 // TestFig9ParallelDeterminism is the engine's core guarantee: a sweep
 // fanned across N workers is byte-identical to the sequential run — same
 // point order, same throughputs, same energies, bit for bit.
 func TestFig9ParallelDeterminism(t *testing.T) {
-	sizes := []int{4, 8}
-	loads := []float64{0.2, 0.5}
-	seq, err := RunFig9(study.PaperModel(), sizes, loads, parallelParams(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := gridSpec("fig9", study.Scenario{Sim: parallelSim()},
+		intAxis("ports", 4, 8), archAxis(), floatAxis("load", 0.2, 0.5))
+	seq := runReport[*Fig9](t, spec, 1)
 	for _, workers := range []int{0, 4} {
-		par, err := RunFig9(study.PaperModel(), sizes, loads, parallelParams(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seq, par) {
+		if par := runReport[*Fig9](t, spec, workers); !reflect.DeepEqual(seq, par) {
 			t.Fatalf("workers=%d sweep differs from sequential run", workers)
 		}
 	}
@@ -37,15 +28,9 @@ func TestFig9ParallelDeterminism(t *testing.T) {
 // TestCrossoverParallelDeterminism covers the reduce-after-sweep path:
 // the winner per load must not depend on scheduling.
 func TestCrossoverParallelDeterminism(t *testing.T) {
-	loads := []float64{0.05, 0.30}
-	seq, err := RunCrossover(study.PerWordModel(), 16, loads, parallelParams(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunCrossover(study.PerWordModel(), 16, loads, parallelParams(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := crossoverSpec(study.PerWordModel(), 16, parallelSim(), 0.05, 0.30)
+	seq := runReport[*Crossover](t, spec, 1)
+	par := runReport[*Crossover](t, spec, 8)
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatal("parallel crossover differs from sequential run")
 	}

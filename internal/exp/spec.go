@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"embed"
 	"fmt"
 	"io"
 
@@ -12,13 +13,25 @@ import (
 )
 
 // This file is the bridge between the declarative study layer and the
-// legacy reports: every experiment runner is a Spec constructor (the
-// scenario-grid description of the study) plus an assembly step that
-// shapes the grid's results into the report struct the paper
-// reproduction renders. `fabricpower <subcmd> -print-scenario` emits
-// the constructor's spec; `fabricpower run` feeds a decoded spec back
-// through RunSpec — both paths execute the identical grid, so the
-// outputs match byte for byte.
+// paper's reports: the paper's studies are checked-in spec files
+// (paper/*.json, looked up by PaperSpec), and RunSpecOpts runs any
+// spec and shapes the grid's results into the report struct of its
+// kind. `fabricpower <cmd>` is `fabricpower run` on the embedded file,
+// so `fabricpower <cmd> -print-scenario | fabricpower run -`
+// reproduces the alias byte for byte.
+
+//go:embed paper/*.json
+var paperFS embed.FS
+
+// PaperSpec returns the checked-in spec of one of the paper's studies,
+// named by its fabricpower subcommand ("fig9", "fig10", "crossover",
+// "saturate", "dpm", "net", "simulate", "table1"), verbatim. The files
+// are canonical: study.DecodeSpec followed by Spec.Encode reproduces
+// them byte for byte.
+func PaperSpec(name string) ([]byte, bool) {
+	data, err := paperFS.ReadFile("paper/" + name + ".json")
+	return data, err == nil
+}
 
 // Report is a rendered study outcome.
 type Report interface {
@@ -29,33 +42,6 @@ type Report interface {
 type CSVReport interface {
 	Report
 	CSV(w io.Writer) error
-}
-
-// specBase assembles the scenario every study spec shares: fully
-// resolved simulation bounds (so printed specs are explicit and
-// reproducible) over the given model.
-func specBase(model study.ModelSpec, p SimParams) study.Scenario {
-	p = p.WithDefaults()
-	warmup := p.WarmupSlots
-	return study.Scenario{
-		Model:  model,
-		Fabric: study.FabricSpec{CellBits: p.CellBits},
-		Queue:  p.Queue.String(),
-		Sim: study.SimSpec{
-			WarmupSlots:  &warmup,
-			MeasureSlots: p.MeasureSlots,
-			Seed:         p.Seed,
-		},
-	}
-}
-
-// archNames converts architectures to their axis values.
-func archNames(archs []core.Architecture) []string {
-	names := make([]string, len(archs))
-	for i, a := range archs {
-		names[i] = a.String()
-	}
-	return names
 }
 
 // parseArchs converts axis values back to architectures.
@@ -102,195 +88,27 @@ func axisStrings(axes []study.Axis, name string, fallback []string) []string {
 	return fallback
 }
 
-// Fig9Spec describes Fig. 9 as a scenario grid: ports × architecture ×
-// load over uniform traffic.
-func Fig9Spec(model study.ModelSpec, sizes []int, loads []float64, p SimParams) study.Spec {
-	if len(sizes) == 0 {
-		sizes = DefaultSizes()
+// CheckSpec rejects a spec whose report would silently drop part of
+// it: the single-point kinds (point, table1) render one scenario, so
+// they take no axes.
+func CheckSpec(spec study.Spec) error {
+	if (spec.Kind == "point" || spec.Kind == "table1") && len(spec.Axes) > 0 {
+		return fmt.Errorf("exp: study kind %q runs one scenario and takes no axes (got %d); drop the kind to sweep with the generic table", spec.Kind, len(spec.Axes))
 	}
-	if len(loads) == 0 {
-		loads = DefaultLoads()
-	}
-	return study.Spec{
-		Version: study.SpecVersion,
-		Kind:    "fig9",
-		Grid: study.Grid{
-			Base: specBase(model, p),
-			Axes: []study.Axis{
-				{Name: "ports", Ints: sizes},
-				{Name: "arch", Strings: archNames(core.Architectures())},
-				{Name: "load", Floats: loads},
-			},
-		},
-	}
+	return nil
 }
 
-// Fig10Spec describes Fig. 10: ports × architecture at one load.
-func Fig10Spec(model study.ModelSpec, sizes []int, load float64, p SimParams) study.Spec {
-	if len(sizes) == 0 {
-		sizes = DefaultSizes()
-	}
-	if load <= 0 {
-		load = 0.5
-	}
-	base := specBase(model, p)
-	base.Traffic.Load = load
-	return study.Spec{
-		Version: study.SpecVersion,
-		Kind:    "fig10",
-		Grid: study.Grid{
-			Base: base,
-			Axes: []study.Axis{
-				{Name: "ports", Ints: sizes},
-				{Name: "arch", Strings: archNames(core.Architectures())},
-			},
-		},
-	}
-}
-
-// CrossoverSpec describes the cheapest-architecture study: load ×
-// architecture at one size (loads outermost, so the per-load winner
-// reduction reads contiguous runs).
-func CrossoverSpec(model study.ModelSpec, ports int, loads []float64, p SimParams) study.Spec {
-	if ports == 0 {
-		ports = 32
-	}
-	if len(loads) == 0 {
-		loads = []float64{0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.50}
-	}
-	base := specBase(model, p)
-	base.Fabric.Ports = ports
-	return study.Spec{
-		Version: study.SpecVersion,
-		Kind:    "crossover",
-		Grid: study.Grid{
-			Base: base,
-			Axes: []study.Axis{
-				{Name: "load", Floats: loads},
-				{Name: "arch", Strings: archNames(core.Architectures())},
-			},
-		},
-	}
-}
-
-// SaturationSpec describes the input-buffering ceiling study: an
-// offered-load sweep on the crossbar.
-func SaturationSpec(model study.ModelSpec, ports int, p SimParams) study.Spec {
-	if ports == 0 {
-		ports = 16
-	}
-	base := specBase(model, p)
-	base.Fabric.Arch = core.Crossbar.String()
-	base.Fabric.Ports = ports
-	return study.Spec{
-		Version: study.SpecVersion,
-		Kind:    "saturate",
-		Grid: study.Grid{
-			Base: base,
-			Axes: []study.Axis{
-				{Name: "load", Floats: []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}},
-			},
-		},
-	}
-}
-
-// DPMSpec describes the power-management study: policy × architecture ×
-// load at one size.
-func DPMSpec(model study.ModelSpec, policies []string, archs []core.Architecture, ports int, loads []float64, p SimParams) study.Spec {
-	if len(policies) == 0 {
-		policies = study.DPMPolicyNames()
-	}
-	if len(archs) == 0 {
-		archs = core.Architectures()
-	}
-	if ports == 0 {
-		ports = 16
-	}
-	if len(loads) == 0 {
-		loads = DefaultLoads()
-	}
-	base := specBase(model, p)
-	base.Fabric.Ports = ports
-	return study.Spec{
-		Version: study.SpecVersion,
-		Kind:    "dpm",
-		Grid: study.Grid{
-			Base: base,
-			Axes: []study.Axis{
-				{Name: "dpm", Strings: policies},
-				{Name: "arch", Strings: archNames(archs)},
-				{Name: "load", Floats: loads},
-			},
-		},
-	}
-}
-
-// NetSpec describes the network study: topology × routing × DPM policy
-// × load over a backbone of routers.
-func NetSpec(model study.ModelSpec, opt NetworkStudyOptions, p SimParams) study.Spec {
-	opt = opt.withDefaults()
-	base := specBase(model, p)
-	base.Fabric.Arch = opt.Arch.String()
-	base.Traffic.Kind = opt.Traffic
-	base.Network = &study.NetworkSpec{Nodes: opt.Nodes, Matrix: opt.Matrix, Shards: opt.Shards, Failures: opt.Failures, IdleSkip: opt.IdleSkip}
-	return study.Spec{
-		Version: study.SpecVersion,
-		Kind:    "net",
-		Grid: study.Grid{
-			Base: base,
-			Axes: []study.Axis{
-				{Name: "topology", Strings: opt.Topologies},
-				{Name: "routing", Strings: opt.Routings},
-				{Name: "dpm", Strings: opt.Policies},
-				{Name: "load", Floats: opt.Loads},
-			},
-		},
-	}
-}
-
-// PointSpec describes one operating point (the `simulate` subcommand).
-func PointSpec(model study.ModelSpec, arch core.Architecture, ports int, load float64, p SimParams) study.Spec {
-	base := specBase(model, p)
-	base.Fabric.Arch = arch.String()
-	base.Fabric.Ports = ports
-	base.Traffic.Load = load
-	return study.Spec{Version: study.SpecVersion, Kind: "point", Grid: study.Grid{Base: base}}
-}
-
-// Table1Spec describes the gate-level node-switch characterization.
-func Table1Spec(model study.ModelSpec, opt Table1Options) study.Spec {
-	opt = opt.withDefaults()
-	return study.Spec{
-		Version: study.SpecVersion,
-		Kind:    "table1",
-		Grid: study.Grid{
-			Base: study.Scenario{
-				Model: model,
-				Char: &study.CharSpec{
-					Cycles:   opt.Cycles,
-					BusWidth: opt.BusWidth,
-					MuxSizes: opt.MuxSizes,
-					Seed:     opt.Seed,
-				},
-			},
-		},
-	}
-}
-
-// RunSpec executes a declarative spec and returns the study report of
-// its kind. The legacy kinds reproduce the matching subcommand's
-// report exactly; an empty kind returns the generic per-point table. A
-// cancelled ctx aborts the underlying grid between points and
-// surfaces ctx's error.
-func RunSpec(ctx context.Context, spec study.Spec, workers int) (Report, error) {
-	return RunSpecOpts(ctx, spec, study.RunOptions{Workers: workers})
-}
-
-// RunSpecOpts is RunSpec with the full grid-run options: progress
-// callbacks, structured events and per-point telemetry all flow through
-// to the underlying Grid.Run unchanged (single-point kinds — point,
-// table1 — run one scenario and emit no grid events).
+// RunSpecOpts executes a declarative spec and returns the study report
+// of its kind: the paper's kinds render their figure or table, an
+// empty kind the generic per-point table. Progress callbacks,
+// structured events and per-point telemetry in opt flow through to the
+// underlying Grid.Run unchanged (single-point kinds — point, table1 —
+// run one scenario and emit no grid events). A cancelled ctx aborts
+// the grid between points and surfaces ctx's error.
 func RunSpecOpts(ctx context.Context, spec study.Spec, opt study.RunOptions) (Report, error) {
+	if err := CheckSpec(spec); err != nil {
+		return nil, err
+	}
 	switch spec.Kind {
 	case "fig9":
 		return fig9FromSpec(ctx, spec, opt)

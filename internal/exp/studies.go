@@ -24,16 +24,9 @@ type Crossover struct {
 	BanyanCheapestUpTo float64
 }
 
-// RunCrossover sweeps fine-grained loads at one size and records which
-// architecture draws the least power at each: the CrossoverSpec
-// scenario grid (loads outermost) with the winner reduction after the
-// sweep, in load order, so the result is independent of the worker
-// count.
-func RunCrossover(model study.ModelSpec, ports int, loads []float64, p SimParams) (*Crossover, error) {
-	return crossoverFromSpec(context.Background(), CrossoverSpec(model, ports, loads, p), study.RunOptions{Workers: p.Workers})
-}
-
-// crossoverFromSpec runs the grid and reduces per-load winners.
+// crossoverFromSpec runs the grid and reduces per-load winners. The
+// spec sweeps loads outermost, so each load's architectures are one
+// contiguous run of points.
 func crossoverFromSpec(ctx context.Context, spec study.Spec, opt study.RunOptions) (*Crossover, error) {
 	gr, err := spec.Grid.Run(ctx, opt)
 	if err != nil {
@@ -41,7 +34,8 @@ func crossoverFromSpec(ctx context.Context, spec study.Spec, opt study.RunOption
 	}
 	base := spec.Base.Resolved()
 	loads := axisFloats(spec.Axes, "load", []float64{base.Traffic.Load})
-	archs, err := parseArchs(axisStrings(spec.Axes, "arch", []string{base.Fabric.Arch}))
+	names := axisStrings(spec.Axes, "arch", []string{base.Fabric.Arch})
+	archs, err := parseArchs(names)
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +48,11 @@ func crossoverFromSpec(ctx context.Context, spec study.Spec, opt study.RunOption
 		best := core.Architecture(-1)
 		bestP := 0.0
 		for ai, arch := range archs {
-			res := gr.Points[li*len(archs)+ai].Result
+			pt := gr.Points[li*len(archs)+ai]
+			if sc := pt.Scenario.Resolved(); sc.Traffic.Load != load || sc.Fabric.Arch != names[ai] {
+				return nil, fmt.Errorf("exp: crossover spec must sweep the load axis before the arch axis")
+			}
+			res := pt.Result
 			if best < 0 || res.Power.TotalMW() < bestP {
 				best = arch
 				bestP = res.Power.TotalMW()
@@ -93,13 +91,6 @@ type Saturation struct {
 	Egress  []float64
 	// Ceiling is the maximum measured throughput.
 	Ceiling float64
-}
-
-// RunSaturation sweeps offered load 10%…100% on the crossbar (the
-// fabric is irrelevant — the ceiling is a property of input buffering):
-// the SaturationSpec scenario grid, one point per load.
-func RunSaturation(model study.ModelSpec, ports int, p SimParams) (*Saturation, error) {
-	return saturationFromSpec(context.Background(), SaturationSpec(model, ports, p), study.RunOptions{Workers: p.Workers})
 }
 
 // saturationFromSpec runs the grid and extracts the egress curve.

@@ -8,8 +8,8 @@
 // dynamic power-management policy, and an optional network block
 // (topology, routing policy, traffic matrix). RunScenario executes it
 // on the same kernels the paper-reproduction runners use, with the same
-// coordinate-derived traffic seeds, so a scenario printed by a legacy
-// subcommand reproduces that subcommand's measurements exactly.
+// coordinate-derived traffic seeds, so the paper's studies are
+// themselves scenario grids.
 //
 // A Grid sweeps any scenario axis — load, ports, architecture, DPM
 // policy, topology, routing, … — by naming the axis and listing its
@@ -22,7 +22,7 @@
 // A Spec wraps a Grid with a schema version (SpecVersion — Encode
 // stamps it, DecodeSpec rejects versions it cannot read) and a study
 // kind ("fig9", "dpm", "net", …) so the CLI can render a declarative
-// run with the legacy reports; see internal/exp and the `fabricpower
+// run with the paper's reports; see internal/exp and the `fabricpower
 // run` subcommand. WriteResultRecords emits a grid run as JSON Lines
 // (`fabricpower run -json`) for machine consumption.
 //

@@ -536,10 +536,12 @@ const SpecVersion = 1
 
 // Spec is the on-disk form of a study: a schema version, a grid, and
 // the kind of report to render. An empty kind renders the generic
-// per-point table; the legacy kinds ("point", "fig9", "fig10",
-// "crossover", "saturate", "table1", "dpm", "net") reproduce the
-// matching subcommand's report byte for byte — see `fabricpower run`
-// and internal/exp.
+// per-point table; the paper's kinds ("point", "fig9", "fig10",
+// "crossover", "saturate", "table1", "dpm", "net") render its figures
+// and tables. The paper's own studies are spec files of these kinds,
+// embedded in fabricpower and printed by `fabricpower <study>
+// -print-scenario`; see `fabricpower run` and internal/exp. The
+// single-point kinds "point" and "table1" take no axes.
 type Spec struct {
 	// Version is the schema version (SpecVersion). Zero is read as
 	// version 1 — the schema predates the field — and Encode always

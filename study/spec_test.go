@@ -8,15 +8,38 @@ import (
 	"strings"
 	"testing"
 
-	"fabricpower/internal/exp"
 	"fabricpower/study"
 )
 
+// fullySpecified is the base scenario of the paper's spec files: the
+// simulation bounds spelled out so a printed spec is explicit and
+// reproducible.
+func fullySpecified(model study.ModelSpec, cellBits int, measure uint64, seed int64) study.Scenario {
+	warmup := uint64(300)
+	return study.Scenario{
+		Model:  model,
+		Fabric: study.FabricSpec{CellBits: cellBits},
+		Queue:  "fifo",
+		Sim:    study.SimSpec{WarmupSlots: &warmup, MeasureSlots: measure, Seed: seed},
+	}
+}
+
 // fig10Spec is the reference spec the golden-file tests pin: the
-// fig10 subcommand at 2 sizes and quick slots.
+// fig10 study at 2 sizes and quick slots.
 func fig10Spec() study.Spec {
-	return exp.Fig10Spec(study.PaperModel(), []int{4, 8}, 0.5,
-		exp.SimParams{MeasureSlots: 300, Seed: 1})
+	base := fullySpecified(study.PaperModel(), 1024, 300, 1)
+	base.Traffic.Load = 0.5
+	return study.Spec{
+		Version: study.SpecVersion,
+		Kind:    "fig10",
+		Grid: study.Grid{
+			Base: base,
+			Axes: []study.Axis{
+				{Name: "ports", Ints: []int{4, 8}},
+				{Name: "arch", Strings: []string{"crossbar", "fullyconnected", "banyan", "batcherbanyan"}},
+			},
+		},
+	}
 }
 
 // update regenerates the golden files instead of comparing:
@@ -73,13 +96,22 @@ func TestSpecGoldenRoundTrip(t *testing.T) {
 
 // TestNetSpecGolden covers the network block's schema the same way.
 func TestNetSpecGolden(t *testing.T) {
-	spec := exp.NetSpec(study.ModelSpec{Static: true}, exp.NetworkStudyOptions{
-		Topologies: []string{"ring", "fattree"},
-		Nodes:      4,
-		Routings:   []string{"shortest", "consolidate"},
-		Policies:   []string{"alwayson", "idlegate"},
-		Loads:      []float64{0.1, 0.3},
-	}, exp.SimParams{MeasureSlots: 500, Seed: 3, CellBits: 256})
+	base := fullySpecified(study.ModelSpec{Static: true}, 256, 500, 3)
+	base.Fabric.Arch = "crossbar"
+	base.Network = &study.NetworkSpec{Nodes: 4, Matrix: "uniform"}
+	spec := study.Spec{
+		Version: study.SpecVersion,
+		Kind:    "net",
+		Grid: study.Grid{
+			Base: base,
+			Axes: []study.Axis{
+				{Name: "topology", Strings: []string{"ring", "fattree"}},
+				{Name: "routing", Strings: []string{"shortest", "consolidate"}},
+				{Name: "dpm", Strings: []string{"alwayson", "idlegate"}},
+				{Name: "load", Floats: []float64{0.1, 0.3}},
+			},
+		},
+	}
 	var buf bytes.Buffer
 	if err := spec.Encode(&buf); err != nil {
 		t.Fatal(err)
