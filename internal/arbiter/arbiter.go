@@ -116,6 +116,11 @@ type ISLIP struct {
 	iterations int
 	grantPtr   []int // per output
 	acceptPtr  []int // per input
+
+	// Per-call scratch, reused so matching is allocation-free.
+	matchIn  []int // input -> output; Match returns it
+	matchOut []int // output -> input
+	grant    []int // output -> granted input, per iteration
 }
 
 // NewISLIP builds an iSLIP arbiter for the given port count and iteration
@@ -132,12 +137,16 @@ func NewISLIP(ports, iterations int) (*ISLIP, error) {
 		iterations: iterations,
 		grantPtr:   make([]int, ports),
 		acceptPtr:  make([]int, ports),
+		matchIn:    make([]int, ports),
+		matchOut:   make([]int, ports),
+		grant:      make([]int, ports),
 	}, nil
 }
 
 // Match computes a matching over the VOQ occupancy matrix: request[i][j]
 // is true when input i has a cell queued for output j. The result maps
-// input -> matched output, −1 when unmatched.
+// input -> matched output, −1 when unmatched; it is reused by the next
+// Match call.
 func (s *ISLIP) Match(request [][]bool) ([]int, error) {
 	if len(request) != s.ports {
 		return nil, fmt.Errorf("arbiter: request matrix has %d rows, want %d", len(request), s.ports)
@@ -147,8 +156,8 @@ func (s *ISLIP) Match(request [][]bool) ([]int, error) {
 			return nil, fmt.Errorf("arbiter: request row %d has %d cols, want %d", i, len(row), s.ports)
 		}
 	}
-	matchIn := make([]int, s.ports)  // input -> output
-	matchOut := make([]int, s.ports) // output -> input
+	n := s.ports
+	matchIn, matchOut, grant := s.matchIn, s.matchOut, s.grant
 	for i := range matchIn {
 		matchIn[i] = -1
 		matchOut[i] = -1
@@ -156,14 +165,12 @@ func (s *ISLIP) Match(request [][]bool) ([]int, error) {
 	for iter := 0; iter < s.iterations; iter++ {
 		// Grant phase: each unmatched output grants the first requesting
 		// unmatched input at or after its grant pointer.
-		grant := make([]int, s.ports) // output -> granted input
-		for o := 0; o < s.ports; o++ {
+		for o := 0; o < n; o++ {
 			grant[o] = -1
 			if matchOut[o] != -1 {
 				continue
 			}
-			for k := 0; k < s.ports; k++ {
-				i := (s.grantPtr[o] + k) % s.ports
+			for k, i := 0, s.grantPtr[o]; k < n; k, i = k+1, next(i, n) {
 				if matchIn[i] == -1 && request[i][o] {
 					grant[o] = i
 					break
@@ -172,20 +179,19 @@ func (s *ISLIP) Match(request [][]bool) ([]int, error) {
 		}
 		// Accept phase: each input accepts the first granting output at
 		// or after its accept pointer.
-		for i := 0; i < s.ports; i++ {
+		for i := 0; i < n; i++ {
 			if matchIn[i] != -1 {
 				continue
 			}
-			for k := 0; k < s.ports; k++ {
-				o := (s.acceptPtr[i] + k) % s.ports
+			for k, o := 0, s.acceptPtr[i]; k < n; k, o = k+1, next(o, n) {
 				if grant[o] == i {
 					matchIn[i] = o
 					matchOut[o] = i
 					if iter == 0 {
 						// Pointers advance only on first-iteration
 						// accepts (iSLIP's desynchronization rule).
-						s.grantPtr[o] = (i + 1) % s.ports
-						s.acceptPtr[i] = (o + 1) % s.ports
+						s.grantPtr[o] = next(i, n)
+						s.acceptPtr[i] = next(o, n)
 					}
 					break
 				}
@@ -193,4 +199,12 @@ func (s *ISLIP) Match(request [][]bool) ([]int, error) {
 		}
 	}
 	return matchIn, nil
+}
+
+// next returns the port after p, wrapping at n.
+func next(p, n int) int {
+	if p++; p == n {
+		return 0
+	}
+	return p
 }

@@ -1,6 +1,8 @@
 package arbiter
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -218,5 +220,118 @@ func TestISLIPMatchingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// oracleISLIP is the allocating, modulo-wrapping iSLIP the scratch-reusing
+// Match replaced, kept verbatim as the differential oracle.
+type oracleISLIP struct {
+	ports, iterations   int
+	grantPtr, acceptPtr []int
+}
+
+func (s *oracleISLIP) match(request [][]bool) []int {
+	matchIn := make([]int, s.ports)  // input -> output
+	matchOut := make([]int, s.ports) // output -> input
+	for i := range matchIn {
+		matchIn[i] = -1
+		matchOut[i] = -1
+	}
+	for iter := 0; iter < s.iterations; iter++ {
+		grant := make([]int, s.ports) // output -> granted input
+		for o := 0; o < s.ports; o++ {
+			grant[o] = -1
+			if matchOut[o] != -1 {
+				continue
+			}
+			for k := 0; k < s.ports; k++ {
+				i := (s.grantPtr[o] + k) % s.ports
+				if matchIn[i] == -1 && request[i][o] {
+					grant[o] = i
+					break
+				}
+			}
+		}
+		for i := 0; i < s.ports; i++ {
+			if matchIn[i] != -1 {
+				continue
+			}
+			for k := 0; k < s.ports; k++ {
+				o := (s.acceptPtr[i] + k) % s.ports
+				if grant[o] == i {
+					matchIn[i] = o
+					matchOut[o] = i
+					if iter == 0 {
+						s.grantPtr[o] = (i + 1) % s.ports
+						s.acceptPtr[i] = (o + 1) % s.ports
+					}
+					break
+				}
+			}
+		}
+	}
+	return matchIn
+}
+
+// TestISLIPMatchesOracle drives Match and the oracle through the same
+// random request matrices from random pointer states, slot after slot,
+// and demands identical matches and identical pointer evolution.
+func TestISLIPMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		n, iters := 1+rng.Intn(16), 1+rng.Intn(4)
+		s, err := NewISLIP(n, iters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := 0; p < n; p++ {
+			s.grantPtr[p], s.acceptPtr[p] = rng.Intn(n), rng.Intn(n)
+		}
+		o := &oracleISLIP{ports: n, iterations: iters,
+			grantPtr: slices.Clone(s.grantPtr), acceptPtr: slices.Clone(s.acceptPtr)}
+		density := rng.Float64()
+		req := make([][]bool, n)
+		for i := range req {
+			req[i] = make([]bool, n)
+		}
+		for slot := 0; slot < 20; slot++ {
+			for i := range req {
+				for j := range req[i] {
+					req[i][j] = rng.Float64() < density
+				}
+			}
+			got, err := s.Match(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := o.match(req)
+			if !slices.Equal(got, want) || !slices.Equal(s.grantPtr, o.grantPtr) || !slices.Equal(s.acceptPtr, o.acceptPtr) {
+				t.Fatalf("trial %d (n=%d, iters=%d) slot %d: match %v ptrs %v/%v, oracle %v ptrs %v/%v",
+					trial, n, iters, slot, got, s.grantPtr, s.acceptPtr, want, o.grantPtr, o.acceptPtr)
+			}
+		}
+	}
+}
+
+func TestISLIPMatchAllocationFree(t *testing.T) {
+	const n = 16
+	s, err := NewISLIP(n, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	req := make([][]bool, n)
+	for i := range req {
+		req[i] = make([]bool, n)
+		for j := range req[i] {
+			req[i][j] = rng.Intn(2) == 0
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, err := s.Match(req); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Match allocates %.1f times per call, want 0", allocs)
 	}
 }

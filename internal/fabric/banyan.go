@@ -187,7 +187,7 @@ func (b *banyan) Step(slot uint64) []*packet.Cell {
 				}
 				cell.MarkMoved(slot)
 				// Wire energy on the stage-s output link.
-				b.energy.Accumulate(core.WireComponent, b.bank[s].cross(outLine, cell.Payload, grids))
+				b.energy.Accumulate(core.WireComponent, b.bank[s].cross(outLine, cell, grids))
 				if s == b.dim-1 {
 					b.delivered = append(b.delivered, cell)
 					b.inFlight--

@@ -240,11 +240,11 @@ func (b *batcherBanyan) sortStage(w *wave) {
 		// Link energy: each occupied output line crosses the stage wire.
 		if cc := w.cells[lo]; cc != nil {
 			b.energy.Accumulate(core.WireComponent,
-				b.sortBank[g].cross(lo, cc.Payload, grids))
+				b.sortBank[g].cross(lo, cc, grids))
 		}
 		if cc := w.cells[hi]; cc != nil {
 			b.energy.Accumulate(core.WireComponent,
-				b.sortBank[g].cross(hi, cc.Payload, grids))
+				b.sortBank[g].cross(hi, cc, grids))
 		}
 	}
 }
@@ -295,7 +295,7 @@ func (b *batcherBanyan) banyanStage(w *wave, s int) {
 			out[outLine] = c
 			vec |= 1 << uint(d)
 			b.energy.Accumulate(core.WireComponent,
-				b.banyanBank[s].cross(outLine, c.Payload, grids))
+				b.banyanBank[s].cross(outLine, c, grids))
 		}
 		if vec != 0 {
 			b.energy.Accumulate(core.SwitchComponent,

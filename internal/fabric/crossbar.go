@@ -72,8 +72,8 @@ func (x *crossbar) Step(slot uint64) []*packet.Cell {
 		// N crosspoints on the row see the bit stream (Eq. 3's N·E_S).
 		x.energy.Accumulate(core.SwitchComponent, float64(x.cfg.Ports)*x.xpFJ*cellBits)
 		// Full row and column wires, flip-accurate.
-		x.energy.Accumulate(core.WireComponent, x.rowBank.cross(c.Src, c.Payload, x.rowGrids))
-		x.energy.Accumulate(core.WireComponent, x.colBank.cross(c.Dest, c.Payload, x.colGrids))
+		x.energy.Accumulate(core.WireComponent, x.rowBank.cross(c.Src, c, x.rowGrids))
+		x.energy.Accumulate(core.WireComponent, x.colBank.cross(c.Dest, c, x.colGrids))
 	}
 	return delivered
 }

@@ -146,8 +146,8 @@ func newWireBank(lines int, etFJ float64) *wireBank {
 
 // cross streams the cell over link line with the given length in Thompson
 // grids and returns the wire energy in fJ.
-func (w *wireBank) cross(line int, payload []uint32, grids float64) float64 {
-	flips, last := packet.FlipsThrough(w.state[line], payload)
+func (w *wireBank) cross(line int, c *packet.Cell, grids float64) float64 {
+	flips, last := c.Crossing(w.state[line])
 	w.state[line] = last
 	return float64(flips) * grids * w.etFJ
 }

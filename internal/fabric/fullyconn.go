@@ -79,7 +79,7 @@ func (f *fullyConnected) Step(slot uint64) []*packet.Cell {
 		// One N-input MUX traversal per cell (Eq. 4's E_S term).
 		f.energy.Accumulate(core.SwitchComponent, f.mux.EnergyFJ(0b1)*cellBits)
 		// The input bus to the selected MUX, flip-accurate.
-		f.energy.Accumulate(core.WireComponent, f.inBank.cross(c.Src, c.Payload, f.grids))
+		f.energy.Accumulate(core.WireComponent, f.inBank.cross(c.Src, c, f.grids))
 	}
 	return delivered
 }

@@ -409,9 +409,12 @@ func windowSlots(from, to, start uint64) uint64 {
 // refreshUsable rederives each pair's usability (pair healthy, both
 // endpoints up) and each directed link's up mask, flushing the queues
 // of links that just became unusable and of routers that just went
-// down. Flushed cells are charged to their flows' loss ledger.
+// down. Flushed cells are charged to their flows' loss ledger and
+// released into the first shard's pool: this runs at the barrier, where
+// no shard touches its pool.
 func (n *Network) refreshUsable(slot uint64) {
 	fs := n.fail
+	pool := n.shards[0].pool
 	for pi, p := range fs.pairs {
 		usable := !fs.pairFailed[pi] && !fs.nodeDown[p[0]] && !fs.nodeDown[p[1]]
 		if usable == fs.pairUsable[pi] {
@@ -428,6 +431,7 @@ func (n *Network) refreshUsable(slot uint64) {
 				for !q.empty() {
 					c := q.pop()
 					fs.eventLost[c.FlowID]++
+					pool.Put(c)
 				}
 			}
 		}
@@ -440,6 +444,7 @@ func (n *Network) refreshUsable(slot uint64) {
 		if down && fs.nodeDownAt[u] == slot {
 			n.routers[u].FlushQueues(func(c *packet.Cell) {
 				fs.eventLost[c.FlowID]++
+				pool.Put(c)
 			})
 		}
 	}

@@ -476,9 +476,10 @@ func (s *cutoffSource) Inject(slot uint64) bool {
 // alike: stepping every managed router, forwarding its delivered cells
 // (ring-buffer links, flow state carried in the cells, reused
 // outboxes) and running the two-phase barrier must not touch the
-// allocator. Source injection is excluded — creating a cell
-// necessarily allocates its payload — by cutting the (non-Bernoulli,
-// bursty) sources off after warmup.
+// allocator. This is the drained-network pin: the (non-Bernoulli,
+// bursty) sources are cut off after warmup.
+// TestNetworkLiveTrafficAllocationFree pins the same with injection
+// running.
 func TestNetworkRouterSlotAllocationFree(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {

@@ -236,6 +236,15 @@ type shard struct {
 	// merged+reset at sample time.
 	telLat []uint64
 
+	// pool recycles the cells this shard's sources inject and the cells
+	// its nodes deliver, drop or lose. A cell injected on one shard may
+	// end its life on another, so the network rebalances free cells
+	// across shard pools at the slot barrier (balancePools); maxInject,
+	// the number of flows sourced at the shard's nodes, is the most
+	// cells its sources can take in one slot.
+	pool      *packet.Pool
+	maxInject int
+
 	_ [8]uint64 // keep neighboring shards off one cache line
 }
 
@@ -451,6 +460,14 @@ func New(cfg Config) (*Network, error) {
 	}
 	for u := 0; u < t.Nodes; u++ {
 		n.shards[part[u]].nodes = append(n.shards[part[u]].nodes, u)
+		n.shards[part[u]].maxInject += len(n.nodeFlows[u])
+	}
+	// Cap each free list at the network's queue capacity, so cells
+	// drifting from one shard to another cannot grow a pool without
+	// bound.
+	queueCap := t.Nodes*t.Ports*cfg.MaxQueueCells + len(t.Links)*cfg.LinkQueueCells
+	for w := range n.shards {
+		n.shards[w].pool = packet.NewPool(n.words, queueCap)
 	}
 	if !cfg.Faults.Empty() {
 		fs, err := newFaultState(*cfg.Faults, t, len(flows), cfg.Seed)
@@ -583,6 +600,7 @@ func (n *Network) Step(slot uint64) {
 		if n.pool == nil {
 			n.pool = newShardPool(n)
 		}
+		n.balancePools()
 		n.pool.step(slot)
 	}
 	if n.prof != nil && n.prof.sampling {
@@ -590,6 +608,32 @@ func (n *Network) Step(slot uint64) {
 		// published (the done-channel receives order them); fold the
 		// sampled slot into the profile single-threaded.
 		n.prof.closeSlot(slot)
+	}
+}
+
+// balancePools tops up, before a sharded slot, every shard pool that
+// could run dry this slot from the other pools' surplus. Cells return
+// to the pool of the shard where their life ends, which under
+// asymmetric traffic is not the shard that injected them; without this
+// the injecting shard would allocate forever while the other filled
+// its cap. A pool gives only what it holds beyond its own worst case,
+// so two short pools never trade the same cells back and forth. It
+// runs at the barrier, where no shard touches its pool.
+func (n *Network) balancePools() {
+	for w := range n.shards {
+		s := &n.shards[w]
+		short := s.maxInject - s.pool.Free()
+		for v := range n.shards {
+			if short <= 0 {
+				break
+			}
+			d := &n.shards[v]
+			if surplus := d.pool.Free() - d.maxInject; surplus > 0 {
+				k := min(short, surplus)
+				s.pool.Take(d.pool, k)
+				short -= k
+			}
+		}
 	}
 }
 
@@ -706,20 +750,20 @@ func (n *Network) injectNode(s *shard, u int, slot uint64) (arrived bool) {
 				continue
 			}
 		}
-		c := &packet.Cell{
-			// IDs are unique network-wide and independent of sharding:
-			// the flow index tags the high bits, the flow's own cell
-			// count the low.
-			ID:          uint64(fi+1)<<32 | n.nextID[fi],
-			Src:         f.src,
-			Dest:        f.ports[0],
-			Payload:     packet.RandomPayload(n.rngs[fi], n.words),
-			CreatedSlot: slot,
-			FlowID:      fi,
-		}
+		c := s.pool.Get()
+		// IDs are unique network-wide and independent of sharding: the
+		// flow index tags the high bits, the flow's own cell count the
+		// low.
+		c.ID = uint64(fi+1)<<32 | n.nextID[fi]
+		c.Src, c.Dest = f.src, f.ports[0]
+		c.CreatedSlot, c.FlowID = slot, fi
+		c.FillRandom(n.rngs[fi])
 		// A full source queue drops the cell; the router counts it.
-		if !n.routers[u].Inject(c, slot) && n.fail != nil {
-			s.flowLost[fi]++
+		if !n.routers[u].Inject(c, slot) {
+			if n.fail != nil {
+				s.flowLost[fi]++
+			}
+			s.pool.Put(c)
 		}
 		arrived = true
 	}
@@ -775,6 +819,7 @@ func (n *Network) drainInLinks(s *shard, u int, slot uint64) {
 					hop := int(c.Hop) + 1
 					if f.path == nil || hop >= len(f.path) || f.path[hop] != u {
 						s.flowLost[c.FlowID]++
+						s.pool.Put(c)
 						continue
 					}
 				}
@@ -783,9 +828,12 @@ func (n *Network) drainInLinks(s *shard, u int, slot uint64) {
 				c.Dest = f.ports[c.Hop]
 				if r.Inject(c, slot) {
 					room--
-				} else if n.fail != nil {
+					continue
+				}
+				if n.fail != nil {
 					s.flowLost[c.FlowID]++
 				}
+				s.pool.Put(c)
 			}
 		}
 		q.discard(moved)
@@ -817,6 +865,7 @@ func (n *Network) stepNode(s *shard, u int, r *router.Router, slot uint64) {
 			// flow off node u entirely — the cell is lost here.
 			if f.path == nil || int(c.Hop) >= len(f.path) || f.path[c.Hop] != u {
 				s.flowLost[c.FlowID]++
+				s.pool.Put(c)
 				continue
 			}
 		}
@@ -839,6 +888,7 @@ func (n *Network) stepNode(s *shard, u int, r *router.Router, slot uint64) {
 				n.tel.flowDelivered[c.FlowID]++
 				n.tel.flowHist[c.FlowID][b]++
 			}
+			s.pool.Put(c)
 			continue
 		}
 		out = append(out, c)
@@ -890,6 +940,7 @@ func (n *Network) exchangeNodes(s *shard) {
 				// Down links refuse cells outright.
 				for _, c := range out[i:j] {
 					s.flowLost[c.FlowID]++
+					s.pool.Put(c)
 				}
 				i = j
 				continue
@@ -901,10 +952,11 @@ func (n *Network) exchangeNodes(s *shard) {
 				if n.fail != nil {
 					s.flowLost[c.FlowID]++
 				}
+				s.pool.Put(c)
 			}
 			i = j
 		}
-		n.outbox[u] = n.outbox[u][:0]
+		n.outbox[u] = out[:0]
 	}
 }
 
@@ -1017,10 +1069,12 @@ func (n *Network) Run(warmup, measure uint64) (*Report, error) {
 		return nil, fmt.Errorf("netsim: Run on a closed Network")
 	}
 	for end := n.slot + warmup; n.slot < end; n.slot++ {
+		n.yield()
 		n.Step(n.slot)
 	}
 	n.beginMeasurement()
 	for end := n.slot + measure; n.slot < end; n.slot++ {
+		n.yield()
 		n.Step(n.slot)
 	}
 	if n.fail != nil && n.fail.err != nil {
@@ -1033,6 +1087,18 @@ func (n *Network) Run(warmup, measure uint64) (*Report, error) {
 		}
 	}
 	return n.report(measure), nil
+}
+
+// yield gives up the processor every eighth slot of a single-shard
+// run. The recycling kernel never allocates, so it never enters the
+// Go runtime on its own: it would hold its processor until preempted
+// (every 10 ms) and starve goroutines sharing the process, such as
+// studyd streaming results. A sharded run blocks on its phase barrier
+// every slot, which already yields.
+func (n *Network) yield() {
+	if len(n.shards) == 1 && n.slot%8 == 0 {
+		runtime.Gosched()
+	}
 }
 
 // Report is the network-wide account of one measured window.

@@ -75,6 +75,16 @@ type Cell struct {
 	// stamp replaces the per-slot map the multistage fabrics would
 	// otherwise allocate to stop a cell crossing two stages in one slot.
 	moved uint64
+
+	// interior caches the payload's interior flip count,
+	// Σ popcount(w[i-1] ^ w[i]), stored +1 so the zero value means "not
+	// computed yet": FillRandom sets it while drawing the payload, and
+	// a cell built as a literal computes it on its first Crossing. The
+	// cache is why a payload must not change once the cell is offered.
+	interior int32
+	// pooled marks a cell carved by a Pool; free marks one sitting on a
+	// Pool's free list. Only pooled cells are ever recycled.
+	pooled, free bool
 }
 
 // MarkMoved records that the cell advanced one fabric stage during slot.
@@ -103,6 +113,39 @@ func FlipsThrough(last uint32, words []uint32) (flips int, newLast uint32) {
 		last = w
 	}
 	return flips, last
+}
+
+// Crossing streams the cell's words over a link whose last held word is
+// last: exactly FlipsThrough(last, c.Payload), computed as the flips of
+// the first word against last plus the cached interior count, so a
+// multi-link traversal popcounts the payload once instead of once per
+// link.
+func (c *Cell) Crossing(last uint32) (flips int, newLast uint32) {
+	n := len(c.Payload)
+	if n == 0 {
+		return 0, last
+	}
+	if c.interior == 0 {
+		f, _ := FlipsThrough(c.Payload[0], c.Payload[1:])
+		c.interior = int32(f) + 1
+	}
+	return FlipCount(last, c.Payload[0]) + int(c.interior-1), c.Payload[n-1]
+}
+
+// FillRandom draws the cell's payload from rng — the same draws, in the
+// same order, as RandomPayload — and caches its interior flip count on
+// the way.
+func (c *Cell) FillRandom(rng *rand.Rand) {
+	var prev uint32
+	flips := 0
+	for i := range c.Payload {
+		w := rng.Uint32()
+		if i > 0 {
+			flips += FlipCount(prev, w)
+		}
+		c.Payload[i], prev = w, w
+	}
+	c.interior = int32(flips) + 1
 }
 
 // RandomPayload fills a fresh payload of n words from rng (the paper's

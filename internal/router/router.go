@@ -114,20 +114,21 @@ type Router struct {
 	fab fabric.Fabric
 
 	// FIFO discipline state.
-	fifoQ    [][]*packet.Cell
-	arbFCFS  *arbiter.FCFSRR
-	arrivals [][]uint64        // arrival slot per queued cell (parallel to fifoQ)
-	reqs     []arbiter.Request // per-slot request buffer, reused
+	fifo    []queue // one per ingress port
+	arbFCFS *arbiter.FCFSRR
+	reqs    []arbiter.Request // per-slot request buffer, reused
 
 	// VOQ discipline state.
-	voq     [][][]*packet.Cell // [ingress][egress] queue
+	voq     [][]queue // [ingress][egress]
 	arbSLIP *arbiter.ISLIP
 	voqReq  [][]bool // per-slot occupancy matrix, reused
 
-	// queued counts cells across all ingress queues, maintained
-	// incrementally so QueuedCells — the network kernel's per-slot
-	// idleness test — is O(1) instead of a queue scan.
-	queued int
+	// portLen[p] counts the cells queued at ingress port p, and queued
+	// counts them all. Both are maintained incrementally, so QueueLen
+	// and QueuedCells — the per-slot occupancy signals of the power
+	// manager and the network kernel — are O(1) instead of queue scans.
+	portLen []int
+	queued  int
 
 	metrics Metrics
 }
@@ -147,20 +148,20 @@ func New(cfg Config) (*Router, error) {
 	}
 	n := cfg.Fabric.Ports
 	r.metrics.PerEgressCells = make([]uint64, n)
+	r.portLen = make([]int, n)
 	switch cfg.Queue {
 	case FIFO:
-		r.fifoQ = make([][]*packet.Cell, n)
-		r.arrivals = make([][]uint64, n)
+		r.fifo = make([]queue, n)
 		r.arbFCFS = arbiter.NewFCFSRR()
 	case VOQ:
 		iters := cfg.ISLIPIterations
 		if iters <= 0 {
 			iters = 2
 		}
-		r.voq = make([][][]*packet.Cell, n)
+		r.voq = make([][]queue, n)
 		r.voqReq = make([][]bool, n)
 		for i := range r.voq {
-			r.voq[i] = make([][]*packet.Cell, n)
+			r.voq[i] = make([]queue, n)
 			r.voqReq[i] = make([]bool, n)
 		}
 		r.arbSLIP, err = arbiter.NewISLIP(n, iters)
@@ -196,14 +197,7 @@ func (r *Router) QueueLen(port int) int {
 	if port < 0 || port >= r.Ports() {
 		return 0
 	}
-	if r.cfg.Queue == FIFO {
-		return len(r.fifoQ[port])
-	}
-	total := 0
-	for _, q := range r.voq[port] {
-		total += len(q)
-	}
-	return total
+	return r.portLen[port]
 }
 
 // bufferOccupant is implemented by fabrics with internal buffers.
@@ -235,32 +229,16 @@ func (r *Router) InFlight() int { return r.fab.InFlight() }
 // caller's ledger sees them. Cells already inside the fabric are left
 // in place.
 func (r *Router) FlushQueues(fn func(*packet.Cell)) int {
-	flushed := 0
-	if r.cfg.Queue == FIFO {
-		for p := range r.fifoQ {
-			for _, c := range r.fifoQ[p] {
-				if fn != nil {
-					fn(c)
-				}
-				flushed++
-			}
-			r.fifoQ[p] = r.fifoQ[p][:0]
-			r.arrivals[p] = r.arrivals[p][:0]
-		}
-		r.queued = 0
-		return flushed
+	flushed := r.queued
+	for p := range r.fifo {
+		r.fifo[p].flush(fn)
 	}
 	for i := range r.voq {
 		for j := range r.voq[i] {
-			for _, c := range r.voq[i][j] {
-				if fn != nil {
-					fn(c)
-				}
-				flushed++
-			}
-			r.voq[i][j] = r.voq[i][j][:0]
+			r.voq[i][j].flush(fn)
 		}
 	}
+	clear(r.portLen)
 	r.queued = 0
 	return flushed
 }
@@ -274,25 +252,25 @@ func (r *Router) Inject(c *packet.Cell, slot uint64) bool {
 		r.metrics.DroppedCells++
 		return false
 	}
-	if r.cfg.Queue == FIFO {
-		if r.cfg.MaxQueueCells > 0 && len(r.fifoQ[c.Src]) >= r.cfg.MaxQueueCells {
-			r.metrics.DroppedCells++
-			return false
-		}
-		r.fifoQ[c.Src] = append(r.fifoQ[c.Src], c)
-		r.arrivals[c.Src] = append(r.arrivals[c.Src], slot)
-		r.queued++
-		r.metrics.AcceptedCells++
-		return true
-	}
-	if r.cfg.MaxQueueCells > 0 && len(r.voq[c.Src][c.Dest]) >= r.cfg.MaxQueueCells {
+	q := r.queueFor(c)
+	if r.cfg.MaxQueueCells > 0 && q.size >= r.cfg.MaxQueueCells {
 		r.metrics.DroppedCells++
 		return false
 	}
-	r.voq[c.Src][c.Dest] = append(r.voq[c.Src][c.Dest], c)
+	q.push(c, slot)
+	r.portLen[c.Src]++
 	r.queued++
 	r.metrics.AcceptedCells++
 	return true
+}
+
+// queueFor returns the ingress queue a cell joins: its port's FIFO, or
+// the VOQ of its (port, destination) pair.
+func (r *Router) queueFor(c *packet.Cell) *queue {
+	if r.cfg.Queue == FIFO {
+		return &r.fifo[c.Src]
+	}
+	return &r.voq[c.Src][c.Dest]
 }
 
 // Step runs one slot: arbitration, fabric admission, fabric transport,
@@ -338,28 +316,34 @@ func (r *Router) IdleStep(slot uint64) {
 // fabric; losers and refused cells stay at their heads (HOL blocking).
 func (r *Router) admitFIFO(slot uint64) {
 	reqs := r.reqs[:0]
-	for p, q := range r.fifoQ {
-		if len(q) == 0 {
+	for p := range r.fifo {
+		q := &r.fifo[p]
+		if q.size == 0 {
 			continue
 		}
 		if r.cfg.Gate != nil && !r.cfg.Gate.PortOpen(p, slot) {
 			continue
 		}
+		head := q.head()
 		reqs = append(reqs, arbiter.Request{
 			Port:    p,
-			Dest:    q[0].Dest,
-			Arrival: r.arrivals[p][0],
+			Dest:    head.cell.Dest,
+			Arrival: head.arrival,
 		})
 	}
 	r.reqs = reqs
 	for _, gi := range r.arbFCFS.Grant(reqs, slot) {
-		p := reqs[gi].Port
-		cell := r.fifoQ[p][0]
-		if r.fab.Offer(cell) {
-			r.fifoQ[p] = r.fifoQ[p][1:]
-			r.arrivals[p] = r.arrivals[p][1:]
-			r.queued--
-		}
+		r.admitHead(&r.fifo[reqs[gi].Port], reqs[gi].Port)
+	}
+}
+
+// admitHead offers a queue's head cell to the fabric and dequeues it if
+// the fabric takes it; a refused cell stays at the head.
+func (r *Router) admitHead(q *queue, port int) {
+	if r.fab.Offer(q.head().cell) {
+		q.pop()
+		r.portLen[port]--
+		r.queued--
 	}
 }
 
@@ -369,7 +353,7 @@ func (r *Router) admitVOQ(slot uint64) {
 	for i := range req {
 		open := r.cfg.Gate == nil || r.cfg.Gate.PortOpen(i, slot)
 		for j := range req[i] {
-			req[i][j] = open && len(r.voq[i][j]) > 0
+			req[i][j] = open && r.voq[i][j].size > 0
 		}
 	}
 	match, err := r.arbSLIP.Match(req)
@@ -379,13 +363,8 @@ func (r *Router) admitVOQ(slot uint64) {
 		panic(err)
 	}
 	for i, o := range match {
-		if o < 0 {
-			continue
-		}
-		cell := r.voq[i][o][0]
-		if r.fab.Offer(cell) {
-			r.voq[i][o] = r.voq[i][o][1:]
-			r.queued--
+		if o >= 0 {
+			r.admitHead(&r.voq[i][o], i)
 		}
 	}
 }

@@ -12,6 +12,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 
 	"fabricpower/internal/core"
 	"fabricpower/internal/dpm"
@@ -22,8 +23,18 @@ import (
 
 // Generator produces the cells injected at each slot (implemented by
 // internal/traffic's injectors and trace players).
+//
+// Ownership: the slice Generate returns belongs to the caller, and no
+// later call overwrites it. Each cell in it belongs to the caller until
+// the caller hands it back with Release; the generator may then reuse
+// the cell for a later slot, so nothing may read a released cell. A
+// cell's payload must not change once the cell is offered: fabrics
+// cache its flip count (packet.Cell.Crossing). Run releases every cell
+// the router delivers and every cell its ingress refuses; a caller
+// that never releases simply gets fresh cells every slot.
 type Generator interface {
 	Generate(slot uint64) []*packet.Cell
+	Release(c *packet.Cell)
 }
 
 // Options controls a run.
@@ -136,15 +147,7 @@ func Run(r *router.Router, gen Generator, tp tech.Params, cellBits int, opt Opti
 		if pr != nil && slot >= pr.nextSlot {
 			pr.take(slot, r, mgr)
 		}
-		for _, c := range gen.Generate(slot) {
-			r.Inject(c, slot)
-		}
-		if mgr != nil {
-			mgr.PreSlot(slot, r)
-			mgr.PostSlot(slot, r.Step(slot), r.Fabric().Energy())
-		} else {
-			r.Step(slot)
-		}
+		runSlot(r, gen, mgr, slot)
 	}
 	if pr != nil {
 		// Flush the partial warmup interval, then rebase the baselines
@@ -167,21 +170,47 @@ func Run(r *router.Router, gen Generator, tp tech.Params, cellBits int, opt Opti
 		if pr != nil && slot >= pr.nextSlot {
 			pr.take(slot, r, mgr)
 		}
-		for _, c := range gen.Generate(slot) {
-			r.Inject(c, slot)
-		}
-		if mgr != nil {
-			mgr.PreSlot(slot, r)
-			mgr.PostSlot(slot, r.Step(slot), r.Fabric().Energy())
-		} else {
-			r.Step(slot)
-		}
+		runSlot(r, gen, mgr, slot)
 	}
 	if pr != nil {
 		pr.take(slot, r, mgr) // flush the final partial interval
 	}
 
 	return Snapshot(r, mgr, tp, cellBits, opt.MeasureSlots, bufferBase), nil
+}
+
+// yieldSlots is how many slots Run steps between scheduler yields. The
+// recycling slot loop never allocates, so it never enters the runtime
+// on its own: without a yield a run would hold its processor until
+// the scheduler preempts it (every 10 ms), and goroutines sharing the
+// process, such as studyd streaming another study's results, would
+// wait that long. 64 slots take well under a millisecond.
+const yieldSlots = 64
+
+// runSlot injects one slot's arrivals, steps the router (between the
+// manager's hooks, when there is one) and releases the cells the slot
+// finished with: those the ingress refused and those the egress
+// delivered.
+func runSlot(r *router.Router, gen Generator, mgr *dpm.Manager, slot uint64) {
+	if slot%yieldSlots == 0 {
+		runtime.Gosched()
+	}
+	for _, c := range gen.Generate(slot) {
+		if !r.Inject(c, slot) {
+			gen.Release(c)
+		}
+	}
+	var delivered []*packet.Cell
+	if mgr != nil {
+		mgr.PreSlot(slot, r)
+		delivered = r.Step(slot)
+		mgr.PostSlot(slot, delivered, r.Fabric().Energy())
+	} else {
+		delivered = r.Step(slot)
+	}
+	for _, c := range delivered {
+		gen.Release(c)
+	}
 }
 
 // Snapshot assembles a Result from the router's current measured

@@ -153,6 +153,8 @@ func (b *burstGen) Generate(slot uint64) []*packet.Cell {
 	return nil
 }
 
+func (b *burstGen) Release(*packet.Cell) {}
+
 func TestRunBanyanCountsBufferEvents(t *testing.T) {
 	r := testRouter(t, core.Banyan, 16)
 	gen := testGen(t, 16, 0.5, 14)

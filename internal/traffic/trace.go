@@ -114,6 +114,10 @@ func (p *Player) Generate(slot uint64) []*packet.Cell {
 	return out
 }
 
+// Release implements the kernel's generator contract. Replayed cells
+// are not recycled, so it does nothing.
+func (p *Player) Release(*packet.Cell) {}
+
 // Rewind resets the player to the start of the trace.
 func (p *Player) Rewind() {
 	p.pos = 0

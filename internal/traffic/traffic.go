@@ -84,10 +84,11 @@ func (BitReverse) Pick(_ *rand.Rand, src, ports int) int {
 type Injector struct {
 	ports   int
 	load    float64
-	cfg     packet.Config
 	pattern DestPattern
 	rng     *rand.Rand
 	nextID  uint64
+	pool    *packet.Pool
+	batches packet.Batches
 }
 
 // NewInjector validates and builds a Bernoulli cell injector.
@@ -107,9 +108,9 @@ func NewInjector(ports int, load float64, cfg packet.Config, pattern DestPattern
 	return &Injector{
 		ports:   ports,
 		load:    load,
-		cfg:     cfg,
 		pattern: pattern,
 		rng:     rand.New(rand.NewSource(seed)),
+		pool:    packet.NewPool(cfg.Words(), 0),
 	}, nil
 }
 
@@ -122,21 +123,28 @@ func (in *Injector) Load() float64 { return in.load }
 // Generate returns the cells injected in this slot, at most one per port,
 // each with Src/Dest/payload filled in.
 func (in *Injector) Generate(slot uint64) []*packet.Cell {
-	var cells []*packet.Cell
+	cells := in.batches.Open(in.ports)
 	for p := 0; p < in.ports; p++ {
 		if in.rng.Float64() >= in.load {
 			continue
 		}
 		in.nextID++
-		cells = append(cells, &packet.Cell{
-			ID:          in.nextID,
-			Src:         p,
-			Dest:        in.pattern.Pick(in.rng, p, in.ports),
-			Payload:     packet.RandomPayload(in.rng, in.cfg.Words()),
-			CreatedSlot: slot,
-		})
+		cells = append(cells, newCell(in.pool, in.rng, in.nextID, p, in.pattern.Pick(in.rng, p, in.ports), slot))
 	}
-	return cells
+	return in.batches.Close(cells)
+}
+
+// Release hands a delivered or refused cell back for reuse.
+func (in *Injector) Release(c *packet.Cell) { in.pool.Put(c) }
+
+// newCell takes a cell from pool and fills its payload from rng. Callers
+// draw dest first: destination before payload is the draw order the
+// goldens were recorded with.
+func newCell(pool *packet.Pool, rng *rand.Rand, id uint64, src, dest int, slot uint64) *packet.Cell {
+	c := pool.Get()
+	c.ID, c.Src, c.Dest, c.CreatedSlot = id, src, dest, slot
+	c.FillRandom(rng)
+	return c
 }
 
 // OnOffInjector is a bursty source: each port runs an independent on/off
@@ -147,10 +155,11 @@ type OnOffInjector struct {
 	pOnToOff float64
 	pOffToOn float64
 	on       []bool
-	cfg      packet.Config
 	pattern  DestPattern
 	rng      *rand.Rand
 	nextID   uint64
+	pool     *packet.Pool
+	batches  packet.Batches
 }
 
 // NewOnOffInjector builds a bursty injector with the given mean burst
@@ -178,15 +187,15 @@ func NewOnOffInjector(ports int, meanBurst, load float64, cfg packet.Config, pat
 		pOnToOff: 1 / meanBurst,
 		pOffToOn: 1 / meanGap,
 		on:       make([]bool, ports),
-		cfg:      cfg,
 		pattern:  pattern,
 		rng:      rand.New(rand.NewSource(seed)),
+		pool:     packet.NewPool(cfg.Words(), 0),
 	}, nil
 }
 
 // Generate returns this slot's injected cells.
 func (in *OnOffInjector) Generate(slot uint64) []*packet.Cell {
-	var cells []*packet.Cell
+	cells := in.batches.Open(in.ports)
 	for p := 0; p < in.ports; p++ {
 		if in.on[p] {
 			if in.rng.Float64() < in.pOnToOff {
@@ -199,16 +208,13 @@ func (in *OnOffInjector) Generate(slot uint64) []*packet.Cell {
 			continue
 		}
 		in.nextID++
-		cells = append(cells, &packet.Cell{
-			ID:          in.nextID,
-			Src:         p,
-			Dest:        in.pattern.Pick(in.rng, p, in.ports),
-			Payload:     packet.RandomPayload(in.rng, in.cfg.Words()),
-			CreatedSlot: slot,
-		})
+		cells = append(cells, newCell(in.pool, in.rng, in.nextID, p, in.pattern.Pick(in.rng, p, in.ports), slot))
 	}
-	return cells
+	return in.batches.Close(cells)
 }
+
+// Release hands a delivered or refused cell back for reuse.
+func (in *OnOffInjector) Release(c *packet.Cell) { in.pool.Put(c) }
 
 // PacketInjector generates variable-size TCP/IP packets (the classic
 // trimodal internet mix by default) and segments them into cells; each
@@ -296,6 +302,10 @@ func (in *PacketInjector) Generate(slot uint64) []*packet.Cell {
 	}
 	return out
 }
+
+// Release implements the kernel's generator contract. Segmented cells
+// are not recycled, so it does nothing.
+func (in *PacketInjector) Release(*packet.Cell) {}
 
 func (in *PacketInjector) pickSize() int {
 	r := in.rng.Float64()

@@ -86,36 +86,54 @@ func TrafficKinds() []string {
 
 // sourceGenerator adapts a TrafficSource to the simulation kernel's
 // generator interface, assembling full cells (IDs, random payloads)
-// around the source's injections.
+// around the source's injections. Cells come from a pool and return to
+// it on Release; each slot's slice is carved from shared chunks, so a
+// returned slice is never overwritten by a later Generate.
 type sourceGenerator struct {
-	src    TrafficSource
-	cfg    packet.Config
-	ports  int
-	rng    *rand.Rand
-	nextID uint64
-	cells  []*packet.Cell
-	err    error
+	src     TrafficSource
+	ports   int
+	rng     *rand.Rand
+	nextID  uint64
+	pool    *packet.Pool
+	batches packet.Batches
+	err     error
+
+	// Per-call state of the emit callback, bound once at construction
+	// so Generate does not allocate a closure every slot.
+	emit  func(Injection)
+	slot  uint64
+	cells []*packet.Cell
+}
+
+func newSourceGenerator(src TrafficSource, cfg packet.Config, ports int, seed int64) *sourceGenerator {
+	g := &sourceGenerator{src: src, ports: ports, rng: rand.New(rand.NewSource(seed)), pool: packet.NewPool(cfg.Words(), 0)}
+	g.emit = g.add
+	return g
 }
 
 func (g *sourceGenerator) Generate(slot uint64) []*packet.Cell {
-	g.cells = g.cells[:0]
-	g.src.Cells(slot, func(in Injection) {
-		if in.Port < 0 || in.Port >= g.ports || in.Dest < 0 || in.Dest >= g.ports {
-			if g.err == nil {
-				g.err = fmt.Errorf("study: traffic source injected %d→%d outside [0,%d)", in.Port, in.Dest, g.ports)
-			}
-			return
+	g.slot, g.cells = slot, g.batches.Open(g.ports)
+	g.src.Cells(slot, g.emit)
+	out := g.batches.Close(g.cells)
+	g.cells = nil
+	return out
+}
+
+// Release hands a delivered or refused cell back for reuse.
+func (g *sourceGenerator) Release(c *packet.Cell) { g.pool.Put(c) }
+
+func (g *sourceGenerator) add(in Injection) {
+	if in.Port < 0 || in.Port >= g.ports || in.Dest < 0 || in.Dest >= g.ports {
+		if g.err == nil {
+			g.err = fmt.Errorf("study: traffic source injected %d→%d outside [0,%d)", in.Port, in.Dest, g.ports)
 		}
-		g.nextID++
-		g.cells = append(g.cells, &packet.Cell{
-			ID:          g.nextID,
-			Src:         in.Port,
-			Dest:        in.Dest,
-			Payload:     packet.RandomPayload(g.rng, g.cfg.Words()),
-			CreatedSlot: slot,
-		})
-	})
-	return g.cells
+		return
+	}
+	g.nextID++
+	c := g.pool.Get()
+	c.ID, c.Src, c.Dest, c.CreatedSlot = g.nextID, in.Port, in.Dest, g.slot
+	c.FillRandom(g.rng)
+	g.cells = append(g.cells, c)
 }
 
 // registeredTraffic builds the generator for a non-built-in kind.
@@ -130,7 +148,7 @@ func registeredTraffic(spec TrafficSpec, ports int, cfg packet.Config, seed int6
 	if err != nil {
 		return nil, err
 	}
-	return &sourceGenerator{src: src, cfg: cfg, ports: ports, rng: rand.New(rand.NewSource(seed))}, nil
+	return newSourceGenerator(src, cfg, ports, seed), nil
 }
 
 // ---------------------------------------------------------------------
