@@ -36,6 +36,7 @@ import (
 	"fabricpower/internal/packet"
 	"fabricpower/internal/router"
 	"fabricpower/internal/tech"
+	"fabricpower/internal/traffic"
 	"fabricpower/study"
 )
 
@@ -292,6 +293,55 @@ func BenchmarkDPMManagedStep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		step()
+	}
+}
+
+// BenchmarkRouterStep is the router/<queue> rung of the benchmark
+// ladder: one slot of a 16-port Banyan router at 40% uniform load with
+// live injection, arbitration, fabric transport and cell release, for
+// the paper's FIFO queues and for VOQ with iSLIP. Cells come from the
+// injector's pool and go back to it on delivery or drop, so after the
+// untimed warmup the router allocates nothing; the only allocation left
+// is the injector's per-slot batch slab, one 32 KiB chunk every few
+// hundred slots.
+func BenchmarkRouterStep(b *testing.B) {
+	const ports = 16
+	for _, q := range []router.QueueDiscipline{router.FIFO, router.VOQ} {
+		b.Run("queue="+q.String(), func(b *testing.B) {
+			cell := packet.Config{CellBits: 1024, BusWidth: 32}
+			r, err := router.New(router.Config{
+				Arch:   core.Banyan,
+				Fabric: fabric.Config{Ports: ports, Cell: cell, Model: core.PaperModel()},
+				Queue:  q,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			gen, err := traffic.NewInjector(ports, 0.4, cell, traffic.Uniform{}, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			slot := uint64(0)
+			step := func() {
+				for _, c := range gen.Generate(slot) {
+					if !r.Inject(c, slot) {
+						gen.Release(c)
+					}
+				}
+				for _, c := range r.Step(slot) {
+					gen.Release(c)
+				}
+				slot++
+			}
+			for i := 0; i < 300; i++ {
+				step()
+			}
+			b.ResetTimer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+		})
 	}
 }
 

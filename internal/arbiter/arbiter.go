@@ -16,7 +16,10 @@
 //     used by the ablation experiments.
 package arbiter
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Request asks to move the head cell of an ingress queue to a destination.
 type Request struct {
@@ -107,20 +110,31 @@ func (a *FCFSRR) distance(port int) int {
 	return ((port-a.rr)%span + span) % span
 }
 
+// Words returns the number of uint64 words in a bitset with one bit per
+// port of an n-port switch.
+func Words(n int) int { return (n + 63) / 64 }
+
 // ISLIP is an iterative request-grant-accept matcher over virtual output
 // queues (McKeown's iSLIP), provided as the extension arbiter. Grant and
 // accept pointers rotate only on accepted grants in the first iteration,
 // which is what desynchronizes the pointers and yields high throughput.
+//
+// Requests, unmatched ports and grants are bitsets, so each
+// round-robin pick is a trailing-zero count over a rotated mask and a
+// slot costs work in proportion to the requests present, not to ports².
 type ISLIP struct {
 	ports      int
+	words      int // Words(ports)
 	iterations int
 	grantPtr   []int // per output
 	acceptPtr  []int // per input
 
 	// Per-call scratch, reused so matching is allocation-free.
-	matchIn  []int // input -> output; Match returns it
-	matchOut []int // output -> input
-	grant    []int // output -> granted input, per iteration
+	matchIn []int    // input -> output; Match returns it
+	free    []uint64 // unmatched inputs
+	outs    []uint64 // unmatched outputs that may still receive a request
+	granted []uint64 // per input, the outputs that granted it (words each)
+	grantee []uint64 // inputs granted in the current iteration
 }
 
 // NewISLIP builds an iSLIP arbiter for the given port count and iteration
@@ -132,73 +146,117 @@ func NewISLIP(ports, iterations int) (*ISLIP, error) {
 	if iterations < 1 {
 		return nil, fmt.Errorf("arbiter: iterations must be >= 1, got %d", iterations)
 	}
+	w := Words(ports)
 	return &ISLIP{
 		ports:      ports,
+		words:      w,
 		iterations: iterations,
 		grantPtr:   make([]int, ports),
 		acceptPtr:  make([]int, ports),
 		matchIn:    make([]int, ports),
-		matchOut:   make([]int, ports),
-		grant:      make([]int, ports),
+		free:       make([]uint64, w),
+		outs:       make([]uint64, w),
+		granted:    make([]uint64, ports*w),
+		grantee:    make([]uint64, w),
 	}, nil
 }
 
-// Match computes a matching over the VOQ occupancy matrix: request[i][j]
-// is true when input i has a cell queued for output j. The result maps
+// Match computes a matching over the VOQ occupancy given as one request
+// bitset per output: with w = Words(ports), bit i of
+// request[o*w:(o+1)*w] is set when input i has a cell queued for
+// output o. Bits at or above ports must be clear. The result maps
 // input -> matched output, −1 when unmatched; it is reused by the next
-// Match call.
-func (s *ISLIP) Match(request [][]bool) ([]int, error) {
-	if len(request) != s.ports {
-		return nil, fmt.Errorf("arbiter: request matrix has %d rows, want %d", len(request), s.ports)
+// Match call. A request of any length other than ports·w is a
+// programming error and panics.
+func (s *ISLIP) Match(request []uint64) []int {
+	n, w := s.ports, s.words
+	if len(request) != n*w {
+		panic(fmt.Sprintf("arbiter: request has %d words, want %d", len(request), n*w))
 	}
-	for i, row := range request {
-		if len(row) != s.ports {
-			return nil, fmt.Errorf("arbiter: request row %d has %d cols, want %d", i, len(row), s.ports)
+	for i := range s.matchIn {
+		s.matchIn[i] = -1
+	}
+	for k := range s.free {
+		s.free[k] = ^uint64(0)
+	}
+	s.free[w-1] = ^uint64(0) >> (w*64 - n)
+	clear(s.outs)
+	for o := 0; o < n; o++ {
+		for _, word := range request[o*w : (o+1)*w] {
+			if word != 0 {
+				s.outs[o>>6] |= 1 << (o & 63)
+				break
+			}
 		}
-	}
-	n := s.ports
-	matchIn, matchOut, grant := s.matchIn, s.matchOut, s.grant
-	for i := range matchIn {
-		matchIn[i] = -1
-		matchOut[i] = -1
 	}
 	for iter := 0; iter < s.iterations; iter++ {
 		// Grant phase: each unmatched output grants the first requesting
 		// unmatched input at or after its grant pointer.
-		for o := 0; o < n; o++ {
-			grant[o] = -1
-			if matchOut[o] != -1 {
-				continue
-			}
-			for k, i := 0, s.grantPtr[o]; k < n; k, i = k+1, next(i, n) {
-				if matchIn[i] == -1 && request[i][o] {
-					grant[o] = i
-					break
+		anyGrant := false
+		for k, word := range s.outs {
+			for ; word != 0; word &= word - 1 {
+				o := k<<6 | bits.TrailingZeros64(word)
+				i := firstFrom(request[o*w:(o+1)*w], s.free, s.grantPtr[o])
+				if i < 0 {
+					// Inputs only ever leave the free set, so o cannot
+					// be requested again this slot.
+					s.outs[k] &^= 1 << (o & 63)
+					continue
 				}
+				s.granted[i*w+(o>>6)] |= 1 << (o & 63)
+				s.grantee[i>>6] |= 1 << (i & 63)
+				anyGrant = true
 			}
 		}
-		// Accept phase: each input accepts the first granting output at
-		// or after its accept pointer.
-		for i := 0; i < n; i++ {
-			if matchIn[i] != -1 {
-				continue
-			}
-			for k, o := 0, s.acceptPtr[i]; k < n; k, o = k+1, next(o, n) {
-				if grant[o] == i {
-					matchIn[i] = o
-					matchOut[o] = i
-					if iter == 0 {
-						// Pointers advance only on first-iteration
-						// accepts (iSLIP's desynchronization rule).
-						s.grantPtr[o] = next(i, n)
-						s.acceptPtr[i] = next(o, n)
-					}
-					break
+		if !anyGrant {
+			// Nothing changed, so every later iteration would repeat
+			// this one.
+			break
+		}
+		// Accept phase: each granted input accepts the first granting
+		// output at or after its accept pointer.
+		for k, word := range s.grantee {
+			for ; word != 0; word &= word - 1 {
+				i := k<<6 | bits.TrailingZeros64(word)
+				g := s.granted[i*w : (i+1)*w]
+				o := firstFrom(g, g, s.acceptPtr[i]) // g&g: unmasked
+				clear(g)
+				s.matchIn[i] = o
+				s.free[i>>6] &^= 1 << (i & 63)
+				s.outs[o>>6] &^= 1 << (o & 63)
+				if iter == 0 {
+					// Pointers advance only on first-iteration accepts
+					// (iSLIP's desynchronization rule).
+					s.grantPtr[o] = next(i, n)
+					s.acceptPtr[i] = next(o, n)
 				}
 			}
+			s.grantee[k] = 0
 		}
 	}
-	return matchIn, nil
+	return s.matchIn
+}
+
+// firstFrom returns the index of the first set bit of a&b at or after
+// start, wrapping past the end to bit 0, or −1 when a&b is empty.
+func firstFrom(a, b []uint64, start int) int {
+	k0 := start >> 6
+	if m := a[k0] & b[k0] & (^uint64(0) << (start & 63)); m != 0 {
+		return k0<<6 | bits.TrailingZeros64(m)
+	}
+	for k := k0 + 1; k < len(a); k++ {
+		if m := a[k] & b[k]; m != 0 {
+			return k<<6 | bits.TrailingZeros64(m)
+		}
+	}
+	// Word k0 has no set bit at or after start, so rescanning it here
+	// finds only bits before start.
+	for k := 0; k <= k0; k++ {
+		if m := a[k] & b[k]; m != 0 {
+			return k<<6 | bits.TrailingZeros64(m)
+		}
+	}
+	return -1
 }
 
 // next returns the port after p, wrapping at n.

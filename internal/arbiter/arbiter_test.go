@@ -1,6 +1,7 @@
 package arbiter
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -95,6 +96,22 @@ func TestFCFSRRProperty(t *testing.T) {
 	}
 }
 
+// columns packs a request matrix (request[i][o]: input i has a cell for
+// output o) into Match's per-output bitset columns.
+func columns(request [][]bool) []uint64 {
+	n := len(request)
+	w := Words(n)
+	cols := make([]uint64, n*w)
+	for i, row := range request {
+		for o, r := range row {
+			if r {
+				cols[o*w+(i>>6)] |= 1 << (i & 63)
+			}
+		}
+	}
+	return cols
+}
+
 func TestISLIPValidation(t *testing.T) {
 	if _, err := NewISLIP(0, 1); err == nil {
 		t.Error("0 ports should fail")
@@ -102,19 +119,19 @@ func TestISLIPValidation(t *testing.T) {
 	if _, err := NewISLIP(4, 0); err == nil {
 		t.Error("0 iterations should fail")
 	}
-	s, err := NewISLIP(4, 1)
+	s, err := NewISLIP(65, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Match(make([][]bool, 3)); err == nil {
-		t.Error("wrong matrix size should fail")
-	}
-	bad := make([][]bool, 4)
-	for i := range bad {
-		bad[i] = make([]bool, 3)
-	}
-	if _, err := s.Match(bad); err == nil {
-		t.Error("wrong row size should fail")
+	for _, words := range []int{0, 65, 65*2 - 1, 65*2 + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a %d-word request should panic", words)
+				}
+			}()
+			s.Match(make([]uint64, words))
+		}()
 	}
 }
 
@@ -138,10 +155,7 @@ func TestISLIPFullLoadPerfectMatch(t *testing.T) {
 	// once pointers desynchronize; check after a few slots.
 	var match []int
 	for slot := 0; slot < 8; slot++ {
-		match, err = s.Match(fullMatrix(4))
-		if err != nil {
-			t.Fatal(err)
-		}
+		match = s.Match(columns(fullMatrix(4)))
 	}
 	matched := 0
 	seen := map[int]bool{}
@@ -161,23 +175,16 @@ func TestISLIPFullLoadPerfectMatch(t *testing.T) {
 
 func TestISLIPEmptyRequests(t *testing.T) {
 	s, _ := NewISLIP(4, 2)
-	m, err := s.Match(make([][]bool, 4))
-	if err == nil {
-		_ = m
-		t.Fatal("rows of wrong length should fail")
+	for p := range s.grantPtr {
+		s.grantPtr[p], s.acceptPtr[p] = p, 3-p
 	}
-	empty := make([][]bool, 4)
-	for i := range empty {
-		empty[i] = make([]bool, 4)
-	}
-	match, err := s.Match(empty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range match {
+	for _, o := range s.Match(make([]uint64, 4)) {
 		if o != -1 {
 			t.Fatal("no requests, no matches")
 		}
+	}
+	if !slices.Equal(s.grantPtr, []int{0, 1, 2, 3}) || !slices.Equal(s.acceptPtr, []int{3, 2, 1, 0}) {
+		t.Fatalf("an empty match moved the pointers: %v/%v", s.grantPtr, s.acceptPtr)
 	}
 }
 
@@ -202,10 +209,7 @@ func TestISLIPMatchingProperty(t *testing.T) {
 				req[i][j] = next()&3 == 0
 			}
 		}
-		match, err := s.Match(req)
-		if err != nil {
-			return false
-		}
+		match := s.Match(columns(req))
 		outSeen := map[int]bool{}
 		for i, o := range match {
 			if o == -1 {
@@ -275,63 +279,67 @@ func (s *oracleISLIP) match(request [][]bool) []int {
 
 // TestISLIPMatchesOracle drives Match and the oracle through the same
 // random request matrices from random pointer states, slot after slot,
-// and demands identical matches and identical pointer evolution.
+// and demands identical matches and identical pointer evolution. Port
+// counts straddle the 64-bit word boundaries of the bitset form, and
+// every count runs empty, full and random-density requests.
 func TestISLIPMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 300; trial++ {
-		n, iters := 1+rng.Intn(16), 1+rng.Intn(4)
-		s, err := NewISLIP(n, iters)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for p := 0; p < n; p++ {
-			s.grantPtr[p], s.acceptPtr[p] = rng.Intn(n), rng.Intn(n)
-		}
-		o := &oracleISLIP{ports: n, iterations: iters,
-			grantPtr: slices.Clone(s.grantPtr), acceptPtr: slices.Clone(s.acceptPtr)}
-		density := rng.Float64()
-		req := make([][]bool, n)
-		for i := range req {
-			req[i] = make([]bool, n)
-		}
-		for slot := 0; slot < 20; slot++ {
-			for i := range req {
-				for j := range req[i] {
-					req[i][j] = rng.Float64() < density
-				}
-			}
-			got, err := s.Match(req)
+	sizes := []int{1, 2, 63, 64, 65, 127, 128, 129, 130}
+	for len(sizes) < 40 {
+		sizes = append(sizes, 1+rng.Intn(130))
+	}
+	for _, n := range sizes {
+		for _, density := range []float64{0, 1, rng.Float64()} {
+			iters := 1 + rng.Intn(4)
+			s, err := NewISLIP(n, iters)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := o.match(req)
-			if !slices.Equal(got, want) || !slices.Equal(s.grantPtr, o.grantPtr) || !slices.Equal(s.acceptPtr, o.acceptPtr) {
-				t.Fatalf("trial %d (n=%d, iters=%d) slot %d: match %v ptrs %v/%v, oracle %v ptrs %v/%v",
-					trial, n, iters, slot, got, s.grantPtr, s.acceptPtr, want, o.grantPtr, o.acceptPtr)
+			for p := 0; p < n; p++ {
+				s.grantPtr[p], s.acceptPtr[p] = rng.Intn(n), rng.Intn(n)
+			}
+			o := &oracleISLIP{ports: n, iterations: iters,
+				grantPtr: slices.Clone(s.grantPtr), acceptPtr: slices.Clone(s.acceptPtr)}
+			req := make([][]bool, n)
+			for i := range req {
+				req[i] = make([]bool, n)
+			}
+			for slot := 0; slot < 12; slot++ {
+				for i := range req {
+					for j := range req[i] {
+						req[i][j] = rng.Float64() < density
+					}
+				}
+				got := s.Match(columns(req))
+				want := o.match(req)
+				if !slices.Equal(got, want) || !slices.Equal(s.grantPtr, o.grantPtr) || !slices.Equal(s.acceptPtr, o.acceptPtr) {
+					t.Fatalf("n=%d iters=%d density=%.2f slot %d: match %v ptrs %v/%v, oracle %v ptrs %v/%v",
+						n, iters, density, slot, got, s.grantPtr, s.acceptPtr, want, o.grantPtr, o.acceptPtr)
+				}
 			}
 		}
 	}
 }
 
 func TestISLIPMatchAllocationFree(t *testing.T) {
-	const n = 16
-	s, err := NewISLIP(n, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	req := make([][]bool, n)
-	for i := range req {
-		req[i] = make([]bool, n)
-		for j := range req[i] {
-			req[i][j] = rng.Intn(2) == 0
-		}
-	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		if _, err := s.Match(req); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Fatalf("Match allocates %.1f times per call, want 0", allocs)
+	for _, n := range []int{16, 128} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			s, err := NewISLIP(n, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(2))
+			req := make([][]bool, n)
+			for i := range req {
+				req[i] = make([]bool, n)
+				for j := range req[i] {
+					req[i][j] = rng.Intn(2) == 0
+				}
+			}
+			cols := columns(req)
+			if allocs := testing.AllocsPerRun(200, func() { s.Match(cols) }); allocs != 0 {
+				t.Fatalf("Match allocates %.1f times per call, want 0", allocs)
+			}
+		})
 	}
 }

@@ -184,6 +184,13 @@ type faultState struct {
 	reconvergeEvents uint64
 	reroutedFlows    uint64
 
+	// Re-convergence scratch, reused from event to event: the routing
+	// view of the surviving topology, and the indices and routing
+	// demands of the flows that survive.
+	masked     Topology
+	aliveIdx   []int
+	aliveFlows []Flow
+
 	// eventLost collects per-flow losses applied at the barrier
 	// (queue/link flushes), outside any shard's ledger.
 	eventLost []uint64
@@ -460,11 +467,11 @@ func (n *Network) refreshUsable(slot uint64) {
 func (n *Network) reconverge(slot uint64) {
 	fs := n.fail
 	fs.reconvergeEvents++
-	masked := n.topo.maskedView(fs.nodeDown, fs.linkUp)
+	masked := &fs.masked
+	n.topo.maskInto(masked, fs.nodeDown, fs.linkUp)
 	comp := components(masked)
 
-	aliveIdx := make([]int, 0, len(n.flows))
-	aliveFlows := make([]Flow, 0, len(n.flows))
+	aliveIdx, aliveFlows := fs.aliveIdx[:0], fs.aliveFlows[:0]
 	for fi := range n.flows {
 		f := &n.flows[fi]
 		if fs.nodeDown[f.Src] || fs.nodeDown[f.Dst] || comp[f.Src] != comp[f.Dst] {
@@ -476,6 +483,7 @@ func (n *Network) reconverge(slot uint64) {
 		aliveIdx = append(aliveIdx, fi)
 		aliveFlows = append(aliveFlows, Flow{Src: f.Src, Dst: f.Dst, Rate: f.Rate})
 	}
+	fs.aliveIdx, fs.aliveFlows = aliveIdx, aliveFlows
 	paths, err := n.cfg.Routing.Route(masked, aliveFlows)
 	if err != nil {
 		fs.err = fmt.Errorf("netsim: re-convergence at slot %d: %w", slot, err)
@@ -511,15 +519,19 @@ func samePath(a, b []int) bool {
 	return true
 }
 
-// maskedView returns a read-only routing view of the topology with
-// down nodes and unusable links removed from the adjacency. Links,
-// ports, hosts and edge assignments are shared with the original, so
-// paths found on the view wire directly against the full topology.
-func (t *Topology) maskedView(nodeDown []bool, linkUp []bool) *Topology {
-	m := *t
-	m.adj = make([][]int, t.Nodes)
-	m.linkIdx = make([][]int, t.Nodes)
-	for u := 0; u < t.Nodes; u++ {
+// maskInto makes m a read-only routing view of the topology with down
+// nodes and unusable links removed from the adjacency, reusing m's
+// adjacency storage. Links, ports, hosts and edge assignments are
+// shared with the original, so paths found on the view wire directly
+// against the full topology.
+func (t *Topology) maskInto(m *Topology, nodeDown []bool, linkUp []bool) {
+	adj, linkIdx := m.adj, m.linkIdx
+	if len(adj) != t.Nodes {
+		adj, linkIdx = make([][]int, t.Nodes), make([][]int, t.Nodes)
+	}
+	*m = *t
+	for u := range adj {
+		adj[u], linkIdx[u] = adj[u][:0], linkIdx[u][:0]
 		if nodeDown[u] {
 			continue
 		}
@@ -528,11 +540,11 @@ func (t *Topology) maskedView(nodeDown []bool, linkUp []bool) *Topology {
 			if nodeDown[v] || !linkUp[li] {
 				continue
 			}
-			m.adj[u] = append(m.adj[u], v)
-			m.linkIdx[u] = append(m.linkIdx[u], li)
+			adj[u] = append(adj[u], v)
+			linkIdx[u] = append(linkIdx[u], li)
 		}
 	}
-	return &m
+	m.adj, m.linkIdx = adj, linkIdx
 }
 
 // components labels each node with its connected-component id on the

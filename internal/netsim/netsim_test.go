@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -150,6 +151,106 @@ func TestShortestPathRouting(t *testing.T) {
 	}
 	if want := []int{0, 1, 2, 3}; !reflect.DeepEqual(paths[0], want) {
 		t.Errorf("path = %v, want %v", paths[0], want)
+	}
+}
+
+// appendingShortestPath is ShortestPath.Route as it was before the BFS
+// queue and candidate buffers were reused and paths preallocated: a
+// fresh candidate slice per hop and paths grown by append. It is the
+// differential oracle for the buffer-reusing Route.
+func appendingShortestPath(t *Topology, flows []Flow) [][]int {
+	paths := make([][]int, len(flows))
+	distTo := map[int][]int{}
+	for fi, f := range flows {
+		dist, ok := distTo[f.Dst]
+		if !ok {
+			dist = make([]int, t.Nodes)
+			for i := range dist {
+				dist[i] = -1
+			}
+			dist[f.Dst] = 0
+			queue := []int{f.Dst}
+			for len(queue) > 0 {
+				u := queue[0]
+				queue = queue[1:]
+				for _, v := range t.Neighbors(u) {
+					if dist[v] < 0 {
+						dist[v] = dist[u] + 1
+						queue = append(queue, v)
+					}
+				}
+			}
+			distTo[f.Dst] = dist
+		}
+		path := []int{f.Src}
+		for u := f.Src; u != f.Dst; {
+			var cand []int
+			for _, v := range t.Neighbors(u) {
+				if dist[v] == dist[u]-1 {
+					cand = append(cand, v)
+				}
+			}
+			u = cand[fi%len(cand)]
+			path = append(path, u)
+		}
+		paths[fi] = path
+	}
+	return paths
+}
+
+// TestShortestPathMatchesAppendingRoute checks Route against the
+// appending oracle on every built-in topology shape and on fat-trees
+// with random routers and links failed, routing every connected pair.
+func TestShortestPathMatchesAppendingRoute(t *testing.T) {
+	var topos []*Topology
+	for _, build := range []func() (*Topology, error){
+		func() (*Topology, error) { return Chain(5) },
+		func() (*Topology, error) { return Ring(7) },
+		func() (*Topology, error) { return Star(6) },
+		func() (*Topology, error) { return FatTree2(4, 8) },
+	} {
+		topo, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		topos = append(topos, topo)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20; trial++ {
+		ft := topos[3]
+		nodeDown := make([]bool, ft.Nodes)
+		linkUp := make([]bool, len(ft.Links))
+		for u := range nodeDown {
+			nodeDown[u] = rng.Intn(8) == 0
+		}
+		// Links fail as bidirectional pairs, as the fault model does.
+		for li, l := range ft.Links {
+			if l.From < l.To {
+				up := rng.Intn(6) != 0
+				linkUp[li], linkUp[ft.LinkIndex(l.To, l.From)] = up, up
+			}
+		}
+		masked := new(Topology)
+		ft.maskInto(masked, nodeDown, linkUp)
+		topos = append(topos, masked)
+	}
+	for ti, topo := range topos {
+		comp := components(topo)
+		var flows []Flow
+		for src := 0; src < topo.Nodes; src++ {
+			for dst := 0; dst < topo.Nodes; dst++ {
+				if src != dst && comp[src] == comp[dst] {
+					flows = append(flows, Flow{Src: src, Dst: dst, Rate: 0.1})
+				}
+			}
+		}
+		got, err := ShortestPath{}.Route(topo, flows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := appendingShortestPath(topo, flows); !reflect.DeepEqual(got, want) {
+			t.Fatalf("topology %d (%s): Route paths differ from the appending oracle", ti, topo.Name)
+		}
 	}
 }
 

@@ -16,6 +16,8 @@ type RoutingPolicy interface {
 	Name() string
 	// Route returns one node path per flow, in flow order. Each path
 	// starts at the flow's source node and ends at its destination.
+	// Route must not keep flows after it returns: re-convergence
+	// reuses the slice.
 	Route(t *Topology, flows []Flow) ([][]int, error)
 }
 
@@ -34,14 +36,19 @@ func (ShortestPath) Name() string { return "shortest" }
 func (ShortestPath) Route(t *Topology, flows []Flow) ([][]int, error) {
 	paths := make([][]int, len(flows))
 	// One BFS per distinct destination, not per flow: a uniform matrix
-	// over H hosts has H·(H-1) flows but only H destinations.
+	// over H hosts has H·(H-1) flows but only H destinations. Route
+	// runs on every re-convergence, so the BFS queue and the candidate
+	// list are reused across flows and each path is allocated once, at
+	// its final length.
 	distTo := make(map[int][]int, len(t.Hosts))
+	var queue, cand []int
 	for fi := range flows {
 		f := &flows[fi]
 		dist, ok := distTo[f.Dst]
 		if !ok {
 			dist = make([]int, t.Nodes)
-			if err := bfsDist(t, f.Dst, dist); err != nil {
+			var err error
+			if queue, err = bfsDist(t, f.Dst, dist, queue); err != nil {
 				return nil, err
 			}
 			distTo[f.Dst] = dist
@@ -49,39 +56,39 @@ func (ShortestPath) Route(t *Topology, flows []Flow) ([][]int, error) {
 		if dist[f.Src] < 0 {
 			return nil, fmt.Errorf("netsim: no path %d→%d", f.Src, f.Dst)
 		}
-		path := []int{f.Src}
-		u := f.Src
-		for u != f.Dst {
+		path := make([]int, dist[f.Src]+1)
+		path[0] = f.Src
+		for h := 1; h < len(path); h++ {
 			// Candidates one step closer to the destination, in
 			// ascending node order; the flow index picks among them so
 			// equal-cost flows fan out across the alternatives.
-			var cand []int
+			u := path[h-1]
+			cand = cand[:0]
 			for _, v := range t.Neighbors(u) {
 				if dist[v] == dist[u]-1 {
 					cand = append(cand, v)
 				}
 			}
-			u = cand[fi%len(cand)]
-			path = append(path, u)
+			path[h] = cand[fi%len(cand)]
 		}
 		paths[fi] = path
 	}
 	return paths, nil
 }
 
-// bfsDist fills dist with hop counts to dst (-1 = unreachable).
-func bfsDist(t *Topology, dst int, dist []int) error {
+// bfsDist fills dist with hop counts to dst (-1 = unreachable). It uses
+// queue's storage as the BFS queue and returns it for reuse.
+func bfsDist(t *Topology, dst int, dist, queue []int) ([]int, error) {
 	if dst < 0 || dst >= t.Nodes {
-		return fmt.Errorf("netsim: node %d out of range", dst)
+		return queue, fmt.Errorf("netsim: node %d out of range", dst)
 	}
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[dst] = 0
-	queue := []int{dst}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	queue = append(queue[:0], dst)
+	for h := 0; h < len(queue); h++ {
+		u := queue[h]
 		for _, v := range t.Neighbors(u) {
 			if dist[v] < 0 {
 				dist[v] = dist[u] + 1
@@ -89,7 +96,7 @@ func bfsDist(t *Topology, dst int, dist []int) error {
 			}
 		}
 	}
-	return nil
+	return queue, nil
 }
 
 // Consolidate is the energy-aware policy: it routes flows sequentially

@@ -118,10 +118,18 @@ type Router struct {
 	arbFCFS *arbiter.FCFSRR
 	reqs    []arbiter.Request // per-slot request buffer, reused
 
-	// VOQ discipline state.
+	// VOQ discipline state. occ holds one bitset column per egress
+	// port, words uint64s each: bit i of column o is set exactly when
+	// voq[i][o] is non-empty. Inject sets a bit when a queue turns
+	// non-empty, admission clears it when one drains, and FlushQueues
+	// clears them all, so no slot rescans the ports² queues. Under a
+	// gate, req is occ masked to the open inputs.
 	voq     [][]queue // [ingress][egress]
 	arbSLIP *arbiter.ISLIP
-	voqReq  [][]bool // per-slot occupancy matrix, reused
+	words   int
+	occ     []uint64
+	open    []uint64 // open-input mask, rebuilt each gated slot
+	req     []uint64
 
 	// portLen[p] counts the cells queued at ingress port p, and queued
 	// counts them all. Both are maintained incrementally, so QueueLen
@@ -159,10 +167,14 @@ func New(cfg Config) (*Router, error) {
 			iters = 2
 		}
 		r.voq = make([][]queue, n)
-		r.voqReq = make([][]bool, n)
 		for i := range r.voq {
 			r.voq[i] = make([]queue, n)
-			r.voqReq[i] = make([]bool, n)
+		}
+		r.words = arbiter.Words(n)
+		r.occ = make([]uint64, n*r.words)
+		if cfg.Gate != nil {
+			r.open = make([]uint64, r.words)
+			r.req = make([]uint64, n*r.words)
 		}
 		r.arbSLIP, err = arbiter.NewISLIP(n, iters)
 		if err != nil {
@@ -239,6 +251,7 @@ func (r *Router) FlushQueues(fn func(*packet.Cell)) int {
 		}
 	}
 	clear(r.portLen)
+	clear(r.occ)
 	r.queued = 0
 	return flushed
 }
@@ -256,6 +269,9 @@ func (r *Router) Inject(c *packet.Cell, slot uint64) bool {
 	if r.cfg.MaxQueueCells > 0 && q.size >= r.cfg.MaxQueueCells {
 		r.metrics.DroppedCells++
 		return false
+	}
+	if q.size == 0 && r.cfg.Queue == VOQ {
+		r.occ[c.Dest*r.words+(c.Src>>6)] |= 1 << (c.Src & 63)
 	}
 	q.push(c, slot)
 	r.portLen[c.Src]++
@@ -338,33 +354,43 @@ func (r *Router) admitFIFO(slot uint64) {
 }
 
 // admitHead offers a queue's head cell to the fabric and dequeues it if
-// the fabric takes it; a refused cell stays at the head.
-func (r *Router) admitHead(q *queue, port int) {
-	if r.fab.Offer(q.head().cell) {
-		q.pop()
-		r.portLen[port]--
-		r.queued--
+// the fabric takes it; a refused cell stays at the head. It reports
+// whether the cell was admitted.
+func (r *Router) admitHead(q *queue, port int) bool {
+	if !r.fab.Offer(q.head().cell) {
+		return false
 	}
+	q.pop()
+	r.portLen[port]--
+	r.queued--
+	return true
 }
 
 // admitVOQ matches VOQ occupancy with iSLIP and offers matched heads.
+// The gate is asked about every port, in port order, each slot.
 func (r *Router) admitVOQ(slot uint64) {
-	req := r.voqReq
-	for i := range req {
-		open := r.cfg.Gate == nil || r.cfg.Gate.PortOpen(i, slot)
-		for j := range req[i] {
-			req[i][j] = open && r.voq[i][j].size > 0
+	req := r.occ
+	if r.cfg.Gate != nil {
+		clear(r.open)
+		for p := 0; p < r.Ports(); p++ {
+			if r.cfg.Gate.PortOpen(p, slot) {
+				r.open[p>>6] |= 1 << (p & 63)
+			}
+		}
+		req = r.req
+		for col := 0; col < len(req); col += r.words {
+			for k, open := range r.open {
+				req[col+k] = r.occ[col+k] & open
+			}
 		}
 	}
-	match, err := r.arbSLIP.Match(req)
-	if err != nil {
-		// Matrix dimensions are fixed at construction; an error here is
-		// a programming bug, not a runtime condition.
-		panic(err)
-	}
-	for i, o := range match {
-		if o >= 0 {
-			r.admitHead(&r.voq[i][o], i)
+	for i, o := range r.arbSLIP.Match(req) {
+		if o < 0 {
+			continue
+		}
+		q := &r.voq[i][o]
+		if r.admitHead(q, i) && q.size == 0 {
+			r.occ[o*r.words+(i>>6)] &^= 1 << (i & 63)
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package router
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fabricpower/internal/core"
@@ -283,5 +285,187 @@ func TestLatencyAccounting(t *testing.T) {
 	m := r.Metrics()
 	if m.MaxLatency != deliveredAt {
 		t.Fatalf("latency = %d, want %d", m.MaxLatency, deliveredAt)
+	}
+}
+
+// hashGate is a random but stateless PortGate: whether a port is open
+// in a slot is a hash of (seed, port, slot), so two routers asking
+// about the same slot get the same answers. Three ports in four are
+// open.
+type hashGate uint64
+
+func (g hashGate) PortOpen(port int, slot uint64) bool {
+	x := uint64(g) ^ slot*0x9e3779b97f4a7c15 ^ uint64(port)*0xbf58476d1ce4e5b9
+	x ^= x >> 31
+	x *= 0x94d049bb133111eb
+	x ^= x >> 29
+	return x&3 != 0
+}
+
+// refISLIP is the modulo-wrapping matrix iSLIP the bitset matcher
+// replaced (the arbiter package keeps the same oracle): the reference
+// router below arbitrates with it.
+type refISLIP struct {
+	ports, iterations   int
+	grantPtr, acceptPtr []int
+}
+
+func (s *refISLIP) match(request [][]bool) []int {
+	n := s.ports
+	matchIn, matchOut, grant := make([]int, n), make([]int, n), make([]int, n)
+	for i := range matchIn {
+		matchIn[i], matchOut[i] = -1, -1
+	}
+	for iter := 0; iter < s.iterations; iter++ {
+		for o := 0; o < n; o++ {
+			grant[o] = -1
+			for k := 0; k < n && matchOut[o] == -1; k++ {
+				if i := (s.grantPtr[o] + k) % n; matchIn[i] == -1 && request[i][o] {
+					grant[o] = i
+					break
+				}
+			}
+		}
+		for i := 0; i < n; i++ {
+			for k := 0; k < n && matchIn[i] == -1; k++ {
+				if o := (s.acceptPtr[i] + k) % n; grant[o] == i {
+					matchIn[i], matchOut[o] = o, i
+					if iter == 0 {
+						s.grantPtr[o], s.acceptPtr[i] = (i+1)%n, (o+1)%n
+					}
+				}
+			}
+		}
+	}
+	return matchIn
+}
+
+// refStep steps a VOQ router the way it was stepped before occupancy
+// bitsets: the request matrix is rebuilt from the queue sizes and the
+// gate each slot and handed to the reference matcher. Only admission
+// differs from Step; egress metrics are not kept.
+func refStep(r *Router, s *refISLIP, slot uint64) {
+	n := r.Ports()
+	req := make([][]bool, n)
+	for i := range req {
+		open := r.cfg.Gate == nil || r.cfg.Gate.PortOpen(i, slot)
+		req[i] = make([]bool, n)
+		for o := range req[i] {
+			req[i][o] = open && r.voq[i][o].size > 0
+		}
+	}
+	for i, o := range s.match(req) {
+		if o >= 0 {
+			r.admitHead(&r.voq[i][o], i)
+		}
+	}
+	r.fab.Step(slot)
+}
+
+// admission is one cell leaving a VOQ for the fabric.
+type admission struct {
+	slot    uint64
+	in, out int
+	cellID  uint64
+}
+
+// stepAdmissions runs step and returns the cells it admitted, read off
+// the queue heads that left.
+func stepAdmissions(r *Router, slot uint64, step func()) []admission {
+	n := r.Ports()
+	heads := make([]uint64, n*n)
+	sizes := make([]int, n*n)
+	for i := range r.voq {
+		for o := range r.voq[i] {
+			if q := &r.voq[i][o]; q.size > 0 {
+				heads[i*n+o], sizes[i*n+o] = q.head().cell.ID, q.size
+			}
+		}
+	}
+	step()
+	var out []admission
+	for i := range r.voq {
+		for o := range r.voq[i] {
+			if r.voq[i][o].size < sizes[i*n+o] {
+				out = append(out, admission{slot, i, o, heads[i*n+o]})
+			}
+		}
+	}
+	return out
+}
+
+// checkOccupancy asserts the VOQ occupancy invariant: bit i of column o
+// is set exactly when voq[i][o] holds a cell, and no bit past the last
+// port is ever set.
+func checkOccupancy(t *testing.T, r *Router, when string) {
+	t.Helper()
+	n, w := r.Ports(), r.words
+	for o := 0; o < n; o++ {
+		for b := 0; b < w*64; b++ {
+			set := r.occ[o*w+(b>>6)]>>(b&63)&1 == 1
+			if want := b < n && r.voq[b][o].size > 0; set != want {
+				t.Fatalf("%s: occupancy bit (out %d, in %d) = %v, want %v", when, o, b, set, want)
+			}
+		}
+	}
+}
+
+// TestVOQOccupancyInvariant drives a gated VOQ Banyan router through a
+// random sequence of injections, slots and queue flushes. After every
+// operation the occupancy bitsets must mirror the queue sizes, and over
+// the whole run the router must admit exactly the cells, in exactly the
+// slots, of a reference router that rebuilds the request matrix each
+// slot and arbitrates with the matrix iSLIP.
+func TestVOQOccupancyInvariant(t *testing.T) {
+	for _, ports := range []int{2, 16, 64, 128} {
+		t.Run(fmt.Sprintf("ports=%d", ports), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(ports)))
+			cfg := routerConfig(core.Banyan, ports, VOQ)
+			cfg.MaxQueueCells = 3
+			cfg.Gate = hashGate(rng.Uint64())
+			r, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle := &refISLIP{ports: ports, iterations: 2,
+				grantPtr: make([]int, ports), acceptPtr: make([]int, ports)}
+			var got, want []admission
+			slot, id := uint64(0), uint64(0)
+			for op := 0; op < 600; op++ {
+				switch x := rng.Intn(100); {
+				case x < 2:
+					if a, b := r.FlushQueues(nil), ref.FlushQueues(nil); a != b {
+						t.Fatalf("op %d: flushed %d cells, reference %d", op, a, b)
+					}
+				case x < 50:
+					// A burst whose size varies from a trickle to
+					// several cells per port.
+					for k := rng.Intn(2 * ports); k >= 0; k-- {
+						id++
+						c := mkCell(rng, id, rng.Intn(ports), rng.Intn(ports), int(slot))
+						twin := *c
+						twin.Payload = slices.Clone(c.Payload)
+						if r.Inject(c, slot) != ref.Inject(&twin, slot) {
+							t.Fatalf("op %d: cell %d accepted by only one router", op, id)
+						}
+					}
+				default:
+					got = append(got, stepAdmissions(r, slot, func() { r.Step(slot) })...)
+					want = append(want, stepAdmissions(ref, slot, func() { refStep(ref, oracle, slot) })...)
+					slot++
+				}
+				checkOccupancy(t, r, fmt.Sprintf("op %d", op))
+			}
+			if len(got) == 0 {
+				t.Fatal("no cell was ever admitted")
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("admitted %d cells, reference %d; sequences differ", len(got), len(want))
+			}
+		})
 	}
 }
