@@ -6,6 +6,7 @@ import (
 
 	"fabricpower/internal/circuits"
 	"fabricpower/internal/gates"
+	"fabricpower/internal/rng"
 )
 
 // CharOptions controls a gate-level characterization run.
@@ -81,7 +82,7 @@ func Characterize(sw *circuits.Switch, opt CharOptions) (Table, error) {
 		if err != nil {
 			return 0, err
 		}
-		rng := rand.New(rand.NewSource(seed))
+		draws := rand.New(rng.New(seed))
 		// Select lines (MuxN) pick among occupied inputs.
 		present := make([]int, 0, n)
 		for i := 0; i < n; i++ {
@@ -96,14 +97,14 @@ func Characterize(sw *circuits.Switch, opt CharOptions) (Table, error) {
 				occupied := v&(1<<uint(i)) != 0
 				sim.SetInput(p.Valid, occupied)
 				if occupied {
-					sim.SetBus(p.Data, rng.Uint64())
+					sim.SetBus(p.Data, draws.Uint64())
 					if boundary && len(p.Dest) > 0 {
-						sim.SetBus(p.Dest, rng.Uint64())
+						sim.SetBus(p.Dest, draws.Uint64())
 					}
 				}
 			}
 			if boundary && len(sw.Sel) > 0 && len(present) > 0 {
-				sim.SetBus(sw.Sel, uint64(present[rng.Intn(len(present))]))
+				sim.SetBus(sw.Sel, uint64(present[draws.Intn(len(present))]))
 			}
 			sim.Settle()
 			sim.ClockEdge()

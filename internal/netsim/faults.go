@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"fabricpower/internal/packet"
+	"fabricpower/internal/rng"
 )
 
 // FaultEvent is one scheduled topology change: a link (undirected pair)
@@ -157,7 +158,8 @@ type faultState struct {
 
 	// Generated schedules: per-entity renewal streams. nextPair and
 	// nextNode are the absolute slots of each entity's next toggle
-	// (maxUint64 when the entity has no generator).
+	// (maxUint64 when the entity has no generator). Each stream is
+	// rand.New over an rng.Stream, which only ExpFloat64 draws from.
 	pairRng  []*rand.Rand
 	nodeRng  []*rand.Rand
 	nextPair []uint64
@@ -262,14 +264,14 @@ func newFaultState(plan FaultPlan, t *Topology, nflows int, seed int64) (*faultS
 	if plan.MTBF > 0 {
 		fs.pairRng = make([]*rand.Rand, np)
 		for i := range fs.pairRng {
-			fs.pairRng[i] = rand.New(rand.NewSource(flowSeed(seed, i, saltLinkFault)))
+			fs.pairRng[i] = rand.New(rng.New(flowSeed(seed, i, saltLinkFault)))
 			fs.nextPair[i] = expSlots(fs.pairRng[i], plan.MTBF)
 		}
 	}
 	if plan.NodeMTBF > 0 {
 		fs.nodeRng = make([]*rand.Rand, t.Nodes)
 		for u := range fs.nodeRng {
-			fs.nodeRng[u] = rand.New(rand.NewSource(flowSeed(seed, u, saltNodeFault)))
+			fs.nodeRng[u] = rand.New(rng.New(flowSeed(seed, u, saltNodeFault)))
 			fs.nextNode[u] = expSlots(fs.nodeRng[u], plan.NodeMTBF)
 		}
 	}

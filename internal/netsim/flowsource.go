@@ -2,9 +2,10 @@ package netsim
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
+	"sync"
 
+	"fabricpower/internal/rng"
 	"fabricpower/internal/traffic"
 )
 
@@ -119,19 +120,49 @@ func flowSeed(base int64, fi int, salt uint64) int64 {
 	return int64(h)
 }
 
+// streamPool recycles flow streams between networks. Two 4.9 KB streams
+// per flow are ~10 MB of garbage per build of a 48-router fat-tree, and
+// Seed overwrites a stream's whole state, so a recycled stream draws
+// exactly what a fresh one would.
+var streamPool sync.Pool
+
+// flowStream returns a stream seeded with seed, recycled when the pool
+// has one.
+func flowStream(seed int64) *rng.Stream {
+	s, ok := streamPool.Get().(*rng.Stream)
+	if !ok {
+		s = new(rng.Stream)
+	}
+	s.Seed(seed)
+	return s
+}
+
+// recycleStream returns a built-in source's stream to streamPool; other
+// sources keep theirs.
+func recycleStream(src FlowSource) {
+	switch s := src.(type) {
+	case *bernoulliSource:
+		streamPool.Put(s.stream)
+	case *onOffSource:
+		streamPool.Put(s.stream)
+	case *packetSource:
+		streamPool.Put(s.stream)
+	}
+}
+
 // bernoulliSource draws an independent coin at the flow's rate every
 // slot — the network analogue of the paper's adjustable packet
 // generation interval.
 type bernoulliSource struct {
-	rate float64
-	rng  *rand.Rand
+	rate   float64
+	stream *rng.Stream
 }
 
 func newBernoulliSource(rate float64, seed int64) *bernoulliSource {
-	return &bernoulliSource{rate: rate, rng: rand.New(rand.NewSource(seed))}
+	return &bernoulliSource{rate: rate, stream: flowStream(seed)}
 }
 
-func (s *bernoulliSource) Inject(slot uint64) bool { return s.rng.Float64() < s.rate }
+func (s *bernoulliSource) Inject(slot uint64) bool { return s.stream.Float64() < s.rate }
 
 // onOffSource is the bursty process: an on/off Markov chain that
 // injects every slot while ON. Mean load equals rate because the mean
@@ -140,7 +171,7 @@ type onOffSource struct {
 	pOnToOff float64
 	pOffToOn float64
 	on       bool
-	rng      *rand.Rand
+	stream   *rng.Stream
 }
 
 func newOnOffSource(rate, meanBurst float64, seed int64) (FlowSource, error) {
@@ -157,16 +188,16 @@ func newOnOffSource(rate, meanBurst float64, seed int64) (FlowSource, error) {
 	return &onOffSource{
 		pOnToOff: 1 / meanBurst,
 		pOffToOn: 1 / meanGap,
-		rng:      rand.New(rand.NewSource(seed)),
+		stream:   flowStream(seed),
 	}, nil
 }
 
 func (s *onOffSource) Inject(slot uint64) bool {
 	if s.on {
-		if s.rng.Float64() < s.pOnToOff {
+		if s.stream.Float64() < s.pOnToOff {
 			s.on = false
 		}
-	} else if s.rng.Float64() < s.pOffToOn {
+	} else if s.stream.Float64() < s.pOffToOn {
 		s.on = true
 	}
 	return s.on
@@ -183,7 +214,7 @@ type packetSource struct {
 	cells    []int // cells per packet variant
 	probs    []float64
 	queued   int
-	rng      *rand.Rand
+	stream   *rng.Stream
 }
 
 func newPacketSource(rate float64, cellBits int, seed int64) (FlowSource, error) {
@@ -201,13 +232,13 @@ func newPacketSource(rate float64, cellBits int, seed int64) (FlowSource, error)
 		pArrival: rate / mean,
 		cells:    cells,
 		probs:    probs,
-		rng:      rand.New(rand.NewSource(seed)),
+		stream:   flowStream(seed),
 	}, nil
 }
 
 func (s *packetSource) Inject(slot uint64) bool {
-	if s.queued == 0 && s.rng.Float64() < s.pArrival {
-		r := s.rng.Float64()
+	if s.queued == 0 && s.stream.Float64() < s.pArrival {
+		r := s.stream.Float64()
 		acc := 0.0
 		s.queued = s.cells[len(s.cells)-1]
 		for i, p := range s.probs {

@@ -428,6 +428,42 @@ func TestNetworkRunDeterministic(t *testing.T) {
 	}
 }
 
+// TestClosedNetworkStreamsRecycleExactly checks that a network built
+// from streams recycled by Close reports exactly what one built from
+// fresh streams does, for every built-in traffic kind, including after
+// the streams served a network of another seed.
+func TestClosedNetworkStreamsRecycleExactly(t *testing.T) {
+	for _, kind := range []Traffic{{Kind: "uniform"}, {Kind: "bursty", MeanBurstSlots: 8}, {Kind: "packet"}} {
+		t.Run(kind.Kind, func(t *testing.T) {
+			run := func(seed int64) *Report {
+				topo, err := FatTree2(2, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := testConfig(topo)
+				cfg.Load, cfg.Traffic, cfg.Seed = 0.3, kind, seed
+				net, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer net.Close()
+				rep, err := net.Run(100, 400)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep
+			}
+			for streamPool.Get() != nil {
+			}
+			fresh := run(7)
+			run(8)
+			if recycled := run(7); !reflect.DeepEqual(fresh, recycled) {
+				t.Error("a network on recycled streams diverged from one on fresh streams")
+			}
+		})
+	}
+}
+
 // TestBackpressure pins the finite-link behavior: a hotspot overload
 // backs cells up without losing accounting — every offered cell is
 // delivered, dropped or still queued somewhere.

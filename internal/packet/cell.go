@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+
+	"fabricpower/internal/rng"
 )
 
 // Config fixes the cell geometry for a simulation.
@@ -132,14 +134,14 @@ func (c *Cell) Crossing(last uint32) (flips int, newLast uint32) {
 	return FlipCount(last, c.Payload[0]) + int(c.interior-1), c.Payload[n-1]
 }
 
-// FillRandom draws the cell's payload from rng — the same draws, in the
-// same order, as RandomPayload — and caches its interior flip count on
-// the way.
-func (c *Cell) FillRandom(rng *rand.Rand) {
+// FillRandom draws the cell's payload from s — the same words, in the
+// same order, as RandomPayload over rand.New(s) — and caches its
+// interior flip count on the way.
+func (c *Cell) FillRandom(s *rng.Stream) {
 	var prev uint32
 	flips := 0
 	for i := range c.Payload {
-		w := rng.Uint32()
+		w := s.Uint32()
 		if i > 0 {
 			flips += FlipCount(prev, w)
 		}

@@ -3,6 +3,8 @@ package packet
 import (
 	"math/rand"
 	"testing"
+
+	"fabricpower/internal/rng"
 )
 
 // crossingMatches checks the cached path against the streaming one for
@@ -22,21 +24,22 @@ func crossingMatches(t *testing.T, rng *rand.Rand, c *Cell, what string) {
 }
 
 func TestCrossingMatchesFlipsThrough(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	s := rng.New(1)
+	r := rand.New(s)
 	for _, words := range []int{1, 2, 3, 32, 64} {
 		pool := NewPool(words, 0)
 		for i := 0; i < 200; i++ {
 			c := pool.Get()
-			c.FillRandom(rng)
-			crossingMatches(t, rng, c, "filled")
+			c.FillRandom(s)
+			crossingMatches(t, r, c, "filled")
 			pool.Put(c)
 		}
 		for i := 0; i < 50; i++ {
 			// Literal cells compute the interior count on first use.
-			crossingMatches(t, rng, &Cell{Payload: RandomPayload(rng, words)}, "literal")
+			crossingMatches(t, r, &Cell{Payload: RandomPayload(r, words)}, "literal")
 		}
-		crossingMatches(t, rng, &Cell{Payload: AlternatingPayload(words)}, "alternating")
-		crossingMatches(t, rng, &Cell{Payload: ZeroPayload(words)}, "zero")
+		crossingMatches(t, r, &Cell{Payload: AlternatingPayload(words)}, "alternating")
+		crossingMatches(t, r, &Cell{Payload: ZeroPayload(words)}, "zero")
 	}
 	if flips, last := (&Cell{}).Crossing(7); flips != 0 || last != 7 {
 		t.Fatalf("empty payload crossed as (%d, %d), want (0, 7)", flips, last)
@@ -44,10 +47,11 @@ func TestCrossingMatchesFlipsThrough(t *testing.T) {
 }
 
 func TestCrossingAfterRecycle(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
+	s := rng.New(2)
+	r := rand.New(s)
 	pool := NewPool(32, 0)
 	c := pool.Get()
-	c.FillRandom(rng)
+	c.FillRandom(s)
 	c.Crossing(0)
 	pool.Put(c)
 	// A recycled cell whose payload is overwritten in place must not
@@ -57,15 +61,18 @@ func TestCrossingAfterRecycle(t *testing.T) {
 		t.Fatal("pool did not reuse the released cell")
 	}
 	copy(d.Payload, AlternatingPayload(32))
-	crossingMatches(t, rng, d, "recycled, rewritten")
+	crossingMatches(t, r, d, "recycled, rewritten")
 	pool.Put(d)
 	e := pool.Get()
-	e.FillRandom(rng)
-	crossingMatches(t, rng, e, "recycled, refilled")
+	e.FillRandom(s)
+	crossingMatches(t, r, e, "recycled, refilled")
 }
 
+// TestFillRandomDrawsLikeRandomPayload checks a Stream fill against
+// RandomPayload over math/rand of the same seed: the payload words cells
+// were drawn with before rng.Stream.
 func TestFillRandomDrawsLikeRandomPayload(t *testing.T) {
-	a, b := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+	a, b := rng.New(3), rand.New(rand.NewSource(3))
 	pool := NewPool(32, 0)
 	for i := 0; i < 20; i++ {
 		c := pool.Get()

@@ -647,7 +647,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	defer func() { <-s.slots }()
 	s.gActive.Add(1)
-	defer s.gActive.Add(-1)
+	// The study_finish frame is the last thing a client observes, so
+	// the gauge drops before it is written; the defer covers the exits
+	// that never reach it.
+	settleActive := sync.OnceFunc(func() { s.gActive.Add(-1) })
+	defer settleActive()
 
 	// The study's context: client disconnect, DELETE, per-study
 	// timeout and server shutdown all funnel into one cancellation.
@@ -722,11 +726,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		errStr = runErr.Error()
 	}
 	s.hDuration.Observe(uint64(durMS))
+	settleActive()
+	h.finish(completed, records, durMS, errStr)
 	lw.emit(finishLine{
 		Kind: "study_finish", ID: id, Points: n, Completed: completed,
 		Records: records, DurationMS: durMS, Err: errStr, Cache: snapshotCaches(),
 	})
-	h.finish(completed, records, durMS, errStr)
 	s.logf("studyd: %s done (%d/%d points, %.1f ms, err=%q)", id, completed, n, durMS, errStr)
 }
 

@@ -4,10 +4,10 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math/rand"
 	"sort"
 
 	"fabricpower/internal/packet"
+	"fabricpower/internal/rng"
 )
 
 // TraceEntry is one recorded injection.
@@ -81,6 +81,7 @@ type Player struct {
 	cfg    packet.Config
 	pos    int
 	nextID uint64
+	stream *rng.Stream // reseeded from each entry's payload seed
 }
 
 // NewPlayer builds a trace player with the given cell geometry.
@@ -91,7 +92,7 @@ func NewPlayer(t *Trace, cfg packet.Config) (*Player, error) {
 	if t == nil {
 		return nil, fmt.Errorf("traffic: nil trace")
 	}
-	return &Player{trace: t, cfg: cfg}, nil
+	return &Player{trace: t, cfg: cfg, stream: new(rng.Stream)}, nil
 }
 
 // Generate emits the recorded cells for the slot, regenerating payloads
@@ -102,14 +103,16 @@ func (p *Player) Generate(slot uint64) []*packet.Cell {
 		e := p.trace.Entries[p.pos]
 		p.pos++
 		p.nextID++
-		rng := rand.New(rand.NewSource(e.Seed))
-		out = append(out, &packet.Cell{
+		p.stream.Seed(e.Seed)
+		c := &packet.Cell{
 			ID:          p.nextID,
 			Src:         e.Src,
 			Dest:        e.Dest,
-			Payload:     packet.RandomPayload(rng, p.cfg.Words()),
+			Payload:     make([]uint32, p.cfg.Words()),
 			CreatedSlot: slot,
-		})
+		}
+		c.FillRandom(p.stream)
+		out = append(out, c)
 	}
 	return out
 }

@@ -14,6 +14,7 @@ import (
 	"math/rand"
 
 	"fabricpower/internal/packet"
+	"fabricpower/internal/rng"
 )
 
 // DestPattern chooses a destination port for a cell injected at src.
@@ -85,7 +86,8 @@ type Injector struct {
 	ports   int
 	load    float64
 	pattern DestPattern
-	rng     *rand.Rand
+	stream  *rng.Stream // coins and payloads
+	rnd     *rand.Rand  // rand.New(stream): Pick's view of the same state
 	nextID  uint64
 	pool    *packet.Pool
 	batches packet.Batches
@@ -105,11 +107,13 @@ func NewInjector(ports int, load float64, cfg packet.Config, pattern DestPattern
 	if pattern == nil {
 		pattern = Uniform{}
 	}
+	stream := rng.New(seed)
 	return &Injector{
 		ports:   ports,
 		load:    load,
 		pattern: pattern,
-		rng:     rand.New(rand.NewSource(seed)),
+		stream:  stream,
+		rnd:     rand.New(stream),
 		pool:    packet.NewPool(cfg.Words(), 0),
 	}, nil
 }
@@ -125,11 +129,11 @@ func (in *Injector) Load() float64 { return in.load }
 func (in *Injector) Generate(slot uint64) []*packet.Cell {
 	cells := in.batches.Open(in.ports)
 	for p := 0; p < in.ports; p++ {
-		if in.rng.Float64() >= in.load {
+		if in.stream.Float64() >= in.load {
 			continue
 		}
 		in.nextID++
-		cells = append(cells, newCell(in.pool, in.rng, in.nextID, p, in.pattern.Pick(in.rng, p, in.ports), slot))
+		cells = append(cells, newCell(in.pool, in.stream, in.nextID, p, in.pattern.Pick(in.rnd, p, in.ports), slot))
 	}
 	return in.batches.Close(cells)
 }
@@ -137,13 +141,13 @@ func (in *Injector) Generate(slot uint64) []*packet.Cell {
 // Release hands a delivered or refused cell back for reuse.
 func (in *Injector) Release(c *packet.Cell) { in.pool.Put(c) }
 
-// newCell takes a cell from pool and fills its payload from rng. Callers
+// newCell takes a cell from pool and fills its payload from s. Callers
 // draw dest first: destination before payload is the draw order the
 // goldens were recorded with.
-func newCell(pool *packet.Pool, rng *rand.Rand, id uint64, src, dest int, slot uint64) *packet.Cell {
+func newCell(pool *packet.Pool, s *rng.Stream, id uint64, src, dest int, slot uint64) *packet.Cell {
 	c := pool.Get()
 	c.ID, c.Src, c.Dest, c.CreatedSlot = id, src, dest, slot
-	c.FillRandom(rng)
+	c.FillRandom(s)
 	return c
 }
 
@@ -156,7 +160,8 @@ type OnOffInjector struct {
 	pOffToOn float64
 	on       []bool
 	pattern  DestPattern
-	rng      *rand.Rand
+	stream   *rng.Stream // chain coins and payloads
+	rnd      *rand.Rand  // rand.New(stream): Pick's view of the same state
 	nextID   uint64
 	pool     *packet.Pool
 	batches  packet.Batches
@@ -182,13 +187,15 @@ func NewOnOffInjector(ports int, meanBurst, load float64, cfg packet.Config, pat
 	}
 	// load = meanBurst / (meanBurst + meanGap)  =>  meanGap = meanBurst·(1-load)/load.
 	meanGap := meanBurst * (1 - load) / load
+	stream := rng.New(seed)
 	return &OnOffInjector{
 		ports:    ports,
 		pOnToOff: 1 / meanBurst,
 		pOffToOn: 1 / meanGap,
 		on:       make([]bool, ports),
 		pattern:  pattern,
-		rng:      rand.New(rand.NewSource(seed)),
+		stream:   stream,
+		rnd:      rand.New(stream),
 		pool:     packet.NewPool(cfg.Words(), 0),
 	}, nil
 }
@@ -198,17 +205,17 @@ func (in *OnOffInjector) Generate(slot uint64) []*packet.Cell {
 	cells := in.batches.Open(in.ports)
 	for p := 0; p < in.ports; p++ {
 		if in.on[p] {
-			if in.rng.Float64() < in.pOnToOff {
+			if in.stream.Float64() < in.pOnToOff {
 				in.on[p] = false
 			}
-		} else if in.rng.Float64() < in.pOffToOn {
+		} else if in.stream.Float64() < in.pOffToOn {
 			in.on[p] = true
 		}
 		if !in.on[p] {
 			continue
 		}
 		in.nextID++
-		cells = append(cells, newCell(in.pool, in.rng, in.nextID, p, in.pattern.Pick(in.rng, p, in.ports), slot))
+		cells = append(cells, newCell(in.pool, in.stream, in.nextID, p, in.pattern.Pick(in.rnd, p, in.ports), slot))
 	}
 	return in.batches.Close(cells)
 }
@@ -229,7 +236,7 @@ type PacketInjector struct {
 	pattern   DestPattern
 	seg       *packet.Segmenter
 	queues    [][]*packet.Cell
-	rng       *rand.Rand
+	rnd       *rand.Rand
 	nextID    uint64
 }
 
@@ -267,7 +274,7 @@ func NewPacketInjector(ports int, load float64, cfg packet.Config, pattern DestP
 		pattern:   pattern,
 		seg:       seg,
 		queues:    make([][]*packet.Cell, ports),
-		rng:       rand.New(rand.NewSource(seed)),
+		rnd:       rand.New(rng.New(seed)),
 	}, nil
 }
 
@@ -287,10 +294,10 @@ func (in *PacketInjector) Generate(slot uint64) []*packet.Cell {
 	pArrival := in.load / in.meanCellsPerPacket()
 	var out []*packet.Cell
 	for p := 0; p < in.ports; p++ {
-		if len(in.queues[p]) == 0 && in.rng.Float64() < pArrival {
+		if len(in.queues[p]) == 0 && in.rnd.Float64() < pArrival {
 			size := in.pickSize()
 			in.nextID++
-			pkt, err := packet.NewRandomPacket(in.rng, in.nextID, p, in.pattern.Pick(in.rng, p, in.ports), size)
+			pkt, err := packet.NewRandomPacket(in.rnd, in.nextID, p, in.pattern.Pick(in.rnd, p, in.ports), size)
 			if err == nil {
 				in.queues[p] = in.seg.Split(pkt, slot)
 			}
@@ -308,7 +315,7 @@ func (in *PacketInjector) Generate(slot uint64) []*packet.Cell {
 func (in *PacketInjector) Release(*packet.Cell) {}
 
 func (in *PacketInjector) pickSize() int {
-	r := in.rng.Float64()
+	r := in.rnd.Float64()
 	acc := 0.0
 	for i, p := range in.sizeProb {
 		acc += p

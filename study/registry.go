@@ -2,13 +2,13 @@ package study
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 
 	"fabricpower/internal/dpm"
 	"fabricpower/internal/netsim"
 	"fabricpower/internal/packet"
+	"fabricpower/internal/rng"
 	"fabricpower/internal/traffic"
 )
 
@@ -92,7 +92,7 @@ func TrafficKinds() []string {
 type sourceGenerator struct {
 	src     TrafficSource
 	ports   int
-	rng     *rand.Rand
+	stream  *rng.Stream
 	nextID  uint64
 	pool    *packet.Pool
 	batches packet.Batches
@@ -106,7 +106,7 @@ type sourceGenerator struct {
 }
 
 func newSourceGenerator(src TrafficSource, cfg packet.Config, ports int, seed int64) *sourceGenerator {
-	g := &sourceGenerator{src: src, ports: ports, rng: rand.New(rand.NewSource(seed)), pool: packet.NewPool(cfg.Words(), 0)}
+	g := &sourceGenerator{src: src, ports: ports, stream: rng.New(seed), pool: packet.NewPool(cfg.Words(), 0)}
 	g.emit = g.add
 	return g
 }
@@ -132,7 +132,7 @@ func (g *sourceGenerator) add(in Injection) {
 	g.nextID++
 	c := g.pool.Get()
 	c.ID, c.Src, c.Dest, c.CreatedSlot = g.nextID, in.Port, in.Dest, g.slot
-	c.FillRandom(g.rng)
+	c.FillRandom(g.stream)
 	g.cells = append(g.cells, c)
 }
 
