@@ -22,6 +22,7 @@ package fabricpower_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -167,12 +168,13 @@ func BenchmarkSweepParallel(b *testing.B) { benchSweep(b, 0) }
 
 // --- simulator substrate micro-benchmarks --------------------------------
 
-// benchFabric measures one fabric slot at ~50% load. Cells recirculate
-// through a fixed pool (delivered cells are re-offered) and the reusable
-// slot buffers are grown during an untimed warmup, so the reported
-// allocs/op are the fabric's own — the slot hot path must stay at 0
+// benchFabric measures one fabric slot with each port offering a cell
+// with probability load. Cells recirculate through a fixed pool
+// (delivered cells are re-offered) and the reusable slot buffers are
+// grown during an untimed warmup, so the reported allocs/op are the
+// fabric's own — the slot hot path must stay at 0
 // (TestStepAllocationFree asserts the same invariant).
-func benchFabric(b *testing.B, arch core.Architecture, ports int) {
+func benchFabric(b *testing.B, arch core.Architecture, ports int, load float64) {
 	b.Helper()
 	cfg := fabric.Config{
 		Ports: ports,
@@ -195,7 +197,7 @@ func benchFabric(b *testing.B, arch core.Architecture, ports int) {
 			destBusy[j] = false
 		}
 		for p := 0; p < ports; p++ {
-			if len(pool) == 0 || rng.Float64() >= 0.5 {
+			if len(pool) == 0 || rng.Float64() >= load {
 				continue
 			}
 			d := rng.Intn(ports)
@@ -223,18 +225,33 @@ func benchFabric(b *testing.B, arch core.Architecture, ports int) {
 }
 
 // BenchmarkCrossbarStep measures one 32×32 crossbar slot at 50% load.
-func BenchmarkCrossbarStep(b *testing.B) { benchFabric(b, core.Crossbar, 32) }
+func BenchmarkCrossbarStep(b *testing.B) { benchFabric(b, core.Crossbar, 32, 0.5) }
 
 // BenchmarkFullyConnectedStep measures one 32×32 MUX-fabric slot.
-func BenchmarkFullyConnectedStep(b *testing.B) { benchFabric(b, core.FullyConnected, 32) }
+func BenchmarkFullyConnectedStep(b *testing.B) { benchFabric(b, core.FullyConnected, 32, 0.5) }
 
 // BenchmarkBanyanStep measures one 32×32 Banyan slot including blocking
 // and buffer bookkeeping.
-func BenchmarkBanyanStep(b *testing.B) { benchFabric(b, core.Banyan, 32) }
+func BenchmarkBanyanStep(b *testing.B) { benchFabric(b, core.Banyan, 32, 0.5) }
 
 // BenchmarkBatcherBanyanStep measures one 32×32 Batcher-Banyan slot
 // (bitonic sort + routing waves).
-func BenchmarkBatcherBanyanStep(b *testing.B) { benchFabric(b, core.BatcherBanyan, 32) }
+func BenchmarkBatcherBanyanStep(b *testing.B) { benchFabric(b, core.BatcherBanyan, 32, 0.5) }
+
+// BenchmarkFabricStep is the fabric/<arch>/load=<l> rung of the
+// benchmark ladder: one 32-port slot of each architecture at light,
+// moderate and heavy offered load, so a cost that follows the cells
+// present (Banyan's occupied-node walk) shows against one that follows
+// the fabric's size.
+func BenchmarkFabricStep(b *testing.B) {
+	for _, arch := range core.Architectures() {
+		for _, load := range []float64{0.1, 0.3, 0.5} {
+			b.Run(fmt.Sprintf("arch=%v/load=%.1f", arch, load), func(b *testing.B) {
+				benchFabric(b, arch, 32, load)
+			})
+		}
+	}
+}
 
 // BenchmarkDPMManagedStep measures one power-managed router slot on a
 // 16×16 Banyan: composite policy, manager observation/accounting and

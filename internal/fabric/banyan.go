@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"math/bits"
+
 	"fabricpower/internal/core"
 	"fabricpower/internal/energy"
 	"fabricpower/internal/packet"
@@ -21,9 +23,11 @@ import (
 // the backpressure eventually blocks the ingress (no cell loss inside the
 // fabric).
 //
-// The per-slot hot path is allocation-free: cells carry a moved-slot
-// stamp instead of a per-slot set, node buffers are fixed-capacity rings,
-// and the delivered slice is reused across slots.
+// A slot costs what its cells cost: per-stage occupancy bitmasks let Step
+// visit only the nodes that hold a cell, since an empty node charges no
+// energy and changes no state. The hot path is allocation-free: node
+// buffers are fixed-capacity rings and the delivered slice is reused
+// across slots.
 type banyan struct {
 	cfg Config
 	dim int
@@ -33,6 +37,10 @@ type banyan struct {
 	// buf[s][k] is node k's buffer FIFO at stage s; entries remember
 	// their output channel.
 	buf [][]bufRing
+	// occ[s] holds one bit per node of stage s, 64 nodes to a word: bit k
+	// is set exactly when latch 2k or 2k+1 of stage s holds a cell or
+	// buf[s][k] is non-empty.
+	occ [][]uint64
 	// bank[s] holds the word state of the N output lines of stage s.
 	bank []*wireBank
 	// stageGrids caches the per-stage interconnect lengths (shared,
@@ -90,6 +98,7 @@ func newBanyan(cfg Config) (*banyan, error) {
 		dim:        dim,
 		latch:      make([][]*packet.Cell, dim),
 		buf:        make([][]bufRing, dim),
+		occ:        make([][]uint64, dim),
 		bank:       make([]*wireBank, dim),
 		stageGrids: thompson.BanyanStageGridTable(dim),
 		bufferCap:  cfg.bufferCells(),
@@ -98,6 +107,7 @@ func newBanyan(cfg Config) (*banyan, error) {
 	for s := 0; s < dim; s++ {
 		b.latch[s] = make([]*packet.Cell, cfg.Ports)
 		b.buf[s] = make([]bufRing, cfg.Ports/2)
+		b.occ[s] = make([]uint64, (cfg.Ports/2+63)/64)
 		for k := range b.buf[s] {
 			b.buf[s][k].entries = make([]bufEntry, b.bufferCap)
 		}
@@ -144,97 +154,119 @@ func (b *banyan) Offer(c *packet.Cell) bool {
 		return false
 	}
 	b.latch[0][line] = c
+	b.markOccupied(0, line)
 	b.inFlight++
 	return true
 }
 
 // Step advances the pipeline one slot, last stage first so freed latches
-// accept upstream cells within the slot (tight pipelining, still one
-// stage per cell per slot thanks to the moved stamps).
-func (b *banyan) Step(slot uint64) []*packet.Cell {
+// accept upstream cells within the slot. The order alone keeps a cell to
+// one stage per slot: a cell moves into stage s+1 only after stage s+1
+// has run, and it leaves its stage-s latch at once. Only occupied nodes
+// are visited, in ascending node order within each stage.
+func (b *banyan) Step(uint64) []*packet.Cell {
 	b.delivered = b.delivered[:0]
 	cellBits := float64(b.cfg.Cell.CellBits)
 
 	for s := b.dim - 1; s >= 0; s-- {
 		grids := float64(b.stageGrids[s])
-		for k := 0; k < b.cfg.Ports/2; k++ {
-			in0, in1 := 2*k, 2*k+1
-			var vec energy.Vector
-			for o := 0; o < 2; o++ {
-				outLine := 2*k + o
-				// Destination of this channel: egress port for the last
-				// stage, next-stage latch otherwise.
-				targetFree := true
-				targetIdx := 0
-				if s < b.dim-1 {
-					targetIdx = b.shuffle(outLine)
-					targetFree = b.latch[s+1][targetIdx] == nil
+		occ := b.occ[s]
+		for w, m := range occ {
+			for ; m != 0; m &= m - 1 {
+				i := bits.TrailingZeros64(m)
+				if !b.stepNode(s, w<<6|i, grids, cellBits) {
+					occ[w] &^= 1 << uint(i)
 				}
-				// Candidate: buffered cells first (FCFS), then latches in
-				// port order.
-				cell, fromBuffer := b.pickCandidate(slot, s, k, o)
-				if cell == nil || !targetFree {
-					continue
-				}
-				// Commit the move.
-				if fromBuffer {
-					b.buf[s][k].pop()
-					b.bufferedCells--
-				} else if b.latch[s][in0] == cell {
-					b.latch[s][in0] = nil
-				} else {
-					b.latch[s][in1] = nil
-				}
-				cell.MarkMoved(slot)
-				// Wire energy on the stage-s output link.
-				b.energy.Accumulate(core.WireComponent, b.bank[s].cross(outLine, cell, grids))
-				if s == b.dim-1 {
-					b.delivered = append(b.delivered, cell)
-					b.inFlight--
-				} else {
-					b.latch[s+1][targetIdx] = cell
-				}
-				vec |= 1 << uint(o)
 			}
-			// Node switch energy: LUT entry for the set of concurrently
-			// transported cells this slot.
-			if vec != 0 {
-				b.energy.Accumulate(core.SwitchComponent,
-					b.cfg.Model.Banyan2x2.EnergyFJ(vec)*cellBits)
-			}
-			// Cells still latched at this node now try to park in the
-			// node buffer (interconnect contention or downstream
-			// blocking), freeing the input line for the upstream stage.
-			b.parkLosers(slot, s, k, cellBits)
 		}
 	}
 	return b.delivered
 }
 
+// stepNode runs node k of stage s for one slot and reports whether the
+// node still holds a latched or buffered cell.
+func (b *banyan) stepNode(s, k int, grids, cellBits float64) bool {
+	in0, in1 := 2*k, 2*k+1
+	var vec energy.Vector
+	for o := 0; o < 2; o++ {
+		outLine := 2*k + o
+		// Destination of this channel: egress port for the last stage,
+		// next-stage latch otherwise.
+		targetFree := true
+		targetIdx := 0
+		if s < b.dim-1 {
+			targetIdx = b.shuffle(outLine)
+			targetFree = b.latch[s+1][targetIdx] == nil
+		}
+		// Candidate: buffered cells first (FCFS), then latches in port
+		// order.
+		cell, fromBuffer := b.pickCandidate(s, k, o)
+		if cell == nil || !targetFree {
+			continue
+		}
+		// Commit the move.
+		if fromBuffer {
+			b.buf[s][k].pop()
+			b.bufferedCells--
+		} else if b.latch[s][in0] == cell {
+			b.latch[s][in0] = nil
+		} else {
+			b.latch[s][in1] = nil
+		}
+		// Wire energy on the stage-s output link.
+		b.energy.Accumulate(core.WireComponent, b.bank[s].cross(outLine, cell, grids))
+		if s == b.dim-1 {
+			b.delivered = append(b.delivered, cell)
+			b.inFlight--
+		} else {
+			b.latch[s+1][targetIdx] = cell
+			b.markOccupied(s+1, targetIdx)
+		}
+		vec |= 1 << uint(o)
+	}
+	// Node switch energy: LUT entry for the set of concurrently
+	// transported cells this slot.
+	if vec != 0 {
+		b.energy.Accumulate(core.SwitchComponent,
+			b.cfg.Model.Banyan2x2.EnergyFJ(vec)*cellBits)
+	}
+	// Cells still latched at this node now try to park in the node
+	// buffer (interconnect contention or downstream blocking), freeing
+	// the input line for the upstream stage.
+	b.parkLosers(s, k, cellBits)
+	return b.latch[s][in0] != nil || b.latch[s][in1] != nil || b.buf[s][k].len() > 0
+}
+
+// markOccupied sets the occupancy bit of the node that input line l of
+// stage s feeds.
+func (b *banyan) markOccupied(s, l int) {
+	b.occ[s][l>>7] |= 1 << uint((l>>1)&63)
+}
+
 // pickCandidate returns the next cell for channel o of node k at stage s:
 // the oldest buffered cell for that channel, else the lowest-port latched
-// cell routing to o that has not moved this slot.
-func (b *banyan) pickCandidate(slot uint64, s, k, o int) (*packet.Cell, bool) {
+// cell routing to o.
+func (b *banyan) pickCandidate(s, k, o int) (*packet.Cell, bool) {
 	if q := &b.buf[s][k]; q.len() > 0 && q.front().channel == o {
 		return q.front().cell, true
 	}
 	for d := 0; d < 2; d++ {
 		c := b.latch[s][2*k+d]
-		if c != nil && !c.MovedIn(slot) && b.routeBit(c, s) == o {
+		if c != nil && b.routeBit(c, s) == o {
 			return c, false
 		}
 	}
 	return nil, false
 }
 
-// parkLosers moves still-latched, not-yet-moved cells of node k into its
-// buffer while capacity remains, charging E_B per bit (one buffering
-// event); cells that do not fit stay latched and block upstream.
-func (b *banyan) parkLosers(slot uint64, s, k int, cellBits float64) {
+// parkLosers moves the cells still latched at node k into its buffer
+// while capacity remains, charging E_B per bit (one buffering event);
+// cells that do not fit stay latched and block upstream.
+func (b *banyan) parkLosers(s, k int, cellBits float64) {
 	for d := 0; d < 2; d++ {
 		line := 2*k + d
 		c := b.latch[s][line]
-		if c == nil || c.MovedIn(slot) {
+		if c == nil {
 			continue
 		}
 		if b.buf[s][k].len() >= b.bufferCap {

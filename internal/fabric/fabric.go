@@ -89,9 +89,8 @@ type Fabric interface {
 	// Step advances one slot and returns the cells delivered at their
 	// egress ports during this slot. The returned slice is owned by the
 	// fabric and reused by the next Step call (the slot hot path is
-	// allocation-free); callers must copy it to retain it. Slot numbers
-	// must be distinct across the Step calls any one cell is alive for —
-	// in practice, monotonically increasing.
+	// allocation-free); callers must copy it to retain it. No fabric's
+	// behaviour depends on the slot number.
 	Step(slot uint64) []*packet.Cell
 	// InFlight returns the number of cells inside the fabric.
 	InFlight() int

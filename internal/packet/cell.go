@@ -45,7 +45,10 @@ func (c Config) Validate() error {
 // Words returns the number of bus words per cell.
 func (c Config) Words() int { return c.CellBits / c.BusWidth }
 
-// Cell is one fixed-size switching unit.
+// Cell is one fixed-size switching unit. Fabrics route it by Dest and
+// charge its Payload; they keep no per-slot state on it (a multistage
+// fabric holds each cell to one stage per slot by stepping its last
+// stage first).
 type Cell struct {
 	// ID is unique per cell within a simulation.
 	ID uint64
@@ -72,12 +75,6 @@ type Cell struct {
 	FlowID int32
 	Hop    int32
 
-	// moved stamps the last slot in which a fabric advanced the cell one
-	// stage, stored as slot+1 so the zero value means "never moved". The
-	// stamp replaces the per-slot map the multistage fabrics would
-	// otherwise allocate to stop a cell crossing two stages in one slot.
-	moved uint64
-
 	// interior caches the payload's interior flip count,
 	// Σ popcount(w[i-1] ^ w[i]), stored +1 so the zero value means "not
 	// computed yet": FillRandom sets it while drawing the payload, and
@@ -88,15 +85,6 @@ type Cell struct {
 	// Pool's free list. Only pooled cells are ever recycled.
 	pooled, free bool
 }
-
-// MarkMoved records that the cell advanced one fabric stage during slot.
-// Fabrics compare stamps by equality, so slot numbers only need to be
-// distinct across the Step calls a cell is alive for (in practice they
-// increase monotonically).
-func (c *Cell) MarkMoved(slot uint64) { c.moved = slot + 1 }
-
-// MovedIn reports whether the cell already advanced a stage during slot.
-func (c *Cell) MovedIn(slot uint64) bool { return c.moved == slot+1 }
 
 // Bits returns the cell size in bits.
 func (c *Cell) Bits() int { return len(c.Payload) * 32 }

@@ -90,7 +90,7 @@ func (p *Pool) Put(c *Cell) {
 			payload[i] = 0xdeadbeef ^ uint32(i)
 		}
 		*c = Cell{ID: ^uint64(0), Src: -1, Dest: -1, PacketID: ^uint64(0), Seq: -1, Payload: payload,
-			CreatedSlot: ^uint64(0), FlowID: -1, Hop: -1, moved: ^uint64(0), interior: -1, pooled: true, free: true}
+			CreatedSlot: ^uint64(0), FlowID: -1, Hop: -1, interior: -1, pooled: true, free: true}
 	case p.reuse == Recycle && (p.max == 0 || len(p.free) < p.max):
 		p.free = append(p.free, c)
 	}

@@ -96,13 +96,12 @@ func TestPoolRecyclesOnlyItsOwnCells(t *testing.T) {
 		t.Fatalf("payload len/cap = %d/%d, want 4/4", len(c.Payload), cap(c.Payload))
 	}
 	c.ID, c.Src, c.Dest, c.FlowID, c.Hop, c.CreatedSlot = 9, 1, 2, 3, 4, 5
-	c.MarkMoved(7)
 	pool.Put(c)
 	d := pool.Get()
 	if d != c {
 		t.Fatal("released cell was not reused")
 	}
-	if d.ID != 0 || d.Src != 0 || d.Dest != 0 || d.FlowID != 0 || d.Hop != 0 || d.CreatedSlot != 0 || d.MovedIn(7) {
+	if d.ID != 0 || d.Src != 0 || d.Dest != 0 || d.FlowID != 0 || d.Hop != 0 || d.CreatedSlot != 0 {
 		t.Fatalf("reused cell kept state: %+v", *d)
 	}
 	pool.Put(&Cell{Payload: make([]uint32, 4)})
