@@ -311,28 +311,27 @@ func runAblate(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	p := exp.SimParams{MeasureSlots: *slots, Seed: *seed}
+	base := study.Scenario{
+		Fabric:  study.FabricSpec{Ports: *ports},
+		Traffic: study.TrafficSpec{Load: *load},
+		Sim:     study.SimSpec{MeasureSlots: *slots, Seed: *seed},
+	}
+	var rep exp.Report
+	var err error
 	switch *studyName {
 	case "buffer":
-		a, err := exp.RunBufferAblation(core.PaperModel(), *ports, *load, p)
-		if err != nil {
-			return err
-		}
-		return a.Render(w)
+		rep, err = exp.RunBufferAblation(base)
 	case "fcwire":
-		a, err := exp.RunFCWireAblation(core.PaperModel(), *ports, *load, p)
-		if err != nil {
-			return err
-		}
-		return a.Render(w)
+		rep, err = exp.RunFCWireAblation(base)
 	case "queue":
-		a, err := exp.RunQueueAblation(core.PaperModel(), *ports, p)
-		if err != nil {
-			return err
-		}
-		return a.Render(w)
+		rep, err = exp.RunQueueAblation(base)
+	default:
+		return fmt.Errorf("unknown study %q", *studyName)
 	}
-	return fmt.Errorf("unknown study %q", *studyName)
+	if err != nil {
+		return err
+	}
+	return rep.Render(w)
 }
 
 // runSpec executes a declarative spec: `run` reads it from a JSON file

@@ -56,8 +56,8 @@ var updateGolden = os.Getenv("UPDATE_GOLDEN") != ""
 
 // TestScenarioGoldenOutputs is the scenario corpus as a regression
 // suite: every checked-in scenarios/*.json runs through `fabricpower
-// run` and must reproduce its pinned report in scenarios/golden/ byte
-// for byte. A model change that shifts any number shows up here as a
+// run`, and each `fabricpower ablate` study at its defaults, and must
+// reproduce its pinned report in scenarios/golden/ byte for byte. A model change that shifts any number shows up here as a
 // diff — re-pin deliberately with UPDATE_GOLDEN=1 and review what
 // moved.
 func TestScenarioGoldenOutputs(t *testing.T) {
@@ -87,28 +87,42 @@ func TestScenarioGoldenOutputs(t *testing.T) {
 	if len(specs) == 0 {
 		t.Fatal("no scenario files found; corpus missing")
 	}
+	type goldenCase struct {
+		name, golden string
+		cmd          string
+		args         []string
+	}
+	var cases []goldenCase
 	for _, spec := range specs {
 		name := strings.TrimSuffix(filepath.Base(spec), ".json")
-		t.Run(name, func(t *testing.T) {
+		cases = append(cases, goldenCase{name, filepath.Join("scenarios", "golden", name+".txt"), "run", []string{spec}})
+	}
+	// The ablations are flag-driven commands rather than specs; their
+	// default reports are pinned in scenarios/golden/ablate/.
+	for _, study := range []string{"buffer", "fcwire", "queue"} {
+		cases = append(cases, goldenCase{"ablate-" + study, filepath.Join("scenarios", "golden", "ablate", study+".txt"),
+			"ablate", []string{"-study", study}})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
 			var out strings.Builder
-			if err := dispatch(context.Background(), "run", []string{spec}, &out); err != nil {
-				t.Fatalf("running %s: %v", spec, err)
+			if err := dispatch(context.Background(), tc.cmd, tc.args, &out); err != nil {
+				t.Fatalf("%s %v: %v", tc.cmd, tc.args, err)
 			}
-			golden := filepath.Join("scenarios", "golden", name+".txt")
 			if updateGolden {
-				if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+				if err := os.MkdirAll(filepath.Dir(tc.golden), 0o755); err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
+				if err := os.WriteFile(tc.golden, []byte(out.String()), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
-			want, err := os.ReadFile(golden)
+			want, err := os.ReadFile(tc.golden)
 			if err != nil {
 				t.Fatalf("missing golden report (regenerate with UPDATE_GOLDEN=1 go test ./cmd/fabricpower -run ScenarioGolden): %v", err)
 			}
 			if out.String() != string(want) {
-				t.Errorf("%s drifted from its pinned report:\n--- got ---\n%s\n--- want ---\n%s", spec, out.String(), want)
+				t.Errorf("%s %v drifted from its pinned report:\n--- got ---\n%s\n--- want ---\n%s", tc.cmd, tc.args, out.String(), want)
 			}
 		})
 	}

@@ -40,10 +40,10 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-16s %10.3f %10.3f %10.3f %10.3f %11.1f%%\n",
-			arch, rep.SwitchMW, rep.BufferMW, rep.WireMW, rep.TotalMW(), rep.Throughput*100)
-		if best == "" || rep.TotalMW() < bestMW {
+			arch, rep.Power.SwitchMW, rep.Power.BufferMW, rep.Power.WireMW, rep.Power.TotalMW(), rep.Throughput*100)
+		if best == "" || rep.Power.TotalMW() < bestMW {
 			best = arch.String()
-			bestMW = rep.TotalMW()
+			bestMW = rep.Power.TotalMW()
 		}
 	}
 

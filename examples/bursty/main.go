@@ -30,7 +30,7 @@ func run(kind fabricpower.TrafficKind, label string, burst float64) fabricpower.
 		log.Fatal(err)
 	}
 	fmt.Printf("%-22s throughput %5.1f%%  buffer %8.3f mW  total %8.3f mW  events %6d\n",
-		label, rep.Throughput*100, rep.BufferMW, rep.TotalMW(), rep.BufferEvents)
+		label, rep.Throughput*100, rep.Power.BufferMW, rep.Power.TotalMW(), rep.BufferEvents)
 	return rep
 }
 
@@ -44,9 +44,9 @@ func main() {
 
 	fmt.Println()
 	fmt.Printf("burstiness penalty: %.1f×/%.1f× buffer power vs uniform (5/20-slot bursts)\n",
-		short.BufferMW/uniform.BufferMW, long.BufferMW/uniform.BufferMW)
+		short.Power.BufferMW/uniform.Power.BufferMW, long.Power.BufferMW/uniform.Power.BufferMW)
 	fmt.Printf("hotspot penalty   : %.1f× buffer power vs uniform\n",
-		hot.BufferMW/uniform.BufferMW)
+		hot.Power.BufferMW/uniform.Power.BufferMW)
 	fmt.Println()
 	fmt.Println("The bit-energy framework makes these effects visible because the")
 	fmt.Println("buffer component is traced per contention event, not estimated from")

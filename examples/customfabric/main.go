@@ -27,7 +27,7 @@ func evaluate(label string, opt fabricpower.Options) {
 		log.Fatal(err)
 	}
 	fmt.Printf("%-34s total %9.3f mW (switch %7.3f, buffer %8.3f, wire %7.3f)  tput %5.1f%%\n",
-		label, rep.TotalMW(), rep.SwitchMW, rep.BufferMW, rep.WireMW, rep.Throughput*100)
+		label, rep.Power.TotalMW(), rep.Power.SwitchMW, rep.Power.BufferMW, rep.Power.WireMW, rep.Throughput*100)
 }
 
 func main() {

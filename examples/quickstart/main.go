@@ -27,11 +27,11 @@ func main() {
 	fmt.Println("16×16 Banyan at 30% offered load")
 	fmt.Printf("  measured throughput : %.1f%%\n", report.Throughput*100)
 	fmt.Printf("  average latency     : %.1f cell slots\n", report.AvgLatencySlots)
-	fmt.Printf("  switch power        : %.3f mW\n", report.SwitchMW)
+	fmt.Printf("  switch power        : %.3f mW\n", report.Power.SwitchMW)
 	fmt.Printf("  buffer power        : %.3f mW  (%d buffering events)\n",
-		report.BufferMW, report.BufferEvents)
-	fmt.Printf("  wire power          : %.3f mW\n", report.WireMW)
-	fmt.Printf("  total power         : %.3f mW\n", report.TotalMW())
+		report.Power.BufferMW, report.BufferEvents)
+	fmt.Printf("  wire power          : %.3f mW\n", report.Power.WireMW)
+	fmt.Printf("  total power         : %.3f mW\n", report.Power.TotalMW())
 	fmt.Printf("  energy per bit      : %.0f fJ\n", report.EnergyPerBitFJ)
 
 	// Compare with the closed-form worst case of the paper's Eq. 5

@@ -29,13 +29,7 @@ import (
 	"fmt"
 
 	"fabricpower/internal/core"
-	"fabricpower/internal/dpm"
-	"fabricpower/internal/fabric"
-	"fabricpower/internal/packet"
-	"fabricpower/internal/router"
-	"fabricpower/internal/sim"
-	"fabricpower/internal/tech"
-	"fabricpower/internal/traffic"
+	"fabricpower/study"
 )
 
 // Architecture selects a switch-fabric topology.
@@ -62,52 +56,58 @@ func Architectures() []Architecture {
 }
 
 // Model wraps the bit-energy model parameters (technology point, node
-// switch LUTs, buffer memory calibration).
+// switch LUTs, buffer memory calibration) as the scenario model spec
+// Simulate runs.
 type Model struct {
-	m core.Model
+	spec study.ModelSpec
 }
 
 // DefaultModel returns the paper's case study: 0.18 µm / 3.3 V, Table 1
 // reference LUTs, Table 2 SRAM calibration, 4 Kbit node buffers.
-func DefaultModel() Model { return Model{m: core.PaperModel()} }
+func DefaultModel() Model { return Model{spec: study.PaperModel()} }
 
 // PerWordBufferModel returns the alternative Table 2 reading in which the
 // SRAM access energy is charged per 32-bit word rather than per bit —
 // the interpretation that recovers the paper's 35% Banyan crossover at
 // 32×32 (see the BufferAccessGranularityBits discussion in internal/core).
-func PerWordBufferModel() Model { return Model{m: core.PerWordBufferModel()} }
+func PerWordBufferModel() Model { return Model{spec: study.PerWordModel()} }
 
 // WithTechScaling derives a model at a scaled technology point: s scales
 // feature size and capacitances, sv scales the supply voltage. Use it for
 // what-if studies (e.g. a 0.13 µm shrink at 1.8 V: s=0.72, sv=0.55).
+// Scalings compose by multiplication.
 func (m Model) WithTechScaling(s, sv float64) (Model, error) {
-	tp, err := m.m.Tech.Scaled(s, sv)
-	if err != nil {
+	out := m
+	ts := study.TechScale{S: s, SV: sv}
+	if m.spec.TechScale != nil {
+		ts.S *= m.spec.TechScale.S
+		ts.SV *= m.spec.TechScale.SV
+	}
+	out.spec.TechScale = &ts
+	if _, err := out.spec.Build(); err != nil {
 		return Model{}, err
 	}
-	out := m
-	out.m.Tech = tp
 	return out, nil
 }
 
 // WithBufferAccesses sets how many SRAM accesses one buffering event
 // charges per bit (1 = paper's Eq. 1, 2 = explicit write+read).
 func (m Model) WithBufferAccesses(n int) (Model, error) {
-	out := m
-	out.m.BufferAccessesPerEvent = n
-	if err := out.m.Validate(); err != nil {
-		return Model{}, err
+	if n < 1 || n > 2 {
+		return Model{}, fmt.Errorf("fabricpower: buffer accesses per event must be 1 or 2, got %d", n)
 	}
+	out := m
+	out.spec.BufferAccesses = n
 	return out, nil
 }
 
 // WithStaticPower attaches the default static-power model (leakage and
 // clock trees) so a power-managed simulation (Options.DPM) has idle
-// power to save and Report.StaticMW is non-zero. Without it the model
-// reproduces the paper's dynamic-only accounting.
+// power to save and Report.Power.StaticMW is non-zero. Without it the
+// model reproduces the paper's dynamic-only accounting.
 func (m Model) WithStaticPower() Model {
 	out := m
-	out.m.Static = core.DefaultStaticPower()
+	out.spec.Static = true
 	return out
 }
 
@@ -124,7 +124,11 @@ func (b BitEnergy) TotalFJ() float64 { return b.SwitchFJ + b.BufferFJ + b.WireFJ
 // Analytic evaluates the paper's closed-form worst-case bit energy
 // (Eqs. 3–6) for one contention-free bit through the architecture.
 func Analytic(a Architecture, ports int, m Model) (BitEnergy, error) {
-	b, err := m.m.BitEnergy(a.core(), ports)
+	model, err := m.spec.Build()
+	if err != nil {
+		return BitEnergy{}, err
+	}
+	b, err := model.BitEnergy(a.core(), ports)
 	if err != nil {
 		return BitEnergy{}, err
 	}
@@ -145,10 +149,12 @@ const (
 	HotspotTraffic
 )
 
-// Options configures one simulation.
+// Options configures one simulation: a single-router scenario (see
+// study.Scenario) written as Go fields.
 type Options struct {
-	// Architecture and Ports select the fabric (ports must be a power of
-	// two for the multistage fabrics; Batcher-Banyan needs ≥ 4).
+	// Architecture and Ports select the fabric (ports default to 16 and
+	// must be a power of two for the multistage fabrics; Batcher-Banyan
+	// needs ≥ 4).
 	Architecture Architecture
 	Ports        int
 	// OfferedLoad is the per-port injection probability per cell slot,
@@ -180,8 +186,10 @@ type Options struct {
 	MeasureSlots uint64
 	// NoWarmup makes WarmupSlots: 0 literal (see WarmupSlots).
 	NoWarmup bool
-	// Seed makes the run deterministic (default 1). A zero Seed alone
-	// selects the default; set ZeroSeed to run on seed 0 itself.
+	// Seed is the base seed (default 1); the traffic stream derives
+	// from (Seed, Ports, OfferedLoad) exactly as for every scenario
+	// point. A zero Seed alone selects the default; set ZeroSeed to
+	// run on seed 0 itself.
 	Seed int64
 	// ZeroSeed makes Seed: 0 literal (see Seed).
 	ZeroSeed bool
@@ -189,186 +197,74 @@ type Options struct {
 	// "idlegate", "buffersleep", "loaddvfs", "composite", or a policy
 	// registered through the study package) to drive the router.
 	// Combine with Model.WithStaticPower for the policy to have idle
-	// power to save; the ledger lands in Report.StaticMW and
+	// power to save; the ledger lands in Report.Power.StaticMW and
 	// Report.DPM. Empty means the paper's unmanaged router.
 	DPM string
 	// Model overrides the bit-energy model (default DefaultModel).
 	Model *Model
 }
 
-func (o Options) withDefaults() Options {
-	if o.CellBits == 0 {
-		o.CellBits = 1024
+// trafficKinds names each TrafficKind as a scenario traffic kind.
+var trafficKinds = [...]string{
+	UniformTraffic: "uniform",
+	BurstyTraffic:  "bursty",
+	HotspotTraffic: "hotspot",
+}
+
+// scenario maps the options onto the single-router scenario they
+// describe. The escape hatches only decide whether a zero is written
+// as a literal or left to the scenario's default.
+func (o Options) scenario() (study.Scenario, error) {
+	if o.Traffic < 0 || int(o.Traffic) >= len(trafficKinds) {
+		return study.Scenario{}, fmt.Errorf("fabricpower: unknown traffic kind %d", int(o.Traffic))
 	}
-	if o.MeanBurstSlots == 0 {
-		o.MeanBurstSlots = 10
+	sc := study.Scenario{
+		Fabric: study.FabricSpec{Arch: o.Architecture.String(), Ports: o.Ports, CellBits: o.CellBits},
+		Traffic: study.TrafficSpec{
+			Kind:           trafficKinds[o.Traffic],
+			Load:           o.OfferedLoad,
+			MeanBurstSlots: o.MeanBurstSlots,
+			HotspotPort:    o.HotspotPort,
+		},
+		DPM: o.DPM,
+		Sim: study.SimSpec{MeasureSlots: o.MeasureSlots, Seed: o.Seed},
 	}
-	if o.HotspotFraction == 0 && !o.ZeroHotspotFraction {
-		o.HotspotFraction = 0.3
+	if o.Model != nil {
+		sc.Model = o.Model.spec
 	}
-	if o.WarmupSlots == 0 && !o.NoWarmup {
-		o.WarmupSlots = 300
+	if o.UseVOQ {
+		sc.Queue = "voq"
 	}
-	if o.MeasureSlots == 0 {
-		o.MeasureSlots = 3000
+	if o.HotspotFraction != 0 || o.ZeroHotspotFraction {
+		f := o.HotspotFraction
+		sc.Traffic.HotspotFraction = &f
+	}
+	if o.WarmupSlots != 0 || o.NoWarmup {
+		w := o.WarmupSlots
+		sc.Sim.WarmupSlots = &w
 	}
 	if o.Seed == 0 && !o.ZeroSeed {
-		o.Seed = 1
+		sc.Sim.Seed = 1
 	}
-	return o
+	return sc, nil
 }
 
-// Report is the outcome of one simulation.
-type Report struct {
-	// Throughput is the measured egress throughput as a fraction of the
-	// aggregate port capacity.
-	Throughput float64
-	// AvgLatencySlots and MaxLatencySlots summarize cell latency.
-	AvgLatencySlots float64
-	MaxLatencySlots uint64
-	// SwitchMW, BufferMW and WireMW break down the fabric's dynamic
-	// power; StaticMW is the always-on (leakage + clock) power drawn
-	// over the window, including state-transition overhead — zero
-	// unless the run carried a power manager over a model with static
-	// power attached (Options.DPM + Model.WithStaticPower). TotalMW
-	// sums all four.
-	SwitchMW float64
-	BufferMW float64
-	WireMW   float64
-	StaticMW float64
-	// EnergyPerBitFJ is the measured average fabric energy per delivered
-	// bit — directly comparable to Analytic's worst case.
-	EnergyPerBitFJ float64
-	// BufferEvents counts internal bufferings (Banyan only).
-	BufferEvents uint64
-	// DroppedCells counts ingress overflows (0 with unbounded queues).
-	DroppedCells uint64
-	// DPM is the power manager's state ledger over the measured
-	// window; nil when Options.DPM was empty.
-	DPM *DPMStats
-}
-
-// DPMStats summarizes what the power-management policy did over the
-// measured window.
-type DPMStats struct {
-	// Policy names the deciding policy.
-	Policy string
-	// GatedPortSlots counts port-slots spent clock-gated; DrowsySlots
-	// slots the SRAM spent drowsy; StalledSlots slots DVFS throttling
-	// or transition freezes blocked admission.
-	GatedPortSlots uint64
-	DrowsySlots    uint64
-	StalledSlots   uint64
-	// Transitions, WakeEvents and DVFSShifts count state changes.
-	Transitions uint64
-	WakeEvents  uint64
-	DVFSShifts  uint64
-	// SavedMW is the net power the policy saved against the always-on
-	// static ledger (forgone idle power minus transition cost, plus
-	// DVFS dynamic savings).
-	SavedMW float64
-}
-
-// TotalMW sums the power components, static included.
-func (r Report) TotalMW() float64 { return r.SwitchMW + r.BufferMW + r.WireMW + r.StaticMW }
+// Report is the outcome of one simulation — the study.Result that
+// `fabricpower run -json` prints for the same single-router point:
+// measured throughput and latency, the per-component power breakdown
+// (Power.TotalMW sums it, static included), the energy per delivered
+// bit (directly comparable to Analytic's worst case) and, under a
+// power manager, its ledger in DPM.
+type Report = study.Result
 
 // Simulate runs the bit-accurate simulation platform on one operating
-// point and reports measured throughput, latency and power.
+// point and reports measured throughput, latency and power. It is
+// study.RunScenario on the scenario the options describe, so it agrees
+// with the `simulate` study and `fabricpower run` at the same point.
 func Simulate(opt Options) (Report, error) {
-	opt = opt.withDefaults()
-	model := core.PaperModel()
-	if opt.Model != nil {
-		model = opt.Model.m
-	}
-	cellCfg := packet.Config{CellBits: opt.CellBits, BusWidth: model.Tech.BusWidth}
-	queue := router.FIFO
-	if opt.UseVOQ {
-		queue = router.VOQ
-	}
-	var mgr *dpm.Manager
-	if opt.DPM != "" {
-		pol, err := dpm.NewPolicy(opt.DPM)
-		if err != nil {
-			return Report{}, err
-		}
-		mgr, err = dpm.New(dpm.Config{
-			Arch:     opt.Architecture.core(),
-			Ports:    opt.Ports,
-			Model:    model,
-			CellBits: opt.CellBits,
-			Policy:   pol,
-		})
-		if err != nil {
-			return Report{}, err
-		}
-	}
-	rcfg := router.Config{
-		Arch: opt.Architecture.core(),
-		Fabric: fabric.Config{
-			Ports: opt.Ports,
-			Cell:  cellCfg,
-			Model: model,
-		},
-		Queue: queue,
-	}
-	if mgr != nil {
-		rcfg.Gate = mgr
-	}
-	r, err := router.New(rcfg)
+	sc, err := opt.scenario()
 	if err != nil {
 		return Report{}, err
 	}
-	var gen sim.Generator
-	switch opt.Traffic {
-	case UniformTraffic:
-		gen, err = traffic.NewInjector(opt.Ports, opt.OfferedLoad, cellCfg, nil, opt.Seed)
-	case BurstyTraffic:
-		gen, err = traffic.NewOnOffInjector(opt.Ports, opt.MeanBurstSlots, opt.OfferedLoad, cellCfg, nil, opt.Seed)
-	case HotspotTraffic:
-		gen, err = traffic.NewInjector(opt.Ports, opt.OfferedLoad, cellCfg,
-			traffic.Hotspot{Port: opt.HotspotPort, Fraction: opt.HotspotFraction}, opt.Seed)
-	default:
-		return Report{}, fmt.Errorf("fabricpower: unknown traffic kind %d", int(opt.Traffic))
-	}
-	if err != nil {
-		return Report{}, err
-	}
-	res, err := sim.Run(r, gen, model.Tech, opt.CellBits, sim.Options{
-		WarmupSlots:  opt.WarmupSlots,
-		NoWarmup:     opt.NoWarmup,
-		MeasureSlots: opt.MeasureSlots,
-		DPM:          mgr,
-	})
-	if err != nil {
-		return Report{}, err
-	}
-	rep := Report{
-		Throughput:      res.Throughput,
-		AvgLatencySlots: res.AvgLatencySlots,
-		MaxLatencySlots: res.MaxLatencySlots,
-		SwitchMW:        res.Power.SwitchMW,
-		BufferMW:        res.Power.BufferMW,
-		WireMW:          res.Power.WireMW,
-		StaticMW:        res.Power.StaticMW,
-		BufferEvents:    res.BufferEvents,
-		DroppedCells:    res.DroppedCells,
-	}
-	deliveredBits := res.Throughput * float64(opt.Ports) * float64(res.Slots) * float64(opt.CellBits)
-	if deliveredBits > 0 {
-		rep.EnergyPerBitFJ = res.Energy.TotalFJ() / deliveredBits
-	}
-	if d := res.DPM; d != nil {
-		stats := &DPMStats{
-			Policy:         d.Policy,
-			GatedPortSlots: d.GatedPortSlots,
-			DrowsySlots:    d.DrowsySlots,
-			StalledSlots:   d.StalledSlots,
-			Transitions:    d.Transitions,
-			WakeEvents:     d.WakeEvents,
-			DVFSShifts:     d.DVFSShifts,
-		}
-		stats.SavedMW = tech.PowerMW(d.SavedFJ(), float64(res.Slots)*model.Tech.CellTimeNS(opt.CellBits))
-		rep.DPM = stats
-	}
-	return rep, nil
+	return study.RunScenario(sc)
 }

@@ -1,8 +1,13 @@
 package fabricpower
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"testing"
+
+	"fabricpower/internal/exp"
+	"fabricpower/study"
 )
 
 func TestArchitectureNames(t *testing.T) {
@@ -63,13 +68,13 @@ func TestSimulateQuickstartScenario(t *testing.T) {
 	if math.Abs(rep.Throughput-0.3) > 0.04 {
 		t.Fatalf("throughput %g, want ≈0.3", rep.Throughput)
 	}
-	if rep.TotalMW() <= 0 || rep.EnergyPerBitFJ <= 0 {
+	if rep.Power.TotalMW() <= 0 || rep.EnergyPerBitFJ <= 0 {
 		t.Fatal("power and energy per bit must be positive")
 	}
 	if rep.BufferEvents == 0 {
 		t.Fatal("a loaded banyan should buffer")
 	}
-	if rep.BufferMW <= 0 {
+	if rep.Power.BufferMW <= 0 {
 		t.Fatal("buffer power should follow events")
 	}
 }
@@ -85,7 +90,7 @@ func TestSimulateContentionFreeFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.BufferMW != 0 || rep.BufferEvents != 0 {
+	if rep.Power.BufferMW != 0 || rep.BufferEvents != 0 {
 		t.Fatal("crossbar must not buffer")
 	}
 }
@@ -115,7 +120,7 @@ func TestSimulateTrafficKinds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("kind %d: %v", int(k), err)
 		}
-		if rep.TotalMW() <= 0 {
+		if rep.Power.TotalMW() <= 0 {
 			t.Fatalf("kind %d: no power", int(k))
 		}
 	}
@@ -139,22 +144,28 @@ func TestSimulateVOQOption(t *testing.T) {
 }
 
 // TestOptionsExplicitZeros pins the unset-vs-zero escape hatches: the
-// zero value of each trapped field selects the documented default, and
-// the matching bool makes the zero literal.
+// zero value of each trapped field leaves the scenario default in
+// place, and the matching bool writes the zero as a literal.
 func TestOptionsExplicitZeros(t *testing.T) {
-	d := Options{}.withDefaults()
-	if d.WarmupSlots != 300 || d.Seed != 1 || d.HotspotFraction != 0.3 {
+	d, err := Options{}.scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Sim.WarmupSlots != nil || d.Sim.Seed != 1 || d.Traffic.HotspotFraction != nil {
 		t.Fatalf("defaults: %+v", d)
 	}
-	e := Options{NoWarmup: true, ZeroSeed: true, ZeroHotspotFraction: true}.withDefaults()
-	if e.WarmupSlots != 0 {
-		t.Fatalf("NoWarmup should keep WarmupSlots at 0, got %d", e.WarmupSlots)
+	e, err := Options{NoWarmup: true, ZeroSeed: true, ZeroHotspotFraction: true}.scenario()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if e.Seed != 0 {
-		t.Fatalf("ZeroSeed should keep Seed at 0, got %d", e.Seed)
+	if e.Sim.WarmupSlots == nil || *e.Sim.WarmupSlots != 0 {
+		t.Fatalf("NoWarmup should write a literal zero warmup, got %v", e.Sim.WarmupSlots)
 	}
-	if e.HotspotFraction != 0 {
-		t.Fatalf("ZeroHotspotFraction should keep the fraction at 0, got %g", e.HotspotFraction)
+	if e.Sim.Seed != 0 {
+		t.Fatalf("ZeroSeed should keep Seed at 0, got %d", e.Sim.Seed)
+	}
+	if e.Traffic.HotspotFraction == nil || *e.Traffic.HotspotFraction != 0 {
+		t.Fatalf("ZeroHotspotFraction should write a literal zero fraction, got %v", e.Traffic.HotspotFraction)
 	}
 	// A zero-fraction hotspot is a uniform source: it must run and
 	// deliver (the old defaulting silently rewrote it to 0.3).
@@ -179,9 +190,106 @@ func TestOptionsExplicitZeros(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.TotalMW() <= 0 {
+	if cold.Power.TotalMW() <= 0 {
 		t.Fatal("cold-start run should still measure")
 	}
+}
+
+// TestSimulateMatchesRunScenario pins Simulate as a thin wrapper over
+// study.RunScenario: the quickstart options measure exactly what the
+// embedded simulate study measures, and every Options mapping runs the
+// scenario written out by hand.
+func TestSimulateMatchesRunScenario(t *testing.T) {
+	raw, ok := exp.PaperSpec("simulate")
+	if !ok {
+		t.Fatal("embedded simulate study missing")
+	}
+	spec, err := study.DecodeSpec(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := study.RunScenario(spec.Base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Simulate(Options{Architecture: Banyan, Ports: 16, OfferedLoad: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Simulate diverged from the simulate study:\ngot  %+v\nwant %+v", got, want)
+	}
+
+	u64 := func(v uint64) *uint64 { return &v }
+	f64 := func(v float64) *float64 { return &v }
+	static := DefaultModel().WithStaticPower()
+	perWord := PerWordBufferModel()
+	shrunk, err := DefaultModel().WithTechScaling(0.72, 0.55)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := study.SimSpec{WarmupSlots: u64(50), MeasureSlots: 300, Seed: 1}
+	cases := []struct {
+		name string
+		opt  Options
+		sc   study.Scenario
+	}{
+		{"bursty",
+			Options{Architecture: Banyan, Ports: 8, OfferedLoad: 0.3, Traffic: BurstyTraffic, MeanBurstSlots: 5,
+				WarmupSlots: 50, MeasureSlots: 300},
+			study.Scenario{Fabric: study.FabricSpec{Arch: "banyan", Ports: 8},
+				Traffic: study.TrafficSpec{Kind: "bursty", Load: 0.3, MeanBurstSlots: 5}, Sim: window}},
+		{"hotspot-zero-fraction",
+			Options{Architecture: Crossbar, Ports: 8, OfferedLoad: 0.4, Traffic: HotspotTraffic, HotspotPort: 3,
+				ZeroHotspotFraction: true, WarmupSlots: 50, MeasureSlots: 300},
+			study.Scenario{Fabric: study.FabricSpec{Arch: "crossbar", Ports: 8},
+				Traffic: study.TrafficSpec{Kind: "hotspot", Load: 0.4, HotspotPort: 3, HotspotFraction: f64(0)}, Sim: window}},
+		{"voq",
+			Options{Architecture: Crossbar, Ports: 8, OfferedLoad: 0.9, UseVOQ: true, WarmupSlots: 50, MeasureSlots: 300},
+			study.Scenario{Fabric: study.FabricSpec{Arch: "crossbar", Ports: 8},
+				Traffic: study.TrafficSpec{Load: 0.9}, Queue: "voq", Sim: window}},
+		{"idlegate-static",
+			Options{Architecture: Banyan, Ports: 8, OfferedLoad: 0.1, DPM: "idlegate", Model: &static,
+				WarmupSlots: 50, MeasureSlots: 300},
+			study.Scenario{Model: study.ModelSpec{Static: true}, Fabric: study.FabricSpec{Arch: "banyan", Ports: 8},
+				Traffic: study.TrafficSpec{Load: 0.1}, DPM: "idlegate", Sim: window}},
+		{"per-word-buffers",
+			Options{Architecture: Banyan, Ports: 8, OfferedLoad: 0.5, Model: &perWord, WarmupSlots: 50, MeasureSlots: 300},
+			study.Scenario{Model: study.PerWordModel(), Fabric: study.FabricSpec{Arch: "banyan", Ports: 8},
+				Traffic: study.TrafficSpec{Load: 0.5}, Sim: window}},
+		{"tech-scaling",
+			Options{Architecture: FullyConnected, Ports: 8, OfferedLoad: 0.3, Model: &shrunk, WarmupSlots: 50, MeasureSlots: 300},
+			study.Scenario{Model: study.ModelSpec{TechScale: &study.TechScale{S: 0.72, SV: 0.55}},
+				Fabric: study.FabricSpec{Arch: "fullyconnected", Ports: 8}, Traffic: study.TrafficSpec{Load: 0.3}, Sim: window}},
+		{"no-warmup",
+			Options{Architecture: Crossbar, Ports: 8, OfferedLoad: 0.3, NoWarmup: true, MeasureSlots: 300},
+			study.Scenario{Fabric: study.FabricSpec{Arch: "crossbar", Ports: 8}, Traffic: study.TrafficSpec{Load: 0.3},
+				Sim: study.SimSpec{WarmupSlots: u64(0), MeasureSlots: 300, Seed: 1}}},
+		{"zero-seed",
+			Options{Architecture: Crossbar, Ports: 8, OfferedLoad: 0.3, ZeroSeed: true, WarmupSlots: 50, MeasureSlots: 300},
+			study.Scenario{Fabric: study.FabricSpec{Arch: "crossbar", Ports: 8}, Traffic: study.TrafficSpec{Load: 0.3},
+				Sim: study.SimSpec{WarmupSlots: u64(50), MeasureSlots: 300}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := Simulate(tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := study.RunScenario(tc.sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("Options mapping diverged from the hand-written scenario:\ngot  %+v\nwant %+v", got, want)
+			}
+		})
+	}
+	t.Run("bad-traffic-kind", func(t *testing.T) {
+		if _, err := Simulate(Options{Architecture: Crossbar, Ports: 8, OfferedLoad: 0.3, Traffic: TrafficKind(9)}); err == nil {
+			t.Fatal("an unknown traffic kind should fail")
+		}
+	})
 }
 
 // TestSimulateDPMReport pins the public DPM surface: a managed run over
@@ -199,13 +307,13 @@ func TestSimulateDPMReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if alwaysRep.StaticMW <= 0 {
+	if alwaysRep.Power.StaticMW <= 0 {
 		t.Fatal("static model + manager should report StaticMW")
 	}
 	if alwaysRep.DPM == nil || alwaysRep.DPM.Policy != "alwayson" {
 		t.Fatalf("managed run should carry the policy ledger, got %+v", alwaysRep.DPM)
 	}
-	if alwaysRep.TotalMW() <= alwaysRep.SwitchMW+alwaysRep.BufferMW+alwaysRep.WireMW {
+	if alwaysRep.Power.TotalMW() <= alwaysRep.Power.SwitchMW+alwaysRep.Power.BufferMW+alwaysRep.Power.WireMW {
 		t.Fatal("TotalMW must include StaticMW")
 	}
 	gated := base
@@ -217,19 +325,19 @@ func TestSimulateDPMReport(t *testing.T) {
 	if gatedRep.DPM.GatedPortSlots == 0 {
 		t.Fatal("idlegate at 10% load should gate port-slots")
 	}
-	if gatedRep.DPM.SavedMW <= 0 {
+	if gatedRep.DPM.SavedFJ() <= 0 {
 		t.Fatal("idlegate should report positive net savings")
 	}
-	if gatedRep.TotalMW() >= alwaysRep.TotalMW() {
+	if gatedRep.Power.TotalMW() >= alwaysRep.Power.TotalMW() {
 		t.Fatalf("idlegate total %.4f mW should undercut alwayson %.4f mW",
-			gatedRep.TotalMW(), alwaysRep.TotalMW())
+			gatedRep.Power.TotalMW(), alwaysRep.Power.TotalMW())
 	}
 	// Unmanaged runs must stay ledger-free with zero static power.
 	plain, err := Simulate(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.DPM != nil || plain.StaticMW != 0 {
+	if plain.DPM != nil || plain.Power.StaticMW != 0 {
 		t.Fatalf("unmanaged run should have no DPM ledger, got %+v", plain)
 	}
 	if _, err := Simulate(func() Options { o := base; o.DPM = "perpetualmotion"; return o }()); err == nil {
@@ -282,9 +390,9 @@ func TestPerWordBufferModelSoftensPenalty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if perWord.BufferMW >= perBit.BufferMW/16 {
+	if perWord.Power.BufferMW >= perBit.Power.BufferMW/16 {
 		t.Fatalf("per-word buffer power (%g) should be ~32x below per-bit (%g)",
-			perWord.BufferMW, perBit.BufferMW)
+			perWord.Power.BufferMW, perBit.Power.BufferMW)
 	}
 }
 

@@ -100,21 +100,6 @@ func (r Report) SavedFJ() float64 {
 	return r.AlwaysOnStaticFJ - r.StaticFJ - r.TransitionFJ - r.DynamicAdjust.TotalFJ()
 }
 
-// TraceSample is one slot of the manager's state, delivered to the
-// OnSample hook (cmd/powertrace's per-slot policy trace).
-type TraceSample struct {
-	Slot         uint64
-	GatedPorts   int
-	WakingPorts  int
-	BufferDrowsy bool
-	DVFSLevel    int
-	Stalled      bool
-	// StaticMW is the static power drawn this slot.
-	StaticMW float64
-	// Load is the delivered-throughput EWMA the policies see.
-	Load float64
-}
-
 // Port power-domain states.
 const (
 	portActive = iota
@@ -165,15 +150,9 @@ type Manager struct {
 	// the next PreSlot — any non-idle observation may move the policy.
 	idleSteady     bool
 	fixpoint       FixpointPolicy // cfg.Policy, when it certifies fixpoints
-	steadyStaticMW float64
 	steadyStaticFJ float64
 	steadyAlwaysFJ float64
 	steadyGated    int
-
-	// OnSample, when non-nil, receives one TraceSample per slot. Leave
-	// nil on measurement runs; the hook is the only per-slot work that
-	// may allocate.
-	OnSample func(TraceSample)
 }
 
 // New builds a manager. The model's static parameters may be zero, in
@@ -394,8 +373,7 @@ func (m *Manager) PostSlot(slot uint64, delivered []*packet.Cell, dyn core.Break
 			m.transition(m.portComponents)
 		}
 	}
-	inst := float64(len(delivered)) / float64(n)
-	staticMW, gated, waking := m.accountSlot(inst)
+	m.accountSlot(float64(len(delivered)) / float64(n))
 
 	delta := dyn.Add(m.lastDyn.Scale(-1))
 	m.lastDyn = dyn
@@ -403,13 +381,12 @@ func (m *Manager) PostSlot(slot uint64, delivered []*packet.Cell, dyn core.Break
 		m.rep.DynamicAdjust = m.rep.DynamicAdjust.Add(delta.Scale(ds - 1))
 	}
 	m.rep.Slots++
-	m.sample(slot, staticMW, gated, waking)
 }
 
 // accountSlot is PostSlot's energy tail, shared with IdleSlot: fold the
 // slot's delivered-throughput sample into the load EWMA and charge the
 // static ledgers for the current power states.
-func (m *Manager) accountSlot(inst float64) (staticMW float64, gated, waking int) {
+func (m *Manager) accountSlot(inst float64) (staticMW float64, gated int) {
 	n := m.cfg.Ports
 	m.ewmaLoad += (inst - m.ewmaLoad) / 32
 
@@ -419,9 +396,6 @@ func (m *Manager) accountSlot(inst float64) (staticMW float64, gated, waking int
 		case portGated:
 			mw += m.portIdleMW * m.static.GatedFraction
 			gated++
-		case portWaking:
-			mw += m.portIdleMW
-			waking++
 		default:
 			mw += m.portIdleMW
 		}
@@ -438,23 +412,7 @@ func (m *Manager) accountSlot(inst float64) (staticMW float64, gated, waking int
 	staticMW = mw * m.staticScale[m.level]
 	m.rep.StaticFJ += mwFJ(staticMW, m.slotNS)
 	m.rep.AlwaysOnStaticFJ += mwFJ(float64(n)*m.portIdleMW+m.bufMW, m.slotNS)
-	return staticMW, gated, waking
-}
-
-func (m *Manager) sample(slot uint64, staticMW float64, gated, waking int) {
-	if m.OnSample == nil {
-		return
-	}
-	m.OnSample(TraceSample{
-		Slot:         slot,
-		GatedPorts:   gated,
-		WakingPorts:  waking,
-		BufferDrowsy: m.bufDrowsy,
-		DVFSLevel:    m.level,
-		Stalled:      m.stalled,
-		StaticMW:     staticMW,
-		Load:         m.ewmaLoad,
-	})
+	return staticMW, gated
 }
 
 // IdleSlot advances the manager one slot over a provably idle router:
@@ -489,7 +447,6 @@ func (m *Manager) IdleSlot(slot uint64) {
 		m.rep.StaticFJ += m.steadyStaticFJ
 		m.rep.AlwaysOnStaticFJ += m.steadyAlwaysFJ
 		m.rep.Slots++
-		m.sample(slot, m.steadyStaticMW, m.steadyGated, 0)
 		return
 	}
 	n := m.cfg.Ports
@@ -500,9 +457,8 @@ func (m *Manager) IdleSlot(slot uint64) {
 	m.obs.Backlog = 0
 	m.obs.BufferedCells = 0
 	changed := m.decideAndAdvance()
-	staticMW, gated, waking := m.accountSlot(0)
+	staticMW, gated := m.accountSlot(0)
 	m.rep.Slots++
-	m.sample(slot, staticMW, gated, waking)
 
 	// Steady-state detection, after the slot's mutations have landed:
 	// from here every further idle slot replays identically when (a) no
@@ -517,7 +473,6 @@ func (m *Manager) IdleSlot(slot uint64) {
 		if speed == 1 && m.acc+speed-1 == m.acc && m.fixpoint.IdleFixpoint() {
 			m.idleSteady = true
 			m.steadyGated = gated
-			m.steadyStaticMW = staticMW
 			m.steadyStaticFJ = mwFJ(staticMW, m.slotNS)
 			m.steadyAlwaysFJ = mwFJ(float64(n)*m.portIdleMW+m.bufMW, m.slotNS)
 		}

@@ -6,14 +6,8 @@ import (
 	"io"
 
 	"fabricpower/internal/core"
-	"fabricpower/internal/dpm"
-	"fabricpower/internal/fabric"
 	"fabricpower/internal/plot"
-	"fabricpower/internal/router"
-	"fabricpower/internal/sim"
-	"fabricpower/internal/sweep"
 	"fabricpower/internal/tech"
-	"fabricpower/internal/traffic"
 	"fabricpower/study"
 )
 
@@ -38,55 +32,6 @@ type DPMStudy struct {
 	// to power.
 	SlotNS float64
 	Points []DPMPoint
-}
-
-// RunDPMPoint simulates one operating point under a power-management
-// policy (by dpm.NewPolicy name): the manager gates the router's
-// admission, observes every slot and accounts static, transition and
-// DVFS-adjusted energy. The traffic seed matches RunPoint's for the
-// same (ports, load), so every policy and architecture at one point
-// sees the identical cell stream — policies are compared under the
-// same workload, exactly as the paper compares architectures. trace,
-// when non-nil, receives one sample per simulated slot.
-func RunDPMPoint(model core.Model, policy string, arch core.Architecture, ports int, load float64, p SimParams, trace func(dpm.TraceSample)) (sim.Result, error) {
-	p = p.WithDefaults()
-	pol, err := dpm.NewPolicy(policy)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	mgr, err := dpm.New(dpm.Config{
-		Arch:     arch,
-		Ports:    ports,
-		Model:    model,
-		CellBits: p.CellBits,
-		Policy:   pol,
-	})
-	if err != nil {
-		return sim.Result{}, fmt.Errorf("exp: %s %v %d ports: %w", policy, arch, ports, err)
-	}
-	mgr.OnSample = trace
-	r, err := router.New(router.Config{
-		Arch: arch,
-		Fabric: fabric.Config{
-			Ports: ports,
-			Cell:  p.cellConfig(),
-			Model: model,
-		},
-		Queue: p.Queue,
-		Gate:  mgr,
-	})
-	if err != nil {
-		return sim.Result{}, fmt.Errorf("exp: %v %d ports: %w", arch, ports, err)
-	}
-	gen, err := traffic.NewInjector(ports, load, p.cellConfig(), nil, sweep.PointSeed(p.Seed, ports, load))
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return sim.Run(r, gen, model.Tech, p.CellBits, sim.Options{
-		WarmupSlots:  p.WarmupSlots,
-		MeasureSlots: p.MeasureSlots,
-		DPM:          mgr,
-	})
 }
 
 // dpmFromSpec runs the grid and shapes the results into the study.

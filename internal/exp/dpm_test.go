@@ -27,17 +27,22 @@ func dpmStudySpec(policies []string, archs []core.Architecture, ports int, loads
 }
 
 // TestAlwaysOnZeroStaticBitIdentical pins the acceptance contract: an
-// AlwaysOn manager over the paper's zero-static model reproduces
-// RunPoint bit for bit — same throughput, latency, energy ledger and
-// power — with an all-zero management ledger on the side.
+// AlwaysOn manager over the paper's zero-static model reproduces the
+// unmanaged point bit for bit — same throughput, latency, energy
+// ledger and power — with an all-zero management ledger on the side.
 func TestAlwaysOnZeroStaticBitIdentical(t *testing.T) {
-	p := SimParams{WarmupSlots: 80, MeasureSlots: 400, Seed: 7}
 	for _, arch := range core.Architectures() {
-		base, err := RunPoint(core.PaperModel(), arch, 8, 0.3, p)
+		sc := study.Scenario{
+			Fabric:  study.FabricSpec{Arch: arch.String(), Ports: 8},
+			Traffic: study.TrafficSpec{Load: 0.3},
+			Sim:     simSpec(80, 400, 7),
+		}
+		base, err := study.RunScenario(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		managed, err := RunDPMPoint(core.PaperModel(), "alwayson", arch, 8, 0.3, p, nil)
+		sc.DPM = "alwayson"
+		managed, err := study.RunScenario(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +55,7 @@ func TestAlwaysOnZeroStaticBitIdentical(t *testing.T) {
 		}
 		managed.DPM = nil
 		if !reflect.DeepEqual(base, managed) {
-			t.Fatalf("%v: AlwaysOn over zero static diverged from RunPoint:\nbase    %+v\nmanaged %+v",
+			t.Fatalf("%v: AlwaysOn over zero static diverged from the unmanaged point:\nbase    %+v\nmanaged %+v",
 				arch, base, managed)
 		}
 	}
@@ -61,13 +66,20 @@ func TestAlwaysOnZeroStaticBitIdentical(t *testing.T) {
 // must undercut the always-on total power, at the price of (bounded)
 // extra latency.
 func TestIdleGateBeatsAlwaysOnLowLoad(t *testing.T) {
-	p := SimParams{WarmupSlots: 200, MeasureSlots: 2000, Seed: 1}
 	model := dpmModel()
-	always, err := RunDPMPoint(model, "alwayson", core.Banyan, 16, 0.10, p, nil)
+	sc := study.Scenario{
+		Model:   study.ModelSpec{Static: true},
+		Fabric:  study.FabricSpec{Arch: "banyan", Ports: 16},
+		Traffic: study.TrafficSpec{Load: 0.10},
+		DPM:     "alwayson",
+		Sim:     simSpec(200, 2000, 1),
+	}
+	always, err := study.RunScenario(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gated, err := RunDPMPoint(model, "idlegate", core.Banyan, 16, 0.10, p, nil)
+	sc.DPM = "idlegate"
+	gated, err := study.RunScenario(sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,77 +32,7 @@
 //	a network of routers (internal/netsim)
 package exp
 
-import (
-	"fmt"
-
-	"fabricpower/internal/core"
-	"fabricpower/internal/fabric"
-	"fabricpower/internal/packet"
-	"fabricpower/internal/router"
-	"fabricpower/internal/sim"
-	"fabricpower/internal/sweep"
-	"fabricpower/internal/traffic"
-)
-
-// SimParams carries the shared simulation knobs. The zero value uses
-// paper-calibrated defaults.
-type SimParams struct {
-	// WarmupSlots and MeasureSlots bound each run (defaults 300/3000).
-	WarmupSlots  uint64
-	MeasureSlots uint64
-	// Seed makes every experiment deterministic.
-	Seed int64
-	// CellBits is the fixed cell size (default 1024).
-	CellBits int
-	// Queue selects the ingress discipline (default FIFO, the paper's).
-	Queue router.QueueDiscipline
-}
-
-// WithDefaults fills unset fields.
-func (p SimParams) WithDefaults() SimParams {
-	if p.WarmupSlots == 0 {
-		p.WarmupSlots = 300
-	}
-	if p.MeasureSlots == 0 {
-		p.MeasureSlots = 3000
-	}
-	if p.CellBits == 0 {
-		p.CellBits = 1024
-	}
-	return p
-}
-
-// cellConfig returns the packet geometry for the params.
-func (p SimParams) cellConfig() packet.Config {
-	return packet.Config{CellBits: p.CellBits, BusWidth: 32}
-}
-
-// RunPoint simulates one (architecture, ports, offered load) operating
-// point and returns the measurement. It is the building block every
-// figure runner shares.
-func RunPoint(model core.Model, arch core.Architecture, ports int, load float64, p SimParams) (sim.Result, error) {
-	p = p.WithDefaults()
-	r, err := router.New(router.Config{
-		Arch: arch,
-		Fabric: fabric.Config{
-			Ports: ports,
-			Cell:  p.cellConfig(),
-			Model: model,
-		},
-		Queue: p.Queue,
-	})
-	if err != nil {
-		return sim.Result{}, fmt.Errorf("exp: %v %d ports: %w", arch, ports, err)
-	}
-	gen, err := traffic.NewInjector(ports, load, p.cellConfig(), nil, sweep.PointSeed(p.Seed, ports, load))
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return sim.Run(r, gen, model.Tech, p.CellBits, sim.Options{
-		WarmupSlots:  p.WarmupSlots,
-		MeasureSlots: p.MeasureSlots,
-	})
-}
+import "fmt"
 
 // fmtMW formats a milliwatt value for tables.
 func fmtMW(v float64) string { return fmt.Sprintf("%.3f", v) }

@@ -7,18 +7,21 @@ import (
 	"testing"
 
 	"fabricpower/internal/core"
-	"fabricpower/internal/router"
 	"fabricpower/study"
 )
 
-// quickParams keeps test runtime low while leaving enough slots for
+// quickSim keeps test runtime low while leaving enough slots for
 // stable statistics.
-func quickParams() SimParams {
-	return SimParams{WarmupSlots: 150, MeasureSlots: 900, Seed: 7}
-}
-
-// quickSim is quickParams as a spec's simulation block.
 func quickSim() study.SimSpec { return simSpec(150, 900, 7) }
+
+// quickPoint is one single-router operating point on the quick window.
+func quickPoint(arch string, ports int, load float64) study.Scenario {
+	return study.Scenario{
+		Fabric:  study.FabricSpec{Arch: arch, Ports: ports},
+		Traffic: study.TrafficSpec{Load: load},
+		Sim:     quickSim(),
+	}
+}
 
 // simSpec bounds a spec's runs explicitly.
 func simSpec(warmup, measure uint64, seed int64) study.SimSpec {
@@ -117,7 +120,7 @@ func TestSinglePointKindsRejectAxes(t *testing.T) {
 }
 
 func TestRunPointBasics(t *testing.T) {
-	res, err := RunPoint(core.PaperModel(), core.Crossbar, 8, 0.3, quickParams())
+	res, err := study.RunScenario(quickPoint("crossbar", 8, 0.3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,10 +133,10 @@ func TestRunPointBasics(t *testing.T) {
 }
 
 func TestRunPointRejectsBadConfig(t *testing.T) {
-	if _, err := RunPoint(core.PaperModel(), core.Banyan, 6, 0.3, quickParams()); err == nil {
+	if _, err := study.RunScenario(quickPoint("banyan", 6, 0.3)); err == nil {
 		t.Fatal("non-power-of-two should fail")
 	}
-	if _, err := RunPoint(core.PaperModel(), core.Crossbar, 8, 1.5, quickParams()); err == nil {
+	if _, err := study.RunScenario(quickPoint("crossbar", 8, 1.5)); err == nil {
 		t.Fatal("load > 1 should fail")
 	}
 }
@@ -147,11 +150,11 @@ func TestDefaults(t *testing.T) {
 	if len(axisInts(fig9.Axes, "ports", nil)) != 4 || len(axisFloats(fig9.Axes, "load", nil)) != 5 {
 		t.Fatal("paper sweep dimensions")
 	}
-	p := SimParams{}.WithDefaults()
-	if p.WarmupSlots == 0 || p.MeasureSlots == 0 || p.CellBits == 0 {
+	p := study.Scenario{}.Resolved()
+	if *p.Sim.WarmupSlots == 0 || p.Sim.MeasureSlots == 0 || p.Fabric.CellBits == 0 {
 		t.Fatal("defaults not filled")
 	}
-	if p.Queue != router.FIFO {
+	if p.Queue != "fifo" {
 		t.Fatal("paper uses FIFO input buffering by default")
 	}
 }
@@ -373,7 +376,7 @@ func TestSaturationCeiling(t *testing.T) {
 }
 
 func TestBufferAblationDoubles(t *testing.T) {
-	a, err := RunBufferAblation(core.PaperModel(), 16, 0.5, quickParams())
+	a, err := RunBufferAblation(quickPoint("", 16, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +391,7 @@ func TestBufferAblationDoubles(t *testing.T) {
 }
 
 func TestFCWireAblationHalves(t *testing.T) {
-	a, err := RunFCWireAblation(core.PaperModel(), 16, 0.5, quickParams())
+	a, err := RunFCWireAblation(quickPoint("", 16, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +406,7 @@ func TestFCWireAblationHalves(t *testing.T) {
 }
 
 func TestQueueAblation(t *testing.T) {
-	a, err := RunQueueAblation(core.PaperModel(), 8, quickParams())
+	a, err := RunQueueAblation(quickPoint("", 8, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"fabricpower/internal/core"
 	"fabricpower/internal/fabric"
+	"fabricpower/internal/packet"
 	"fabricpower/internal/plot"
 	"fabricpower/internal/router"
 	"fabricpower/internal/sim"
@@ -134,32 +135,33 @@ func (s *Saturation) Render(w io.Writer) error {
 type BufferAblation struct {
 	Ports     int
 	Load      float64
-	OneAccess sim.Result
-	TwoAccess sim.Result
+	OneAccess study.Result
+	TwoAccess study.Result
 }
 
-// RunBufferAblation runs the Banyan at one operating point under both
-// accounting rules.
-func RunBufferAblation(model core.Model, ports int, load float64, p SimParams) (*BufferAblation, error) {
-	if ports == 0 {
-		ports = 16
+// runPair runs two variants of one operating point.
+func runPair(a, b study.Scenario) (study.Result, study.Result, error) {
+	ra, err := study.RunScenario(a)
+	if err != nil {
+		return study.Result{}, study.Result{}, err
 	}
-	if load == 0 {
-		load = 0.5
-	}
-	one := model
-	one.BufferAccessesPerEvent = 1
-	two := model
-	two.BufferAccessesPerEvent = 2
-	r1, err := RunPoint(one, core.Banyan, ports, load, p)
+	rb, err := study.RunScenario(b)
+	return ra, rb, err
+}
+
+// RunBufferAblation runs base's operating point on the Banyan under
+// both accounting rules (model.bufferAccesses 1 and 2).
+func RunBufferAblation(base study.Scenario) (*BufferAblation, error) {
+	one := base.Resolved()
+	one.Fabric.Arch = "banyan"
+	one.Model.BufferAccesses = 1
+	two := one
+	two.Model.BufferAccesses = 2
+	r1, r2, err := runPair(one, two)
 	if err != nil {
 		return nil, err
 	}
-	r2, err := RunPoint(two, core.Banyan, ports, load, p)
-	if err != nil {
-		return nil, err
-	}
-	return &BufferAblation{Ports: ports, Load: load, OneAccess: r1, TwoAccess: r2}, nil
+	return &BufferAblation{Ports: one.Fabric.Ports, Load: one.Traffic.Load, OneAccess: r1, TwoAccess: r2}, nil
 }
 
 // Render writes the comparison.
@@ -184,37 +186,41 @@ type FCWireAblation struct {
 	Avg   sim.Result
 }
 
-// RunFCWireAblation runs the fully-connected fabric under both wire
-// models.
-func RunFCWireAblation(model core.Model, ports int, load float64, p SimParams) (*FCWireAblation, error) {
-	if ports == 0 {
-		ports = 32
+// RunFCWireAblation runs base's size, load, model and window on the
+// fully-connected fabric under both wire models, with uniform traffic
+// into the paper's FIFO ingress. Averaged wires are a fabric option,
+// not a scenario field, so the ablation builds its own router.
+func RunFCWireAblation(base study.Scenario) (*FCWireAblation, error) {
+	if err := base.Validate(); err != nil {
+		return nil, err
 	}
-	if load == 0 {
-		load = 0.5
+	sc := base.Resolved()
+	model, err := sc.Model.Build()
+	if err != nil {
+		return nil, err
 	}
-	p = p.WithDefaults()
+	ports, load := sc.Fabric.Ports, sc.Traffic.Load
+	cell := packet.Config{CellBits: sc.Fabric.CellBits, BusWidth: model.Tech.BusWidth}
 	run := func(avg bool) (sim.Result, error) {
 		r, err := router.New(router.Config{
 			Arch: core.FullyConnected,
 			Fabric: fabric.Config{
 				Ports:          ports,
-				Cell:           p.cellConfig(),
+				Cell:           cell,
 				Model:          model,
 				FCAverageWires: avg,
 			},
-			Queue: p.Queue,
 		})
 		if err != nil {
 			return sim.Result{}, err
 		}
-		gen, err := traffic.NewInjector(ports, load, p.cellConfig(), nil, p.Seed+77)
+		gen, err := traffic.NewInjector(ports, load, cell, nil, sc.Sim.Seed+77)
 		if err != nil {
 			return sim.Result{}, err
 		}
-		return sim.Run(r, gen, model.Tech, p.CellBits, sim.Options{
-			WarmupSlots:  p.WarmupSlots,
-			MeasureSlots: p.MeasureSlots,
+		return sim.Run(r, gen, model.Tech, sc.Fabric.CellBits, sim.Options{
+			WarmupSlots:  *sc.Sim.WarmupSlots,
+			MeasureSlots: sc.Sim.MeasureSlots,
 		})
 	}
 	worst, err := run(false)
@@ -244,28 +250,24 @@ func (a *FCWireAblation) Render(w io.Writer) error {
 // extension at saturation.
 type QueueAblation struct {
 	Ports int
-	FIFO  sim.Result
-	VOQ   sim.Result
+	FIFO  study.Result
+	VOQ   study.Result
 }
 
-// RunQueueAblation saturates both disciplines on the crossbar.
-func RunQueueAblation(model core.Model, ports int, p SimParams) (*QueueAblation, error) {
-	if ports == 0 {
-		ports = 16
-	}
-	pf := p
-	pf.Queue = router.FIFO
-	rf, err := RunPoint(model, core.Crossbar, ports, 1.0, pf)
+// RunQueueAblation saturates both disciplines (queue fifo and voq) on
+// the crossbar at base's size and window.
+func RunQueueAblation(base study.Scenario) (*QueueAblation, error) {
+	fifo := base.Resolved()
+	fifo.Fabric.Arch = "crossbar"
+	fifo.Traffic.Load = 1
+	fifo.Queue = "fifo"
+	voq := fifo
+	voq.Queue = "voq"
+	rf, rv, err := runPair(fifo, voq)
 	if err != nil {
 		return nil, err
 	}
-	pv := p
-	pv.Queue = router.VOQ
-	rv, err := RunPoint(model, core.Crossbar, ports, 1.0, pv)
-	if err != nil {
-		return nil, err
-	}
-	return &QueueAblation{Ports: ports, FIFO: rf, VOQ: rv}, nil
+	return &QueueAblation{Ports: fifo.Fabric.Ports, FIFO: rf, VOQ: rv}, nil
 }
 
 // Render writes the comparison.

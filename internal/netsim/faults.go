@@ -96,19 +96,21 @@ func (p *FaultPlan) validate(t *Topology) error {
 // stale route after a re-convergence, and cells refused by down or
 // full links.
 type FlowStats struct {
-	Src, Dst  int
-	Offered   uint64
-	Delivered uint64
-	Lost      uint64
+	Src       int    `json:"src"`
+	Dst       int    `json:"dst"`
+	Offered   uint64 `json:"offered"`
+	Delivered uint64 `json:"delivered"`
+	Lost      uint64 `json:"lost"`
 }
 
 // LinkAvailability is one undirected link pair's measured-window
 // availability: the fraction of slots the pair was usable (itself
 // healthy and both endpoints up).
 type LinkAvailability struct {
-	From, To     int
-	DownSlots    uint64
-	Availability float64
+	From         int     `json:"from"`
+	To           int     `json:"to"`
+	DownSlots    uint64  `json:"downSlots"`
+	Availability float64 `json:"availability"`
 }
 
 // ResilienceReport is the Report extension a fault plan fills in: the
@@ -116,24 +118,24 @@ type LinkAvailability struct {
 // failures themselves cost (parked routers, re-convergence).
 type ResilienceReport struct {
 	// LostCells sums every flow's Lost column.
-	LostCells uint64
+	LostCells uint64 `json:"lostCells"`
 	// Flows is the per-flow ledger, in flow order.
-	Flows []FlowStats
+	Flows []FlowStats `json:"flows,omitempty"`
 	// Links is the per-pair availability, in pair order (ascending
 	// (From, To)).
-	Links []LinkAvailability
+	Links []LinkAvailability `json:"links,omitempty"`
 	// NodeDownSlots sums down slots over all routers.
-	NodeDownSlots uint64
+	NodeDownSlots uint64 `json:"nodeDownSlots"`
 	// ReconvergeEvents counts topology changes that triggered
 	// re-routing; ReroutedFlows sums the flows whose installed path
 	// actually changed (parked flows are not charged).
-	ReconvergeEvents uint64
-	ReroutedFlows    uint64
+	ReconvergeEvents uint64 `json:"reconvergeEvents"`
+	ReroutedFlows    uint64 `json:"reroutedFlows"`
 	// ReconvergeFJ is ReroutedFlows × ReconvergeCostFJ; ResidualFJ is
 	// the parked power of down routers integrated over the window.
 	// Both are folded into the Report's total static power.
-	ReconvergeFJ float64
-	ResidualFJ   float64
+	ReconvergeFJ float64 `json:"reconvergeFJ"`
+	ResidualFJ   float64 `json:"residualFJ"`
 }
 
 // faultState is the kernel's runtime fault machinery. It is touched

@@ -40,21 +40,17 @@ type Generator interface {
 // Options controls a run.
 type Options struct {
 	// WarmupSlots run before measurement starts (queues and pipelines
-	// fill; energy and metrics are reset afterwards). Zero means the
-	// default of 200; set NoWarmup to measure from slot 0.
+	// fill; energy and metrics are reset afterwards). Zero measures
+	// from slot 0 with cold queues and pipelines.
 	WarmupSlots uint64
-	// NoWarmup makes a zero WarmupSlots literal: measurement starts at
-	// slot 0 with cold queues and pipelines. (A zero value alone cannot
-	// express this — it selects the default warmup.)
-	NoWarmup bool
-	// MeasureSlots is the measured window length. Default 2000.
+	// MeasureSlots is the measured window length; it must be positive.
 	MeasureSlots uint64
 	// DPM, when non-nil, runs the dynamic power manager each slot:
 	// it observes the router before Step, accounts static/transition
 	// energy after, and its ledger lands in Result.DPM and
 	// Power.StaticMW. The same manager must also be installed as the
 	// router's admission gate (router.Config.Gate) so gated ports
-	// refuse cells — exp.RunDPMPoint wires both ends. Nil reproduces
+	// refuse cells — study.RunScenario wires both ends. Nil reproduces
 	// the paper's always-on, dynamic-only accounting exactly.
 	DPM *dpm.Manager
 	// Telemetry, when non-nil, samples an every-K-slots time series of
@@ -62,16 +58,6 @@ type Options struct {
 	// included). Purely observational: results are identical with or
 	// without it.
 	Telemetry *TelemetryConfig
-}
-
-func (o Options) withDefaults() Options {
-	if o.WarmupSlots == 0 && !o.NoWarmup {
-		o.WarmupSlots = 200
-	}
-	if o.MeasureSlots == 0 {
-		o.MeasureSlots = 2000
-	}
-	return o
 }
 
 // Power is a per-component power report in milliwatts.
@@ -135,7 +121,9 @@ func Run(r *router.Router, gen Generator, tp tech.Params, cellBits int, opt Opti
 	if cellBits <= 0 {
 		return Result{}, fmt.Errorf("sim: cell bits must be positive, got %d", cellBits)
 	}
-	opt = opt.withDefaults()
+	if opt.MeasureSlots == 0 {
+		return Result{}, fmt.Errorf("sim: measure slots must be positive")
+	}
 
 	mgr := opt.DPM
 	var pr *probe

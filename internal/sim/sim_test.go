@@ -41,17 +41,21 @@ func testGen(t *testing.T, ports int, load float64, seed int64) *traffic.Injecto
 func TestRunValidation(t *testing.T) {
 	r := testRouter(t, core.Crossbar, 4)
 	gen := testGen(t, 4, 0.3, 1)
-	if _, err := Run(nil, gen, tech.Default180nm(), 1024, Options{}); err == nil {
+	opt := Options{MeasureSlots: 10}
+	if _, err := Run(nil, gen, tech.Default180nm(), 1024, opt); err == nil {
 		t.Error("nil router should fail")
 	}
-	if _, err := Run(r, nil, tech.Default180nm(), 1024, Options{}); err == nil {
+	if _, err := Run(r, nil, tech.Default180nm(), 1024, opt); err == nil {
 		t.Error("nil generator should fail")
 	}
-	if _, err := Run(r, gen, tech.Params{}, 1024, Options{}); err == nil {
+	if _, err := Run(r, gen, tech.Params{}, 1024, opt); err == nil {
 		t.Error("invalid tech should fail")
 	}
-	if _, err := Run(r, gen, tech.Default180nm(), 0, Options{}); err == nil {
+	if _, err := Run(r, gen, tech.Default180nm(), 0, opt); err == nil {
 		t.Error("zero cell bits should fail")
+	}
+	if _, err := Run(r, gen, tech.Default180nm(), 1024, Options{WarmupSlots: 10}); err == nil {
+		t.Error("zero measure slots should fail")
 	}
 }
 
@@ -112,14 +116,14 @@ func TestRunWarmupExcluded(t *testing.T) {
 	}
 }
 
-// TestRunNoWarmup pins the zero-warmup option: with NoWarmup set, a
-// zero WarmupSlots is literal — measurement starts cold at slot 0 —
-// while the zero value without it still selects the 200-slot default.
+// TestRunNoWarmup pins the zero-warmup window: a zero WarmupSlots is
+// literal — measurement starts cold at slot 0 — while any non-zero
+// warmup still warms the run.
 func TestRunNoWarmup(t *testing.T) {
 	mk := func(opt Options) Result {
 		r := testRouter(t, core.Crossbar, 4)
 		// One deterministic cell per port at slot 0, nothing after: a
-		// default-warmup run has nothing left to measure.
+		// warmed run has nothing left to measure.
 		gen := testGen(t, 4, 1.0, 13)
 		burst := burstGen{cells: gen.Generate(0)}
 		res, err := Run(r, &burst, tech.Default180nm(), 1024, opt)
@@ -128,18 +132,13 @@ func TestRunNoWarmup(t *testing.T) {
 		}
 		return res
 	}
-	cold := mk(Options{NoWarmup: true, MeasureSlots: 50})
+	cold := mk(Options{MeasureSlots: 50})
 	if cold.Throughput == 0 {
-		t.Error("NoWarmup run measured nothing: slot 0 was warmed away")
+		t.Error("zero-warmup run measured nothing: slot 0 was warmed away")
 	}
-	warm := mk(Options{MeasureSlots: 50})
+	warm := mk(Options{WarmupSlots: 10, MeasureSlots: 50})
 	if warm.Throughput != 0 {
-		t.Errorf("zero WarmupSlots without NoWarmup must keep the 200-slot default, measured %g", warm.Throughput)
-	}
-	// NoWarmup with a non-zero warmup is still a warmed run.
-	both := mk(Options{NoWarmup: true, WarmupSlots: 10, MeasureSlots: 50})
-	if both.Throughput != 0 {
-		t.Errorf("explicit warmup with NoWarmup set should warm normally, measured %g", both.Throughput)
+		t.Errorf("an explicit warmup should warm normally, measured %g", warm.Throughput)
 	}
 }
 

@@ -107,43 +107,14 @@ type NetReport struct {
 	Resilience *ResilienceReport `json:"resilience,omitempty"`
 }
 
-// ResilienceReport is the study-level form of a network run's failure
-// ledger (netsim.ResilienceReport).
-type ResilienceReport struct {
-	// LostCells counts every cell the failures cost, across all flows.
-	LostCells uint64 `json:"lostCells"`
-	// Flows is the per-flow ledger, in flow order.
-	Flows []FlowResilience `json:"flows,omitempty"`
-	// Links is the per-pair availability table.
-	Links []LinkResilience `json:"links,omitempty"`
-	// NodeDownSlots sums router outage slots over the window.
-	NodeDownSlots uint64 `json:"nodeDownSlots"`
-	// ReconvergeEvents counts topology changes that re-routed;
-	// ReroutedFlows sums the flows whose path changed.
-	ReconvergeEvents uint64 `json:"reconvergeEvents"`
-	ReroutedFlows    uint64 `json:"reroutedFlows"`
-	// ReconvergeFJ and ResidualFJ are the failure-handling energies,
-	// already folded into the result's static power.
-	ReconvergeFJ float64 `json:"reconvergeFJ"`
-	ResidualFJ   float64 `json:"residualFJ"`
-}
-
-// FlowResilience is one flow's delivered/lost ledger.
-type FlowResilience struct {
-	Src       int    `json:"src"`
-	Dst       int    `json:"dst"`
-	Offered   uint64 `json:"offered"`
-	Delivered uint64 `json:"delivered"`
-	Lost      uint64 `json:"lost"`
-}
-
-// LinkResilience is one undirected link pair's availability.
-type LinkResilience struct {
-	From         int     `json:"from"`
-	To           int     `json:"to"`
-	DownSlots    uint64  `json:"downSlots"`
-	Availability float64 `json:"availability"`
-}
+// ResilienceReport is a network run's failure ledger: the per-flow
+// delivered/lost ledger (FlowResilience), the per-pair availability
+// (LinkResilience) and the energy the failures cost.
+type (
+	ResilienceReport = netsim.ResilienceReport
+	FlowResilience   = netsim.FlowStats
+	LinkResilience   = netsim.LinkAvailability
+)
 
 // Result is the measurement of one executed scenario. Single-router
 // scenarios fill the router-level fields; network scenarios
@@ -299,10 +270,8 @@ func runSingle(sd Scenario, model core.Model, topt *TelemetryOptions, emit func(
 	if err != nil {
 		return Result{}, err
 	}
-	warmup := *sd.Sim.WarmupSlots
 	opts := sim.Options{
-		WarmupSlots:  warmup,
-		NoWarmup:     warmup == 0,
+		WarmupSlots:  *sd.Sim.WarmupSlots,
 		MeasureSlots: sd.Sim.MeasureSlots,
 		DPM:          mgr,
 	}
@@ -422,34 +391,6 @@ func faultPlan(f *FailureSpec) *netsim.FaultPlan {
 	return plan
 }
 
-// fromResilience converts the kernel's resilience ledger.
-func fromResilience(r *netsim.ResilienceReport) *ResilienceReport {
-	if r == nil {
-		return nil
-	}
-	out := &ResilienceReport{
-		LostCells:        r.LostCells,
-		NodeDownSlots:    r.NodeDownSlots,
-		ReconvergeEvents: r.ReconvergeEvents,
-		ReroutedFlows:    r.ReroutedFlows,
-		ReconvergeFJ:     r.ReconvergeFJ,
-		ResidualFJ:       r.ResidualFJ,
-	}
-	for _, f := range r.Flows {
-		out.Flows = append(out.Flows, FlowResilience{
-			Src: f.Src, Dst: f.Dst,
-			Offered: f.Offered, Delivered: f.Delivered, Lost: f.Lost,
-		})
-	}
-	for _, l := range r.Links {
-		out.Links = append(out.Links, LinkResilience{
-			From: l.From, To: l.To,
-			DownSlots: l.DownSlots, Availability: l.Availability,
-		})
-	}
-	return out
-}
-
 // runNetwork executes a defaulted network scenario.
 func runNetwork(sd Scenario, model core.Model, topt *TelemetryOptions, emit func(any), pt *pointTrace) (Result, error) {
 	arch, err := core.ParseArchitecture(sd.Fabric.Arch)
@@ -549,7 +490,7 @@ func runNetwork(sd Scenario, model core.Model, topt *TelemetryOptions, emit func
 			LinkDroppedCells: rep.LinkDroppedCells,
 			DeliveryRatio:    rep.DeliveryRatio,
 			AvgHops:          rep.AvgHops,
-			Resilience:       fromResilience(rep.Resilience),
+			Resilience:       rep.Resilience,
 		},
 	}
 	if bits := float64(rep.DeliveredCells) * float64(sd.Fabric.CellBits); bits > 0 {
