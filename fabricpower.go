@@ -111,15 +111,9 @@ func (m Model) WithStaticPower() Model {
 	return out
 }
 
-// BitEnergy is a per-component energy breakdown in femtojoules.
-type BitEnergy struct {
-	SwitchFJ float64
-	BufferFJ float64
-	WireFJ   float64
-}
-
-// TotalFJ sums the components.
-func (b BitEnergy) TotalFJ() float64 { return b.SwitchFJ + b.BufferFJ + b.WireFJ }
+// BitEnergy is a per-component energy breakdown in femtojoules — the
+// same type as Report.Energy.
+type BitEnergy = study.Energy
 
 // Analytic evaluates the paper's closed-form worst-case bit energy
 // (Eqs. 3–6) for one contention-free bit through the architecture.
@@ -128,11 +122,7 @@ func Analytic(a Architecture, ports int, m Model) (BitEnergy, error) {
 	if err != nil {
 		return BitEnergy{}, err
 	}
-	b, err := model.BitEnergy(a.core(), ports)
-	if err != nil {
-		return BitEnergy{}, err
-	}
-	return BitEnergy{SwitchFJ: b.SwitchFJ, BufferFJ: b.BufferFJ, WireFJ: b.WireFJ}, nil
+	return model.BitEnergy(a.core(), ports)
 }
 
 // TrafficKind selects the workload shape.

@@ -94,9 +94,9 @@ func (c Component) String() string {
 // Breakdown accumulates energy per component, in fJ. The zero value is an
 // empty ledger ready to use.
 type Breakdown struct {
-	SwitchFJ float64
-	BufferFJ float64
-	WireFJ   float64
+	SwitchFJ float64 `json:"switchFJ"`
+	BufferFJ float64 `json:"bufferFJ"`
+	WireFJ   float64 `json:"wireFJ"`
 }
 
 // TotalFJ returns the summed energy.

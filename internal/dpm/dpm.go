@@ -66,38 +66,39 @@ type Config struct {
 // measured window, reset by BeginMeasurement.
 type Report struct {
 	// Policy names the deciding policy.
-	Policy string
+	Policy string `json:"policy"`
 	// Slots counts accounted slots.
-	Slots uint64
+	Slots uint64 `json:"slots"`
 	// StaticFJ is the static energy actually drawn, after gating, sleep
 	// and voltage scaling.
-	StaticFJ float64
+	StaticFJ float64 `json:"staticFJ"`
 	// AlwaysOnStaticFJ is the reference: what an unmanaged fabric would
 	// have drawn over the same slots.
-	AlwaysOnStaticFJ float64
+	AlwaysOnStaticFJ float64 `json:"alwaysOnStaticFJ"`
 	// TransitionFJ is the energy spent on power-state transitions.
-	TransitionFJ float64
-	// DynamicAdjust is the DVFS correction to the fabric's dynamic
+	TransitionFJ float64 `json:"transitionFJ"`
+	// DynamicAdjustFJ is the DVFS correction to the fabric's dynamic
 	// energy ledger: each slot's dynamic delta is scaled by the level's
-	// V², so the components here are ≤ 0 (savings).
-	DynamicAdjust core.Breakdown
+	// V², so it is ≤ 0 (savings). Manager.DynamicAdjust breaks it down
+	// per component.
+	DynamicAdjustFJ float64 `json:"dynamicAdjustFJ"`
 	// Transitions, WakeEvents and DVFSShifts count state changes.
-	Transitions uint64
-	WakeEvents  uint64
-	DVFSShifts  uint64
+	Transitions uint64 `json:"transitions"`
+	WakeEvents  uint64 `json:"wakeEvents"`
+	DVFSShifts  uint64 `json:"dvfsShifts"`
 	// GatedPortSlots counts port-slots spent clock-gated; DrowsySlots
 	// counts slots the SRAM spent drowsy; StalledSlots counts slots
 	// DVFS throttling or transition freezes blocked admission.
-	GatedPortSlots uint64
-	DrowsySlots    uint64
-	StalledSlots   uint64
+	GatedPortSlots uint64 `json:"gatedPortSlots"`
+	DrowsySlots    uint64 `json:"drowsySlots"`
+	StalledSlots   uint64 `json:"stalledSlots"`
 }
 
 // SavedFJ is the net energy the policy saved against the always-on
 // baseline: forgone static power minus transition cost plus DVFS
 // dynamic savings. AlwaysOn reports zero.
 func (r Report) SavedFJ() float64 {
-	return r.AlwaysOnStaticFJ - r.StaticFJ - r.TransitionFJ - r.DynamicAdjust.TotalFJ()
+	return r.AlwaysOnStaticFJ - r.StaticFJ - r.TransitionFJ - r.DynamicAdjustFJ
 }
 
 // Port power-domain states.
@@ -142,6 +143,9 @@ type Manager struct {
 	ewmaLoad float64
 	lastDyn  core.Breakdown
 	rep      Report
+	// dynAdjust is the DVFS correction per component, kept apart from
+	// rep so Snapshot can fold it into the fabric's energy breakdown.
+	dynAdjust core.Breakdown
 
 	// Steady-idle memo: once the policy certifies its idle fixpoint
 	// (FixpointPolicy) and the state machines complete a motionless
@@ -378,7 +382,7 @@ func (m *Manager) PostSlot(slot uint64, delivered []*packet.Cell, dyn core.Break
 	delta := dyn.Add(m.lastDyn.Scale(-1))
 	m.lastDyn = dyn
 	if ds := m.dynScale[m.level]; ds != 1 {
-		m.rep.DynamicAdjust = m.rep.DynamicAdjust.Add(delta.Scale(ds - 1))
+		m.dynAdjust = m.dynAdjust.Add(delta.Scale(ds - 1))
 	}
 	m.rep.Slots++
 }
@@ -485,11 +489,20 @@ func (m *Manager) IdleSlot(slot uint64) {
 // Fabric.ResetEnergy, whose energy reset lastDyn tracks.
 func (m *Manager) BeginMeasurement() {
 	m.rep = Report{Policy: m.rep.Policy}
+	m.dynAdjust = core.Breakdown{}
 	m.lastDyn = core.Breakdown{}
 }
 
 // Report returns a copy of the ledger.
-func (m *Manager) Report() Report { return m.rep }
+func (m *Manager) Report() Report {
+	rep := m.rep
+	rep.DynamicAdjustFJ = m.dynAdjust.TotalFJ()
+	return rep
+}
+
+// DynamicAdjust is the ledger's DVFS correction per component; its
+// total is Report().DynamicAdjustFJ.
+func (m *Manager) DynamicAdjust() core.Breakdown { return m.dynAdjust }
 
 // mwFJ converts power (mW) over a duration (ns) to energy in fJ — the
 // inverse of tech.PowerMW: 1 mW · 1 ns = 1000 fJ.

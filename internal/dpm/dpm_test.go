@@ -269,9 +269,8 @@ func TestDVFSDynamicAdjustment(t *testing.T) {
 		dyn.SwitchFJ += 100 // pretend the fabric burned 100 fJ this slot
 		m.PostSlot(slot, nil, dyn)
 	}
-	rep := m.Report()
-	if rep.DynamicAdjust.TotalFJ() >= 0 {
-		t.Fatalf("low-voltage slots should yield negative dynamic adjustment, got %+v", rep.DynamicAdjust)
+	if adj := m.DynamicAdjust(); adj.TotalFJ() >= 0 || m.Report().DynamicAdjustFJ != adj.TotalFJ() {
+		t.Fatalf("low-voltage slots should yield negative dynamic adjustment, got %+v (report %g)", adj, m.Report().DynamicAdjustFJ)
 	}
 }
 

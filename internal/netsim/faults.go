@@ -7,6 +7,7 @@ import (
 
 	"fabricpower/internal/packet"
 	"fabricpower/internal/rng"
+	"fabricpower/internal/sim"
 )
 
 // FaultEvent is one scheduled topology change: a link (undirected pair)
@@ -87,55 +88,6 @@ func (p *FaultPlan) validate(t *Topology) error {
 		}
 	}
 	return nil
-}
-
-// FlowStats is one flow's measured-window cell ledger under a fault
-// plan. Lost counts every cell the failure model cost the flow: cells
-// offered while the flow was parked (endpoint down or unreachable),
-// cells flushed from failed routers and links, cells stranded on a
-// stale route after a re-convergence, and cells refused by down or
-// full links.
-type FlowStats struct {
-	Src       int    `json:"src"`
-	Dst       int    `json:"dst"`
-	Offered   uint64 `json:"offered"`
-	Delivered uint64 `json:"delivered"`
-	Lost      uint64 `json:"lost"`
-}
-
-// LinkAvailability is one undirected link pair's measured-window
-// availability: the fraction of slots the pair was usable (itself
-// healthy and both endpoints up).
-type LinkAvailability struct {
-	From         int     `json:"from"`
-	To           int     `json:"to"`
-	DownSlots    uint64  `json:"downSlots"`
-	Availability float64 `json:"availability"`
-}
-
-// ResilienceReport is the Report extension a fault plan fills in: the
-// per-flow delivery ledger, per-link availability, and the energy the
-// failures themselves cost (parked routers, re-convergence).
-type ResilienceReport struct {
-	// LostCells sums every flow's Lost column.
-	LostCells uint64 `json:"lostCells"`
-	// Flows is the per-flow ledger, in flow order.
-	Flows []FlowStats `json:"flows,omitempty"`
-	// Links is the per-pair availability, in pair order (ascending
-	// (From, To)).
-	Links []LinkAvailability `json:"links,omitempty"`
-	// NodeDownSlots sums down slots over all routers.
-	NodeDownSlots uint64 `json:"nodeDownSlots"`
-	// ReconvergeEvents counts topology changes that triggered
-	// re-routing; ReroutedFlows sums the flows whose installed path
-	// actually changed (parked flows are not charged).
-	ReconvergeEvents uint64 `json:"reconvergeEvents"`
-	ReroutedFlows    uint64 `json:"reroutedFlows"`
-	// ReconvergeFJ is ReroutedFlows × ReconvergeCostFJ; ResidualFJ is
-	// the parked power of down routers integrated over the window.
-	// Both are folded into the Report's total static power.
-	ReconvergeFJ float64 `json:"reconvergeFJ"`
-	ResidualFJ   float64 `json:"residualFJ"`
 }
 
 // faultState is the kernel's runtime fault machinery. It is touched
@@ -600,14 +552,14 @@ func (fs *faultState) beginFaultMeasurement(slot uint64) {
 // resilienceReport assembles the window's resilience account. end is
 // the slot after the last measured one; slotNS prices the residual
 // power integral.
-func (n *Network) resilienceReport(end uint64, measure uint64, slotNS float64) *ResilienceReport {
+func (n *Network) resilienceReport(end uint64, measure uint64, slotNS float64) *sim.ResilienceReport {
 	fs := n.fail
-	rep := &ResilienceReport{
-		Flows: make([]FlowStats, len(n.flows)),
-		Links: make([]LinkAvailability, len(fs.pairs)),
+	rep := &sim.ResilienceReport{
+		Flows: make([]sim.FlowStats, len(n.flows)),
+		Links: make([]sim.LinkAvailability, len(fs.pairs)),
 	}
 	for fi := range n.flows {
-		st := FlowStats{Src: n.flows[fi].Src, Dst: n.flows[fi].Dst, Lost: fs.eventLost[fi]}
+		st := sim.FlowStats{Src: n.flows[fi].Src, Dst: n.flows[fi].Dst, Lost: fs.eventLost[fi]}
 		for w := range n.shards {
 			s := &n.shards[w]
 			st.Offered += s.flowOffered[fi]
@@ -622,7 +574,7 @@ func (n *Network) resilienceReport(end uint64, measure uint64, slotNS float64) *
 		if !fs.pairUsable[pi] {
 			down += windowSlots(fs.pairDownAt[pi], end, fs.measureStart)
 		}
-		rep.Links[pi] = LinkAvailability{
+		rep.Links[pi] = sim.LinkAvailability{
 			From:         p[0],
 			To:           p[1],
 			DownSlots:    down,

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fabricpower/internal/core"
+	"fabricpower/internal/sim"
 	"fabricpower/internal/tech"
 )
 
@@ -55,7 +56,7 @@ func TestFaultShardDeterminism(t *testing.T) {
 				return rep
 			}
 			seq := run(1)
-			if seq.Resilience == nil {
+			if seq.Net.Resilience == nil {
 				t.Fatal("active fault plan produced no resilience report")
 			}
 			for _, shards := range []int{2, 3, -1} {
@@ -94,7 +95,7 @@ func TestEmptyFaultPlanMatchesNil(t *testing.T) {
 		return rep
 	}
 	bare, empty := run(nil), run(&FaultPlan{ResidualMW: 5, ReconvergeCostFJ: 100})
-	if bare.Resilience != nil || empty.Resilience != nil {
+	if bare.Net.Resilience != nil || empty.Net.Resilience != nil {
 		t.Fatal("empty fault plan attached a resilience report")
 	}
 	if !reflect.DeepEqual(bare, empty) {
@@ -128,7 +129,7 @@ func TestLinkFaultPartitionsChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := rep.Resilience
+	res := rep.Net.Resilience
 	if res == nil {
 		t.Fatal("no resilience report")
 	}
@@ -155,7 +156,7 @@ func TestLinkFaultPartitionsChain(t *testing.T) {
 	if fs.Delivered < 400 {
 		t.Errorf("delivered %d cells, want most of the healthy window's ~800", fs.Delivered)
 	}
-	var cut *LinkAvailability
+	var cut *sim.LinkAvailability
 	for i := range res.Links {
 		if res.Links[i].From == 1 && res.Links[i].To == 2 {
 			cut = &res.Links[i]
@@ -209,7 +210,7 @@ func TestNodeFaultReroutesRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := rep.Resilience
+	res := rep.Net.Resilience
 	if res == nil {
 		t.Fatal("no resilience report")
 	}
@@ -223,8 +224,8 @@ func TestNodeFaultReroutesRing(t *testing.T) {
 		t.Errorf("lost %d cells, want only the handful in flight at the cut", fs.Lost)
 	}
 	// The detour raises the mean path length above the healthy 2 hops.
-	if rep.AvgHops <= 2 {
-		t.Errorf("avg hops = %g, want > 2 from the detour window", rep.AvgHops)
+	if rep.Net.AvgHops <= 2 {
+		t.Errorf("avg hops = %g, want > 2 from the detour window", rep.Net.AvgHops)
 	}
 	if res.NodeDownSlots != 400 {
 		t.Errorf("node down slots = %d, want exactly 400", res.NodeDownSlots)
@@ -243,8 +244,8 @@ func TestNodeFaultReroutesRing(t *testing.T) {
 	}
 	// Both fault energies surface in the power totals.
 	durNS := 2000 * slotNS
-	if want := tech.PowerMW(res.ResidualFJ+res.ReconvergeFJ, durNS); rep.Total.StaticMW < want {
-		t.Errorf("total static %g mW does not include the %g mW fault overhead", rep.Total.StaticMW, want)
+	if want := tech.PowerMW(res.ResidualFJ+res.ReconvergeFJ, durNS); rep.Power.StaticMW < want {
+		t.Errorf("total static %g mW does not include the %g mW fault overhead", rep.Power.StaticMW, want)
 	}
 }
 

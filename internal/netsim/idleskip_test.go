@@ -76,7 +76,7 @@ func TestIdleSkipDeterminism(t *testing.T) {
 				for _, shards := range []int{1, 2, -1} {
 					off := run("off", shards)
 					on := run("on", shards)
-					if off.DeliveredCells == 0 {
+					if off.Net.DeliveredCells == 0 {
 						t.Fatalf("shards=%d delivered nothing", shards)
 					}
 					if !reflect.DeepEqual(off, on) {

@@ -329,14 +329,14 @@ func TestMultiHopDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.DeliveredCells == 0 {
+	if rep.Net.DeliveredCells == 0 {
 		t.Fatal("no cells delivered end to end")
 	}
-	if rep.DeliveryRatio < 0.95 {
-		t.Errorf("delivery ratio = %.3f, want ~1 at 30%% load", rep.DeliveryRatio)
+	if rep.Net.DeliveryRatio < 0.95 {
+		t.Errorf("delivery ratio = %.3f, want ~1 at 30%% load", rep.Net.DeliveryRatio)
 	}
-	if rep.AvgHops != 3 {
-		t.Errorf("avg hops = %g, want 3", rep.AvgHops)
+	if rep.Net.AvgHops != 3 {
+		t.Errorf("avg hops = %g, want 3", rep.Net.AvgHops)
 	}
 	// Each of the 3 links adds at least one slot of latency on top of
 	// the source fabric's transit.
@@ -351,8 +351,8 @@ func TestMultiHopDelivery(t *testing.T) {
 	}
 	// Off-path direction stays silent: no cell ever leaves node 3
 	// toward node 2.
-	if got := net.Router(3).Metrics().DeliveredCells; got != rep.DeliveredCells {
-		t.Errorf("node 3 delivered %d cells, want exactly the %d end-to-end deliveries", got, rep.DeliveredCells)
+	if got := net.Router(3).Metrics().DeliveredCells; got != rep.Net.DeliveredCells {
+		t.Errorf("node 3 delivered %d cells, want exactly the %d end-to-end deliveries", got, rep.Net.DeliveredCells)
 	}
 }
 
@@ -386,14 +386,14 @@ func TestNetworkTotalsEqualSum(t *testing.T) {
 		total[3] += res.Power.StaticMW
 		energy = energy.Add(res.Energy)
 	}
-	if rep.Total.SwitchMW != total[0] || rep.Total.BufferMW != total[1] ||
-		rep.Total.WireMW != total[2] || rep.Total.StaticMW != total[3] {
-		t.Errorf("Total = %+v, want per-node sum %v", rep.Total, total)
+	if rep.Power.SwitchMW != total[0] || rep.Power.BufferMW != total[1] ||
+		rep.Power.WireMW != total[2] || rep.Power.StaticMW != total[3] {
+		t.Errorf("Total = %+v, want per-node sum %v", rep.Power, total)
 	}
 	if rep.Energy != energy {
 		t.Errorf("Energy = %+v, want per-node sum %+v", rep.Energy, energy)
 	}
-	if rep.Total.TotalMW() <= 0 {
+	if rep.Power.TotalMW() <= 0 {
 		t.Error("network drew no power")
 	}
 }
@@ -487,7 +487,7 @@ func TestBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.DeliveryRatio >= 1 {
+	if rep.Net.DeliveryRatio >= 1 {
 		t.Error("overloaded hotspot delivered everything; backpressure untested")
 	}
 	var queued, inFlight uint64
@@ -499,11 +499,11 @@ func TestBackpressure(t *testing.T) {
 	for i := range net.links {
 		onLinks += uint64(net.links[i].size)
 	}
-	accounted := rep.DeliveredCells + rep.NodeDroppedCells + rep.LinkDroppedCells + queued + inFlight + onLinks
-	if accounted != rep.OfferedCells {
+	accounted := rep.Net.DeliveredCells + rep.Net.NodeDroppedCells + rep.Net.LinkDroppedCells + queued + inFlight + onLinks
+	if accounted != rep.Net.OfferedCells {
 		t.Errorf("cells unaccounted: offered %d, accounted %d (delivered %d dropped %d+%d queued %d fabric %d links %d)",
-			rep.OfferedCells, accounted, rep.DeliveredCells, rep.NodeDroppedCells,
-			rep.LinkDroppedCells, queued, inFlight, onLinks)
+			rep.Net.OfferedCells, accounted, rep.Net.DeliveredCells, rep.Net.NodeDroppedCells,
+			rep.Net.LinkDroppedCells, queued, inFlight, onLinks)
 	}
 }
 
@@ -539,14 +539,14 @@ func TestConsolidateIdlegateBeatsShortestAlwayson(t *testing.T) {
 		}
 		base := run(ShortestPath{}, "alwayson")
 		green := run(Consolidate{}, "idlegate")
-		if green.Total.TotalMW() >= base.Total.TotalMW() {
+		if green.Power.TotalMW() >= base.Power.TotalMW() {
 			t.Errorf("load %.0f%%: consolidate+idlegate %.3f mW >= shortest+alwayson %.3f mW",
-				load*100, green.Total.TotalMW(), base.Total.TotalMW())
+				load*100, green.Power.TotalMW(), base.Power.TotalMW())
 		}
 		// The savings must not come from undelivered traffic.
-		if green.DeliveryRatio < 0.95*base.DeliveryRatio {
+		if green.Net.DeliveryRatio < 0.95*base.Net.DeliveryRatio {
 			t.Errorf("load %.0f%%: consolidation tanked delivery: %.3f vs %.3f",
-				load*100, green.DeliveryRatio, base.DeliveryRatio)
+				load*100, green.Net.DeliveryRatio, base.Net.DeliveryRatio)
 		}
 	}
 }
@@ -572,7 +572,7 @@ func TestNetworkRunContinues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.DeliveredCells == 0 {
+	if rep.Net.DeliveredCells == 0 {
 		t.Fatal("second window delivered nothing")
 	}
 	if rep.MaxLatencySlots > 1000 {
@@ -704,7 +704,7 @@ func TestNetworkShardDeterminism(t *testing.T) {
 					return rep
 				}
 				seq := run(1)
-				if seq.DeliveredCells == 0 {
+				if seq.Net.DeliveredCells == 0 {
 					t.Fatalf("%s/%s delivered nothing", name, kindName)
 				}
 				for _, shards := range []int{2, 3, -1} {
@@ -751,7 +751,7 @@ func TestNetworkTrafficKindsShapePower(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.DeliveredCells == 0 {
+		if rep.Net.DeliveredCells == 0 {
 			t.Fatalf("kind %q delivered nothing", kind.Kind)
 		}
 		return rep
@@ -763,9 +763,9 @@ func TestNetworkTrafficKindsShapePower(t *testing.T) {
 		{Kind: "trace", Trace: tr},
 	} {
 		rep := run(kind)
-		if diff := math.Abs(rep.Total.TotalMW() - base.Total.TotalMW()); diff < 1e-6 {
+		if diff := math.Abs(rep.Power.TotalMW() - base.Power.TotalMW()); diff < 1e-6 {
 			t.Errorf("kind %q total %.6f mW indistinguishable from Bernoulli %.6f mW",
-				kind.Kind, rep.Total.TotalMW(), base.Total.TotalMW())
+				kind.Kind, rep.Power.TotalMW(), base.Power.TotalMW())
 		}
 	}
 }
@@ -790,10 +790,10 @@ func TestNetworkCustomFlowSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.OfferedCells != 100 {
-		t.Errorf("every-3rd-slot source offered %d cells over 300 slots, want 100", rep.OfferedCells)
+	if rep.Net.OfferedCells != 100 {
+		t.Errorf("every-3rd-slot source offered %d cells over 300 slots, want 100", rep.Net.OfferedCells)
 	}
-	if rep.DeliveredCells == 0 {
+	if rep.Net.DeliveredCells == 0 {
 		t.Error("custom source delivered nothing")
 	}
 }

@@ -1117,43 +1117,15 @@ func (n *Network) yield() {
 	}
 }
 
-// Report is the network-wide account of one measured window.
+// Report is the network-wide account of one measured window: the
+// network's Result (Net set, power and energy summed over the routers,
+// latency end to end) and each router's own.
 type Report struct {
-	// Topology, Nodes and Slots identify the run.
-	Topology string
-	Nodes    int
-	Slots    uint64
+	sim.Result
 	// PerNode holds each router's own measurement (sim.Snapshot); note
 	// a transit router's latency figures measure cell age at its
 	// egress, accumulated since network injection.
 	PerNode []sim.Result
-	// Total is the component-wise sum of every router's power — the
-	// network draw.
-	Total sim.Power
-	// Energy is the summed per-router energy breakdown.
-	Energy core.Breakdown
-	// OfferedCells counts source-injection attempts; DeliveredCells
-	// counts cells that reached their destination host.
-	OfferedCells   uint64
-	DeliveredCells uint64
-	// NodeDroppedCells sums ingress-queue overflows (almost always at
-	// the source edge: transit forwarding backpressures instead);
-	// LinkDroppedCells counts full-link drops at fabric egress.
-	NodeDroppedCells uint64
-	LinkDroppedCells uint64
-	// DeliveryRatio is DeliveredCells/OfferedCells.
-	DeliveryRatio float64
-	// AvgLatencySlots and MaxLatencySlots are end-to-end, injection at
-	// the source edge to delivery at the destination edge.
-	AvgLatencySlots float64
-	MaxLatencySlots uint64
-	// AvgHops is the mean link count of delivered cells' paths.
-	AvgHops float64
-	// Resilience is filled only when the run carried a non-empty fault
-	// plan: the per-flow delivery ledger, per-link availability and the
-	// energy the failures cost. Its residual and re-convergence power
-	// are already folded into Total.StaticMW.
-	Resilience *ResilienceReport
 }
 
 func (n *Network) report(measure uint64) *Report {
@@ -1172,41 +1144,52 @@ func (n *Network) report(measure uint64) *Report {
 			maxLatency = s.maxLatency
 		}
 	}
-	rep := &Report{
+	slotNS := n.cfg.Model.Tech.CellTimeNS(n.cfg.CellBits)
+	net := &sim.NetReport{
 		Topology:         n.topo.Name,
 		Nodes:            n.topo.Nodes,
-		Slots:            measure,
-		PerNode:          make([]sim.Result, n.topo.Nodes),
 		OfferedCells:     offered,
 		DeliveredCells:   delivered,
 		LinkDroppedCells: linkDropped,
-		MaxLatencySlots:  maxLatency,
+	}
+	rep := &Report{
+		Result: sim.Result{
+			Arch:            n.cfg.Arch.String(),
+			Ports:           n.topo.Ports,
+			Slots:           measure,
+			SlotNS:          slotNS,
+			MaxLatencySlots: maxLatency,
+			Net:             net,
+		},
+		PerNode: make([]sim.Result, n.topo.Nodes),
 	}
 	for u, r := range n.routers {
 		res := sim.Snapshot(r, n.mgrs[u], n.cfg.Model.Tech, n.cfg.CellBits, measure, n.bufferBase[u])
 		rep.PerNode[u] = res
-		rep.Total.SwitchMW += res.Power.SwitchMW
-		rep.Total.BufferMW += res.Power.BufferMW
-		rep.Total.WireMW += res.Power.WireMW
-		rep.Total.StaticMW += res.Power.StaticMW
+		rep.Power.SwitchMW += res.Power.SwitchMW
+		rep.Power.BufferMW += res.Power.BufferMW
+		rep.Power.WireMW += res.Power.WireMW
+		rep.Power.StaticMW += res.Power.StaticMW
 		rep.Energy = rep.Energy.Add(res.Energy)
-		rep.NodeDroppedCells += res.DroppedCells
+		net.NodeDroppedCells += res.DroppedCells
 	}
 	if offered > 0 {
-		rep.DeliveryRatio = float64(delivered) / float64(offered)
+		net.DeliveryRatio = float64(delivered) / float64(offered)
 	}
 	if delivered > 0 {
 		rep.AvgLatencySlots = float64(latencySlots) / float64(delivered)
-		rep.AvgHops = float64(hopSlots) / float64(delivered)
+		net.AvgHops = float64(hopSlots) / float64(delivered)
+	}
+	if bits := float64(delivered) * float64(n.cfg.CellBits); bits > 0 {
+		rep.EnergyPerBitFJ = rep.Energy.TotalFJ() / bits
 	}
 	if n.fail != nil {
-		slotNS := n.cfg.Model.Tech.CellTimeNS(n.cfg.CellBits)
-		rep.Resilience = n.resilienceReport(n.slot, measure, slotNS)
+		net.Resilience = n.resilienceReport(n.slot, measure, slotNS)
 		// Parked routers and re-convergence work draw real power; fold
 		// them into the network's static draw so policy comparisons
 		// price resilience, not just healthy operation.
 		durationNS := float64(measure) * slotNS
-		rep.Total.StaticMW += tech.PowerMW(rep.Resilience.ResidualFJ+rep.Resilience.ReconvergeFJ, durationNS)
+		rep.Power.StaticMW += tech.PowerMW(net.Resilience.ResidualFJ+net.Resilience.ReconvergeFJ, durationNS)
 	}
 	return rep
 }

@@ -107,9 +107,9 @@ func TestNetworkNeverReadsReleasedCells(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep.Resilience == nil || rep.Resilience.LostCells == 0 || rep.LinkDroppedCells == 0 {
+			if rep.Net.Resilience == nil || rep.Net.Resilience.LostCells == 0 || rep.Net.LinkDroppedCells == 0 {
 				t.Fatalf("shards=%d: the run exercised too few release points (lost %v, link drops %d)",
-					shards, rep.Resilience, rep.LinkDroppedCells)
+					shards, rep.Net.Resilience, rep.Net.LinkDroppedCells)
 			}
 			reps = append(reps, rep)
 		}

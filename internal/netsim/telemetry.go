@@ -1,7 +1,7 @@
 package netsim
 
 import (
-	"fabricpower/internal/tech"
+	"fabricpower/internal/sim"
 	"fabricpower/internal/telemetry"
 )
 
@@ -66,17 +66,6 @@ type LinkSample struct {
 	Up bool `json:"up"`
 }
 
-// DPMSample is the network-wide DPM activity over one interval, summed
-// across every managed router.
-type DPMSample struct {
-	GatedPortSlots uint64 `json:"gatedPortSlots"`
-	DrowsySlots    uint64 `json:"drowsySlots"`
-	StalledSlots   uint64 `json:"stalledSlots"`
-	Transitions    uint64 `json:"transitions"`
-	WakeEvents     uint64 `json:"wakeEvents"`
-	DVFSShifts     uint64 `json:"dvfsShifts"`
-}
-
 // TelemetrySample is one interval of the network time series. Slot is
 // the exclusive end of the covered window [Slot-Interval, Slot);
 // counters are deltas over the window, queue depths and up/down state
@@ -104,9 +93,9 @@ type TelemetrySample struct {
 	// Latency buckets delivered cells' end-to-end latency over the
 	// window (telemetry.Histogram bucketing).
 	Latency []uint64 `json:"latency"`
-	// DPM is present only when the network runs a power-management
-	// policy.
-	DPM *DPMSample `json:"dpm,omitempty"`
+	// DPM is the activity summed across every managed router, present
+	// only when the network runs a power-management policy.
+	DPM *sim.DPMTelemetry `json:"dpm,omitempty"`
 	// DownNodes/DownLinks count failed entities at Slot (directed
 	// links, matching the Links list).
 	DownNodes int `json:"downNodes"`
@@ -149,17 +138,13 @@ type telCollector struct {
 	nextSlot  uint64 // first slot that triggers the next sample
 
 	sample TelemetrySample
-	dpm    DPMSample // backing store for sample.DPM
-
-	// Cumulative baselines for delta computation, rebased to zero when
-	// beginMeasurement resets the underlying ledgers.
-	lastDynFJ       float64
-	lastStaticFJ    float64
+	// tap differences the routers' energy, drop and DPM ledgers;
+	// the last* fields are the end-to-end baselines. Both are rebased
+	// to zero when beginMeasurement resets the underlying ledgers.
+	tap             sim.LedgerTap
 	lastOffered     uint64
 	lastDelivered   uint64
-	lastNodeDropped uint64
 	lastLinkDropped uint64
-	lastDPM         DPMSample
 
 	linkMoved []uint64 // per-link cells drained this interval
 
@@ -214,53 +199,18 @@ func (n *Network) take(slot uint64) {
 	smp.Slot = slot
 	smp.Interval = interval
 
-	// Power: cumulative fabric + manager ledgers, differenced against
-	// the previous sample (mirroring sim.Snapshot's accounting).
-	var dynFJ, staticFJ float64
-	var nodeDropped uint64
-	var dpmNow DPMSample
-	managed := false
+	// Power, drops and DPM activity: the routers' cumulative ledgers,
+	// read and differenced as the single-router probe does.
+	var now sim.Ledger
 	queued := 0
 	for u, r := range n.routers {
-		dynFJ += r.Fabric().Energy().TotalFJ()
-		if mgr := n.mgrs[u]; mgr != nil {
-			managed = true
-			rep := mgr.Report()
-			dynFJ += rep.DynamicAdjust.TotalFJ()
-			staticFJ += rep.StaticFJ + rep.TransitionFJ
-			dpmNow.GatedPortSlots += rep.GatedPortSlots
-			dpmNow.DrowsySlots += rep.DrowsySlots
-			dpmNow.StalledSlots += rep.StalledSlots
-			dpmNow.Transitions += rep.Transitions
-			dpmNow.WakeEvents += rep.WakeEvents
-			dpmNow.DVFSShifts += rep.DVFSShifts
-		}
-		nodeDropped += r.Metrics().DroppedCells
+		now.Read(r, n.mgrs[u])
 		q := r.QueuedCells()
 		smp.NodeQueues[u] = q
 		queued += q
 	}
-	durationNS := float64(interval) * t.slotNS
-	smp.DynamicMW = tech.PowerMW(dynFJ-t.lastDynFJ, durationNS)
-	smp.StaticMW = tech.PowerMW(staticFJ-t.lastStaticFJ, durationNS)
-	t.lastDynFJ, t.lastStaticFJ = dynFJ, staticFJ
+	smp.DynamicMW, smp.StaticMW, smp.NodeDroppedCells, smp.DPM = t.tap.Interval(now, float64(interval)*t.slotNS)
 	smp.QueuedCells = queued
-	smp.NodeDroppedCells = nodeDropped - t.lastNodeDropped
-	t.lastNodeDropped = nodeDropped
-	if managed {
-		t.dpm = DPMSample{
-			GatedPortSlots: dpmNow.GatedPortSlots - t.lastDPM.GatedPortSlots,
-			DrowsySlots:    dpmNow.DrowsySlots - t.lastDPM.DrowsySlots,
-			StalledSlots:   dpmNow.StalledSlots - t.lastDPM.StalledSlots,
-			Transitions:    dpmNow.Transitions - t.lastDPM.Transitions,
-			WakeEvents:     dpmNow.WakeEvents - t.lastDPM.WakeEvents,
-			DVFSShifts:     dpmNow.DVFSShifts - t.lastDPM.DVFSShifts,
-		}
-		t.lastDPM = dpmNow
-		smp.DPM = &t.dpm
-	} else {
-		smp.DPM = nil
-	}
 
 	// End-to-end counters and latency buckets: merge the shard-private
 	// ledgers. Sums are order-independent, so the merged values cannot
@@ -318,10 +268,8 @@ func (n *Network) take(slot uint64) {
 // rebase zeroes the delta baselines after beginMeasurement reset the
 // cumulative ledgers underneath them.
 func (t *telCollector) rebase() {
-	t.lastDynFJ, t.lastStaticFJ = 0, 0
-	t.lastOffered, t.lastDelivered = 0, 0
-	t.lastNodeDropped, t.lastLinkDropped = 0, 0
-	t.lastDPM = DPMSample{}
+	t.tap.Rebase()
+	t.lastOffered, t.lastDelivered, t.lastLinkDropped = 0, 0, 0
 }
 
 // summarize builds the per-flow wrap-up (allocates; called once per

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
 	"fabricpower/internal/core"
+	"fabricpower/internal/sim"
 )
 
 // telTestConfig is the shared operating point of the telemetry tests:
@@ -55,7 +57,7 @@ func marshalStream(t *testing.T, build func() (*Topology, error), shards int) []
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.DeliveredCells == 0 {
+	if rep.Net.DeliveredCells == 0 {
 		t.Fatal("telemetry run delivered nothing")
 	}
 	return buf.Bytes()
@@ -130,16 +132,19 @@ func TestTelemetryDoesNotPerturbReport(t *testing.T) {
 }
 
 // TestTelemetrySampleLedger checks the sample stream's accounting
-// against the end-of-run report on a faulted chain: interval deltas sum
-// to the report's totals, each sample's latency buckets account for
-// exactly its delivered cells, and the up/down fields trace the outage
-// window sample by sample.
+// against the end-of-run report on a faulted, managed chain: interval
+// deltas sum to the report's totals (cells, drops, energy and DPM
+// counters), each sample's latency buckets account for exactly its
+// delivered cells, and the up/down fields trace the outage window
+// sample by sample.
 func TestTelemetrySampleLedger(t *testing.T) {
 	topo, err := Chain(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := testConfig(topo)
+	cfg.Model.Static = core.DefaultStaticPower()
+	cfg.Policy = "composite"
 	cfg.Flows = []Flow{{Src: 0, Dst: 3, Rate: 0.5}}
 	cfg.Faults = &FaultPlan{Events: []FaultEvent{
 		{Slot: 500, Node: -1, From: 1, To: 2, Down: true},
@@ -157,9 +162,25 @@ func TestTelemetrySampleLedger(t *testing.T) {
 	}
 	var snaps []snap
 	var summary *TelemetrySummary
+	var energyFJ float64
+	var nodeDropped uint64
+	var act sim.DPMTelemetry
+	slotNS := cfg.Model.Tech.CellTimeNS(cfg.CellBits)
 	cfg.Telemetry = &TelemetryConfig{
 		Every: 100,
 		OnSample: func(s *TelemetrySample) {
+			// mW × ns = pJ = 1e3 fJ.
+			energyFJ += (s.DynamicMW + s.StaticMW) * float64(s.Interval) * slotNS * 1e3
+			nodeDropped += s.NodeDroppedCells
+			if s.DPM == nil {
+				t.Fatalf("slot %d: managed sample without DPM activity", s.Slot)
+			}
+			act.GatedPortSlots += s.DPM.GatedPortSlots
+			act.DrowsySlots += s.DPM.DrowsySlots
+			act.StalledSlots += s.DPM.StalledSlots
+			act.Transitions += s.DPM.Transitions
+			act.WakeEvents += s.DPM.WakeEvents
+			act.DVFSShifts += s.DPM.DVFSShifts
 			sn := snap{slot: s.Slot, interval: s.Interval, offered: s.OfferedCells,
 				delivered: s.DeliveredCells, downLinks: s.DownLinks, cutUp: true}
 			for _, c := range s.Latency {
@@ -222,11 +243,38 @@ func TestTelemetrySampleLedger(t *testing.T) {
 	if slots != 2000 {
 		t.Errorf("sample intervals cover %d slots, want 2000", slots)
 	}
-	if offered != rep.OfferedCells {
-		t.Errorf("sample offered deltas sum to %d, report says %d", offered, rep.OfferedCells)
+	if offered != rep.Net.OfferedCells {
+		t.Errorf("sample offered deltas sum to %d, report says %d", offered, rep.Net.OfferedCells)
 	}
-	if delivered != rep.DeliveredCells {
-		t.Errorf("sample delivered deltas sum to %d, report says %d", delivered, rep.DeliveredCells)
+	if delivered != rep.Net.DeliveredCells {
+		t.Errorf("sample delivered deltas sum to %d, report says %d", delivered, rep.Net.DeliveredCells)
+	}
+	if nodeDropped != rep.Net.NodeDroppedCells {
+		t.Errorf("sample node drops sum to %d, report says %d", nodeDropped, rep.Net.NodeDroppedCells)
+	}
+	// The samples leave the fault plan's residual and re-convergence
+	// power to the report, so the energy compares against the routers'
+	// own dynamic, static and transition ledgers.
+	want := rep.Energy.TotalFJ()
+	var wantAct sim.DPMTelemetry
+	for _, res := range rep.PerNode {
+		d := res.DPM
+		want += d.StaticFJ + d.TransitionFJ
+		wantAct.GatedPortSlots += d.GatedPortSlots
+		wantAct.DrowsySlots += d.DrowsySlots
+		wantAct.StalledSlots += d.StalledSlots
+		wantAct.Transitions += d.Transitions
+		wantAct.WakeEvents += d.WakeEvents
+		wantAct.DVFSShifts += d.DVFSShifts
+	}
+	if rel := math.Abs(energyFJ-want) / want; rel > 1e-9 {
+		t.Errorf("samples integrate to %g fJ, routers hold %g fJ (relative error %g)", energyFJ, want, rel)
+	}
+	if wantAct.Transitions == 0 || wantAct.DVFSShifts == 0 {
+		t.Errorf("managed chain exercised no DPM transitions: %+v", wantAct)
+	}
+	if act != wantAct {
+		t.Errorf("sample DPM counters sum to %+v, routers say %+v", act, wantAct)
 	}
 	if summary == nil {
 		t.Fatal("no end-of-run summary")
@@ -238,8 +286,8 @@ func TestTelemetrySampleLedger(t *testing.T) {
 	if f.Src != 0 || f.Dst != 3 {
 		t.Errorf("summary flow %d→%d, want 0→3", f.Src, f.Dst)
 	}
-	if f.DeliveredCells != rep.DeliveredCells {
-		t.Errorf("summary flow delivered %d, report says %d", f.DeliveredCells, rep.DeliveredCells)
+	if f.DeliveredCells != rep.Net.DeliveredCells {
+		t.Errorf("summary flow delivered %d, report says %d", f.DeliveredCells, rep.Net.DeliveredCells)
 	}
 	var histSum uint64
 	for _, c := range f.Latency {

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"fabricpower/internal/core"
 	"fabricpower/internal/dpm"
 	"fabricpower/internal/packet"
 	"fabricpower/internal/router"
@@ -58,50 +57,6 @@ type Options struct {
 	// included). Purely observational: results are identical with or
 	// without it.
 	Telemetry *TelemetryConfig
-}
-
-// Power is a per-component power report in milliwatts.
-type Power struct {
-	SwitchMW float64
-	BufferMW float64
-	WireMW   float64
-	// StaticMW is the always-on (leakage + clock) power drawn over the
-	// window, including state-transition overhead. Zero unless a power
-	// manager with a non-zero static model drove the run.
-	StaticMW float64
-}
-
-// TotalMW sums the components.
-func (p Power) TotalMW() float64 { return p.SwitchMW + p.BufferMW + p.WireMW + p.StaticMW }
-
-// Result is one simulation measurement.
-type Result struct {
-	// Arch and Ports identify the configuration.
-	Arch  core.Architecture
-	Ports int
-	// Slots is the measured window.
-	Slots uint64
-	// Throughput is the measured egress throughput (fraction of
-	// aggregate port capacity), the paper's x-axis.
-	Throughput float64
-	// AvgLatencySlots and MaxLatencySlots summarize cell latency.
-	AvgLatencySlots float64
-	MaxLatencySlots uint64
-	// Energy is the fabric's energy breakdown over the window.
-	Energy core.Breakdown
-	// Power is Energy divided by the window's wall-clock time.
-	Power Power
-	// BufferEvents counts fabric-internal bufferings (Banyan only).
-	BufferEvents uint64
-	// DroppedCells counts ingress-queue overflows.
-	DroppedCells uint64
-	// QueuedCells is the ingress backlog at the end of the window (a
-	// saturation indicator).
-	QueuedCells int
-	// DPM is the power manager's ledger over the window: static and
-	// transition energy, DVFS dynamic adjustment, and state-change
-	// counters. Nil when no manager drove the run.
-	DPM *dpm.Report
 }
 
 // bufferEventCounter is implemented by fabrics with internal buffers.
@@ -217,13 +172,15 @@ func Snapshot(r *router.Router, mgr *dpm.Manager, tp tech.Params, cellBits int, 
 	if mgr != nil {
 		// DVFS runs low-voltage slots cheaper than the fabric's ledger
 		// assumed; fold the (non-positive) adjustment back in.
-		e = e.Add(mgr.Report().DynamicAdjust)
+		e = e.Add(mgr.DynamicAdjust())
 	}
-	durationNS := float64(slots) * tp.CellTimeNS(cellBits)
+	slotNS := tp.CellTimeNS(cellBits)
+	durationNS := float64(slots) * slotNS
 	res := Result{
-		Arch:            r.Fabric().Arch(),
+		Arch:            r.Fabric().Arch().String(),
 		Ports:           r.Ports(),
 		Slots:           slots,
+		SlotNS:          slotNS,
 		Throughput:      m.Throughput(r.Ports(), slots),
 		AvgLatencySlots: m.AvgLatency(),
 		MaxLatencySlots: m.MaxLatency,
@@ -235,6 +192,10 @@ func Snapshot(r *router.Router, mgr *dpm.Manager, tp tech.Params, cellBits int, 
 		},
 		DroppedCells: m.DroppedCells,
 		QueuedCells:  r.QueuedCells(),
+	}
+	deliveredBits := res.Throughput * float64(res.Ports) * float64(res.Slots) * float64(cellBits)
+	if deliveredBits > 0 {
+		res.EnergyPerBitFJ = e.TotalFJ() / deliveredBits
 	}
 	if bc, ok := r.Fabric().(bufferEventCounter); ok {
 		res.BufferEvents = bc.BufferEvents() - bufferBase

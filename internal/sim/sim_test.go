@@ -73,7 +73,7 @@ func TestRunMeasuresThroughputNearOfferedLoad(t *testing.T) {
 	if res.Power.TotalMW() <= 0 {
 		t.Fatal("power must be positive under load")
 	}
-	if res.Slots != 3000 || res.Ports != 8 || res.Arch != core.Crossbar {
+	if res.Slots != 3000 || res.Ports != 8 || res.Arch != core.Crossbar.String() {
 		t.Fatalf("result metadata: %+v", res)
 	}
 	if res.AvgLatencySlots < 0 {

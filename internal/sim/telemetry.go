@@ -28,8 +28,8 @@ func (tc TelemetryConfig) withDefaults() TelemetryConfig {
 	return tc
 }
 
-// DPMTelemetry is the manager's state-machine activity over one
-// interval.
+// DPMTelemetry is the power managers' state-machine activity over
+// one interval (summed over every managed router of a network).
 type DPMTelemetry struct {
 	GatedPortSlots uint64 `json:"gatedPortSlots"`
 	DrowsySlots    uint64 `json:"drowsySlots"`
@@ -38,6 +38,74 @@ type DPMTelemetry struct {
 	WakeEvents     uint64 `json:"wakeEvents"`
 	DVFSShifts     uint64 `json:"dvfsShifts"`
 }
+
+// Ledger is a cumulative reading of the ledgers a telemetry probe
+// differences into interval samples: fabric energy plus the DVFS
+// adjustment, static plus transition energy, ingress drops and the
+// DPM counters. Both kernels' probes read routers through it, so a
+// single router and a network sample the same accounting.
+type Ledger struct {
+	DynamicFJ    float64
+	StaticFJ     float64
+	DroppedCells uint64
+	DPM          DPMTelemetry
+	// Managed reports whether any read router ran a power manager.
+	Managed bool
+}
+
+// Read adds router r's cumulative ledgers, and those of its manager
+// when mgr is non-nil, to the reading. Routers are read one by one, so
+// a network's sums follow its router order.
+func (l *Ledger) Read(r *router.Router, mgr *dpm.Manager) {
+	l.DynamicFJ += r.Fabric().Energy().TotalFJ()
+	if mgr != nil {
+		l.Managed = true
+		rep := mgr.Report()
+		l.DynamicFJ += rep.DynamicAdjustFJ
+		l.StaticFJ += rep.StaticFJ + rep.TransitionFJ
+		l.DPM.GatedPortSlots += rep.GatedPortSlots
+		l.DPM.DrowsySlots += rep.DrowsySlots
+		l.DPM.StalledSlots += rep.StalledSlots
+		l.DPM.Transitions += rep.Transitions
+		l.DPM.WakeEvents += rep.WakeEvents
+		l.DPM.DVFSShifts += rep.DVFSShifts
+	}
+	l.DroppedCells += r.Metrics().DroppedCells
+}
+
+// LedgerTap turns successive Ledger readings into interval figures.
+// Rebase it when the ledgers underneath are reset (after warmup).
+type LedgerTap struct {
+	last Ledger
+	dpm  DPMTelemetry
+}
+
+// Interval closes an interval of durationNS at reading now: the
+// dynamic and static power over it, the cells dropped during it, and
+// its DPM activity (nil when now read no manager). The returned
+// pointer is reused by the next call.
+func (t *LedgerTap) Interval(now Ledger, durationNS float64) (dynamicMW, staticMW float64, dropped uint64, act *DPMTelemetry) {
+	dynamicMW = tech.PowerMW(now.DynamicFJ-t.last.DynamicFJ, durationNS)
+	staticMW = tech.PowerMW(now.StaticFJ-t.last.StaticFJ, durationNS)
+	dropped = now.DroppedCells - t.last.DroppedCells
+	if now.Managed {
+		d, prev := &now.DPM, &t.last.DPM
+		t.dpm = DPMTelemetry{
+			GatedPortSlots: d.GatedPortSlots - prev.GatedPortSlots,
+			DrowsySlots:    d.DrowsySlots - prev.DrowsySlots,
+			StalledSlots:   d.StalledSlots - prev.StalledSlots,
+			Transitions:    d.Transitions - prev.Transitions,
+			WakeEvents:     d.WakeEvents - prev.WakeEvents,
+			DVFSShifts:     d.DVFSShifts - prev.DVFSShifts,
+		}
+		act = &t.dpm
+	}
+	t.last = now
+	return dynamicMW, staticMW, dropped, act
+}
+
+// Rebase zeroes the baseline after the ledgers were reset.
+func (t *LedgerTap) Rebase() { t.last = Ledger{} }
 
 // TelemetrySample is one interval of a single-router time series. Slot
 // is the exclusive end of the covered window [Slot-Interval, Slot);
@@ -68,13 +136,9 @@ type probe struct {
 	nextSlot  uint64
 
 	sample TelemetrySample
-	dpm    DPMTelemetry
+	tap    LedgerTap
 
-	lastDynFJ     float64
-	lastStaticFJ  float64
 	lastDelivered uint64
-	lastDropped   uint64
-	lastDPM       DPMTelemetry
 }
 
 func newProbe(cfg TelemetryConfig, tp tech.Params, cellBits int) *probe {
@@ -100,42 +164,13 @@ func (p *probe) take(slot uint64, r *router.Router, mgr *dpm.Manager) {
 	smp.Slot = slot
 	smp.Interval = interval
 
-	dynFJ := r.Fabric().Energy().TotalFJ()
-	var staticFJ float64
-	if mgr != nil {
-		rep := mgr.Report()
-		dynFJ += rep.DynamicAdjust.TotalFJ()
-		staticFJ = rep.StaticFJ + rep.TransitionFJ
-		now := DPMTelemetry{
-			GatedPortSlots: rep.GatedPortSlots,
-			DrowsySlots:    rep.DrowsySlots,
-			StalledSlots:   rep.StalledSlots,
-			Transitions:    rep.Transitions,
-			WakeEvents:     rep.WakeEvents,
-			DVFSShifts:     rep.DVFSShifts,
-		}
-		p.dpm = DPMTelemetry{
-			GatedPortSlots: now.GatedPortSlots - p.lastDPM.GatedPortSlots,
-			DrowsySlots:    now.DrowsySlots - p.lastDPM.DrowsySlots,
-			StalledSlots:   now.StalledSlots - p.lastDPM.StalledSlots,
-			Transitions:    now.Transitions - p.lastDPM.Transitions,
-			WakeEvents:     now.WakeEvents - p.lastDPM.WakeEvents,
-			DVFSShifts:     now.DVFSShifts - p.lastDPM.DVFSShifts,
-		}
-		p.lastDPM = now
-		smp.DPM = &p.dpm
-	} else {
-		smp.DPM = nil
-	}
-	durationNS := float64(interval) * p.slotNS
-	smp.DynamicMW = tech.PowerMW(dynFJ-p.lastDynFJ, durationNS)
-	smp.StaticMW = tech.PowerMW(staticFJ-p.lastStaticFJ, durationNS)
-	p.lastDynFJ, p.lastStaticFJ = dynFJ, staticFJ
+	var now Ledger
+	now.Read(r, mgr)
+	smp.DynamicMW, smp.StaticMW, smp.DroppedCells, smp.DPM = p.tap.Interval(now, float64(interval)*p.slotNS)
 
-	m := r.Metrics()
-	smp.DeliveredCells = m.DeliveredCells - p.lastDelivered
-	smp.DroppedCells = m.DroppedCells - p.lastDropped
-	p.lastDelivered, p.lastDropped = m.DeliveredCells, m.DroppedCells
+	delivered := r.Metrics().DeliveredCells
+	smp.DeliveredCells = delivered - p.lastDelivered
+	p.lastDelivered = delivered
 	smp.QueuedCells = r.QueuedCells()
 	smp.BufferedCells = r.BufferedCells()
 
@@ -146,7 +181,6 @@ func (p *probe) take(slot uint64, r *router.Router, mgr *dpm.Manager) {
 
 // rebase zeroes the delta baselines after the warmup reset.
 func (p *probe) rebase() {
-	p.lastDynFJ, p.lastStaticFJ = 0, 0
-	p.lastDelivered, p.lastDropped = 0, 0
-	p.lastDPM = DPMTelemetry{}
+	p.tap.Rebase()
+	p.lastDelivered = 0
 }

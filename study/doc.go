@@ -34,6 +34,14 @@
 // byte-compatible with `fabricpower run -json`. The stream framing is
 // documented on the studyd package.
 //
+// The result types are the simulation kernels' own: Result is
+// internal/sim's Result (Net set on network scenarios), Power and
+// NetReport are sim's, Energy is core.Breakdown, DPMReport is
+// dpm.Report, and the resilience ledger is sim's. The kernels fill
+// them directly, so a record's JSON is the kernel's result encoded,
+// with no copy in between. PolicyObservation and PolicyDecision are
+// likewise the power manager's own dpm.Observation and dpm.Decision.
+//
 // Traffic kinds are unified across scopes: the same TrafficSpec.Kind
 // ("uniform", "bursty", "packet", "trace", or a registered extension)
 // drives a single router's ports or — in a network scenario — every

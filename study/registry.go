@@ -9,6 +9,7 @@ import (
 	"fabricpower/internal/netsim"
 	"fabricpower/internal/packet"
 	"fabricpower/internal/rng"
+	"fabricpower/internal/sim"
 	"fabricpower/internal/traffic"
 )
 
@@ -158,27 +159,15 @@ func registeredTraffic(spec TrafficSpec, ports int, cfg packet.Config, seed int6
 // PolicyObservation is the per-slot activity snapshot a pluggable
 // policy decides from. The slices alias the manager's buffers — do not
 // retain them across slots.
-type PolicyObservation struct {
-	Slot          uint64
-	Ports         int
-	QueueLen      []int
-	PortActive    []bool
-	Backlog       int
-	BufferedCells int
-	Load          float64
-}
+type PolicyObservation = dpm.Observation
 
 // PolicyDecision is what a pluggable policy requests for the upcoming
 // slot; it is zeroed before every Decide call. GatePort aliases the
 // manager's decision buffer.
-type PolicyDecision struct {
-	GatePort    []bool
-	BufferSleep bool
-	DVFSLevel   int
-}
+type PolicyDecision = dpm.Decision
 
-// Policy is the public face of a pluggable power-management policy —
-// the external mirror of the internal dpm.Policy contract.
+// Policy is a pluggable power-management policy: the manager's
+// dpm.Policy contract without Name, which registration supplies.
 // Implementations must be deterministic and must not allocate in
 // Decide (it runs on the slot hot path).
 type Policy interface {
@@ -186,35 +175,14 @@ type Policy interface {
 	Decide(obs *PolicyObservation, dec *PolicyDecision)
 }
 
-// policyAdapter bridges a public Policy into the internal manager. The
-// observation and decision mirrors are reused across slots, so the
-// hot path stays allocation-free.
-type policyAdapter struct {
+// namedPolicy gives a registered Policy the name it was registered
+// under.
+type namedPolicy struct {
+	Policy
 	name string
-	p    Policy
-	obs  PolicyObservation
-	dec  PolicyDecision
 }
 
-func (a *policyAdapter) Name() string    { return a.name }
-func (a *policyAdapter) Reset(ports int) { a.p.Reset(ports) }
-func (a *policyAdapter) Decide(obs *dpm.Observation, dec *dpm.Decision) {
-	a.obs = PolicyObservation{
-		Slot:          obs.Slot,
-		Ports:         obs.Ports,
-		QueueLen:      obs.QueueLen,
-		PortActive:    obs.PortActive,
-		Backlog:       obs.Backlog,
-		BufferedCells: obs.BufferedCells,
-		Load:          obs.Load,
-	}
-	a.dec.GatePort = dec.GatePort
-	a.dec.BufferSleep = false
-	a.dec.DVFSLevel = 0
-	a.p.Decide(&a.obs, &a.dec)
-	dec.BufferSleep = a.dec.BufferSleep
-	dec.DVFSLevel = a.dec.DVFSLevel
-}
+func (p namedPolicy) Name() string { return p.name }
 
 // RegisterDPMPolicy makes a power-management policy available to
 // scenarios by name. Each run constructs a fresh policy via factory, so
@@ -225,7 +193,7 @@ func RegisterDPMPolicy(name string, factory func() Policy) error {
 		return fmt.Errorf("study: policy registration needs a factory")
 	}
 	return dpm.RegisterPolicy(name, func() dpm.Policy {
-		return &policyAdapter{name: name, p: factory()}
+		return namedPolicy{Policy: factory(), name: name}
 	})
 }
 
@@ -387,7 +355,7 @@ func MatrixNames() []string { return netsim.MatrixNames() }
 
 // builtinGenerator builds the internal generator for the built-in
 // traffic kinds, matching the experiment runners' construction exactly.
-func builtinGenerator(spec TrafficSpec, ports int, cfg packet.Config, seed int64) (simGenerator, error) {
+func builtinGenerator(spec TrafficSpec, ports int, cfg packet.Config, seed int64) (sim.Generator, error) {
 	switch spec.Kind {
 	case "uniform":
 		return traffic.NewInjector(ports, spec.Load, cfg, nil, seed)

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -188,4 +190,138 @@ func TestGridRunCancellationParallel(t *testing.T) {
 			t.Fatalf("record index %d out of range", i)
 		}
 	}
+}
+
+// TestResultJSONShape pins the result record's wire format: a Result
+// with every field set, DPM, Net and Resilience included, must encode
+// byte for byte as the checked-in golden file. The values are
+// literals, so the encoding does not depend on the platform. The
+// README's table of result keys must name every key of the encoding.
+func TestResultJSONShape(t *testing.T) {
+	r := study.Result{
+		Arch:            "banyan",
+		Ports:           16,
+		Slots:           2000,
+		SlotNS:          5120,
+		Throughput:      0.4375,
+		AvgLatencySlots: 6.25,
+		MaxLatencySlots: 31,
+		Energy:          study.Energy{SwitchFJ: 1.5e6, BufferFJ: 2.25e5, WireFJ: 3.125e6},
+		Power:           study.Power{SwitchMW: 1.25, BufferMW: 0.5, WireMW: 2.75, StaticMW: 0.125},
+		EnergyPerBitFJ:  0.875,
+		BufferEvents:    12,
+		DroppedCells:    3,
+		QueuedCells:     7,
+		DPM: &study.DPMReport{
+			Policy:           "composite",
+			Slots:            2000,
+			StaticFJ:         4.5e5,
+			AlwaysOnStaticFJ: 9e5,
+			TransitionFJ:     1.5e3,
+			DynamicAdjustFJ:  -2.5e4,
+			Transitions:      40,
+			WakeEvents:       18,
+			DVFSShifts:       4,
+			GatedPortSlots:   12000,
+			DrowsySlots:      900,
+			StalledSlots:     25,
+		},
+		Net: &study.NetReport{
+			Topology:         "fattree",
+			Nodes:            6,
+			OfferedCells:     5000,
+			DeliveredCells:   4800,
+			NodeDroppedCells: 120,
+			LinkDroppedCells: 30,
+			DeliveryRatio:    0.96,
+			AvgHops:          2.5,
+			Resilience: &study.ResilienceReport{
+				LostCells:        50,
+				Flows:            []study.FlowResilience{{Src: 0, Dst: 3, Offered: 900, Delivered: 850, Lost: 50}},
+				Links:            []study.LinkResilience{{From: 0, To: 4, DownSlots: 100, Availability: 0.95}},
+				NodeDownSlots:    200,
+				ReconvergeEvents: 2,
+				ReroutedFlows:    5,
+				ReconvergeFJ:     5e4,
+				ResidualFJ:       1.25e5,
+			},
+		},
+	}
+	got, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	golden := filepath.Join("testdata", "result.golden.json")
+	if update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("result encoding drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
+	}
+	var doc any
+	if err := json.Unmarshal(got, &doc); err != nil {
+		t.Fatal(err)
+	}
+	table := readmeResultKeys(t)
+	for _, k := range jsonKeys(doc, nil) {
+		if !table[k] {
+			t.Errorf("README's result key table does not name %q", k)
+		}
+	}
+}
+
+// jsonKeys appends every object key in a decoded JSON value.
+func jsonKeys(v any, keys []string) []string {
+	switch v := v.(type) {
+	case map[string]any:
+		for k, e := range v {
+			keys = jsonKeys(e, append(keys, k))
+		}
+	case []any:
+		for _, e := range v {
+			keys = jsonKeys(e, keys)
+		}
+	}
+	return keys
+}
+
+// readmeResultKeys returns the back-quoted names in the key column of
+// the README's "Result key" table.
+func readmeResultKeys(t *testing.T) map[string]bool {
+	t.Helper()
+	readme, err := os.ReadFile(filepath.Join("..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string]bool{}
+	in := false
+	for _, line := range strings.Split(string(readme), "\n") {
+		if strings.HasPrefix(line, "| Result key |") {
+			in = true
+			continue
+		}
+		if !in {
+			continue
+		}
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		col := strings.Split(line, "|")[1]
+		for i, part := range strings.Split(col, "`") {
+			if i%2 == 1 {
+				keys[part] = true
+			}
+		}
+	}
+	if len(keys) == 0 {
+		t.Fatal("README has no result key table")
+	}
+	return keys
 }

@@ -23,134 +23,31 @@ import (
 	"fabricpower/internal/traffic"
 )
 
-// simGenerator is the simulation kernel's per-slot cell source.
-type simGenerator = sim.Generator
-
-// Power is a per-component power report in milliwatts.
-type Power struct {
-	SwitchMW float64 `json:"switchMW"`
-	BufferMW float64 `json:"bufferMW"`
-	WireMW   float64 `json:"wireMW"`
-	// StaticMW is the always-on (leakage + clock) power, including
-	// state-transition overhead; zero without a static model.
-	StaticMW float64 `json:"staticMW"`
-}
-
-// TotalMW sums all components.
-func (p Power) TotalMW() float64 { return p.SwitchMW + p.BufferMW + p.WireMW + p.StaticMW }
-
-// DynamicMW sums the dynamic components only.
-func (p Power) DynamicMW() float64 { return p.SwitchMW + p.BufferMW + p.WireMW }
-
-// Energy is a per-component energy breakdown in femtojoules.
-type Energy struct {
-	SwitchFJ float64 `json:"switchFJ"`
-	BufferFJ float64 `json:"bufferFJ"`
-	WireFJ   float64 `json:"wireFJ"`
-}
-
-// TotalFJ sums the components.
-func (e Energy) TotalFJ() float64 { return e.SwitchFJ + e.BufferFJ + e.WireFJ }
-
-// DPMReport is the power manager's ledger over the measured window.
-type DPMReport struct {
-	// Policy names the deciding policy.
-	Policy string `json:"policy"`
-	// Slots counts accounted slots.
-	Slots uint64 `json:"slots"`
-	// StaticFJ is the static energy actually drawn; AlwaysOnStaticFJ
-	// what an unmanaged fabric would have drawn; TransitionFJ the
-	// state-transition cost; DynamicAdjustFJ the (non-positive) DVFS
-	// correction to dynamic energy.
-	StaticFJ         float64 `json:"staticFJ"`
-	AlwaysOnStaticFJ float64 `json:"alwaysOnStaticFJ"`
-	TransitionFJ     float64 `json:"transitionFJ"`
-	DynamicAdjustFJ  float64 `json:"dynamicAdjustFJ"`
-	// Transitions, WakeEvents and DVFSShifts count state changes;
-	// GatedPortSlots, DrowsySlots and StalledSlots count time in the
-	// managed states.
-	Transitions    uint64 `json:"transitions"`
-	WakeEvents     uint64 `json:"wakeEvents"`
-	DVFSShifts     uint64 `json:"dvfsShifts"`
-	GatedPortSlots uint64 `json:"gatedPortSlots"`
-	DrowsySlots    uint64 `json:"drowsySlots"`
-	StalledSlots   uint64 `json:"stalledSlots"`
-}
-
-// SavedFJ is the net energy the policy saved against the always-on
-// baseline: forgone static power minus transition cost plus DVFS
-// dynamic savings.
-func (r DPMReport) SavedFJ() float64 {
-	return r.AlwaysOnStaticFJ - r.StaticFJ - r.TransitionFJ - r.DynamicAdjustFJ
-}
-
-// NetReport carries the network-level measurements of a network
-// scenario.
-type NetReport struct {
-	// Topology and Nodes identify the run.
-	Topology string `json:"topology"`
-	Nodes    int    `json:"nodes"`
-	// OfferedCells counts source-injection attempts; DeliveredCells
-	// end-to-end deliveries.
-	OfferedCells   uint64 `json:"offeredCells"`
-	DeliveredCells uint64 `json:"deliveredCells"`
-	// NodeDroppedCells sums ingress overflows; LinkDroppedCells counts
-	// full-link drops.
-	NodeDroppedCells uint64 `json:"nodeDroppedCells"`
-	LinkDroppedCells uint64 `json:"linkDroppedCells"`
-	// DeliveryRatio is DeliveredCells/OfferedCells; AvgHops the mean
-	// link count of delivered cells' paths.
-	DeliveryRatio float64 `json:"deliveryRatio"`
-	AvgHops       float64 `json:"avgHops"`
-	// Resilience is the failure ledger of a run with a non-empty
-	// failures block; nil on fault-free runs.
-	Resilience *ResilienceReport `json:"resilience,omitempty"`
-}
-
-// ResilienceReport is a network run's failure ledger: the per-flow
-// delivered/lost ledger (FlowResilience), the per-pair availability
-// (LinkResilience) and the energy the failures cost.
+// The result model is the simulation kernel's: a scenario's
+// measurement is a sim.Result, whose JSON form is the result record's
+// wire format.
 type (
-	ResilienceReport = netsim.ResilienceReport
-	FlowResilience   = netsim.FlowStats
-	LinkResilience   = netsim.LinkAvailability
+	// Result is the measurement of one executed scenario. Single-router
+	// scenarios fill the router-level fields; network scenarios
+	// additionally fill Net, with the power and latency fields holding
+	// the network-wide totals (end-to-end latency, summed power).
+	Result = sim.Result
+	// Power is a per-component power report in milliwatts.
+	Power = sim.Power
+	// Energy is a per-component energy breakdown in femtojoules.
+	Energy = core.Breakdown
+	// DPMReport is the power manager's ledger over the measured window.
+	DPMReport = dpm.Report
+	// NetReport carries the network-level measurements of a network
+	// scenario.
+	NetReport = sim.NetReport
+	// ResilienceReport is a network run's failure ledger: the per-flow
+	// delivered/lost ledger (FlowResilience), the per-pair availability
+	// (LinkResilience) and the energy the failures cost.
+	ResilienceReport = sim.ResilienceReport
+	FlowResilience   = sim.FlowStats
+	LinkResilience   = sim.LinkAvailability
 )
-
-// Result is the measurement of one executed scenario. Single-router
-// scenarios fill the router-level fields; network scenarios
-// additionally fill Net, with the power and latency fields holding the
-// network-wide totals (end-to-end latency, summed power).
-type Result struct {
-	// Arch and Ports identify the fabric configuration (for networks:
-	// each router's).
-	Arch  string `json:"arch"`
-	Ports int    `json:"ports"`
-	// Slots is the measured window; SlotNS its per-slot duration.
-	Slots  uint64  `json:"slots"`
-	SlotNS float64 `json:"slotNS"`
-	// Throughput is the measured egress throughput as a fraction of
-	// aggregate port capacity (single-router scenarios; networks
-	// report Net.DeliveryRatio instead).
-	Throughput      float64 `json:"throughput"`
-	AvgLatencySlots float64 `json:"avgLatencySlots"`
-	MaxLatencySlots uint64  `json:"maxLatencySlots"`
-	// Energy and Power break down the fabric draw over the window.
-	Energy Energy `json:"energy"`
-	Power  Power  `json:"power"`
-	// EnergyPerBitFJ is the average fabric energy per delivered bit.
-	EnergyPerBitFJ float64 `json:"energyPerBitFJ"`
-	// BufferEvents counts fabric-internal bufferings (Banyan only).
-	BufferEvents uint64 `json:"bufferEvents,omitempty"`
-	// DroppedCells counts ingress-queue overflows.
-	DroppedCells uint64 `json:"droppedCells,omitempty"`
-	// QueuedCells is the ingress backlog at the end of the window.
-	QueuedCells int `json:"queuedCells,omitempty"`
-	// DPM is the power manager's ledger; nil when unmanaged.
-	DPM *DPMReport `json:"dpm,omitempty"`
-	// Net holds the network-level measurements; nil for single-router
-	// scenarios.
-	Net *NetReport `json:"net,omitempty"`
-}
 
 // RunScenario executes one scenario and returns its measurement. The
 // execution matches the experiment runners exactly: the traffic stream
@@ -213,7 +110,7 @@ func loadTrace(path string) (*traffic.Trace, error) {
 }
 
 // tracePlayer opens and replays a recorded trace.
-func tracePlayer(path string, cfg packet.Config) (simGenerator, error) {
+func tracePlayer(path string, cfg packet.Config) (sim.Generator, error) {
 	tr, err := loadTrace(path)
 	if err != nil {
 		return nil, err
@@ -288,55 +185,7 @@ func runSingle(sd Scenario, model core.Model, topt *TelemetryOptions, emit func(
 	if sg, ok := gen.(*sourceGenerator); ok && sg.err != nil {
 		return Result{}, sg.err
 	}
-	return fromSim(res, model, sd.Fabric.CellBits), nil
-}
-
-// fromSim converts a kernel result into the public form.
-func fromSim(res sim.Result, model core.Model, cellBits int) Result {
-	out := Result{
-		Arch:            res.Arch.String(),
-		Ports:           res.Ports,
-		Slots:           res.Slots,
-		SlotNS:          model.Tech.CellTimeNS(cellBits),
-		Throughput:      res.Throughput,
-		AvgLatencySlots: res.AvgLatencySlots,
-		MaxLatencySlots: res.MaxLatencySlots,
-		Energy: Energy{
-			SwitchFJ: res.Energy.SwitchFJ,
-			BufferFJ: res.Energy.BufferFJ,
-			WireFJ:   res.Energy.WireFJ,
-		},
-		Power: Power{
-			SwitchMW: res.Power.SwitchMW,
-			BufferMW: res.Power.BufferMW,
-			WireMW:   res.Power.WireMW,
-			StaticMW: res.Power.StaticMW,
-		},
-		BufferEvents: res.BufferEvents,
-		DroppedCells: res.DroppedCells,
-		QueuedCells:  res.QueuedCells,
-	}
-	deliveredBits := res.Throughput * float64(res.Ports) * float64(res.Slots) * float64(cellBits)
-	if deliveredBits > 0 {
-		out.EnergyPerBitFJ = res.Energy.TotalFJ() / deliveredBits
-	}
-	if res.DPM != nil {
-		out.DPM = &DPMReport{
-			Policy:           res.DPM.Policy,
-			Slots:            res.DPM.Slots,
-			StaticFJ:         res.DPM.StaticFJ,
-			AlwaysOnStaticFJ: res.DPM.AlwaysOnStaticFJ,
-			TransitionFJ:     res.DPM.TransitionFJ,
-			DynamicAdjustFJ:  res.DPM.DynamicAdjust.TotalFJ(),
-			Transitions:      res.DPM.Transitions,
-			WakeEvents:       res.DPM.WakeEvents,
-			DVFSShifts:       res.DPM.DVFSShifts,
-			GatedPortSlots:   res.DPM.GatedPortSlots,
-			DrowsySlots:      res.DPM.DrowsySlots,
-			StalledSlots:     res.DPM.StalledSlots,
-		}
-	}
-	return out
+	return res, nil
 }
 
 // networkSeed mixes the experiment base seed with the coordinates that
@@ -463,40 +312,7 @@ func runNetwork(sd Scenario, model core.Model, topt *TelemetryOptions, emit func
 	if err != nil {
 		return Result{}, err
 	}
-	out := Result{
-		Arch:            arch.String(),
-		Ports:           t.Ports,
-		Slots:           rep.Slots,
-		SlotNS:          model.Tech.CellTimeNS(sd.Fabric.CellBits),
-		AvgLatencySlots: rep.AvgLatencySlots,
-		MaxLatencySlots: rep.MaxLatencySlots,
-		Energy: Energy{
-			SwitchFJ: rep.Energy.SwitchFJ,
-			BufferFJ: rep.Energy.BufferFJ,
-			WireFJ:   rep.Energy.WireFJ,
-		},
-		Power: Power{
-			SwitchMW: rep.Total.SwitchMW,
-			BufferMW: rep.Total.BufferMW,
-			WireMW:   rep.Total.WireMW,
-			StaticMW: rep.Total.StaticMW,
-		},
-		Net: &NetReport{
-			Topology:         rep.Topology,
-			Nodes:            rep.Nodes,
-			OfferedCells:     rep.OfferedCells,
-			DeliveredCells:   rep.DeliveredCells,
-			NodeDroppedCells: rep.NodeDroppedCells,
-			LinkDroppedCells: rep.LinkDroppedCells,
-			DeliveryRatio:    rep.DeliveryRatio,
-			AvgHops:          rep.AvgHops,
-			Resilience:       rep.Resilience,
-		},
-	}
-	if bits := float64(rep.DeliveredCells) * float64(sd.Fabric.CellBits); bits > 0 {
-		out.EnergyPerBitFJ = rep.Energy.TotalFJ() / bits
-	}
-	return out, nil
+	return rep.Result, nil
 }
 
 // PointInfo carries the execution metadata of one completed grid
