@@ -253,63 +253,71 @@ func BenchmarkFabricStep(b *testing.B) {
 	}
 }
 
-// BenchmarkDPMManagedStep measures one power-managed router slot on a
-// 16×16 Banyan: composite policy, manager observation/accounting and
-// gated admission on top of the fabric step. Reports allocs — the
-// managed loop must stay at 0 allocs/op like the bare fabrics
-// (TestDPMSlotAllocationFree enforces the same invariant).
+// BenchmarkDPMManagedStep is the dpm/<policy> rung of the benchmark
+// ladder: one power-managed slot of the router/<queue> rung's 16-port
+// Banyan, that is the manager's observation, decision and accounting
+// and the gated admission on top of the router step, for three policies
+// under both queue disciplines. Only the even ports inject (40% load),
+// so the odd half idles and gates while deliveries to it wake its egress
+// domains; queues are capped, so a throttled DVFS level drops cells
+// instead of growing memory. Reports allocs: the managed slot must stay
+// at 0 allocs/op (TestDPMSlotAllocationFree enforces the same
+// invariant).
 func BenchmarkDPMManagedStep(b *testing.B) {
 	const ports = 16
 	model := core.PaperModel()
 	model.Static = core.DefaultStaticPower()
-	pol, err := dpm.NewPolicy("composite")
-	if err != nil {
-		b.Fatal(err)
-	}
-	mgr, err := dpm.New(dpm.Config{Arch: core.Banyan, Ports: ports, Model: model, CellBits: 1024, Policy: pol})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, err := router.New(router.Config{
-		Arch: core.Banyan,
-		Fabric: fabric.Config{
-			Ports: ports,
-			Cell:  packet.Config{CellBits: 1024, BusWidth: 32},
-			Model: model,
-		},
-		Gate: mgr,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Deep backlog on half the ports, injected before timing, so the
-	// measured loop admits real traffic without Inject's queue growth.
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < (b.N+400)*ports/2; i++ {
-		c := &packet.Cell{
-			ID:      uint64(i + 1),
-			Src:     (i % (ports / 2)) * 2,
-			Dest:    rng.Intn(ports),
-			Payload: packet.RandomPayload(rng, 32),
+	cell := packet.Config{CellBits: 1024, BusWidth: 32}
+	for _, policy := range []string{"alwayson", "idlegate", "composite"} {
+		for _, q := range []router.QueueDiscipline{router.FIFO, router.VOQ} {
+			b.Run("policy="+policy+"/queue="+q.String(), func(b *testing.B) {
+				pol, err := dpm.NewPolicy(policy)
+				if err != nil {
+					b.Fatal(err)
+				}
+				mgr, err := dpm.New(dpm.Config{Arch: core.Banyan, Ports: ports, Model: model, CellBits: cell.CellBits, Policy: pol})
+				if err != nil {
+					b.Fatal(err)
+				}
+				r, err := router.New(router.Config{
+					Arch:          core.Banyan,
+					Fabric:        fabric.Config{Ports: ports, Cell: cell, Model: model},
+					Queue:         q,
+					MaxQueueCells: 64,
+					Gate:          mgr,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				gen, err := traffic.NewInjector(ports, 0.4, cell, traffic.Uniform{}, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				slot := uint64(0)
+				step := func() {
+					for _, c := range gen.Generate(slot) {
+						if c.Src%2 == 1 || !r.Inject(c, slot) {
+							gen.Release(c)
+						}
+					}
+					mgr.PreSlot(slot, r)
+					delivered := r.Step(slot)
+					mgr.PostSlot(slot, delivered, r.Fabric().Energy())
+					for _, c := range delivered {
+						gen.Release(c)
+					}
+					slot++
+				}
+				for i := 0; i < 300; i++ {
+					step()
+				}
+				b.ResetTimer()
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					step()
+				}
+			})
 		}
-		if !r.Inject(c, 0) {
-			b.Fatal("inject failed")
-		}
-	}
-	slot := uint64(0)
-	step := func() {
-		mgr.PreSlot(slot, r)
-		delivered := r.Step(slot)
-		mgr.PostSlot(slot, delivered, r.Fabric().Energy())
-		slot++
-	}
-	for i := 0; i < 300; i++ {
-		step()
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		step()
 	}
 }
 

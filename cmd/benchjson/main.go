@@ -4,15 +4,20 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench . -benchmem ./... | benchjson [-out file]
+//	go test -run '^$' -bench . -benchmem [-count N] ./... | benchjson [-out file]
 //	benchjson -compare [-threshold 15] [-match regex] old.json new.json
 //
 // Flags must precede the two file arguments: the standard flag package
 // stops parsing at the first positional argument.
 //
-// Each benchmark line becomes one object; `pkg:` context lines from
+// Each benchmark becomes one object; `pkg:` context lines from
 // multi-package runs attribute every benchmark to its package. Lines
 // that are not benchmark results (PASS, ok, goos, ...) are skipped.
+// Repeated lines of one benchmark (same package, name and procs, as
+// `go test -count N` prints them) fold into one object: ns/op is their
+// median, ns_per_op_min/ns_per_op_max their spread and samples their
+// count. A benchmark measured once keeps its single-line object, so
+// single-sample files read and compare as before.
 //
 // -compare diffs two such JSON files (typically a checked-in baseline
 // against a fresh run), prints a per-benchmark delta table, and exits
@@ -34,16 +39,27 @@ import (
 	"strings"
 )
 
-// Result is one parsed benchmark measurement.
+// Result is one benchmark's measurement. For several samples NsPerOp
+// is their median, Samples their count and NsPerOpMin/NsPerOpMax their
+// range; Iterations sums the samples' iterations, and BytesPerOp and
+// AllocsPerOp are the largest any sample reported.
 type Result struct {
 	Package     string  `json:"package,omitempty"`
 	Name        string  `json:"name"`
 	Procs       int     `json:"procs"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
+	NsPerOpMin  float64 `json:"ns_per_op_min,omitempty"`
+	NsPerOpMax  float64 `json:"ns_per_op_max,omitempty"`
+	Samples     int     `json:"samples,omitempty"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
 	HasMem      bool    `json:"has_mem"`
+}
+
+// key identifies a benchmark across samples and files.
+func (r Result) key() string {
+	return fmt.Sprintf("%s %s-%d", r.Package, r.Name, r.Procs)
 }
 
 func main() {
@@ -141,19 +157,17 @@ type Comparison struct {
 }
 
 // Compare matches results by package+name+procs and computes ns/op
-// deltas. Results failing the optional name filter are dropped; a
-// delta beyond threshold percent marks a regression.
+// deltas, between medians for multi-sample results. Results failing the
+// optional name filter are dropped; a delta beyond threshold percent
+// marks a regression.
 func Compare(oldR, newR []Result, threshold float64, match *regexp.Regexp) Comparison {
-	key := func(r Result) string {
-		return fmt.Sprintf("%s %s-%d", r.Package, r.Name, r.Procs)
-	}
 	keep := func(r Result) bool {
 		return match == nil || match.MatchString(r.Name)
 	}
 	olds := make(map[string]Result)
 	for _, r := range oldR {
 		if keep(r) {
-			olds[key(r)] = r
+			olds[r.key()] = r
 		}
 	}
 	seen := make(map[string]bool)
@@ -162,7 +176,7 @@ func Compare(oldR, newR []Result, threshold float64, match *regexp.Regexp) Compa
 		if !keep(r) {
 			continue
 		}
-		k := key(r)
+		k := r.key()
 		seen[k] = true
 		o, ok := olds[k]
 		if !ok {
@@ -215,8 +229,58 @@ func (c Comparison) Render(w io.Writer) {
 	}
 }
 
-// Parse reads `go test -bench` output and returns the benchmark lines.
+// Parse reads `go test -bench` output and returns one result per
+// benchmark, in first-seen order, folding repeated samples (see group).
 func Parse(r io.Reader) ([]Result, error) {
+	lines, err := parseLines(r)
+	if err != nil {
+		return nil, err
+	}
+	return group(lines), nil
+}
+
+// group folds the samples of each benchmark into one result: the
+// median ns/op with its min, max and sample count, summed iterations,
+// and the largest B/op and allocs/op. A benchmark with one sample is
+// returned as parsed.
+func group(lines []Result) []Result {
+	results := []Result{}
+	samples := make(map[string][]Result)
+	for _, r := range lines {
+		k := r.key()
+		if samples[k] == nil {
+			results = append(results, r)
+		}
+		samples[k] = append(samples[k], r)
+	}
+	for i, r := range results {
+		rs := samples[r.key()]
+		if len(rs) == 1 {
+			continue
+		}
+		ns := make([]float64, len(rs))
+		r.Iterations = 0
+		for j, s := range rs {
+			ns[j] = s.NsPerOp
+			r.Iterations += s.Iterations
+			r.BytesPerOp = max(r.BytesPerOp, s.BytesPerOp)
+			r.AllocsPerOp = max(r.AllocsPerOp, s.AllocsPerOp)
+			r.HasMem = r.HasMem || s.HasMem
+		}
+		sort.Float64s(ns)
+		mid := len(ns) / 2
+		r.NsPerOp = ns[mid]
+		if len(ns)%2 == 0 {
+			r.NsPerOp = (ns[mid-1] + ns[mid]) / 2
+		}
+		r.NsPerOpMin, r.NsPerOpMax, r.Samples = ns[0], ns[len(ns)-1], len(ns)
+		results[i] = r
+	}
+	return results
+}
+
+// parseLines returns every benchmark line of `go test -bench` output.
+func parseLines(r io.Reader) ([]Result, error) {
 	results := []Result{}
 	pkg := ""
 	sc := bufio.NewScanner(r)

@@ -51,6 +51,116 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// countBenchOutput is `go test -count` output: three samples of
+// BenchmarkA, four of BenchmarkB, BenchmarkA again in a second package
+// and at another GOMAXPROCS, and a single-sample BenchmarkC.
+const countBenchOutput = `pkg: p
+BenchmarkA-2   	 100	 300 ns/op	 16 B/op	 1 allocs/op
+BenchmarkA-2   	 120	 100 ns/op	 16 B/op	 1 allocs/op
+BenchmarkA-2   	 110	 200 ns/op	 32 B/op	 2 allocs/op
+BenchmarkA-4   	 100	 900 ns/op
+BenchmarkB-2   	  10	 40 ns/op
+BenchmarkB-2   	  10	 10 ns/op
+BenchmarkB-2   	  10	 30 ns/op
+BenchmarkB-2   	  10	 20 ns/op
+BenchmarkC-2   	   5	 77 ns/op
+pkg: q
+BenchmarkA-2   	  50	 500 ns/op
+`
+
+// TestParseGroupsSamples: repeated lines of one benchmark (same
+// package, name and procs) fold into one record in first-seen order,
+// and a lone line keeps its single-sample shape.
+func TestParseGroupsSamples(t *testing.T) {
+	results, err := Parse(strings.NewReader(countBenchOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, r := range results {
+		keys = append(keys, r.key())
+	}
+	want := []string{"p BenchmarkA-2", "p BenchmarkA-4", "p BenchmarkB-2", "p BenchmarkC-2", "q BenchmarkA-2"}
+	if strings.Join(keys, ",") != strings.Join(want, ",") {
+		t.Fatalf("records %v, want %v", keys, want)
+	}
+	a := results[0]
+	if a.Samples != 3 || a.Iterations != 330 || a.BytesPerOp != 32 || a.AllocsPerOp != 2 || !a.HasMem {
+		t.Errorf("grouped BenchmarkA: %+v", a)
+	}
+	for _, i := range []int{1, 3, 4} {
+		if r := results[i]; r.Samples != 0 || r.NsPerOpMin != 0 || r.NsPerOpMax != 0 {
+			t.Errorf("single-sample %s gained spread fields: %+v", r.key(), r)
+		}
+	}
+	data, err := json.Marshal(results[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "samples") || strings.Contains(string(data), "ns_per_op_m") {
+		t.Errorf("single-sample record encodes the new fields: %s", data)
+	}
+}
+
+// TestParseMedianOddEven: an odd sample count takes the middle sample,
+// an even one the mean of the two middle samples; min and max bound
+// them.
+func TestParseMedianOddEven(t *testing.T) {
+	results, err := Parse(strings.NewReader(countBenchOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		i                int
+		median, min, max float64
+		samples          int
+	}{
+		{0, 200, 100, 300, 3},
+		{2, 25, 10, 40, 4},
+	} {
+		r := results[c.i]
+		if r.NsPerOp != c.median || r.NsPerOpMin != c.min || r.NsPerOpMax != c.max || r.Samples != c.samples {
+			t.Errorf("%s: median %v [%v, %v] n=%d, want %v [%v, %v] n=%d", r.key(),
+				r.NsPerOp, r.NsPerOpMin, r.NsPerOpMax, r.Samples, c.median, c.min, c.max, c.samples)
+		}
+	}
+}
+
+// TestRunCompareMixedSamples: a single-sample baseline (no spread
+// fields, as the checked-in one) compares against a -count run by the
+// new run's median.
+func TestRunCompareMixedSamples(t *testing.T) {
+	dir := t.TempDir()
+	oldPath := filepath.Join(dir, "old.json")
+	if err := os.WriteFile(oldPath, []byte(`[{"package":"p","name":"BenchmarkB","procs":2,"iterations":10,"ns_per_op":20,"has_mem":false}]`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Parse(strings.NewReader(countBenchOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newPath := filepath.Join(dir, "new.json")
+	if err := os.WriteFile(newPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The median 25 ns/op is +25% on the baseline's 20; the slowest
+	// sample alone (40) would read +100%.
+	var out strings.Builder
+	if err := runCompare([]string{oldPath, newPath}, 30, "BenchmarkB", &out); err != nil {
+		t.Fatalf("median within threshold failed the gate: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "+25.0%") {
+		t.Errorf("compare did not use the median:\n%s", out.String())
+	}
+	if err := runCompare([]string{oldPath, newPath}, 20, "BenchmarkB", io.Discard); err == nil {
+		t.Error("median beyond threshold passed the gate")
+	}
+}
+
 func TestParseSkipsNoise(t *testing.T) {
 	results, err := Parse(strings.NewReader("PASS\nok x 1s\nBenchmarkBroken garbage ns/op\n"))
 	if err != nil {

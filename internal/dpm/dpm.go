@@ -19,13 +19,15 @@
 //     egress deliveries), lets the policy decide desired states, and
 //     runs the state machines: gating is immediate, ungating pays the
 //     configured wakeup latency, DVFS level changes pay a transition
-//     freeze. Gated and frozen ingress ports refuse admission
-//     (router.PortGate), so power-state latency feeds back into
-//     measured cell latency.
+//     freeze. Gated and frozen ingress ports refuse admission: the
+//     manager publishes an open-port bitset (router.PortGate), kept up
+//     to date on every power-state change, so power-state latency feeds
+//     back into measured cell latency.
 //   - It keeps the energy ledgers: static energy actually drawn (by
-//     state and voltage), the always-on static reference, transition
-//     energy, and the DVFS adjustment to dynamic energy (V² scaling of
-//     each slot's dynamic delta).
+//     state and voltage; the per-port sum is cached and recomputed only
+//     when the gated set or the SRAM state changes), the always-on
+//     static reference, transition energy, and the DVFS adjustment to
+//     dynamic energy (V² scaling of each slot's dynamic delta).
 //
 // The per-slot path is allocation-free: observation, decision and state
 // vectors are sized at construction and reused, preserving the
@@ -42,8 +44,10 @@ import (
 // Source is the per-slot observation surface the manager reads, met by
 // *router.Router.
 type Source interface {
-	// QueueLen returns the ingress occupancy of one port.
-	QueueLen(port int) int
+	// QueueLens returns the ingress occupancy of every port, indexed by
+	// port. It is a read-only view: the manager copies it into the
+	// policy's observation and neither writes nor retains it.
+	QueueLens() []int
 	// BufferedCells returns the cells parked in fabric-internal SRAM.
 	BufferedCells() int
 }
@@ -111,6 +115,10 @@ const (
 // Manager runs a Policy over a simulated fabric: it implements
 // router.PortGate for admission control and is driven by internal/sim
 // via PreSlot/PostSlot.
+//
+// Every write to portState goes through setState, which keeps the
+// open-port mask and the static-draw cache in step, so a slot's cost
+// tracks power-state changes rather than the port count.
 type Manager struct {
 	cfg    Config
 	static core.StaticPower
@@ -118,11 +126,24 @@ type Manager struct {
 	slotNS float64
 
 	// Per-port power domain: the port's 1/N share of switches and wire
-	// drivers gates as one unit.
+	// drivers gates as one unit. open has bit p set exactly when
+	// portState[p] is portActive; closed is the all-zero mask published
+	// on stalled slots.
 	portState      []int
 	wakeCnt        []int
+	open, closed   []uint64
 	portIdleMW     float64 // full idle power of one port domain
 	portComponents float64 // transition-energy multiplier per domain
+
+	// Static-draw cache: staticMW is accountSlot's unscaled port and
+	// SRAM sum and gated its gated-port count, both valid while
+	// staticDirty is false. The sum depends only on the gated set and
+	// bufDrowsy, so only those changes dirty it. alwaysOnFJ is the
+	// per-slot always-on reference.
+	staticMW    float64
+	gated       int
+	staticDirty bool
+	alwaysOnFJ  float64
 
 	// Fabric-wide SRAM domain.
 	bufMW     float64
@@ -155,8 +176,6 @@ type Manager struct {
 	idleSteady     bool
 	fixpoint       FixpointPolicy // cfg.Policy, when it certifies fixpoints
 	steadyStaticFJ float64
-	steadyAlwaysFJ float64
-	steadyGated    int
 }
 
 // New builds a manager. The model's static parameters may be zero, in
@@ -188,10 +207,17 @@ func New(cfg Config) (*Manager, error) {
 		slotNS:         cfg.Model.Tech.CellTimeNS(cfg.CellBits),
 		portState:      make([]int, n),
 		wakeCnt:        make([]int, n),
+		open:           make([]uint64, (n+63)/64),
+		closed:         make([]uint64, (n+63)/64),
 		portIdleMW:     (float64(inv.SwitchNodes)*s.SwitchIdleMW + float64(inv.WireDrivers)*s.WireIdleMW) / float64(n),
 		portComponents: float64(inv.SwitchNodes+inv.WireDrivers) / float64(n),
 		bufMW:          float64(inv.BufferBanks) * float64(inv.BufferBitsPerBank) / 1024 * s.BufferIdleMWPerKbit,
+		staticDirty:    true,
 	}
+	for p := 0; p < n; p++ {
+		m.open[p>>6] |= 1 << (p & 63) // every port starts active
+	}
+	m.alwaysOnFJ = mwFJ(float64(n)*m.portIdleMW+m.bufMW, m.slotNS)
 	cfg.Policy.Reset(n)
 	m.obs = Observation{
 		Ports:      n,
@@ -227,11 +253,29 @@ func New(cfg Config) (*Manager, error) {
 // Policy returns the deciding policy's name.
 func (m *Manager) Policy() string { return m.rep.Policy }
 
-// PortOpen implements router.PortGate: a port admits cells only when
+// OpenPorts implements router.PortGate: a port admits cells only when
 // its domain is fully active and DVFS is neither throttling this slot
-// nor frozen in a level transition.
-func (m *Manager) PortOpen(port int, slot uint64) bool {
-	return !m.stalled && m.portState[port] == portActive
+// nor frozen in a level transition. The mask is the manager's own,
+// updated in place on every power-state change.
+func (m *Manager) OpenPorts(slot uint64) []uint64 {
+	if m.stalled {
+		return m.closed
+	}
+	return m.open
+}
+
+// setState moves port p's domain to state s, keeping the open mask and
+// the static-draw cache in step with portState.
+func (m *Manager) setState(p, s int) {
+	if (m.portState[p] == portGated) != (s == portGated) {
+		m.staticDirty = true
+	}
+	m.portState[p] = s
+	if s == portActive {
+		m.open[p>>6] |= 1 << (p & 63)
+	} else {
+		m.open[p>>6] &^= 1 << (p & 63)
+	}
 }
 
 // transition charges one power-state change across components instances.
@@ -247,12 +291,10 @@ func (m *Manager) PreSlot(slot uint64, src Source) {
 	// A non-idle slot can move the policy and the state machines;
 	// steadiness must be re-proven on the next fully idle stretch.
 	m.idleSteady = false
-	n := m.cfg.Ports
 	m.obs.Slot = slot
+	copy(m.obs.QueueLen, src.QueueLens())
 	backlog := 0
-	for p := 0; p < n; p++ {
-		l := src.QueueLen(p)
-		m.obs.QueueLen[p] = l
+	for _, l := range m.obs.QueueLen {
 		backlog += l
 	}
 	m.obs.Backlog = backlog
@@ -267,49 +309,49 @@ func (m *Manager) PreSlot(slot uint64, src Source) {
 // signal IdleSlot's steady-state detection needs: a motionless slot on
 // a fixpoint policy replays identically forever.
 func (m *Manager) decideAndAdvance() (changed bool) {
-	n := m.cfg.Ports
 	m.obs.Load = m.ewmaLoad
 
-	for p := range m.dec.GatePort {
-		m.dec.GatePort[p] = false
-	}
+	clear(m.dec.GatePort)
 	m.dec.BufferSleep = false
 	m.dec.DVFSLevel = 0
 	m.cfg.Policy.Decide(&m.obs, &m.dec)
-	for p := range m.obs.PortActive {
-		m.obs.PortActive[p] = false // consumed; PostSlot refills
-	}
+	clear(m.obs.PortActive) // consumed; PostSlot refills
 
-	for p := 0; p < n; p++ {
-		switch m.portState[p] {
+	gate := m.dec.GatePort[:len(m.portState)]
+	for p, st := range m.portState {
+		// Settled: active and not asked to gate, or gated and asked
+		// to stay gated. A waking port never matches and always ticks.
+		want := portActive
+		if gate[p] {
+			want = portGated
+		}
+		if st == want {
+			continue
+		}
+		switch st {
 		case portActive:
-			if m.dec.GatePort[p] {
-				m.portState[p] = portGated
-				m.transition(m.portComponents)
-				changed = true
-			}
+			m.setState(p, portGated)
+			m.transition(m.portComponents)
 		case portGated:
-			if !m.dec.GatePort[p] {
-				m.rep.WakeEvents++
-				m.transition(m.portComponents)
-				if m.static.WakeupSlots == 0 {
-					m.portState[p] = portActive
-				} else {
-					m.portState[p] = portWaking
-					m.wakeCnt[p] = m.static.WakeupSlots
-				}
-				changed = true
+			m.rep.WakeEvents++
+			m.transition(m.portComponents)
+			if m.static.WakeupSlots == 0 {
+				m.setState(p, portActive)
+			} else {
+				m.setState(p, portWaking)
+				m.wakeCnt[p] = m.static.WakeupSlots
 			}
 		case portWaking:
 			if m.wakeCnt[p]--; m.wakeCnt[p] <= 0 {
-				m.portState[p] = portActive
+				m.setState(p, portActive)
 			}
-			changed = true
 		}
+		changed = true
 	}
 
 	if m.inv.BufferBanks > 0 && m.dec.BufferSleep != m.bufDrowsy {
 		m.bufDrowsy = m.dec.BufferSleep
+		m.staticDirty = true
 		m.transition(float64(m.inv.BufferBanks))
 		changed = true
 	}
@@ -372,7 +414,7 @@ func (m *Manager) PostSlot(slot uint64, delivered []*packet.Cell, dyn core.Break
 			// paid, but no extra latency. A domain already in
 			// portWaking has paid its one transition — leave its
 			// ingress-side countdown to finish undisturbed.
-			m.portState[d] = portActive
+			m.setState(d, portActive)
 			m.rep.WakeEvents++
 			m.transition(m.portComponents)
 		}
@@ -389,34 +431,42 @@ func (m *Manager) PostSlot(slot uint64, delivered []*packet.Cell, dyn core.Break
 
 // accountSlot is PostSlot's energy tail, shared with IdleSlot: fold the
 // slot's delivered-throughput sample into the load EWMA and charge the
-// static ledgers for the current power states.
-func (m *Manager) accountSlot(inst float64) (staticMW float64, gated int) {
-	n := m.cfg.Ports
+// static ledgers for the current power states. The unscaled static sum
+// is re-added port by port, in port order, only after the gated set or
+// the SRAM state changed; otherwise the cached sum is the value that
+// loop would produce.
+func (m *Manager) accountSlot(inst float64) (staticMW float64) {
 	m.ewmaLoad += (inst - m.ewmaLoad) / 32
 
-	var mw float64
-	for p := 0; p < n; p++ {
-		switch m.portState[p] {
-		case portGated:
-			mw += m.portIdleMW * m.static.GatedFraction
-			gated++
-		default:
-			mw += m.portIdleMW
+	if m.staticDirty {
+		var mw float64
+		gated := 0
+		for _, st := range m.portState {
+			switch st {
+			case portGated:
+				mw += m.portIdleMW * m.static.GatedFraction
+				gated++
+			default:
+				mw += m.portIdleMW
+			}
 		}
-	}
-	if m.inv.BufferBanks > 0 {
-		if m.bufDrowsy {
-			mw += m.bufMW * m.static.SleepFraction
-			m.rep.DrowsySlots++
-		} else {
-			mw += m.bufMW
+		if m.inv.BufferBanks > 0 {
+			if m.bufDrowsy {
+				mw += m.bufMW * m.static.SleepFraction
+			} else {
+				mw += m.bufMW
+			}
 		}
+		m.staticMW, m.gated, m.staticDirty = mw, gated, false
 	}
-	m.rep.GatedPortSlots += uint64(gated)
-	staticMW = mw * m.staticScale[m.level]
+	if m.inv.BufferBanks > 0 && m.bufDrowsy {
+		m.rep.DrowsySlots++
+	}
+	m.rep.GatedPortSlots += uint64(m.gated)
+	staticMW = m.staticMW * m.staticScale[m.level]
 	m.rep.StaticFJ += mwFJ(staticMW, m.slotNS)
-	m.rep.AlwaysOnStaticFJ += mwFJ(float64(n)*m.portIdleMW+m.bufMW, m.slotNS)
-	return staticMW, gated
+	m.rep.AlwaysOnStaticFJ += m.alwaysOnFJ
+	return staticMW
 }
 
 // IdleSlot advances the manager one slot over a provably idle router:
@@ -444,24 +494,21 @@ func (m *Manager) accountSlot(inst float64) (staticMW float64, gated int) {
 func (m *Manager) IdleSlot(slot uint64) {
 	if m.idleSteady {
 		m.ewmaLoad += (0 - m.ewmaLoad) / 32
-		m.rep.GatedPortSlots += uint64(m.steadyGated)
+		m.rep.GatedPortSlots += uint64(m.gated)
 		if m.inv.BufferBanks > 0 && m.bufDrowsy {
 			m.rep.DrowsySlots++
 		}
 		m.rep.StaticFJ += m.steadyStaticFJ
-		m.rep.AlwaysOnStaticFJ += m.steadyAlwaysFJ
+		m.rep.AlwaysOnStaticFJ += m.alwaysOnFJ
 		m.rep.Slots++
 		return
 	}
-	n := m.cfg.Ports
 	m.obs.Slot = slot
-	for p := 0; p < n; p++ {
-		m.obs.QueueLen[p] = 0
-	}
+	clear(m.obs.QueueLen)
 	m.obs.Backlog = 0
 	m.obs.BufferedCells = 0
 	changed := m.decideAndAdvance()
-	staticMW, gated := m.accountSlot(0)
+	staticMW := m.accountSlot(0)
 	m.rep.Slots++
 
 	// Steady-state detection, after the slot's mutations have landed:
@@ -476,9 +523,7 @@ func (m *Manager) IdleSlot(slot uint64) {
 		speed := m.levels[m.level].Speed
 		if speed == 1 && m.acc+speed-1 == m.acc && m.fixpoint.IdleFixpoint() {
 			m.idleSteady = true
-			m.steadyGated = gated
 			m.steadyStaticFJ = mwFJ(staticMW, m.slotNS)
-			m.steadyAlwaysFJ = mwFJ(float64(n)*m.portIdleMW+m.bufMW, m.slotNS)
 		}
 	}
 }

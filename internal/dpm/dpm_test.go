@@ -17,8 +17,13 @@ type fakeSource struct {
 	buf int
 }
 
-func (f *fakeSource) QueueLen(p int) int { return f.q[p] }
+func (f *fakeSource) QueueLens() []int   { return f.q }
 func (f *fakeSource) BufferedCells() int { return f.buf }
+
+// portOpen reads port p's bit of the manager's open-port mask.
+func portOpen(m *dpm.Manager, p int, slot uint64) bool {
+	return m.OpenPorts(slot)[p>>6]>>(p&63)&1 == 1
+}
 
 func testModel() core.Model {
 	m := core.PaperModel()
@@ -80,7 +85,7 @@ func TestAlwaysOnZeroStaticIsFree(t *testing.T) {
 		src.q[int(slot)%8] = int(slot) % 3 // some queue churn
 		m.PreSlot(slot, src)
 		for p := 0; p < 8; p++ {
-			if !m.PortOpen(p, slot) {
+			if !portOpen(m, p, slot) {
 				t.Fatalf("slot %d port %d: AlwaysOn must keep every port open", slot, p)
 			}
 		}
@@ -113,7 +118,7 @@ func TestIdleGateWakeLatency(t *testing.T) {
 		step()
 	}
 	for p := 0; p < 4; p++ {
-		if m.PortOpen(p, slot) {
+		if portOpen(m, p, slot) {
 			t.Fatalf("port %d should be gated after 20 idle slots", p)
 		}
 	}
@@ -128,7 +133,7 @@ func TestIdleGateWakeLatency(t *testing.T) {
 	wokeAt := -1
 	for i := 0; i < 10; i++ {
 		step()
-		if m.PortOpen(2, slot) {
+		if portOpen(m, 2, slot) {
 			wokeAt = i
 			break
 		}
@@ -152,7 +157,7 @@ func TestEgressDeliveryWakesWithoutLatency(t *testing.T) {
 		m.PreSlot(slot, src)
 		m.PostSlot(slot, nil, core.Breakdown{})
 	}
-	if m.PortOpen(3, 10) {
+	if portOpen(m, 3, 10) {
 		t.Fatal("port 3 should be gated")
 	}
 	m.PreSlot(10, src)
@@ -160,7 +165,7 @@ func TestEgressDeliveryWakesWithoutLatency(t *testing.T) {
 	// PortActive keeps the policy from re-gating on the next decision,
 	// and the domain must already be active (no wake latency).
 	m.PreSlot(11, src)
-	if !m.PortOpen(3, 11) {
+	if !portOpen(m, 3, 11) {
 		t.Fatal("delivery must wake the egress domain without latency")
 	}
 }
@@ -180,7 +185,7 @@ func TestDeliveryToWakingPortChargesOnce(t *testing.T) {
 		m.PreSlot(slot, src)
 		m.PostSlot(slot, nil, core.Breakdown{})
 	}
-	if m.PortOpen(2, slot) {
+	if portOpen(m, 2, slot) {
 		t.Fatal("port 2 should be gated")
 	}
 	// Queued work starts the wake (the one chargeable transition)...
@@ -197,14 +202,14 @@ func TestDeliveryToWakingPortChargesOnce(t *testing.T) {
 	}
 	// The remaining ingress countdown must still run to completion.
 	for i := 0; i < model.Static.WakeupSlots; i++ {
-		if m.PortOpen(2, slot) {
+		if portOpen(m, 2, slot) {
 			t.Fatalf("delivery cancelled the wakeup latency (%d slots early)", model.Static.WakeupSlots-i)
 		}
 		m.PreSlot(slot, src)
 		m.PostSlot(slot, nil, core.Breakdown{})
 		slot++
 	}
-	if !m.PortOpen(2, slot) {
+	if !portOpen(m, 2, slot) {
 		t.Fatal("wakeup countdown should have completed")
 	}
 }
@@ -277,8 +282,17 @@ func TestDVFSDynamicAdjustment(t *testing.T) {
 // TestDPMSlotAllocationFree extends the fabric-level hot-path guarantee
 // to the managed slot loop: with a composite policy observing the
 // router, gating admission and accounting energy every slot, the
-// Step+hooks path must still never touch the allocator.
+// Step+hooks path must still never touch the allocator — under FIFO,
+// and under VOQ, whose gated admission masks the occupancy bitsets.
 func TestDPMSlotAllocationFree(t *testing.T) {
+	for _, queue := range []router.QueueDiscipline{router.FIFO, router.VOQ} {
+		t.Run("queue="+queue.String(), func(t *testing.T) {
+			managedSlotAllocationFree(t, queue)
+		})
+	}
+}
+
+func managedSlotAllocationFree(t *testing.T, queue router.QueueDiscipline) {
 	const ports = 16
 	model := testModel()
 	pol, err := dpm.NewPolicy("composite")
@@ -296,7 +310,8 @@ func TestDPMSlotAllocationFree(t *testing.T) {
 			Cell:  packet.Config{CellBits: 256, BusWidth: 32},
 			Model: model,
 		},
-		Gate: mgr,
+		Queue: queue,
+		Gate:  mgr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +347,7 @@ func TestDPMSlotAllocationFree(t *testing.T) {
 	if r.Metrics().DeliveredCells == 0 {
 		t.Fatal("loop should have delivered traffic")
 	}
-	if mgr.Report().Slots == 0 {
-		t.Fatal("manager should have accounted slots")
+	if rep := mgr.Report(); rep.Slots == 0 || rep.GatedPortSlots == 0 {
+		t.Fatalf("manager should have accounted slots with gated ports, got %+v", rep)
 	}
 }

@@ -117,15 +117,20 @@ func (g *IdleGate) Reset(ports int) {
 
 // Decide implements Policy.
 func (g *IdleGate) Decide(obs *Observation, dec *Decision) {
-	for p := 0; p < obs.Ports; p++ {
-		if obs.QueueLen[p] > 0 || obs.PortActive[p] {
-			g.idle[p] = 0
+	// Re-sliced to one length up front, so the loop indexes without
+	// bounds checks.
+	n := obs.Ports
+	queue, active, idle, gate := obs.QueueLen[:n], obs.PortActive[:n], g.idle[:n], dec.GatePort[:n]
+	timeout := g.TimeoutSlots
+	for p := range idle {
+		if queue[p] > 0 || active[p] {
+			idle[p] = 0
 			continue
 		}
-		if g.idle[p] < g.TimeoutSlots {
-			g.idle[p]++
+		if idle[p] < timeout {
+			idle[p]++
 		}
-		dec.GatePort[p] = g.idle[p] >= g.TimeoutSlots
+		gate[p] = idle[p] >= timeout
 	}
 }
 

@@ -41,16 +41,20 @@ func (q QueueDiscipline) String() string {
 	return fmt.Sprintf("QueueDiscipline(%d)", int(q))
 }
 
-// PortGate is consulted before a port's queue head may request fabric
-// admission. A closed gate models a power-gated ingress path: the cell
-// stays queued (the wakeup latency becomes measured cell latency) until
-// the gate reopens. Implemented by the dynamic power manager
-// (internal/dpm); a nil gate leaves every port always admissible.
+// PortGate is consulted once per slot before queue heads may request
+// fabric admission. A closed port models a power-gated ingress path:
+// its cells stay queued (the wakeup latency becomes measured cell
+// latency) until the port reopens. Implemented by the dynamic power
+// manager (internal/dpm); a nil gate leaves every port always
+// admissible.
 type PortGate interface {
-	// PortOpen reports whether port may admit a cell into the fabric
-	// during slot. Called once per non-empty port per slot on the slot
-	// hot path — implementations must not allocate.
-	PortOpen(port int, slot uint64) bool
+	// OpenPorts returns the ports that may admit a cell into the
+	// fabric during slot as a bitset of arbiter.Words(ports) words: bit
+	// p of word p>>6 is set when port p is open. The router reads it
+	// during the slot's admission and neither writes nor retains it.
+	// Called once per slot on the slot hot path — implementations must
+	// not allocate.
+	OpenPorts(slot uint64) []uint64
 }
 
 // Config assembles a router.
@@ -123,16 +127,15 @@ type Router struct {
 	// voq[i][o] is non-empty. Inject sets a bit when a queue turns
 	// non-empty, admission clears it when one drains, and FlushQueues
 	// clears them all, so no slot rescans the ports² queues. Under a
-	// gate, req is occ masked to the open inputs.
+	// gate, req is occ masked to the gate's open inputs.
 	voq     [][]queue // [ingress][egress]
 	arbSLIP *arbiter.ISLIP
 	words   int
 	occ     []uint64
-	open    []uint64 // open-input mask, rebuilt each gated slot
 	req     []uint64
 
 	// portLen[p] counts the cells queued at ingress port p, and queued
-	// counts them all. Both are maintained incrementally, so QueueLen
+	// counts them all. Both are maintained incrementally, so QueueLens
 	// and QueuedCells — the per-slot occupancy signals of the power
 	// manager and the network kernel — are O(1) instead of queue scans.
 	portLen []int
@@ -173,7 +176,6 @@ func New(cfg Config) (*Router, error) {
 		r.words = arbiter.Words(n)
 		r.occ = make([]uint64, n*r.words)
 		if cfg.Gate != nil {
-			r.open = make([]uint64, r.words)
 			r.req = make([]uint64, n*r.words)
 		}
 		r.arbSLIP, err = arbiter.NewISLIP(n, iters)
@@ -203,14 +205,19 @@ func (r *Router) ResetMetrics() {
 }
 
 // QueueLen returns the number of cells waiting at one ingress port (all
-// VOQs of the port under the VOQ discipline) — the per-port occupancy
-// signal the power-management policies observe every slot.
+// VOQs of the port under the VOQ discipline).
 func (r *Router) QueueLen(port int) int {
 	if port < 0 || port >= r.Ports() {
 		return 0
 	}
 	return r.portLen[port]
 }
+
+// QueueLens returns every port's QueueLen, indexed by port — the
+// per-port occupancy signal the power-management policies observe every
+// slot. It is a read-only view of the router's own counters, valid until
+// the next Inject, Step or FlushQueues; callers must not write it.
+func (r *Router) QueueLens() []int { return r.portLen }
 
 // bufferOccupant is implemented by fabrics with internal buffers.
 type bufferOccupant interface {
@@ -330,14 +337,19 @@ func (r *Router) IdleStep(slot uint64) {
 
 // admitFIFO requests grants for queue heads and offers winners to the
 // fabric; losers and refused cells stay at their heads (HOL blocking).
+// Under a gate, a head requests only when its port's bit is open.
 func (r *Router) admitFIFO(slot uint64) {
+	var open []uint64
+	if r.cfg.Gate != nil {
+		open = r.cfg.Gate.OpenPorts(slot)
+	}
 	reqs := r.reqs[:0]
 	for p := range r.fifo {
 		q := &r.fifo[p]
 		if q.size == 0 {
 			continue
 		}
-		if r.cfg.Gate != nil && !r.cfg.Gate.PortOpen(p, slot) {
+		if open != nil && open[p>>6]>>(p&63)&1 == 0 {
 			continue
 		}
 		head := q.head()
@@ -367,20 +379,16 @@ func (r *Router) admitHead(q *queue, port int) bool {
 }
 
 // admitVOQ matches VOQ occupancy with iSLIP and offers matched heads.
-// The gate is asked about every port, in port order, each slot.
+// Under a gate, each egress column of occ is ANDed with the open-port
+// mask, so closed inputs request nothing.
 func (r *Router) admitVOQ(slot uint64) {
 	req := r.occ
 	if r.cfg.Gate != nil {
-		clear(r.open)
-		for p := 0; p < r.Ports(); p++ {
-			if r.cfg.Gate.PortOpen(p, slot) {
-				r.open[p>>6] |= 1 << (p & 63)
-			}
-		}
+		open := r.cfg.Gate.OpenPorts(slot)[:r.words]
 		req = r.req
 		for col := 0; col < len(req); col += r.words {
-			for k, open := range r.open {
-				req[col+k] = r.occ[col+k] & open
+			for k, w := range open {
+				req[col+k] = r.occ[col+k] & w
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"fabricpower/internal/arbiter"
 	"fabricpower/internal/core"
 	"fabricpower/internal/fabric"
 	"fabricpower/internal/packet"
@@ -288,18 +289,33 @@ func TestLatencyAccounting(t *testing.T) {
 	}
 }
 
-// hashGate is a random but stateless PortGate: whether a port is open
+// hashGate is a random but stateless mask gate: whether a port is open
 // in a slot is a hash of (seed, port, slot), so two routers asking
-// about the same slot get the same answers. Three ports in four are
-// open.
-type hashGate uint64
+// about the same slot get the same mask. Three ports in four are open.
+type hashGate struct {
+	seed  uint64
+	ports int
+}
 
-func (g hashGate) PortOpen(port int, slot uint64) bool {
-	x := uint64(g) ^ slot*0x9e3779b97f4a7c15 ^ uint64(port)*0xbf58476d1ce4e5b9
+// open is the per-port predicate the mask is built from. The reference
+// routers below ask it port by port, the way admission asked the gate
+// before gates published masks.
+func (g hashGate) open(port int, slot uint64) bool {
+	x := g.seed ^ slot*0x9e3779b97f4a7c15 ^ uint64(port)*0xbf58476d1ce4e5b9
 	x ^= x >> 31
 	x *= 0x94d049bb133111eb
 	x ^= x >> 29
 	return x&3 != 0
+}
+
+func (g hashGate) OpenPorts(slot uint64) []uint64 {
+	mask := make([]uint64, arbiter.Words(g.ports))
+	for p := 0; p < g.ports; p++ {
+		if g.open(p, slot) {
+			mask[p>>6] |= 1 << (p & 63)
+		}
+	}
+	return mask
 }
 
 // refISLIP is the modulo-wrapping matrix iSLIP the bitset matcher
@@ -340,18 +356,33 @@ func (s *refISLIP) match(request [][]bool) []int {
 	return matchIn
 }
 
-// refStep steps a VOQ router the way it was stepped before occupancy
-// bitsets: the request matrix is rebuilt from the queue sizes and the
-// gate each slot and handed to the reference matcher. Only admission
+// refStep steps a router the way it was stepped before occupancy
+// bitsets and open-port masks: each slot asks the gate's per-port
+// predicate about every port, then either rebuilds the VOQ request
+// matrix from the queue sizes for the reference matcher, or collects
+// the FIFO heads of the open ports for the FCFS arbiter. Only admission
 // differs from Step; egress metrics are not kept.
 func refStep(r *Router, s *refISLIP, slot uint64) {
 	n := r.Ports()
+	open := func(p int) bool { return r.cfg.Gate == nil || r.cfg.Gate.(hashGate).open(p, slot) }
+	if r.cfg.Queue == FIFO {
+		var reqs []arbiter.Request
+		for p := range r.fifo {
+			if q := &r.fifo[p]; q.size > 0 && open(p) {
+				reqs = append(reqs, arbiter.Request{Port: p, Dest: q.head().cell.Dest, Arrival: q.head().arrival})
+			}
+		}
+		for _, gi := range r.arbFCFS.Grant(reqs, slot) {
+			r.admitHead(&r.fifo[reqs[gi].Port], reqs[gi].Port)
+		}
+		r.fab.Step(slot)
+		return
+	}
 	req := make([][]bool, n)
 	for i := range req {
-		open := r.cfg.Gate == nil || r.cfg.Gate.PortOpen(i, slot)
 		req[i] = make([]bool, n)
 		for o := range req[i] {
-			req[i][o] = open && r.voq[i][o].size > 0
+			req[i][o] = open(i) && r.voq[i][o].size > 0
 		}
 	}
 	for i, o := range s.match(req) {
@@ -362,33 +393,44 @@ func refStep(r *Router, s *refISLIP, slot uint64) {
 	r.fab.Step(slot)
 }
 
-// admission is one cell leaving a VOQ for the fabric.
+// admission is one cell leaving an ingress queue for the fabric.
 type admission struct {
 	slot    uint64
 	in, out int
 	cellID  uint64
 }
 
+// ingressQueues lists r's ingress queues with their ports: one FIFO per
+// port, or the ports² VOQs in (ingress, egress) order.
+func ingressQueues(r *Router) (qs []*queue, ports []int) {
+	for p := range r.fifo {
+		qs, ports = append(qs, &r.fifo[p]), append(ports, p)
+	}
+	for i := range r.voq {
+		for o := range r.voq[i] {
+			qs, ports = append(qs, &r.voq[i][o]), append(ports, i)
+		}
+	}
+	return qs, ports
+}
+
 // stepAdmissions runs step and returns the cells it admitted, read off
 // the queue heads that left.
 func stepAdmissions(r *Router, slot uint64, step func()) []admission {
-	n := r.Ports()
-	heads := make([]uint64, n*n)
-	sizes := make([]int, n*n)
-	for i := range r.voq {
-		for o := range r.voq[i] {
-			if q := &r.voq[i][o]; q.size > 0 {
-				heads[i*n+o], sizes[i*n+o] = q.head().cell.ID, q.size
-			}
+	qs, ports := ingressQueues(r)
+	heads := make([]admission, len(qs))
+	sizes := make([]int, len(qs))
+	for k, q := range qs {
+		if q.size > 0 {
+			c := q.head().cell
+			heads[k], sizes[k] = admission{slot, ports[k], c.Dest, c.ID}, q.size
 		}
 	}
 	step()
 	var out []admission
-	for i := range r.voq {
-		for o := range r.voq[i] {
-			if r.voq[i][o].size < sizes[i*n+o] {
-				out = append(out, admission{slot, i, o, heads[i*n+o]})
-			}
+	for k, q := range qs {
+		if q.size < sizes[k] {
+			out = append(out, heads[k])
 		}
 	}
 	return out
@@ -410,62 +452,82 @@ func checkOccupancy(t *testing.T, r *Router, when string) {
 	}
 }
 
-// TestVOQOccupancyInvariant drives a gated VOQ Banyan router through a
-// random sequence of injections, slots and queue flushes. After every
-// operation the occupancy bitsets must mirror the queue sizes, and over
-// the whole run the router must admit exactly the cells, in exactly the
-// slots, of a reference router that rebuilds the request matrix each
-// slot and arbitrates with the matrix iSLIP.
+// TestVOQOccupancyInvariant drives a gated Banyan router through a
+// random sequence of injections, slots and queue flushes, under VOQ and
+// under FIFO. After every operation the VOQ occupancy bitsets must
+// mirror the queue sizes, every admitted head's port must be open in
+// the gate's mask (port counts past 64 put ports in later mask words),
+// and over the whole run the router must admit exactly the cells, in
+// exactly the slots, of a reference router that asks the gate port by
+// port and, under VOQ, rebuilds the request matrix each slot and
+// arbitrates with the matrix iSLIP.
 func TestVOQOccupancyInvariant(t *testing.T) {
 	for _, ports := range []int{2, 16, 64, 128} {
 		t.Run(fmt.Sprintf("ports=%d", ports), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(ports)))
-			cfg := routerConfig(core.Banyan, ports, VOQ)
-			cfg.MaxQueueCells = 3
-			cfg.Gate = hashGate(rng.Uint64())
-			r, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			oracle := &refISLIP{ports: ports, iterations: 2,
-				grantPtr: make([]int, ports), acceptPtr: make([]int, ports)}
-			var got, want []admission
-			slot, id := uint64(0), uint64(0)
-			for op := 0; op < 600; op++ {
-				switch x := rng.Intn(100); {
-				case x < 2:
-					if a, b := r.FlushQueues(nil), ref.FlushQueues(nil); a != b {
-						t.Fatalf("op %d: flushed %d cells, reference %d", op, a, b)
-					}
-				case x < 50:
-					// A burst whose size varies from a trickle to
-					// several cells per port.
-					for k := rng.Intn(2 * ports); k >= 0; k-- {
-						id++
-						c := mkCell(rng, id, rng.Intn(ports), rng.Intn(ports), int(slot))
-						twin := *c
-						twin.Payload = slices.Clone(c.Payload)
-						if r.Inject(c, slot) != ref.Inject(&twin, slot) {
-							t.Fatalf("op %d: cell %d accepted by only one router", op, id)
-						}
-					}
-				default:
-					got = append(got, stepAdmissions(r, slot, func() { r.Step(slot) })...)
-					want = append(want, stepAdmissions(ref, slot, func() { refStep(ref, oracle, slot) })...)
-					slot++
-				}
-				checkOccupancy(t, r, fmt.Sprintf("op %d", op))
-			}
-			if len(got) == 0 {
-				t.Fatal("no cell was ever admitted")
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("admitted %d cells, reference %d; sequences differ", len(got), len(want))
+			for _, queue := range []QueueDiscipline{FIFO, VOQ} {
+				t.Run("queue="+queue.String(), func(t *testing.T) {
+					gatedAdmissionMatchesReference(t, ports, queue)
+				})
 			}
 		})
+	}
+}
+
+func gatedAdmissionMatchesReference(t *testing.T, ports int, queue QueueDiscipline) {
+	rng := rand.New(rand.NewSource(int64(ports)))
+	cfg := routerConfig(core.Banyan, ports, queue)
+	cfg.MaxQueueCells = 3
+	gate := hashGate{seed: rng.Uint64(), ports: ports}
+	cfg.Gate = gate
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := &refISLIP{ports: ports, iterations: 2,
+		grantPtr: make([]int, ports), acceptPtr: make([]int, ports)}
+	var got, want []admission
+	slot, id := uint64(0), uint64(0)
+	for op := 0; op < 600; op++ {
+		switch x := rng.Intn(100); {
+		case x < 2:
+			if a, b := r.FlushQueues(nil), ref.FlushQueues(nil); a != b {
+				t.Fatalf("op %d: flushed %d cells, reference %d", op, a, b)
+			}
+		case x < 50:
+			// A burst whose size varies from a trickle to several
+			// cells per port.
+			for k := rng.Intn(2 * ports); k >= 0; k-- {
+				id++
+				c := mkCell(rng, id, rng.Intn(ports), rng.Intn(ports), int(slot))
+				twin := *c
+				twin.Payload = slices.Clone(c.Payload)
+				if r.Inject(c, slot) != ref.Inject(&twin, slot) {
+					t.Fatalf("op %d: cell %d accepted by only one router", op, id)
+				}
+			}
+		default:
+			adm := stepAdmissions(r, slot, func() { r.Step(slot) })
+			for _, a := range adm {
+				if !gate.open(a.in, slot) {
+					t.Fatalf("op %d: cell %d admitted at closed port %d", op, a.cellID, a.in)
+				}
+			}
+			got = append(got, adm...)
+			want = append(want, stepAdmissions(ref, slot, func() { refStep(ref, oracle, slot) })...)
+			slot++
+		}
+		if queue == VOQ {
+			checkOccupancy(t, r, fmt.Sprintf("op %d", op))
+		}
+	}
+	if len(got) == 0 {
+		t.Fatal("no cell was ever admitted")
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("admitted %d cells, reference %d; sequences differ", len(got), len(want))
 	}
 }
