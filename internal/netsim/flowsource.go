@@ -10,16 +10,25 @@ import (
 )
 
 // FlowSource is the per-hop injection seam of the network kernel: one
-// instance drives one flow's arrival process. The kernel calls Inject
-// exactly once per flow per slot, in ascending slot order, and injects
-// a fresh cell at the flow's source edge whenever it returns true.
+// instance drives one flow's arrival process, a block of BlockSlots
+// slots at a time. Bit i of NextBlock(first) is the arrival decision
+// for slot first+i; the kernel injects a fresh cell at the flow's
+// source edge in every slot whose bit is set.
 //
-// Implementations must be deterministic functions of their construction
-// seed and the slot sequence, and must not allocate in Inject — it runs
-// on the slot hot path of every shard.
+// The owning shard calls NextBlock once per block, in ascending block
+// order with first a multiple of BlockSlots, from the block of the
+// network's first slot on. The mask must be a pure function of the
+// construction seed and the slots decided so far, and NextBlock must
+// not allocate: it runs on the slot hot path of every shard. Deciding
+// a block at once is exact because arrivals are exogenous: no source
+// reads simulation state, so the k-th slot's draws are the same
+// whether they run one per slot or 64 in a row.
 type FlowSource interface {
-	Inject(slot uint64) bool
+	NextBlock(first uint64) uint64
 }
+
+// BlockSlots is the number of slots one NextBlock call decides.
+const BlockSlots = 64
 
 // FlowSourceFactory builds one flow's source. f is the routed flow
 // (Rate is the flow's demand in cells/slot), index its position in the
@@ -162,7 +171,16 @@ func newBernoulliSource(rate float64, seed int64) *bernoulliSource {
 	return &bernoulliSource{rate: rate, stream: flowStream(seed)}
 }
 
-func (s *bernoulliSource) Inject(slot uint64) bool { return s.stream.Float64() < s.rate }
+func (s *bernoulliSource) NextBlock(uint64) uint64 {
+	st, rate := s.stream, s.rate
+	var m uint64
+	for i := 0; i < BlockSlots; i++ {
+		if st.Float64() < rate {
+			m |= 1 << i
+		}
+	}
+	return m
+}
 
 // onOffSource is the bursty process: an on/off Markov chain that
 // injects every slot while ON. Mean load equals rate because the mean
@@ -184,6 +202,9 @@ func newOnOffSource(rate, meanBurst float64, seed int64) (FlowSource, error) {
 	case rate >= 1:
 		return newBernoulliSource(1, seed), nil
 	}
+	if err := traffic.CheckOnOffRate(rate, meanBurst); err != nil {
+		return nil, err
+	}
 	meanGap := meanBurst * (1 - rate) / rate
 	return &onOffSource{
 		pOnToOff: 1 / meanBurst,
@@ -192,23 +213,33 @@ func newOnOffSource(rate, meanBurst float64, seed int64) (FlowSource, error) {
 	}, nil
 }
 
-func (s *onOffSource) Inject(slot uint64) bool {
-	if s.on {
-		if s.stream.Float64() < s.pOnToOff {
-			s.on = false
+func (s *onOffSource) NextBlock(uint64) uint64 {
+	st, on := s.stream, s.on
+	var m uint64
+	for i := 0; i < BlockSlots; i++ {
+		if on {
+			if st.Float64() < s.pOnToOff {
+				on = false
+			}
+		} else if st.Float64() < s.pOffToOn {
+			on = true
 		}
-	} else if s.stream.Float64() < s.pOffToOn {
-		s.on = true
+		if on {
+			m |= 1 << i
+		}
 	}
-	return s.on
+	s.on = on
+	return m
 }
 
 // packetSource models host traffic: variable-size packets (the classic
 // 40/576/1500-byte trimodal mix) are segmented into cells that leave
 // back to back, one per slot, so a long packet occupies its flow for
 // several consecutive slots — segmentation crossing every hop of the
-// path. Packet arrivals are thinned so the mean cell load equals the
-// flow's rate.
+// path. A packet can start only in a slot the flow is idle, so the
+// per-idle-slot arrival probability p is set so that the mean cell
+// load, p·E[L]/(1−p+p·E[L]) for a mean packet of E[L] cells, equals
+// the flow's rate.
 type packetSource struct {
 	pArrival float64
 	cells    []int // cells per packet variant
@@ -229,31 +260,37 @@ func newPacketSource(rate float64, cellBits int, seed int64) (FlowSource, error)
 		mean += probs[i] * float64(cells[i])
 	}
 	return &packetSource{
-		pArrival: rate / mean,
+		pArrival: rate / (mean*(1-rate) + rate),
 		cells:    cells,
 		probs:    probs,
 		stream:   flowStream(seed),
 	}, nil
 }
 
-func (s *packetSource) Inject(slot uint64) bool {
-	if s.queued == 0 && s.stream.Float64() < s.pArrival {
-		r := s.stream.Float64()
-		acc := 0.0
-		s.queued = s.cells[len(s.cells)-1]
-		for i, p := range s.probs {
-			acc += p
-			if r < acc {
-				s.queued = s.cells[i]
-				break
-			}
+func (s *packetSource) NextBlock(uint64) uint64 {
+	var m uint64
+	for i := 0; i < BlockSlots; i++ {
+		if s.queued == 0 && s.stream.Float64() < s.pArrival {
+			s.queued = s.packetCells(s.stream.Float64())
+		}
+		if s.queued > 0 {
+			s.queued--
+			m |= 1 << i
 		}
 	}
-	if s.queued > 0 {
-		s.queued--
-		return true
+	return m
+}
+
+// packetCells maps a uniform draw r onto a packet size in cells.
+func (s *packetSource) packetCells(r float64) int {
+	acc := 0.0
+	for i, p := range s.probs {
+		acc += p
+		if r < acc {
+			return s.cells[i]
+		}
 	}
-	return false
+	return s.cells[len(s.cells)-1]
 }
 
 // traceIndex precomputes a trace's per-source-port injection slots so
@@ -300,13 +337,22 @@ type traceSource struct {
 	pos    int
 }
 
-func (s *traceSource) Inject(slot uint64) bool {
-	t := slot % s.period
-	if t == 0 {
-		s.pos = 0
+func (s *traceSource) NextBlock(first uint64) uint64 {
+	var m uint64
+	t := first % s.period
+	for i := 0; i < BlockSlots; i++ {
+		if t == 0 {
+			s.pos = 0
+		}
+		for s.pos < len(s.slots) && s.slots[s.pos] < t {
+			s.pos++
+		}
+		if s.pos < len(s.slots) && s.slots[s.pos] == t {
+			m |= 1 << i
+		}
+		if t++; t == s.period {
+			t = 0
+		}
 	}
-	for s.pos < len(s.slots) && s.slots[s.pos] < t {
-		s.pos++
-	}
-	return s.pos < len(s.slots) && s.slots[s.pos] == t
+	return m
 }

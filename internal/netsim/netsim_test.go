@@ -601,11 +601,15 @@ type cutoffSource struct {
 	cutoff uint64
 }
 
-func (s *cutoffSource) Inject(slot uint64) bool {
-	if slot >= s.cutoff {
-		return false
+func (s *cutoffSource) NextBlock(first uint64) uint64 {
+	if first >= s.cutoff {
+		return 0
 	}
-	return s.inner.Inject(slot)
+	m := s.inner.NextBlock(first)
+	if k := s.cutoff - first; k < BlockSlots {
+		m &= 1<<k - 1
+	}
+	return m
 }
 
 // TestNetworkRouterSlotAllocationFree extends the single-device
@@ -800,7 +804,15 @@ func TestNetworkCustomFlowSource(t *testing.T) {
 
 type everyThird struct{}
 
-func (everyThird) Inject(slot uint64) bool { return slot%3 == 0 }
+func (everyThird) NextBlock(first uint64) uint64 {
+	var m uint64
+	for i := uint64(0); i < BlockSlots; i++ {
+		if (first+i)%3 == 0 {
+			m |= 1 << i
+		}
+	}
+	return m
+}
 
 // TestNetworkUnknownTrafficKind: name resolution fails loudly.
 func TestNetworkUnknownTrafficKind(t *testing.T) {

@@ -284,6 +284,8 @@ type Network struct {
 	payload []*rng.Stream
 	nextID  []uint64
 
+	arrivals []nodeArrivals // per node, owned by the node's shard
+
 	nodeFlows   [][]int32        // flows sourced at each node, ascending
 	nodeInLinks [][]int32        // incoming link indices per node, ascending
 	outbox      [][]*packet.Cell // staged transit cells per node
@@ -380,6 +382,7 @@ func New(cfg Config) (*Network, error) {
 		srcs:        srcs,
 		payload:     make([]*rng.Stream, len(flows)),
 		nextID:      make([]uint64, len(flows)),
+		arrivals:    make([]nodeArrivals, t.Nodes),
 		nodeFlows:   make([][]int32, t.Nodes),
 		nodeInLinks: make([][]int32, t.Nodes),
 		outbox:      make([][]*packet.Cell, t.Nodes),
@@ -391,6 +394,10 @@ func New(cfg Config) (*Network, error) {
 	for fi := range flows {
 		n.payload[fi] = flowStream(flowSeed(cfg.Seed, fi, saltPayload))
 		n.nodeFlows[flows[fi].Src] = append(n.nodeFlows[flows[fi].Src], int32(fi))
+	}
+	masks := make([]uint64, len(flows))
+	for u, fs := range n.nodeFlows {
+		n.arrivals[u].flows, masks = masks[:len(fs):len(fs)], masks[len(fs):]
 	}
 	for li := range n.links {
 		if c := t.Links[li].Capacity; c < 1 {
@@ -742,19 +749,26 @@ func (n *Network) linksPending(u int) bool {
 	return false
 }
 
-// injectNode draws each locally sourced flow's arrival process and
-// injects fresh cells at the flow's source edge port. It reports
-// whether any cell was presented to the router this slot — an arrival
-// makes the node active regardless of its previous state.
+// injectNode injects fresh cells at the source edge port of every
+// locally sourced flow whose arrival bit is set for this slot, in
+// ascending flow order. It reports whether any cell was presented to
+// the router this slot — an arrival makes the node active regardless
+// of its previous state.
 func (n *Network) injectNode(s *shard, u int, slot uint64) (arrived bool) {
-	for _, fi := range n.nodeFlows[u] {
-		f := &n.flows[fi]
-		// The arrival process always ticks — fault state must not
-		// perturb the injection stream, or runs with different plans
-		// would see different traffic.
-		if !n.srcs[fi].Inject(slot) {
+	a := &n.arrivals[u]
+	if blk := slot/BlockSlots + 1; a.block != blk {
+		a.block = blk
+		n.nextBlock(u, slot-slot%BlockSlots)
+	}
+	bit := uint64(1) << (slot % BlockSlots)
+	if a.any&bit == 0 {
+		return false
+	}
+	for j, fi := range n.nodeFlows[u] {
+		if a.flows[j]&bit == 0 {
 			continue
 		}
+		f := &n.flows[fi]
 		n.nextID[fi]++
 		s.offered++
 		if n.fail != nil {
@@ -784,6 +798,30 @@ func (n *Network) injectNode(s *shard, u int, slot uint64) (arrived bool) {
 		arrived = true
 	}
 	return arrived
+}
+
+// nodeArrivals holds one node's arrival decisions for the current
+// 64-slot block: bit i of flows[j] is flow nodeFlows[u][j]'s decision
+// for slot block·64+i, and any ORs them.
+type nodeArrivals struct {
+	block uint64 // the loaded block plus one; 0 before the first
+	any   uint64
+	flows []uint64
+}
+
+// nextBlock decides node u's arrivals for the block starting at slot
+// first, one source after another in flow order, so each source's
+// stream stays in cache for its whole block. Every source decides
+// every block whatever the fault or queue state — fault state must not
+// perturb the injection streams, or runs with different plans would
+// see different traffic.
+func (n *Network) nextBlock(u int, first uint64) {
+	a := &n.arrivals[u]
+	a.any = 0
+	for j, fi := range n.nodeFlows[u] {
+		a.flows[j] = n.srcs[fi].NextBlock(first)
+		a.any |= a.flows[j]
+	}
 }
 
 // drainInLinks moves cells from node u's incoming links into its

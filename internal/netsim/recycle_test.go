@@ -7,6 +7,7 @@ import (
 	"fabricpower/internal/core"
 	"fabricpower/internal/packet"
 	"fabricpower/internal/router"
+	"fabricpower/internal/traffic"
 )
 
 // TestNetworkLiveTrafficAllocationFree pins the network kernel at zero
@@ -16,8 +17,16 @@ import (
 // to carve fresh cells (two allocations per 64 cells) cannot round
 // away. The one-way case sends every flow from shard 0's hosts to
 // shard 1's: shard 1 releases every cell shard 0 injects, so only the
-// barrier's pool rebalancing keeps shard 0 from allocating.
+// barrier's pool rebalancing keeps shard 0 from allocating. Every
+// built-in traffic kind runs, so each block source is pinned
+// allocation-free with injection live.
 func TestNetworkLiveTrafficAllocationFree(t *testing.T) {
+	kinds := []Traffic{
+		{Kind: "uniform"},
+		{Kind: "bursty"},
+		{Kind: "packet"},
+		{Kind: "trace", Trace: traffic.Record(mustInjector(t), 200)},
+	}
 	cases := []struct {
 		name   string
 		shards int
@@ -33,31 +42,40 @@ func TestNetworkLiveTrafficAllocationFree(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			topo, err := FatTree2(2, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := testConfig(topo)
-			cfg.Load = 0.3
-			cfg.Shards = tc.shards
-			cfg.Flows = tc.flows
-			cfg.Partition = tc.part
-			net, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer net.Close()
-			slot := uint64(0)
-			for ; slot < 2000; slot++ {
-				net.Step(slot)
-			}
-			allocs := testing.AllocsPerRun(100, func() {
-				for end := slot + 64; slot < end; slot++ {
-					net.Step(slot)
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("live traffic allocates %.2f times per 64 slots, want 0", allocs)
+			for _, kind := range kinds {
+				t.Run("kind="+kind.Kind, func(t *testing.T) {
+					topo, err := FatTree2(2, 4)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg := testConfig(topo)
+					cfg.Load = 0.3
+					cfg.Shards = tc.shards
+					cfg.Flows = tc.flows
+					cfg.Partition = tc.part
+					cfg.Traffic = kind
+					net, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer net.Close()
+					slot := uint64(0)
+					for ; slot < 2000; slot++ {
+						net.Step(slot)
+					}
+					offered := net.offered()
+					allocs := testing.AllocsPerRun(100, func() {
+						for end := slot + 64; slot < end; slot++ {
+							net.Step(slot)
+						}
+					})
+					if allocs != 0 {
+						t.Errorf("live traffic allocates %.2f times per 64 slots, want 0", allocs)
+					}
+					if net.offered() == offered {
+						t.Error("no cell was offered while measuring; the pin needs live injection")
+					}
+				})
 			}
 		})
 	}
@@ -117,4 +135,13 @@ func TestNetworkNeverReadsReleasedCells(t *testing.T) {
 			t.Errorf("shards=%d: recycling, dropping and poisoning released cells give different reports", shards)
 		}
 	}
+}
+
+// offered sums the shards' offered-cell counters.
+func (n *Network) offered() uint64 {
+	var sum uint64
+	for w := range n.shards {
+		sum += n.shards[w].offered
+	}
+	return sum
 }

@@ -179,6 +179,9 @@ func NewOnOffInjector(ports int, meanBurst, load float64, cfg packet.Config, pat
 	if load <= 0 || load >= 1 {
 		return nil, fmt.Errorf("traffic: bursty load must be in (0,1), got %g", load)
 	}
+	if err := CheckOnOffRate(load, meanBurst); err != nil {
+		return nil, fmt.Errorf("traffic: %w", err)
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -198,6 +201,18 @@ func NewOnOffInjector(ports int, meanBurst, load float64, cfg packet.Config, pat
 		rnd:      rand.New(stream),
 		pool:     packet.NewPool(cfg.Words(), 0),
 	}, nil
+}
+
+// CheckOnOffRate rejects a rate an on/off source with the given mean
+// burst cannot reach. The mean gap meanBurst·(1−rate)/rate falls below
+// one slot once rate > meanBurst/(meanBurst+1); the OFF→ON probability
+// 1/meanGap then exceeds 1, and the realized load would silently cap
+// at that bound.
+func CheckOnOffRate(rate, meanBurst float64) error {
+	if bound := meanBurst / (meanBurst + 1); rate > bound {
+		return fmt.Errorf("bursty rate %g is unreachable with mean burst %g slots: the largest reachable rate is %g", rate, meanBurst, bound)
+	}
+	return nil
 }
 
 // Generate returns this slot's injected cells.

@@ -2,8 +2,10 @@ package traffic
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -194,6 +196,51 @@ func TestOnOffValidation(t *testing.T) {
 	}
 	if _, err := NewOnOffInjector(4, 10, 1, cfg(), nil, 1); err == nil {
 		t.Error("load 1 should fail")
+	}
+}
+
+// TestOnOffInjectorReachableLoads: a load above meanBurst/(meanBurst+1)
+// needs an OFF→ON probability above 1, so the injector refuses it with
+// an error naming the load, the burst and the bound; a reachable load
+// up to the bound is realized.
+func TestOnOffInjectorReachableLoads(t *testing.T) {
+	cases := []struct {
+		load, burst float64
+		bound       string // "" when the load is reachable
+	}{
+		{load: 0.8, burst: 1, bound: "0.5"},
+		{load: 0.95, burst: 10, bound: "0.909"},
+		{load: 0.93, burst: 12, bound: "0.923"},
+		{load: 0.5, burst: 1},
+		{load: 0.9, burst: 10},
+		{load: 0.75, burst: 3},
+	}
+	for _, tc := range cases {
+		in, err := NewOnOffInjector(4, tc.burst, tc.load, cfg(), nil, 3)
+		if tc.bound != "" {
+			if err == nil {
+				t.Errorf("load %g burst %g: accepted an unreachable load", tc.load, tc.burst)
+				continue
+			}
+			for _, want := range []string{fmt.Sprint(tc.load), fmt.Sprint(tc.burst), tc.bound} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("load %g burst %g: error %q does not name %s", tc.load, tc.burst, err, want)
+				}
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("load %g burst %g: %v", tc.load, tc.burst, err)
+			continue
+		}
+		const slots = 50000
+		count := 0
+		for s := uint64(0); s < slots; s++ {
+			count += len(in.Generate(s))
+		}
+		if got := float64(count) / (slots * 4); math.Abs(got-tc.load) > 0.03*tc.load {
+			t.Errorf("load %g burst %g: realized %.4f, want within 3%%", tc.load, tc.burst, got)
+		}
 	}
 }
 

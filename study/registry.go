@@ -27,7 +27,10 @@ type Injection struct {
 // TrafficSource is the public face of a pluggable traffic generator:
 // each slot it emits zero or more injections (at most one per port is
 // admitted by the ingress). Implementations must be deterministic
-// functions of their construction seed and the slot sequence.
+// functions of their construction seed and the slot sequence, and must
+// not read simulation state: a network run asks each flow's source
+// about a 64-slot block of slots at once, ahead of the slots it
+// simulates.
 type TrafficSource interface {
 	Cells(slot uint64, emit func(Injection))
 }
@@ -375,8 +378,9 @@ func builtinGenerator(spec TrafficSpec, ports int, cfg packet.Config, seed int64
 // flowSourceAdapter lifts a per-port TrafficSource into the network
 // kernel's per-flow seam: the source is constructed as a 1-port view
 // of one flow, and any cell it emits in a slot injects one cell on
-// that flow. The emit callback is bound once at construction so
-// Inject stays allocation-free on the slot hot path.
+// that flow. NextBlock asks the source about each slot of the block in
+// turn. The emit callback is bound once at construction so NextBlock
+// stays allocation-free on the slot hot path.
 type flowSourceAdapter struct {
 	src   TrafficSource
 	mark  func(Injection)
@@ -389,10 +393,16 @@ func newFlowSourceAdapter(src TrafficSource) *flowSourceAdapter {
 	return a
 }
 
-func (a *flowSourceAdapter) Inject(slot uint64) bool {
-	a.fired = false
-	a.src.Cells(slot, a.mark)
-	return a.fired
+func (a *flowSourceAdapter) NextBlock(first uint64) uint64 {
+	var m uint64
+	for i := uint64(0); i < netsim.BlockSlots; i++ {
+		a.fired = false
+		a.src.Cells(first+i, a.mark)
+		if a.fired {
+			m |= 1 << i
+		}
+	}
+	return m
 }
 
 // networkTraffic resolves a scenario's traffic block into the network
