@@ -11,8 +11,9 @@
 // stops parsing at the first positional argument.
 //
 // Each benchmark becomes one object; `pkg:` context lines from
-// multi-package runs attribute every benchmark to its package. Lines
-// that are not benchmark results (PASS, ok, goos, ...) are skipped.
+// multi-package runs attribute every benchmark to its package, and the
+// block's `cpu:` line records the machine it ran on. Lines that are
+// not benchmark results (PASS, ok, goos, ...) are skipped.
 // Repeated lines of one benchmark (same package, name and procs, as
 // `go test -count N` prints them) fold into one object: ns/op is their
 // median, ns_per_op_min/ns_per_op_max their spread and samples their
@@ -23,7 +24,9 @@
 // against a fresh run), prints a per-benchmark delta table, and exits
 // nonzero when any ns/op regressed by more than -threshold percent.
 // Benchmarks present in only one file are reported but never fail the
-// comparison, so adding or renaming benchmarks does not break CI.
+// comparison, so adding or renaming benchmarks does not break CI. When
+// the two files name different CPUs (or one names none) the table
+// opens with a warning: its deltas then compare machines, not code.
 package main
 
 import (
@@ -45,6 +48,7 @@ import (
 // AllocsPerOp are the largest any sample reported.
 type Result struct {
 	Package     string  `json:"package,omitempty"`
+	CPU         string  `json:"cpu,omitempty"`
 	Name        string  `json:"name"`
 	Procs       int     `json:"procs"`
 	Iterations  int64   `json:"iterations"`
@@ -150,10 +154,12 @@ type Delta struct {
 	OnlyNew   bool
 }
 
-// Comparison is the full old-vs-new diff, sorted by key.
+// Comparison is the full old-vs-new diff, sorted by key, with the CPU
+// each side ran on.
 type Comparison struct {
-	Deltas    []Delta
-	Threshold float64
+	Deltas         []Delta
+	Threshold      float64
+	OldCPU, NewCPU string
 }
 
 // Compare matches results by package+name+procs and computes ns/op
@@ -196,7 +202,22 @@ func Compare(oldR, newR []Result, threshold float64, match *regexp.Regexp) Compa
 		}
 	}
 	sort.Slice(deltas, func(i, j int) bool { return deltas[i].Key < deltas[j].Key })
-	return Comparison{Deltas: deltas, Threshold: threshold}
+	return Comparison{Deltas: deltas, Threshold: threshold, OldCPU: cpus(oldR, keep), NewCPU: cpus(newR, keep)}
+}
+
+// cpus lists the distinct CPU strings of the kept results, sorted and
+// joined by "; " ("" when none recorded one).
+func cpus(rs []Result, keep func(Result) bool) string {
+	var names []string
+	seen := make(map[string]bool)
+	for _, r := range rs {
+		if keep(r) && r.CPU != "" && !seen[r.CPU] {
+			seen[r.CPU] = true
+			names = append(names, r.CPU)
+		}
+	}
+	sort.Strings(names)
+	return strings.Join(names, "; ")
 }
 
 // Regressions returns the deltas beyond the threshold.
@@ -210,8 +231,19 @@ func (c Comparison) Regressions() []Delta {
 	return out
 }
 
-// Render writes the per-benchmark delta table.
+// Render writes the per-benchmark delta table, after a warning when the
+// two sides ran on different (or unrecorded) CPUs.
 func (c Comparison) Render(w io.Writer) {
+	if c.OldCPU != c.NewCPU {
+		unrecorded := func(s string) string {
+			if s == "" {
+				return "unrecorded"
+			}
+			return s
+		}
+		fmt.Fprintf(w, "warning: baseline CPU (%s) differs from new CPU (%s); the deltas compare machines as well as code\n",
+			unrecorded(c.OldCPU), unrecorded(c.NewCPU))
+	}
 	for _, d := range c.Deltas {
 		switch {
 		case d.OnlyOld:
@@ -282,12 +314,17 @@ func group(lines []Result) []Result {
 // parseLines returns every benchmark line of `go test -bench` output.
 func parseLines(r io.Reader) ([]Result, error) {
 	results := []Result{}
-	pkg := ""
+	pkg, cpu := "", ""
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if rest, ok := strings.CutPrefix(line, "pkg: "); ok {
-			pkg = rest
+			// A new package block; its cpu: line, if any, follows.
+			pkg, cpu = rest, ""
+			continue
+		}
+		if rest, ok := strings.CutPrefix(line, "cpu: "); ok {
+			cpu = rest
 			continue
 		}
 		if !strings.HasPrefix(line, "Benchmark") {
@@ -297,7 +334,7 @@ func parseLines(r io.Reader) ([]Result, error) {
 		if !ok {
 			continue
 		}
-		res.Package = pkg
+		res.Package, res.CPU = pkg, cpu
 		results = append(results, res)
 	}
 	return results, sc.Err()

@@ -51,6 +51,59 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParseCPU: each record carries its package block's cpu: line,
+// a block without one records none, and an empty CPU stays out of the
+// JSON.
+func TestParseCPU(t *testing.T) {
+	results, err := Parse(strings.NewReader(sampleBenchOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"Fake CPU @ 3.00GHz", "Fake CPU @ 3.00GHz", ""} {
+		if results[i].CPU != want {
+			t.Errorf("result %d (%s) cpu = %q, want %q", i, results[i].Name, results[i].CPU, want)
+		}
+	}
+	data, err := json.Marshal(results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(data), `"cpu":`); n != 2 {
+		t.Errorf("JSON carries %d cpu fields, want 2 (omitted when empty):\n%s", n, data)
+	}
+}
+
+// TestCompareWarnsOnCPUChange: a compare across machines, or against a
+// baseline that recorded none, opens with a warning; a same-machine
+// compare does not. The warning never fails the gate.
+func TestCompareWarnsOnCPUChange(t *testing.T) {
+	at := func(cpu string, ns float64) []Result {
+		return []Result{{Name: "BenchmarkX", Procs: 2, CPU: cpu, NsPerOp: ns}}
+	}
+	for _, tc := range []struct {
+		old, new string
+		warn     bool
+	}{
+		{"Xeon", "Xeon", false},
+		{"Xeon", "EPYC", true},
+		{"", "Xeon", true},
+		{"", "", false},
+	} {
+		cmp := Compare(at(tc.old, 100), at(tc.new, 100), 15, nil)
+		var out strings.Builder
+		cmp.Render(&out)
+		if got := strings.HasPrefix(out.String(), "warning: baseline CPU"); got != tc.warn {
+			t.Errorf("old %q new %q: warning %v, want %v:\n%s", tc.old, tc.new, got, tc.warn, out.String())
+		}
+		if tc.old == "" && tc.warn && !strings.Contains(out.String(), "(unrecorded)") {
+			t.Errorf("missing baseline CPU not named unrecorded:\n%s", out.String())
+		}
+		if len(cmp.Regressions()) != 0 {
+			t.Errorf("old %q new %q: equal ns/op regressed", tc.old, tc.new)
+		}
+	}
+}
+
 // countBenchOutput is `go test -count` output: three samples of
 // BenchmarkA, four of BenchmarkB, BenchmarkA again in a second package
 // and at another GOMAXPROCS, and a single-sample BenchmarkC.

@@ -48,9 +48,8 @@ func main() {
 				Network: &fpstudy.NetworkSpec{
 					Nodes: 4, // leaves; BuildTopology adds 2 spines
 					// A sharded kernel: each network steps its routers
-					// on one shard per core with the deterministic
-					// two-phase barrier — the results are bit-identical
-					// to a single shard.
+					// on one shard per core, one fork-join per slot —
+					// the results are bit-identical to a single shard.
 					Shards: -1,
 				},
 			},

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"fabricpower/internal/core"
@@ -308,6 +309,123 @@ func TestConsolidateConcentrates(t *testing.T) {
 	}
 	if !sUsed[0] || !sUsed[1] {
 		t.Error("shortest-path routing left a spine unused; spread broken")
+	}
+}
+
+// perHopConsolidate is the reference form of Consolidate.Route: fresh
+// search arrays per flow, and every relaxation looks its link up with
+// LinkIndex instead of reading the adjacency's parallel link index.
+func perHopConsolidate(c Consolidate, t *Topology, flows []Flow) [][]int {
+	c = c.withDefaults()
+	paths := make([][]int, len(flows))
+	linkRate := make([]float64, len(t.Links))
+	nodeUsed := make([]bool, t.Nodes)
+	for _, f := range flows {
+		nodeUsed[f.Src] = true
+		nodeUsed[f.Dst] = true
+	}
+	for _, fi := range sortFlowsForRouting(flows) {
+		f := &flows[fi]
+		dist := make([]float64, t.Nodes)
+		prev := make([]int, t.Nodes)
+		done := make([]bool, t.Nodes)
+		for i := range dist {
+			dist[i] = math.MaxFloat64
+			prev[i] = -1
+		}
+		dist[f.Src] = 0
+		for {
+			u, best := -1, math.MaxFloat64
+			for i := 0; i < t.Nodes; i++ {
+				if !done[i] && dist[i] < best {
+					u, best = i, dist[i]
+				}
+			}
+			if u < 0 || u == f.Dst {
+				break
+			}
+			done[u] = true
+			for _, v := range t.Neighbors(u) {
+				if done[v] {
+					continue
+				}
+				li := t.LinkIndex(u, v)
+				cost := 1.0
+				if !nodeUsed[v] {
+					cost += c.NodeWakeCost
+				}
+				if linkRate[li] == 0 {
+					cost += c.LinkWakeCost
+				}
+				if linkRate[li]+f.Rate > c.CapacityFraction*float64(t.Links[li].Capacity) {
+					cost += c.OverloadCost
+				}
+				if d := dist[u] + cost; d < dist[v] {
+					dist[v] = d
+					prev[v] = u
+				}
+			}
+		}
+		var rev []int
+		for u := f.Dst; u >= 0; u = prev[u] {
+			rev = append(rev, u)
+		}
+		path := make([]int, len(rev))
+		for i, u := range rev {
+			path[len(rev)-1-i] = u
+		}
+		paths[fi] = path
+		for h := 0; h+1 < len(path); h++ {
+			nodeUsed[path[h]] = true
+			nodeUsed[path[h+1]] = true
+			linkRate[t.LinkIndex(path[h], path[h+1])] += f.Rate
+		}
+	}
+	return paths
+}
+
+// TestConsolidateMatchesPerHopLinkIndex routes every built-in topology
+// shape (and the 64-router benchmark fat-tree, and one with faster
+// links) at several loads and tunings, and demands the exact paths of
+// the per-hop LinkIndex reference.
+func TestConsolidateMatchesPerHopLinkIndex(t *testing.T) {
+	builds := map[string]func() (*Topology, error){
+		"chain":     func() (*Topology, error) { return Chain(6) },
+		"ring":      func() (*Topology, error) { return Ring(7) },
+		"star":      func() (*Topology, error) { return Star(6) },
+		"fattree":   func() (*Topology, error) { return FatTree2(4, 8) },
+		"fattree64": func() (*Topology, error) { return FatTree2(21, 43) },
+		"fattree-fast": func() (*Topology, error) {
+			topo, err := FatTree2(3, 6)
+			if err == nil {
+				for li := range topo.Links {
+					topo.Links[li].Capacity = 1 + li%3
+				}
+			}
+			return topo, err
+		},
+	}
+	tunings := []Consolidate{{}, {NodeWakeCost: 3, LinkWakeCost: 0.5, CapacityFraction: 0.5, OverloadCost: 2}}
+	for name, build := range builds {
+		topo, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, load := range []float64{0.05, 0.2, 0.6} {
+			flows, err := buildFlows(topo, UniformMatrix{}, load)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ci, c := range tunings {
+				got, err := c.Route(topo, flows)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := perHopConsolidate(c, topo, flows); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s load %g tuning %d: paths differ from the per-hop LinkIndex reference", name, load, ci)
+				}
+			}
+		}
 	}
 }
 
@@ -616,7 +734,7 @@ func (s *cutoffSource) NextBlock(first uint64) uint64 {
 // hot-path guarantee to the network kernel, sequential and sharded
 // alike: stepping every managed router, forwarding its delivered cells
 // (ring-buffer links, flow state carried in the cells, reused
-// outboxes) and running the two-phase barrier must not touch the
+// outboxes) and running the per-slot fork-join must not touch the
 // allocator. This is the drained-network pin: the (non-Bernoulli,
 // bursty) sources are cut off after warmup.
 // TestNetworkLiveTrafficAllocationFree pins the same with injection
@@ -718,6 +836,37 @@ func TestNetworkShardDeterminism(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestShardedRunYields: a sharded slot can finish without blocking —
+// the coordinator may claim every shard itself — so Run must still
+// hand the processor over. With one processor, a goroutine started
+// just before a 2-shard Run has to get to run before Run delivers its
+// last telemetry sample; a short run ends well inside the runtime's
+// 10 ms preemption tick, so only Run's own yields can let it in.
+func TestShardedRunYields(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	topo, err := Ring(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ran atomic.Bool
+	ranBeforeLast := false
+	cfg := telTestConfig(topo)
+	cfg.Shards = 2
+	cfg.Telemetry = &TelemetryConfig{Every: 50, OnSample: func(*TelemetrySample) { ranBeforeLast = ran.Load() }}
+	net, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	go ran.Store(true)
+	if _, err := net.Run(50, 150); err != nil {
+		t.Fatal(err)
+	}
+	if !ranBeforeLast {
+		t.Error("a goroutine started before a 2-shard Run had not run by its last telemetry sample")
 	}
 }
 
@@ -876,7 +1025,7 @@ func bench64Topology(tb testing.TB) *Topology {
 	return topo
 }
 
-// BenchmarkNetworkStepSharded measures the two-phase kernel on a
+// BenchmarkNetworkStepSharded measures the fork-join kernel on a
 // 64-router backbone, sequential versus one shard per core — the
 // scale-pass speedup the sharding exists for — and, per shard count,
 // with the telemetry collector and the execution profiler detached
@@ -969,6 +1118,43 @@ func BenchmarkNetworkStepSharded(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkNetworkStepJoin is the netsim/step rung where per-slot
+// coordination dominates: the 64-router fat-tree at 5% bursty
+// permutation load, where nearly every node-slot takes the idle path,
+// stepped by one shard and by two. Results are identical for both; the
+// ratio between them is the price (or gain) of the per-slot fork-join
+// on the machine at hand.
+func BenchmarkNetworkStepJoin(b *testing.B) {
+	for _, shards := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			model := core.PaperModel()
+			model.Static = core.DefaultStaticPower()
+			topo := bench64FatTree(b)
+			cfg := testConfig(topo)
+			cfg.Model = model
+			cfg.Policy = "idlegate"
+			cfg.Flows = permutationFlows(topo, 0.05)
+			cfg.Traffic = Traffic{Kind: "bursty"}
+			cfg.Shards = shards
+			net, err := New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer net.Close()
+			slot := uint64(0)
+			for ; slot < 100; slot++ {
+				net.Step(slot)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				net.Step(slot)
+				slot++
+			}
+		})
 	}
 }
 

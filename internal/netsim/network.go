@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"fabricpower/internal/core"
 	"fabricpower/internal/dpm"
@@ -77,13 +79,16 @@ type Config struct {
 	// profiler-free fast path, and a traced run's results are
 	// bit-identical — the profiler observes wall-clock time only.
 	Trace *TraceConfig
-	// Shards partitions the routers across worker goroutines stepping
-	// the network with a deterministic two-phase (compute/exchange)
-	// barrier: phase 1 injects, drains incoming links and steps each
-	// shard's routers; phase 2 exchanges staged cells onto the link
-	// queues. Results are bit-identical for any shard count. 0 or 1
-	// runs single-threaded; negative uses GOMAXPROCS. Sharded networks
-	// hold worker goroutines — call Close when done with one.
+	// Shards partitions the routers into that many shards. Each slot's
+	// compute phase (inject, drain incoming links, step the routers)
+	// runs as one fork-join: the goroutine calling Step and Shards−1
+	// worker goroutines claim shards until none is left, and after the
+	// join the caller exchanges each shard's staged cells onto the link
+	// queues. Results are bit-identical for any shard count; the speed
+	// depends on free cores, since on a busy or small machine the caller
+	// may compute every shard itself. 0 or 1 runs single-threaded;
+	// negative uses GOMAXPROCS. Sharded networks hold worker goroutines —
+	// call Close when done with one.
 	Shards int
 	// Partition overrides the node→shard assignment: Partition[u] is
 	// the shard owning node u, with values in [0, effective shard
@@ -135,9 +140,9 @@ func (c Config) withDefaults() Config {
 // instead of a modulo, and the hot paths move cells in blocks: drains
 // walk contiguous segment views and fills reserve runs, instead of
 // popping and pushing cell-at-a-time. Each queue has exactly one
-// writer per phase: the destination's shard pops in the compute phase,
-// the source's shard pushes in the exchange phase, and the barrier
-// between the phases orders them.
+// writer per phase: the claimant of the destination's shard pops in
+// the compute phase, the coordinator pushes for the source's shard in
+// the exchange phase, and the join between the phases orders them.
 type linkQueue struct {
 	buf        []*packet.Cell // power-of-two length
 	mask       int
@@ -254,17 +259,20 @@ type shard struct {
 // with backpressure), and steps every router — fabric transport, DPM
 // hooks and energy accounting included — in lockstep.
 //
-// With Config.Shards > 1 the routers are partitioned across worker
-// goroutines and every slot runs as two barrier-separated phases:
+// The routers are partitioned into Config.Shards shards and every slot
+// runs as two phases separated by a join:
 //
-//	compute:  each shard injects its flows, drains its routers'
-//	          incoming links and steps its routers, staging transit
-//	          cells in per-node outboxes;
-//	exchange: each shard moves its outboxes onto the link queues.
+//	compute:  the Step caller and the K−1 workers claim shards (see
+//	          forkJoin); each claimed shard injects its flows, drains
+//	          its routers' incoming links and steps its routers,
+//	          staging transit cells in per-node outboxes;
+//	exchange: after the join, the Step caller moves each shard's
+//	          outboxes onto the link queues, in shard order.
 //
 // Every piece of mutable state has exactly one owning shard per phase,
 // and all measurement counters are shard-private until merged, so the
-// results are bit-identical for any shard count.
+// results are bit-identical for any shard count — the partition only
+// decides which goroutine does the work.
 type Network struct {
 	cfg     Config
 	topo    *Topology
@@ -298,7 +306,7 @@ type Network struct {
 	nodeBusy []bool
 
 	shards     []shard
-	pool       *shardPool // nil until a sharded Step starts it
+	fork       *forkJoin // nil until the first Step
 	bufferBase []uint64
 
 	// fail is non-nil only under a non-empty fault plan; every fault
@@ -583,11 +591,11 @@ func (n *Network) Router(u int) *router.Router { return n.routers[u] }
 func (n *Network) Shards() int { return len(n.shards) }
 
 // Step advances the whole network one slot: the compute phase (source
-// injection, link draining, router stepping) followed by the exchange
-// phase (staged transit cells onto the links), across all shards.
-// Fault events are applied first, single-threaded at the slot barrier,
-// so every shard observes the same topology for the whole slot and the
-// results stay bit-identical for any shard count.
+// injection, link draining, router stepping) across all shards, joined,
+// followed by the exchange phase (staged transit cells onto the links),
+// shard by shard. Fault events are applied first, single-threaded
+// before the fork, so every shard observes the same topology for the
+// whole slot and the results stay bit-identical for any shard count.
 func (n *Network) Step(slot uint64) {
 	if n.closed {
 		panic("netsim: Step on a closed Network")
@@ -603,32 +611,30 @@ func (n *Network) Step(slot uint64) {
 	if n.prof != nil {
 		n.prof.beginSlot(slot)
 	}
-	if len(n.shards) == 1 {
-		n.computePhase(&n.shards[0], slot)
-		n.exchangePhase(&n.shards[0], slot)
-	} else {
-		if n.pool == nil {
-			n.pool = newShardPool(n)
-		}
-		n.balancePools()
-		n.pool.step(slot)
+	if n.fork == nil {
+		n.fork = newForkJoin(n)
+	}
+	n.balancePools()
+	n.fork.compute(slot)
+	for w := range n.shards {
+		n.exchangePhase(&n.shards[w], slot)
 	}
 	if n.prof != nil && n.prof.sampling {
-		// After the exchange barrier every shard's phase timings are
-		// published (the done-channel receives order them); fold the
-		// sampled slot into the profile single-threaded.
+		// The join ordered every shard's compute timings before the
+		// exchanges; fold the sampled slot into the profile.
 		n.prof.closeSlot(slot)
 	}
 }
 
-// balancePools tops up, before a sharded slot, every shard pool that
+// balancePools tops up, before each slot's fork, every shard pool that
 // could run dry this slot from the other pools' surplus. Cells return
 // to the pool of the shard where their life ends, which under
 // asymmetric traffic is not the shard that injected them; without this
 // the injecting shard would allocate forever while the other filled
 // its cap. A pool gives only what it holds beyond its own worst case,
 // so two short pools never trade the same cells back and forth. It
-// runs at the barrier, where no shard touches its pool.
+// runs on the coordinator between slots, where no shard touches its
+// pool; a lone shard has no one to trade with.
 func (n *Network) balancePools() {
 	for w := range n.shards {
 		s := &n.shards[w]
@@ -667,9 +673,9 @@ func (n *Network) Close() {
 		recycleStream(n.srcs[fi])
 	}
 	n.srcs, n.payload = nil, nil
-	if n.pool != nil {
-		n.pool.stop()
-		n.pool = nil
+	if n.fork != nil {
+		n.fork.stop()
+		n.fork = nil
 	}
 }
 
@@ -689,9 +695,10 @@ func (n *Network) computePhase(s *shard, slot uint64) {
 }
 
 // computePhaseProf is computePhase on a sampled slot: the same node
-// walk, with the shard's phase span and each node's cost timed. Only
-// the owning shard worker runs it, so every write (its track, its
-// timing slots, its nodes' cost cells) is single-writer.
+// walk, with the shard's phase span and each node's cost timed. The
+// span lands on the shard's own track whichever goroutine claimed the
+// shard; one claimant per slot makes every write (the track, the
+// timing slot, the nodes' cost cells) single-writer.
 func (n *Network) computePhaseProf(s *shard, slot uint64) {
 	p := n.prof
 	start := p.rec.Now()
@@ -704,7 +711,6 @@ func (n *Network) computePhaseProf(s *shard, slot uint64) {
 	}
 	p.tracks[s.id].EmitArg("compute", start, last, int64(slot))
 	p.computeNS[s.id] = last - start
-	p.phaseEnd[s.id] = last
 }
 
 // nodeSlot runs one node's compute-phase work: source injection,
@@ -739,7 +745,7 @@ func (n *Network) nodeSlot(s *shard, u int, slot uint64) {
 
 // linksPending reports whether any of node u's incoming links holds
 // cells. Safe to read during the compute phase: links are filled only
-// in the exchange phase, on the other side of the barrier.
+// in the exchange phase, on the other side of the join.
 func (n *Network) linksPending(u int) bool {
 	for _, li := range n.nodeInLinks[u] {
 		if n.links[li].size != 0 {
@@ -954,19 +960,15 @@ func (n *Network) stepNode(s *shard, u int, r *router.Router, slot uint64) {
 	n.nodeBusy[u] = r.QueuedCells() > 0 || r.InFlight() > 0
 }
 
-// exchangePhase runs phase 2 for one shard: each owned node's staged
-// transit cells move onto their next link, in delivery order. Only the
-// source node's shard pushes onto a link (a link has one From node), so
-// every queue keeps a single writer.
+// exchangePhase runs phase 2 for one shard on the coordinator, after
+// the join: each owned node's staged transit cells move onto their next
+// link, in delivery order. Only the source node's shard pushes onto a
+// link (a link has one From node), and dropped cells go back to that
+// shard's pool, so the shard-by-shard order cannot change a result.
 func (n *Network) exchangePhase(s *shard, slot uint64) {
 	if n.prof != nil && n.prof.sampling {
 		p := n.prof
 		start := p.rec.Now()
-		// The gap since this shard finished compute is its barrier
-		// wait for the slowest shard (plus coordinator turnaround).
-		if pe := p.phaseEnd[s.id]; pe != 0 && pe < start {
-			p.tracks[s.id].Emit("barrier", pe, start)
-		}
 		n.exchangeNodes(s)
 		end := p.rec.Now()
 		p.tracks[s.id].Emit("exchange", start, end)
@@ -1014,63 +1016,111 @@ func (n *Network) exchangeNodes(s *shard) {
 	}
 }
 
-// shardPool holds the persistent worker goroutines of a sharded
-// network. Each slot the coordinator releases every worker into the
-// compute phase, waits for all of them, then does the same for the
-// exchange phase — the channel handoffs double as the memory barrier
-// between a link queue's popper and its pusher.
-type shardPool struct {
-	start []chan phaseCmd
-	done  chan struct{}
+// forkJoin runs each slot's compute phase as one fork-join. The
+// goroutine calling Step (the coordinator) publishes the slot, wakes
+// the K−1 parked workers, and then it and any worker already awake
+// claim shards from one ticket counter until none is left; the
+// coordinator parks only if a worker still holds a shard, until that
+// worker finishes the slot's last one. Tickets are absolute — the
+// phase-th fork owns phase·K … phase·K+K−1, and a claim never moves
+// the counter past its own phase's range — so a worker waking late
+// cannot claim a shard of a later slot. The atomics and the join
+// channel order a shard's compute writes before the coordinator's
+// exchange and a link's exchange pushes before the next slot's pops.
+// With one shard there are no workers and no wait: the coordinator
+// claims the shard itself.
+type forkJoin struct {
+	n      *Network
+	k      uint64
+	slot   atomic.Uint64
+	phase  atomic.Uint64 // published phase, stored after slot; only the coordinator writes it
+	ticket atomic.Uint64 // next unclaimed shard ticket
+	left   atomic.Int64  // shards of the current phase not yet computed
+	wake   []chan struct{}
+	joined chan struct{} // the worker computing a phase's last shard reports here
+	exited sync.WaitGroup
 }
 
-type phaseCmd struct {
-	slot     uint64
-	exchange bool
-}
-
-func newShardPool(n *Network) *shardPool {
-	p := &shardPool{
-		start: make([]chan phaseCmd, len(n.shards)),
-		done:  make(chan struct{}, len(n.shards)),
+func newForkJoin(n *Network) *forkJoin {
+	k := uint64(len(n.shards))
+	f := &forkJoin{n: n, k: k, wake: make([]chan struct{}, k-1), joined: make(chan struct{}, 1)}
+	// Phase 0 is never published, so its tickets start spent.
+	f.ticket.Store(k)
+	telShardWorkers.Add(int64(len(f.wake)))
+	f.exited.Add(len(f.wake))
+	for w := range f.wake {
+		f.wake[w] = make(chan struct{}, 1)
+		go f.work(f.wake[w])
 	}
-	telShardWorkers.Add(int64(len(n.shards)))
-	for w := range n.shards {
-		p.start[w] = make(chan phaseCmd)
-		go func(w int) {
-			s := &n.shards[w]
-			for cmd := range p.start[w] {
-				if cmd.exchange {
-					n.exchangePhase(s, cmd.slot)
-				} else {
-					n.computePhase(s, cmd.slot)
-				}
-				p.done <- struct{}{}
-			}
-		}(w)
-	}
-	return p
+	return f
 }
 
-func (p *shardPool) step(slot uint64) {
-	p.run(phaseCmd{slot: slot})
-	p.run(phaseCmd{slot: slot, exchange: true})
-}
-
-func (p *shardPool) run(cmd phaseCmd) {
-	for _, ch := range p.start {
-		ch <- cmd
-	}
-	for range p.start {
-		<-p.done
+// work is one worker's loop. A wakeup may be stale — left over from a
+// slot the coordinator already finished — so the worker reads the
+// phase it joins and claims only that phase's tickets.
+func (f *forkJoin) work(wake chan struct{}) {
+	defer f.exited.Done()
+	for range wake {
+		phase := f.phase.Load()
+		if f.claim(phase, f.slot.Load()) {
+			f.joined <- struct{}{}
+		}
 	}
 }
 
-func (p *shardPool) stop() {
-	for _, ch := range p.start {
+// compute runs one slot's compute phase across every shard and returns
+// once all of them are done.
+func (f *forkJoin) compute(slot uint64) {
+	phase := f.phase.Load() + 1
+	f.slot.Store(slot)
+	f.left.Store(int64(f.k))
+	f.phase.Store(phase)
+	for _, ch := range f.wake {
+		select {
+		case ch <- struct{}{}:
+		default: // a wakeup is already pending
+		}
+	}
+	last := f.claim(phase, slot)
+	if p := f.n.prof; p != nil && p.sampling {
+		start := p.rec.Now()
+		if !last {
+			<-f.joined
+		}
+		p.joinWait(start, p.rec.Now())
+	} else if !last {
+		<-f.joined
+	}
+}
+
+// claim computes shards of the given phase until its tickets run out
+// and reports whether the caller computed the phase's last shard. A
+// worker that read a stale phase (or a slot already belonging to the
+// next one) finds that phase's tickets spent and claims nothing.
+func (f *forkJoin) claim(phase, slot uint64) (last bool) {
+	lo := phase * f.k
+	for {
+		t := f.ticket.Load()
+		if t >= lo+f.k {
+			return false
+		}
+		if !f.ticket.CompareAndSwap(t, t+1) {
+			continue
+		}
+		f.n.computePhase(&f.n.shards[t-lo], slot)
+		if f.left.Add(-1) == 0 {
+			return true
+		}
+	}
+}
+
+// stop releases the workers and returns once they have exited.
+func (f *forkJoin) stop() {
+	for _, ch := range f.wake {
 		close(ch)
 	}
-	telShardWorkers.Add(-int64(len(p.start)))
+	f.exited.Wait()
+	telShardWorkers.Add(-int64(len(f.wake)))
 }
 
 // beginMeasurement closes the warmup window on every router and ledger.
@@ -1143,14 +1193,14 @@ func (n *Network) Run(warmup, measure uint64) (*Report, error) {
 	return n.report(measure), nil
 }
 
-// yield gives up the processor every eighth slot of a single-shard
-// run. The recycling kernel never allocates, so it never enters the
-// Go runtime on its own: it would hold its processor until preempted
-// (every 10 ms) and starve goroutines sharing the process, such as
-// studyd streaming results. A sharded run blocks on its phase barrier
-// every slot, which already yields.
+// yield gives up the processor every eighth slot. The recycling kernel
+// never allocates, so it never enters the Go runtime on its own: it
+// would hold its processor until preempted (every 10 ms) and starve
+// goroutines sharing the process, such as studyd streaming results.
+// A sharded slot need not block either — the coordinator may claim
+// every shard itself — so this holds at every shard count.
 func (n *Network) yield() {
-	if len(n.shards) == 1 && n.slot%8 == 0 {
+	if n.slot%8 == 0 {
 		runtime.Gosched()
 	}
 }

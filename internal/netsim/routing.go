@@ -152,9 +152,15 @@ func (c Consolidate) Route(t *Topology, flows []Flow) ([][]int, error) {
 		nodeUsed[f.Src] = true
 		nodeUsed[f.Dst] = true
 	}
+	// One set of search arrays serves every flow; dijkstra resets them.
+	sc := dijkstraScratch{
+		dist: make([]float64, t.Nodes),
+		prev: make([]int, t.Nodes),
+		done: make([]bool, t.Nodes),
+	}
 	for _, fi := range sortFlowsForRouting(flows) {
 		f := &flows[fi]
-		path, err := c.dijkstra(t, f, linkRate, nodeUsed)
+		path, err := c.dijkstra(t, f, linkRate, nodeUsed, &sc)
 		if err != nil {
 			return nil, err
 		}
@@ -168,16 +174,23 @@ func (c Consolidate) Route(t *Topology, flows []Flow) ([][]int, error) {
 	return paths, nil
 }
 
+// dijkstraScratch holds the per-node search arrays, sized to the
+// topology and reused across the flows of one Route call.
+type dijkstraScratch struct {
+	dist []float64
+	prev []int
+	done []bool
+}
+
 // dijkstra finds the cheapest path under the consolidation costs, with
 // deterministic tie-breaks (smaller cost, then smaller node index).
-func (c Consolidate) dijkstra(t *Topology, f *Flow, linkRate []float64, nodeUsed []bool) ([]int, error) {
+func (c Consolidate) dijkstra(t *Topology, f *Flow, linkRate []float64, nodeUsed []bool, sc *dijkstraScratch) ([]int, error) {
 	const inf = math.MaxFloat64
-	dist := make([]float64, t.Nodes)
-	prev := make([]int, t.Nodes)
-	done := make([]bool, t.Nodes)
+	dist, prev, done := sc.dist, sc.prev, sc.done
 	for i := range dist {
 		dist[i] = inf
 		prev[i] = -1
+		done[i] = false
 	}
 	dist[f.Src] = 0
 	for {
@@ -194,11 +207,14 @@ func (c Consolidate) dijkstra(t *Topology, f *Flow, linkRate []float64, nodeUsed
 			break
 		}
 		done[u] = true
-		for _, v := range t.Neighbors(u) {
+		// NewTopology de-duplicates edges, so linkIdx[u][i] is exactly
+		// the link u→adj[u][i].
+		links := t.linkIdx[u]
+		for i, v := range t.adj[u] {
 			if done[v] {
 				continue
 			}
-			li := t.LinkIndex(u, v)
+			li := links[i]
 			cost := 1.0
 			if !nodeUsed[v] {
 				cost += c.NodeWakeCost
@@ -216,13 +232,13 @@ func (c Consolidate) dijkstra(t *Topology, f *Flow, linkRate []float64, nodeUsed
 			}
 		}
 	}
-	var rev []int
-	for u := f.Dst; u >= 0; u = prev[u] {
-		rev = append(rev, u)
+	hops := 0
+	for u := f.Dst; u != f.Src; u = prev[u] {
+		hops++
 	}
-	path := make([]int, len(rev))
-	for i, u := range rev {
-		path[len(rev)-1-i] = u
+	path := make([]int, hops+1)
+	for u, h := f.Dst, hops; h >= 0; u, h = prev[u], h-1 {
+		path[h] = u
 	}
 	return path, nil
 }

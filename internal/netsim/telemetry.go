@@ -298,8 +298,10 @@ func (n *Network) summarize(slot uint64) *TelemetrySummary {
 	return sum
 }
 
-// Shard-pool occupancy and construction counters on the process-wide
-// registry (expvar-visible once published).
+// Shard-worker occupancy and construction counters on the process-wide
+// registry (expvar-visible once published). A K-shard network holds
+// K−1 worker goroutines from its first Step to Close; the goroutine
+// calling Step is the K-th.
 var (
 	telShardWorkers  = telemetry.Default().Gauge("netsim.shard.workers")
 	telNetworksBuilt = telemetry.Default().Counter("netsim.networks.built")

@@ -18,11 +18,10 @@
 // lockstep and forwards delivered cells to next-hop ingress with
 // backpressure.
 //
-// The kernel shards: Config.Shards partitions the routers across
-// worker goroutines, and every slot runs as two barrier-separated
-// phases (compute, exchange) in which each piece of mutable state has
-// exactly one owning shard — so results are bit-identical for any
-// shard count, and simulations scale past hundreds of nodes. See
+// The kernel shards: Config.Shards partitions the routers, and every
+// slot runs a compute phase as one fork-join over the shards, then an
+// exchange phase, in which each piece of mutable state has exactly one
+// owning shard — so results are bit-identical for any shard count. See
 // Network for the phase contract.
 package netsim
 

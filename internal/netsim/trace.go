@@ -9,23 +9,25 @@ import (
 
 // TraceConfig attaches the execution profiler to a network: every Every
 // slots the kernel times its own phases and emits spans onto the
-// recorder — one timeline row per shard worker (compute, barrier,
-// exchange) plus a coordinator row (slot, merge) — and derives registry
-// metrics from the same measurements: per-shard busy-nanosecond
-// counters, the `netsim.shard.imbalance` gauge (interval max/mean shard
-// busy time, in permille) and the `netsim.step.barrier_wait_ns` log2
-// histogram. Per-node busy time accumulates into the cost estimate
-// ExecProfile reports — the input a cost-weighted partitioner consumes.
+// recorder — one timeline row per shard (its compute span, whichever
+// goroutine claimed the shard, and its exchange span, which the
+// coordinator runs after the join) plus a coordinator row (slot, and
+// barrier: the coordinator's wait at the join for the workers still
+// computing) — and derives registry metrics from the same measurements:
+// per-shard busy-nanosecond counters, the `netsim.shard.imbalance`
+// gauge (interval max/mean shard busy time, in permille) and the
+// `netsim.step.barrier_wait_ns` log2 histogram of the join wait.
+// Per-node busy time accumulates into the cost estimate ExecProfile
+// reports — the input a cost-weighted partitioner consumes.
 //
 // The profiler observes wall-clock time, never simulated state, so a
 // traced run's Report is bit-identical to an untraced one; and it
 // follows the fault plan's hot-loop contract: a nil TraceConfig leaves
 // the kernel on its profiler-free fast path (every profiling branch is
 // guarded and not taken, the slot loop stays 0 allocs/op). With a
-// profiler attached, each shard worker writes only its own track and
-// its own timing slots; the coordinator reads them in closeSlot, after
-// the exchange barrier, where the channel handoff has already ordered
-// the writes.
+// profiler attached, a shard's claimant writes only that shard's track
+// and timing slots; the coordinator reads them after the join, which
+// has already ordered the writes.
 type TraceConfig struct {
 	// Recorder receives the spans (required).
 	Recorder *trace.Recorder
@@ -53,25 +55,25 @@ func (tc TraceConfig) withDefaults() TraceConfig {
 const profImbalanceInterval = 16
 
 // execProf is the per-network profiling state. Ownership mirrors the
-// telemetry collector's: sampling/slotStart and everything in closeSlot
-// belong to the coordinator (single-threaded between slot barriers);
-// computeNS/exchangeNS/phaseEnd[w] and tracks[w] are written only by
-// shard w's worker during its phases; nodeBusyNS[u] only by u's owning
-// shard. The phase barriers' channel handoffs order every cross-read.
+// telemetry collector's: sampling/slotStart, the join wait, the
+// exchange timings and everything in closeSlot belong to the
+// coordinator; computeNS[w], tracks[w]'s compute span and the
+// nodeBusyNS cells of shard w's nodes belong to whichever goroutine
+// claimed shard w this slot. The join orders every cross-read.
 type execProf struct {
 	rec   *trace.Recorder
 	every uint64
 
-	tracks   []*trace.Track // one row per shard worker
-	coordTrk *trace.Track   // coordinator: slot + merge spans
+	tracks   []*trace.Track // one row per shard
+	coordTrk *trace.Track   // coordinator: slot + barrier spans
 
 	sampling  bool  // the current slot is being timed
 	slotStart int64 // recorder time at the sampled slot's start
+	waitNS    int64 // the sampled slot's join wait
 
 	// Per-shard timings for the in-flight sampled slot.
 	computeNS  []int64
 	exchangeNS []int64
-	phaseEnd   []int64
 
 	// Whole-run accumulators (coordinator-owned).
 	sampledSlots uint64
@@ -94,7 +96,6 @@ func newExecProf(n *Network) *execProf {
 		tracks:       make([]*trace.Track, len(n.shards)),
 		computeNS:    make([]int64, len(n.shards)),
 		exchangeNS:   make([]int64, len(n.shards)),
-		phaseEnd:     make([]int64, len(n.shards)),
 		shardBusyNS:  make([]uint64, len(n.shards)),
 		nodeBusyNS:   make([]uint64, n.topo.Nodes),
 		barrierWait:  make([]uint64, profBarrierBuckets),
@@ -118,26 +119,30 @@ func (p *execProf) beginSlot(slot uint64) {
 	}
 }
 
-// closeSlot runs on the coordinator after the exchange barrier of a
-// sampled slot: it folds the shard workers' phase timings into the
+// joinWait records the coordinator's wait at a sampled slot's join:
+// from running out of shards to claim until the last worker finished.
+// It is next to zero when the coordinator computed the last shard.
+func (p *execProf) joinWait(start, end int64) {
+	p.coordTrk.Emit("barrier", start, end)
+	p.waitNS = end - start
+}
+
+// closeSlot runs on the coordinator after the exchanges of a sampled
+// slot: it folds the shards' phase timings and the join wait into the
 // whole-run accumulators and the process registry, and emits the
 // coordinator's slot span. Allocation-free.
 func (p *execProf) closeSlot(slot uint64) {
 	now := p.rec.Now()
-	wall := now - p.slotStart
 	for w := range p.computeNS {
 		busy := p.computeNS[w] + p.exchangeNS[w]
 		p.shardBusyNS[w] += uint64(busy)
 		p.busyCtr[w].Add(uint64(busy))
 		p.intervalBusy[w] += busy
-		wait := wall - busy
-		if wait < 0 {
-			wait = 0
-		}
-		p.barrierWait[telemetry.Bucket(uint64(wait), len(p.barrierWait))]++
-		profBarrierHist.Observe(uint64(wait))
-		p.computeNS[w], p.exchangeNS[w], p.phaseEnd[w] = 0, 0, 0
+		p.computeNS[w], p.exchangeNS[w] = 0, 0
 	}
+	p.barrierWait[telemetry.Bucket(uint64(p.waitNS), len(p.barrierWait))]++
+	profBarrierHist.Observe(uint64(p.waitNS))
+	p.waitNS = 0
 	p.coordTrk.EmitArg("slot", p.slotStart, now, int64(slot))
 	p.sampledSlots++
 	p.intervalSlots++
@@ -200,9 +205,9 @@ type ExecProfile struct {
 	// cost estimate a cost-weighted partitioner would consume in place
 	// of today's contiguous equal-count blocks (ROADMAP item 1).
 	NodeCostNS []uint64 `json:"nodeCostNS"`
-	// BarrierWaitNS buckets each shard's per-sampled-slot wait (slot
-	// wall time minus own busy time) as a log2 histogram
-	// (telemetry.Histogram bucketing, in nanoseconds).
+	// BarrierWaitNS buckets the coordinator's wait at each sampled
+	// slot's join as a log2 histogram (telemetry.Histogram bucketing,
+	// in nanoseconds).
 	BarrierWaitNS []uint64 `json:"barrierWaitNS"`
 	// Imbalance is max/mean of ShardBusyNS — 1.0 is perfect balance;
 	// a fat-tree spine shard pushing 2.0 is the critical path.

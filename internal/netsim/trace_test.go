@@ -118,8 +118,8 @@ func TestTraceExport(t *testing.T) {
 }
 
 // TestExecProfile checks the derived summary: per-shard busy time,
-// per-node cost, barrier-wait buckets and the imbalance ratio all line
-// up with the sampled slot count.
+// per-node cost, join-wait buckets and the imbalance ratio all line up
+// with the sampled slot count.
 func TestExecProfile(t *testing.T) {
 	topo, err := FatTree2(2, 4)
 	if err != nil {
@@ -171,8 +171,8 @@ func TestExecProfile(t *testing.T) {
 	for _, c := range ep.BarrierWaitNS {
 		waits += c
 	}
-	if want := ep.SampledSlots * uint64(net.Shards()); waits != want {
-		t.Errorf("barrier-wait histogram holds %d waits, want sampled slots × shards = %d", waits, want)
+	if waits != ep.SampledSlots {
+		t.Errorf("barrier-wait histogram holds %d join waits, want one per sampled slot = %d", waits, ep.SampledSlots)
 	}
 	if ep.Imbalance < 1 {
 		t.Errorf("imbalance %g < 1: max/mean cannot undercut the mean", ep.Imbalance)

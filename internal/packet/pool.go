@@ -101,8 +101,8 @@ func (p *Pool) Free() int { return len(p.free) }
 
 // Take moves up to n free cells from another pool of the same payload
 // length onto this one's free list, within this pool's cap. The
-// network kernel rebalances its shard pools with it at the slot
-// barrier, where cells released on one shard are needed on another.
+// network kernel rebalances its shard pools with it between slots,
+// where cells released on one shard are needed on another.
 func (p *Pool) Take(from *Pool, n int) {
 	if p.max > 0 && n > p.max-len(p.free) {
 		n = p.max - len(p.free)

@@ -12,9 +12,10 @@
 //   - Recording never perturbs results. Spans are write-only
 //     measurements of wall-clock time; a run with a recorder attached
 //     produces bit-identical simulation output.
-//   - The hot path is allocation-free and lock-free. Each Track is
-//     owned by exactly one goroutine (a netsim shard worker, a sweep
-//     worker, the merge thread); Emit writes into the track's
+//   - The hot path is allocation-free and lock-free. Each Track has
+//     one writer at a time (whichever goroutine computes a netsim
+//     shard this slot, a sweep worker, the merge thread), handed on
+//     only through synchronization; Emit writes into the track's
 //     preallocated ring with no synchronization. Capacity is fixed at
 //     construction and the ring drops its oldest spans when full, so a
 //     long run keeps the most recent window instead of growing without
@@ -51,10 +52,11 @@ type Span struct {
 }
 
 // Track is one timeline row: a fixed-capacity ring of spans with a
-// single writer. The owning goroutine calls Emit; everything else
-// (export, Dropped) must run after the writer has quiesced or
-// synchronized with it — the kernels guarantee this by emitting only
-// between slot barriers and exporting only after Run returns.
+// single writer at a time. The writing goroutine calls Emit; a next
+// writer, and everything else (export, Dropped), must run after the
+// writer has quiesced or synchronized with it — the kernels guarantee
+// this by handing a shard's track on only across a slot's join and
+// exporting only after Run returns.
 type Track struct {
 	pid, tid int
 	name     string

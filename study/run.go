@@ -383,7 +383,7 @@ type RunOptions struct {
 	Telemetry *TelemetryOptions
 	// Trace, when non-nil, profiles the run's execution into the
 	// recorder: sweep-worker occupancy rows, per-point kernel rows
-	// (shard phases, barriers — one Perfetto process per point, pid =
+	// (shard phases, join waits — one Perfetto process per point, pid =
 	// point index + 1) and cache single-flight waits. The recorder is
 	// installed as the process-wide trace.Active for the run's
 	// duration; export it with WriteJSON after Run returns. Results

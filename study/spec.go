@@ -119,10 +119,11 @@ type NetworkSpec struct {
 	// LinkQueueCells caps each inter-router link queue (default 32).
 	MaxQueueCells  int `json:"maxQueueCells,omitempty"`
 	LinkQueueCells int `json:"linkQueueCells,omitempty"`
-	// Shards partitions the routers across worker goroutines with the
-	// deterministic two-phase (compute/exchange) barrier; results are
-	// bit-identical for any value. 0 or 1 steps the network
-	// single-threaded, -1 uses one shard per core.
+	// Shards partitions the routers into shards that the stepping
+	// goroutine and Shards−1 workers compute each slot as one
+	// fork-join (see netsim.Config.Shards); results are bit-identical
+	// for any value. 0 or 1 steps the network single-threaded, -1 uses
+	// one shard per core.
 	Shards int `json:"shards,omitempty"`
 	// Failures schedules deterministic link/router faults on the
 	// network (netsim.FaultPlan). Absent — or present but empty — the
