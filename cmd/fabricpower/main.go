@@ -30,10 +30,10 @@
 // [-trace out.trace.json] [-metrics out.json]: verbose per-point
 // progress on stderr, an every-N-slots kernel time series as JSON
 // lines, a live net/http/pprof + expvar endpoint, an execution profile
-// of the run itself (shard phases, sweep-worker occupancy, cache
-// waits) as Perfetto-loadable Chrome trace JSON, and a final process
-// metrics snapshot. None of them touch stdout — reports stay
-// byte-identical with or without them.
+// of the run itself (shard phases, sweep-worker occupancy, table1
+// characterizations) as Perfetto-loadable Chrome trace JSON, and a
+// final process metrics snapshot. None of them touch stdout — reports
+// stay byte-identical with or without them.
 package main
 
 import (
@@ -120,8 +120,7 @@ commands:
               see the study package and README
   serve       long-running study server: POST /v1/studies accepts the
               same spec JSON and streams records/events/telemetry back
-              as NDJSON while the sweep runs; requests share the
-              process-wide model caches; -max-concurrent/-max-queue
+              as NDJSON while the sweep runs; -max-concurrent/-max-queue
               bound admission (429 + Retry-After past both); healthz,
               study listing, DELETE cancellation, expvar and pprof on
               the same mux
@@ -153,8 +152,9 @@ are bit-identical for any worker count) and the observability flags:
 out.jsonl with -tsample N (every-N-slots power/utilization/latency time
 series), -pprof addr (net/http/pprof + expvar server for the run's
 duration), -trace out.trace.json (execution profile of the run itself —
-shard compute/exchange/barrier phases, sweep-worker occupancy, cache
-waits — as Chrome trace-event JSON, loadable at ui.perfetto.dev),
+shard compute/exchange/barrier phases, sweep-worker occupancy, table1
+characterizations — as Chrome trace-event JSON, loadable at
+ui.perfetto.dev),
 -metrics out.json (final process metrics registry snapshot on exit);
 none of them change stdout`)
 }
@@ -177,7 +177,7 @@ func (o *obsFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.telPath, "telemetry", "", "write per-point kernel telemetry time series to this file as JSON lines")
 	fs.Uint64Var(&o.tsample, "tsample", 64, "telemetry sample interval in slots")
 	fs.BoolVar(&o.verbose, "v", false, "log per-point progress (worker, wall-clock duration) to stderr")
-	fs.StringVar(&o.tracePath, "trace", "", "profile the run's execution (shard phases, sweep workers, cache waits) into this file as Chrome trace-event JSON; load it at ui.perfetto.dev")
+	fs.StringVar(&o.tracePath, "trace", "", "profile the run's execution (shard phases, sweep workers, table1 characterizations) into this file as Chrome trace-event JSON; load it at ui.perfetto.dev")
 	fs.StringVar(&o.metricsPath, "metrics", "", "write a final process-metrics registry snapshot (counters, gauges, histograms) to this file as JSON on exit")
 }
 

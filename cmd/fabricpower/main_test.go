@@ -377,7 +377,7 @@ func TestObservabilityFlagsLeaveStdoutIdentical(t *testing.T) {
 
 // checkTraceFile machine-validates a -trace output: well-formed Chrome
 // trace JSON whose spans cover all three instrumented layers — the
-// sweep engine, the sharded kernel, and (when cold) the caches.
+// sweep engine and the sharded kernel.
 func checkTraceFile(t *testing.T, path string) {
 	t.Helper()
 	data, err := os.ReadFile(path)

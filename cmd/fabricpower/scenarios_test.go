@@ -12,7 +12,7 @@ import (
 // corpus with -trace attached: the stdout report must stay
 // byte-identical to the pinned golden (profiling is simulation-
 // invisible), and the side file must be a valid Chrome trace carrying
-// spans from the kernel, the sweep engine, and (cold) caches.
+// spans from the kernel and the sweep engine.
 func TestScenarioGoldenWithTrace(t *testing.T) {
 	repoRoot, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {

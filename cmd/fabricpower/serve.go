@@ -15,11 +15,11 @@ import (
 )
 
 // runServe boots the long-running study server: scenario specs in over
-// HTTP, NDJSON result streams out, model caches shared across every
-// request for the process lifetime. SIGINT/SIGTERM drain in-flight
-// studies (each sees its context cancelled, flushes the records it
-// completed, and closes its stream with a study_finish line) before
-// the listener shuts down.
+// HTTP, NDJSON result streams out, with admission control and
+// cancellation for the process lifetime. SIGINT/SIGTERM drain
+// in-flight studies (each sees its context cancelled, flushes the
+// records it completed, and closes its stream with a study_finish
+// line) before the listener shuts down.
 func runServe(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "localhost:8080", "listen address (host:port; port 0 picks a free port)")
@@ -154,10 +154,8 @@ func runSubmit(ctx context.Context, args []string, w io.Writer) error {
 		return fmt.Errorf("submit: %w", err)
 	}
 	if *verbose {
-		d := res.FinishCache.Sub(res.StartCache)
-		fmt.Fprintf(os.Stderr, "submit: study %s: %d/%d points in %.1f ms (cache: %d char hits / %d misses, %d stage-grid hits / %d misses)\n",
-			res.ID, res.Completed, res.Points, res.DurationMS,
-			d.CharHits, d.CharMisses, d.StageGridHits, d.StageGridMisses)
+		fmt.Fprintf(os.Stderr, "submit: study %s: %d/%d points in %.1f ms\n",
+			res.ID, res.Completed, res.Points, res.DurationMS)
 	}
 	// The stream completed but the sweep didn't: every record that ran
 	// is already on stdout (like run -json after cancellation); surface

@@ -3,19 +3,16 @@
 // internal/studyd turns the scenario wire format into an HTTP service:
 // POST a spec to /v1/studies and the sweep's ResultRecord lines stream
 // back as NDJSON while it runs, with framing lines bracketing them.
-// The reason to run one process instead of N CLI invocations is the
-// shared state: every request hits the same process-wide
-// characterization and stage-grid caches, so the second study of a
-// model is cheaper than the first — this walkthrough makes that
-// visible. It:
+// What one resident process buys over N CLI invocations is admission
+// control (a bounded queue, 429 + Retry-After past it), cancellation
+// by disconnect or DELETE, a study listing and live metrics. This
+// walkthrough:
 //
 //  1. boots a studyd in-process (the same server `fabricpower serve`
 //     runs) on an ephemeral port,
-//  2. submits a banyan grid with the streaming client and counts its
-//     cache misses — the cold run pays the model's fills,
-//  3. submits the identical grid again and shows the fills gone: all
-//     hits against the resident caches,
-//  4. lists the request lifecycle the server tracked, then drains it.
+//  2. submits a banyan grid with the streaming client and prints each
+//     record as it arrives, in enumeration order,
+//  3. lists the request lifecycle the server tracked, then drains it.
 //
 // Run with:
 //
@@ -66,35 +63,34 @@ func main() {
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("studyd listening on %s\n\n", base)
 
-	// 2. First submission: the process has never seen this model, so
-	// the stream's start/finish cache snapshots bracket the fills.
-	submit := func(label string) *studyd.SubmitResult {
-		var records strings.Builder
-		res, err := studyd.Submit(ctx, nil, base, strings.NewReader(specJSON(*slots)),
-			studyd.SubmitOptions{Workers: 2}, studyd.SubmitSinks{Records: &records})
-		if err != nil {
+	// 2. Submit the grid. Records arrive in completion order; the
+	// client restores enumeration order before writing them out.
+	var records strings.Builder
+	res, err := studyd.Submit(ctx, nil, base, strings.NewReader(specJSON(*slots)),
+		studyd.SubmitOptions{Workers: 2}, studyd.SubmitSinks{Records: &records})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if res.RemoteErr != "" {
+		log.Fatalf("server-side failure: %s", res.RemoteErr)
+	}
+	fmt.Printf("study %s streamed %d/%d records in %.1f ms\n",
+		res.ID, res.Records, res.Points, res.DurationMS)
+	for _, line := range strings.Split(strings.TrimSpace(records.String()), "\n") {
+		var rec struct {
+			Index  int `json:"index"`
+			Result struct {
+				Throughput float64 `json:"throughput"`
+			} `json:"result"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			log.Fatal(err)
 		}
-		if res.RemoteErr != "" {
-			log.Fatalf("server-side failure: %s", res.RemoteErr)
-		}
-		d := res.FinishCache.Sub(res.StartCache)
-		fmt.Printf("%s: study %s streamed %d/%d records in %.1f ms\n",
-			label, res.ID, res.Records, res.Points, res.DurationMS)
-		fmt.Printf("  cache bill: %d stage-grid misses / %d hits, %d char misses / %d hits\n",
-			d.StageGridMisses, d.StageGridHits, d.CharMisses, d.CharHits)
-		return res
+		fmt.Printf("  point %d: throughput %.1f%%\n", rec.Index, rec.Result.Throughput*100)
 	}
-	first := submit("cold")
+	fmt.Println()
 
-	// 3. Same spec again: the resident caches absorb every fill.
-	second := submit("warm")
-	d1, d2 := first.FinishCache.Sub(first.StartCache), second.FinishCache.Sub(second.StartCache)
-	if d2.StageGridMisses == 0 && d1.StageGridMisses > 0 {
-		fmt.Printf("\nthe warm request re-derived nothing: that is what a resident process buys\n\n")
-	}
-
-	// 4. The lifecycle the server tracked, then a clean drain.
+	// 3. The lifecycle the server tracked, then a clean drain.
 	resp, err := http.Get(base + "/v1/studies")
 	if err != nil {
 		log.Fatal(err)

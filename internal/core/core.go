@@ -130,6 +130,8 @@ func (b *Breakdown) Accumulate(c Component, fj float64) {
 
 // Model bundles every parameter the bit-energy framework needs: the
 // technology point, the node-switch LUTs, and the buffer memory model.
+// The fully-connected fabric's N-input MUX is not a field: it is always
+// Table 1's (energy.PaperMux), built for the fabric's port count.
 type Model struct {
 	// Tech is the process operating point (E_T derivation, voltages).
 	Tech tech.Params
@@ -138,10 +140,6 @@ type Model struct {
 	Crosspoint energy.Table
 	Banyan2x2  energy.Table
 	Batcher2x2 energy.Table
-
-	// MuxFor builds (or fetches) the N-input MUX table for the
-	// fully-connected fabric.
-	MuxFor func(n int) (energy.Table, error)
 
 	// BufferAccess and Refresh give Eq. 1's E_access and E_ref.
 	BufferAccess sram.AccessModel
@@ -186,7 +184,6 @@ func PaperModel() Model {
 		Crosspoint:                  energy.PaperCrosspoint(),
 		Banyan2x2:                   energy.PaperBanyan(),
 		Batcher2x2:                  energy.PaperBatcher(),
-		MuxFor:                      energy.CachedPaperMux,
 		BufferAccess:                sram.DefaultAccessModel(),
 		Refresh:                     sram.SRAMRefresh(),
 		PerNodeBufferBits:           4096,
@@ -210,7 +207,7 @@ func (m Model) Validate() error {
 	if err := m.Tech.Validate(); err != nil {
 		return err
 	}
-	if m.Crosspoint == nil || m.Banyan2x2 == nil || m.Batcher2x2 == nil || m.MuxFor == nil {
+	if m.Crosspoint == nil || m.Banyan2x2 == nil || m.Batcher2x2 == nil {
 		return fmt.Errorf("core: model is missing node-switch tables")
 	}
 	if err := m.BufferAccess.Validate(); err != nil {
@@ -283,7 +280,7 @@ func (m Model) FullyConnectedBitEnergy(n int) (Breakdown, error) {
 	if _, err := dimOf(n); err != nil {
 		return Breakdown{}, err
 	}
-	mux, err := m.MuxFor(n)
+	mux, err := energy.PaperMux(n)
 	if err != nil {
 		return Breakdown{}, err
 	}

@@ -2,9 +2,11 @@ package exp
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"fabricpower/internal/core"
+	"fabricpower/internal/telemetry/trace"
 	"fabricpower/study"
 )
 
@@ -36,10 +38,10 @@ func TestCrossoverParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestTable1ParallelSharesCache exercises the characterization cache
-// concurrently (run under -race in CI): parallel workers characterizing
-// the same switch set must produce the sequential result.
-func TestTable1ParallelSharesCache(t *testing.T) {
+// TestTable1ParallelDeterminism: eight workers characterizing the switch
+// set concurrently (run under -race in CI) must reproduce the sequential
+// tables bit for bit; each run simulates every switch afresh.
+func TestTable1ParallelDeterminism(t *testing.T) {
 	opt := Table1Options{Cycles: 24, BusWidth: 8, Seed: 5}
 	opt.Workers = 1
 	seq, err := RunTable1(core.PaperModel(), opt)
@@ -53,5 +55,34 @@ func TestTable1ParallelSharesCache(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatal("parallel Table 1 differs from sequential run")
+	}
+}
+
+// TestTable1TraceSpans: a traced Table 1 run records exactly one
+// "characterize" span per switch type on its own recorder's "table1"
+// row, even while another traced run characterizes concurrently.
+func TestTable1TraceSpans(t *testing.T) {
+	opt := Table1Options{Cycles: 24, BusWidth: 8, Seed: 5, Workers: 2}
+	want := 3 + len(opt.withDefaults().MuxSizes)
+	recs := []*trace.Recorder{trace.NewRecorder(0), trace.NewRecorder(0)}
+	var wg sync.WaitGroup
+	errs := make([]error, len(recs))
+	for i, rec := range recs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			o := opt
+			o.Trace = rec
+			_, errs[i] = RunTable1(core.PaperModel(), o)
+		}()
+	}
+	wg.Wait()
+	for i, rec := range recs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if n := rec.Track(0, "table1").Len(); n != want {
+			t.Errorf("run %d: table1 row holds %d spans, want %d (one per switch)", i, n, want)
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"fabricpower/internal/core"
 	"fabricpower/internal/plot"
-	"fabricpower/internal/telemetry/trace"
 	"fabricpower/study"
 )
 
@@ -141,12 +140,6 @@ func RunSpecOpts(ctx context.Context, spec study.Spec, opt study.RunOptions) (Re
 		if err != nil {
 			return nil, err
 		}
-		// No grid run installs the recorder here, but the gate-level
-		// characterizations still emit cache spans when one is active.
-		if opt.Trace != nil {
-			trace.SetActive(opt.Trace)
-			defer trace.SetActive(nil)
-		}
 		c := spec.Base.Char
 		return RunTable1(model, Table1Options{
 			Cycles:   c.Cycles,
@@ -154,6 +147,7 @@ func RunSpecOpts(ctx context.Context, spec study.Spec, opt study.RunOptions) (Re
 			MuxSizes: c.MuxSizes,
 			Seed:     c.Seed,
 			Workers:  opt.Workers,
+			Trace:    opt.Trace,
 		})
 	case "":
 		gr, err := spec.Grid.Run(ctx, opt)

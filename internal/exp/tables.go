@@ -11,6 +11,7 @@ import (
 	"fabricpower/internal/plot"
 	"fabricpower/internal/sram"
 	"fabricpower/internal/sweep"
+	"fabricpower/internal/telemetry/trace"
 )
 
 // Table1Row compares one LUT entry against the paper.
@@ -45,6 +46,10 @@ type Table1Options struct {
 	// (0 = one per core). Results are identical for any worker count:
 	// each switch characterizes from its own deterministic seed.
 	Workers int
+	// Trace, when non-nil, receives one "characterize" span per switch
+	// type on its "table1" row. Results are identical with or without
+	// it.
+	Trace *trace.Recorder
 }
 
 func (o Table1Options) withDefaults() Table1Options {
@@ -63,10 +68,8 @@ func (o Table1Options) withDefaults() Table1Options {
 // RunTable1 regenerates Table 1: build each node-switch netlist, simulate
 // it under every input vector with random payload streams, average energy
 // per bit, and calibrate the whole set with one anchor factor. The switch
-// types characterize in parallel on the sweep engine, each through the
-// process-wide characterization cache, so a repeated run (another sweep
-// point, another benchmark iteration) costs a cache lookup instead of a
-// gate-level simulation.
+// types characterize in parallel on the sweep engine; every call runs
+// the full gate-level simulation of each of them.
 func RunTable1(tp core.Model, opt Table1Options) (*Table1, error) {
 	opt = opt.withDefaults()
 	lib, err := gates.NewLibrary(tp.Tech.GateCapFF, tp.Tech.VDD)
@@ -92,7 +95,15 @@ func RunTable1(tp core.Model, opt Table1Options) (*Table1, error) {
 		if err != nil {
 			return nil, err
 		}
-		return energy.CharacterizeCached(sw, charOpt)
+		var start int64
+		if opt.Trace != nil {
+			start = opt.Trace.Now()
+		}
+		tab, err := energy.Characterize(sw, charOpt)
+		if opt.Trace != nil {
+			opt.Trace.EmitShared(0, "table1", "characterize", start, opt.Trace.Now())
+		}
+		return tab, err
 	})
 	if err != nil {
 		return nil, err

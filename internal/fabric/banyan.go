@@ -41,11 +41,9 @@ type banyan struct {
 	// is set exactly when latch 2k or 2k+1 of stage s holds a cell or
 	// buf[s][k] is non-empty.
 	occ [][]uint64
-	// bank[s] holds the word state of the N output lines of stage s.
+	// bank[s] holds the word state of the N output lines of stage s,
+	// each 4·2ˢ grids long (thompson.BanyanWires).
 	bank []*wireBank
-	// stageGrids caches the per-stage interconnect lengths (shared,
-	// read-only — see thompson.BanyanStageGridTable).
-	stageGrids []int
 	// delivered is reused across Step calls (see Fabric.Step).
 	delivered []*packet.Cell
 
@@ -94,16 +92,16 @@ func newBanyan(cfg Config) (*banyan, error) {
 		return nil, err
 	}
 	b := &banyan{
-		cfg:        cfg,
-		dim:        dim,
-		latch:      make([][]*packet.Cell, dim),
-		buf:        make([][]bufRing, dim),
-		occ:        make([][]uint64, dim),
-		bank:       make([]*wireBank, dim),
-		stageGrids: thompson.BanyanStageGridTable(dim),
-		bufferCap:  cfg.bufferCells(),
-		ebFJ:       eb,
+		cfg:       cfg,
+		dim:       dim,
+		latch:     make([][]*packet.Cell, dim),
+		buf:       make([][]bufRing, dim),
+		occ:       make([][]uint64, dim),
+		bank:      make([]*wireBank, dim),
+		bufferCap: cfg.bufferCells(),
+		ebFJ:      eb,
 	}
+	wires := thompson.BanyanWires{Dimension: dim}
 	for s := 0; s < dim; s++ {
 		b.latch[s] = make([]*packet.Cell, cfg.Ports)
 		b.buf[s] = make([]bufRing, cfg.Ports/2)
@@ -111,7 +109,7 @@ func newBanyan(cfg Config) (*banyan, error) {
 		for k := range b.buf[s] {
 			b.buf[s][k].entries = make([]bufEntry, b.bufferCap)
 		}
-		b.bank[s] = newWireBank(cfg.Ports, cfg.Model.Tech.ETBitFJ())
+		b.bank[s] = newWireBank(cfg.Ports, wires.StageGrids(s), cfg.Model.Tech.ETBitFJ())
 	}
 	return b, nil
 }
@@ -169,12 +167,11 @@ func (b *banyan) Step(uint64) []*packet.Cell {
 	cellBits := float64(b.cfg.Cell.CellBits)
 
 	for s := b.dim - 1; s >= 0; s-- {
-		grids := float64(b.stageGrids[s])
 		occ := b.occ[s]
 		for w, m := range occ {
 			for ; m != 0; m &= m - 1 {
 				i := bits.TrailingZeros64(m)
-				if !b.stepNode(s, w<<6|i, grids, cellBits) {
+				if !b.stepNode(s, w<<6|i, cellBits) {
 					occ[w] &^= 1 << uint(i)
 				}
 			}
@@ -185,7 +182,7 @@ func (b *banyan) Step(uint64) []*packet.Cell {
 
 // stepNode runs node k of stage s for one slot and reports whether the
 // node still holds a latched or buffered cell.
-func (b *banyan) stepNode(s, k int, grids, cellBits float64) bool {
+func (b *banyan) stepNode(s, k int, cellBits float64) bool {
 	in0, in1 := 2*k, 2*k+1
 	var vec energy.Vector
 	for o := 0; o < 2; o++ {
@@ -214,7 +211,7 @@ func (b *banyan) stepNode(s, k int, grids, cellBits float64) bool {
 			b.latch[s][in1] = nil
 		}
 		// Wire energy on the stage-s output link.
-		b.energy.Accumulate(core.WireComponent, b.bank[s].cross(outLine, cell, grids))
+		b.energy.Accumulate(core.WireComponent, b.bank[s].cross(outLine, cell))
 		if s == b.dim-1 {
 			b.delivered = append(b.delivered, cell)
 			b.inFlight--

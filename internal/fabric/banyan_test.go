@@ -51,7 +51,6 @@ func (f *fullWalk) step(slot uint64) []*packet.Cell {
 	b.delivered = b.delivered[:0]
 	cellBits := float64(b.cfg.Cell.CellBits)
 	for s := b.dim - 1; s >= 0; s-- {
-		grids := float64(b.stageGrids[s])
 		for k := 0; k < b.cfg.Ports/2; k++ {
 			in0, in1 := 2*k, 2*k+1
 			var vec energy.Vector
@@ -76,7 +75,7 @@ func (f *fullWalk) step(slot uint64) []*packet.Cell {
 					b.latch[s][in1] = nil
 				}
 				f.moved[cell] = slot + 1
-				b.energy.Accumulate(core.WireComponent, b.bank[s].cross(outLine, cell, grids))
+				b.energy.Accumulate(core.WireComponent, b.bank[s].cross(outLine, cell))
 				if s == b.dim-1 {
 					b.delivered = append(b.delivered, cell)
 					b.inFlight--

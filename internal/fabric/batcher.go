@@ -38,13 +38,10 @@ type batcherBanyan struct {
 	scratch []*packet.Cell
 	// delivered is reused across Step calls (see Fabric.Step).
 	delivered []*packet.Cell
-	// sortBank[g] and banyanBank[s] hold per-line word states.
+	// sortBank[g] and banyanBank[s] hold per-line word states, each
+	// bank as long as its stage's wire (thompson.BatcherBanyanWires).
 	sortBank   []*wireBank
 	banyanBank []*wireBank
-	// sortGrids and banyanGrids cache the per-stage wire lengths
-	// (shared, read-only — see thompson's stage-grid tables).
-	sortGrids   []int
-	banyanGrids []int
 
 	energy    core.Breakdown
 	inFlight  int
@@ -67,21 +64,19 @@ func newBatcherBanyan(cfg Config) (*batcherBanyan, error) {
 	}
 	w := thompson.BatcherBanyanWires{Dimension: dim}
 	b := &batcherBanyan{
-		cfg:         cfg,
-		dim:         dim,
-		wires:       w,
-		scratch:     make([]*packet.Cell, cfg.Ports),
-		sortBank:    make([]*wireBank, w.SorterStages()),
-		banyanBank:  make([]*wireBank, dim),
-		sortGrids:   thompson.SorterStageGridTable(dim),
-		banyanGrids: thompson.BanyanStageGridTable(dim),
+		cfg:        cfg,
+		dim:        dim,
+		wires:      w,
+		scratch:    make([]*packet.Cell, cfg.Ports),
+		sortBank:   make([]*wireBank, w.SorterStages()),
+		banyanBank: make([]*wireBank, dim),
 	}
 	et := cfg.Model.Tech.ETBitFJ()
 	for g := range b.sortBank {
-		b.sortBank[g] = newWireBank(cfg.Ports, et)
+		b.sortBank[g] = newWireBank(cfg.Ports, w.SorterStageGrids(g), et)
 	}
 	for s := range b.banyanBank {
-		b.banyanBank[s] = newWireBank(cfg.Ports, et)
+		b.banyanBank[s] = newWireBank(cfg.Ports, w.BanyanStageGrids(s), et)
 	}
 	return b, nil
 }
@@ -207,7 +202,6 @@ func (b *batcherBanyan) sortStage(w *wave) {
 	k := rem
 	d := 1 << uint(j-k) // compare distance
 	cellBits := float64(b.cfg.Cell.CellBits)
-	grids := float64(b.sortGrids[g])
 	n := b.cfg.Ports
 	for i := 0; i < n; i++ {
 		if i&d != 0 {
@@ -240,11 +234,11 @@ func (b *batcherBanyan) sortStage(w *wave) {
 		// Link energy: each occupied output line crosses the stage wire.
 		if cc := w.cells[lo]; cc != nil {
 			b.energy.Accumulate(core.WireComponent,
-				b.sortBank[g].cross(lo, cc, grids))
+				b.sortBank[g].cross(lo, cc))
 		}
 		if cc := w.cells[hi]; cc != nil {
 			b.energy.Accumulate(core.WireComponent,
-				b.sortBank[g].cross(hi, cc, grids))
+				b.sortBank[g].cross(hi, cc))
 		}
 	}
 }
@@ -260,7 +254,6 @@ func (b *batcherBanyan) shuffle(l int) int {
 func (b *batcherBanyan) banyanStage(w *wave, s int) {
 	n := b.cfg.Ports
 	cellBits := float64(b.cfg.Cell.CellBits)
-	grids := float64(b.banyanGrids[s])
 	// Shuffle into the scratch stage-input buffer, then route back into
 	// the wave's own cells slice — no per-stage allocation.
 	in := b.scratch
@@ -295,7 +288,7 @@ func (b *batcherBanyan) banyanStage(w *wave, s int) {
 			out[outLine] = c
 			vec |= 1 << uint(d)
 			b.energy.Accumulate(core.WireComponent,
-				b.banyanBank[s].cross(outLine, c, grids))
+				b.banyanBank[s].cross(outLine, c))
 		}
 		if vec != 0 {
 			b.energy.Accumulate(core.SwitchComponent,

@@ -22,20 +22,17 @@ type crossbar struct {
 	destBusy  []bool
 	energy    core.Breakdown
 	xpFJ      float64 // crosspoint LUT energy for an active input
-	rowGrids  float64
-	colGrids  float64
 }
 
 func newCrossbar(cfg Config) (*crossbar, error) {
 	wires := thompson.CrossbarWires{N: cfg.Ports}
+	et := cfg.Model.Tech.ETBitFJ()
 	return &crossbar{
 		cfg:      cfg,
-		rowBank:  newWireBank(cfg.Ports, cfg.Model.Tech.ETBitFJ()),
-		colBank:  newWireBank(cfg.Ports, cfg.Model.Tech.ETBitFJ()),
+		rowBank:  newWireBank(cfg.Ports, wires.RowGrids(), et),
+		colBank:  newWireBank(cfg.Ports, wires.ColGrids(), et),
 		destBusy: make([]bool, cfg.Ports),
 		xpFJ:     cfg.Model.Crosspoint.EnergyFJ(0b1),
-		rowGrids: float64(wires.RowGrids()),
-		colGrids: float64(wires.ColGrids()),
 	}, nil
 }
 
@@ -72,8 +69,8 @@ func (x *crossbar) Step(slot uint64) []*packet.Cell {
 		// N crosspoints on the row see the bit stream (Eq. 3's N·E_S).
 		x.energy.Accumulate(core.SwitchComponent, float64(x.cfg.Ports)*x.xpFJ*cellBits)
 		// Full row and column wires, flip-accurate.
-		x.energy.Accumulate(core.WireComponent, x.rowBank.cross(c.Src, c, x.rowGrids))
-		x.energy.Accumulate(core.WireComponent, x.colBank.cross(c.Dest, c, x.colGrids))
+		x.energy.Accumulate(core.WireComponent, x.rowBank.cross(c.Src, c))
+		x.energy.Accumulate(core.WireComponent, x.colBank.cross(c.Dest, c))
 	}
 	return delivered
 }

@@ -131,22 +131,24 @@ func dimOf(n int) (int, error) {
 	return d, nil
 }
 
-// wireBank tracks the held word of a set of bus links and charges flip
-// energy as cells stream across them.
+// wireBank tracks the held word of a set of equally long bus links and
+// charges flip energy as cells stream across them.
 type wireBank struct {
 	state []uint32
+	// grids is the length of every link in the bank, in Thompson grids.
+	grids float64
 	// etFJ is E_T_bit in fJ.
 	etFJ float64
 }
 
-func newWireBank(lines int, etFJ float64) *wireBank {
-	return &wireBank{state: make([]uint32, lines), etFJ: etFJ}
+func newWireBank(lines, grids int, etFJ float64) *wireBank {
+	return &wireBank{state: make([]uint32, lines), grids: float64(grids), etFJ: etFJ}
 }
 
-// cross streams the cell over link line with the given length in Thompson
-// grids and returns the wire energy in fJ.
-func (w *wireBank) cross(line int, c *packet.Cell, grids float64) float64 {
+// cross streams the cell over link line and returns the wire energy in
+// fJ.
+func (w *wireBank) cross(line int, c *packet.Cell) float64 {
 	flips, last := c.Crossing(w.state[line])
 	w.state[line] = last
-	return float64(flips) * grids * w.etFJ
+	return float64(flips) * w.grids * w.etFJ
 }

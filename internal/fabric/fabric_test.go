@@ -1,12 +1,14 @@
 package fabric
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"fabricpower/internal/core"
 	"fabricpower/internal/packet"
+	"fabricpower/internal/thompson"
 )
 
 func testConfig(ports int) Config {
@@ -457,6 +459,37 @@ func TestCrossbarEnergyMatchesEq3(t *testing.T) {
 	wantWire := 96 * (32.0 + 32.0) * et
 	if diff := e.WireFJ - wantWire; diff > 1e-6 || diff < -1e-6 {
 		t.Fatalf("wire energy %g, want %g", e.WireFJ, wantWire)
+	}
+}
+
+// TestMultistageWireEnergyMatchesClosedForms: one alternating-payload
+// cell through an otherwise idle Banyan or Batcher-Banyan crosses every
+// stage wire once, from idle-0 links, so its wire energy is exactly
+// flips × Σ stage grids × E_T with the grids of Eqs. 5 and 6 (4·2ⁱ per
+// Banyan stage, 4·span per sorter stage). A stage charged one grid off
+// moves the sum by 1/Σ, far above the tolerance.
+func TestMultistageWireEnergyMatchesClosedForms(t *testing.T) {
+	for _, a := range []core.Architecture{core.Banyan, core.BatcherBanyan} {
+		for _, ports := range []int{8, 32} {
+			cfg := testConfig(ports)
+			dim, _ := dimOf(ports)
+			grids := thompson.BanyanWires{Dimension: dim}.PathGrids()
+			if a == core.BatcherBanyan {
+				grids = thompson.BatcherBanyanWires{Dimension: dim}.PathGrids()
+			}
+			f, err := New(a, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Offer(&packet.Cell{ID: 1, Src: 3, Dest: ports - 2, Payload: packet.AlternatingPayload(4)})
+			deliverAll(t, f, 100)
+			// Word 0 is all zeros, then 3 full 32-bit flips per stage.
+			want := 96 * float64(grids) * cfg.Model.Tech.ETBitFJ()
+			if got := f.Energy().WireFJ; math.Abs(got-want) > 1e-9*want {
+				t.Errorf("%v N=%d: wire energy %.6f fJ, want 96 × %d grids × E_T = %.6f fJ",
+					a, ports, got, grids, want)
+			}
+		}
 	}
 }
 

@@ -20,29 +20,27 @@ type fullyConnected struct {
 	delivered []*packet.Cell // reused across Step calls (see Fabric.Step)
 	busy      []bool
 	energy    core.Breakdown
-	mux       energy.Table
-	// grids is the per-bit wire charge: the paper's worst-case ½·N², or
-	// the routed-average ¼·N² when Config.FCAverageWires selects the
-	// layout-sensitivity ablation.
-	grids float64
+	muxFJ     float64 // Table 1 N-input MUX energy for an active input
 }
 
 func newFullyConnected(cfg Config) (*fullyConnected, error) {
-	mux, err := cfg.Model.MuxFor(cfg.Ports)
+	mux, err := energy.PaperMux(cfg.Ports)
 	if err != nil {
 		return nil, err
 	}
+	// The per-bit wire charge is the paper's worst-case ½·N², or the
+	// routed-average ¼·N² when Config.FCAverageWires selects the
+	// layout-sensitivity ablation.
 	wires := thompson.FullyConnectedWires{N: cfg.Ports}
-	grids := float64(wires.WorstGrids())
+	grids := wires.WorstGrids()
 	if cfg.FCAverageWires {
-		grids = float64(wires.AvgGrids())
+		grids = wires.AvgGrids()
 	}
 	return &fullyConnected{
 		cfg:    cfg,
-		inBank: newWireBank(cfg.Ports, cfg.Model.Tech.ETBitFJ()),
+		inBank: newWireBank(cfg.Ports, grids, cfg.Model.Tech.ETBitFJ()),
 		busy:   make([]bool, cfg.Ports),
-		mux:    mux,
-		grids:  grids,
+		muxFJ:  mux.EnergyFJ(0b1),
 	}, nil
 }
 
@@ -77,9 +75,9 @@ func (f *fullyConnected) Step(slot uint64) []*packet.Cell {
 	cellBits := float64(f.cfg.Cell.CellBits)
 	for _, c := range delivered {
 		// One N-input MUX traversal per cell (Eq. 4's E_S term).
-		f.energy.Accumulate(core.SwitchComponent, f.mux.EnergyFJ(0b1)*cellBits)
+		f.energy.Accumulate(core.SwitchComponent, f.muxFJ*cellBits)
 		// The input bus to the selected MUX, flip-accurate.
-		f.energy.Accumulate(core.WireComponent, f.inBank.cross(c.Src, c, f.grids))
+		f.energy.Accumulate(core.WireComponent, f.inBank.cross(c.Src, c))
 	}
 	return delivered
 }

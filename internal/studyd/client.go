@@ -62,11 +62,6 @@ type SubmitResult struct {
 	// stream completed, but the sweep was cancelled or failed after
 	// Completed points.
 	RemoteErr string
-	// StartCache and FinishCache snapshot the server's process-wide
-	// model-cache counters around the study; their difference is this
-	// request's cache bill.
-	StartCache  CacheCounters
-	FinishCache CacheCounters
 }
 
 // probeLine is the minimal superset decode that classifies any stream
@@ -78,7 +73,6 @@ type probeLine struct {
 	Completed  int             `json:"completed"`
 	DurationMS float64         `json:"durationMS"`
 	Err        string          `json:"err"`
-	Cache      *CacheCounters  `json:"cache"`
 	Index      *int            `json:"index"`
 	Result     json.RawMessage `json:"result"`
 	Point      *int            `json:"point"`
@@ -188,9 +182,6 @@ func Submit(ctx context.Context, hc *http.Client, baseURL string, spec io.Reader
 		case p.Kind == "study_start":
 			res.ID = p.ID
 			res.Points = p.Points
-			if p.Cache != nil {
-				res.StartCache = *p.Cache
-			}
 			if sinks.Events != nil {
 				sinks.Events(line)
 			}
@@ -199,9 +190,6 @@ func Submit(ctx context.Context, hc *http.Client, baseURL string, spec io.Reader
 			res.Completed = p.Completed
 			res.DurationMS = p.DurationMS
 			res.RemoteErr = p.Err
-			if p.Cache != nil {
-				res.FinishCache = *p.Cache
-			}
 			if sinks.Events != nil {
 				sinks.Events(line)
 			}

@@ -10,12 +10,12 @@
 // line, flushed as it is produced. Three existing line shapes from the
 // study layer interleave with two server framing lines:
 //
-//   - `{"kind":"study_start","id":...,"points":N,"cache":{...}}` —
-//     always first; carries the study id, the enumerated point count,
-//     and a snapshot of the process-wide cache counters.
+//   - `{"kind":"study_start","id":...,"points":N,"workers":W}` —
+//     always first; carries the study id, the enumerated point count
+//     and the sweep worker count.
 //   - study.Event lines (`"kind":"point_start"` / `"point_finish"`) —
-//     per-point progress with worker id, duration and cumulative
-//     characterization-cache counters, exactly as Grid.Run emits them.
+//     per-point progress with worker id and duration, exactly as
+//     Grid.Run emits them.
 //   - study.ResultRecord lines (`{"index":...,"scenario":...,
 //     "result":...}`, no "kind" field) — byte-identical to the lines
 //     `fabricpower run -json` writes, one per completed point, in
@@ -26,18 +26,17 @@
 //   - `{"kind":"trace","trace":{...}}` — the request's execution
 //     profile as Chrome trace-event JSON, when requested with
 //     `?trace=1`; emitted once, just before the finish line.
-//   - `{"kind":"study_finish","id":...,"completed":M,"durationMS":...,
-//     "err":...,"cache":{...}}` — always last on a complete stream. A
-//     stream that ends without it was truncated.
+//   - `{"kind":"study_finish","id":...,"completed":M,"records":R,
+//     "durationMS":...,"err":...}` — always last on a complete stream.
+//     A stream that ends without it was truncated.
 //
 // # Request lifecycle
 //
-// Studies share one process on purpose: the gate-level
-// characterization, paper-MUX and Thompson stage-grid caches are
-// process-wide, so the second request for a model the server has
-// already seen skips its cold-start characterization entirely (the
-// per-request cache counter deltas in the start/finish lines make
-// that visible). Execution is bounded by a concurrency limit: up to
+// Studies share nothing but the process: each request runs its own
+// Grid.Run with its own options (and its own trace recorder when it
+// asks for one). What the resident server adds over N CLI invocations
+// is admission control, cancellation, a study listing and live
+// metrics. Execution is bounded by a concurrency limit: up to
 // MaxConcurrent studies run at once, up to MaxQueue more wait, and
 // anything beyond that is refused with 429 and a Retry-After estimate
 // derived from the observed study-duration histogram. A study is
@@ -113,46 +112,6 @@ func (c Config) withDefaults() Config {
 		c.Registry = telemetry.Default()
 	}
 	return c
-}
-
-// CacheCounters is a snapshot of the process-wide model-cache
-// counters: the shared state that makes a resident study server worth
-// running. Deltas between a stream's start and finish lines price one
-// request's cache behavior.
-type CacheCounters struct {
-	CharHits        uint64 `json:"charHits"`
-	CharMisses      uint64 `json:"charMisses"`
-	PaperMuxHits    uint64 `json:"papermuxHits"`
-	PaperMuxMisses  uint64 `json:"papermuxMisses"`
-	StageGridHits   uint64 `json:"stagegridHits"`
-	StageGridMisses uint64 `json:"stagegridMisses"`
-}
-
-// Sub returns the counter-wise difference c - start.
-func (c CacheCounters) Sub(start CacheCounters) CacheCounters {
-	return CacheCounters{
-		CharHits:        c.CharHits - start.CharHits,
-		CharMisses:      c.CharMisses - start.CharMisses,
-		PaperMuxHits:    c.PaperMuxHits - start.PaperMuxHits,
-		PaperMuxMisses:  c.PaperMuxMisses - start.PaperMuxMisses,
-		StageGridHits:   c.StageGridHits - start.StageGridHits,
-		StageGridMisses: c.StageGridMisses - start.StageGridMisses,
-	}
-}
-
-// snapshotCaches reads the process-wide cache counters. They live on
-// the default registry regardless of Config.Registry — the caches
-// themselves are process-wide, which is the point.
-func snapshotCaches() CacheCounters {
-	reg := telemetry.Default()
-	return CacheCounters{
-		CharHits:        reg.Counter("energy.char.hits").Load(),
-		CharMisses:      reg.Counter("energy.char.misses").Load(),
-		PaperMuxHits:    reg.Counter("energy.papermux.hits").Load(),
-		PaperMuxMisses:  reg.Counter("energy.papermux.misses").Load(),
-		StageGridHits:   reg.Counter("thompson.stagegrid.hits").Load(),
-		StageGridMisses: reg.Counter("thompson.stagegrid.misses").Load(),
-	}
 }
 
 // StudyStatus is one study's lifecycle snapshot, as listed by
@@ -511,25 +470,23 @@ func (s *Server) parseSubmitParams(r *http.Request) (submitParams, error) {
 
 // startLine is the stream's first framing line.
 type startLine struct {
-	Kind    string        `json:"kind"` // "study_start"
-	ID      string        `json:"id"`
-	Study   string        `json:"study,omitempty"`
-	Points  int           `json:"points"`
-	Workers int           `json:"workers"`
-	Cache   CacheCounters `json:"cache"`
+	Kind    string `json:"kind"` // "study_start"
+	ID      string `json:"id"`
+	Study   string `json:"study,omitempty"`
+	Points  int    `json:"points"`
+	Workers int    `json:"workers"`
 }
 
 // finishLine is the stream's terminal framing line; a stream without
 // one was truncated.
 type finishLine struct {
-	Kind       string        `json:"kind"` // "study_finish"
-	ID         string        `json:"id"`
-	Points     int           `json:"points"`
-	Completed  int           `json:"completed"`
-	Records    uint64        `json:"records"`
-	DurationMS float64       `json:"durationMS"`
-	Err        string        `json:"err,omitempty"`
-	Cache      CacheCounters `json:"cache"`
+	Kind       string  `json:"kind"` // "study_finish"
+	ID         string  `json:"id"`
+	Points     int     `json:"points"`
+	Completed  int     `json:"completed"`
+	Records    uint64  `json:"records"`
+	DurationMS float64 `json:"durationMS"`
+	Err        string  `json:"err,omitempty"`
 }
 
 // traceLine carries the request's execution profile when ?trace=1.
@@ -672,10 +629,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	lw := &lineWriter{w: w, rc: http.NewResponseController(w), onErr: cancel}
 
-	startCache := snapshotCaches()
 	lw.emit(startLine{
 		Kind: "study_start", ID: id, Study: spec.Kind,
-		Points: n, Workers: params.workers, Cache: startCache,
+		Points: n, Workers: params.workers,
 	})
 	s.logf("studyd: %s running (workers=%d)", id, params.workers)
 
@@ -730,7 +686,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	h.finish(completed, records, durMS, errStr)
 	lw.emit(finishLine{
 		Kind: "study_finish", ID: id, Points: n, Completed: completed,
-		Records: records, DurationMS: durMS, Err: errStr, Cache: snapshotCaches(),
+		Records: records, DurationMS: durMS, Err: errStr,
 	})
 	s.logf("studyd: %s done (%d/%d points, %.1f ms, err=%q)", id, completed, n, durMS, errStr)
 }

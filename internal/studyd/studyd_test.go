@@ -96,19 +96,6 @@ const bigSpec = `{
   ]
 }`
 
-// cacheSpec builds one banyan whose stage-grid table dimension is
-// picked per test so the shared thompson cache starts cold for it.
-func cacheSpec(ports int) string {
-	return fmt.Sprintf(`{
-  "version": 1,
-  "base": {
-    "fabric": {"arch": "banyan", "ports": %d},
-    "traffic": {"load": 0.1},
-    "sim": {"warmupSlots": 20, "measureSlots": 60, "seed": 3}
-  }
-}`, ports)
-}
-
 // TestStreamByteEquivalence: the acceptance gate — golden scenario
 // specs submitted over HTTP stream records byte-identical to
 // `fabricpower run -json`, for sequential and parallel server sweeps
@@ -140,69 +127,6 @@ func TestStreamByteEquivalence(t *testing.T) {
 					filepath.Base(path), workers, res.Completed, res.Records, res.Points)
 			}
 		}
-	}
-}
-
-// TestSharedCacheAcrossRequests: the resident process pays a model's
-// cache fills once. The first request for a fresh banyan dimension
-// misses the stage-grid cache; a second request for the same model is
-// all hits — visible in each stream's own start/finish cache deltas.
-func TestSharedCacheAcrossRequests(t *testing.T) {
-	_, ts, _ := newTestServer(t, studyd.Config{MaxConcurrent: 2})
-	spec := cacheSpec(256) // dim 8: no other test touches it
-
-	_, first := submit(t, ts.URL, spec, studyd.SubmitOptions{})
-	d1 := first.FinishCache.Sub(first.StartCache)
-	if d1.StageGridMisses == 0 {
-		t.Fatalf("first request should fill the stage-grid cache, delta = %+v", d1)
-	}
-
-	_, second := submit(t, ts.URL, spec, studyd.SubmitOptions{})
-	d2 := second.FinishCache.Sub(second.StartCache)
-	if d2.StageGridHits == 0 {
-		t.Errorf("second request should hit the shared stage-grid cache, delta = %+v", d2)
-	}
-	if d2.StageGridMisses != 0 {
-		t.Errorf("second request re-filled the cache (%d misses), sharing is broken", d2.StageGridMisses)
-	}
-}
-
-// TestSharedCacheConcurrentRequests: two requests for the same fresh
-// model running at the same time still fill the table exactly once
-// between them.
-func TestSharedCacheConcurrentRequests(t *testing.T) {
-	_, ts, _ := newTestServer(t, studyd.Config{MaxConcurrent: 2})
-	spec := cacheSpec(512) // dim 9: fresh for this test
-
-	before := telemetry.Default().Counter("thompson.stagegrid.misses").Load()
-	hitsBefore := telemetry.Default().Counter("thompson.stagegrid.hits").Load()
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := studyd.Submit(context.Background(), nil, ts.URL,
-				strings.NewReader(spec), studyd.SubmitOptions{}, studyd.SubmitSinks{})
-			if err == nil && res.RemoteErr != "" {
-				err = fmt.Errorf("server: %s", res.RemoteErr)
-			}
-			errs[i] = err
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-	}
-	misses := telemetry.Default().Counter("thompson.stagegrid.misses").Load() - before
-	hits := telemetry.Default().Counter("thompson.stagegrid.hits").Load() - hitsBefore
-	if misses != 1 {
-		t.Errorf("concurrent requests filled the dim-9 table %d times, want exactly 1", misses)
-	}
-	if hits == 0 {
-		t.Errorf("the second concurrent request never hit the shared cache")
 	}
 }
 

@@ -200,8 +200,8 @@ func (r *Registry) Each(fn func(name string, value int64)) {
 }
 
 // defaultRegistry is the process-wide registry behind Default: the
-// characterization caches, the network kernel's pool gauges and any
-// other library-level instrumentation all land here.
+// network kernel's shard and pool gauges, the study server's metrics
+// and any other library-level instrumentation all land here.
 var defaultRegistry = NewRegistry()
 
 // Default returns the process-wide registry.

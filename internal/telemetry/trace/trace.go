@@ -1,7 +1,7 @@
 // Package trace is the execution profiler of the simulator itself:
 // where internal/telemetry observes the *simulated* network (power,
 // queues, latency), this package observes the *simulator* — which
-// shard worker, sweep worker or cache wait owns each slice of
+// shard worker, sweep worker or characterization owns each slice of
 // wall-clock time. Recorders capture begin/end spans into track-private
 // ring buffers and export Chrome trace-event JSON that loads directly
 // in Perfetto (ui.perfetto.dev) or chrome://tracing, one timeline row
@@ -21,10 +21,10 @@
 //     long run keeps the most recent window instead of growing without
 //     bound.
 //
-// Cold paths with no private track (the process-wide characterization
-// caches) record through Recorder.EmitShared, which takes the
-// registration lock — acceptable because cache fills happen a handful
-// of times per process, not per slot.
+// Cold paths with no private track (Table 1's gate-level
+// characterizations) record through Recorder.EmitShared, which takes
+// the registration lock — acceptable because they emit a handful of
+// spans per run, not per slot.
 package trace
 
 import (
@@ -32,7 +32,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -179,8 +178,8 @@ func (r *Recorder) SetProcessName(pid int, name string) {
 
 // EmitShared records one span on a get-or-create track under the
 // recorder lock — the cold-path alternative to a private Track for
-// goroutines that record a handful of spans per process (cache fills,
-// single-flight joins).
+// goroutines that record a handful of spans per run (Table 1's
+// characterizations).
 func (r *Recorder) EmitShared(pid int, track, span string, start, end int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -267,21 +266,3 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(doc)
 }
-
-// active is the process-wide recorder behind Active/SetActive: the seam
-// through which code with no config plumbing of its own (the
-// characterization caches) finds the run's recorder.
-var active atomic.Pointer[Recorder]
-
-// SetActive installs r as the process-wide recorder (nil to detach).
-// Grid runs set it for their duration; last set wins, so concurrent
-// traced runs in one process share whichever recorder was installed
-// most recently.
-func SetActive(r *Recorder) {
-	active.Store(r)
-}
-
-// Active returns the process-wide recorder, or nil when no traced run
-// is in flight. Callers must guard every recording on the nil check so
-// untraced runs take no new branches beyond it.
-func Active() *Recorder { return active.Load() }

@@ -327,9 +327,7 @@ type PointInfo struct {
 }
 
 // Event is one structured progress record of a grid run — the wire
-// format a study server streams to its clients. Counters snapshot the
-// process-wide characterization cache at emission time (cumulative, so
-// a point's cache behavior is the finish-minus-start delta).
+// format a study server streams to its clients.
 type Event struct {
 	// Kind is "point_start" or "point_finish".
 	Kind string `json:"kind"`
@@ -344,10 +342,6 @@ type Event struct {
 	DurationMS float64 `json:"durationMS,omitempty"`
 	// Err carries a failed point's error (finish only).
 	Err string `json:"err,omitempty"`
-	// CharHits/CharMisses snapshot the process-wide characterization
-	// cache counters.
-	CharHits   uint64 `json:"charHits"`
-	CharMisses uint64 `json:"charMisses"`
 }
 
 // TelemetryOptions streams per-point kernel telemetry from a grid run.
@@ -375,28 +369,21 @@ type RunOptions struct {
 	// serialized but arrive in completion order, not index order.
 	OnPoint func(index, total int, sc Scenario, r Result, info PointInfo)
 	// OnEvent, when non-nil, receives structured progress events
-	// (point start/finish with worker, duration and cache counters).
+	// (point start/finish with worker and duration).
 	// Calls are serialized, in emission order.
 	OnEvent func(Event)
 	// Telemetry, when non-nil with Out set, samples every-K-slots
 	// kernel time series per point into Out as JSONL.
 	Telemetry *TelemetryOptions
 	// Trace, when non-nil, profiles the run's execution into the
-	// recorder: sweep-worker occupancy rows, per-point kernel rows
+	// recorder: sweep-worker occupancy rows and per-point kernel rows
 	// (shard phases, join waits — one Perfetto process per point, pid =
-	// point index + 1) and cache single-flight waits. The recorder is
-	// installed as the process-wide trace.Active for the run's
-	// duration; export it with WriteJSON after Run returns. Results
-	// are bit-identical with or without it.
+	// point index + 1); a table1 study records one characterization
+	// span per switch type instead. The recorder belongs to this run
+	// alone; export it with WriteJSON after Run returns. Results are
+	// bit-identical with or without it.
 	Trace *trace.Recorder
 }
-
-// Process-wide characterization-cache counters (shared instances with
-// internal/energy via the registry's get-or-create semantics).
-var (
-	evCharHits   = telemetry.Default().Counter("energy.char.hits")
-	evCharMisses = telemetry.Default().Counter("energy.char.misses")
-)
 
 // Label summarizes the scenario's coordinates in one line — the form
 // progress events and verbose sweep output identify points by.
@@ -476,20 +463,12 @@ func (g Grid) Run(ctx context.Context, opt RunOptions) (*GridResult, error) {
 		topt = opt.Telemetry
 		telw = telemetry.NewWriter(topt.Out)
 	}
-	if opt.Trace != nil {
-		// Install the recorder process-wide so code with no config
-		// plumbing of its own (the characterization caches) can attach
-		// its spans to this run.
-		trace.SetActive(opt.Trace)
-		defer trace.SetActive(nil)
-	}
 	results, done, err := sweep.MapCtxWT(ctx, opt.Workers, scenarios, func(worker, i int, sc Scenario) (Result, error) {
 		if opt.OnEvent != nil {
 			mu.Lock()
 			opt.OnEvent(Event{
 				Kind: "point_start", Index: i, Total: n, Worker: worker,
-				Label:    sc.Label(),
-				CharHits: evCharHits.Load(), CharMisses: evCharMisses.Load(),
+				Label: sc.Label(),
 			})
 			mu.Unlock()
 		}
@@ -544,7 +523,6 @@ func (g Grid) Run(ctx context.Context, opt RunOptions) (*GridResult, error) {
 				Kind: "point_finish", Index: i, Total: n, Worker: worker,
 				Label:      sc.Label(),
 				DurationMS: float64(dur.Nanoseconds()) / 1e6,
-				CharHits:   evCharHits.Load(), CharMisses: evCharMisses.Load(),
 			}
 			if rerr != nil {
 				ev.Err = rerr.Error()

@@ -57,9 +57,14 @@ type FabricSpec struct {
 	// Ports is the fabric size (default 16). Must stay zero for
 	// network scenarios — the topology sizes every router.
 	Ports int `json:"ports,omitempty"`
-	// CellBits is the fixed cell size (default 1024).
+	// CellBits is the fixed cell size (default 1024, at most 65,536).
 	CellBits int `json:"cellBits,omitempty"`
 }
+
+// maxCellBits caps FabricSpec.CellBits at 64× the paper's 1,024-bit
+// cell. Every queued and in-flight cell carries its payload, so an
+// unbounded size lets one spec exhaust memory before the first slot.
+const maxCellBits = 1 << 16
 
 // TrafficSpec shapes the workload. Every kind drives single-router and
 // network scenarios alike — in a network, the kind selects each flow's
@@ -299,6 +304,9 @@ func (s Scenario) Validate() error {
 	}
 	if sd.Fabric.CellBits <= 0 {
 		return fmt.Errorf("study: cell bits must be positive, got %d", sd.Fabric.CellBits)
+	}
+	if sd.Fabric.CellBits > maxCellBits {
+		return fmt.Errorf("study: fabric.cellBits %d exceeds the limit of %d bits", sd.Fabric.CellBits, maxCellBits)
 	}
 	if s.Network != nil {
 		if s.Fabric.Ports != 0 {

@@ -2,9 +2,11 @@ package study_test
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -197,6 +199,43 @@ func TestDecodeValidates(t *testing.T) {
 		if _, err := study.DecodeSpec(strings.NewReader(c)); err == nil {
 			t.Errorf("invalid spec accepted: %s", c)
 		}
+	}
+}
+
+// TestCellBitsLimit: an oversized cell fails validation with an error
+// naming the field and the limit, whether it sits in the base (decode
+// time) or arrives through a cellbits axis (run time), before any cell
+// is allocated. A single 10⁹-bit cell would take 125 MB.
+func TestCellBitsLimit(t *testing.T) {
+	const wantErr = "fabric.cellBits 1000000000 exceeds the limit of 65536 bits"
+	check := func(form string, run func() error) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := run()
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), wantErr) {
+			t.Errorf("%s form: err = %v, want %q", form, err, wantErr)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 16<<20 {
+			t.Errorf("%s form allocated %d bytes before failing", form, n)
+		}
+	}
+	check("base", func() error {
+		_, err := study.DecodeSpec(strings.NewReader(`{"base": {"fabric": {"cellBits": 1000000000}}}`))
+		return err
+	})
+	check("axis", func() error {
+		g := study.Grid{
+			Base: study.Scenario{Fabric: study.FabricSpec{Arch: "banyan", Ports: 8}},
+			Axes: []study.Axis{{Name: "cellbits", Ints: []int{1000000000}}},
+		}
+		_, err := g.Run(context.Background(), study.RunOptions{Workers: 1})
+		return err
+	})
+	// The limit itself is a valid size.
+	if _, err := study.DecodeSpec(strings.NewReader(`{"base": {"fabric": {"cellBits": 65536}}}`)); err != nil {
+		t.Errorf("cellBits at the limit rejected: %v", err)
 	}
 }
 

@@ -49,10 +49,6 @@ func TestGridRunEvents(t *testing.T) {
 		if finish.Err != "" {
 			t.Errorf("point %d: unexpected error %q", i, finish.Err)
 		}
-		if finish.CharHits < start.CharHits || finish.CharMisses < start.CharMisses {
-			t.Errorf("point %d: cache counters went backwards: %d/%d -> %d/%d",
-				i, start.CharHits, start.CharMisses, finish.CharHits, finish.CharMisses)
-		}
 	}
 	// The scenario label is the coordinates, not internals.
 	if lbl := events[0].Label; !strings.Contains(lbl, "crossbar") {
