@@ -45,7 +45,7 @@ func main() {
 				Sim:    fpstudy.SimSpec{MeasureSlots: *slots, Seed: 1},
 			},
 			Axes: []fpstudy.Axis{
-				{Name: "dpm", Strings: fpstudy.DPMPolicyNames()},
+				{Name: "dpm", Strings: fpstudy.Default.DPMPolicyNames()},
 				{Name: "arch", Strings: []string{"banyan"}},
 				{Name: "load", Floats: []float64{0.10, 0.30, 0.50}},
 			},

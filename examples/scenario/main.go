@@ -8,8 +8,8 @@
 //  1. runs one scenario,
 //  2. sweeps a grid (architecture × load) with a progress callback and
 //     a cancellable context,
-//  3. registers a custom traffic source and drives it by name from a
-//     scenario, and
+//  3. registers a custom traffic source into its own registry and
+//     drives it by name from a scenario, and
 //  4. prints the grid as JSON — the exact format `fabricpower run`
 //     executes, and what every paper study alias prints under
 //     -print-scenario.
@@ -80,18 +80,21 @@ func main() {
 	}
 	fmt.Printf("%d points, bit-identical for any worker count\n\n", len(gr.Points))
 
-	// 3. A pluggable traffic source, driven by name.
-	if err := study.RegisterTraffic("everyother", func(spec study.TrafficSpec, ports int, seed int64) (study.TrafficSource, error) {
+	// 3. A pluggable traffic source, registered into this program's own
+	//    registry and driven by name from a scenario run against it.
+	reg := study.NewRegistry()
+	if err := reg.RegisterTraffic("everyother", func(spec study.TrafficSpec, ports int, seed int64) (study.TrafficSource, error) {
 		return everyOther{ports: ports}, nil
 	}); err != nil {
 		log.Fatal(err)
 	}
 	custom := point
 	custom.Traffic = study.TrafficSpec{Kind: "everyother"}
-	cres, err := study.RunScenario(custom)
+	cgr, err := study.Grid{Base: custom}.Run(context.Background(), study.RunOptions{Registry: reg})
 	if err != nil {
 		log.Fatal(err)
 	}
+	cres := cgr.Points[0].Result
 	fmt.Printf("custom 'everyother' source: %.2f%% throughput (half the ports, half the slots)\n\n",
 		cres.Throughput*100)
 

@@ -131,7 +131,7 @@ func (b *Breakdown) Accumulate(c Component, fj float64) {
 // Model bundles every parameter the bit-energy framework needs: the
 // technology point, the node-switch LUTs, and the buffer memory model.
 // The fully-connected fabric's N-input MUX is not a field: it is always
-// Table 1's (energy.PaperMux), built for the fabric's port count.
+// Table 1's (energy.PaperMuxEnergyFJ) at the fabric's port count.
 type Model struct {
 	// Tech is the process operating point (E_T derivation, voltages).
 	Tech tech.Params
@@ -280,13 +280,13 @@ func (m Model) FullyConnectedBitEnergy(n int) (Breakdown, error) {
 	if _, err := dimOf(n); err != nil {
 		return Breakdown{}, err
 	}
-	mux, err := energy.PaperMux(n)
+	muxFJ, err := energy.PaperMuxEnergyFJ(n)
 	if err != nil {
 		return Breakdown{}, err
 	}
 	w := thompson.FullyConnectedWires{N: n}
 	return Breakdown{
-		SwitchFJ: mux.EnergyFJ(0b1),
+		SwitchFJ: muxFJ,
 		WireFJ:   m.Tech.WireBitEnergyFJ(float64(w.WorstGrids())),
 	}, nil
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"fabricpower/internal/energy"
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -115,10 +117,15 @@ func TestCrossbarEq3(t *testing.T) {
 	}
 }
 
-// TestFullyConnectedEq4 pins Eq. 4: E = E_mux(N) + ½N²·E_T.
+// TestFullyConnectedEq4 pins Eq. 4: E = E_mux(N) + ½N²·E_T, including
+// past 64 ports, where the MUX term comes from Table 1's log-log fit.
 func TestFullyConnectedEq4(t *testing.T) {
 	m := PaperModel()
-	muxFJ := map[int]float64{4: 431, 8: 782, 16: 1350, 32: 2515}
+	mux128, err := energy.PaperMuxEnergyFJ(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	muxFJ := map[int]float64{4: 431, 8: 782, 16: 1350, 32: 2515, 128: mux128}
 	for n, mf := range muxFJ {
 		b, err := m.FullyConnectedBitEnergy(n)
 		if err != nil {

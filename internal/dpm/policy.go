@@ -2,8 +2,6 @@ package dpm
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 )
 
 // Observation is the per-slot activity snapshot a policy decides from.
@@ -331,57 +329,16 @@ func builtinPolicy(name string) (Policy, bool) {
 	return nil, false
 }
 
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]func() Policy{}
-)
-
-// RegisterPolicy makes a policy constructible by name through NewPolicy
-// — the extension point the study layer exposes to external callers.
-// Each NewPolicy call invokes factory afresh, so registered policies
-// carry no state across sweep points. Built-in and already-registered
-// names are rejected. Safe for concurrent use with NewPolicy (sweeps
-// construct policies from many goroutines).
-func RegisterPolicy(name string, factory func() Policy) error {
-	if name == "" || factory == nil {
-		return fmt.Errorf("dpm: policy registration needs a name and a factory")
-	}
-	if _, ok := builtinPolicy(name); ok {
-		return fmt.Errorf("dpm: policy %q is built in", name)
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, ok := registry[name]; ok {
-		return fmt.Errorf("dpm: policy %q already registered", name)
-	}
-	registry[name] = factory
-	return nil
-}
-
-// NewPolicy builds a policy from its name with default tuning,
-// consulting the built-ins first and then the registry.
+// NewPolicy builds a built-in policy from its name with default tuning.
 func NewPolicy(name string) (Policy, error) {
 	if p, ok := builtinPolicy(name); ok {
 		return p, nil
 	}
-	registryMu.RLock()
-	factory, ok := registry[name]
-	registryMu.RUnlock()
-	if ok {
-		return factory(), nil
-	}
 	return nil, fmt.Errorf("dpm: unknown policy %q (want one of %v)", name, PolicyNames())
 }
 
-// PolicyNames lists the available policies: baseline first, then the
-// remaining built-ins and any registered extensions, sorted.
+// PolicyNames lists the built-in policies: baseline first, then the
+// rest sorted.
 func PolicyNames() []string {
-	names := []string{"idlegate", "buffersleep", "loaddvfs", "composite"}
-	registryMu.RLock()
-	for name := range registry {
-		names = append(names, name)
-	}
-	registryMu.RUnlock()
-	sort.Strings(names)
-	return append([]string{"alwayson"}, names...)
+	return []string{"alwayson", "buffersleep", "composite", "idlegate", "loaddvfs"}
 }

@@ -130,15 +130,14 @@ func TestPaperMuxExtrapolation(t *testing.T) {
 }
 
 func TestPaperMuxTable(t *testing.T) {
-	l, err := PaperMux(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.EnergyFJ(0) != 0 {
-		t.Fatal("idle mux must be 0")
-	}
-	if l.EnergyFJ(0b1) != 782 || l.EnergyFJ(0xFF) != 782 {
-		t.Fatal("mux energy should be occupancy-independent per Table 1")
+	for n, want := range map[int]float64{4: 431, 8: 782, 16: 1350, 32: 2515} {
+		got, err := PaperMuxEnergyFJ(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("mux%d = %g fJ, want Table 1's %g", n, got, want)
+		}
 	}
 }
 

@@ -256,24 +256,3 @@ func PaperMuxEnergyFJ(n int) (float64, error) {
 	a := (sy - b*sx) / cnt
 	return math.Exp(a + b*math.Log(float64(n))), nil
 }
-
-// PaperMux returns Table 1's N-input MUX as a popcount table: 0 when idle
-// and the published (occupancy-independent) energy whenever any packet is
-// present, matching the paper's note that MUX values are very close across
-// input vectors.
-func PaperMux(n int) (*PopcountLUT, error) {
-	fj, err := PaperMuxEnergyFJ(n)
-	if err != nil {
-		return nil, err
-	}
-	l, err := NewPopcountLUT(fmt.Sprintf("mux%d(paper)", n), n)
-	if err != nil {
-		return nil, err
-	}
-	for k := 1; k <= n; k++ {
-		if err := l.SetPopcount(k, fj); err != nil {
-			return nil, err
-		}
-	}
-	return l, nil
-}

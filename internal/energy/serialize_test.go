@@ -28,9 +28,14 @@ func TestJSONRoundTripDense(t *testing.T) {
 }
 
 func TestJSONRoundTripPopcount(t *testing.T) {
-	orig, err := PaperMux(32)
+	orig, err := NewPopcountLUT("mux32", 32)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for k := 1; k <= 32; k++ {
+		if err := orig.SetPopcount(k, 2515+float64(k)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, orig); err != nil {

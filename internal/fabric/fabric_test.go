@@ -66,14 +66,18 @@ func TestNewRejectsUnknownArch(t *testing.T) {
 	}
 }
 
+// TestNewAllArchitectures builds every architecture, including above
+// 64 ports, where no fabric may lean on a 64-input popcount table.
 func TestNewAllArchitectures(t *testing.T) {
-	for _, a := range core.Architectures() {
-		f, err := New(a, testConfig(8))
-		if err != nil {
-			t.Fatalf("%v: %v", a, err)
-		}
-		if f.Arch() != a || f.Ports() != 8 {
-			t.Fatalf("%v: metadata wrong", a)
+	for _, ports := range []int{8, 128} {
+		for _, a := range core.Architectures() {
+			f, err := New(a, testConfig(ports))
+			if err != nil {
+				t.Fatalf("%v %d ports: %v", a, ports, err)
+			}
+			if f.Arch() != a || f.Ports() != ports {
+				t.Fatalf("%v %d ports: metadata wrong", a, ports)
+			}
 		}
 	}
 }

@@ -24,7 +24,7 @@ type fullyConnected struct {
 }
 
 func newFullyConnected(cfg Config) (*fullyConnected, error) {
-	mux, err := energy.PaperMux(cfg.Ports)
+	muxFJ, err := energy.PaperMuxEnergyFJ(cfg.Ports)
 	if err != nil {
 		return nil, err
 	}
@@ -40,7 +40,7 @@ func newFullyConnected(cfg Config) (*fullyConnected, error) {
 		cfg:    cfg,
 		inBank: newWireBank(cfg.Ports, grids, cfg.Model.Tech.ETBitFJ()),
 		busy:   make([]bool, cfg.Ports),
-		muxFJ:  mux.EnergyFJ(0b1),
+		muxFJ:  muxFJ,
 	}, nil
 }
 

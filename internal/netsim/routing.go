@@ -3,8 +3,6 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
 )
 
 // RoutingPolicy maps every flow to a loop-free node path over the
@@ -243,34 +241,8 @@ func (c Consolidate) dijkstra(t *Topology, f *Flow, linkRate []float64, nodeUsed
 	return path, nil
 }
 
-var (
-	routingRegistryMu sync.RWMutex
-	routingRegistry   = map[string]func() RoutingPolicy{}
-)
-
-// RegisterRouting makes a routing policy constructible by name through
-// NewRouting — the extension point the study layer exposes. Each
-// NewRouting call invokes factory afresh. Built-in and
-// already-registered names are rejected. Safe for concurrent use with
-// NewRouting.
-func RegisterRouting(name string, factory func() RoutingPolicy) error {
-	if name == "" || factory == nil {
-		return fmt.Errorf("netsim: routing registration needs a name and a factory")
-	}
-	if name == "shortest" || name == "consolidate" {
-		return fmt.Errorf("netsim: routing policy %q is built in", name)
-	}
-	routingRegistryMu.Lock()
-	defer routingRegistryMu.Unlock()
-	if _, ok := routingRegistry[name]; ok {
-		return fmt.Errorf("netsim: routing policy %q already registered", name)
-	}
-	routingRegistry[name] = factory
-	return nil
-}
-
-// NewRouting builds a routing policy from its name with default tuning,
-// consulting the built-ins first and then the registry.
+// NewRouting builds a built-in routing policy from its name with
+// default tuning.
 func NewRouting(name string) (RoutingPolicy, error) {
 	switch name {
 	case "shortest":
@@ -278,25 +250,8 @@ func NewRouting(name string) (RoutingPolicy, error) {
 	case "consolidate":
 		return Consolidate{}, nil
 	}
-	routingRegistryMu.RLock()
-	factory, ok := routingRegistry[name]
-	routingRegistryMu.RUnlock()
-	if ok {
-		return factory(), nil
-	}
 	return nil, fmt.Errorf("netsim: unknown routing policy %q (want one of %v)", name, RoutingNames())
 }
 
-// RoutingNames lists the built-in policies (baseline first) followed by
-// any registered extensions, sorted.
-func RoutingNames() []string {
-	names := []string{"shortest", "consolidate"}
-	routingRegistryMu.RLock()
-	var extra []string
-	for name := range routingRegistry {
-		extra = append(extra, name)
-	}
-	routingRegistryMu.RUnlock()
-	sort.Strings(extra)
-	return append(names, extra...)
-}
+// RoutingNames lists the built-in routing policies, baseline first.
+func RoutingNames() []string { return []string{"shortest", "consolidate"} }

@@ -28,7 +28,6 @@ package netsim
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Link is one directed inter-router connection. Topologies are built
@@ -277,85 +276,26 @@ func FatTree2(spines, leaves int) (*Topology, error) {
 	return t, nil
 }
 
-// builtinTopology dispatches the built-in builders.
-func builtinTopology(name string, n int) (*Topology, bool, error) {
+// BuildTopology constructs a built-in topology at a size, the factory
+// the study runner and the CLI share. For "fattree", n counts the
+// leaves (hosts) and max(2, n/2) spines are added on top; for every
+// other built-in, n is the total node count.
+func BuildTopology(name string, n int) (*Topology, error) {
 	switch name {
 	case "chain":
-		t, err := Chain(n)
-		return t, true, err
+		return Chain(n)
 	case "ring":
-		t, err := Ring(n)
-		return t, true, err
+		return Ring(n)
 	case "star":
-		t, err := Star(n)
-		return t, true, err
+		return Star(n)
 	case "fattree":
-		spines := n / 2
-		if spines < 2 {
-			spines = 2
-		}
-		t, err := FatTree2(spines, n)
-		return t, true, err
-	}
-	return nil, false, nil
-}
-
-var (
-	topoRegistryMu sync.RWMutex
-	topoRegistry   = map[string]func(n int) (*Topology, error){}
-)
-
-// RegisterTopology makes a topology builder constructible by name
-// through BuildTopology — the extension point the study layer exposes.
-// Built-in and already-registered names are rejected. Safe for
-// concurrent use with BuildTopology.
-func RegisterTopology(name string, build func(n int) (*Topology, error)) error {
-	if name == "" || build == nil {
-		return fmt.Errorf("netsim: topology registration needs a name and a builder")
-	}
-	if _, ok, _ := builtinTopology(name, 4); ok {
-		return fmt.Errorf("netsim: topology %q is built in", name)
-	}
-	topoRegistryMu.Lock()
-	defer topoRegistryMu.Unlock()
-	if _, ok := topoRegistry[name]; ok {
-		return fmt.Errorf("netsim: topology %q already registered", name)
-	}
-	topoRegistry[name] = build
-	return nil
-}
-
-// BuildTopology constructs a named topology at a size, the factory the
-// study runner and the CLI share. For "fattree", n counts the leaves
-// (hosts) and max(2, n/2) spines are added on top; for every other
-// built-in, n is the total node count. Registered builders interpret n
-// themselves.
-func BuildTopology(name string, n int) (*Topology, error) {
-	if t, ok, err := builtinTopology(name, n); ok {
-		return t, err
-	}
-	topoRegistryMu.RLock()
-	build, ok := topoRegistry[name]
-	topoRegistryMu.RUnlock()
-	if ok {
-		return build(n)
+		return FatTree2(max(2, n/2), n)
 	}
 	return nil, fmt.Errorf("netsim: unknown topology %q (want one of %v)", name, TopologyNames())
 }
 
-// TopologyNames lists the built-in builders followed by any registered
-// extensions, sorted.
-func TopologyNames() []string {
-	names := []string{"chain", "ring", "star", "fattree"}
-	topoRegistryMu.RLock()
-	var extra []string
-	for name := range topoRegistry {
-		extra = append(extra, name)
-	}
-	topoRegistryMu.RUnlock()
-	sort.Strings(extra)
-	return append(names, extra...)
-}
+// TopologyNames lists the built-in topology builders.
+func TopologyNames() []string { return []string{"chain", "ring", "star", "fattree"} }
 
 // nextPow2 returns the smallest power of two >= v.
 func nextPow2(v int) int {

@@ -3,7 +3,6 @@ package netsim
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Flow is one (source node, destination node) demand of a traffic
@@ -163,34 +162,8 @@ func (h HotspotMatrix) Rates(hosts int, load float64) ([][]float64, error) {
 	return r, nil
 }
 
-var (
-	matrixRegistryMu sync.RWMutex
-	matrixRegistry   = map[string]func() TrafficMatrix{}
-)
-
-// RegisterMatrix makes a traffic matrix constructible by name through
-// NewMatrix — the extension point the study layer exposes. Each
-// NewMatrix call invokes factory afresh. Built-in and
-// already-registered names are rejected. Safe for concurrent use with
-// NewMatrix.
-func RegisterMatrix(name string, factory func() TrafficMatrix) error {
-	if name == "" || factory == nil {
-		return fmt.Errorf("netsim: matrix registration needs a name and a factory")
-	}
-	if name == "uniform" || name == "gravity" || name == "hotspot" {
-		return fmt.Errorf("netsim: traffic matrix %q is built in", name)
-	}
-	matrixRegistryMu.Lock()
-	defer matrixRegistryMu.Unlock()
-	if _, ok := matrixRegistry[name]; ok {
-		return fmt.Errorf("netsim: traffic matrix %q already registered", name)
-	}
-	matrixRegistry[name] = factory
-	return nil
-}
-
-// NewMatrix builds a matrix from its name with default tuning,
-// consulting the built-ins first and then the registry.
+// NewMatrix builds a built-in traffic matrix from its name with
+// default tuning.
 func NewMatrix(name string) (TrafficMatrix, error) {
 	switch name {
 	case "uniform":
@@ -200,28 +173,11 @@ func NewMatrix(name string) (TrafficMatrix, error) {
 	case "hotspot":
 		return HotspotMatrix{}, nil
 	}
-	matrixRegistryMu.RLock()
-	factory, ok := matrixRegistry[name]
-	matrixRegistryMu.RUnlock()
-	if ok {
-		return factory(), nil
-	}
 	return nil, fmt.Errorf("netsim: unknown traffic matrix %q (want one of %v)", name, MatrixNames())
 }
 
-// MatrixNames lists the built-in matrices followed by any registered
-// extensions, sorted.
-func MatrixNames() []string {
-	names := []string{"uniform", "gravity", "hotspot"}
-	matrixRegistryMu.RLock()
-	var extra []string
-	for name := range matrixRegistry {
-		extra = append(extra, name)
-	}
-	matrixRegistryMu.RUnlock()
-	sort.Strings(extra)
-	return append(names, extra...)
-}
+// MatrixNames lists the built-in traffic matrices.
+func MatrixNames() []string { return []string{"uniform", "gravity", "hotspot"} }
 
 func checkDemand(hosts int, load float64) error {
 	if hosts < 2 {

@@ -562,6 +562,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// DecodeSpec validated the base; an axis can still sweep a field
+	// out of range, so every point is checked before it takes a slot.
+	for i, sc := range scenarios {
+		if err := sc.Validate(); err != nil {
+			writeError(w, http.StatusBadRequest, "point %d: %v", i, err)
+			return
+		}
+	}
 	n := len(scenarios)
 
 	// Admission: one ticket covers the whole queued+running residency.

@@ -251,7 +251,7 @@ var gate = struct {
 
 func gateReset() chan struct{} {
 	gate.once.Do(func() {
-		study.RegisterTraffic("studyd-test-gate", func(spec study.TrafficSpec, ports int, seed int64) (study.TrafficSource, error) {
+		study.Default.RegisterTraffic("studyd-test-gate", func(spec study.TrafficSpec, ports int, seed int64) (study.TrafficSource, error) {
 			gate.mu.Lock()
 			ch := gate.ch
 			gate.mu.Unlock()
@@ -500,6 +500,49 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown study GET status = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestInvalidGridPointRejected: an axis that sweeps a field out of
+// range is answered 400 with the point's validation error, before it
+// takes a slot or appears in the listing.
+func TestInvalidGridPointRejected(t *testing.T) {
+	_, ts, _ := newTestServer(t, studyd.Config{})
+	const spec = `{"version": 1, "base": {"fabric": {"ports": 4}, "sim": {"measureSlots": 10}},
+  "axes": [{"name": "cellbits", "ints": [1024, 1000000000]}]}`
+	resp, err := http.Post(ts.URL+"/v1/studies", "application/json", strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct {
+		Error string `json:"error"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("status = %d, want 400", resp.StatusCode)
+	}
+	if !strings.Contains(body.Error, "point 1: study: fabric.cellBits 1000000000 exceeds the limit of 65536 bits") {
+		t.Errorf("error = %q, want point 1's cell-size limit", body.Error)
+	}
+
+	resp, err = http.Get(ts.URL + "/v1/studies")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list struct {
+		Studies []studyd.StudyStatus `json:"studies"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&list)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Studies) != 0 {
+		t.Errorf("a rejected spec is listed: %+v", list.Studies)
 	}
 }
 

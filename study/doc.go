@@ -51,10 +51,15 @@
 //
 // # Extension points
 //
-// The string names scenarios use for traffic kinds, DPM policies,
-// routing policies, topologies and traffic matrices resolve through
-// name-based registries, so external callers can plug in their own
-// implementations and then drive them from scenario files:
+// The string names scenarios use for sweep axes, traffic kinds, DPM
+// policies, routing policies, topologies and traffic matrices resolve
+// through a Registry, so external callers can plug in their own
+// implementations and then drive them from scenario files. A Registry
+// is a value: NewRegistry makes one that knows only the built-ins,
+// Grid.Run resolves against RunOptions.Registry, and Default serves
+// when that is nil, as well as for RunScenario and Grid.Enumerate. An
+// extension registered into one registry is unknown to every other.
+// Names resolve once per point, never per slot. The Registry methods:
 //
 //   - RegisterTraffic adds a traffic kind: a TrafficSource emitting
 //     per-slot (port, destination) injections. In network scenarios
@@ -62,12 +67,18 @@
 //     flow's rate) behind netsim's FlowSource seam.
 //   - RegisterDPMPolicy adds a power-management policy: a Policy
 //     observing per-slot activity and deciding component power states.
+//     Every managed router constructs its own.
 //   - RegisterRouting adds a network routing policy: a RoutingFunc
 //     mapping flow demands to node paths over a NetworkView.
 //   - RegisterTopology adds a topology builder: a Graph of undirected
 //     edges (and optionally restricted host nodes) per size.
 //   - RegisterMatrix adds a traffic matrix: per-host demand rates.
 //   - RegisterAxis adds a sweepable scenario axis.
+//
+// Each rejects an empty name, a nil implementation, a built-in name
+// and a name already registered; TrafficKinds, DPMPolicyNames,
+// RoutingNames, TopologyNames, MatrixNames and AxisNames list the
+// built-ins first, then the extensions sorted.
 //
 // Registered implementations must be deterministic pure functions of
 // their inputs: the sweep engine's bit-identical-for-any-worker-count

@@ -2,6 +2,7 @@ package study
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -12,6 +13,168 @@ import (
 	"fabricpower/internal/sim"
 	"fabricpower/internal/traffic"
 )
+
+// Registry resolves the names scenarios use — sweep axes, traffic
+// kinds, DPM policies, routing policies, topologies and traffic
+// matrices — to their implementations. Every registry knows the
+// built-ins; an extension registered into one registry is known to
+// that registry alone. A grid run resolves against
+// RunOptions.Registry, or Default when that is nil. A Registry is safe
+// for concurrent use: names may be registered while a run resolves
+// them. Every Register method rejects an empty name, a nil
+// implementation, a built-in name and a name already registered. Make
+// one with NewRegistry.
+type Registry struct {
+	mu         sync.RWMutex
+	axes       table[AxisApplier]
+	traffic    table[TrafficFactory]
+	policies   table[func() Policy]
+	routing    table[RoutingFunc]
+	topologies table[func(nodes int) (Graph, error)]
+	matrices   table[MatrixFunc]
+}
+
+// Default is the registry RunScenario and Grid.Enumerate resolve
+// against, and Grid.Run when RunOptions.Registry is nil.
+var Default = NewRegistry()
+
+// NewRegistry returns a registry that knows only the built-ins.
+func NewRegistry() *Registry {
+	axes := make([]string, 0, len(builtinAxes))
+	for name := range builtinAxes {
+		axes = append(axes, name)
+	}
+	sort.Strings(axes)
+	return &Registry{
+		axes:       newTable[AxisApplier]("axis", axes),
+		traffic:    newTable[TrafficFactory]("traffic kind", []string{"uniform", "bursty", "packet", "hotspot", "trace"}),
+		policies:   newTable[func() Policy]("DPM policy", dpm.PolicyNames()),
+		routing:    newTable[RoutingFunc]("routing policy", netsim.RoutingNames()),
+		topologies: newTable[func(nodes int) (Graph, error)]("topology", netsim.TopologyNames()),
+		matrices:   newTable[MatrixFunc]("traffic matrix", netsim.MatrixNames()),
+	}
+}
+
+// RegisterAxis makes a new axis name sweepable in grids.
+func (r *Registry) RegisterAxis(name string, apply AxisApplier) error {
+	return register(r, &r.axes, name, apply)
+}
+
+// RegisterTraffic makes a traffic kind available to scenarios.
+func (r *Registry) RegisterTraffic(kind string, factory TrafficFactory) error {
+	return register(r, &r.traffic, kind, factory)
+}
+
+// RegisterDPMPolicy makes a power-management policy available to
+// scenarios by name. Each managed router constructs a fresh policy via
+// factory, so implementations carry no state across sweep points or
+// routers.
+func (r *Registry) RegisterDPMPolicy(name string, factory func() Policy) error {
+	return register(r, &r.policies, name, factory)
+}
+
+// RegisterRouting makes a routing policy available to network
+// scenarios by name.
+func (r *Registry) RegisterRouting(name string, fn RoutingFunc) error {
+	return register(r, &r.routing, name, fn)
+}
+
+// RegisterTopology makes a topology builder available to network
+// scenarios by name: build receives the scenario's node count and
+// returns the graph to wire.
+func (r *Registry) RegisterTopology(name string, build func(nodes int) (Graph, error)) error {
+	return register(r, &r.topologies, name, build)
+}
+
+// RegisterMatrix makes a traffic matrix available to network scenarios
+// by name.
+func (r *Registry) RegisterMatrix(name string, fn MatrixFunc) error {
+	return register(r, &r.matrices, name, fn)
+}
+
+// AxisNames lists the sweepable axes: the built-ins sorted, then the
+// registered extensions sorted.
+func (r *Registry) AxisNames() []string { return names(r, &r.axes) }
+
+// TrafficKinds lists the built-in traffic kinds followed by the
+// registered extensions, sorted.
+func (r *Registry) TrafficKinds() []string { return names(r, &r.traffic) }
+
+// DPMPolicyNames lists the built-in policies (baseline first) followed
+// by the registered extensions, sorted.
+func (r *Registry) DPMPolicyNames() []string { return names(r, &r.policies) }
+
+// RoutingNames lists the built-in routing policies (baseline first)
+// followed by the registered extensions, sorted.
+func (r *Registry) RoutingNames() []string { return names(r, &r.routing) }
+
+// TopologyNames lists the built-in topology builders followed by the
+// registered extensions, sorted.
+func (r *Registry) TopologyNames() []string { return names(r, &r.topologies) }
+
+// MatrixNames lists the built-in traffic matrices followed by the
+// registered extensions, sorted.
+func (r *Registry) MatrixNames() []string { return names(r, &r.matrices) }
+
+// extension is the set of implementation types a Registry holds.
+type extension interface {
+	AxisApplier | TrafficFactory | func() Policy | RoutingFunc | func(nodes int) (Graph, error) | MatrixFunc
+}
+
+// table is one name space of a Registry: its built-in names, fixed at
+// construction, and the registered extensions, which the Registry's
+// mutex guards.
+type table[T extension] struct {
+	what     string
+	builtins []string
+	extra    map[string]T
+}
+
+func newTable[T extension](what string, builtins []string) table[T] {
+	return table[T]{what: what, builtins: builtins, extra: map[string]T{}}
+}
+
+// register adds an extension to one of r's tables, rejecting an empty
+// name, a nil implementation, a built-in name and a name already
+// registered.
+func register[T extension](r *Registry, t *table[T], name string, v T) error {
+	if name == "" || v == nil {
+		return fmt.Errorf("study: %s registration needs a name and an implementation", t.what)
+	}
+	if slices.Contains(t.builtins, name) {
+		return fmt.Errorf("study: %s %q is built in", t.what, name)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := t.extra[name]; ok {
+		return fmt.Errorf("study: %s %q already registered", t.what, name)
+	}
+	t.extra[name] = v
+	return nil
+}
+
+// lookup returns the extension registered under a non-built-in name.
+func lookup[T extension](r *Registry, t *table[T], name string) (T, error) {
+	r.mu.RLock()
+	v, ok := t.extra[name]
+	r.mu.RUnlock()
+	if !ok {
+		return v, fmt.Errorf("study: unknown %s %q (want one of %v)", t.what, name, names(r, t))
+	}
+	return v, nil
+}
+
+// names lists a table's built-ins followed by its extensions, sorted.
+func names[T extension](r *Registry, t *table[T]) []string {
+	r.mu.RLock()
+	extra := make([]string, 0, len(t.extra))
+	for name := range t.extra {
+		extra = append(extra, name)
+	}
+	r.mu.RUnlock()
+	sort.Strings(extra)
+	return append(slices.Clone(t.builtins), extra...)
+}
 
 // ---------------------------------------------------------------------
 // Traffic generators
@@ -40,53 +203,6 @@ type TrafficSource interface {
 // the generic fields), ports the fabric size, and seed the
 // coordinate-derived stream seed.
 type TrafficFactory func(spec TrafficSpec, ports int, seed int64) (TrafficSource, error)
-
-var (
-	trafficMu       sync.RWMutex
-	trafficRegistry = map[string]TrafficFactory{}
-)
-
-// builtinTraffic lists the kinds the executor implements directly on
-// internal/traffic.
-func builtinTraffic(kind string) bool {
-	switch kind {
-	case "uniform", "bursty", "packet", "hotspot", "trace":
-		return true
-	}
-	return false
-}
-
-// RegisterTraffic makes a traffic kind available to scenarios. Built-in
-// and already-registered kinds are rejected.
-func RegisterTraffic(kind string, factory TrafficFactory) error {
-	if kind == "" || factory == nil {
-		return fmt.Errorf("study: traffic registration needs a kind and a factory")
-	}
-	if builtinTraffic(kind) {
-		return fmt.Errorf("study: traffic kind %q is built in", kind)
-	}
-	trafficMu.Lock()
-	defer trafficMu.Unlock()
-	if _, ok := trafficRegistry[kind]; ok {
-		return fmt.Errorf("study: traffic kind %q already registered", kind)
-	}
-	trafficRegistry[kind] = factory
-	return nil
-}
-
-// TrafficKinds lists the built-in kinds followed by any registered
-// extensions, sorted.
-func TrafficKinds() []string {
-	kinds := []string{"uniform", "bursty", "packet", "hotspot", "trace"}
-	trafficMu.RLock()
-	var extra []string
-	for k := range trafficRegistry {
-		extra = append(extra, k)
-	}
-	trafficMu.RUnlock()
-	sort.Strings(extra)
-	return append(kinds, extra...)
-}
 
 // sourceGenerator adapts a TrafficSource to the simulation kernel's
 // generator interface, assembling full cells (IDs, random payloads)
@@ -141,12 +257,10 @@ func (g *sourceGenerator) add(in Injection) {
 }
 
 // registeredTraffic builds the generator for a non-built-in kind.
-func registeredTraffic(spec TrafficSpec, ports int, cfg packet.Config, seed int64) (*sourceGenerator, error) {
-	trafficMu.RLock()
-	factory, ok := trafficRegistry[spec.Kind]
-	trafficMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("study: unknown traffic kind %q (want one of %v)", spec.Kind, TrafficKinds())
+func (r *Registry) registeredTraffic(spec TrafficSpec, ports int, cfg packet.Config, seed int64) (*sourceGenerator, error) {
+	factory, err := lookup(r, &r.traffic, spec.Kind)
+	if err != nil {
+		return nil, err
 	}
 	src, err := factory(spec, ports, seed)
 	if err != nil {
@@ -187,21 +301,18 @@ type namedPolicy struct {
 
 func (p namedPolicy) Name() string { return p.name }
 
-// RegisterDPMPolicy makes a power-management policy available to
-// scenarios by name. Each run constructs a fresh policy via factory, so
-// implementations carry no state across sweep points. Built-in and
-// already-registered names are rejected.
-func RegisterDPMPolicy(name string, factory func() Policy) error {
-	if factory == nil {
-		return fmt.Errorf("study: policy registration needs a factory")
+// dpmPolicy resolves a policy name to the constructor each managed
+// router calls: a dpm built-in, or a policy registered in r.
+func (r *Registry) dpmPolicy(name string) (func() (dpm.Policy, error), error) {
+	if slices.Contains(r.policies.builtins, name) {
+		return func() (dpm.Policy, error) { return dpm.NewPolicy(name) }, nil
 	}
-	return dpm.RegisterPolicy(name, func() dpm.Policy {
-		return namedPolicy{Policy: factory(), name: name}
-	})
+	factory, err := lookup(r, &r.policies, name)
+	if err != nil {
+		return nil, err
+	}
+	return func() (dpm.Policy, error) { return namedPolicy{Policy: factory(), name: name}, nil }, nil
 }
-
-// DPMPolicyNames lists the available policies, baseline first.
-func DPMPolicyNames() []string { return dpm.PolicyNames() }
 
 // ---------------------------------------------------------------------
 // Routing policies
@@ -251,20 +362,18 @@ func (r routingAdapter) Route(t *netsim.Topology, flows []netsim.Flow) ([][]int,
 	return r.fn(v, demands)
 }
 
-// RegisterRouting makes a routing policy available to network
-// scenarios by name. Built-in and already-registered names are
-// rejected.
-func RegisterRouting(name string, fn RoutingFunc) error {
-	if fn == nil {
-		return fmt.Errorf("study: routing registration needs a function")
+// routingPolicy resolves a routing name: a netsim built-in, or a
+// RoutingFunc registered in r.
+func (r *Registry) routingPolicy(name string) (netsim.RoutingPolicy, error) {
+	if slices.Contains(r.routing.builtins, name) {
+		return netsim.NewRouting(name)
 	}
-	return netsim.RegisterRouting(name, func() netsim.RoutingPolicy {
-		return routingAdapter{name: name, fn: fn}
-	})
+	fn, err := lookup(r, &r.routing, name)
+	if err != nil {
+		return nil, err
+	}
+	return routingAdapter{name: name, fn: fn}, nil
 }
-
-// RoutingNames lists the available routing policies, baseline first.
-func RoutingNames() []string { return netsim.RoutingNames() }
 
 // ---------------------------------------------------------------------
 // Topologies
@@ -283,43 +392,40 @@ type Graph struct {
 	Hosts []int
 }
 
-// RegisterTopology makes a topology builder available to network
-// scenarios by name: build receives the scenario's node count and
-// returns the graph to wire. Built-in and already-registered names are
-// rejected.
-func RegisterTopology(name string, build func(nodes int) (Graph, error)) error {
-	if build == nil {
-		return fmt.Errorf("study: topology registration needs a builder")
+// topology builds a named topology at a size: a netsim built-in, or
+// the Graph of a builder registered in r, wired and checked.
+func (r *Registry) topology(name string, nodes int) (*netsim.Topology, error) {
+	if slices.Contains(r.topologies.builtins, name) {
+		return netsim.BuildTopology(name, nodes)
 	}
-	return netsim.RegisterTopology(name, func(n int) (*netsim.Topology, error) {
-		g, err := build(n)
-		if err != nil {
-			return nil, err
-		}
-		t, err := netsim.NewTopology(name, g.Nodes, g.Edges, g.Ports)
-		if err != nil {
-			return nil, err
-		}
-		if g.Hosts != nil {
-			for _, h := range g.Hosts {
-				if h < 0 || h >= t.Nodes {
-					return nil, fmt.Errorf("study: topology %q host %d out of range", name, h)
-				}
-				if len(t.EdgePorts(h)) == 0 {
-					return nil, fmt.Errorf("study: topology %q host %d has no host-facing port", name, h)
-				}
+	build, err := lookup(r, &r.topologies, name)
+	if err != nil {
+		return nil, err
+	}
+	g, err := build(nodes)
+	if err != nil {
+		return nil, err
+	}
+	t, err := netsim.NewTopology(name, g.Nodes, g.Edges, g.Ports)
+	if err != nil {
+		return nil, err
+	}
+	if g.Hosts != nil {
+		for _, h := range g.Hosts {
+			if h < 0 || h >= t.Nodes {
+				return nil, fmt.Errorf("study: topology %q host %d out of range", name, h)
 			}
-			if len(g.Hosts) < 2 {
-				return nil, fmt.Errorf("study: topology %q needs >= 2 hosts, got %d", name, len(g.Hosts))
+			if len(t.EdgePorts(h)) == 0 {
+				return nil, fmt.Errorf("study: topology %q host %d has no host-facing port", name, h)
 			}
-			t.Hosts = append([]int(nil), g.Hosts...)
 		}
-		return t, nil
-	})
+		if len(g.Hosts) < 2 {
+			return nil, fmt.Errorf("study: topology %q needs >= 2 hosts, got %d", name, len(g.Hosts))
+		}
+		t.Hosts = append([]int(nil), g.Hosts...)
+	}
+	return t, nil
 }
-
-// TopologyNames lists the available topology builders.
-func TopologyNames() []string { return netsim.TopologyNames() }
 
 // ---------------------------------------------------------------------
 // Traffic matrices
@@ -342,23 +448,23 @@ func (m matrixAdapter) Rates(hosts int, load float64) ([][]float64, error) {
 	return m.fn(hosts, load)
 }
 
-// RegisterMatrix makes a traffic matrix available to network scenarios
-// by name. Built-in and already-registered names are rejected.
-func RegisterMatrix(name string, fn MatrixFunc) error {
-	if fn == nil {
-		return fmt.Errorf("study: matrix registration needs a function")
+// matrix resolves a traffic-matrix name: a netsim built-in, or a
+// MatrixFunc registered in r.
+func (r *Registry) matrix(name string) (netsim.TrafficMatrix, error) {
+	if slices.Contains(r.matrices.builtins, name) {
+		return netsim.NewMatrix(name)
 	}
-	return netsim.RegisterMatrix(name, func() netsim.TrafficMatrix {
-		return matrixAdapter{name: name, fn: fn}
-	})
+	fn, err := lookup(r, &r.matrices, name)
+	if err != nil {
+		return nil, err
+	}
+	return matrixAdapter{name: name, fn: fn}, nil
 }
 
-// MatrixNames lists the available traffic matrices.
-func MatrixNames() []string { return netsim.MatrixNames() }
-
-// builtinGenerator builds the internal generator for the built-in
-// traffic kinds, matching the experiment runners' construction exactly.
-func builtinGenerator(spec TrafficSpec, ports int, cfg packet.Config, seed int64) (sim.Generator, error) {
+// generator builds the single-router traffic generator: the built-in
+// kinds match the experiment runners' construction exactly, any other
+// kind is registered in r.
+func (r *Registry) generator(spec TrafficSpec, ports int, cfg packet.Config, seed int64) (sim.Generator, error) {
 	switch spec.Kind {
 	case "uniform":
 		return traffic.NewInjector(ports, spec.Load, cfg, nil, seed)
@@ -372,7 +478,7 @@ func builtinGenerator(spec TrafficSpec, ports int, cfg packet.Config, seed int64
 	case "trace":
 		return tracePlayer(spec.Trace, cfg)
 	}
-	return registeredTraffic(spec, ports, cfg, seed)
+	return r.registeredTraffic(spec, ports, cfg, seed)
 }
 
 // flowSourceAdapter lifts a per-port TrafficSource into the network
@@ -410,7 +516,7 @@ func (a *flowSourceAdapter) NextBlock(first uint64) uint64 {
 // sources; a registered kind is instantiated per flow through its
 // TrafficFactory with ports=1 and Load set to the flow's matrix rate,
 // then adapted onto the FlowSource seam.
-func networkTraffic(spec TrafficSpec, tr *traffic.Trace) (netsim.Traffic, error) {
+func (r *Registry) networkTraffic(spec TrafficSpec, tr *traffic.Trace) (netsim.Traffic, error) {
 	switch spec.Kind {
 	case "", "uniform", "bursty", "packet":
 		return netsim.Traffic{Kind: spec.Kind, MeanBurstSlots: spec.MeanBurstSlots}, nil
@@ -420,11 +526,9 @@ func networkTraffic(spec TrafficSpec, tr *traffic.Trace) (netsim.Traffic, error)
 		// Validate rejects this earlier; keep the executor honest.
 		return netsim.Traffic{}, fmt.Errorf("study: traffic kind hotspot is single-router only; use network.matrix \"hotspot\"")
 	}
-	trafficMu.RLock()
-	factory, ok := trafficRegistry[spec.Kind]
-	trafficMu.RUnlock()
-	if !ok {
-		return netsim.Traffic{}, fmt.Errorf("study: unknown traffic kind %q (want one of %v)", spec.Kind, TrafficKinds())
+	factory, err := lookup(r, &r.traffic, spec.Kind)
+	if err != nil {
+		return netsim.Traffic{}, err
 	}
 	return netsim.Traffic{New: func(f netsim.Flow, fi int, seed int64) (netsim.FlowSource, error) {
 		perFlow := spec

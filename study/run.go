@@ -53,9 +53,11 @@ type (
 // execution matches the experiment runners exactly: the traffic stream
 // is derived from (Sim.Seed, coordinates), so two scenarios that
 // describe the same operating point measure identical results —
-// regardless of which subcommand, grid or test constructed them.
+// regardless of which subcommand, grid or test constructed them. Names
+// resolve against Default; a Grid run with RunOptions.Registry resolves
+// against another registry.
 func RunScenario(sc Scenario) (Result, error) {
-	return runScenario(sc, nil, nil, nil)
+	return runScenario(Default, sc, nil, nil, nil)
 }
 
 // pointTrace carries one point's execution-profiler attachment: the
@@ -67,11 +69,12 @@ type pointTrace struct {
 	prefix string
 }
 
-// runScenario is RunScenario with an optional telemetry tap and
-// execution profiler: topt tunes the kernel collectors, emit receives
-// each kernel sample/summary (the pointed-to values are reused — emit
-// must consume them synchronously), pt attaches the profiler.
-func runScenario(sc Scenario, topt *TelemetryOptions, emit func(any), pt *pointTrace) (Result, error) {
+// runScenario is RunScenario against the registry reg, with an optional
+// telemetry tap and execution profiler: topt tunes the kernel
+// collectors, emit receives each kernel sample/summary (the pointed-to
+// values are reused — emit must consume them synchronously), pt
+// attaches the profiler.
+func runScenario(reg *Registry, sc Scenario, topt *TelemetryOptions, emit func(any), pt *pointTrace) (Result, error) {
 	if err := sc.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -81,9 +84,9 @@ func runScenario(sc Scenario, topt *TelemetryOptions, emit func(any), pt *pointT
 		return Result{}, err
 	}
 	if sd.Network != nil {
-		return runNetwork(sd, model, topt, emit, pt)
+		return runNetwork(reg, sd, model, topt, emit, pt)
 	}
-	return runSingle(sd, model, topt, emit)
+	return runSingle(reg, sd, model, topt, emit)
 }
 
 func parseQueue(name string) (router.QueueDiscipline, error) {
@@ -119,7 +122,7 @@ func tracePlayer(path string, cfg packet.Config) (sim.Generator, error) {
 }
 
 // runSingle executes a defaulted single-router scenario.
-func runSingle(sd Scenario, model core.Model, topt *TelemetryOptions, emit func(any)) (Result, error) {
+func runSingle(reg *Registry, sd Scenario, model core.Model, topt *TelemetryOptions, emit func(any)) (Result, error) {
 	arch, err := core.ParseArchitecture(sd.Fabric.Arch)
 	if err != nil {
 		return Result{}, err
@@ -131,7 +134,11 @@ func runSingle(sd Scenario, model core.Model, topt *TelemetryOptions, emit func(
 	cellCfg := packet.Config{CellBits: sd.Fabric.CellBits, BusWidth: model.Tech.BusWidth}
 	var mgr *dpm.Manager
 	if sd.DPM != "" {
-		pol, err := dpm.NewPolicy(sd.DPM)
+		newPolicy, err := reg.dpmPolicy(sd.DPM)
+		if err != nil {
+			return Result{}, err
+		}
+		pol, err := newPolicy()
 		if err != nil {
 			return Result{}, err
 		}
@@ -163,7 +170,7 @@ func runSingle(sd Scenario, model core.Model, topt *TelemetryOptions, emit func(
 		return Result{}, fmt.Errorf("study: %v %d ports: %w", arch, sd.Fabric.Ports, err)
 	}
 	seed := sweep.PointSeed(sd.Sim.Seed, sd.Fabric.Ports, sd.Traffic.Load)
-	gen, err := builtinGenerator(sd.Traffic, sd.Fabric.Ports, cellCfg, seed)
+	gen, err := reg.generator(sd.Traffic, sd.Fabric.Ports, cellCfg, seed)
 	if err != nil {
 		return Result{}, err
 	}
@@ -241,7 +248,7 @@ func faultPlan(f *FailureSpec) *netsim.FaultPlan {
 }
 
 // runNetwork executes a defaulted network scenario.
-func runNetwork(sd Scenario, model core.Model, topt *TelemetryOptions, emit func(any), pt *pointTrace) (Result, error) {
+func runNetwork(reg *Registry, sd Scenario, model core.Model, topt *TelemetryOptions, emit func(any), pt *pointTrace) (Result, error) {
 	arch, err := core.ParseArchitecture(sd.Fabric.Arch)
 	if err != nil {
 		return Result{}, err
@@ -251,17 +258,23 @@ func runNetwork(sd Scenario, model core.Model, topt *TelemetryOptions, emit func
 		return Result{}, err
 	}
 	ns := sd.Network
-	t, err := netsim.BuildTopology(ns.Topology, ns.Nodes)
+	t, err := reg.topology(ns.Topology, ns.Nodes)
 	if err != nil {
 		return Result{}, err
 	}
-	rt, err := netsim.NewRouting(ns.Routing)
+	rt, err := reg.routingPolicy(ns.Routing)
 	if err != nil {
 		return Result{}, err
 	}
-	m, err := netsim.NewMatrix(ns.Matrix)
+	m, err := reg.matrix(ns.Matrix)
 	if err != nil {
 		return Result{}, err
+	}
+	var newPolicy func() (dpm.Policy, error)
+	if sd.DPM != "" {
+		if newPolicy, err = reg.dpmPolicy(sd.DPM); err != nil {
+			return Result{}, err
+		}
 	}
 	var tr *traffic.Trace
 	if sd.Traffic.Kind == "trace" {
@@ -269,7 +282,7 @@ func runNetwork(sd Scenario, model core.Model, topt *TelemetryOptions, emit func
 			return Result{}, err
 		}
 	}
-	flowTraffic, err := networkTraffic(sd.Traffic, tr)
+	flowTraffic, err := reg.networkTraffic(sd.Traffic, tr)
 	if err != nil {
 		return Result{}, err
 	}
@@ -282,6 +295,7 @@ func runNetwork(sd Scenario, model core.Model, topt *TelemetryOptions, emit func
 		MaxQueueCells:  ns.MaxQueueCells,
 		LinkQueueCells: ns.LinkQueueCells,
 		Policy:         sd.DPM,
+		NewPolicy:      newPolicy,
 		Routing:        rt,
 		Matrix:         m,
 		Load:           sd.Traffic.Load,
@@ -360,6 +374,9 @@ type TelemetryOptions struct {
 
 // RunOptions tunes a grid run.
 type RunOptions struct {
+	// Registry resolves the grid's axis, traffic, policy, routing,
+	// topology and matrix names (nil means Default).
+	Registry *Registry
 	// Workers bounds the sweep parallelism (0 = one per core, 1 =
 	// sequential). Results are bit-identical for any worker count.
 	Workers int
@@ -444,7 +461,11 @@ func (g *GridResult) Results() []Result {
 // intact (Done marks them) alongside ctx's error. A failing point
 // aborts the sweep the same way, returning its wrapped error.
 func (g Grid) Run(ctx context.Context, opt RunOptions) (*GridResult, error) {
-	scenarios, err := g.Enumerate()
+	reg := opt.Registry
+	if reg == nil {
+		reg = Default
+	}
+	scenarios, err := g.enumerate(reg)
 	if err != nil {
 		return nil, err
 	}
@@ -509,7 +530,7 @@ func (g Grid) Run(ctx context.Context, opt RunOptions) (*GridResult, error) {
 			pt = &pointTrace{rec: opt.Trace, pid: i + 1, prefix: fmt.Sprintf("p%d ", i)}
 		}
 		start := time.Now()
-		r, rerr := runScenario(sc, topt, emit, pt)
+		r, rerr := runScenario(reg, sc, topt, emit, pt)
 		dur := time.Since(start)
 		mu.Lock()
 		for _, b := range recs {

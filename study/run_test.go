@@ -274,23 +274,39 @@ func (constSource) Cells(slot uint64, emit func(study.Injection)) {
 	emit(study.Injection{Port: 0, Dest: 1})
 }
 
+// runIn runs one scenario as a one-point grid resolving its names
+// against reg.
+func runIn(reg *study.Registry, sc study.Scenario) (study.Result, error) {
+	gr, err := study.Grid{Base: sc}.Run(context.Background(), study.RunOptions{Registry: reg})
+	if err != nil {
+		return study.Result{}, err
+	}
+	return gr.Points[0].Result, nil
+}
+
+func constFactory(spec study.TrafficSpec, ports int, seed int64) (study.TrafficSource, error) {
+	return constSource{}, nil
+}
+
 // TestRegisterTraffic: an externally registered traffic kind drives a
 // scenario by name.
 func TestRegisterTraffic(t *testing.T) {
-	if err := study.RegisterTraffic("test-const", func(spec study.TrafficSpec, ports int, seed int64) (study.TrafficSource, error) {
-		return constSource{}, nil
-	}); err != nil {
+	reg := study.NewRegistry()
+	if err := reg.RegisterTraffic("test-const", constFactory); err != nil {
 		t.Fatal(err)
 	}
-	if err := study.RegisterTraffic("uniform", nil); err == nil {
+	if err := reg.RegisterTraffic("uniform", constFactory); err == nil {
 		t.Fatal("built-in kind must be rejected")
+	}
+	if err := reg.RegisterTraffic("test-const", constFactory); err == nil {
+		t.Fatal("duplicate kind must be rejected")
 	}
 	sc := study.Scenario{
 		Fabric:  study.FabricSpec{Arch: "crossbar", Ports: 4},
 		Traffic: study.TrafficSpec{Kind: "test-const"},
 		Sim:     quickSim(),
 	}
-	r, err := study.RunScenario(sc)
+	r, err := runIn(reg, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +320,8 @@ func TestRegisterTraffic(t *testing.T) {
 // network scenario — the plug-in is instantiated per flow (1-port
 // view at the flow's rate) and its emissions inject across hops.
 func TestRegisterTrafficNetwork(t *testing.T) {
-	if err := study.RegisterTraffic("test-net-const", func(spec study.TrafficSpec, ports int, seed int64) (study.TrafficSource, error) {
+	reg := study.NewRegistry()
+	if err := reg.RegisterTraffic("test-net-const", func(spec study.TrafficSpec, ports int, seed int64) (study.TrafficSource, error) {
 		if ports != 1 {
 			return nil, fmt.Errorf("network flows should see a 1-port view, got %d", ports)
 		}
@@ -317,7 +334,7 @@ func TestRegisterTrafficNetwork(t *testing.T) {
 		Sim:     quickSim(),
 		Network: &study.NetworkSpec{Topology: "ring", Nodes: 4, Shards: 2},
 	}
-	r, err := study.RunScenario(sc)
+	r, err := runIn(reg, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,10 +395,11 @@ func (gateAllPolicy) Decide(obs *study.PolicyObservation, dec *study.PolicyDecis
 // TestRegisterDPMPolicy: an externally registered policy drives a
 // managed scenario by name, and its gating is visible in the ledger.
 func TestRegisterDPMPolicy(t *testing.T) {
-	if err := study.RegisterDPMPolicy("test-gateall", func() study.Policy { return gateAllPolicy{} }); err != nil {
+	reg := study.NewRegistry()
+	if err := reg.RegisterDPMPolicy("test-gateall", func() study.Policy { return gateAllPolicy{} }); err != nil {
 		t.Fatal(err)
 	}
-	if err := study.RegisterDPMPolicy("alwayson", func() study.Policy { return gateAllPolicy{} }); err == nil {
+	if err := reg.RegisterDPMPolicy("alwayson", func() study.Policy { return gateAllPolicy{} }); err == nil {
 		t.Fatal("built-in policy name must be rejected")
 	}
 	sc := study.Scenario{
@@ -391,7 +409,7 @@ func TestRegisterDPMPolicy(t *testing.T) {
 		DPM:     "test-gateall",
 		Sim:     quickSim(),
 	}
-	r, err := study.RunScenario(sc)
+	r, err := runIn(reg, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,34 +422,42 @@ func TestRegisterDPMPolicy(t *testing.T) {
 	}
 }
 
+// triangle builds a 3-node triangle whatever the node count.
+func triangle(nodes int) (study.Graph, error) {
+	return study.Graph{Nodes: 3, Edges: [][2]int{{0, 1}, {1, 2}, {0, 2}}}, nil
+}
+
+// directRouting routes every flow over its direct link (on a triangle
+// every pair is adjacent).
+func directRouting(v study.NetworkView, flows []study.FlowDemand) ([][]int, error) {
+	paths := make([][]int, len(flows))
+	for i, f := range flows {
+		paths[i] = []int{f.Src, f.Dst}
+	}
+	return paths, nil
+}
+
+// pairMatrix sends all demand from host 0 to host 1.
+func pairMatrix(hosts int, load float64) ([][]float64, error) {
+	r := make([][]float64, hosts)
+	for i := range r {
+		r[i] = make([]float64, hosts)
+	}
+	r[0][1] = load
+	return r, nil
+}
+
 // TestRegisterNetworkExtensions: topology, routing and matrix plug-ins
 // compose into a runnable network scenario.
 func TestRegisterNetworkExtensions(t *testing.T) {
-	// A 3-node triangle.
-	if err := study.RegisterTopology("test-triangle", func(nodes int) (study.Graph, error) {
-		return study.Graph{Nodes: 3, Edges: [][2]int{{0, 1}, {1, 2}, {0, 2}}}, nil
-	}); err != nil {
+	reg := study.NewRegistry()
+	if err := reg.RegisterTopology("test-triangle", triangle); err != nil {
 		t.Fatal(err)
 	}
-	// Clockwise-only routing: always route via ascending node order.
-	if err := study.RegisterRouting("test-direct", func(v study.NetworkView, flows []study.FlowDemand) ([][]int, error) {
-		paths := make([][]int, len(flows))
-		for i, f := range flows {
-			paths[i] = []int{f.Src, f.Dst} // triangle: every pair adjacent
-		}
-		return paths, nil
-	}); err != nil {
+	if err := reg.RegisterRouting("test-direct", directRouting); err != nil {
 		t.Fatal(err)
 	}
-	// All demand from host 0 to host 1.
-	if err := study.RegisterMatrix("test-pair", func(hosts int, load float64) ([][]float64, error) {
-		r := make([][]float64, hosts)
-		for i := range r {
-			r[i] = make([]float64, hosts)
-		}
-		r[0][1] = load
-		return r, nil
-	}); err != nil {
+	if err := reg.RegisterMatrix("test-pair", pairMatrix); err != nil {
 		t.Fatal(err)
 	}
 	sc := study.Scenario{
@@ -444,7 +470,7 @@ func TestRegisterNetworkExtensions(t *testing.T) {
 			Matrix:   "test-pair",
 		},
 	}
-	r, err := study.RunScenario(sc)
+	r, err := runIn(reg, sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
-	"sync"
 
 	"fabricpower/internal/core"
 )
@@ -75,7 +73,7 @@ const maxCellBits = 1 << 16
 type TrafficSpec struct {
 	// Kind names the traffic generator: "uniform" (default), "bursty",
 	// "packet" (variable-size packets segmented into cell trains),
-	// "hotspot" (single-router only), "trace", or a RegisterTraffic
+	// "hotspot" (single-router only), "trace", or a Registry.RegisterTraffic
 	// extension.
 	Kind string `json:"kind,omitempty"`
 	// Load is the per-port injection probability per slot in [0,1].
@@ -109,16 +107,16 @@ type SimSpec struct {
 // NetworkSpec lifts a scenario to a network of routers.
 type NetworkSpec struct {
 	// Topology names the builder: "chain", "ring", "star", "fattree",
-	// or a RegisterTopology extension (default "fattree").
+	// or a Registry.RegisterTopology extension (default "fattree").
 	Topology string `json:"topology,omitempty"`
 	// Nodes sizes the topology (default 4; for "fattree" it counts the
 	// leaves).
 	Nodes int `json:"nodes,omitempty"`
 	// Routing names the policy: "shortest" (default), "consolidate",
-	// or a RegisterRouting extension.
+	// or a Registry.RegisterRouting extension.
 	Routing string `json:"routing,omitempty"`
 	// Matrix names the demand shape: "uniform" (default), "gravity",
-	// "hotspot", or a RegisterMatrix extension.
+	// "hotspot", or a Registry.RegisterMatrix extension.
 	Matrix string `json:"matrix,omitempty"`
 	// MaxQueueCells caps each ingress queue (default 64);
 	// LinkQueueCells caps each inter-router link queue (default 32).
@@ -284,10 +282,10 @@ func (s Scenario) withDefaults() Scenario {
 	return s
 }
 
-// Validate reports the first inconsistency in the scenario. Name
-// resolution of traffic kinds, policies, topologies and matrices
-// happens at run time against the registries; Validate checks the
-// structural fields.
+// Validate reports the first inconsistency in the scenario's
+// structural fields. The names of traffic kinds, policies, routing,
+// topologies and matrices are resolved when the scenario runs, against
+// the run's Registry (RunOptions.Registry, or Default).
 func (s Scenario) Validate() error {
 	sd := s.withDefaults()
 	if _, err := core.ParseArchitecture(sd.Fabric.Arch); err != nil {
@@ -379,40 +377,38 @@ func (a Axis) validate() error {
 }
 
 // AxisApplier writes value i of axis a into the scenario. Appliers for
-// new axis names are added with RegisterAxis.
+// new axis names are added with Registry.RegisterAxis.
 type AxisApplier func(sc *Scenario, a Axis, i int) error
 
-var (
-	axisMu       sync.RWMutex
-	axisAppliers = map[string]AxisApplier{
-		"ports": intAxis(func(sc *Scenario, v int) { sc.Fabric.Ports = v }),
-		"nodes": intAxis(func(sc *Scenario, v int) {
-			ensureNetwork(sc).Nodes = v
-		}),
-		"cellbits": intAxis(func(sc *Scenario, v int) { sc.Fabric.CellBits = v }),
-		"seed":     intAxis(func(sc *Scenario, v int) { sc.Sim.Seed = int64(v) }),
-		"load":     floatAxis(func(sc *Scenario, v float64) { sc.Traffic.Load = v }),
-		"arch":     stringAxis(func(sc *Scenario, v string) { sc.Fabric.Arch = v }),
-		"dpm":      stringAxis(func(sc *Scenario, v string) { sc.DPM = v }),
-		"queue":    stringAxis(func(sc *Scenario, v string) { sc.Queue = v }),
-		"traffic":  stringAxis(func(sc *Scenario, v string) { sc.Traffic.Kind = v }),
-		"topology": stringAxis(func(sc *Scenario, v string) {
-			ensureNetwork(sc).Topology = v
-		}),
-		"routing": stringAxis(func(sc *Scenario, v string) {
-			ensureNetwork(sc).Routing = v
-		}),
-		"matrix": stringAxis(func(sc *Scenario, v string) {
-			ensureNetwork(sc).Matrix = v
-		}),
-		"mtbf": floatAxis(func(sc *Scenario, v float64) {
-			ensureFailures(sc).MTBF = v
-		}),
-		"mttr": floatAxis(func(sc *Scenario, v float64) {
-			ensureFailures(sc).MTTR = v
-		}),
-	}
-)
+// builtinAxes holds the appliers every Registry knows.
+var builtinAxes = map[string]AxisApplier{
+	"ports": intAxis(func(sc *Scenario, v int) { sc.Fabric.Ports = v }),
+	"nodes": intAxis(func(sc *Scenario, v int) {
+		ensureNetwork(sc).Nodes = v
+	}),
+	"cellbits": intAxis(func(sc *Scenario, v int) { sc.Fabric.CellBits = v }),
+	"seed":     intAxis(func(sc *Scenario, v int) { sc.Sim.Seed = int64(v) }),
+	"load":     floatAxis(func(sc *Scenario, v float64) { sc.Traffic.Load = v }),
+	"arch":     stringAxis(func(sc *Scenario, v string) { sc.Fabric.Arch = v }),
+	"dpm":      stringAxis(func(sc *Scenario, v string) { sc.DPM = v }),
+	"queue":    stringAxis(func(sc *Scenario, v string) { sc.Queue = v }),
+	"traffic":  stringAxis(func(sc *Scenario, v string) { sc.Traffic.Kind = v }),
+	"topology": stringAxis(func(sc *Scenario, v string) {
+		ensureNetwork(sc).Topology = v
+	}),
+	"routing": stringAxis(func(sc *Scenario, v string) {
+		ensureNetwork(sc).Routing = v
+	}),
+	"matrix": stringAxis(func(sc *Scenario, v string) {
+		ensureNetwork(sc).Matrix = v
+	}),
+	"mtbf": floatAxis(func(sc *Scenario, v float64) {
+		ensureFailures(sc).MTBF = v
+	}),
+	"mttr": floatAxis(func(sc *Scenario, v float64) {
+		ensureFailures(sc).MTTR = v
+	}),
+}
 
 func ensureNetwork(sc *Scenario) *NetworkSpec {
 	if sc.Network == nil {
@@ -459,31 +455,12 @@ func stringAxis(set func(*Scenario, string)) AxisApplier {
 	}
 }
 
-// RegisterAxis makes a new axis name sweepable in grids. Built-in and
-// already-registered names are rejected.
-func RegisterAxis(name string, apply AxisApplier) error {
-	if name == "" || apply == nil {
-		return fmt.Errorf("study: axis registration needs a name and an applier")
+// applier resolves an axis name: a built-in, or one registered in r.
+func (r *Registry) applier(name string) (AxisApplier, error) {
+	if apply, ok := builtinAxes[name]; ok {
+		return apply, nil
 	}
-	axisMu.Lock()
-	defer axisMu.Unlock()
-	if _, ok := axisAppliers[name]; ok {
-		return fmt.Errorf("study: axis %q already registered", name)
-	}
-	axisAppliers[name] = apply
-	return nil
-}
-
-// AxisNames lists the registered axis names, sorted.
-func AxisNames() []string {
-	axisMu.RLock()
-	defer axisMu.RUnlock()
-	names := make([]string, 0, len(axisAppliers))
-	for name := range axisAppliers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
+	return lookup(r, &r.axes, name)
 }
 
 // Grid is a base scenario plus the axes swept over it. The first axis
@@ -495,31 +472,32 @@ type Grid struct {
 	Axes []Axis   `json:"axes,omitempty"`
 }
 
-// Enumerate expands the grid into its scenarios in sweep order.
-// Infeasible single-router points — a Batcher-Banyan below 4 ports —
-// are dropped, mirroring the experiment runners' grid filtering.
-func (g Grid) Enumerate() ([]Scenario, error) {
-	for _, a := range g.Axes {
+// Enumerate expands the grid into its scenarios in sweep order,
+// resolving axis names against Default. Infeasible single-router
+// points — a Batcher-Banyan below 4 ports — are dropped, mirroring the
+// experiment runners' grid filtering.
+func (g Grid) Enumerate() ([]Scenario, error) { return g.enumerate(Default) }
+
+// enumerate is Enumerate against the registry r.
+func (g Grid) enumerate(r *Registry) ([]Scenario, error) {
+	appliers := make([]AxisApplier, len(g.Axes))
+	for i, a := range g.Axes {
 		if err := a.validate(); err != nil {
 			return nil, err
 		}
-		axisMu.RLock()
-		_, ok := axisAppliers[a.Name]
-		axisMu.RUnlock()
-		if !ok {
-			return nil, fmt.Errorf("study: unknown axis %q (want one of %v)", a.Name, AxisNames())
+		apply, err := r.applier(a.Name)
+		if err != nil {
+			return nil, err
 		}
+		appliers[i] = apply
 	}
 	scenarios := []Scenario{g.Base}
-	for _, a := range g.Axes {
+	for ai, a := range g.Axes {
 		next := make([]Scenario, 0, len(scenarios)*a.Len())
 		for _, sc := range scenarios {
 			for i := 0; i < a.Len(); i++ {
 				out := sc.clone()
-				axisMu.RLock()
-				apply := axisAppliers[a.Name]
-				axisMu.RUnlock()
-				if err := apply(&out, a, i); err != nil {
+				if err := appliers[ai](&out, a, i); err != nil {
 					return nil, err
 				}
 				next = append(next, out)

@@ -316,21 +316,26 @@ func TestUnknownAxisRejected(t *testing.T) {
 
 // TestRegisterAxis: a registered axis becomes sweepable.
 func TestRegisterAxis(t *testing.T) {
-	if err := study.RegisterAxis("testaxis-burst", func(sc *study.Scenario, a study.Axis, i int) error {
+	reg := study.NewRegistry()
+	if err := reg.RegisterAxis("testaxis-burst", func(sc *study.Scenario, a study.Axis, i int) error {
 		sc.Traffic.MeanBurstSlots = a.Floats[i]
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := study.RegisterAxis("testaxis-burst", nil); err == nil {
+	if err := reg.RegisterAxis("testaxis-burst", nil); err == nil {
 		t.Fatal("nil applier should fail")
 	}
-	g := study.Grid{Axes: []study.Axis{{Name: "testaxis-burst", Floats: []float64{5, 20}}}}
-	scs, err := g.Enumerate()
+	g := study.Grid{
+		Base: study.Scenario{Fabric: study.FabricSpec{Ports: 4}, Sim: quickSim()},
+		Axes: []study.Axis{{Name: "testaxis-burst", Floats: []float64{5, 20}}},
+	}
+	gr, err := g.Run(context.Background(), study.RunOptions{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(scs) != 2 || scs[0].Traffic.MeanBurstSlots != 5 || scs[1].Traffic.MeanBurstSlots != 20 {
+	scs := gr.Points
+	if len(scs) != 2 || scs[0].Scenario.Traffic.MeanBurstSlots != 5 || scs[1].Scenario.Traffic.MeanBurstSlots != 20 {
 		t.Fatalf("registered axis not applied: %+v", scs)
 	}
 }
