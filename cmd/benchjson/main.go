@@ -12,7 +12,9 @@
 //
 // Each benchmark becomes one object; `pkg:` context lines from
 // multi-package runs attribute every benchmark to its package, and the
-// block's `cpu:` line records the machine it ran on. Lines that are
+// block's `cpu:` line records the machine it ran on. The `go` field is
+// the toolchain benchjson itself was built with, which is the one that
+// built the benchmarks when both are built in one job. Lines that are
 // not benchmark results (PASS, ok, goos, ...) are skipped.
 // Repeated lines of one benchmark (same package, name and procs, as
 // `go test -count N` prints them) fold into one object: ns/op is their
@@ -25,8 +27,9 @@
 // nonzero when any ns/op regressed by more than -threshold percent.
 // Benchmarks present in only one file are reported but never fail the
 // comparison, so adding or renaming benchmarks does not break CI. When
-// the two files name different CPUs (or one names none) the table
-// opens with a warning: its deltas then compare machines, not code.
+// the two files name different CPUs or Go versions (or one names none)
+// the table opens with a warning: its deltas then compare machines or
+// toolchains, not code.
 package main
 
 import (
@@ -37,6 +40,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -49,6 +53,7 @@ import (
 type Result struct {
 	Package     string  `json:"package,omitempty"`
 	CPU         string  `json:"cpu,omitempty"`
+	Go          string  `json:"go,omitempty"`
 	Name        string  `json:"name"`
 	Procs       int     `json:"procs"`
 	Iterations  int64   `json:"iterations"`
@@ -155,11 +160,12 @@ type Delta struct {
 }
 
 // Comparison is the full old-vs-new diff, sorted by key, with the CPU
-// each side ran on.
+// each side ran on and the Go version each side was built with.
 type Comparison struct {
 	Deltas         []Delta
 	Threshold      float64
 	OldCPU, NewCPU string
+	OldGo, NewGo   string
 }
 
 // Compare matches results by package+name+procs and computes ns/op
@@ -202,18 +208,22 @@ func Compare(oldR, newR []Result, threshold float64, match *regexp.Regexp) Compa
 		}
 	}
 	sort.Slice(deltas, func(i, j int) bool { return deltas[i].Key < deltas[j].Key })
-	return Comparison{Deltas: deltas, Threshold: threshold, OldCPU: cpus(oldR, keep), NewCPU: cpus(newR, keep)}
+	cpu := func(r Result) string { return r.CPU }
+	goVersion := func(r Result) string { return r.Go }
+	return Comparison{Deltas: deltas, Threshold: threshold,
+		OldCPU: distinct(oldR, keep, cpu), NewCPU: distinct(newR, keep, cpu),
+		OldGo: distinct(oldR, keep, goVersion), NewGo: distinct(newR, keep, goVersion)}
 }
 
-// cpus lists the distinct CPU strings of the kept results, sorted and
-// joined by "; " ("" when none recorded one).
-func cpus(rs []Result, keep func(Result) bool) string {
+// distinct lists the distinct non-empty values of field over the kept
+// results, sorted and joined by "; " ("" when none recorded one).
+func distinct(rs []Result, keep func(Result) bool, field func(Result) string) string {
 	var names []string
 	seen := make(map[string]bool)
 	for _, r := range rs {
-		if keep(r) && r.CPU != "" && !seen[r.CPU] {
-			seen[r.CPU] = true
-			names = append(names, r.CPU)
+		if v := field(r); keep(r) && v != "" && !seen[v] {
+			seen[v] = true
+			names = append(names, v)
 		}
 	}
 	sort.Strings(names)
@@ -232,17 +242,21 @@ func (c Comparison) Regressions() []Delta {
 }
 
 // Render writes the per-benchmark delta table, after a warning when the
-// two sides ran on different (or unrecorded) CPUs.
+// two sides ran on different (or unrecorded) CPUs or Go versions.
 func (c Comparison) Render(w io.Writer) {
-	if c.OldCPU != c.NewCPU {
-		unrecorded := func(s string) string {
-			if s == "" {
-				return "unrecorded"
-			}
-			return s
+	unrecorded := func(s string) string {
+		if s == "" {
+			return "unrecorded"
 		}
+		return s
+	}
+	if c.OldCPU != c.NewCPU {
 		fmt.Fprintf(w, "warning: baseline CPU (%s) differs from new CPU (%s); the deltas compare machines as well as code\n",
 			unrecorded(c.OldCPU), unrecorded(c.NewCPU))
+	}
+	if c.OldGo != c.NewGo {
+		fmt.Fprintf(w, "warning: baseline Go (%s) differs from new Go (%s); the deltas compare toolchains as well as code\n",
+			unrecorded(c.OldGo), unrecorded(c.NewGo))
 	}
 	for _, d := range c.Deltas {
 		switch {
@@ -334,7 +348,7 @@ func parseLines(r io.Reader) ([]Result, error) {
 		if !ok {
 			continue
 		}
-		res.Package, res.CPU = pkg, cpu
+		res.Package, res.CPU, res.Go = pkg, cpu, runtime.Version()
 		results = append(results, res)
 	}
 	return results, sc.Err()

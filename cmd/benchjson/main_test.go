@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -100,6 +101,51 @@ func TestCompareWarnsOnCPUChange(t *testing.T) {
 		}
 		if len(cmp.Regressions()) != 0 {
 			t.Errorf("old %q new %q: equal ns/op regressed", tc.old, tc.new)
+		}
+	}
+}
+
+// TestCompareWarnsOnGoChange: like a CPU change, results built with
+// different Go versions (or an unrecorded one) open the table with a
+// warning, and equal ns/op still does not regress.
+func TestCompareWarnsOnGoChange(t *testing.T) {
+	at := func(goVersion string, ns float64) []Result {
+		return []Result{{Name: "BenchmarkX", Procs: 2, CPU: "Xeon", Go: goVersion, NsPerOp: ns}}
+	}
+	for _, tc := range []struct {
+		old, new string
+		warn     bool
+	}{
+		{"go1.24.0", "go1.24.0", false},
+		{"go1.22.5", "go1.24.0", true},
+		{"", "go1.24.0", true},
+		{"", "", false},
+	} {
+		cmp := Compare(at(tc.old, 100), at(tc.new, 100), 15, nil)
+		var out strings.Builder
+		cmp.Render(&out)
+		if got := strings.HasPrefix(out.String(), "warning: baseline Go"); got != tc.warn {
+			t.Errorf("old %q new %q: warning %v, want %v:\n%s", tc.old, tc.new, got, tc.warn, out.String())
+		}
+		if tc.old == "" && tc.warn && !strings.Contains(out.String(), "(unrecorded)") {
+			t.Errorf("missing baseline Go version not named unrecorded:\n%s", out.String())
+		}
+		if len(cmp.Regressions()) != 0 {
+			t.Errorf("old %q new %q: equal ns/op regressed", tc.old, tc.new)
+		}
+	}
+}
+
+// TestParseRecordsGoVersion: every parsed result carries the toolchain
+// version.
+func TestParseRecordsGoVersion(t *testing.T) {
+	results, err := Parse(strings.NewReader(countBenchOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		if r.Go != runtime.Version() {
+			t.Errorf("%s: go %q, want %q", r.Name, r.Go, runtime.Version())
 		}
 	}
 }

@@ -92,15 +92,15 @@ func (a *FCFSRR) Grant(reqs []Request, slot uint64) []int {
 	return a.grants
 }
 
-// IdleTick advances the per-slot state Grant advances — the scratch
-// epoch and the round-robin pointer — without granting anything. It
-// leaves the arbiter in exactly the state Grant(nil, slot) would: an
-// idle slot still rotates the tie-break pointer, so a simulator that
-// skips arbitration on provably empty slots replays future tie-breaks
-// bit-identically.
-func (a *FCFSRR) IdleTick() {
-	a.epoch++
-	a.rr++
+// IdleTicks advances the per-slot state Grant advances — the scratch
+// epoch and the round-robin pointer — over k slots without granting
+// anything. It leaves the arbiter in exactly the state k calls of
+// Grant(nil, slot) would: an idle slot still rotates the tie-break
+// pointer, so a simulator that skips arbitration on provably empty
+// slots replays future tie-breaks bit-identically.
+func (a *FCFSRR) IdleTicks(k uint64) {
+	a.epoch += k
+	a.rr += int(k)
 }
 
 // distance measures how far a port is ahead of the round-robin pointer.

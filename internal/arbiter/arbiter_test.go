@@ -59,6 +59,26 @@ func TestFCFSRREmpty(t *testing.T) {
 	}
 }
 
+// TestFCFSRRIdleTicksMatchesEmptyGrants pins that IdleTicks(k) leaves
+// the arbiter exactly where k empty Grant calls do, so a skipped idle
+// stretch replays every later tie-break.
+func TestFCFSRRIdleTicksMatchesEmptyGrants(t *testing.T) {
+	for _, k := range []uint64{0, 1, 5, 70000} {
+		ticked, granted := NewFCFSRR(), NewFCFSRR()
+		ticked.IdleTicks(k)
+		for i := uint64(0); i < k; i++ {
+			granted.Grant(nil, i)
+		}
+		if ticked.epoch != granted.epoch || ticked.rr != granted.rr {
+			t.Fatalf("k=%d: IdleTicks left epoch %d rr %d, empty grants %d %d", k, ticked.epoch, ticked.rr, granted.epoch, granted.rr)
+		}
+		reqs := []Request{{Port: 0, Dest: 1}, {Port: 1, Dest: 1}, {Port: 2, Dest: 1}}
+		if a, b := ticked.Grant(reqs, k), granted.Grant(reqs, k); a[0] != b[0] {
+			t.Fatalf("k=%d: tie-break after IdleTicks grants %d, after empty grants %d", k, a[0], b[0])
+		}
+	}
+}
+
 // Property: FCFSRR grants are conflict-free (unique dests, unique ports)
 // and always include every uncontested destination.
 func TestFCFSRRProperty(t *testing.T) {

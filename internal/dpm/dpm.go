@@ -528,6 +528,34 @@ func (m *Manager) IdleSlot(slot uint64) {
 	}
 }
 
+// IdleSteady reports whether the manager is on its steady-idle memo:
+// every further IdleSlot is the same O(1) replay until the next PreSlot,
+// so a caller may defer a stretch of them and replay it with IdleSlots.
+func (m *Manager) IdleSteady() bool { return m.idleSteady }
+
+// IdleSlots replays k steady idle slots in one call, leaving the manager
+// bit-identical to k IdleSlot calls. Valid only while IdleSteady holds.
+// The load EWMA and the two static ledgers are float sums, so they are
+// still added slot by slot, in order; the integer counters take k at
+// once.
+func (m *Manager) IdleSlots(k uint64) {
+	if !m.idleSteady {
+		panic("dpm: IdleSlots off the steady-idle memo")
+	}
+	ewma, static, alwaysOn := m.ewmaLoad, m.rep.StaticFJ, m.rep.AlwaysOnStaticFJ
+	for i := uint64(0); i < k; i++ {
+		ewma += (0 - ewma) / 32
+		static += m.steadyStaticFJ
+		alwaysOn += m.alwaysOnFJ
+	}
+	m.ewmaLoad, m.rep.StaticFJ, m.rep.AlwaysOnStaticFJ = ewma, static, alwaysOn
+	m.rep.GatedPortSlots += k * uint64(m.gated)
+	if m.inv.BufferBanks > 0 && m.bufDrowsy {
+		m.rep.DrowsySlots += k
+	}
+	m.rep.Slots += k
+}
+
 // BeginMeasurement zeroes the ledgers after warmup. Power-domain
 // states, policy history and the load EWMA carry over — only the
 // accounting restarts — mirroring Router.ResetMetrics and

@@ -2,6 +2,7 @@ package dpm
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"testing"
 
@@ -69,6 +70,16 @@ func (r *refLedger) account(m *Manager) {
 	r.alwaysOnFJ += mwFJ(float64(n)*m.portIdleMW+m.bufMW, m.slotNS)
 }
 
+// checkTwin asserts that the twin manager, which replays each idle
+// stretch's steady tail in one IdleSlots call, matches m bit for bit.
+func checkTwin(t *testing.T, m, twin *Manager, when string) {
+	t.Helper()
+	if m.Report() != twin.Report() || math.Float64bits(m.ewmaLoad) != math.Float64bits(twin.ewmaLoad) || m.idleSteady != twin.idleSteady {
+		t.Fatalf("%s: IdleSlots twin diverged:\nper-slot %+v ewma %v steady %v\nIdleSlots %+v ewma %v steady %v", when,
+			m.Report(), m.ewmaLoad, m.idleSteady, twin.Report(), twin.ewmaLoad, twin.idleSteady)
+	}
+}
+
 // checkMask asserts that the published mask is the per-port predicate
 // the gate answered before masks: open exactly when DVFS is not
 // stalling and the port's domain is active, with no bit past the last
@@ -103,11 +114,14 @@ func checkLedger(t *testing.T, m *Manager, ref *refLedger, when string) {
 // runManagerProgram decodes prog into a slot program and runs it on a
 // manager, checking the mask and the static ledgers against their
 // per-port references after every slot. Each op byte is either an idle
-// stretch of IdleSlot calls, a measurement restart, or one busy slot:
+// stretch of 1–16 (or, with bit 5 set, 8–128) IdleSlot calls, a
+// measurement restart, or one busy slot:
 // queue churn on a few ports, a buffered-cell count, PreSlot, egress
 // deliveries (biased toward gated and waking ports), and PostSlot.
 // Bit 0 of wake selects WakeupSlots 3 over 0; its other bits tune the
-// policy.
+// policy. A twin manager runs the same program but replays each idle
+// stretch with IdleSlots once it reaches the steady-idle memo, and must
+// match the per-slot manager bit for bit after every op.
 func runManagerProgram(t *testing.T, policy, wake, ports uint8, prog []byte) {
 	n := fuzzPorts[int(ports)%len(fuzzPorts)]
 	arch := core.Crossbar
@@ -121,6 +135,10 @@ func runManagerProgram(t *testing.T, policy, wake, ports uint8, prog []byte) {
 		model.Static.WakeupSlots = 3
 	}
 	m, err := New(Config{Arch: arch, Ports: n, Model: model, CellBits: 256, Policy: fuzzPolicy(policy, wake>>1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := New(Config{Arch: arch, Ports: n, Model: model, CellBits: 256, Policy: fuzzPolicy(policy, wake>>1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,18 +161,30 @@ func runManagerProgram(t *testing.T, policy, wake, ports uint8, prog []byte) {
 		switch op := next(); {
 		case op == 0xff:
 			m.BeginMeasurement()
+			twin.BeginMeasurement()
 			ref = refLedger{}
 		case op < 0x40:
 			clear(src.q)
 			src.buf = 0
-			for k := int(op&15) + 1; k > 0; k-- {
+			k := uint64(op&15) + 1
+			if op&0x20 != 0 {
+				k *= 8 // long enough for IdleSlots to cross a 64-slot count
+			}
+			for i := uint64(0); i < k; i++ {
+				if twin.IdleSteady() {
+					twin.IdleSlots(k - i)
+					break
+				}
+				twin.IdleSlot(slot + i)
+			}
+			for end := slot + k; slot < end; slot++ {
 				m.IdleSlot(slot)
 				ref.account(m)
 				when := fmt.Sprintf("idle slot %d", slot)
 				checkMask(t, m, slot, when)
 				checkLedger(t, m, &ref, when)
-				slot++
 			}
+			checkTwin(t, m, twin, fmt.Sprintf("idle stretch ending at slot %d", slot))
 		default:
 			for k := op & 7; k > 0; k-- {
 				src.q[int(next())%n] = int(next() % 4)
@@ -163,6 +193,7 @@ func runManagerProgram(t *testing.T, policy, wake, ports uint8, prog []byte) {
 				src.buf = int(next() % 5)
 			}
 			m.PreSlot(slot, src)
+			twin.PreSlot(slot, src)
 			checkMask(t, m, slot, fmt.Sprintf("slot %d after PreSlot", slot))
 
 			notActive = notActive[:0]
@@ -183,10 +214,12 @@ func runManagerProgram(t *testing.T, policy, wake, ports uint8, prog []byte) {
 			}
 			dyn.SwitchFJ += float64(next())
 			m.PostSlot(slot, delivered, dyn)
+			twin.PostSlot(slot, delivered, dyn)
 			ref.account(m)
 			when := fmt.Sprintf("slot %d after PostSlot", slot)
 			checkMask(t, m, slot, when)
 			checkLedger(t, m, &ref, when)
+			checkTwin(t, m, twin, when)
 			slot++
 		}
 	}
@@ -205,8 +238,9 @@ func (s *sliceSource) BufferedCells() int { return s.buf }
 // manager's incremental bookkeeping: over random slot programs, for
 // every built-in policy, wakeup latencies 0 and 3 and port counts on
 // both sides of mask-word boundaries, the open-port mask must equal the
-// per-port gate predicate and the cached static draw must charge
-// exactly what re-summing every port every slot charges.
+// per-port gate predicate, the cached static draw must charge exactly
+// what re-summing every port every slot charges, and IdleSlots(k) must
+// leave the manager exactly as k IdleSlot calls do.
 func FuzzManagerMatchesPerPortReference(f *testing.F) {
 	for policy := uint8(0); policy < 5; policy++ {
 		for ports := uint8(0); ports < uint8(len(fuzzPorts)); ports++ {

@@ -339,3 +339,54 @@ func TestStepAfterClose(t *testing.T) {
 	}()
 	net.Step(0)
 }
+
+// TestStepAdvancesRunClock pins that Step advances the clock Run
+// continues from: stepping slots 0–9 by hand and then running is the
+// same as one run with ten more warmup slots, and a Step that is not
+// the network's next slot panics instead of replaying slots.
+func TestStepAdvancesRunClock(t *testing.T) {
+	build := func() *Network {
+		topo, err := FatTree2(2, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := testConfig(topo)
+		cfg.Load = 0.2
+		net, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}
+	stepped := build()
+	defer stepped.Close()
+	for slot := uint64(0); slot < 10; slot++ {
+		stepped.Step(slot)
+	}
+	got, err := stepped.Run(0, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := build()
+	defer ran.Close()
+	want, err := ran.Run(10, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Step(0..9) then Run(0, 200) differs from Run(10, 200): max latency %d vs %d",
+			got.MaxLatencySlots, want.MaxLatencySlots)
+	}
+	for _, slot := range []uint64{0, 209, 211} {
+		func() {
+			defer func() {
+				r := recover()
+				if msg, ok := r.(string); !ok || !strings.Contains(msg, "out of order") {
+					t.Errorf("Step(%d) at slot 210 panicked with %v, want an out-of-order message", slot, r)
+				}
+			}()
+			stepped.Step(slot)
+		}()
+	}
+	stepped.Step(210)
+}

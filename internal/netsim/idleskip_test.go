@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"fabricpower/internal/core"
+	"fabricpower/internal/dpm"
+	"fabricpower/internal/router"
 	"fabricpower/internal/telemetry/trace"
 )
 
@@ -112,7 +114,12 @@ func TestIdleSkipTelemetrySampleSlots(t *testing.T) {
 			Every: 50,
 			OnSample: func(s *TelemetrySample) {
 				slots = append(slots, s.Slot)
-				samples = append(samples, *s)
+				// The collector reuses the sample's slices: copy them.
+				c := *s
+				c.NodeQueues = append([]int(nil), s.NodeQueues...)
+				c.Links = append([]LinkSample(nil), s.Links...)
+				c.Latency = append([]uint64(nil), s.Latency...)
+				samples = append(samples, c)
 			},
 		}
 		net, err := New(cfg)
@@ -324,5 +331,166 @@ func TestSuggestPartition(t *testing.T) {
 	}
 	if clamped := prof.SuggestPartition(99); len(clamped) != 6 {
 		t.Errorf("oversized shard count not clamped: %d entries", len(clamped))
+	}
+}
+
+// fuzzTopology builds one of the four small topology shapes, sized by
+// size.
+func fuzzTopology(shape, size uint8) (*Topology, error) {
+	n := 3 + int(size%5)
+	switch shape % 4 {
+	case 0:
+		return Chain(n - 1)
+	case 1:
+		return Ring(n)
+	case 2:
+		return Star(n)
+	default:
+		return FatTree2(2+int(size%2), 2+int(size/2%3))
+	}
+}
+
+// fuzzRun is one observed run of FuzzNetworkIdleSkipMatchesFullStep:
+// the report and deep copies of every telemetry record.
+type fuzzRun struct {
+	rep     *Report
+	samples []TelemetrySample
+	summary *TelemetrySummary
+	prof    *ExecProfile
+}
+
+// FuzzNetworkIdleSkipMatchesFullStep is the whole-network differential
+// check of idle skipping and sleeping: over generated small networks —
+// chain, ring, star or fat-tree, any traffic kind, load, queue, DPM
+// policy, routing and shard count, with an optional renewal fault plan,
+// telemetry collector and execution profiler — IdleSkip "on" must
+// report, sample and summarize exactly what the full-step reference
+// ("off") does. opts packs the choices: bits 0–1 traffic kind, 2 VOQ,
+// 3–5 policy (0 none), 6–7 shards−1, 8 faults, 9 telemetry, 10
+// consolidate routing, 11 trace.
+func FuzzNetworkIdleSkipMatchesFullStep(f *testing.F) {
+	for shape := uint8(0); shape < 4; shape++ {
+		f.Add(shape, uint8(3), uint8(8), uint16(4<<3|1), int64(1))
+		f.Add(shape, uint8(5), uint8(20), uint16(1<<11|1<<10|1<<9|1<<8|1<<6|3<<3|1), int64(2))
+		f.Add(shape, uint8(0), uint8(2), uint16(2<<6|1<<9|1<<2|2), int64(3))
+	}
+	f.Fuzz(func(t *testing.T, shape, size, load uint8, opts uint16, seed int64) {
+		run := func(idleSkip string) fuzzRun {
+			topo, err := fuzzTopology(shape, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := testConfig(topo)
+			cfg.Model.Static = core.DefaultStaticPower()
+			cfg.Load = float64(load%40+1) / 100
+			cfg.Seed = seed
+			cfg.IdleSkip = idleSkip
+			cfg.Traffic = Traffic{Kind: blockKinds[opts&3]}
+			if cfg.Traffic.Kind == "trace" {
+				cfg.Traffic.Trace = syntheticTrace(uint64(size)%90+1, seed)
+			}
+			if opts&(1<<2) != 0 {
+				cfg.Queue = router.VOQ
+			}
+			if p := int(opts>>3&7) % 6; p > 0 {
+				cfg.Policy = dpm.PolicyNames()[p-1]
+			}
+			cfg.Shards = int(opts>>6&3)%3 + 1
+			if opts&(1<<8) != 0 {
+				cfg.Faults = idleSkipFaultPlan(topo)
+			}
+			var r fuzzRun
+			if opts&(1<<9) != 0 {
+				cfg.Telemetry = &TelemetryConfig{
+					Every: uint64(size)%50 + 1,
+					OnSample: func(s *TelemetrySample) {
+						c := *s
+						c.NodeQueues = append([]int(nil), s.NodeQueues...)
+						c.Links = append([]LinkSample(nil), s.Links...)
+						c.Latency = append([]uint64(nil), s.Latency...)
+						r.samples = append(r.samples, c)
+					},
+					OnSummary: func(s *TelemetrySummary) {
+						s.NodeCostNS = nil // wall-clock, so never deterministic
+						r.summary = s
+					},
+				}
+			}
+			if opts&(1<<10) != 0 {
+				cfg.Routing = Consolidate{}
+			}
+			if opts&(1<<11) != 0 {
+				cfg.Trace = &TraceConfig{Recorder: trace.NewRecorder(0), Every: 8}
+			}
+			net, err := New(cfg)
+			if err != nil {
+				t.Skip(err)
+			}
+			defer net.Close()
+			if r.rep, err = net.Run(60, 240); err != nil {
+				t.Skip(err)
+			}
+			r.prof = net.ExecProfile()
+			return r
+		}
+		off, on := run("off"), run("on")
+		if !reflect.DeepEqual(off.rep, on.rep) {
+			t.Fatalf("report differs from the full-step reference:\noff %+v\non  %+v", off.rep.Result, on.rep.Result)
+		}
+		if !reflect.DeepEqual(off.samples, on.samples) {
+			t.Fatalf("telemetry samples differ from the full-step reference")
+		}
+		if !reflect.DeepEqual(off.summary, on.summary) {
+			t.Fatalf("telemetry summary differs from the full-step reference")
+		}
+		if off.prof != nil {
+			nodes := uint64(len(off.rep.PerNode))
+			if want := nodes * off.prof.SampledSlots; off.prof.NodeVisits != want {
+				t.Errorf("full-step run visited %d nodes over %d sampled slots, want %d", off.prof.NodeVisits, off.prof.SampledSlots, want)
+			}
+			if on.prof.NodeVisits > off.prof.NodeVisits {
+				t.Errorf("sleeping run visited %d nodes, more than the full-step run's %d", on.prof.NodeVisits, off.prof.NodeVisits)
+			}
+		}
+	})
+}
+
+// TestIdleSkipSleepsIdleNodes pins that sleeping takes idle nodes out
+// of the compute loop: on a lightly loaded fat-tree with consolidated
+// routing, the profiled run visits far fewer nodes per slot than the
+// full-step reference, which visits every node every slot.
+func TestIdleSkipSleepsIdleNodes(t *testing.T) {
+	visits := func(idleSkip string) (perSlot float64, nodes int) {
+		topo, err := FatTree2(4, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := testConfig(topo)
+		cfg.Model.Static = core.DefaultStaticPower()
+		cfg.Policy = "idlegate"
+		cfg.Routing = Consolidate{}
+		cfg.Traffic = Traffic{Kind: "bursty"}
+		cfg.Load = 0.05
+		cfg.IdleSkip = idleSkip
+		cfg.Trace = &TraceConfig{Recorder: trace.NewRecorder(0), Every: 1}
+		net, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer net.Close()
+		if _, err := net.Run(300, 1000); err != nil {
+			t.Fatal(err)
+		}
+		ep := net.ExecProfile()
+		return float64(ep.NodeVisits) / float64(ep.SampledSlots), topo.Nodes
+	}
+	off, nodes := visits("off")
+	on, _ := visits("on")
+	t.Logf("node visits per slot: off %.2f, on %.2f of %d nodes", off, on, nodes)
+	if off != float64(nodes) {
+		t.Errorf("full-step run visits %.2f nodes per slot, want all %d", off, nodes)
+	}
+	if on > float64(nodes)/2 {
+		t.Errorf("sleeping run visits %.2f of %d nodes per slot, want at most half", on, nodes)
 	}
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -109,9 +110,11 @@ type Config struct {
 	// empty default) let the kernel fast-forward provably idle nodes —
 	// no queued or in-flight cells, no arrivals this slot — through a
 	// reduced per-slot path that replays the full path's state changes
-	// bit-identically; "off" forces every node through the full step
-	// every slot. Both settings produce byte-identical results; "off"
-	// exists so a suspected divergence can be bisected.
+	// bit-identically, and put a node to sleep until its next event
+	// once every further idle slot would replay identically; "off"
+	// forces every node through the full step every slot. Both settings
+	// produce byte-identical results; "off" exists so a suspected
+	// divergence can be bisected.
 	IdleSkip string
 }
 
@@ -310,10 +313,17 @@ type Network struct {
 
 	// idleSkip enables the hybrid kernel's idle fast path; nodeBusy[u]
 	// records whether node u's router held queued or in-flight cells
-	// after its last full step. Each flag is read and written only by
-	// the node's owning shard during the compute phase.
+	// after its last full step, and inbound[u] whether its incoming
+	// links may hold cells: the exchange phase sets it on every push,
+	// drainInLinks clears it once the links are empty, so a stale true
+	// costs a full step and never a result. sleep[u] is the node's
+	// sleep record. The compute phase touches these only on the node's
+	// owning shard; the exchange phase and the catch-up points run on
+	// the coordinator, ordered against it by the fork and the join.
 	idleSkip bool
 	nodeBusy []bool
+	inbound  []bool
+	sleep    []sleepState
 
 	shards     []shard
 	fork       *forkJoin // nil until the first Step
@@ -408,6 +418,8 @@ func New(cfg Config) (*Network, error) {
 		bufferBase:  make([]uint64, t.Nodes),
 		idleSkip:    idleSkip,
 		nodeBusy:    make([]bool, t.Nodes),
+		inbound:     make([]bool, t.Nodes),
+		sleep:       make([]sleepState, t.Nodes),
 	}
 	for fi := range flows {
 		n.payload[fi] = flowStream(flowSeed(cfg.Seed, fi, saltPayload))
@@ -594,8 +606,12 @@ func lptPartition(cost []float64, shards int) []int {
 // Flows returns the routed flow list (paths filled in).
 func (n *Network) Flows() []Flow { return n.flows }
 
-// Router exposes one node's router (tests observe per-node state).
-func (n *Network) Router(u int) *router.Router { return n.routers[u] }
+// Router exposes one node's router (tests observe per-node state),
+// brought up to date if the node is asleep.
+func (n *Network) Router(u int) *router.Router {
+	n.catchUp(u, n.slot)
+	return n.routers[u]
+}
 
 // Shards reports the effective shard count.
 func (n *Network) Shards() int { return len(n.shards) }
@@ -606,9 +622,14 @@ func (n *Network) Shards() int { return len(n.shards) }
 // shard by shard. Fault events are applied first, single-threaded
 // before the fork, so every shard observes the same topology for the
 // whole slot and the results stay bit-identical for any shard count.
+// slot must be the network's next slot — 0 on a fresh network, then
+// consecutive — and Step advances the clock Run continues from.
 func (n *Network) Step(slot uint64) {
 	if n.closed {
 		panic("netsim: Step on a closed Network")
+	}
+	if slot != n.slot {
+		panic(fmt.Sprintf("netsim: Step(%d) out of order: the next slot is %d", slot, n.slot))
 	}
 	if n.tel != nil && slot >= n.tel.nextSlot {
 		// Close the interval before this slot's fault events apply, so
@@ -616,6 +637,9 @@ func (n *Network) Step(slot uint64) {
 		n.take(slot)
 	}
 	if n.fail != nil && slot >= n.fail.nextSlot {
+		// A fault event can change any node's next event: wake them all.
+		n.catchUpAll(slot)
+		clear(n.sleep)
 		n.applyFaults(slot)
 	}
 	if n.prof != nil {
@@ -634,6 +658,7 @@ func (n *Network) Step(slot uint64) {
 		// exchanges; fold the sampled slot into the profile.
 		n.prof.closeSlot(slot)
 	}
+	n.slot++
 }
 
 // balancePools tops up, before each slot's fork, every shard pool that
@@ -700,6 +725,9 @@ func (n *Network) computePhase(s *shard, slot uint64) {
 		return
 	}
 	for _, u := range s.nodes {
+		if n.sleep[u].wake > slot {
+			continue
+		}
 		n.nodeSlot(s, u, slot)
 	}
 }
@@ -713,14 +741,20 @@ func (n *Network) computePhaseProf(s *shard, slot uint64) {
 	p := n.prof
 	start := p.rec.Now()
 	last := start
+	visits := uint64(0)
 	for _, u := range s.nodes {
+		if n.sleep[u].wake > slot {
+			continue
+		}
 		n.nodeSlot(s, u, slot)
 		now := p.rec.Now()
 		p.nodeBusyNS[u] += uint64(now - last)
 		last = now
+		visits++
 	}
 	p.tracks[s.id].EmitArg("compute", start, last, int64(slot))
 	p.computeNS[s.id] = last - start
+	p.visits[s.id] += visits
 }
 
 // nodeSlot runs one node's compute-phase work: source injection,
@@ -730,9 +764,16 @@ func (n *Network) computePhaseProf(s *shard, slot uint64) {
 // path instead: the DPM manager and arbiter replay their exact per-slot
 // state changes (policy decisions, wakeup countdowns, static-energy
 // ledgers, tie-break rotation) while the fabric walk, queue scans and
-// link drains — all no-ops on an empty router — are skipped. The two
-// paths are bit-identical; Config.IdleSkip "off" forces the full one.
+// link drains — all no-ops on an empty router — are skipped. Once the
+// manager is on its steady-idle memo (or there is none), the node goes
+// to sleep until its next event (see sleepState), and a waking node
+// first replays the slots it slept through. The paths are
+// bit-identical; Config.IdleSkip "off" forces the full one.
 func (n *Network) nodeSlot(s *shard, u int, slot uint64) {
+	if n.sleep[u].from != 0 {
+		n.catchUp(u, slot)
+		n.sleep[u].from = 0
+	}
 	arrived := n.injectNode(s, u, slot)
 	if n.fail != nil && n.fail.nodeDown[u] {
 		// A failed router neither forwards nor burns fabric
@@ -742,27 +783,73 @@ func (n *Network) nodeSlot(s *shard, u int, slot uint64) {
 		// links are all down, so nothing waits on them.
 		return
 	}
-	if n.idleSkip && !arrived && !n.nodeBusy[u] && !n.linksPending(u) {
-		if mgr := n.mgrs[u]; mgr != nil {
+	if n.idleSkip && !arrived && !n.nodeBusy[u] && !n.inbound[u] {
+		mgr := n.mgrs[u]
+		if mgr != nil {
 			mgr.IdleSlot(slot)
 		}
 		n.routers[u].IdleStep(slot)
+		if mgr == nil || mgr.IdleSteady() {
+			n.sleep[u] = sleepState{from: slot + 1, wake: n.nextWake(u, slot)}
+		}
 		return
 	}
 	n.drainInLinks(s, u, slot)
 	n.stepNode(s, u, n.routers[u], slot)
 }
 
-// linksPending reports whether any of node u's incoming links holds
-// cells. Safe to read during the compute phase: links are filled only
-// in the exchange phase, on the other side of the join.
-func (n *Network) linksPending(u int) bool {
-	for _, li := range n.nodeInLinks[u] {
-		if n.links[li].size != 0 {
-			return true
+// sleepState is one node's sleep record. A node on the idle path whose
+// manager is on its steady-idle memo (or that has no manager) would
+// replay the same state change every slot until an event reaches it:
+// an arrival, a cell pushed onto an incoming link, a fault. So the
+// compute phase skips it until wake, and the skipped stretch is
+// replayed in one call (catchUp) when it wakes or when a catch-up point
+// — a fault event, a telemetry sample, the measurement boundary, the
+// end of Run, Router — reads its state. from is the first slot not yet
+// replayed, 0 while the node is awake; wake is the next slot the node
+// must be visited, at most the current slot while it is awake.
+type sleepState struct {
+	from, wake uint64
+}
+
+// nextWake returns the slot a node falling asleep after slot must next
+// be visited: its next arrival in the loaded block; failing that, the
+// next block start if it sources flows, since every source decides
+// every block; otherwise never, until a link push or a fault wakes it.
+func (n *Network) nextWake(u int, slot uint64) uint64 {
+	if i := slot%BlockSlots + 1; i < BlockSlots {
+		if rest := n.arrivals[u].any >> i; rest != 0 {
+			return slot + 1 + uint64(bits.TrailingZeros64(rest))
 		}
 	}
-	return false
+	if len(n.nodeFlows[u]) > 0 {
+		return slot - slot%BlockSlots + BlockSlots
+	}
+	return neverSlot
+}
+
+// catchUp replays the slots sleeping node u skipped up to slot, leaving
+// it asleep. It runs on the node's shard when the node wakes, or on
+// the coordinator between slots.
+func (n *Network) catchUp(u int, slot uint64) {
+	sl := &n.sleep[u]
+	if sl.from == 0 {
+		return
+	}
+	k := slot - sl.from
+	if mgr := n.mgrs[u]; mgr != nil {
+		mgr.IdleSlots(k)
+	}
+	n.routers[u].IdleSteps(k)
+	sl.from = slot
+}
+
+// catchUpAll brings every sleeping node up to date before the
+// coordinator reads their state at slot.
+func (n *Network) catchUpAll(slot uint64) {
+	for u := range n.sleep {
+		n.catchUp(u, slot)
+	}
 }
 
 // injectNode injects fresh cells at the source edge port of every
@@ -845,9 +932,15 @@ func (n *Network) nextBlock(u int, first uint64) {
 // backpressures the link: its head cell (and everything behind it)
 // waits. Each ring is drained in blocks — at most two contiguous
 // segment views split at the wrap point, discarded in one head advance
-// — instead of popping cell-at-a-time.
+// — instead of popping cell-at-a-time. It returns at once when no link
+// can hold a cell (inbound false), and clears inbound once every link
+// is empty.
 func (n *Network) drainInLinks(s *shard, u int, slot uint64) {
+	if !n.inbound[u] {
+		return
+	}
 	r := n.routers[u]
+	pending := false
 	for _, li := range n.nodeInLinks[u] {
 		q := &n.links[li]
 		if q.size == 0 {
@@ -866,6 +959,7 @@ func (n *Network) drainInLinks(s *shard, u int, slot uint64) {
 		if n.cfg.MaxQueueCells > 0 {
 			room = n.cfg.MaxQueueCells - r.QueueLen(l.ToPort)
 			if room <= 0 {
+				pending = true
 				continue
 			}
 		}
@@ -907,7 +1001,9 @@ func (n *Network) drainInLinks(s *shard, u int, slot uint64) {
 			}
 		}
 		q.discard(moved)
+		pending = pending || q.size != 0
 	}
+	n.inbound[u] = pending
 }
 
 // stepNode runs one router's slot (DPM hooks included) and sorts the
@@ -1013,6 +1109,10 @@ func (n *Network) exchangeNodes(s *shard) {
 			}
 			q := &n.links[li]
 			m := q.pushBlock(out[i:j])
+			// A push wakes the link's far end, asleep or not.
+			v := n.topo.Links[li].To
+			n.inbound[v] = true
+			n.sleep[v].wake = 0
 			for _, c := range out[i+m : j] {
 				s.linkDropped++
 				if n.fail != nil {
@@ -1135,6 +1235,7 @@ func (f *forkJoin) stop() {
 
 // beginMeasurement closes the warmup window on every router and ledger.
 func (n *Network) beginMeasurement() {
+	n.catchUpAll(n.slot)
 	if n.tel != nil {
 		// Flush the partial warmup interval before the ledgers reset,
 		// then rebase the delta baselines to the reset state so the
@@ -1182,18 +1283,19 @@ func (n *Network) Run(warmup, measure uint64) (*Report, error) {
 	if n.closed {
 		return nil, fmt.Errorf("netsim: Run on a closed Network")
 	}
-	for end := n.slot + warmup; n.slot < end; n.slot++ {
+	for end := n.slot + warmup; n.slot < end; {
 		n.yield()
 		n.Step(n.slot)
 	}
 	n.beginMeasurement()
-	for end := n.slot + measure; n.slot < end; n.slot++ {
+	for end := n.slot + measure; n.slot < end; {
 		n.yield()
 		n.Step(n.slot)
 	}
 	if n.fail != nil && n.fail.err != nil {
 		return nil, n.fail.err
 	}
+	n.catchUpAll(n.slot)
 	if n.tel != nil {
 		n.take(n.slot) // flush the final partial interval
 		if n.tel.cfg.OnSummary != nil {

@@ -188,6 +188,7 @@ func (n *Network) take(slot uint64) {
 	if n.prof != nil {
 		mergeStart = n.prof.rec.Now()
 	}
+	n.catchUpAll(slot)
 	t := n.tel
 	interval := slot - t.startSlot
 	t.startSlot = slot

@@ -74,6 +74,9 @@ type execProf struct {
 	// Per-shard timings for the in-flight sampled slot.
 	computeNS  []int64
 	exchangeNS []int64
+	// visits counts the nodes each shard's compute phase visited over
+	// the sampled slots; shard-private writes like computeNS.
+	visits []uint64
 
 	// Whole-run accumulators (coordinator-owned).
 	sampledSlots uint64
@@ -96,6 +99,7 @@ func newExecProf(n *Network) *execProf {
 		tracks:       make([]*trace.Track, len(n.shards)),
 		computeNS:    make([]int64, len(n.shards)),
 		exchangeNS:   make([]int64, len(n.shards)),
+		visits:       make([]uint64, len(n.shards)),
 		shardBusyNS:  make([]uint64, len(n.shards)),
 		nodeBusyNS:   make([]uint64, n.topo.Nodes),
 		barrierWait:  make([]uint64, profBarrierBuckets),
@@ -198,6 +202,10 @@ type ExecProfile struct {
 	// sampling interval that selected them.
 	SampledSlots uint64 `json:"sampledSlots"`
 	Every        uint64 `json:"every"`
+	// NodeVisits counts the nodes the compute phase visited over the
+	// sampled slots; NodeVisits/SampledSlots is the mean visits per
+	// slot, which falls below the node count as idle nodes sleep.
+	NodeVisits uint64 `json:"nodeVisits"`
 	// ShardBusyNS is each shard's busy time (compute + exchange) summed
 	// over the sampled slots.
 	ShardBusyNS []uint64 `json:"shardBusyNS"`
@@ -228,6 +236,9 @@ func (n *Network) ExecProfile() *ExecProfile {
 		ShardBusyNS:   append([]uint64(nil), p.shardBusyNS...),
 		NodeCostNS:    append([]uint64(nil), p.nodeBusyNS...),
 		BarrierWaitNS: append([]uint64(nil), p.barrierWait...),
+	}
+	for _, v := range p.visits {
+		ep.NodeVisits += v
 	}
 	busy := make([]int64, len(p.shardBusyNS))
 	for w, b := range p.shardBusyNS {

@@ -321,17 +321,21 @@ func (r *Router) Step(slot uint64) []*packet.Cell {
 	return delivered
 }
 
-// IdleStep advances the router one slot when it is provably idle — no
+// IdleStep is IdleSteps for one slot, for callers that step an idle
+// router slot by slot.
+func (r *Router) IdleStep(slot uint64) { r.IdleSteps(1) }
+
+// IdleSteps advances the router k slots while it is provably idle — no
 // queued cells, nothing in flight in the fabric — replaying exactly the
-// state change Step performs on an empty router. FCFS's round-robin
+// state change k Steps perform on an empty router. FCFS's round-robin
 // pointer advances every slot (Grant is called even with no requests,
-// and its rotation decides future tie-breaks), so it ticks here too;
+// and its rotation decides future tie-breaks), so it ticks k times;
 // iSLIP's pointers move only on accepted grants, so an empty match
 // leaves no state behind and is skipped; the fabric walk and egress
 // accounting are no-ops on an empty fabric and are skipped as well.
-func (r *Router) IdleStep(slot uint64) {
+func (r *Router) IdleSteps(k uint64) {
 	if r.cfg.Queue == FIFO {
-		r.arbFCFS.IdleTick()
+		r.arbFCFS.IdleTicks(k)
 	}
 }
 
