@@ -130,8 +130,8 @@ func BenchmarkFig10PowerVsPorts(b *testing.B) {
 }
 
 // BenchmarkObs1Crossover regenerates §6 observation 1's crossover search
-// at 32×32 under the per-word buffer reading (the one that reproduces the
-// paper's ≈35% figure).
+// at 32×32 under the per-word buffer reading, which puts the crossover at
+// 50% (per bit it is 0%; the paper reports ≈35%).
 func BenchmarkObs1Crossover(b *testing.B) {
 	base := study.Scenario{Model: study.PerWordModel(), Fabric: study.FabricSpec{Ports: 32}, Sim: benchSim()}
 	benchStudy(b, "crossover", base, []study.Axis{paperLoads, allArchs}, 0, true)

@@ -67,9 +67,10 @@ type Model struct {
 func DefaultModel() Model { return Model{spec: study.PaperModel()} }
 
 // PerWordBufferModel returns the alternative Table 2 reading in which the
-// SRAM access energy is charged per 32-bit word rather than per bit —
-// the interpretation that recovers the paper's 35% Banyan crossover at
-// 32×32 (see the BufferAccessGranularityBits discussion in internal/core).
+// SRAM access energy is charged per 32-bit word rather than per bit. It
+// does not reproduce the paper's ≈35% Banyan crossover at 32×32: Banyan
+// is cheapest through 50% load per word, and at no load per bit (see the
+// BufferAccessGranularityBits discussion in internal/core).
 func PerWordBufferModel() Model { return Model{spec: study.PerWordModel()} }
 
 // WithTechScaling derives a model at a scaled technology point: s scales

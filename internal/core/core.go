@@ -168,10 +168,11 @@ type Model struct {
 	// Table 2's 140–222 pJ charged per bit, a single buffered cell costs
 	// ~200 nJ — two orders of magnitude above its switching path — and
 	// the Banyan's low-load advantage at 32×32 (§6 obs. 1) cannot
-	// materialize at any realistic load. Reading the off-the-shelf SRAM
-	// datasheet numbers as per 32-bit word access (granularity 32)
-	// restores the paper's 35% crossover; internal/exp's crossover study
-	// quantifies both readings.
+	// materialize at any realistic load: the 32×32 crossover sits at 0%
+	// (the crossover golden). Reading the off-the-shelf SRAM datasheet
+	// numbers as per 32-bit word access (granularity 32) overshoots the
+	// paper's ≈35% instead: Banyan is then cheapest through 50% load and
+	// the crossbar from 55% on. Only the per-bit reading has a golden.
 	BufferAccessGranularityBits int
 }
 
@@ -194,8 +195,8 @@ func PaperModel() Model {
 
 // PerWordBufferModel returns the paper model with Table 2's access energy
 // interpreted per 32-bit word instead of per bit — the alternative reading
-// that recovers §6 observation 1's 35% crossover (see the
-// BufferAccessGranularityBits documentation).
+// of §6 observation 1, which puts the 32×32 crossover at 50% rather than
+// the paper's ≈35% (see the BufferAccessGranularityBits documentation).
 func PerWordBufferModel() Model {
 	m := PaperModel()
 	m.BufferAccessGranularityBits = m.Tech.BusWidth

@@ -168,14 +168,14 @@ type Manager struct {
 	// rep so Snapshot can fold it into the fabric's energy breakdown.
 	dynAdjust core.Breakdown
 
-	// Steady-idle memo: once the policy certifies its idle fixpoint
-	// (FixpointPolicy) and the state machines complete a motionless
-	// slot, every further IdleSlot replays in O(1) from these cached
-	// per-slot constants instead of walking the ports. Invalidated by
-	// the next PreSlot — any non-idle observation may move the policy.
-	idleSteady     bool
-	fixpoint       FixpointPolicy // cfg.Policy, when it certifies fixpoints
-	steadyStaticFJ float64
+	// Idle horizon: every slot before steadyEnd is idle and motionless
+	// — the policy would decide what it last decided (HorizonPolicy) and
+	// no state machine would move — so IdleSlot and IdleSlots replay it
+	// in O(1) without running the policy or walking the ports. Set after
+	// each per-slot IdleSlot; zeroed by PreSlot, since a busy
+	// observation may move the policy.
+	horizon   HorizonPolicy // cfg.Policy, when it states idle horizons
+	steadyEnd uint64
 }
 
 // New builds a manager. The model's static parameters may be zero, in
@@ -227,7 +227,7 @@ func New(cfg Config) (*Manager, error) {
 	m.dec = Decision{GatePort: make([]bool, n)}
 
 	m.levels = []DVFSLevel{{Name: "full", Speed: 1, VScale: 1}}
-	if p, ok := cfg.Policy.(interface{ DVFSLevels() []DVFSLevel }); ok {
+	if p, ok := cfg.Policy.(interface{ DVFSLevels() []DVFSLevel }); ok && len(p.DVFSLevels()) > 0 {
 		m.levels = p.DVFSLevels()
 	}
 	base := cfg.Model.Tech
@@ -244,9 +244,7 @@ func New(cfg Config) (*Manager, error) {
 		m.dynScale = append(m.dynScale, v*v)     // switching energy ∝ V²
 	}
 	m.rep.Policy = cfg.Policy.Name()
-	if fp, ok := cfg.Policy.(FixpointPolicy); ok {
-		m.fixpoint = fp
-	}
+	m.horizon, _ = cfg.Policy.(HorizonPolicy)
 	return m, nil
 }
 
@@ -288,9 +286,9 @@ func (m *Manager) transition(components float64) {
 // advances the power-state machines. Call after traffic injection and
 // before Router.Step.
 func (m *Manager) PreSlot(slot uint64, src Source) {
-	// A non-idle slot can move the policy and the state machines;
-	// steadiness must be re-proven on the next fully idle stretch.
-	m.idleSteady = false
+	// A busy slot can move the policy and the state machines; the
+	// horizon must be re-read on the next idle slot.
+	m.steadyEnd = 0
 	m.obs.Slot = slot
 	copy(m.obs.QueueLen, src.QueueLens())
 	backlog := 0
@@ -304,17 +302,17 @@ func (m *Manager) PreSlot(slot uint64, src Source) {
 
 // decideAndAdvance is PreSlot's tail, shared with IdleSlot: run the
 // policy over the filled observation, then advance the port, buffer and
-// DVFS state machines. It reports whether any state machine moved this
-// slot — a transition fired, a wakeup or freeze countdown ticked — the
-// signal IdleSlot's steady-state detection needs: a motionless slot on
-// a fixpoint policy replays identically forever.
-func (m *Manager) decideAndAdvance() (changed bool) {
+// DVFS state machines. It counts the ports it leaves in another state
+// than the policy asked for (waking, or woken while the request turned
+// to gating), which IdleSlot's horizon needs.
+func (m *Manager) decideAndAdvance() (unsettled int) {
 	m.obs.Load = m.ewmaLoad
 
 	clear(m.dec.GatePort)
 	m.dec.BufferSleep = false
 	m.dec.DVFSLevel = 0
 	m.cfg.Policy.Decide(&m.obs, &m.dec)
+	m.obs.Tick++
 	clear(m.obs.PortActive) // consumed; PostSlot refills
 
 	gate := m.dec.GatePort[:len(m.portState)]
@@ -346,14 +344,15 @@ func (m *Manager) decideAndAdvance() (changed bool) {
 				m.setState(p, portActive)
 			}
 		}
-		changed = true
+		if m.portState[p] != want {
+			unsettled++
+		}
 	}
 
 	if m.inv.BufferBanks > 0 && m.dec.BufferSleep != m.bufDrowsy {
 		m.bufDrowsy = m.dec.BufferSleep
 		m.staticDirty = true
 		m.transition(float64(m.inv.BufferBanks))
-		changed = true
 	}
 
 	lv := m.dec.DVFSLevel
@@ -367,14 +366,12 @@ func (m *Manager) decideAndAdvance() (changed bool) {
 		// Level transition in progress (PLL relock): admission frozen.
 		m.freeze--
 		m.stalled = true
-		changed = true
 	} else {
 		if lv != m.level {
 			m.level = lv
 			m.rep.DVFSShifts++
 			m.transition(float64(m.inv.Components()))
 			m.freeze = m.static.WakeupSlots
-			changed = true
 		}
 		if m.freeze > 0 {
 			m.stalled = true
@@ -393,7 +390,7 @@ func (m *Manager) decideAndAdvance() (changed bool) {
 	if m.stalled {
 		m.rep.StalledSlots++
 	}
-	return changed
+	return unsettled
 }
 
 // PostSlot accounts the slot: egress activity, the load EWMA, static
@@ -435,7 +432,7 @@ func (m *Manager) PostSlot(slot uint64, delivered []*packet.Cell, dyn core.Break
 // is re-added port by port, in port order, only after the gated set or
 // the SRAM state changed; otherwise the cached sum is the value that
 // loop would produce.
-func (m *Manager) accountSlot(inst float64) (staticMW float64) {
+func (m *Manager) accountSlot(inst float64) {
 	m.ewmaLoad += (inst - m.ewmaLoad) / 32
 
 	if m.staticDirty {
@@ -463,10 +460,8 @@ func (m *Manager) accountSlot(inst float64) (staticMW float64) {
 		m.rep.DrowsySlots++
 	}
 	m.rep.GatedPortSlots += uint64(m.gated)
-	staticMW = m.staticMW * m.staticScale[m.level]
-	m.rep.StaticFJ += mwFJ(staticMW, m.slotNS)
+	m.rep.StaticFJ += mwFJ(m.staticMW*m.staticScale[m.level], m.slotNS)
 	m.rep.AlwaysOnStaticFJ += m.alwaysOnFJ
-	return staticMW
 }
 
 // IdleSlot advances the manager one slot over a provably idle router:
@@ -484,68 +479,76 @@ func (m *Manager) accountSlot(inst float64) (staticMW float64) {
 // bit-identical). Results are therefore bit-for-bit the same as the
 // full path.
 //
-// Once an idle stretch settles — the policy certifies its fixpoint and
-// a full replay completes with every state machine motionless — the
-// replay itself collapses to O(1): the decision, port states and static
-// power are constants, so each further slot is one EWMA decay plus the
-// same ledger additions, applied one slot at a time so the float
-// accumulation order (and hence every rounded sum) is identical to the
-// full path's.
+// Within the idle horizon read at the end of the last full IdleSlot
+// (steadyEnd), the decision, port states and static power are
+// constants, so a slot is one EWMA decay plus the same ledger
+// additions.
 func (m *Manager) IdleSlot(slot uint64) {
-	if m.idleSteady {
-		m.ewmaLoad += (0 - m.ewmaLoad) / 32
-		m.rep.GatedPortSlots += uint64(m.gated)
-		if m.inv.BufferBanks > 0 && m.bufDrowsy {
-			m.rep.DrowsySlots++
-		}
-		m.rep.StaticFJ += m.steadyStaticFJ
-		m.rep.AlwaysOnStaticFJ += m.alwaysOnFJ
-		m.rep.Slots++
+	if slot < m.steadyEnd {
+		m.steady(1)
 		return
 	}
 	m.obs.Slot = slot
 	clear(m.obs.QueueLen)
 	m.obs.Backlog = 0
 	m.obs.BufferedCells = 0
-	changed := m.decideAndAdvance()
-	staticMW := m.accountSlot(0)
+	unsettled := m.decideAndAdvance()
+	m.accountSlot(0)
 	m.rep.Slots++
 
-	// Steady-state detection, after the slot's mutations have landed:
-	// from here every further idle slot replays identically when (a) no
-	// state machine moved (no transitions, wake or freeze countdowns;
-	// waking is 0 whenever changed is false), (b) the policy certifies
-	// its Decide is a motionless constant for all-idle observations,
-	// (c) the DVFS duty cycle is degenerate — full speed, unstalled,
-	// with an accumulator the +Speed/-1 round trip reproduces exactly —
-	// so stalled stays false and acc stays put on every following slot.
-	if !changed && m.fixpoint != nil && m.freeze == 0 && !m.stalled {
-		speed := m.levels[m.level].Speed
-		if speed == 1 && m.acc+speed-1 == m.acc && m.fixpoint.IdleFixpoint() {
-			m.idleSteady = true
-			m.steadyStaticFJ = mwFJ(staticMW, m.slotNS)
+	// The following slots are motionless while the policy keeps its
+	// decision, provided every state machine has settled on it: every
+	// port in its requested state and a degenerate duty cycle — full
+	// speed, no freeze or stall, with an accumulator the +Speed/-1
+	// round trip reproduces exactly — so stalled and acc stay put.
+	m.steadyEnd = 0
+	if m.horizon != nil && unsettled == 0 && !m.stalled {
+		if speed := m.levels[m.level].Speed; speed == 1 && m.acc+speed-1 == m.acc {
+			m.steadyEnd = slot + 1 + min(m.horizon.IdleHorizon(), Unbounded-slot-1)
 		}
 	}
 }
 
-// IdleSteady reports whether the manager is on its steady-idle memo:
-// every further IdleSlot is the same O(1) replay until the next PreSlot,
-// so a caller may defer a stretch of them and replay it with IdleSlots.
-func (m *Manager) IdleSteady() bool { return m.idleSteady }
-
-// IdleSlots replays k steady idle slots in one call, leaving the manager
-// bit-identical to k IdleSlot calls. Valid only while IdleSteady holds.
-// The load EWMA and the two static ledgers are float sums, so they are
-// still added slot by slot, in order; the integer counters take k at
-// once.
-func (m *Manager) IdleSlots(k uint64) {
-	if !m.idleSteady {
-		panic("dpm: IdleSlots off the steady-idle memo")
+// IdleHorizon reports the policy's idle horizon as of its last
+// decision, 0 for a policy without one. A caller deciding whether to
+// defer a router's idle slots to IdleSlots reads it after the router's
+// slot: with a nonzero horizon most of the stretch replays in bulk.
+func (m *Manager) IdleHorizon() uint64 {
+	if m.horizon == nil {
+		return 0
 	}
+	return m.horizon.IdleHorizon()
+}
+
+// IdleSlots replays the k idle slots from slot on in one call, leaving
+// the manager bit-identical to k IdleSlot calls. Slots inside the idle
+// horizon replay in bulk; a slot that consumes PortActive flags or
+// where the policy's decision changes (a gate or drowsy transition,
+// charged at its own slot) runs the full IdleSlot, which reads the next
+// horizon.
+func (m *Manager) IdleSlots(slot, k uint64) {
+	for end := slot + k; slot < end; {
+		if slot >= m.steadyEnd {
+			m.IdleSlot(slot)
+			slot++
+			continue
+		}
+		j := min(end, m.steadyEnd) - slot
+		m.steady(j)
+		slot += j
+	}
+}
+
+// steady replays k motionless idle slots. The load EWMA and the two
+// static ledgers are float sums, so they are still added slot by slot,
+// in order, at the value accountSlot adds; the integer counters take k
+// at once.
+func (m *Manager) steady(k uint64) {
+	staticFJ := mwFJ(m.staticMW*m.staticScale[m.level], m.slotNS)
 	ewma, static, alwaysOn := m.ewmaLoad, m.rep.StaticFJ, m.rep.AlwaysOnStaticFJ
 	for i := uint64(0); i < k; i++ {
 		ewma += (0 - ewma) / 32
-		static += m.steadyStaticFJ
+		static += staticFJ
 		alwaysOn += m.alwaysOnFJ
 	}
 	m.ewmaLoad, m.rep.StaticFJ, m.rep.AlwaysOnStaticFJ = ewma, static, alwaysOn
@@ -554,6 +557,7 @@ func (m *Manager) IdleSlots(k uint64) {
 		m.rep.DrowsySlots += k
 	}
 	m.rep.Slots += k
+	m.obs.Tick += k
 }
 
 // BeginMeasurement zeroes the ledgers after warmup. Power-domain

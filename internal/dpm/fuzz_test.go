@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"testing"
 
 	"fabricpower/internal/core"
@@ -70,13 +71,94 @@ func (r *refLedger) account(m *Manager) {
 	r.alwaysOnFJ += mwFJ(float64(n)*m.portIdleMW+m.bufMW, m.slotNS)
 }
 
+// refPolicy builds the reference for fuzzPolicy(kind, tune): the same
+// policy with IdleGate and BufferSleep counting idle slots in saturating
+// counters, the plain reading of their timeouts, and with no idle
+// horizon, so its manager runs it every slot.
+func refPolicy(kind, tune uint8) Policy {
+	k := int(tune%4) + 1
+	switch kind % 5 {
+	case 1:
+		return &refIdleGate{timeout: k}
+	case 2:
+		return &refBufferSleep{drain: k}
+	case 4:
+		return &refComposite{refIdleGate{timeout: k}, refBufferSleep{drain: k}, LoadDVFS{HoldSlots: k}}
+	}
+	return noHorizon{fuzzPolicy(kind, tune)}
+}
+
+// noHorizon hides a policy's IdleHorizon and forwards its DVFS ladder.
+type noHorizon struct{ Policy }
+
+func (p noHorizon) DVFSLevels() []DVFSLevel {
+	if l, ok := p.Policy.(interface{ DVFSLevels() []DVFSLevel }); ok {
+		return l.DVFSLevels()
+	}
+	return nil
+}
+
+type refIdleGate struct {
+	timeout int
+	idle    []int
+}
+
+func (g *refIdleGate) Name() string    { return "idlegate" }
+func (g *refIdleGate) Reset(ports int) { g.idle = make([]int, ports) }
+func (g *refIdleGate) Decide(obs *Observation, dec *Decision) {
+	for p := range g.idle {
+		if obs.QueueLen[p] > 0 || obs.PortActive[p] {
+			g.idle[p] = 0
+			continue
+		}
+		g.idle[p] = min(g.idle[p]+1, g.timeout)
+		dec.GatePort[p] = g.idle[p] >= g.timeout
+	}
+}
+
+type refBufferSleep struct{ drain, empty int }
+
+func (b *refBufferSleep) Name() string { return "buffersleep" }
+func (b *refBufferSleep) Reset(int)    { b.empty = 0 }
+func (b *refBufferSleep) Decide(obs *Observation, dec *Decision) {
+	if obs.BufferedCells > 0 {
+		b.empty = 0
+		return
+	}
+	b.empty = min(b.empty+1, b.drain)
+	dec.BufferSleep = b.empty >= b.drain
+}
+
+type refComposite struct {
+	gate refIdleGate
+	buf  refBufferSleep
+	dvfs LoadDVFS
+}
+
+func (c *refComposite) Name() string { return "composite" }
+func (c *refComposite) Reset(ports int) {
+	c.gate.Reset(ports)
+	c.buf.Reset(ports)
+	c.dvfs.Reset(ports)
+}
+func (c *refComposite) Decide(obs *Observation, dec *Decision) {
+	c.gate.Decide(obs, dec)
+	c.buf.Decide(obs, dec)
+	c.dvfs.Decide(obs, dec)
+}
+func (c *refComposite) DVFSLevels() []DVFSLevel { return c.dvfs.Levels }
+
 // checkTwin asserts that the twin manager, which replays each idle
-// stretch's steady tail in one IdleSlots call, matches m bit for bit.
-func checkTwin(t *testing.T, m, twin *Manager, when string) {
+// stretch with IdleSlots and skips Decide within its policy's horizons,
+// matches the per-slot manager m bit for bit: ledgers, load EWMA, power
+// states and the published mask.
+func checkTwin(t *testing.T, m, twin *Manager, slot uint64, when string) {
 	t.Helper()
-	if m.Report() != twin.Report() || math.Float64bits(m.ewmaLoad) != math.Float64bits(twin.ewmaLoad) || m.idleSteady != twin.idleSteady {
-		t.Fatalf("%s: IdleSlots twin diverged:\nper-slot %+v ewma %v steady %v\nIdleSlots %+v ewma %v steady %v", when,
-			m.Report(), m.ewmaLoad, m.idleSteady, twin.Report(), twin.ewmaLoad, twin.idleSteady)
+	if m.Report() != twin.Report() || math.Float64bits(m.ewmaLoad) != math.Float64bits(twin.ewmaLoad) ||
+		m.level != twin.level || m.bufDrowsy != twin.bufDrowsy || !slices.Equal(m.portState, twin.portState) ||
+		!slices.Equal(m.OpenPorts(slot), twin.OpenPorts(slot)) {
+		t.Fatalf("%s: IdleSlots twin diverged:\nper-slot %+v ewma %v ports %v\nIdleSlots %+v ewma %v ports %v", when,
+			m.Report(), m.ewmaLoad, m.portState, twin.Report(), twin.ewmaLoad, twin.portState)
 	}
 }
 
@@ -119,9 +201,14 @@ func checkLedger(t *testing.T, m *Manager, ref *refLedger, when string) {
 // queue churn on a few ports, a buffered-cell count, PreSlot, egress
 // deliveries (biased toward gated and waking ports), and PostSlot.
 // Bit 0 of wake selects WakeupSlots 3 over 0; its other bits tune the
-// policy. A twin manager runs the same program but replays each idle
-// stretch with IdleSlots once it reaches the steady-idle memo, and must
-// match the per-slot manager bit for bit after every op.
+// policy. The manager runs the reference policy (refPolicy) every slot;
+// a twin manager runs the same program with the built-in policy and its
+// idle horizons, replaying each idle
+// stretch — from its first slot, which still carries the busy slot's
+// PortActive flags, across any gate and drowsy transitions — with
+// IdleSlots up to a third of the way in and the rest with IdleSlots or,
+// with bit 4 set, slot by slot with IdleSlot; it must match the
+// per-slot manager bit for bit after every op.
 func runManagerProgram(t *testing.T, policy, wake, ports uint8, prog []byte) {
 	n := fuzzPorts[int(ports)%len(fuzzPorts)]
 	arch := core.Crossbar
@@ -134,7 +221,7 @@ func runManagerProgram(t *testing.T, policy, wake, ports uint8, prog []byte) {
 	if wake&1 == 1 {
 		model.Static.WakeupSlots = 3
 	}
-	m, err := New(Config{Arch: arch, Ports: n, Model: model, CellBits: 256, Policy: fuzzPolicy(policy, wake>>1)})
+	m, err := New(Config{Arch: arch, Ports: n, Model: model, CellBits: 256, Policy: refPolicy(policy, wake>>1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,12 +257,13 @@ func runManagerProgram(t *testing.T, policy, wake, ports uint8, prog []byte) {
 			if op&0x20 != 0 {
 				k *= 8 // long enough for IdleSlots to cross a 64-slot count
 			}
-			for i := uint64(0); i < k; i++ {
-				if twin.IdleSteady() {
-					twin.IdleSlots(k - i)
-					break
+			twin.IdleSlots(slot, k/3)
+			if op&0x10 != 0 {
+				for i := k / 3; i < k; i++ {
+					twin.IdleSlot(slot + i)
 				}
-				twin.IdleSlot(slot + i)
+			} else {
+				twin.IdleSlots(slot+k/3, k-k/3)
 			}
 			for end := slot + k; slot < end; slot++ {
 				m.IdleSlot(slot)
@@ -184,7 +272,7 @@ func runManagerProgram(t *testing.T, policy, wake, ports uint8, prog []byte) {
 				checkMask(t, m, slot, when)
 				checkLedger(t, m, &ref, when)
 			}
-			checkTwin(t, m, twin, fmt.Sprintf("idle stretch ending at slot %d", slot))
+			checkTwin(t, m, twin, slot, fmt.Sprintf("idle stretch ending at slot %d", slot))
 		default:
 			for k := op & 7; k > 0; k-- {
 				src.q[int(next())%n] = int(next() % 4)
@@ -219,7 +307,7 @@ func runManagerProgram(t *testing.T, policy, wake, ports uint8, prog []byte) {
 			when := fmt.Sprintf("slot %d after PostSlot", slot)
 			checkMask(t, m, slot, when)
 			checkLedger(t, m, &ref, when)
-			checkTwin(t, m, twin, when)
+			checkTwin(t, m, twin, slot, when)
 			slot++
 		}
 	}
@@ -239,19 +327,25 @@ func (s *sliceSource) BufferedCells() int { return s.buf }
 // every built-in policy, wakeup latencies 0 and 3 and port counts on
 // both sides of mask-word boundaries, the open-port mask must equal the
 // per-port gate predicate, the cached static draw must charge exactly
-// what re-summing every port every slot charges, and IdleSlots(k) must
-// leave the manager exactly as k IdleSlot calls do.
+// what re-summing every port every slot charges, and IdleSlots(slot, k)
+// within the policy's idle horizons must leave the manager exactly as k
+// IdleSlot calls that run the policy every slot do.
 func FuzzManagerMatchesPerPortReference(f *testing.F) {
-	for policy := uint8(0); policy < 5; policy++ {
-		for ports := uint8(0); ports < uint8(len(fuzzPorts)); ports++ {
-			for wake := uint8(0); wake < 2; wake++ {
-				prog := make([]byte, 600)
-				x := uint64(policy)<<16 | uint64(ports)<<8 | uint64(wake)
-				for i := range prog {
-					x = bits.RotateLeft64(x*0x9e3779b97f4a7c15+0xbf58476d1ce4e5b9, 17)
-					prog[i] = byte(x >> 56)
+	// Each program runs as generated and, in a second pass, after a
+	// 128-slot idle stretch that replays horizons from the policy's
+	// initial state.
+	for _, prefix := range [][]byte{nil, {0x2f}} {
+		for policy := uint8(0); policy < 5; policy++ {
+			for ports := uint8(0); ports < uint8(len(fuzzPorts)); ports++ {
+				for wake := uint8(0); wake < 2; wake++ {
+					prog := make([]byte, 600)
+					x := uint64(policy)<<16 | uint64(ports)<<8 | uint64(wake)
+					for i := range prog {
+						x = bits.RotateLeft64(x*0x9e3779b97f4a7c15+0xbf58476d1ce4e5b9, 17)
+						prog[i] = byte(x >> 56)
+					}
+					f.Add(policy, wake|ports<<1, ports, append(prefix, prog...))
 				}
-				f.Add(policy, wake|ports<<1, ports, prog)
 			}
 		}
 	}

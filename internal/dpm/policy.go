@@ -10,6 +10,10 @@ import (
 type Observation struct {
 	// Slot is the current slot number.
 	Slot uint64
+	// Tick counts the slots the manager advanced before this one (Slot
+	// less any it was not driven, as a failed router is not), including
+	// idle slots it replayed without calling Decide.
+	Tick uint64
 	// Ports is the fabric size N.
 	Ports int
 	// QueueLen is the ingress occupancy per port at slot start.
@@ -55,20 +59,20 @@ type Policy interface {
 	Decide(obs *Observation, dec *Decision)
 }
 
-// FixpointPolicy is an optional Policy extension the manager's
-// steady-idle fast path consults. IdleFixpoint reports that the policy
-// has converged for sustained idleness: given any further observation
-// whose QueueLen entries are all zero, PortActive flags all false, and
-// Backlog and BufferedCells zero — Slot and Load arbitrary — Decide
-// would mutate no internal state and fill the decision exactly as it
-// did last slot. The certificate lets the manager stop re-running
-// Decide on provably idle slots and replay the constant decision in
-// O(1); a policy whose idle behaviour depends on Load or Slot (for
-// example LoadDVFS, which walks the ladder as the load EWMA decays)
-// must not implement it, and then always takes the full path.
-type FixpointPolicy interface {
-	IdleFixpoint() bool
+// HorizonPolicy is an optional Policy extension. IdleHorizon, asked
+// right after a Decide, reports for how many following all-idle slots
+// (zero queues, flags and buffers; Load arbitrary) Decide would fill
+// the same decision and change no state a later Decide reads: 0 means
+// the next slot may differ, Unbounded never. The manager skips Decide
+// on those slots, so a policy that counts idle slots or follows Load
+// answers 0; a policy without the method is run every slot.
+type HorizonPolicy interface {
+	IdleHorizon() uint64
 }
+
+// Unbounded is the idle horizon of a policy at its fixpoint: no run of
+// idle slots changes its decision.
+const Unbounded = ^uint64(0)
 
 // AlwaysOn is the baseline policy: every component powered, full speed,
 // forever. With zero static power it reproduces the paper's accounting
@@ -85,9 +89,9 @@ func (AlwaysOn) Reset(int) {}
 // Decide implements Policy: the zeroed decision is exactly "all on".
 func (AlwaysOn) Decide(*Observation, *Decision) {}
 
-// IdleFixpoint implements FixpointPolicy: stateless, so always at the
+// IdleHorizon implements HorizonPolicy: stateless, so always at the
 // fixpoint.
-func (AlwaysOn) IdleFixpoint() bool { return true }
+func (AlwaysOn) IdleHorizon() uint64 { return Unbounded }
 
 // IdleGate clock-gates a port's switch/wire domain after the port has
 // been idle — empty ingress queue and no egress delivery — for
@@ -99,7 +103,10 @@ type IdleGate struct {
 	// (default 8).
 	TimeoutSlots int
 
-	idle []int
+	// gateAt[p] is the first tick port p asks to be gated: its last
+	// busy tick plus TimeoutSlots, which an idle Decide leaves alone.
+	gateAt []uint64
+	now    uint64 // the tick last decided
 }
 
 // Name implements Policy.
@@ -110,7 +117,10 @@ func (g *IdleGate) Reset(ports int) {
 	if g.TimeoutSlots <= 0 {
 		g.TimeoutSlots = 8
 	}
-	g.idle = make([]int, ports)
+	g.gateAt = make([]uint64, ports)
+	for p := range g.gateAt {
+		g.gateAt[p] = uint64(g.TimeoutSlots) - 1 // as if busy at tick −1
+	}
 }
 
 // Decide implements Policy.
@@ -118,30 +128,29 @@ func (g *IdleGate) Decide(obs *Observation, dec *Decision) {
 	// Re-sliced to one length up front, so the loop indexes without
 	// bounds checks.
 	n := obs.Ports
-	queue, active, idle, gate := obs.QueueLen[:n], obs.PortActive[:n], g.idle[:n], dec.GatePort[:n]
-	timeout := g.TimeoutSlots
-	for p := range idle {
+	queue, active, gateAt, gate := obs.QueueLen[:n], obs.PortActive[:n], g.gateAt[:n], dec.GatePort[:n]
+	tick, timeout := obs.Tick, uint64(g.TimeoutSlots)
+	for p := range gateAt {
 		if queue[p] > 0 || active[p] {
-			idle[p] = 0
+			gateAt[p] = tick + timeout
 			continue
 		}
-		if idle[p] < timeout {
-			idle[p]++
-		}
-		gate[p] = idle[p] >= timeout
+		gate[p] = tick >= gateAt[p]
 	}
+	g.now = tick
 }
 
-// IdleFixpoint implements FixpointPolicy: the idle counters saturate at
-// TimeoutSlots, so once every port's streak is there an all-idle
-// observation increments nothing and every gate request stays true.
-func (g *IdleGate) IdleFixpoint() bool {
-	for _, streak := range g.idle {
-		if streak < g.TimeoutSlots {
-			return false
+// IdleHorizon implements HorizonPolicy: the idle slots before the next
+// port still open reaches its gateAt, Unbounded once every port asks to
+// be gated.
+func (g *IdleGate) IdleHorizon() uint64 {
+	h := Unbounded
+	for _, at := range g.gateAt {
+		if at > g.now {
+			h = min(h, at-g.now-1)
 		}
 	}
-	return true
+	return h
 }
 
 // BufferSleep puts the fabric's SRAM banks into the drowsy
@@ -156,7 +165,9 @@ type BufferSleep struct {
 	// (default 4).
 	DrainSlots int
 
-	empty int
+	// sleepAt is the first tick the banks ask to sleep, stamped like
+	// IdleGate's gateAt.
+	sleepAt, now uint64
 }
 
 // Name implements Policy.
@@ -167,24 +178,26 @@ func (b *BufferSleep) Reset(int) {
 	if b.DrainSlots <= 0 {
 		b.DrainSlots = 4
 	}
-	b.empty = 0
+	b.sleepAt = uint64(b.DrainSlots) - 1
 }
 
 // Decide implements Policy.
 func (b *BufferSleep) Decide(obs *Observation, dec *Decision) {
+	b.now = obs.Tick
 	if obs.BufferedCells > 0 {
-		b.empty = 0
+		b.sleepAt = obs.Tick + uint64(b.DrainSlots)
 		return
 	}
-	if b.empty < b.DrainSlots {
-		b.empty++
-	}
-	dec.BufferSleep = b.empty >= b.DrainSlots
+	dec.BufferSleep = obs.Tick >= b.sleepAt
 }
 
-// IdleFixpoint implements FixpointPolicy: the drain streak saturates at
-// DrainSlots, mirroring IdleGate's counters.
-func (b *BufferSleep) IdleFixpoint() bool { return b.empty >= b.DrainSlots }
+// IdleHorizon implements HorizonPolicy: the rest of the drain streak.
+func (b *BufferSleep) IdleHorizon() uint64 {
+	if b.sleepAt <= b.now {
+		return Unbounded
+	}
+	return b.sleepAt - b.now - 1
+}
 
 // DVFSLevel is one frequency/voltage operating point of the LoadDVFS
 // policy. Speed is the relative admission rate (frequency scale): at
@@ -253,6 +266,10 @@ func (d *LoadDVFS) Reset(int) {
 // DVFSLevels exposes the ladder to the manager.
 func (d *LoadDVFS) DVFSLevels() []DVFSLevel { return d.Levels }
 
+// IdleHorizon implements HorizonPolicy: 0, as idle slots count toward
+// HoldSlots.
+func (d *LoadDVFS) IdleHorizon() uint64 { return 0 }
+
 // Decide implements Policy.
 func (d *LoadDVFS) Decide(obs *Observation, dec *Decision) {
 	// The slowest level whose speed still covers the load with headroom.
@@ -306,6 +323,11 @@ func (c *Composite) Decide(obs *Observation, dec *Decision) {
 	c.Gate.Decide(obs, dec)
 	c.Buffer.Decide(obs, dec)
 	c.DVFS.Decide(obs, dec)
+}
+
+// IdleHorizon implements HorizonPolicy: the nearest of its parts'.
+func (c *Composite) IdleHorizon() uint64 {
+	return min(c.Gate.IdleHorizon(), c.Buffer.IdleHorizon(), c.DVFS.IdleHorizon())
 }
 
 // DVFSLevels exposes the inner ladder to the manager.

@@ -1158,6 +1158,39 @@ func BenchmarkNetworkStepJoin(b *testing.B) {
 	}
 }
 
+// BenchmarkNetworkBuild is the netsim/build rung: New on the
+// fabricbench net-lowload network — the 48-router fat-tree with
+// consolidating routing and 992 bursty flows — with an idle-gated
+// manager per router. Each build's streams go back to the pool before
+// the next, as between the points of a study.
+func BenchmarkNetworkBuild(b *testing.B) {
+	topo, err := FatTree2(16, 32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := testConfig(topo)
+	cfg.Model.Static = core.DefaultStaticPower()
+	cfg.CellBits = 1024
+	cfg.Policy = "idlegate"
+	cfg.Routing = Consolidate{}
+	cfg.Traffic = Traffic{Kind: "bursty"}
+	cfg.Load = 0.05
+	cfg.Shards = 2
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		net, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 && len(net.Flows()) != 992 {
+			b.Fatalf("built %d flows, want 992", len(net.Flows()))
+		}
+		b.StopTimer()
+		net.Close()
+		b.StartTimer()
+	}
+}
+
 // bench64FatTree builds the 64-router fat-tree (43 leaf hosts under 21
 // spines) the low-load benchmarks step: the topology whose transit
 // spines sit idle most slots at the paper's 10–20% operating points.

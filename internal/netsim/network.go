@@ -300,7 +300,9 @@ type Network struct {
 	// cell-ID counter, each a pure function of (Seed, flow index). The
 	// streams are single heap objects from streamPool, not elements of a
 	// []rng.Stream slab (see README, "Random streams"); Close recycles
-	// them.
+	// them. A payload stream is seeded when its flow fills its first
+	// cell (nil until then): many flows of a lightly loaded network never
+	// send one.
 	srcs    []FlowSource
 	payload []*rng.Stream
 	nextID  []uint64
@@ -422,7 +424,6 @@ func New(cfg Config) (*Network, error) {
 		sleep:       make([]sleepState, t.Nodes),
 	}
 	for fi := range flows {
-		n.payload[fi] = flowStream(flowSeed(cfg.Seed, fi, saltPayload))
 		n.nodeFlows[flows[fi].Src] = append(n.nodeFlows[flows[fi].Src], int32(fi))
 	}
 	masks := make([]uint64, len(flows))
@@ -702,7 +703,9 @@ func (n *Network) Close() {
 	// order: adjacent flows keep adjacent streams, on which net-lowload's
 	// per-slot coin draws ran 5–8% faster than on a scrambled order.
 	for fi := len(n.payload) - 1; fi >= 0; fi-- {
-		streamPool.Put(n.payload[fi])
+		if n.payload[fi] != nil { // a typed nil would come back from Get
+			streamPool.Put(n.payload[fi])
+		}
 	}
 	for fi := len(n.srcs) - 1; fi >= 0; fi-- {
 		recycleStream(n.srcs[fi])
@@ -764,11 +767,12 @@ func (n *Network) computePhaseProf(s *shard, slot uint64) {
 // path instead: the DPM manager and arbiter replay their exact per-slot
 // state changes (policy decisions, wakeup countdowns, static-energy
 // ledgers, tie-break rotation) while the fabric walk, queue scans and
-// link drains — all no-ops on an empty router — are skipped. Once the
-// manager is on its steady-idle memo (or there is none), the node goes
-// to sleep until its next event (see sleepState), and a waking node
-// first replays the slots it slept through. The paths are
-// bit-identical; Config.IdleSkip "off" forces the full one.
+// link drains — all no-ops on an empty router — are skipped. A node
+// that ends a slot idle, after its full step or on the idle path, goes
+// to sleep until its next event (see sleepState) when it has no
+// manager or its policy states an idle horizon, and a waking node first
+// replays the slots it slept through. The paths are bit-identical;
+// Config.IdleSkip "off" forces the full one.
 func (n *Network) nodeSlot(s *shard, u int, slot uint64) {
 	if n.sleep[u].from != 0 {
 		n.catchUp(u, slot)
@@ -783,31 +787,31 @@ func (n *Network) nodeSlot(s *shard, u int, slot uint64) {
 		// links are all down, so nothing waits on them.
 		return
 	}
+	mgr := n.mgrs[u]
 	if n.idleSkip && !arrived && !n.nodeBusy[u] && !n.inbound[u] {
-		mgr := n.mgrs[u]
 		if mgr != nil {
 			mgr.IdleSlot(slot)
 		}
 		n.routers[u].IdleStep(slot)
-		if mgr == nil || mgr.IdleSteady() {
-			n.sleep[u] = sleepState{from: slot + 1, wake: n.nextWake(u, slot)}
-		}
-		return
+	} else {
+		n.drainInLinks(s, u, slot)
+		n.stepNode(s, u, n.routers[u], slot)
 	}
-	n.drainInLinks(s, u, slot)
-	n.stepNode(s, u, n.routers[u], slot)
+	if n.idleSkip && !n.nodeBusy[u] && !n.inbound[u] && (mgr == nil || mgr.IdleHorizon() > 0) {
+		n.sleep[u] = sleepState{from: slot + 1, wake: n.nextWake(u, slot)}
+	}
 }
 
-// sleepState is one node's sleep record. A node on the idle path whose
-// manager is on its steady-idle memo (or that has no manager) would
-// replay the same state change every slot until an event reaches it:
-// an arrival, a cell pushed onto an incoming link, a fault. So the
-// compute phase skips it until wake, and the skipped stretch is
-// replayed in one call (catchUp) when it wakes or when a catch-up point
-// — a fault event, a telemetry sample, the measurement boundary, the
-// end of Run, Router — reads its state. from is the first slot not yet
-// replayed, 0 while the node is awake; wake is the next slot the node
-// must be visited, at most the current slot while it is awake.
+// sleepState is one node's sleep record. A node that ends a slot idle
+// only replays idle slots until an event reaches it: an arrival, a cell
+// pushed onto an incoming link, a fault. Unless its policy has no idle
+// horizon, the compute phase skips it until wake, and the skipped
+// stretch is replayed in one call (catchUp) when it wakes or when a
+// catch-up point — a fault event, a telemetry sample, the measurement
+// boundary, the end of Run, Router — reads its state; the manager runs
+// the policy only where its decision may change. from is the first slot
+// not yet replayed, 0 while the node is awake; wake is the next slot
+// the node must be visited, at most the current slot while it is awake.
 type sleepState struct {
 	from, wake uint64
 }
@@ -838,7 +842,7 @@ func (n *Network) catchUp(u int, slot uint64) {
 	}
 	k := slot - sl.from
 	if mgr := n.mgrs[u]; mgr != nil {
-		mgr.IdleSlots(k)
+		mgr.IdleSlots(sl.from, k)
 	}
 	n.routers[u].IdleSteps(k)
 	sl.from = slot
@@ -890,6 +894,10 @@ func (n *Network) injectNode(s *shard, u int, slot uint64) (arrived bool) {
 		c.ID = uint64(fi+1)<<32 | n.nextID[fi]
 		c.Src, c.Dest = f.src, f.ports[0]
 		c.CreatedSlot, c.FlowID = slot, fi
+		if n.payload[fi] == nil {
+			// Only the flow's source shard fills its cells.
+			n.payload[fi] = flowStream(flowSeed(n.cfg.Seed, int(fi), saltPayload))
+		}
 		c.FillRandom(n.payload[fi])
 		// A full source queue drops the cell; the router counts it.
 		if !n.routers[u].Inject(c, slot) {

@@ -6,6 +6,7 @@ import (
 
 	"fabricpower/internal/core"
 	"fabricpower/internal/packet"
+	"fabricpower/internal/rng"
 	"fabricpower/internal/router"
 	"fabricpower/internal/traffic"
 )
@@ -144,4 +145,43 @@ func (n *Network) offered() uint64 {
 		sum += n.shards[w].offered
 	}
 	return sum
+}
+
+// TestPayloadStreamsSeedOnFirstCell pins lazy payload seeding: a flow
+// that never sends a cell never seeds its payload stream, a flow that
+// does holds a stream, and Close returns only real streams to the pool
+// (a typed nil there would come back from Get and panic in Seed).
+// That lazy seeding draws exactly the payloads eager seeding drew is
+// the scenario goldens' and benchmark digests' job.
+func TestPayloadStreamsSeedOnFirstCell(t *testing.T) {
+	topo, err := FatTree2(2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(topo)
+	cfg.Flows = []Flow{{Src: 2, Dst: 4, Rate: 0}, {Src: 3, Dst: 5, Rate: 0.3}, {Src: 4, Dst: 2, Rate: 0}}
+	for streamPool.Get() != nil {
+	}
+	net, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Run(50, 200); err != nil {
+		t.Fatal(err)
+	}
+	for fi, f := range cfg.Flows {
+		if got, want := net.payload[fi] != nil, f.Rate > 0; got != want {
+			t.Errorf("flow %d (rate %v): payload stream seeded = %v, want %v", fi, f.Rate, got, want)
+		}
+	}
+	net.Close()
+	for {
+		s := streamPool.Get()
+		if s == nil {
+			break
+		}
+		if s.(*rng.Stream) == nil {
+			t.Fatal("Close put a nil payload stream into the pool")
+		}
+	}
 }

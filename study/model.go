@@ -11,8 +11,9 @@ import (
 // internal/core. The zero value is the paper's case-study model.
 type ModelSpec struct {
 	// Base selects the buffer-accounting reading: "paper" (default,
-	// per-bit Table 2) or "perword" (per-32-bit-word, the reading that
-	// recovers the paper's 35% Banyan crossover).
+	// per-bit Table 2) or "perword" (per 32-bit word, under which the
+	// 32×32 Banyan stays cheapest through 50% load, against 0% per bit
+	// and the paper's ≈35%).
 	Base string `json:"base,omitempty"`
 	// Static attaches the default static-power model (leakage and
 	// clock trees) so power-management policies have idle power to

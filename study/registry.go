@@ -286,20 +286,40 @@ type PolicyDecision = dpm.Decision
 // Policy is a pluggable power-management policy: the manager's
 // dpm.Policy contract without Name, which registration supplies.
 // Implementations must be deterministic and must not allocate in
-// Decide (it runs on the slot hot path).
+// Decide (it runs on the slot hot path). Two optional methods are
+// forwarded to the manager as a built-in's are: DVFSLevels()
+// []dpm.DVFSLevel names the ladder DVFSLevel indexes (without it, or
+// when it is empty, every level clamps to full speed), and IdleHorizon()
+// uint64 (dpm.HorizonPolicy) lets the manager skip Decide on idle slots
+// and the network kernel put the policy's routers to sleep (without
+// it, Decide runs every slot).
 type Policy interface {
 	Reset(ports int)
 	Decide(obs *PolicyObservation, dec *PolicyDecision)
 }
 
 // namedPolicy gives a registered Policy the name it was registered
-// under.
+// under and forwards its optional methods.
 type namedPolicy struct {
 	Policy
 	name string
 }
 
 func (p namedPolicy) Name() string { return p.name }
+
+func (p namedPolicy) DVFSLevels() []dpm.DVFSLevel {
+	if l, ok := p.Policy.(interface{ DVFSLevels() []dpm.DVFSLevel }); ok {
+		return l.DVFSLevels()
+	}
+	return nil
+}
+
+func (p namedPolicy) IdleHorizon() uint64 {
+	if h, ok := p.Policy.(dpm.HorizonPolicy); ok {
+		return h.IdleHorizon()
+	}
+	return 0
+}
 
 // dpmPolicy resolves a policy name to the constructor each managed
 // router calls: a dpm built-in, or a policy registered in r.

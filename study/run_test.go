@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"fabricpower/internal/dpm"
 	"fabricpower/study"
 )
 
@@ -419,6 +420,41 @@ func TestRegisterDPMPolicy(t *testing.T) {
 	// Everything gated from slot 0: nothing can traverse the fabric.
 	if r.Throughput != 0 {
 		t.Fatalf("gate-all throughput = %g, want 0", r.Throughput)
+	}
+}
+
+// halfSpeedPolicy alternates between the two rungs of its own DVFS
+// ladder every 50 slots.
+type halfSpeedPolicy struct{}
+
+func (halfSpeedPolicy) Reset(int) {}
+func (halfSpeedPolicy) Decide(obs *study.PolicyObservation, dec *study.PolicyDecision) {
+	dec.DVFSLevel = int(obs.Slot/50) % 2
+}
+func (halfSpeedPolicy) DVFSLevels() []dpm.DVFSLevel {
+	return []dpm.DVFSLevel{{Name: "full", Speed: 1, VScale: 1}, {Name: "half", Speed: 0.5, VScale: 0.7}}
+}
+
+// TestRegisteredPolicyDVFSLadder: a registered policy's DVFSLevels
+// reaches the manager, so the level it asks for is not clamped to full
+// speed.
+func TestRegisteredPolicyDVFSLadder(t *testing.T) {
+	reg := study.NewRegistry()
+	if err := reg.RegisterDPMPolicy("test-half", func() study.Policy { return halfSpeedPolicy{} }); err != nil {
+		t.Fatal(err)
+	}
+	r, err := runIn(reg, study.Scenario{
+		Model:   study.ModelSpec{Static: true},
+		Fabric:  study.FabricSpec{Arch: "crossbar", Ports: 4},
+		Traffic: study.TrafficSpec{Load: 0.3},
+		DPM:     "test-half",
+		Sim:     quickSim(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.DPM == nil || r.DPM.DVFSShifts == 0 || r.DPM.StalledSlots == 0 {
+		t.Fatalf("a two-level ladder policy alternating its levels should shift and throttle: %+v", r.DPM)
 	}
 }
 
