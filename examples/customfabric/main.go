@@ -47,8 +47,8 @@ func main() {
 	// Constant-field shrink: wires and gates scale by 0.72, supply drops
 	// to 1.8 V. Wire energy scales by s·sv² ≈ 0.21. Note that only the
 	// wire term responds: the switch LUTs and SRAM energies are measured
-	// calibration data, not tech-derived — re-characterize them with
-	// cmd/charlib for a full shrink study.
+	// calibration data, not tech-derived; `fabricpower table1` re-runs
+	// the gate-level characterization behind the switch LUTs.
 	shrunk, err := fabricpower.DefaultModel().WithTechScaling(0.72, 0.55)
 	if err != nil {
 		log.Fatal(err)

@@ -3,7 +3,6 @@ package energy
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"fabricpower/internal/circuits"
 	"fabricpower/internal/gates"
@@ -141,32 +140,6 @@ func TestPaperMuxTable(t *testing.T) {
 	}
 }
 
-func TestCalibrate(t *testing.T) {
-	l := PaperBanyan()
-	c, err := Calibrate(l, 0b01, 540) // halve everything
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.EnergyFJ(0b01); math.Abs(got-540) > 1e-9 {
-		t.Fatalf("anchor = %g, want 540", got)
-	}
-	if got := c.EnergyFJ(0b11); math.Abs(got-1821.0/2) > 1e-9 {
-		t.Fatalf("scaled [11] = %g, want %g", got, 1821.0/2)
-	}
-	if c.Inputs() != 2 {
-		t.Fatal("inputs must pass through")
-	}
-	if c.Name() == "" {
-		t.Fatal("name must be present")
-	}
-	if _, err := Calibrate(l, 0b00, 100); err == nil {
-		t.Fatal("zero-energy anchor should fail")
-	}
-	if _, err := Calibrate(l, 0b01, -1); err == nil {
-		t.Fatal("negative target should fail")
-	}
-}
-
 func charLib(t *testing.T) *gates.Library {
 	t.Helper()
 	lib, err := gates.NewLibrary(2.0, 3.3)
@@ -296,23 +269,5 @@ func TestCharacterizeDeterminism(t *testing.T) {
 		if t1.EnergyFJ(v) != t2.EnergyFJ(v) {
 			t.Fatalf("vector %v: %g != %g", v, t1.EnergyFJ(v), t2.EnergyFJ(v))
 		}
-	}
-}
-
-// Property: scaling by Calibrate preserves energy ratios between vectors.
-func TestCalibratePreservesRatios(t *testing.T) {
-	f := func(target uint16) bool {
-		want := float64(target%5000) + 1
-		l := PaperBanyan()
-		c, err := Calibrate(l, 0b01, want)
-		if err != nil {
-			return false
-		}
-		r0 := l.EnergyFJ(0b11) / l.EnergyFJ(0b01)
-		r1 := c.EnergyFJ(0b11) / c.EnergyFJ(0b01)
-		return math.Abs(r0-r1) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

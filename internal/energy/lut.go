@@ -19,9 +19,9 @@
 //     payload streams per input vector and measures toggle energy with the
 //     internal/gates simulator — the from-scratch substitute for the
 //     Synopsys Power Compiler flow of §5.1. Because an open re-implemented
-//     cell library cannot match a proprietary one absolutely, Calibrate
-//     rescales a characterized table to an anchor entry; relative shape is
-//     preserved.
+//     cell library cannot match a proprietary one absolutely,
+//     exp.RunTable1 scales every characterized table by one anchor factor
+//     (Banyan [0,1] to 1080 fJ), which preserves their relative shape.
 package energy
 
 import (
@@ -137,36 +137,6 @@ func (l *PopcountLUT) EnergyFJ(v Vector) float64 {
 		k = l.inputs
 	}
 	return l.fj[k]
-}
-
-// Scaled wraps a table, multiplying every entry by a constant factor; it
-// is the result type of Calibrate.
-type Scaled struct {
-	base   Table
-	factor float64
-}
-
-// Name returns the underlying name annotated with the scale factor.
-func (s *Scaled) Name() string { return fmt.Sprintf("%s×%.3g", s.base.Name(), s.factor) }
-
-// Inputs returns the underlying input count.
-func (s *Scaled) Inputs() int { return s.base.Inputs() }
-
-// EnergyFJ returns the scaled energy.
-func (s *Scaled) EnergyFJ(v Vector) float64 { return s.factor * s.base.EnergyFJ(v) }
-
-// Calibrate rescales table t so that EnergyFJ(anchor) equals wantFJ.
-// This is how a re-characterized table is aligned to the paper's absolute
-// numbers while keeping its own relative shape.
-func Calibrate(t Table, anchor Vector, wantFJ float64) (*Scaled, error) {
-	got := t.EnergyFJ(anchor)
-	if got <= 0 {
-		return nil, fmt.Errorf("energy: anchor vector %v has non-positive energy %g", anchor, got)
-	}
-	if wantFJ <= 0 {
-		return nil, fmt.Errorf("energy: anchor target must be positive, got %g", wantFJ)
-	}
-	return &Scaled{base: t, factor: wantFJ / got}, nil
 }
 
 // mustDense builds a dense LUT from literal values, panicking on

@@ -3,6 +3,8 @@ package exp
 import (
 	"bytes"
 	"context"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -342,6 +344,73 @@ func TestCrossoverPerBitAccounting(t *testing.T) {
 	}
 	if c.Winner[1] == core.Banyan {
 		t.Error("at 30% the per-bit buffer penalty should dethrone the banyan")
+	}
+}
+
+// TestCrossoverDeviationFromPaper pins the 32×32 crossover under both
+// buffer readings and the README's "Deviations from the paper" section
+// that reports them. Per bit it is the closing line of the crossover
+// golden; per 32-bit word it is the embedded crossover spec run with
+// model.base "perword" at loads 0.05–0.90, where the Banyan is cheapest
+// through 50% and the crossbar from 55% on. Neither is the paper's ≈35%.
+func TestCrossoverDeviationFromPaper(t *testing.T) {
+	closing := regexp.MustCompile(`(?m)^Banyan is cheapest up to ([0-9.]+%) throughput`)
+	golden, err := os.ReadFile("../../scenarios/golden/paper/crossover.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := closing.FindSubmatch(golden)
+	if m == nil {
+		t.Fatal("crossover golden has no closing line")
+	}
+	perBit := string(m[1])
+
+	data, _ := PaperSpec("crossover")
+	spec, err := study.DecodeSpec(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Base.Model = study.PerWordModel()
+	loads := make([]float64, 18)
+	for i := range loads {
+		loads[i] = float64(5*(i+1)) / 100
+	}
+	if spec.Axes[0].Name != "load" {
+		t.Fatalf("crossover spec sweeps %q first, want load", spec.Axes[0].Name)
+	}
+	spec.Axes[0].Floats = loads
+	var buf bytes.Buffer
+	if err := runReport[*Crossover](t, spec, 0).Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	m = closing.FindSubmatch(buf.Bytes())
+	if m == nil {
+		t.Fatalf("per-word report has no closing line:\n%s", buf.String())
+	}
+	perWord := string(m[1])
+	if perBit != "0.0%" || perWord != "50.0%" {
+		t.Errorf("32×32 crossover is %s per bit and %s per word, want 0.0%% and 50.0%%", perBit, perWord)
+	}
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "\n## Deviations from the paper\n")
+	if !ok {
+		t.Fatal("README has no \"Deviations from the paper\" section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	for _, row := range []struct{ reading, want string }{
+		{"per bit", perBit},
+		{"per 32-bit word", perWord},
+	} {
+		cell := regexp.MustCompile(`(?m)^\| ` + row.reading + `[^|]*\| ([^|]*?) *\|`).FindStringSubmatch(section)
+		if cell == nil {
+			t.Errorf("README deviations table has no %q row", row.reading)
+		} else if cell[1] != row.want {
+			t.Errorf("README gives the %s crossover as %q, the run gives %q", row.reading, cell[1], row.want)
+		}
 	}
 }
 

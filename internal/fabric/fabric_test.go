@@ -467,19 +467,36 @@ func TestCrossbarEnergyMatchesEq3(t *testing.T) {
 }
 
 // TestMultistageWireEnergyMatchesClosedForms: one alternating-payload
-// cell through an otherwise idle Banyan or Batcher-Banyan crosses every
-// stage wire once, from idle-0 links, so its wire energy is exactly
-// flips × Σ stage grids × E_T with the grids of Eqs. 5 and 6 (4·2ⁱ per
-// Banyan stage, 4·span per sorter stage). A stage charged one grid off
-// moves the sum by 1/Σ, far above the tolerance.
+// cell through an otherwise idle fabric crosses every wire on its path
+// once, from idle-0 links, and meets no contention, so it charges
+// exactly the analytic model. Its wire energy is flips × path grids ×
+// E_T with the grids of Eqs. 3–6 (8N for the crossbar's row and column,
+// ½N² for the fully-connected input bus, 4·2ⁱ per Banyan stage, 4·span
+// per sorter stage), and flips × core.Model.BitEnergy's wire term. Its
+// switch energy is the cell's bits × BitEnergy's switch term (N
+// crosspoints, one N-input MUX, one 2×2 node per stage) and it buffers
+// nothing. A stage charged one grid or one node off moves a sum far
+// above the tolerance.
 func TestMultistageWireEnergyMatchesClosedForms(t *testing.T) {
-	for _, a := range []core.Architecture{core.Banyan, core.BatcherBanyan} {
-		for _, ports := range []int{8, 32} {
+	closeTo := func(got, want float64) bool { return math.Abs(got-want) <= 1e-9*want }
+	for _, a := range core.Architectures() {
+		for _, ports := range []int{4, 8, 16, 32} {
 			cfg := testConfig(ports)
 			dim, _ := dimOf(ports)
-			grids := thompson.BanyanWires{Dimension: dim}.PathGrids()
-			if a == core.BatcherBanyan {
+			var grids int
+			switch a {
+			case core.Crossbar:
+				grids = thompson.CrossbarWires{N: ports}.PathGrids(3, ports-2)
+			case core.FullyConnected:
+				grids = thompson.FullyConnectedWires{N: ports}.PathGrids(3, ports-2)
+			case core.Banyan:
+				grids = thompson.BanyanWires{Dimension: dim}.PathGrids()
+			case core.BatcherBanyan:
 				grids = thompson.BatcherBanyanWires{Dimension: dim}.PathGrids()
+			}
+			bit, err := cfg.Model.BitEnergy(a, ports)
+			if err != nil {
+				t.Fatal(err)
 			}
 			f, err := New(a, cfg)
 			if err != nil {
@@ -487,11 +504,24 @@ func TestMultistageWireEnergyMatchesClosedForms(t *testing.T) {
 			}
 			f.Offer(&packet.Cell{ID: 1, Src: 3, Dest: ports - 2, Payload: packet.AlternatingPayload(4)})
 			deliverAll(t, f, 100)
-			// Word 0 is all zeros, then 3 full 32-bit flips per stage.
-			want := 96 * float64(grids) * cfg.Model.Tech.ETBitFJ()
-			if got := f.Energy().WireFJ; math.Abs(got-want) > 1e-9*want {
-				t.Errorf("%v N=%d: wire energy %.6f fJ, want 96 × %d grids × E_T = %.6f fJ",
-					a, ports, got, grids, want)
+			got := f.Energy()
+			// Word 0 is all zeros, then 3 full 32-bit flips per wire.
+			const flips = 96
+			if want := flips * float64(grids) * cfg.Model.Tech.ETBitFJ(); !closeTo(got.WireFJ, want) {
+				t.Errorf("%v N=%d: wire energy %.6f fJ, want %d flips × %d grids × E_T = %.6f fJ",
+					a, ports, got.WireFJ, flips, grids, want)
+			}
+			if want := flips * bit.WireFJ; !closeTo(got.WireFJ, want) {
+				t.Errorf("%v N=%d: wire energy %.6f fJ, want %d flips × BitEnergy %.6f fJ = %.6f fJ",
+					a, ports, got.WireFJ, flips, bit.WireFJ, want)
+			}
+			cellBits := float64(cfg.Cell.CellBits)
+			if want := cellBits * bit.SwitchFJ; !closeTo(got.SwitchFJ, want) {
+				t.Errorf("%v N=%d: switch energy %.6f fJ, want %g bits × BitEnergy %.6f fJ = %.6f fJ",
+					a, ports, got.SwitchFJ, cellBits, bit.SwitchFJ, want)
+			}
+			if got.BufferFJ != 0 {
+				t.Errorf("%v N=%d: a lone cell buffered %.6f fJ", a, ports, got.BufferFJ)
 			}
 		}
 	}

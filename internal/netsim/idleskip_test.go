@@ -212,7 +212,7 @@ func TestIdleSkipSlotAllocationFree(t *testing.T) {
 	}
 }
 
-// TestConfigPartitionOverride pins the Config.Partition contract: a
+// TestConfigPartitionOverride pins the Config.partition contract: a
 // custom node→shard assignment is honored (the shard node lists follow
 // it), never changes the results, and malformed assignments are
 // rejected.
@@ -227,7 +227,7 @@ func TestConfigPartitionOverride(t *testing.T) {
 		cfg.Policy = "idlegate"
 		cfg.Load = 0.2
 		cfg.Shards = 2
-		cfg.Partition = partition
+		cfg.partition = partition
 		net, err := New(cfg)
 		if err != nil {
 			return nil, nil, err
@@ -280,57 +280,6 @@ func TestLPTPartition(t *testing.T) {
 	}
 	if again := lptPartition([]float64{10, 1, 1, 1, 1, 1}, 2); !reflect.DeepEqual(part, again) {
 		t.Error("lptPartition is not deterministic")
-	}
-}
-
-// TestSuggestPartition closes the profile→partition loop: a traced
-// warmup run's ExecProfile yields a complete, in-range assignment that
-// a second run accepts as Config.Partition — and the second run's
-// report is bit-identical to the first's, because results never depend
-// on the partition.
-func TestSuggestPartition(t *testing.T) {
-	run := func(partition []int) (*Report, *ExecProfile) {
-		topo, err := FatTree2(2, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := testConfig(topo)
-		cfg.Model.Static = core.DefaultStaticPower()
-		cfg.Policy = "idlegate"
-		cfg.Load = 0.25
-		cfg.Shards = 2
-		cfg.Partition = partition
-		cfg.Trace = &TraceConfig{Recorder: trace.NewRecorder(0), Every: 8}
-		net, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer net.Close()
-		rep, err := net.Run(50, 200)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep, net.ExecProfile()
-	}
-	base, prof := run(nil)
-	if prof == nil {
-		t.Fatal("no execution profile")
-	}
-	part := prof.SuggestPartition(2)
-	if len(part) != 6 {
-		t.Fatalf("suggestion has %d entries, want 6", len(part))
-	}
-	for u, w := range part {
-		if w < 0 || w >= 2 {
-			t.Fatalf("node %d assigned to shard %d", u, w)
-		}
-	}
-	rerun, _ := run(part)
-	if !reflect.DeepEqual(base, rerun) {
-		t.Error("suggested partition changed the report")
-	}
-	if clamped := prof.SuggestPartition(99); len(clamped) != 6 {
-		t.Errorf("oversized shard count not clamped: %d entries", len(clamped))
 	}
 }
 

@@ -97,15 +97,11 @@ type Config struct {
 	// negative uses GOMAXPROCS. Sharded networks hold worker goroutines —
 	// call Close when done with one.
 	Shards int
-	// Partition overrides the node→shard assignment: Partition[u] is
-	// the shard owning node u, with values in [0, effective shard
-	// count). Results never depend on the partition — it decides only
-	// which goroutine does the work — so a measured assignment
-	// (ExecProfile().SuggestPartition from a profiled warmup run) is
-	// free to feed back into a sweep. Nil picks the built-in
-	// cost-weighted default: greedy LPT over a static per-node estimate
-	// of traversal work.
-	Partition []int
+	// partition pins the node→shard assignment for tests: partition[u]
+	// is the shard owning node u, with values in [0, effective shard
+	// count). Nil picks greedy LPT over a static per-node estimate of
+	// traversal work. Results never depend on the partition.
+	partition []int
 	// IdleSkip controls the idle fast path: "auto" or "on" (and the
 	// empty default) let the kernel fast-forward provably idle nodes —
 	// no queued or in-flight cells, no arrivals this slot — through a
@@ -471,18 +467,16 @@ func New(cfg Config) (*Network, error) {
 		n.routers[u] = r
 	}
 
-	// Cost-weighted node partition: by default each shard gets nodes by
-	// greedy LPT over a static per-node cost estimate, so a fat-tree
-	// spine carrying most of the transit traffic no longer rides in
-	// whatever contiguous block its number fell into. Config.Partition
-	// overrides the assignment outright (a warmup run's measured
-	// ExecProfile().SuggestPartition, typically). The partition only
-	// affects which goroutine does the work, never the result.
+	// Cost-weighted node partition: each shard gets nodes by greedy LPT
+	// over a static per-node cost estimate, so a fat-tree spine carrying
+	// most of the transit traffic does not ride in whatever contiguous
+	// block its number fell into. The partition only affects which
+	// goroutine does the work, never the result.
 	shards := cfg.Shards
 	if shards > t.Nodes {
 		shards = t.Nodes
 	}
-	part := cfg.Partition
+	part := cfg.partition
 	if part != nil {
 		if len(part) != t.Nodes {
 			return nil, fmt.Errorf("netsim: partition has %d entries for %d nodes", len(part), t.Nodes)

@@ -53,7 +53,7 @@ func TestNetworkLiveTrafficAllocationFree(t *testing.T) {
 					cfg.Load = 0.3
 					cfg.Shards = tc.shards
 					cfg.Flows = tc.flows
-					cfg.Partition = tc.part
+					cfg.partition = tc.part
 					cfg.Traffic = kind
 					net, err := New(cfg)
 					if err != nil {

@@ -117,8 +117,7 @@ type TelemetrySummary struct {
 	Slot  uint64          `json:"slot"`
 	Flows []FlowTelemetry `json:"flows"`
 	// NodeCostNS appears only when the run also carried an execution
-	// profiler (Config.Trace): each node's sampled busy nanoseconds —
-	// the per-node cost estimate a cost-weighted partitioner consumes
+	// profiler (Config.Trace): each node's sampled busy nanoseconds
 	// (see ExecProfile). Wall-clock measurement, so unlike every other
 	// field it is not deterministic across runs or shard counts.
 	NodeCostNS []uint64 `json:"nodeCostNS,omitempty"`

@@ -17,8 +17,7 @@ import (
 // per-shard busy-nanosecond counters, the `netsim.shard.imbalance`
 // gauge (interval max/mean shard busy time, in permille) and the
 // `netsim.step.barrier_wait_ns` log2 histogram of the join wait.
-// Per-node busy time accumulates into the cost estimate ExecProfile
-// reports — the input a cost-weighted partitioner consumes.
+// Per-node busy time accumulates into ExecProfile's NodeCostNS.
 //
 // The profiler observes wall-clock time, never simulated state, so a
 // traced run's Report is bit-identical to an untraced one; and it
@@ -209,9 +208,8 @@ type ExecProfile struct {
 	// ShardBusyNS is each shard's busy time (compute + exchange) summed
 	// over the sampled slots.
 	ShardBusyNS []uint64 `json:"shardBusyNS"`
-	// NodeCostNS is each node's share of that busy time — the per-node
-	// cost estimate a cost-weighted partitioner would consume in place
-	// of today's contiguous equal-count blocks (ROADMAP item 1).
+	// NodeCostNS is each node's share of that busy time: where the
+	// sampled compute went, node by node.
 	NodeCostNS []uint64 `json:"nodeCostNS"`
 	// BarrierWaitNS buckets the coordinator's wait at each sampled
 	// slot's join as a log2 histogram (telemetry.Histogram bucketing,
@@ -248,27 +246,6 @@ func (n *Network) ExecProfile() *ExecProfile {
 		ep.Imbalance = float64(imb) / 1000
 	}
 	return ep
-}
-
-// SuggestPartition converts the profile's measured per-node costs into
-// a cost-weighted node→shard assignment — greedy LPT over NodeCostNS —
-// ready to hand to Config.Partition: profile a warmup run with the
-// target shard count, then feed the suggestion into every point of a
-// sweep. Nodes that were never sampled cost zero and land wherever
-// balance dictates. shards is clamped to [1, node count], mirroring
-// the kernel's own shard capping.
-func (ep *ExecProfile) SuggestPartition(shards int) []int {
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > len(ep.NodeCostNS) {
-		shards = len(ep.NodeCostNS)
-	}
-	cost := make([]float64, len(ep.NodeCostNS))
-	for u, c := range ep.NodeCostNS {
-		cost[u] = float64(c)
-	}
-	return lptPartition(cost, shards)
 }
 
 // profBarrierBuckets sizes the barrier-wait histograms: 28 log2 buckets

@@ -17,10 +17,10 @@
 //     This is the general model of Thompson's thesis, usable for arbitrary
 //     fabric topologies.
 //
-//   - Canonical closed-form layouts (CrossbarLayout, FullyConnectedLayout,
-//     BanyanLayout, BatcherBanyanLayout) reproducing the paper's manual
+//   - Canonical closed-form layouts (CrossbarWires, FullyConnectedWires,
+//     BanyanWires, BatcherBanyanWires) reproducing the paper's manual
 //     embeddings of Figures 4–8 and the wire-length terms of Eqs. 3–6.
 //
-// The closed forms drive the power model; the generic engine exists to
-// validate them and to support user-defined topologies.
+// The closed forms drive the power model; the generic engine only
+// validates them.
 package thompson
