@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"fabricpower/internal/packet"
@@ -141,11 +142,16 @@ type faultState struct {
 	reroutedFlows    uint64
 
 	// Re-convergence scratch, reused from event to event: the routing
-	// view of the surviving topology, and the indices and routing
-	// demands of the flows that survive.
+	// view of the surviving topology, its component labels and the
+	// labelling stack, the indices and routing demands of the flows
+	// that survive, and the routing output (which the build fills
+	// first).
 	masked     Topology
+	comp       []int
+	compStack  []int
 	aliveIdx   []int
 	aliveFlows []Flow
+	routes     Routes
 
 	// eventLost collects per-flow losses applied at the barrier
 	// (queue/link flushes), outside any shard's ledger.
@@ -308,17 +314,10 @@ func (n *Network) applyFaults(slot uint64) {
 					changed = true
 				}
 			} else {
-				u, v := e.From, e.To
-				if u > v {
-					u, v = v, u
-				}
-				for pi, p := range fs.pairs {
-					if p == [2]int{u, v} {
-						if fs.setPairFailed(pi, e.Down, e.Slot) {
-							changed = true
-						}
-						break
-					}
+				// validate guarantees the link exists.
+				pi := fs.pairOf[n.topo.LinkIndex(e.From, e.To)]
+				if fs.setPairFailed(pi, e.Down, e.Slot) {
+					changed = true
 				}
 			}
 		}
@@ -414,65 +413,51 @@ func (n *Network) refreshUsable(slot uint64) {
 }
 
 // reconverge re-routes every flow over the surviving topology: flows
-// whose endpoints are down or disconnected park (path cleared, their
+// whose endpoints are down or disconnected park (path emptied, their
 // injections count as lost), the rest re-route under the configured
 // policy, and each flow whose installed path changed is charged the
 // plan's reconfiguration cost. Cells already in flight keep moving and
 // are validity-checked at every hop boundary — a cell whose position no
-// longer lies on its flow's path is lost there.
+// longer lies on its flow's path is lost there. Routing and wiring
+// write into storage the network keeps, which is safe because this
+// runs at the slot barrier, when no shard reads a flow.
 func (n *Network) reconverge(slot uint64) {
 	fs := n.fail
 	fs.reconvergeEvents++
 	masked := &fs.masked
 	n.topo.maskInto(masked, fs.nodeDown, fs.linkUp)
-	comp := components(masked)
+	fs.comp, fs.compStack = components(masked, fs.comp, fs.compStack)
+	comp := fs.comp
 
 	aliveIdx, aliveFlows := fs.aliveIdx[:0], fs.aliveFlows[:0]
 	for fi := range n.flows {
 		f := &n.flows[fi]
 		if fs.nodeDown[f.Src] || fs.nodeDown[f.Dst] || comp[f.Src] != comp[f.Dst] {
-			if f.path != nil {
-				f.path, f.ports, f.links = nil, nil, nil
-			}
+			f.path, f.ports, f.links = f.path[:0], f.ports[:0], f.links[:0]
 			continue
 		}
 		aliveIdx = append(aliveIdx, fi)
 		aliveFlows = append(aliveFlows, Flow{Src: f.Src, Dst: f.Dst, Rate: f.Rate})
 	}
 	fs.aliveIdx, fs.aliveFlows = aliveIdx, aliveFlows
-	paths, err := n.cfg.Routing.Route(masked, aliveFlows)
-	if err != nil {
+	routes := &fs.routes
+	routes.reset(len(aliveFlows))
+	if err := n.cfg.Routing.Route(masked, aliveFlows, routes); err != nil {
 		fs.err = fmt.Errorf("netsim: re-convergence at slot %d: %w", slot, err)
-		return
-	}
-	if len(paths) != len(aliveFlows) {
-		fs.err = fmt.Errorf("netsim: re-convergence at slot %d: routing %s returned %d paths for %d flows",
-			slot, n.cfg.Routing.Name(), len(paths), len(aliveFlows))
 		return
 	}
 	for k, fi := range aliveIdx {
 		f := &n.flows[fi]
-		if samePath(f.path, paths[k]) {
+		path := routes.path(k)
+		if slices.Equal(f.path, path) {
 			continue
 		}
-		if err := wireFlow(n.topo, f, fi, paths[k]); err != nil {
+		if err := wireFlow(n.topo, f, fi, path); err != nil {
 			fs.err = fmt.Errorf("netsim: re-convergence at slot %d: %w", slot, err)
 			return
 		}
 		fs.reroutedFlows++
 	}
-}
-
-func samePath(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // maskInto makes m a read-only routing view of the topology with down
@@ -504,14 +489,14 @@ func (t *Topology) maskInto(m *Topology, nodeDown []bool, linkUp []bool) {
 }
 
 // components labels each node with its connected-component id on the
-// (masked) topology.
-func components(t *Topology) []int {
-	comp := make([]int, t.Nodes)
+// (masked) topology. It reuses comp's and stack's storage and returns
+// both for reuse.
+func components(t *Topology, comp, stack []int) ([]int, []int) {
+	comp = resize(comp, t.Nodes)
 	for i := range comp {
 		comp[i] = -1
 	}
 	next := 0
-	var stack []int
 	for s := 0; s < t.Nodes; s++ {
 		if comp[s] >= 0 {
 			continue
@@ -530,7 +515,7 @@ func components(t *Topology) []int {
 		}
 		next++
 	}
-	return comp
+	return comp, stack
 }
 
 // beginFaultMeasurement opens the resilience measurement window at the

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
+	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -140,13 +142,34 @@ func TestMatrices(t *testing.T) {
 	}
 }
 
+// routePaths routes flows into a fresh Routes and returns a copy of
+// every path.
+func routePaths(p RoutingPolicy, t *Topology, flows []Flow) ([][]int, error) {
+	var out Routes
+	return routeInto(p, t, flows, &out)
+}
+
+// routeInto routes flows into out, as the network does, and returns a
+// copy of every path.
+func routeInto(p RoutingPolicy, t *Topology, flows []Flow, out *Routes) ([][]int, error) {
+	out.reset(len(flows))
+	if err := p.Route(t, flows, out); err != nil {
+		return nil, err
+	}
+	paths := make([][]int, len(flows))
+	for k := range paths {
+		paths[k] = slices.Clone(out.path(k))
+	}
+	return paths, nil
+}
+
 func TestShortestPathRouting(t *testing.T) {
 	topo, err := Chain(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	flows := []Flow{{Src: 0, Dst: 3, Rate: 0.1}}
-	paths, err := ShortestPath{}.Route(topo, flows)
+	paths, err := routePaths(ShortestPath{}, topo, flows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,6 +225,7 @@ func appendingShortestPath(t *Topology, flows []Flow) [][]int {
 // TestShortestPathMatchesAppendingRoute checks Route against the
 // appending oracle on every built-in topology shape and on fat-trees
 // with random routers and links failed, routing every connected pair.
+// One Routes serves every topology, as it serves every re-convergence.
 func TestShortestPathMatchesAppendingRoute(t *testing.T) {
 	var topos []*Topology
 	for _, build := range []func() (*Topology, error){
@@ -235,8 +259,9 @@ func TestShortestPathMatchesAppendingRoute(t *testing.T) {
 		ft.maskInto(masked, nodeDown, linkUp)
 		topos = append(topos, masked)
 	}
+	var out Routes
 	for ti, topo := range topos {
-		comp := components(topo)
+		comp, _ := components(topo, nil, nil)
 		var flows []Flow
 		for src := 0; src < topo.Nodes; src++ {
 			for dst := 0; dst < topo.Nodes; dst++ {
@@ -245,7 +270,7 @@ func TestShortestPathMatchesAppendingRoute(t *testing.T) {
 				}
 			}
 		}
-		got, err := ShortestPath{}.Route(topo, flows)
+		got, err := routeInto(ShortestPath{}, topo, flows, &out)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +290,7 @@ func TestShortestPathSpreadsEqualCost(t *testing.T) {
 		{Src: 2, Dst: 3, Rate: 0.1},
 		{Src: 3, Dst: 2, Rate: 0.1},
 	}
-	paths, err := ShortestPath{}.Route(topo, flows)
+	paths, err := routePaths(ShortestPath{}, topo, flows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +308,7 @@ func TestConsolidateConcentrates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, err := Consolidate{}.Route(topo, flows)
+	paths, err := routePaths(Consolidate{}, topo, flows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +322,7 @@ func TestConsolidateConcentrates(t *testing.T) {
 		t.Error("consolidating routing used both spines; want one left idle")
 	}
 	// The baseline touches both spines under the same demand.
-	spaths, err := ShortestPath{}.Route(topo, flows)
+	spaths, err := routePaths(ShortestPath{}, topo, flows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +349,17 @@ func perHopConsolidate(c Consolidate, t *Topology, flows []Flow) [][]int {
 		nodeUsed[f.Src] = true
 		nodeUsed[f.Dst] = true
 	}
-	for _, fi := range sortFlowsForRouting(flows) {
+	order := make([]int, len(flows))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		if flows[order[a]].Rate != flows[order[b]].Rate {
+			return flows[order[a]].Rate > flows[order[b]].Rate
+		}
+		return order[a] < order[b]
+	})
+	for _, fi := range order {
 		f := &flows[fi]
 		dist := make([]float64, t.Nodes)
 		prev := make([]int, t.Nodes)
@@ -406,23 +441,28 @@ func TestConsolidateMatchesPerHopLinkIndex(t *testing.T) {
 		},
 	}
 	tunings := []Consolidate{{}, {NodeWakeCost: 3, LinkWakeCost: 0.5, CapacityFraction: 0.5, OverloadCost: 2}}
+	var out Routes // reused across topologies, as across re-convergences
 	for name, build := range builds {
 		topo, err := build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, load := range []float64{0.05, 0.2, 0.6} {
-			flows, err := buildFlows(topo, UniformMatrix{}, load)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for ci, c := range tunings {
-				got, err := c.Route(topo, flows)
+		// Gravity demands have distinct rates, so they also check the
+		// heaviest-first routing order against the reference's sort.
+		for _, m := range []TrafficMatrix{UniformMatrix{}, GravityMatrix{}} {
+			for _, load := range []float64{0.05, 0.2, 0.6} {
+				flows, err := buildFlows(topo, m, load)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := perHopConsolidate(c, topo, flows); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s load %g tuning %d: paths differ from the per-hop LinkIndex reference", name, load, ci)
+				for ci, c := range tunings {
+					got, err := routeInto(c, topo, flows, &out)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := perHopConsolidate(c, topo, flows); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s %s load %g tuning %d: paths differ from the per-hop LinkIndex reference", name, m.Name(), load, ci)
+					}
 				}
 			}
 		}

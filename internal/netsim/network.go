@@ -380,15 +380,22 @@ func New(cfg Config) (*Network, error) {
 		}
 	}
 
-	paths, err := cfg.Routing.Route(t, flows)
-	if err != nil {
+	var routes Routes
+	routes.reset(len(flows))
+	if err := cfg.Routing.Route(t, flows, &routes); err != nil {
 		return nil, err
 	}
-	if len(paths) != len(flows) {
-		return nil, fmt.Errorf("netsim: routing %s returned %d paths for %d flows", cfg.Routing.Name(), len(paths), len(flows))
-	}
+	// Every flow's path, ports and links come from one slab, each flow's
+	// segment sized to its first path; re-convergence rewrites them in
+	// place.
+	wiring := 0
 	for i := range flows {
-		if err := wireFlow(t, &flows[i], i, paths[i]); err != nil {
+		wiring += wiringLen(len(routes.path(i)))
+	}
+	slab := make([]int, wiring)
+	for i := range flows {
+		slab = flows[i].carve(slab, len(routes.path(i)))
+		if err := wireFlow(t, &flows[i], i, routes.path(i)); err != nil {
 			return nil, err
 		}
 	}
@@ -509,6 +516,7 @@ func New(cfg Config) (*Network, error) {
 		if err != nil {
 			return nil, err
 		}
+		fs.routes = routes
 		n.fail = fs
 		for w := range n.shards {
 			n.shards[w].flowOffered = make([]uint64, len(flows))
@@ -529,14 +537,31 @@ func New(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// wireFlow resolves a routed node path into per-hop ports and links.
+// wiringLen is how many ints a flow's path, ports and links take for a
+// path of n nodes.
+func wiringLen(n int) int { return 2*n + max(n-1, 0) }
+
+// carve gives the flow wiring storage for paths of up to n nodes, cut
+// from the front of slab, and returns the rest of slab.
+func (f *Flow) carve(slab []int, n int) []int {
+	m := max(n-1, 0)
+	f.path, f.ports, f.links = slab[:0:n], slab[n:n:2*n], slab[2*n:2*n:2*n+m]
+	return slab[2*n+m:]
+}
+
+// wireFlow copies a routed node path into the flow's storage and
+// resolves it into per-hop ports and links. A path longer than the
+// flow's segment moves the flow to storage of its own.
 func wireFlow(t *Topology, f *Flow, fi int, path []int) error {
 	if len(path) < 2 || path[0] != f.Src || path[len(path)-1] != f.Dst {
 		return fmt.Errorf("netsim: flow %d: path %v does not span %d→%d", fi, path, f.Src, f.Dst)
 	}
-	f.path = path
-	f.ports = make([]int, len(path))
-	f.links = make([]int, len(path)-1)
+	if len(path) > cap(f.path) {
+		f.carve(make([]int, wiringLen(len(path))), len(path))
+	}
+	f.path = append(f.path[:0], path...)
+	f.ports = f.ports[:len(path)]
+	f.links = f.links[:len(path)-1]
 	for h := 0; h+1 < len(path); h++ {
 		li := t.LinkIndex(path[h], path[h+1])
 		if li < 0 {
@@ -876,7 +901,7 @@ func (n *Network) injectNode(s *shard, u int, slot uint64) (arrived bool) {
 			s.flowOffered[fi]++
 			// A parked flow (endpoint down or unreachable) or a down
 			// source loses its cells at the door.
-			if f.path == nil || n.fail.nodeDown[u] {
+			if len(f.path) == 0 || n.fail.nodeDown[u] {
 				s.flowLost[fi]++
 				continue
 			}
@@ -983,7 +1008,7 @@ func (n *Network) drainInLinks(s *shard, u int, slot uint64) {
 					// link while the cell was in flight: a cell whose
 					// next hop is no longer node u is stranded here.
 					hop := int(c.Hop) + 1
-					if f.path == nil || hop >= len(f.path) || f.path[hop] != u {
+					if len(f.path) == 0 || hop >= len(f.path) || f.path[hop] != u {
 						s.flowLost[c.FlowID]++
 						s.pool.Put(c)
 						continue
@@ -1031,7 +1056,7 @@ func (n *Network) stepNode(s *shard, u int, r *router.Router, slot uint64) {
 			// Validity check at the hop boundary: a re-convergence
 			// while the cell crossed this fabric may have moved its
 			// flow off node u entirely — the cell is lost here.
-			if f.path == nil || int(c.Hop) >= len(f.path) || f.path[c.Hop] != u {
+			if len(f.path) == 0 || int(c.Hop) >= len(f.path) || f.path[c.Hop] != u {
 				s.flowLost[c.FlowID]++
 				s.pool.Put(c)
 				continue

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // RoutingPolicy maps every flow to a loop-free node path over the
@@ -12,11 +13,74 @@ import (
 type RoutingPolicy interface {
 	// Name is the policy's CLI/report identifier.
 	Name() string
-	// Route returns one node path per flow, in flow order. Each path
-	// starts at the flow's source node and ends at its destination.
-	// Route must not keep flows after it returns: re-convergence
-	// reuses the slice.
-	Route(t *Topology, flows []Flow) ([][]int, error)
+	// Route writes one node path per flow into out: the path of
+	// flows[k] goes to out.Set(k, path) and must start at the flow's
+	// source node and end at its destination. out arrives holding
+	// len(flows) empty paths, and any path left empty is an error.
+	// The network owns out and reuses it, with flows, on every
+	// re-convergence, so Route must keep neither after it returns.
+	Route(t *Topology, flows []Flow, out *Routes) error
+}
+
+// Routes is a routing policy's output: one node path per flow, kept in
+// one flat node arena with per-flow bounds. It also holds the built-in
+// policies' search scratch. A network routes its build and every
+// re-convergence into one Routes, so once the arena and the scratch
+// have grown to size, routing allocates nothing.
+type Routes struct {
+	arena []int
+	span  [][2]int // per flow: [start, end) into arena
+
+	// ShortestPath scratch: one distance block of Topology.Nodes hop
+	// counts per distinct destination, found through slotOf (node →
+	// block index, -1 = none yet), the BFS queue and the candidate
+	// list.
+	slotOf      []int
+	dist        []int
+	queue, cand []int
+
+	// Consolidate scratch: the search arrays, the per-link routed rate,
+	// the routers some flow already wakes, and the routing order.
+	dij      dijkstraScratch
+	linkRate []float64
+	nodeUsed []bool
+	order    []int
+}
+
+// Set records path as the node path of flow k, copying it.
+func (r *Routes) Set(k int, path []int) {
+	copy(r.reserve(k, len(path)), path)
+}
+
+// reset empties the routes and sizes them for flows paths.
+func (r *Routes) reset(flows int) {
+	r.arena = r.arena[:0]
+	r.span = resize(r.span, flows)
+	clear(r.span)
+}
+
+// reserve sets aside n arena nodes as the path of flow k and returns
+// them for the caller to fill.
+func (r *Routes) reserve(k, n int) []int {
+	start := len(r.arena)
+	r.arena = slices.Grow(r.arena, n)[:start+n]
+	r.span[k] = [2]int{start, start + n}
+	return r.arena[start : start+n]
+}
+
+// path returns flow k's path, a view valid until the next reset.
+func (r *Routes) path(k int) []int {
+	s := r.span[k]
+	return r.arena[s[0]:s[1]:s[1]]
+}
+
+// resize returns s with length n, reusing its storage when it is large
+// enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // ShortestPath is the baseline: hop-count shortest paths with the
@@ -31,55 +95,54 @@ type ShortestPath struct{}
 func (ShortestPath) Name() string { return "shortest" }
 
 // Route implements RoutingPolicy.
-func (ShortestPath) Route(t *Topology, flows []Flow) ([][]int, error) {
-	paths := make([][]int, len(flows))
+func (ShortestPath) Route(t *Topology, flows []Flow, out *Routes) error {
 	// One BFS per distinct destination, not per flow: a uniform matrix
-	// over H hosts has H·(H-1) flows but only H destinations. Route
-	// runs on every re-convergence, so the BFS queue and the candidate
-	// list are reused across flows and each path is allocated once, at
-	// its final length.
-	distTo := make(map[int][]int, len(t.Hosts))
-	var queue, cand []int
+	// over H hosts has H·(H-1) flows but only H destinations. The
+	// distance blocks, the BFS queue and the candidate list live in
+	// out, so a re-convergence reuses them.
+	slotOf := resize(out.slotOf, t.Nodes)
+	for i := range slotOf {
+		slotOf[i] = -1
+	}
+	out.slotOf, out.dist = slotOf, out.dist[:0]
 	for fi := range flows {
 		f := &flows[fi]
-		dist, ok := distTo[f.Dst]
-		if !ok {
-			dist = make([]int, t.Nodes)
-			var err error
-			if queue, err = bfsDist(t, f.Dst, dist, queue); err != nil {
-				return nil, err
-			}
-			distTo[f.Dst] = dist
+		if f.Dst < 0 || f.Dst >= t.Nodes {
+			return fmt.Errorf("netsim: node %d out of range", f.Dst)
 		}
+		if slotOf[f.Dst] < 0 {
+			slotOf[f.Dst] = len(out.dist) / t.Nodes
+			start := len(out.dist)
+			out.dist = slices.Grow(out.dist, t.Nodes)[:start+t.Nodes]
+			out.queue = bfsDist(t, f.Dst, out.dist[start:], out.queue)
+		}
+		dist := out.dist[slotOf[f.Dst]*t.Nodes:][:t.Nodes]
 		if dist[f.Src] < 0 {
-			return nil, fmt.Errorf("netsim: no path %d→%d", f.Src, f.Dst)
+			return fmt.Errorf("netsim: no path %d→%d", f.Src, f.Dst)
 		}
-		path := make([]int, dist[f.Src]+1)
+		path := out.reserve(fi, dist[f.Src]+1)
 		path[0] = f.Src
 		for h := 1; h < len(path); h++ {
 			// Candidates one step closer to the destination, in
 			// ascending node order; the flow index picks among them so
 			// equal-cost flows fan out across the alternatives.
 			u := path[h-1]
-			cand = cand[:0]
+			out.cand = out.cand[:0]
 			for _, v := range t.Neighbors(u) {
 				if dist[v] == dist[u]-1 {
-					cand = append(cand, v)
+					out.cand = append(out.cand, v)
 				}
 			}
-			path[h] = cand[fi%len(cand)]
+			path[h] = out.cand[fi%len(out.cand)]
 		}
-		paths[fi] = path
 	}
-	return paths, nil
+	return nil
 }
 
-// bfsDist fills dist with hop counts to dst (-1 = unreachable). It uses
-// queue's storage as the BFS queue and returns it for reuse.
-func bfsDist(t *Topology, dst int, dist, queue []int) ([]int, error) {
-	if dst < 0 || dst >= t.Nodes {
-		return queue, fmt.Errorf("netsim: node %d out of range", dst)
-	}
+// bfsDist fills dist with hop counts to dst (-1 = unreachable); dst
+// must be a node of t. It uses queue's storage as the BFS queue and
+// returns it for reuse.
+func bfsDist(t *Topology, dst int, dist, queue []int) []int {
 	for i := range dist {
 		dist[i] = -1
 	}
@@ -94,7 +157,7 @@ func bfsDist(t *Topology, dst int, dist, queue []int) ([]int, error) {
 			}
 		}
 	}
-	return queue, nil
+	return queue
 }
 
 // Consolidate is the energy-aware policy: it routes flows sequentially
@@ -140,40 +203,41 @@ func (c Consolidate) withDefaults() Consolidate {
 }
 
 // Route implements RoutingPolicy.
-func (c Consolidate) Route(t *Topology, flows []Flow) ([][]int, error) {
+func (c Consolidate) Route(t *Topology, flows []Flow, out *Routes) error {
 	c = c.withDefaults()
-	paths := make([][]int, len(flows))
-	linkRate := make([]float64, len(t.Links))
-	nodeUsed := make([]bool, t.Nodes)
+	linkRate := resize(out.linkRate, len(t.Links))
+	nodeUsed := resize(out.nodeUsed, t.Nodes)
+	clear(linkRate)
+	clear(nodeUsed)
+	out.linkRate, out.nodeUsed = linkRate, nodeUsed
 	// Endpoints are awake regardless of routing: they source/sink.
 	for _, f := range flows {
 		nodeUsed[f.Src] = true
 		nodeUsed[f.Dst] = true
 	}
 	// One set of search arrays serves every flow; dijkstra resets them.
-	sc := dijkstraScratch{
-		dist: make([]float64, t.Nodes),
-		prev: make([]int, t.Nodes),
-		done: make([]bool, t.Nodes),
-	}
-	for _, fi := range sortFlowsForRouting(flows) {
+	sc := &out.dij
+	sc.dist = resize(sc.dist, t.Nodes)
+	sc.prev = resize(sc.prev, t.Nodes)
+	sc.done = resize(sc.done, t.Nodes)
+	out.order = sortFlowsForRouting(flows, out.order)
+	for _, fi := range out.order {
 		f := &flows[fi]
-		path, err := c.dijkstra(t, f, linkRate, nodeUsed, &sc)
+		path, err := c.dijkstra(t, f, fi, out)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		paths[fi] = path
 		for h := 0; h+1 < len(path); h++ {
 			nodeUsed[path[h]] = true
 			nodeUsed[path[h+1]] = true
 			linkRate[t.LinkIndex(path[h], path[h+1])] += f.Rate
 		}
 	}
-	return paths, nil
+	return nil
 }
 
 // dijkstraScratch holds the per-node search arrays, sized to the
-// topology and reused across the flows of one Route call.
+// topology and reused across the flows of every Route call.
 type dijkstraScratch struct {
 	dist []float64
 	prev []int
@@ -181,10 +245,12 @@ type dijkstraScratch struct {
 }
 
 // dijkstra finds the cheapest path under the consolidation costs, with
-// deterministic tie-breaks (smaller cost, then smaller node index).
-func (c Consolidate) dijkstra(t *Topology, f *Flow, linkRate []float64, nodeUsed []bool, sc *dijkstraScratch) ([]int, error) {
+// deterministic tie-breaks (smaller cost, then smaller node index), and
+// writes it into out as the path of flow fi.
+func (c Consolidate) dijkstra(t *Topology, f *Flow, fi int, out *Routes) ([]int, error) {
 	const inf = math.MaxFloat64
-	dist, prev, done := sc.dist, sc.prev, sc.done
+	dist, prev, done := out.dij.dist, out.dij.prev, out.dij.done
+	linkRate, nodeUsed := out.linkRate, out.nodeUsed
 	for i := range dist {
 		dist[i] = inf
 		prev[i] = -1
@@ -234,7 +300,7 @@ func (c Consolidate) dijkstra(t *Topology, f *Flow, linkRate []float64, nodeUsed
 	for u := f.Dst; u != f.Src; u = prev[u] {
 		hops++
 	}
-	path := make([]int, hops+1)
+	path := out.reserve(fi, hops+1)
 	for u, h := f.Dst, hops; h >= 0; u, h = prev[u], h-1 {
 		path[h] = u
 	}

@@ -1,8 +1,9 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Flow is one (source node, destination node) demand of a traffic
@@ -12,15 +13,14 @@ type Flow struct {
 	Src, Dst int
 	Rate     float64
 
-	// Routed state, filled by the network from the routing policy.
+	// Routed state, filled by the network from the routing policy and
+	// rewritten in place at re-convergence. A parked flow (endpoint
+	// down or unreachable) keeps its storage with an empty path.
 	path  []int // node sequence src…dst
 	ports []int // per path node: egress port toward the next node; last = delivery edge port
 	links []int // per hop: index into Topology.Links
 	src   int   // ingress edge port at the source node
 }
-
-// Path returns the flow's routed node sequence (nil before routing).
-func (f *Flow) Path() []int { return f.path }
 
 // TrafficMatrix generates the demand rates between a topology's host
 // nodes. Rates[i][j] is the cells-per-slot demand from host i to host j
@@ -232,17 +232,20 @@ func buildFlows(t *Topology, m TrafficMatrix, load float64) ([]Flow, error) {
 // sortFlowsForRouting returns flow indices in the deterministic order
 // the consolidating policy routes them: biggest rate first, index
 // breaking ties, so the heavy flows pin down the spine the light ones
-// then join.
-func sortFlowsForRouting(flows []Flow) []int {
-	idx := make([]int, len(flows))
+// then join. It reuses idx's storage.
+func sortFlowsForRouting(flows []Flow, idx []int) []int {
+	idx = resize(idx, len(flows))
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		if flows[idx[a]].Rate != flows[idx[b]].Rate {
-			return flows[idx[a]].Rate > flows[idx[b]].Rate
+	slices.SortStableFunc(idx, func(a, b int) int {
+		if flows[a].Rate != flows[b].Rate {
+			if flows[a].Rate > flows[b].Rate {
+				return -1
+			}
+			return 1
 		}
-		return idx[a] < idx[b]
+		return cmp.Compare(a, b)
 	})
 	return idx
 }

@@ -366,7 +366,9 @@ type routingAdapter struct {
 
 func (r routingAdapter) Name() string { return r.name }
 
-func (r routingAdapter) Route(t *netsim.Topology, flows []netsim.Flow) ([][]int, error) {
+// Route implements netsim.RoutingPolicy: it copies the user function's
+// paths into out.
+func (r routingAdapter) Route(t *netsim.Topology, flows []netsim.Flow, out *netsim.Routes) error {
 	v := NetworkView{
 		Nodes:     t.Nodes,
 		Hosts:     append([]int(nil), t.Hosts...),
@@ -379,7 +381,17 @@ func (r routingAdapter) Route(t *netsim.Topology, flows []netsim.Flow) ([][]int,
 	for i, f := range flows {
 		demands[i] = FlowDemand{Src: f.Src, Dst: f.Dst, Rate: f.Rate}
 	}
-	return r.fn(v, demands)
+	paths, err := r.fn(v, demands)
+	if err != nil {
+		return err
+	}
+	if len(paths) != len(flows) {
+		return fmt.Errorf("study: routing %s returned %d paths for %d flows", r.name, len(paths), len(flows))
+	}
+	for k, p := range paths {
+		out.Set(k, p)
+	}
+	return nil
 }
 
 // routingPolicy resolves a routing name: a netsim built-in, or a
