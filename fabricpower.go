@@ -185,8 +185,8 @@ type Options struct {
 	// ZeroSeed makes Seed: 0 literal (see Seed).
 	ZeroSeed bool
 	// DPM names a dynamic power-management policy ("alwayson",
-	// "idlegate", "buffersleep", "loaddvfs", "composite", or a policy
-	// registered through the study package) to drive the router.
+	// "idlegate", "buffersleep", "loaddvfs" or "composite") to drive the
+	// router.
 	// Combine with Model.WithStaticPower for the policy to have idle
 	// power to save; the ledger lands in Report.Power.StaticMW and
 	// Report.DPM. Empty means the paper's unmanaged router.

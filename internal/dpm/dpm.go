@@ -113,8 +113,9 @@ const (
 )
 
 // Manager runs a Policy over a simulated fabric: it implements
-// router.PortGate for admission control and is driven by internal/sim
-// via PreSlot/PostSlot.
+// router.PortGate for admission control and is driven via
+// PreSlot/PostSlot by internal/sim for a single router and by
+// internal/netsim for every router of a network.
 //
 // Every write to portState goes through setState, which keeps the
 // open-port mask and the static-draw cache in step, so a slot's cost
@@ -169,12 +170,11 @@ type Manager struct {
 	dynAdjust core.Breakdown
 
 	// Idle horizon: every slot before steadyEnd is idle and motionless
-	// — the policy would decide what it last decided (HorizonPolicy) and
+	// — the policy would decide what it last decided (IdleHorizon) and
 	// no state machine would move — so IdleSlot and IdleSlots replay it
 	// in O(1) without running the policy or walking the ports. Set after
 	// each per-slot IdleSlot; zeroed by PreSlot, since a busy
 	// observation may move the policy.
-	horizon   HorizonPolicy // cfg.Policy, when it states idle horizons
 	steadyEnd uint64
 }
 
@@ -244,7 +244,6 @@ func New(cfg Config) (*Manager, error) {
 		m.dynScale = append(m.dynScale, v*v)     // switching energy ∝ V²
 	}
 	m.rep.Policy = cfg.Policy.Name()
-	m.horizon, _ = cfg.Policy.(HorizonPolicy)
 	return m, nil
 }
 
@@ -502,23 +501,18 @@ func (m *Manager) IdleSlot(slot uint64) {
 	// speed, no freeze or stall, with an accumulator the +Speed/-1
 	// round trip reproduces exactly — so stalled and acc stay put.
 	m.steadyEnd = 0
-	if m.horizon != nil && unsettled == 0 && !m.stalled {
+	if unsettled == 0 && !m.stalled {
 		if speed := m.levels[m.level].Speed; speed == 1 && m.acc+speed-1 == m.acc {
-			m.steadyEnd = slot + 1 + min(m.horizon.IdleHorizon(), Unbounded-slot-1)
+			m.steadyEnd = slot + 1 + min(m.cfg.Policy.IdleHorizon(), Unbounded-slot-1)
 		}
 	}
 }
 
 // IdleHorizon reports the policy's idle horizon as of its last
-// decision, 0 for a policy without one. A caller deciding whether to
-// defer a router's idle slots to IdleSlots reads it after the router's
-// slot: with a nonzero horizon most of the stretch replays in bulk.
-func (m *Manager) IdleHorizon() uint64 {
-	if m.horizon == nil {
-		return 0
-	}
-	return m.horizon.IdleHorizon()
-}
+// decision. A caller deciding whether to defer a router's idle slots to
+// IdleSlots reads it after the router's slot: with a nonzero horizon
+// most of the stretch replays in bulk.
+func (m *Manager) IdleHorizon() uint64 { return m.cfg.Policy.IdleHorizon() }
 
 // IdleSlots replays the k idle slots from slot on in one call, leaving
 // the manager bit-identical to k IdleSlot calls. Slots inside the idle

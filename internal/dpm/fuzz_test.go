@@ -73,8 +73,8 @@ func (r *refLedger) account(m *Manager) {
 
 // refPolicy builds the reference for fuzzPolicy(kind, tune): the same
 // policy with IdleGate and BufferSleep counting idle slots in saturating
-// counters, the plain reading of their timeouts, and with no idle
-// horizon, so its manager runs it every slot.
+// counters, the plain reading of their timeouts, and with an idle
+// horizon of 0, so its manager runs it every slot.
 func refPolicy(kind, tune uint8) Policy {
 	k := int(tune%4) + 1
 	switch kind % 5 {
@@ -88,8 +88,11 @@ func refPolicy(kind, tune uint8) Policy {
 	return noHorizon{fuzzPolicy(kind, tune)}
 }
 
-// noHorizon hides a policy's IdleHorizon and forwards its DVFS ladder.
+// noHorizon reports an idle horizon of 0 in place of a policy's own and
+// forwards its DVFS ladder.
 type noHorizon struct{ Policy }
+
+func (noHorizon) IdleHorizon() uint64 { return 0 }
 
 func (p noHorizon) DVFSLevels() []DVFSLevel {
 	if l, ok := p.Policy.(interface{ DVFSLevels() []DVFSLevel }); ok {
@@ -103,8 +106,9 @@ type refIdleGate struct {
 	idle    []int
 }
 
-func (g *refIdleGate) Name() string    { return "idlegate" }
-func (g *refIdleGate) Reset(ports int) { g.idle = make([]int, ports) }
+func (g *refIdleGate) Name() string        { return "idlegate" }
+func (g *refIdleGate) Reset(ports int)     { g.idle = make([]int, ports) }
+func (g *refIdleGate) IdleHorizon() uint64 { return 0 }
 func (g *refIdleGate) Decide(obs *Observation, dec *Decision) {
 	for p := range g.idle {
 		if obs.QueueLen[p] > 0 || obs.PortActive[p] {
@@ -118,8 +122,9 @@ func (g *refIdleGate) Decide(obs *Observation, dec *Decision) {
 
 type refBufferSleep struct{ drain, empty int }
 
-func (b *refBufferSleep) Name() string { return "buffersleep" }
-func (b *refBufferSleep) Reset(int)    { b.empty = 0 }
+func (b *refBufferSleep) Name() string        { return "buffersleep" }
+func (b *refBufferSleep) Reset(int)           { b.empty = 0 }
+func (b *refBufferSleep) IdleHorizon() uint64 { return 0 }
 func (b *refBufferSleep) Decide(obs *Observation, dec *Decision) {
 	if obs.BufferedCells > 0 {
 		b.empty = 0
@@ -147,6 +152,7 @@ func (c *refComposite) Decide(obs *Observation, dec *Decision) {
 	c.dvfs.Decide(obs, dec)
 }
 func (c *refComposite) DVFSLevels() []DVFSLevel { return c.dvfs.Levels }
+func (c *refComposite) IdleHorizon() uint64     { return 0 }
 
 // checkTwin asserts that the twin manager, which replays each idle
 // stretch with IdleSlots and skips Decide within its policy's horizons,

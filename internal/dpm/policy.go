@@ -57,16 +57,13 @@ type Policy interface {
 	Reset(ports int)
 	// Decide fills dec with the desired states for the upcoming slot.
 	Decide(obs *Observation, dec *Decision)
-}
-
-// HorizonPolicy is an optional Policy extension. IdleHorizon, asked
-// right after a Decide, reports for how many following all-idle slots
-// (zero queues, flags and buffers; Load arbitrary) Decide would fill
-// the same decision and change no state a later Decide reads: 0 means
-// the next slot may differ, Unbounded never. The manager skips Decide
-// on those slots, so a policy that counts idle slots or follows Load
-// answers 0; a policy without the method is run every slot.
-type HorizonPolicy interface {
+	// IdleHorizon, asked right after a Decide, reports for how many
+	// following all-idle slots (zero queues, flags and buffers; Load
+	// arbitrary) Decide would fill the same decision and change no
+	// state a later Decide reads: 0 means the next slot may differ,
+	// Unbounded never. The manager skips Decide on those slots, so a
+	// policy that counts idle slots or follows Load answers 0 and runs
+	// every slot.
 	IdleHorizon() uint64
 }
 
@@ -89,7 +86,7 @@ func (AlwaysOn) Reset(int) {}
 // Decide implements Policy: the zeroed decision is exactly "all on".
 func (AlwaysOn) Decide(*Observation, *Decision) {}
 
-// IdleHorizon implements HorizonPolicy: stateless, so always at the
+// IdleHorizon implements Policy: stateless, so always at the
 // fixpoint.
 func (AlwaysOn) IdleHorizon() uint64 { return Unbounded }
 
@@ -140,7 +137,7 @@ func (g *IdleGate) Decide(obs *Observation, dec *Decision) {
 	g.now = tick
 }
 
-// IdleHorizon implements HorizonPolicy: the idle slots before the next
+// IdleHorizon implements Policy: the idle slots before the next
 // port still open reaches its gateAt, Unbounded once every port asks to
 // be gated.
 func (g *IdleGate) IdleHorizon() uint64 {
@@ -191,7 +188,7 @@ func (b *BufferSleep) Decide(obs *Observation, dec *Decision) {
 	dec.BufferSleep = obs.Tick >= b.sleepAt
 }
 
-// IdleHorizon implements HorizonPolicy: the rest of the drain streak.
+// IdleHorizon implements Policy: the rest of the drain streak.
 func (b *BufferSleep) IdleHorizon() uint64 {
 	if b.sleepAt <= b.now {
 		return Unbounded
@@ -266,7 +263,7 @@ func (d *LoadDVFS) Reset(int) {
 // DVFSLevels exposes the ladder to the manager.
 func (d *LoadDVFS) DVFSLevels() []DVFSLevel { return d.Levels }
 
-// IdleHorizon implements HorizonPolicy: 0, as idle slots count toward
+// IdleHorizon implements Policy: 0, as idle slots count toward
 // HoldSlots.
 func (d *LoadDVFS) IdleHorizon() uint64 { return 0 }
 
@@ -325,7 +322,7 @@ func (c *Composite) Decide(obs *Observation, dec *Decision) {
 	c.DVFS.Decide(obs, dec)
 }
 
-// IdleHorizon implements HorizonPolicy: the nearest of its parts'.
+// IdleHorizon implements Policy: the nearest of its parts'.
 func (c *Composite) IdleHorizon() uint64 {
 	return min(c.Gate.IdleHorizon(), c.Buffer.IdleHorizon(), c.DVFS.IdleHorizon())
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fabricpower/internal/core"
+	"fabricpower/internal/dpm"
 	"fabricpower/study"
 )
 
@@ -109,7 +110,7 @@ func TestDPMStudyParallelDeterminism(t *testing.T) {
 	loads := []float64{0.1, 0.4}
 	run := func(workers int) *DPMStudy {
 		t.Helper()
-		return runReport[*DPMStudy](t, dpmStudySpec(study.Default.DPMPolicyNames(), archs, 8, loads, simSpec(60, 300, 11)), workers)
+		return runReport[*DPMStudy](t, dpmStudySpec(dpm.PolicyNames(), archs, 8, loads, simSpec(60, 300, 11)), workers)
 	}
 	seq := run(1)
 	for _, workers := range []int{0, 8} {

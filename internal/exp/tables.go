@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -90,7 +91,7 @@ func RunTable1(tp core.Model, opt Table1Options) (*Table1, error) {
 		n := n
 		builders = append(builders, func() (*circuits.Switch, error) { return circuits.MuxN(lib, opt.BusWidth, n) })
 	}
-	tabs, err := sweep.Map(opt.Workers, builders, func(_ int, build func() (*circuits.Switch, error)) (energy.Table, error) {
+	tabs, _, err := sweep.Map(context.TODO(), opt.Workers, builders, func(_, _ int, build func() (*circuits.Switch, error)) (energy.Table, error) {
 		sw, err := build()
 		if err != nil {
 			return nil, err
@@ -104,7 +105,7 @@ func RunTable1(tp core.Model, opt Table1Options) (*Table1, error) {
 			opt.Trace.EmitShared(0, "table1", "characterize", start, opt.Trace.Now())
 		}
 		return tab, err
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -41,15 +41,9 @@ type Config struct {
 	// A cell delivered to a full link is dropped and counted.
 	LinkQueueCells int
 	// Policy, when non-empty, runs one dpm.Manager per router under the
-	// named policy: a dpm built-in, or the policy NewPolicy constructs.
-	// Empty means unmanaged routers with the paper's dynamic-only
-	// accounting.
+	// named dpm built-in policy. Empty means unmanaged routers with the
+	// paper's dynamic-only accounting.
 	Policy string
-	// NewPolicy, when non-nil, constructs each managed router's policy
-	// — the hook the study layer uses for a registered policy, as
-	// Traffic.New is for a registered traffic kind. Nil resolves Policy
-	// among dpm's built-ins (dpm.NewPolicy).
-	NewPolicy func() (dpm.Policy, error)
 	// Routing maps flows to paths (default ShortestPath).
 	Routing RoutingPolicy
 	// Matrix generates the demand between host nodes (default
@@ -129,10 +123,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Matrix == nil {
 		c.Matrix = UniformMatrix{}
-	}
-	if c.NewPolicy == nil {
-		name := c.Policy
-		c.NewPolicy = func() (dpm.Policy, error) { return dpm.NewPolicy(name) }
 	}
 	if c.Shards < 0 {
 		c.Shards = runtime.GOMAXPROCS(0)
@@ -453,7 +443,7 @@ func New(cfg Config) (*Network, error) {
 			MaxQueueCells: cfg.MaxQueueCells,
 		}
 		if cfg.Policy != "" {
-			pol, err := cfg.NewPolicy()
+			pol, err := dpm.NewPolicy(cfg.Policy)
 			if err != nil {
 				return nil, err
 			}

@@ -14,9 +14,10 @@ type RoutingPolicy interface {
 	// Name is the policy's CLI/report identifier.
 	Name() string
 	// Route writes one node path per flow into out: the path of
-	// flows[k] goes to out.Set(k, path) and must start at the flow's
-	// source node and end at its destination. out arrives holding
-	// len(flows) empty paths, and any path left empty is an error.
+	// flows[k] fills the nodes out.reserve(k, n) sets aside, and must
+	// start at the flow's source node and end at its destination. out
+	// arrives holding len(flows) empty paths, and any path left empty
+	// is an error.
 	// The network owns out and reuses it, with flows, on every
 	// re-convergence, so Route must keep neither after it returns.
 	Route(t *Topology, flows []Flow, out *Routes) error
@@ -45,11 +46,6 @@ type Routes struct {
 	linkRate []float64
 	nodeUsed []bool
 	order    []int
-}
-
-// Set records path as the node path of flow k, copying it.
-func (r *Routes) Set(k int, path []int) {
-	copy(r.reserve(k, len(path)), path)
 }
 
 // reset empties the routes and sizes them for flows paths.

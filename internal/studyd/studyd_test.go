@@ -504,32 +504,47 @@ func TestBadRequests(t *testing.T) {
 }
 
 // TestInvalidGridPointRejected: an axis that sweeps a field out of
-// range is answered 400 with the point's validation error, before it
-// takes a slot or appears in the listing.
+// range, or a DPM policy, topology, routing policy or traffic matrix
+// that is not built in, is answered 400 with the validation error,
+// before the spec takes a slot or appears in the listing.
 func TestInvalidGridPointRejected(t *testing.T) {
 	_, ts, _ := newTestServer(t, studyd.Config{})
-	const spec = `{"version": 1, "base": {"fabric": {"ports": 4}, "sim": {"measureSlots": 10}},
-  "axes": [{"name": "cellbits", "ints": [1024, 1000000000]}]}`
-	resp, err := http.Post(ts.URL+"/v1/studies", "application/json", strings.NewReader(spec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var body struct {
-		Error string `json:"error"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("status = %d, want 400", resp.StatusCode)
-	}
-	if !strings.Contains(body.Error, "point 1: study: fabric.cellBits 1000000000 exceeds the limit of 65536 bits") {
-		t.Errorf("error = %q, want point 1's cell-size limit", body.Error)
+	for _, tc := range []struct{ spec, want string }{
+		{`{"version": 1, "base": {"fabric": {"ports": 4}, "sim": {"measureSlots": 10}},
+  "axes": [{"name": "cellbits", "ints": [1024, 1000000000]}]}`,
+			"point 1: study: fabric.cellBits 1000000000 exceeds the limit of 65536 bits"},
+		{`{"version": 1, "base": {"dpm": "nosuch"}}`,
+			`study: unknown DPM policy "nosuch"`},
+		{`{"version": 1, "base": {"fabric": {"ports": 4}}, "axes": [{"name": "dpm", "strings": ["idlegate", "nosuch"]}]}`,
+			`point 1: study: unknown DPM policy "nosuch"`},
+		{`{"version": 1, "base": {"network": {"nodes": 4}}, "axes": [{"name": "topology", "strings": ["ring", "nosuch"]}]}`,
+			`point 1: study: network: unknown topology "nosuch"`},
+		{`{"version": 1, "base": {"network": {"routing": "nosuch"}}}`,
+			`study: network: unknown routing policy "nosuch"`},
+		{`{"version": 1, "base": {"network": {"matrix": "nosuch"}}}`,
+			`study: network: unknown traffic matrix "nosuch"`},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/studies", "application/json", strings.NewReader(tc.spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", tc.want, resp.StatusCode)
+		}
+		if !strings.Contains(body.Error, tc.want) {
+			t.Errorf("error = %q, want %q", body.Error, tc.want)
+		}
 	}
 
-	resp, err = http.Get(ts.URL + "/v1/studies")
+	resp, err := http.Get(ts.URL + "/v1/studies")
 	if err != nil {
 		t.Fatal(err)
 	}

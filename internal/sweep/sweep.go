@@ -23,36 +23,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"fabricpower/internal/core"
 	"fabricpower/internal/telemetry/trace"
 )
-
-// Point is one operating point of a sweep: an architecture simulated at a
-// fabric size and offered load.
-type Point struct {
-	Arch  core.Architecture
-	Ports int
-	Load  float64
-}
-
-// Grid enumerates the cartesian sweep sizes × archs × loads in the
-// canonical nesting order of the paper's figures (sizes outermost, loads
-// innermost). Points rejected by include are skipped; a nil include keeps
-// every point.
-func Grid(sizes []int, archs []core.Architecture, loads []float64, include func(Point) bool) []Point {
-	pts := make([]Point, 0, len(sizes)*len(archs)*len(loads))
-	for _, n := range sizes {
-		for _, a := range archs {
-			for _, l := range loads {
-				pt := Point{Arch: a, Ports: n, Load: l}
-				if include == nil || include(pt) {
-					pts = append(pts, pt)
-				}
-			}
-		}
-	}
-	return pts
-}
 
 // DefaultWorkers returns the worker count used when a sweep does not pin
 // one: every available core.
@@ -89,61 +61,33 @@ func PointSeed(base int64, ports int, load float64) int64 {
 // returns the results in item order. workers <= 0 means DefaultWorkers;
 // workers == 1 runs inline with no goroutines (the sequential baseline
 // the benchmarks compare against). fn must be safe for concurrent use
-// when workers > 1; for any worker count the successful result slice is
-// identical as long as fn(i, item) is a pure function of its arguments.
+// when workers > 1; for any worker count the result slice is identical
+// as long as fn(worker, i, item) is a pure function of i and item.
+// worker is 0 for a sequential run and otherwise identifies which of
+// the pool's goroutines evaluated the point; it exists for
+// observability (progress events attribute points to workers), and fn
+// must not let it influence its result.
 //
-// The first error (by item index among the items that ran) aborts the
-// sweep: in-flight items finish, unstarted items are skipped, and the
-// error is returned wrapped with its item index.
-func Map[T, R any](workers int, items []T, fn func(i int, item T) (R, error)) ([]R, error) {
-	results, _, err := MapCtx(context.Background(), workers, items, fn)
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// MapCtx is Map with cooperative cancellation and partial-result
-// reporting. Cancellation is checked between points: in-flight points
-// finish, no new point starts once ctx is done, and the returned done
-// slice marks exactly the points whose results are valid — the partial
-// sweep survives intact. When ctx is cancelled the error is ctx's; when
-// a point fails, its wrapped error wins over a concurrent cancellation.
-//
-// The results and done slices are always returned (sized to items),
-// even alongside a non-nil error; completed entries are identical to
-// what an uninterrupted run would have produced at those indices.
+// Cancellation is checked between points: in-flight points finish, no
+// new point starts once ctx is done, and the returned done slice marks
+// exactly the points whose results are valid — the partial sweep
+// survives intact. When ctx is cancelled the error is ctx's. The first
+// failing point (by item index among the items that ran) aborts the
+// sweep the same way, and its error, wrapped with its item index, wins
+// over a concurrent cancellation. The results and done slices are
+// always returned (sized to items), even alongside a non-nil error.
 //
 // A panic inside fn is recovered and treated as that point's error —
 // one broken grid point aborts the sweep with an error naming the
 // point instead of crashing the whole study.
-func MapCtx[T, R any](ctx context.Context, workers int, items []T, fn func(i int, item T) (R, error)) ([]R, []bool, error) {
-	if fn == nil {
-		return nil, nil, fmt.Errorf("sweep: fn is required")
-	}
-	return MapCtxW(ctx, workers, items, func(_, i int, item T) (R, error) {
-		return fn(i, item)
-	})
-}
-
-// MapCtxW is MapCtx with the worker index exposed to fn: worker is 0
-// for a sequential run and otherwise identifies which of the pool's
-// goroutines evaluated the point. It exists for observability (progress
-// events attribute points to workers) — fn must not let the worker
-// index influence its result, or the any-worker-count determinism
-// guarantee is forfeit.
-func MapCtxW[T, R any](ctx context.Context, workers int, items []T, fn func(worker, i int, item T) (R, error)) ([]R, []bool, error) {
-	return MapCtxWT(ctx, workers, items, fn, nil)
-}
-
-// MapCtxWT is MapCtxW with an execution-profile recorder attached: each
-// pool worker gets one timeline row ("sweep worker N") carrying a
-// "wait" span for the gap since its previous point (scheduling queue
-// wait; the run-up to the first point for a fresh worker) and a "point"
-// span per evaluated point, tagged with the point index — so a grid
-// run's idle tails and stragglers are visible in Perfetto. A nil rec is
-// exactly MapCtxW: the profiling closure is not even installed.
-func MapCtxWT[T, R any](ctx context.Context, workers int, items []T, fn func(worker, i int, item T) (R, error), rec *trace.Recorder) ([]R, []bool, error) {
+//
+// A non-nil rec profiles the sweep: each pool worker gets one timeline
+// row ("sweep worker N") carrying a "wait" span for the gap since its
+// previous point (scheduling queue wait; the run-up to the first point
+// for a fresh worker) and a "point" span per evaluated point, tagged
+// with the point index — so a grid run's idle tails and stragglers are
+// visible in Perfetto. A nil rec installs no profiling closure at all.
+func Map[T, R any](ctx context.Context, workers int, items []T, fn func(worker, i int, item T) (R, error), rec *trace.Recorder) ([]R, []bool, error) {
 	if fn == nil {
 		return nil, nil, fmt.Errorf("sweep: fn is required")
 	}

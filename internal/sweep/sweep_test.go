@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"fabricpower/internal/core"
 	"fabricpower/internal/telemetry/trace"
 )
 
@@ -23,9 +22,9 @@ func TestMapPreservesOrder(t *testing.T) {
 		items[i] = i
 	}
 	for _, workers := range []int{0, 1, 3, 7, 64} {
-		got, err := Map(workers, items, func(i, item int) (int, error) {
+		got, _, err := Map(context.Background(), workers, items, func(_, i, item int) (int, error) {
 			return item * item, nil
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,11 +40,11 @@ func TestMapPreservesOrder(t *testing.T) {
 }
 
 func TestMapEmptyAndNil(t *testing.T) {
-	got, err := Map(4, nil, func(i, item int) (int, error) { return 0, nil })
+	got, _, err := Map(context.Background(), 4, nil, func(_, i, item int) (int, error) { return 0, nil }, nil)
 	if err != nil || got != nil {
 		t.Fatalf("empty input: %v, %v", got, err)
 	}
-	if _, err := Map(4, []int{1}, (func(i, item int) (int, error))(nil)); err == nil {
+	if _, _, err := Map(context.Background(), 4, []int{1}, (func(_, i, item int) (int, error))(nil), nil); err == nil {
 		t.Fatal("nil fn should fail")
 	}
 }
@@ -54,12 +53,12 @@ func TestMapErrorCarriesIndex(t *testing.T) {
 	boom := errors.New("boom")
 	items := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	for _, workers := range []int{1, 4} {
-		_, err := Map(workers, items, func(i, item int) (int, error) {
+		_, _, err := Map(context.Background(), workers, items, func(_, i, item int) (int, error) {
 			if item == 5 {
 				return 0, boom
 			}
 			return item, nil
-		})
+		}, nil)
 		if err == nil {
 			t.Fatalf("workers=%d: want error", workers)
 		}
@@ -84,12 +83,12 @@ func TestMapCtxCancelKeepsPartialResults(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int64
-		results, done, err := MapCtx(ctx, workers, items, func(i, item int) (int, error) {
+		results, done, err := Map(ctx, workers, items, func(_, i, item int) (int, error) {
 			if ran.Add(1) == 3 {
 				cancel()
 			}
 			return item * 10, nil
-		})
+		}, nil)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
@@ -113,13 +112,12 @@ func TestMapCtxCancelKeepsPartialResults(t *testing.T) {
 	}
 }
 
-// TestMapCtxCompleteRun: with a live context MapCtx matches Map and
-// marks every point done.
+// TestMapCtxCompleteRun: with a live context Map marks every point done.
 func TestMapCtxCompleteRun(t *testing.T) {
 	items := []int{1, 2, 3, 4, 5}
-	results, done, err := MapCtx(context.Background(), 2, items, func(i, item int) (int, error) {
+	results, done, err := Map(context.Background(), 2, items, func(_, i, item int) (int, error) {
 		return item + 100, nil
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,40 +154,18 @@ func TestPointSeedProperties(t *testing.T) {
 	}
 }
 
-func TestGridOrderAndFilter(t *testing.T) {
-	sizes := []int{2, 4}
-	archs := []core.Architecture{core.Crossbar, core.BatcherBanyan}
-	loads := []float64{0.1, 0.5}
-	pts := Grid(sizes, archs, loads, func(pt Point) bool {
-		return pt.Arch != core.BatcherBanyan || pt.Ports >= 4
-	})
-	want := []Point{
-		{core.Crossbar, 2, 0.1}, {core.Crossbar, 2, 0.5},
-		{core.Crossbar, 4, 0.1}, {core.Crossbar, 4, 0.5},
-		{core.BatcherBanyan, 4, 0.1}, {core.BatcherBanyan, 4, 0.5},
-	}
-	if len(pts) != len(want) {
-		t.Fatalf("%d points, want %d: %v", len(pts), len(want), pts)
-	}
-	for i, w := range want {
-		if pts[i] != w {
-			t.Fatalf("point %d = %v, want %v", i, pts[i], w)
-		}
-	}
-}
-
 // TestMapRecoversPanics pins the robustness contract: a panicking grid
 // point becomes an error carrying the point index — sequentially and in
 // parallel — instead of crashing the whole study.
 func TestMapRecoversPanics(t *testing.T) {
 	items := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	for _, workers := range []int{1, 4} {
-		_, err := Map(workers, items, func(i, item int) (int, error) {
+		_, _, err := Map(context.Background(), workers, items, func(_, i, item int) (int, error) {
 			if item == 3 {
 				panic("bad operating point")
 			}
 			return item, nil
-		})
+		}, nil)
 		if err == nil {
 			t.Fatalf("workers=%d: panicking point produced no error", workers)
 		}
@@ -200,13 +176,13 @@ func TestMapRecoversPanics(t *testing.T) {
 			t.Errorf("workers=%d: error should carry the panic value: %v", workers, err)
 		}
 	}
-	// MapCtx keeps the points that finished before the abort.
-	results, done, err := MapCtx(context.Background(), 1, items, func(i, item int) (int, error) {
+	// The points that finished before the abort keep their results.
+	results, done, err := Map(context.Background(), 1, items, func(_, i, item int) (int, error) {
 		if item == 5 {
 			panic(item)
 		}
 		return item * 10, nil
-	})
+	}, nil)
 	if err == nil || !strings.Contains(err.Error(), "point 5") {
 		t.Fatalf("want point-5 panic error, got %v", err)
 	}
@@ -229,12 +205,12 @@ func TestMapCtxWTSpans(t *testing.T) {
 		items[i] = i
 	}
 	square := func(_, _ int, v int) (int, error) { return v * v, nil }
-	plain, _, err := MapCtxW(context.Background(), 3, items, square)
+	plain, _, err := Map(context.Background(), 3, items, square, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := trace.NewRecorder(0)
-	traced, _, err := MapCtxWT(context.Background(), 3, items, square, rec)
+	traced, _, err := Map(context.Background(), 3, items, square, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +262,7 @@ func TestMapCtxWTSpans(t *testing.T) {
 // traces onto worker 0's row.
 func TestMapCtxWTSequential(t *testing.T) {
 	rec := trace.NewRecorder(0)
-	res, _, err := MapCtxWT(context.Background(), 1, []int{1, 2, 3}, func(w, i int, v int) (int, error) {
+	res, _, err := Map(context.Background(), 1, []int{1, 2, 3}, func(w, i int, v int) (int, error) {
 		if w != 0 {
 			t.Errorf("sequential run used worker %d", w)
 		}

@@ -39,8 +39,7 @@
 // NetReport are sim's, Energy is core.Breakdown, DPMReport is
 // dpm.Report, and the resilience ledger is sim's. The kernels fill
 // them directly, so a record's JSON is the kernel's result encoded,
-// with no copy in between. PolicyObservation and PolicyDecision are
-// likewise the power manager's own dpm.Observation and dpm.Decision.
+// with no copy in between.
 //
 // Traffic kinds are unified across scopes: the same TrafficSpec.Kind
 // ("uniform", "bursty", "packet", "trace", or a registered extension)
@@ -51,37 +50,25 @@
 //
 // # Extension points
 //
-// The string names scenarios use for sweep axes, traffic kinds, DPM
-// policies, routing policies, topologies and traffic matrices resolve
-// through a Registry, so external callers can plug in their own
-// implementations and then drive them from scenario files. A Registry
-// is a value: NewRegistry makes one that knows only the built-ins,
-// Grid.Run resolves against RunOptions.Registry, and Default serves
-// when that is nil, as well as for RunScenario and Grid.Enumerate. An
-// extension registered into one registry is unknown to every other.
-// Names resolve once per point, never per slot. The Registry methods:
+// Sweep axes, DPM policies, topologies, routing policies and traffic
+// matrices are built in. Grid.Enumerate rejects an unknown axis, and
+// Scenario.Validate an unknown policy, topology, routing or matrix
+// name, so a spec that names one fails before any point runs.
 //
-//   - RegisterTraffic adds a traffic kind: a TrafficSource emitting
-//     per-slot (port, destination) injections. In network scenarios
-//     the kind is instantiated once per flow (1-port view at the
-//     flow's rate) behind netsim's FlowSource seam.
-//   - RegisterDPMPolicy adds a power-management policy: a Policy
-//     observing per-slot activity and deciding component power states.
-//     Every managed router constructs its own.
-//   - RegisterRouting adds a network routing policy: a RoutingFunc
-//     mapping flow demands to node paths over a NetworkView.
-//   - RegisterTopology adds a topology builder: a Graph of undirected
-//     edges (and optionally restricted host nodes) per size.
-//   - RegisterMatrix adds a traffic matrix: per-host demand rates.
-//   - RegisterAxis adds a sweepable scenario axis.
+// Traffic kinds are the one extension point. Registry.RegisterTraffic
+// adds a kind: a TrafficSource emitting per-slot (port, destination)
+// injections. In network scenarios the kind is instantiated once per
+// flow (1-port view at the flow's rate) behind netsim's FlowSource
+// seam. A Registry is a value: NewRegistry makes one that knows only
+// the built-in kinds, Grid.Run resolves against RunOptions.Registry,
+// and Default serves when that is nil, as well as for RunScenario. A
+// kind registered into one registry is unknown to every other.
+// RegisterTraffic rejects an empty name, a nil factory, a built-in
+// kind and a kind already registered. Kinds resolve once per point,
+// never per slot.
 //
-// Each rejects an empty name, a nil implementation, a built-in name
-// and a name already registered; TrafficKinds, DPMPolicyNames,
-// RoutingNames, TopologyNames, MatrixNames and AxisNames list the
-// built-ins first, then the extensions sorted.
-//
-// Registered implementations must be deterministic pure functions of
-// their inputs: the sweep engine's bit-identical-for-any-worker-count
-// guarantee extends to plug-ins exactly as far as they are
-// deterministic.
+// A registered source must be a deterministic function of its
+// construction seed and the slot sequence: the sweep engine's
+// bit-identical-for-any-worker-count guarantee extends to plug-ins
+// exactly as far as they are deterministic.
 package study

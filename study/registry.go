@@ -3,10 +3,8 @@ package study
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
-	"fabricpower/internal/dpm"
 	"fabricpower/internal/netsim"
 	"fabricpower/internal/packet"
 	"fabricpower/internal/rng"
@@ -14,166 +12,64 @@ import (
 	"fabricpower/internal/traffic"
 )
 
-// Registry resolves the names scenarios use — sweep axes, traffic
-// kinds, DPM policies, routing policies, topologies and traffic
-// matrices — to their implementations. Every registry knows the
-// built-ins; an extension registered into one registry is known to
-// that registry alone. A grid run resolves against
-// RunOptions.Registry, or Default when that is nil. A Registry is safe
-// for concurrent use: names may be registered while a run resolves
-// them. Every Register method rejects an empty name, a nil
-// implementation, a built-in name and a name already registered. Make
-// one with NewRegistry.
+// Registry resolves the traffic kinds scenarios name to their
+// implementations: the built-in kinds, plus those registered with
+// RegisterTraffic. A kind registered into one registry is known to that
+// registry alone. A grid run resolves against RunOptions.Registry, or
+// Default when that is nil. A Registry is safe for concurrent use:
+// kinds may be registered while a run resolves them. Make one with
+// NewRegistry.
 type Registry struct {
-	mu         sync.RWMutex
-	axes       table[AxisApplier]
-	traffic    table[TrafficFactory]
-	policies   table[func() Policy]
-	routing    table[RoutingFunc]
-	topologies table[func(nodes int) (Graph, error)]
-	matrices   table[MatrixFunc]
+	mu      sync.RWMutex
+	traffic map[string]TrafficFactory
 }
 
-// Default is the registry RunScenario and Grid.Enumerate resolve
-// against, and Grid.Run when RunOptions.Registry is nil.
+// Default is the registry RunScenario resolves against, and Grid.Run
+// when RunOptions.Registry is nil.
 var Default = NewRegistry()
 
 // NewRegistry returns a registry that knows only the built-ins.
 func NewRegistry() *Registry {
-	axes := make([]string, 0, len(builtinAxes))
-	for name := range builtinAxes {
-		axes = append(axes, name)
-	}
-	sort.Strings(axes)
-	return &Registry{
-		axes:       newTable[AxisApplier]("axis", axes),
-		traffic:    newTable[TrafficFactory]("traffic kind", []string{"uniform", "bursty", "packet", "hotspot", "trace"}),
-		policies:   newTable[func() Policy]("DPM policy", dpm.PolicyNames()),
-		routing:    newTable[RoutingFunc]("routing policy", netsim.RoutingNames()),
-		topologies: newTable[func(nodes int) (Graph, error)]("topology", netsim.TopologyNames()),
-		matrices:   newTable[MatrixFunc]("traffic matrix", netsim.MatrixNames()),
-	}
+	return &Registry{traffic: map[string]TrafficFactory{}}
 }
 
-// RegisterAxis makes a new axis name sweepable in grids.
-func (r *Registry) RegisterAxis(name string, apply AxisApplier) error {
-	return register(r, &r.axes, name, apply)
-}
+// builtinTraffic lists the traffic kinds every registry knows.
+var builtinTraffic = []string{"uniform", "bursty", "packet", "hotspot", "trace"}
 
-// RegisterTraffic makes a traffic kind available to scenarios.
+// RegisterTraffic makes a traffic kind available to scenarios. It
+// rejects an empty kind, a nil factory, a built-in kind and a kind
+// already registered.
 func (r *Registry) RegisterTraffic(kind string, factory TrafficFactory) error {
-	return register(r, &r.traffic, kind, factory)
-}
-
-// RegisterDPMPolicy makes a power-management policy available to
-// scenarios by name. Each managed router constructs a fresh policy via
-// factory, so implementations carry no state across sweep points or
-// routers.
-func (r *Registry) RegisterDPMPolicy(name string, factory func() Policy) error {
-	return register(r, &r.policies, name, factory)
-}
-
-// RegisterRouting makes a routing policy available to network
-// scenarios by name.
-func (r *Registry) RegisterRouting(name string, fn RoutingFunc) error {
-	return register(r, &r.routing, name, fn)
-}
-
-// RegisterTopology makes a topology builder available to network
-// scenarios by name: build receives the scenario's node count and
-// returns the graph to wire.
-func (r *Registry) RegisterTopology(name string, build func(nodes int) (Graph, error)) error {
-	return register(r, &r.topologies, name, build)
-}
-
-// RegisterMatrix makes a traffic matrix available to network scenarios
-// by name.
-func (r *Registry) RegisterMatrix(name string, fn MatrixFunc) error {
-	return register(r, &r.matrices, name, fn)
-}
-
-// AxisNames lists the sweepable axes: the built-ins sorted, then the
-// registered extensions sorted.
-func (r *Registry) AxisNames() []string { return names(r, &r.axes) }
-
-// TrafficKinds lists the built-in traffic kinds followed by the
-// registered extensions, sorted.
-func (r *Registry) TrafficKinds() []string { return names(r, &r.traffic) }
-
-// DPMPolicyNames lists the built-in policies (baseline first) followed
-// by the registered extensions, sorted.
-func (r *Registry) DPMPolicyNames() []string { return names(r, &r.policies) }
-
-// RoutingNames lists the built-in routing policies (baseline first)
-// followed by the registered extensions, sorted.
-func (r *Registry) RoutingNames() []string { return names(r, &r.routing) }
-
-// TopologyNames lists the built-in topology builders followed by the
-// registered extensions, sorted.
-func (r *Registry) TopologyNames() []string { return names(r, &r.topologies) }
-
-// MatrixNames lists the built-in traffic matrices followed by the
-// registered extensions, sorted.
-func (r *Registry) MatrixNames() []string { return names(r, &r.matrices) }
-
-// extension is the set of implementation types a Registry holds.
-type extension interface {
-	AxisApplier | TrafficFactory | func() Policy | RoutingFunc | func(nodes int) (Graph, error) | MatrixFunc
-}
-
-// table is one name space of a Registry: its built-in names, fixed at
-// construction, and the registered extensions, which the Registry's
-// mutex guards.
-type table[T extension] struct {
-	what     string
-	builtins []string
-	extra    map[string]T
-}
-
-func newTable[T extension](what string, builtins []string) table[T] {
-	return table[T]{what: what, builtins: builtins, extra: map[string]T{}}
-}
-
-// register adds an extension to one of r's tables, rejecting an empty
-// name, a nil implementation, a built-in name and a name already
-// registered.
-func register[T extension](r *Registry, t *table[T], name string, v T) error {
-	if name == "" || v == nil {
-		return fmt.Errorf("study: %s registration needs a name and an implementation", t.what)
+	if kind == "" || factory == nil {
+		return fmt.Errorf("study: traffic kind registration needs a name and an implementation")
 	}
-	if slices.Contains(t.builtins, name) {
-		return fmt.Errorf("study: %s %q is built in", t.what, name)
+	if slices.Contains(builtinTraffic, kind) {
+		return fmt.Errorf("study: traffic kind %q is built in", kind)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := t.extra[name]; ok {
-		return fmt.Errorf("study: %s %q already registered", t.what, name)
+	if _, ok := r.traffic[kind]; ok {
+		return fmt.Errorf("study: traffic kind %q already registered", kind)
 	}
-	t.extra[name] = v
+	r.traffic[kind] = factory
 	return nil
 }
 
-// lookup returns the extension registered under a non-built-in name.
-func lookup[T extension](r *Registry, t *table[T], name string) (T, error) {
+// trafficFactory returns the factory registered under a non-built-in
+// kind.
+func (r *Registry) trafficFactory(kind string) (TrafficFactory, error) {
 	r.mu.RLock()
-	v, ok := t.extra[name]
-	r.mu.RUnlock()
+	defer r.mu.RUnlock()
+	factory, ok := r.traffic[kind]
 	if !ok {
-		return v, fmt.Errorf("study: unknown %s %q (want one of %v)", t.what, name, names(r, t))
+		known := slices.Clone(builtinTraffic)
+		for k := range r.traffic {
+			known = append(known, k)
+		}
+		slices.Sort(known[len(builtinTraffic):])
+		return nil, fmt.Errorf("study: unknown traffic kind %q (want one of %v)", kind, known)
 	}
-	return v, nil
-}
-
-// names lists a table's built-ins followed by its extensions, sorted.
-func names[T extension](r *Registry, t *table[T]) []string {
-	r.mu.RLock()
-	extra := make([]string, 0, len(t.extra))
-	for name := range t.extra {
-		extra = append(extra, name)
-	}
-	r.mu.RUnlock()
-	sort.Strings(extra)
-	return append(slices.Clone(t.builtins), extra...)
+	return factory, nil
 }
 
 // ---------------------------------------------------------------------
@@ -258,7 +154,7 @@ func (g *sourceGenerator) add(in Injection) {
 
 // registeredTraffic builds the generator for a non-built-in kind.
 func (r *Registry) registeredTraffic(spec TrafficSpec, ports int, cfg packet.Config, seed int64) (*sourceGenerator, error) {
-	factory, err := lookup(r, &r.traffic, spec.Kind)
+	factory, err := r.trafficFactory(spec.Kind)
 	if err != nil {
 		return nil, err
 	}
@@ -267,230 +163,6 @@ func (r *Registry) registeredTraffic(spec TrafficSpec, ports int, cfg packet.Con
 		return nil, err
 	}
 	return newSourceGenerator(src, cfg, ports, seed), nil
-}
-
-// ---------------------------------------------------------------------
-// DPM policies
-// ---------------------------------------------------------------------
-
-// PolicyObservation is the per-slot activity snapshot a pluggable
-// policy decides from. The slices alias the manager's buffers — do not
-// retain them across slots.
-type PolicyObservation = dpm.Observation
-
-// PolicyDecision is what a pluggable policy requests for the upcoming
-// slot; it is zeroed before every Decide call. GatePort aliases the
-// manager's decision buffer.
-type PolicyDecision = dpm.Decision
-
-// Policy is a pluggable power-management policy: the manager's
-// dpm.Policy contract without Name, which registration supplies.
-// Implementations must be deterministic and must not allocate in
-// Decide (it runs on the slot hot path). Two optional methods are
-// forwarded to the manager as a built-in's are: DVFSLevels()
-// []dpm.DVFSLevel names the ladder DVFSLevel indexes (without it, or
-// when it is empty, every level clamps to full speed), and IdleHorizon()
-// uint64 (dpm.HorizonPolicy) lets the manager skip Decide on idle slots
-// and the network kernel put the policy's routers to sleep (without
-// it, Decide runs every slot).
-type Policy interface {
-	Reset(ports int)
-	Decide(obs *PolicyObservation, dec *PolicyDecision)
-}
-
-// namedPolicy gives a registered Policy the name it was registered
-// under and forwards its optional methods.
-type namedPolicy struct {
-	Policy
-	name string
-}
-
-func (p namedPolicy) Name() string { return p.name }
-
-func (p namedPolicy) DVFSLevels() []dpm.DVFSLevel {
-	if l, ok := p.Policy.(interface{ DVFSLevels() []dpm.DVFSLevel }); ok {
-		return l.DVFSLevels()
-	}
-	return nil
-}
-
-func (p namedPolicy) IdleHorizon() uint64 {
-	if h, ok := p.Policy.(dpm.HorizonPolicy); ok {
-		return h.IdleHorizon()
-	}
-	return 0
-}
-
-// dpmPolicy resolves a policy name to the constructor each managed
-// router calls: a dpm built-in, or a policy registered in r.
-func (r *Registry) dpmPolicy(name string) (func() (dpm.Policy, error), error) {
-	if slices.Contains(r.policies.builtins, name) {
-		return func() (dpm.Policy, error) { return dpm.NewPolicy(name) }, nil
-	}
-	factory, err := lookup(r, &r.policies, name)
-	if err != nil {
-		return nil, err
-	}
-	return func() (dpm.Policy, error) { return namedPolicy{Policy: factory(), name: name}, nil }, nil
-}
-
-// ---------------------------------------------------------------------
-// Routing policies
-// ---------------------------------------------------------------------
-
-// NetworkView is the read-only topology picture a pluggable routing
-// policy sees: node count, the host nodes allowed to source and sink
-// traffic, and each node's neighbors in ascending order.
-type NetworkView struct {
-	Nodes     int
-	Hosts     []int
-	Neighbors [][]int
-}
-
-// FlowDemand is one (source, destination, rate) demand to route.
-type FlowDemand struct {
-	Src, Dst int
-	Rate     float64
-}
-
-// RoutingFunc maps every flow to a loop-free node path (src…dst), in
-// flow order. It must be a deterministic pure function of its inputs.
-type RoutingFunc func(v NetworkView, flows []FlowDemand) ([][]int, error)
-
-// routingAdapter bridges a RoutingFunc into the internal policy
-// interface.
-type routingAdapter struct {
-	name string
-	fn   RoutingFunc
-}
-
-func (r routingAdapter) Name() string { return r.name }
-
-// Route implements netsim.RoutingPolicy: it copies the user function's
-// paths into out.
-func (r routingAdapter) Route(t *netsim.Topology, flows []netsim.Flow, out *netsim.Routes) error {
-	v := NetworkView{
-		Nodes:     t.Nodes,
-		Hosts:     append([]int(nil), t.Hosts...),
-		Neighbors: make([][]int, t.Nodes),
-	}
-	for u := 0; u < t.Nodes; u++ {
-		v.Neighbors[u] = append([]int(nil), t.Neighbors(u)...)
-	}
-	demands := make([]FlowDemand, len(flows))
-	for i, f := range flows {
-		demands[i] = FlowDemand{Src: f.Src, Dst: f.Dst, Rate: f.Rate}
-	}
-	paths, err := r.fn(v, demands)
-	if err != nil {
-		return err
-	}
-	if len(paths) != len(flows) {
-		return fmt.Errorf("study: routing %s returned %d paths for %d flows", r.name, len(paths), len(flows))
-	}
-	for k, p := range paths {
-		out.Set(k, p)
-	}
-	return nil
-}
-
-// routingPolicy resolves a routing name: a netsim built-in, or a
-// RoutingFunc registered in r.
-func (r *Registry) routingPolicy(name string) (netsim.RoutingPolicy, error) {
-	if slices.Contains(r.routing.builtins, name) {
-		return netsim.NewRouting(name)
-	}
-	fn, err := lookup(r, &r.routing, name)
-	if err != nil {
-		return nil, err
-	}
-	return routingAdapter{name: name, fn: fn}, nil
-}
-
-// ---------------------------------------------------------------------
-// Topologies
-// ---------------------------------------------------------------------
-
-// Graph is the public description a pluggable topology builder
-// returns: an undirected edge list over Nodes nodes. Ports sizes every
-// router's fabric (0 auto-sizes to the smallest power of two that
-// leaves a host-facing port on the max-degree node); Hosts, when
-// non-nil, restricts which nodes source and sink traffic (every listed
-// node must keep at least one host-facing port).
-type Graph struct {
-	Nodes int
-	Edges [][2]int
-	Ports int
-	Hosts []int
-}
-
-// topology builds a named topology at a size: a netsim built-in, or
-// the Graph of a builder registered in r, wired and checked.
-func (r *Registry) topology(name string, nodes int) (*netsim.Topology, error) {
-	if slices.Contains(r.topologies.builtins, name) {
-		return netsim.BuildTopology(name, nodes)
-	}
-	build, err := lookup(r, &r.topologies, name)
-	if err != nil {
-		return nil, err
-	}
-	g, err := build(nodes)
-	if err != nil {
-		return nil, err
-	}
-	t, err := netsim.NewTopology(name, g.Nodes, g.Edges, g.Ports)
-	if err != nil {
-		return nil, err
-	}
-	if g.Hosts != nil {
-		for _, h := range g.Hosts {
-			if h < 0 || h >= t.Nodes {
-				return nil, fmt.Errorf("study: topology %q host %d out of range", name, h)
-			}
-			if len(t.EdgePorts(h)) == 0 {
-				return nil, fmt.Errorf("study: topology %q host %d has no host-facing port", name, h)
-			}
-		}
-		if len(g.Hosts) < 2 {
-			return nil, fmt.Errorf("study: topology %q needs >= 2 hosts, got %d", name, len(g.Hosts))
-		}
-		t.Hosts = append([]int(nil), g.Hosts...)
-	}
-	return t, nil
-}
-
-// ---------------------------------------------------------------------
-// Traffic matrices
-// ---------------------------------------------------------------------
-
-// MatrixFunc generates the demand rates between a network's host
-// nodes: rates[i][j] is the cells-per-slot demand from host i to host
-// j, the diagonal must be zero, and each row should sum to load (every
-// host sources load cells per slot on average).
-type MatrixFunc func(hosts int, load float64) ([][]float64, error)
-
-// matrixAdapter bridges a MatrixFunc into the internal interface.
-type matrixAdapter struct {
-	name string
-	fn   MatrixFunc
-}
-
-func (m matrixAdapter) Name() string { return m.name }
-func (m matrixAdapter) Rates(hosts int, load float64) ([][]float64, error) {
-	return m.fn(hosts, load)
-}
-
-// matrix resolves a traffic-matrix name: a netsim built-in, or a
-// MatrixFunc registered in r.
-func (r *Registry) matrix(name string) (netsim.TrafficMatrix, error) {
-	if slices.Contains(r.matrices.builtins, name) {
-		return netsim.NewMatrix(name)
-	}
-	fn, err := lookup(r, &r.matrices, name)
-	if err != nil {
-		return nil, err
-	}
-	return matrixAdapter{name: name, fn: fn}, nil
 }
 
 // generator builds the single-router traffic generator: the built-in
@@ -558,7 +230,7 @@ func (r *Registry) networkTraffic(spec TrafficSpec, tr *traffic.Trace) (netsim.T
 		// Validate rejects this earlier; keep the executor honest.
 		return netsim.Traffic{}, fmt.Errorf("study: traffic kind hotspot is single-router only; use network.matrix \"hotspot\"")
 	}
-	factory, err := lookup(r, &r.traffic, spec.Kind)
+	factory, err := r.trafficFactory(spec.Kind)
 	if err != nil {
 		return netsim.Traffic{}, err
 	}

@@ -1,15 +1,11 @@
 package study
 
 import (
-	"reflect"
 	"testing"
 
-	"fabricpower/internal/core"
-	"fabricpower/internal/dpm"
 	"fabricpower/internal/netsim"
 	"fabricpower/internal/packet"
 	"fabricpower/internal/rng"
-	"fabricpower/internal/telemetry/trace"
 )
 
 type emitEverySlot struct{}
@@ -119,69 +115,5 @@ func TestSourceGeneratorNeverAliasesResults(t *testing.T) {
 				t.Fatalf("slot %d cell %d was overwritten by a later Generate", s, i)
 			}
 		}
-	}
-}
-
-// horizonGate is a registered policy with an idle horizon: dpm's
-// IdleGate behind study.Policy. blindGate is its twin without one.
-type horizonGate struct{ *dpm.IdleGate }
-
-type blindGate struct{ g *dpm.IdleGate }
-
-func (b blindGate) Reset(ports int)                                    { b.g.Reset(ports) }
-func (b blindGate) Decide(obs *PolicyObservation, dec *PolicyDecision) { b.g.Decide(obs, dec) }
-
-// TestRegisteredPolicyHorizon: a registered policy's IdleHorizon
-// reaches the manager and the network kernel, which then put its idle
-// routers to sleep and replay them, with a report bit-identical to the
-// twin that runs every idle slot.
-func TestRegisteredPolicyHorizon(t *testing.T) {
-	reg := NewRegistry()
-	if err := reg.RegisterDPMPolicy("test-horizon", func() Policy { return horizonGate{&dpm.IdleGate{}} }); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.RegisterDPMPolicy("test-blind", func() Policy { return blindGate{&dpm.IdleGate{}} }); err != nil {
-		t.Fatal(err)
-	}
-	run := func(name string) (*netsim.Report, uint64) {
-		newPolicy, err := reg.dpmPolicy(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		topo, err := netsim.FatTree2(4, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		model := core.PaperModel()
-		model.Static = core.DefaultStaticPower()
-		net, err := netsim.New(netsim.Config{
-			Topology: topo, Arch: core.Crossbar, Model: model, CellBits: 256, Seed: 3,
-			Policy: name, NewPolicy: newPolicy, Routing: netsim.Consolidate{},
-			Traffic: netsim.Traffic{Kind: "bursty"}, Load: 0.05,
-			Trace: &netsim.TraceConfig{Recorder: trace.NewRecorder(0), Every: 1},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer net.Close()
-		rep, err := net.Run(100, 1000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep, net.ExecProfile().NodeVisits
-	}
-	rep, visits := run("test-horizon")
-	blindRep, blindVisits := run("test-blind")
-	for _, r := range []*netsim.Report{rep, blindRep} {
-		for i := range r.PerNode {
-			r.PerNode[i].DPM.Policy = "" // the registered names differ
-		}
-	}
-	if !reflect.DeepEqual(rep, blindRep) {
-		t.Errorf("the horizon twin's report differs from the per-slot one:\n%+v\n%+v", rep.Result, blindRep.Result)
-	}
-	t.Logf("node visits: %d with a horizon, %d without", visits, blindVisits)
-	if visits >= blindVisits {
-		t.Errorf("node visits with a horizon %d, without %d: want fewer", visits, blindVisits)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,69 +11,38 @@ import (
 	"fabricpower/study"
 )
 
-// registrations registers one extension in each of a registry's six
-// name spaces and lists the names each one then knows.
-var registrations = []struct {
-	space    string
-	register func(r *study.Registry, name string) error
-	names    func(r *study.Registry) []string
-}{
-	{"axis", func(r *study.Registry, name string) error {
-		return r.RegisterAxis(name, func(*study.Scenario, study.Axis, int) error { return nil })
-	}, (*study.Registry).AxisNames},
-	{"traffic", func(r *study.Registry, name string) error {
-		return r.RegisterTraffic(name, constFactory)
-	}, (*study.Registry).TrafficKinds},
-	{"dpm", func(r *study.Registry, name string) error {
-		return r.RegisterDPMPolicy(name, func() study.Policy { return gateAllPolicy{} })
-	}, (*study.Registry).DPMPolicyNames},
-	{"routing", func(r *study.Registry, name string) error {
-		return r.RegisterRouting(name, directRouting)
-	}, (*study.Registry).RoutingNames},
-	{"topology", func(r *study.Registry, name string) error {
-		return r.RegisterTopology(name, triangle)
-	}, (*study.Registry).TopologyNames},
-	{"matrix", func(r *study.Registry, name string) error {
-		return r.RegisterMatrix(name, pairMatrix)
-	}, (*study.Registry).MatrixNames},
+// registerConst registers constFactory under kind in r.
+func registerConst(r *study.Registry, kind string) error {
+	return r.RegisterTraffic(kind, constFactory)
 }
 
-// TestRegistryIsolation: a name registered in one registry is unknown
+// TestRegistryIsolation: a kind registered in one registry is unknown
 // to another — and to Default — and the other can register the same
-// name itself.
+// kind itself.
 func TestRegistryIsolation(t *testing.T) {
 	a, b := study.NewRegistry(), study.NewRegistry()
-	for _, reg := range registrations {
-		if err := reg.register(a, "test-iso"); err != nil {
-			t.Fatalf("%s: %v", reg.space, err)
-		}
-		if !slices.Contains(reg.names(a), "test-iso") {
-			t.Errorf("%s: registering registry does not list test-iso: %v", reg.space, reg.names(a))
-		}
-		if slices.Contains(reg.names(b), "test-iso") || slices.Contains(reg.names(study.Default), "test-iso") {
-			t.Errorf("%s: test-iso leaked out of the registry it was registered in", reg.space)
-		}
-		if err := reg.register(b, "test-iso"); err != nil {
-			t.Errorf("%s: the same name must register in a second registry: %v", reg.space, err)
-		}
+	if err := registerConst(a, "test-iso"); err != nil {
+		t.Fatal(err)
 	}
-
 	sc := study.Scenario{
 		Fabric:  study.FabricSpec{Arch: "crossbar", Ports: 4},
-		Traffic: study.TrafficSpec{Kind: "test-iso-run"},
+		Traffic: study.TrafficSpec{Kind: "test-iso"},
 		Sim:     quickSim(),
-	}
-	if err := a.RegisterTraffic("test-iso-run", constFactory); err != nil {
-		t.Fatal(err)
 	}
 	if _, err := runIn(a, sc); err != nil {
 		t.Fatal(err)
 	}
 	for name, reg := range map[string]*study.Registry{"second": b, "default": nil} {
 		_, err := runIn(reg, sc)
-		if err == nil || !strings.Contains(err.Error(), `unknown traffic kind "test-iso-run"`) {
+		if err == nil || !strings.Contains(err.Error(), `unknown traffic kind "test-iso"`) {
 			t.Errorf("%s registry ran a kind registered elsewhere: %v", name, err)
 		}
+	}
+	if err := registerConst(b, "test-iso"); err != nil {
+		t.Errorf("the same kind must register in a second registry: %v", err)
+	}
+	if _, err := runIn(b, sc); err != nil {
+		t.Errorf("second registry cannot run its own registration: %v", err)
 	}
 }
 
@@ -84,10 +52,8 @@ func TestRegistryIsolation(t *testing.T) {
 func TestRegistryConcurrentRegisterAndRun(t *testing.T) {
 	setup := func() *study.Registry {
 		reg := study.NewRegistry()
-		for _, r := range registrations {
-			if err := r.register(reg, "test-conc"); err != nil {
-				t.Fatalf("%s: %v", r.space, err)
-			}
+		if err := registerConst(reg, "test-conc"); err != nil {
+			t.Fatal(err)
 		}
 		return reg
 	}
@@ -96,12 +62,11 @@ func TestRegistryConcurrentRegisterAndRun(t *testing.T) {
 			Model:   study.ModelSpec{Static: true},
 			Traffic: study.TrafficSpec{Kind: "test-conc"},
 			Sim:     quickSim(),
-			Network: &study.NetworkSpec{Topology: "test-conc", Nodes: 3, Routing: "test-conc", Matrix: "test-conc"},
+			Network: &study.NetworkSpec{Topology: "ring", Nodes: 3},
 		},
 		Axes: []study.Axis{
-			{Name: "dpm", Strings: []string{"idlegate", "test-conc"}},
+			{Name: "dpm", Strings: []string{"idlegate", "composite"}},
 			{Name: "load", Floats: []float64{0.1, 0.3}},
-			{Name: "test-conc", Ints: []int{0}},
 		},
 	}
 	want, err := g.Run(context.Background(), study.RunOptions{Workers: 1, Registry: setup()})
@@ -121,12 +86,10 @@ func TestRegistryConcurrentRegisterAndRun(t *testing.T) {
 				return
 			default:
 			}
-			r := registrations[i%len(registrations)]
-			if err := r.register(reg, fmt.Sprintf("test-extra-%d", i)); err != nil {
-				t.Errorf("%s: %v", r.space, err)
+			if err := registerConst(reg, fmt.Sprintf("test-extra-%d", i)); err != nil {
+				t.Error(err)
 				return
 			}
-			r.names(reg)
 		}
 	}()
 	got, err := g.Run(context.Background(), study.RunOptions{Workers: 2, Registry: reg})

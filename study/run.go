@@ -53,9 +53,9 @@ type (
 // execution matches the experiment runners exactly: the traffic stream
 // is derived from (Sim.Seed, coordinates), so two scenarios that
 // describe the same operating point measure identical results —
-// regardless of which subcommand, grid or test constructed them. Names
-// resolve against Default; a Grid run with RunOptions.Registry resolves
-// against another registry.
+// regardless of which subcommand, grid or test constructed them.
+// Registered traffic kinds resolve against Default; a Grid run with
+// RunOptions.Registry resolves them against another registry.
 func RunScenario(sc Scenario) (Result, error) {
 	return runScenario(Default, sc, nil, nil, nil)
 }
@@ -134,11 +134,7 @@ func runSingle(reg *Registry, sd Scenario, model core.Model, topt *TelemetryOpti
 	cellCfg := packet.Config{CellBits: sd.Fabric.CellBits, BusWidth: model.Tech.BusWidth}
 	var mgr *dpm.Manager
 	if sd.DPM != "" {
-		newPolicy, err := reg.dpmPolicy(sd.DPM)
-		if err != nil {
-			return Result{}, err
-		}
-		pol, err := newPolicy()
+		pol, err := dpm.NewPolicy(sd.DPM)
 		if err != nil {
 			return Result{}, err
 		}
@@ -258,23 +254,17 @@ func runNetwork(reg *Registry, sd Scenario, model core.Model, topt *TelemetryOpt
 		return Result{}, err
 	}
 	ns := sd.Network
-	t, err := reg.topology(ns.Topology, ns.Nodes)
+	t, err := netsim.BuildTopology(ns.Topology, ns.Nodes)
 	if err != nil {
 		return Result{}, err
 	}
-	rt, err := reg.routingPolicy(ns.Routing)
+	rt, err := netsim.NewRouting(ns.Routing)
 	if err != nil {
 		return Result{}, err
 	}
-	m, err := reg.matrix(ns.Matrix)
+	m, err := netsim.NewMatrix(ns.Matrix)
 	if err != nil {
 		return Result{}, err
-	}
-	var newPolicy func() (dpm.Policy, error)
-	if sd.DPM != "" {
-		if newPolicy, err = reg.dpmPolicy(sd.DPM); err != nil {
-			return Result{}, err
-		}
 	}
 	var tr *traffic.Trace
 	if sd.Traffic.Kind == "trace" {
@@ -295,7 +285,6 @@ func runNetwork(reg *Registry, sd Scenario, model core.Model, topt *TelemetryOpt
 		MaxQueueCells:  ns.MaxQueueCells,
 		LinkQueueCells: ns.LinkQueueCells,
 		Policy:         sd.DPM,
-		NewPolicy:      newPolicy,
 		Routing:        rt,
 		Matrix:         m,
 		Load:           sd.Traffic.Load,
@@ -374,8 +363,8 @@ type TelemetryOptions struct {
 
 // RunOptions tunes a grid run.
 type RunOptions struct {
-	// Registry resolves the grid's axis, traffic, policy, routing,
-	// topology and matrix names (nil means Default).
+	// Registry resolves the grid's registered traffic kinds (nil means
+	// Default).
 	Registry *Registry
 	// Workers bounds the sweep parallelism (0 = one per core, 1 =
 	// sequential). Results are bit-identical for any worker count.
@@ -465,7 +454,7 @@ func (g Grid) Run(ctx context.Context, opt RunOptions) (*GridResult, error) {
 	if reg == nil {
 		reg = Default
 	}
-	scenarios, err := g.enumerate(reg)
+	scenarios, err := g.Enumerate()
 	if err != nil {
 		return nil, err
 	}
@@ -484,7 +473,7 @@ func (g Grid) Run(ctx context.Context, opt RunOptions) (*GridResult, error) {
 		topt = opt.Telemetry
 		telw = telemetry.NewWriter(topt.Out)
 	}
-	results, done, err := sweep.MapCtxWT(ctx, opt.Workers, scenarios, func(worker, i int, sc Scenario) (Result, error) {
+	results, done, err := sweep.Map(ctx, opt.Workers, scenarios, func(worker, i int, sc Scenario) (Result, error) {
 		if opt.OnEvent != nil {
 			mu.Lock()
 			opt.OnEvent(Event{

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"fabricpower/internal/dpm"
 	"fabricpower/study"
 )
 
@@ -302,6 +301,12 @@ func TestRegisterTraffic(t *testing.T) {
 	if err := reg.RegisterTraffic("test-const", constFactory); err == nil {
 		t.Fatal("duplicate kind must be rejected")
 	}
+	if err := reg.RegisterTraffic("test-nil", nil); err == nil {
+		t.Fatal("nil factory must be rejected")
+	}
+	if err := reg.RegisterTraffic("", constFactory); err == nil {
+		t.Fatal("empty kind must be rejected")
+	}
 	sc := study.Scenario{
 		Fabric:  study.FabricSpec{Arch: "crossbar", Ports: 4},
 		Traffic: study.TrafficSpec{Kind: "test-const"},
@@ -379,142 +384,6 @@ func TestWriteResultRecords(t *testing.T) {
 		if rec.Result.Power.TotalMW() != gr.Points[i].Result.Power.TotalMW() {
 			t.Errorf("record %d power diverges from the grid point", i)
 		}
-	}
-}
-
-// gateAllPolicy gates every port unconditionally — a degenerate but
-// observable pluggable policy.
-type gateAllPolicy struct{}
-
-func (gateAllPolicy) Reset(int) {}
-func (gateAllPolicy) Decide(obs *study.PolicyObservation, dec *study.PolicyDecision) {
-	for p := range dec.GatePort {
-		dec.GatePort[p] = true
-	}
-}
-
-// TestRegisterDPMPolicy: an externally registered policy drives a
-// managed scenario by name, and its gating is visible in the ledger.
-func TestRegisterDPMPolicy(t *testing.T) {
-	reg := study.NewRegistry()
-	if err := reg.RegisterDPMPolicy("test-gateall", func() study.Policy { return gateAllPolicy{} }); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.RegisterDPMPolicy("alwayson", func() study.Policy { return gateAllPolicy{} }); err == nil {
-		t.Fatal("built-in policy name must be rejected")
-	}
-	sc := study.Scenario{
-		Model:   study.ModelSpec{Static: true},
-		Fabric:  study.FabricSpec{Arch: "crossbar", Ports: 4},
-		Traffic: study.TrafficSpec{Load: 0.3},
-		DPM:     "test-gateall",
-		Sim:     quickSim(),
-	}
-	r, err := runIn(reg, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.DPM == nil || r.DPM.GatedPortSlots == 0 {
-		t.Fatalf("gate-all policy should gate port-slots: %+v", r.DPM)
-	}
-	// Everything gated from slot 0: nothing can traverse the fabric.
-	if r.Throughput != 0 {
-		t.Fatalf("gate-all throughput = %g, want 0", r.Throughput)
-	}
-}
-
-// halfSpeedPolicy alternates between the two rungs of its own DVFS
-// ladder every 50 slots.
-type halfSpeedPolicy struct{}
-
-func (halfSpeedPolicy) Reset(int) {}
-func (halfSpeedPolicy) Decide(obs *study.PolicyObservation, dec *study.PolicyDecision) {
-	dec.DVFSLevel = int(obs.Slot/50) % 2
-}
-func (halfSpeedPolicy) DVFSLevels() []dpm.DVFSLevel {
-	return []dpm.DVFSLevel{{Name: "full", Speed: 1, VScale: 1}, {Name: "half", Speed: 0.5, VScale: 0.7}}
-}
-
-// TestRegisteredPolicyDVFSLadder: a registered policy's DVFSLevels
-// reaches the manager, so the level it asks for is not clamped to full
-// speed.
-func TestRegisteredPolicyDVFSLadder(t *testing.T) {
-	reg := study.NewRegistry()
-	if err := reg.RegisterDPMPolicy("test-half", func() study.Policy { return halfSpeedPolicy{} }); err != nil {
-		t.Fatal(err)
-	}
-	r, err := runIn(reg, study.Scenario{
-		Model:   study.ModelSpec{Static: true},
-		Fabric:  study.FabricSpec{Arch: "crossbar", Ports: 4},
-		Traffic: study.TrafficSpec{Load: 0.3},
-		DPM:     "test-half",
-		Sim:     quickSim(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.DPM == nil || r.DPM.DVFSShifts == 0 || r.DPM.StalledSlots == 0 {
-		t.Fatalf("a two-level ladder policy alternating its levels should shift and throttle: %+v", r.DPM)
-	}
-}
-
-// triangle builds a 3-node triangle whatever the node count.
-func triangle(nodes int) (study.Graph, error) {
-	return study.Graph{Nodes: 3, Edges: [][2]int{{0, 1}, {1, 2}, {0, 2}}}, nil
-}
-
-// directRouting routes every flow over its direct link (on a triangle
-// every pair is adjacent).
-func directRouting(v study.NetworkView, flows []study.FlowDemand) ([][]int, error) {
-	paths := make([][]int, len(flows))
-	for i, f := range flows {
-		paths[i] = []int{f.Src, f.Dst}
-	}
-	return paths, nil
-}
-
-// pairMatrix sends all demand from host 0 to host 1.
-func pairMatrix(hosts int, load float64) ([][]float64, error) {
-	r := make([][]float64, hosts)
-	for i := range r {
-		r[i] = make([]float64, hosts)
-	}
-	r[0][1] = load
-	return r, nil
-}
-
-// TestRegisterNetworkExtensions: topology, routing and matrix plug-ins
-// compose into a runnable network scenario.
-func TestRegisterNetworkExtensions(t *testing.T) {
-	reg := study.NewRegistry()
-	if err := reg.RegisterTopology("test-triangle", triangle); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.RegisterRouting("test-direct", directRouting); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.RegisterMatrix("test-pair", pairMatrix); err != nil {
-		t.Fatal(err)
-	}
-	sc := study.Scenario{
-		Traffic: study.TrafficSpec{Load: 0.3},
-		Sim:     quickSim(),
-		Network: &study.NetworkSpec{
-			Topology: "test-triangle",
-			Nodes:    3,
-			Routing:  "test-direct",
-			Matrix:   "test-pair",
-		},
-	}
-	r, err := runIn(reg, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Net == nil || r.Net.DeliveredCells == 0 {
-		t.Fatalf("plug-in network should deliver: %+v", r.Net)
-	}
-	if r.Net.AvgHops != 1 {
-		t.Fatalf("direct triangle routing should average 1 hop, got %g", r.Net.AvgHops)
 	}
 }
 

@@ -6,9 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"fabricpower/internal/core"
+	"fabricpower/internal/dpm"
+	"fabricpower/internal/netsim"
 )
 
 // Scenario fully describes one operating point as data: model, fabric,
@@ -73,8 +76,8 @@ const maxCellBits = 1 << 16
 type TrafficSpec struct {
 	// Kind names the traffic generator: "uniform" (default), "bursty",
 	// "packet" (variable-size packets segmented into cell trains),
-	// "hotspot" (single-router only), "trace", or a Registry.RegisterTraffic
-	// extension.
+	// "hotspot" (single-router only), "trace", or a kind registered with
+	// Registry.RegisterTraffic.
 	Kind string `json:"kind,omitempty"`
 	// Load is the per-port injection probability per slot in [0,1].
 	Load float64 `json:"load,omitempty"`
@@ -106,17 +109,16 @@ type SimSpec struct {
 
 // NetworkSpec lifts a scenario to a network of routers.
 type NetworkSpec struct {
-	// Topology names the builder: "chain", "ring", "star", "fattree",
-	// or a Registry.RegisterTopology extension (default "fattree").
+	// Topology names the builder: "chain", "ring", "star" or "fattree"
+	// (default "fattree").
 	Topology string `json:"topology,omitempty"`
 	// Nodes sizes the topology (default 4; for "fattree" it counts the
 	// leaves).
 	Nodes int `json:"nodes,omitempty"`
-	// Routing names the policy: "shortest" (default), "consolidate",
-	// or a Registry.RegisterRouting extension.
+	// Routing names the policy: "shortest" (default) or "consolidate".
 	Routing string `json:"routing,omitempty"`
-	// Matrix names the demand shape: "uniform" (default), "gravity",
-	// "hotspot", or a Registry.RegisterMatrix extension.
+	// Matrix names the demand shape: "uniform" (default), "gravity" or
+	// "hotspot".
 	Matrix string `json:"matrix,omitempty"`
 	// MaxQueueCells caps each ingress queue (default 64);
 	// LinkQueueCells caps each inter-router link queue (default 32).
@@ -282,10 +284,12 @@ func (s Scenario) withDefaults() Scenario {
 	return s
 }
 
-// Validate reports the first inconsistency in the scenario's
-// structural fields. The names of traffic kinds, policies, routing,
-// topologies and matrices are resolved when the scenario runs, against
-// the run's Registry (RunOptions.Registry, or Default).
+// Validate reports the first inconsistency in the scenario: its
+// structural fields, and the DPM policy, topology, routing and matrix
+// names, which must be built-ins (an empty name means the default).
+// Traffic kinds resolve when the scenario runs, against the run's
+// Registry (RunOptions.Registry, or Default), since a program can
+// register its own.
 func (s Scenario) Validate() error {
 	sd := s.withDefaults()
 	if _, err := core.ParseArchitecture(sd.Fabric.Arch); err != nil {
@@ -306,12 +310,27 @@ func (s Scenario) Validate() error {
 	if sd.Fabric.CellBits > maxCellBits {
 		return fmt.Errorf("study: fabric.cellBits %d exceeds the limit of %d bits", sd.Fabric.CellBits, maxCellBits)
 	}
+	if sd.DPM != "" && !slices.Contains(dpm.PolicyNames(), sd.DPM) {
+		return fmt.Errorf("study: unknown DPM policy %q (want one of %v)", sd.DPM, dpm.PolicyNames())
+	}
 	if s.Network != nil {
 		if s.Fabric.Ports != 0 {
 			return fmt.Errorf("study: network scenarios size router ports from the topology; leave fabric.ports zero (got %d)", s.Fabric.Ports)
 		}
 		if sd.Network.Nodes < 2 {
 			return fmt.Errorf("study: network needs >= 2 nodes, got %d", sd.Network.Nodes)
+		}
+		for _, n := range []struct {
+			what, name string
+			known      []string
+		}{
+			{"topology", sd.Network.Topology, netsim.TopologyNames()},
+			{"routing policy", sd.Network.Routing, netsim.RoutingNames()},
+			{"traffic matrix", sd.Network.Matrix, netsim.MatrixNames()},
+		} {
+			if !slices.Contains(n.known, n.name) {
+				return fmt.Errorf("study: network: unknown %s %q (want one of %v)", n.what, n.name, n.known)
+			}
 		}
 		if sd.Traffic.Kind == "hotspot" {
 			return fmt.Errorf("study: traffic kind hotspot is a single-router destination pattern; network scenarios shape demand with network.matrix: \"hotspot\"")
@@ -338,7 +357,7 @@ func (s Scenario) Validate() error {
 	return s.Model.validate()
 }
 
-// Axis is one swept dimension of a Grid: a registered axis name and the
+// Axis is one swept dimension of a Grid: a built-in axis name and the
 // values it takes, in exactly one of the three typed lists.
 type Axis struct {
 	Name    string    `json:"name"`
@@ -376,12 +395,11 @@ func (a Axis) validate() error {
 	return nil
 }
 
-// AxisApplier writes value i of axis a into the scenario. Appliers for
-// new axis names are added with Registry.RegisterAxis.
-type AxisApplier func(sc *Scenario, a Axis, i int) error
+// axisApplier writes value i of axis a into the scenario.
+type axisApplier func(sc *Scenario, a Axis, i int) error
 
-// builtinAxes holds the appliers every Registry knows.
-var builtinAxes = map[string]AxisApplier{
+// builtinAxes holds the sweepable axes.
+var builtinAxes = map[string]axisApplier{
 	"ports": intAxis(func(sc *Scenario, v int) { sc.Fabric.Ports = v }),
 	"nodes": intAxis(func(sc *Scenario, v int) {
 		ensureNetwork(sc).Nodes = v
@@ -410,6 +428,16 @@ var builtinAxes = map[string]AxisApplier{
 	}),
 }
 
+// axisNames lists the sweepable axes, sorted.
+func axisNames() []string {
+	names := make([]string, 0, len(builtinAxes))
+	for name := range builtinAxes {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
+}
+
 func ensureNetwork(sc *Scenario) *NetworkSpec {
 	if sc.Network == nil {
 		sc.Network = &NetworkSpec{}
@@ -425,7 +453,7 @@ func ensureFailures(sc *Scenario) *FailureSpec {
 	return n.Failures
 }
 
-func intAxis(set func(*Scenario, int)) AxisApplier {
+func intAxis(set func(*Scenario, int)) axisApplier {
 	return func(sc *Scenario, a Axis, i int) error {
 		if a.Ints == nil {
 			return fmt.Errorf("study: axis %q takes ints", a.Name)
@@ -435,7 +463,7 @@ func intAxis(set func(*Scenario, int)) AxisApplier {
 	}
 }
 
-func floatAxis(set func(*Scenario, float64)) AxisApplier {
+func floatAxis(set func(*Scenario, float64)) axisApplier {
 	return func(sc *Scenario, a Axis, i int) error {
 		if a.Floats == nil {
 			return fmt.Errorf("study: axis %q takes floats", a.Name)
@@ -445,7 +473,7 @@ func floatAxis(set func(*Scenario, float64)) AxisApplier {
 	}
 }
 
-func stringAxis(set func(*Scenario, string)) AxisApplier {
+func stringAxis(set func(*Scenario, string)) axisApplier {
 	return func(sc *Scenario, a Axis, i int) error {
 		if a.Strings == nil {
 			return fmt.Errorf("study: axis %q takes strings", a.Name)
@@ -453,14 +481,6 @@ func stringAxis(set func(*Scenario, string)) AxisApplier {
 		set(sc, a.Strings[i])
 		return nil
 	}
-}
-
-// applier resolves an axis name: a built-in, or one registered in r.
-func (r *Registry) applier(name string) (AxisApplier, error) {
-	if apply, ok := builtinAxes[name]; ok {
-		return apply, nil
-	}
-	return lookup(r, &r.axes, name)
 }
 
 // Grid is a base scenario plus the axes swept over it. The first axis
@@ -472,22 +492,18 @@ type Grid struct {
 	Axes []Axis   `json:"axes,omitempty"`
 }
 
-// Enumerate expands the grid into its scenarios in sweep order,
-// resolving axis names against Default. Infeasible single-router
-// points — a Batcher-Banyan below 4 ports — are dropped, mirroring the
-// experiment runners' grid filtering.
-func (g Grid) Enumerate() ([]Scenario, error) { return g.enumerate(Default) }
-
-// enumerate is Enumerate against the registry r.
-func (g Grid) enumerate(r *Registry) ([]Scenario, error) {
-	appliers := make([]AxisApplier, len(g.Axes))
+// Enumerate expands the grid into its scenarios in sweep order.
+// Infeasible single-router points — a Batcher-Banyan below 4 ports —
+// are dropped, mirroring the experiment runners' grid filtering.
+func (g Grid) Enumerate() ([]Scenario, error) {
+	appliers := make([]axisApplier, len(g.Axes))
 	for i, a := range g.Axes {
 		if err := a.validate(); err != nil {
 			return nil, err
 		}
-		apply, err := r.applier(a.Name)
-		if err != nil {
-			return nil, err
+		apply, ok := builtinAxes[a.Name]
+		if !ok {
+			return nil, fmt.Errorf("study: unknown axis %q (want one of %v)", a.Name, axisNames())
 		}
 		appliers[i] = apply
 	}

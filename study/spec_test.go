@@ -194,6 +194,10 @@ func TestDecodeValidates(t *testing.T) {
 		`{"base": {"traffic": {"load": 1.5}}}`,
 		`{"base": {"fabric": {"ports": 8}, "network": {"topology": "ring", "nodes": 4}}}`,
 		`{"base": {"traffic": {"kind": "hotspot"}, "network": {"topology": "ring", "nodes": 4}}}`,
+		`{"base": {"dpm": "nosuch"}}`,
+		`{"base": {"network": {"topology": "nosuch"}}}`,
+		`{"base": {"network": {"routing": "nosuch"}}}`,
+		`{"base": {"network": {"matrix": "nosuch"}}}`,
 	}
 	for _, c := range cases {
 		if _, err := study.DecodeSpec(strings.NewReader(c)); err == nil {
@@ -311,32 +315,6 @@ func TestUnknownAxisRejected(t *testing.T) {
 	g = study.Grid{Axes: []study.Axis{{Name: "load", Ints: []int{1}}}}
 	if _, err := g.Enumerate(); err == nil {
 		t.Fatal("wrong value type should fail")
-	}
-}
-
-// TestRegisterAxis: a registered axis becomes sweepable.
-func TestRegisterAxis(t *testing.T) {
-	reg := study.NewRegistry()
-	if err := reg.RegisterAxis("testaxis-burst", func(sc *study.Scenario, a study.Axis, i int) error {
-		sc.Traffic.MeanBurstSlots = a.Floats[i]
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.RegisterAxis("testaxis-burst", nil); err == nil {
-		t.Fatal("nil applier should fail")
-	}
-	g := study.Grid{
-		Base: study.Scenario{Fabric: study.FabricSpec{Ports: 4}, Sim: quickSim()},
-		Axes: []study.Axis{{Name: "testaxis-burst", Floats: []float64{5, 20}}},
-	}
-	gr, err := g.Run(context.Background(), study.RunOptions{Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scs := gr.Points
-	if len(scs) != 2 || scs[0].Scenario.Traffic.MeanBurstSlots != 5 || scs[1].Scenario.Traffic.MeanBurstSlots != 20 {
-		t.Fatalf("registered axis not applied: %+v", scs)
 	}
 }
 
