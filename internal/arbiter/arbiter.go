@@ -39,39 +39,37 @@ type Arbiter interface {
 }
 
 // FCFSRR is the paper's first-come-first-served arbiter with round-robin
-// tie-breaking. The zero value is ready to use.
+// tie-breaking, built for a port count by NewFCFSRR.
 type FCFSRR struct {
 	rr int
 	// Per-call scratch, reused so granting is allocation-free: best maps
-	// dest -> winning request index, valid when mark holds the current
-	// epoch. Grants are emitted in request order, never map order, so a
-	// simulation replays bit-identically.
-	epoch  uint64
+	// each requested dest to its winning request index (−1 until the
+	// first request for it is seen). Grants are emitted in request
+	// order, never map order, so a simulation replays bit-identically.
 	best   []int
-	mark   []uint64
 	grants []int
 }
 
-// NewFCFSRR returns the paper's arbiter.
-func NewFCFSRR() *FCFSRR { return &FCFSRR{} }
+// NewFCFSRR returns the paper's arbiter for an n-port switch, its
+// scratch sized so granting never allocates.
+func NewFCFSRR(ports int) *FCFSRR {
+	ints := make([]int, 2*ports)
+	return &FCFSRR{best: ints[:ports:ports], grants: ints[ports:ports]}
+}
 
 // Grant implements Arbiter: for every destination, the oldest request
 // wins; equal arrivals are broken by round-robin distance from the
 // rotating pointer. Each ingress port sends at most one request per slot
 // by construction of the router, so per-port uniqueness is inherited.
-// Grants are returned in ascending request order; the returned slice is
-// reused by the next Grant call.
+// Every Dest must be below the arbiter's port count. Grants are
+// returned in ascending request order; the returned slice is reused by
+// the next Grant call.
 func (a *FCFSRR) Grant(reqs []Request, slot uint64) []int {
-	a.epoch++
 	for _, r := range reqs {
-		if r.Dest >= len(a.best) {
-			a.best = append(a.best, make([]int, r.Dest+1-len(a.best))...)
-			a.mark = append(a.mark, make([]uint64, r.Dest+1-len(a.mark))...)
-		}
+		a.best[r.Dest] = -1
 	}
 	for i, r := range reqs {
-		if a.mark[r.Dest] != a.epoch {
-			a.mark[r.Dest] = a.epoch
+		if a.best[r.Dest] < 0 {
 			a.best[r.Dest] = i
 			continue
 		}
@@ -92,14 +90,12 @@ func (a *FCFSRR) Grant(reqs []Request, slot uint64) []int {
 	return a.grants
 }
 
-// IdleTicks advances the per-slot state Grant advances — the scratch
-// epoch and the round-robin pointer — over k slots without granting
-// anything. It leaves the arbiter in exactly the state k calls of
+// IdleTicks advances the per-slot state Grant advances — the
+// round-robin pointer — over k slots without granting anything. It leaves the arbiter in exactly the state k calls of
 // Grant(nil, slot) would: an idle slot still rotates the tie-break
 // pointer, so a simulator that skips arbitration on provably empty
 // slots replays future tie-breaks bit-identically.
 func (a *FCFSRR) IdleTicks(k uint64) {
-	a.epoch += k
 	a.rr += int(k)
 }
 
@@ -146,18 +142,20 @@ func NewISLIP(ports, iterations int) (*ISLIP, error) {
 	if iterations < 1 {
 		return nil, fmt.Errorf("arbiter: iterations must be >= 1, got %d", iterations)
 	}
-	w := Words(ports)
+	n, w := ports, Words(ports)
+	ints := make([]int, 3*n)
+	bits := make([]uint64, (3+n)*w)
 	return &ISLIP{
-		ports:      ports,
+		ports:      n,
 		words:      w,
 		iterations: iterations,
-		grantPtr:   make([]int, ports),
-		acceptPtr:  make([]int, ports),
-		matchIn:    make([]int, ports),
-		free:       make([]uint64, w),
-		outs:       make([]uint64, w),
-		granted:    make([]uint64, ports*w),
-		grantee:    make([]uint64, w),
+		grantPtr:   ints[:n:n],
+		acceptPtr:  ints[n : 2*n : 2*n],
+		matchIn:    ints[2*n:],
+		free:       bits[:w:w],
+		outs:       bits[w : 2*w : 2*w],
+		grantee:    bits[2*w : 3*w : 3*w],
+		granted:    bits[3*w:],
 	}, nil
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 func TestFCFSRRGrantsOnePerDest(t *testing.T) {
-	a := NewFCFSRR()
+	a := NewFCFSRR(8)
 	reqs := []Request{
 		{Port: 0, Dest: 3, Arrival: 10},
 		{Port: 1, Dest: 3, Arrival: 5},
@@ -35,7 +35,7 @@ func TestFCFSRRTieBreakRotates(t *testing.T) {
 	// Two requests with identical arrivals: the winner should not always
 	// be the same port across slots.
 	wins := map[int]int{}
-	a := NewFCFSRR()
+	a := NewFCFSRR(2)
 	for slot := uint64(0); slot < 10; slot++ {
 		reqs := []Request{
 			{Port: 0, Dest: 1, Arrival: slot},
@@ -53,7 +53,7 @@ func TestFCFSRRTieBreakRotates(t *testing.T) {
 }
 
 func TestFCFSRREmpty(t *testing.T) {
-	a := NewFCFSRR()
+	a := NewFCFSRR(4)
 	if g := a.Grant(nil, 0); len(g) != 0 {
 		t.Fatal("no requests, no grants")
 	}
@@ -64,13 +64,13 @@ func TestFCFSRREmpty(t *testing.T) {
 // stretch replays every later tie-break.
 func TestFCFSRRIdleTicksMatchesEmptyGrants(t *testing.T) {
 	for _, k := range []uint64{0, 1, 5, 70000} {
-		ticked, granted := NewFCFSRR(), NewFCFSRR()
+		ticked, granted := NewFCFSRR(3), NewFCFSRR(3)
 		ticked.IdleTicks(k)
 		for i := uint64(0); i < k; i++ {
 			granted.Grant(nil, i)
 		}
-		if ticked.epoch != granted.epoch || ticked.rr != granted.rr {
-			t.Fatalf("k=%d: IdleTicks left epoch %d rr %d, empty grants %d %d", k, ticked.epoch, ticked.rr, granted.epoch, granted.rr)
+		if ticked.rr != granted.rr {
+			t.Fatalf("k=%d: IdleTicks left rr %d, empty grants %d", k, ticked.rr, granted.rr)
 		}
 		reqs := []Request{{Port: 0, Dest: 1}, {Port: 1, Dest: 1}, {Port: 2, Dest: 1}}
 		if a, b := ticked.Grant(reqs, k), granted.Grant(reqs, k); a[0] != b[0] {
@@ -84,7 +84,7 @@ func TestFCFSRRIdleTicksMatchesEmptyGrants(t *testing.T) {
 func TestFCFSRRProperty(t *testing.T) {
 	f := func(seed int64, nQ uint8) bool {
 		n := int(nQ%16) + 1
-		a := NewFCFSRR()
+		a := NewFCFSRR(16)
 		reqs := make([]Request, n)
 		for i := range reqs {
 			reqs[i] = Request{

@@ -178,6 +178,10 @@ type Manager struct {
 	steadyEnd uint64
 }
 
+// fullSpeedOnly is the ladder of a policy without DVFS levels. The
+// manager only reads it.
+var fullSpeedOnly = []DVFSLevel{{Name: "full", Speed: 1, VScale: 1}}
+
 // New builds a manager. The model's static parameters may be zero, in
 // which case every ledger stays at zero and an AlwaysOn manager is
 // observationally identical to running without one.
@@ -199,16 +203,20 @@ func New(cfg Config) (*Manager, error) {
 		return nil, err
 	}
 	s := cfg.Model.Static
-	n := cfg.Ports
+	n, w := cfg.Ports, (cfg.Ports+63)/64
+	// The per-port vectors come from one slab per element type.
+	ints := make([]int, 3*n)
+	masks := make([]uint64, 2*w)
+	flags := make([]bool, 2*n)
 	m := &Manager{
 		cfg:            cfg,
 		static:         s,
 		inv:            inv,
 		slotNS:         cfg.Model.Tech.CellTimeNS(cfg.CellBits),
-		portState:      make([]int, n),
-		wakeCnt:        make([]int, n),
-		open:           make([]uint64, (n+63)/64),
-		closed:         make([]uint64, (n+63)/64),
+		portState:      ints[:n:n],
+		wakeCnt:        ints[n : 2*n : 2*n],
+		open:           masks[:w:w],
+		closed:         masks[w:],
 		portIdleMW:     (float64(inv.SwitchNodes)*s.SwitchIdleMW + float64(inv.WireDrivers)*s.WireIdleMW) / float64(n),
 		portComponents: float64(inv.SwitchNodes+inv.WireDrivers) / float64(n),
 		bufMW:          float64(inv.BufferBanks) * float64(inv.BufferBitsPerBank) / 1024 * s.BufferIdleMWPerKbit,
@@ -221,27 +229,30 @@ func New(cfg Config) (*Manager, error) {
 	cfg.Policy.Reset(n)
 	m.obs = Observation{
 		Ports:      n,
-		QueueLen:   make([]int, n),
-		PortActive: make([]bool, n),
+		QueueLen:   ints[2*n:],
+		PortActive: flags[:n:n],
 	}
-	m.dec = Decision{GatePort: make([]bool, n)}
+	m.dec = Decision{GatePort: flags[n:]}
 
-	m.levels = []DVFSLevel{{Name: "full", Speed: 1, VScale: 1}}
-	if p, ok := cfg.Policy.(interface{ DVFSLevels() []DVFSLevel }); ok && len(p.DVFSLevels()) > 0 {
-		m.levels = p.DVFSLevels()
+	m.levels = fullSpeedOnly
+	if p, ok := cfg.Policy.(interface{ DVFSLevels() []DVFSLevel }); ok {
+		if lv := p.DVFSLevels(); len(lv) > 0 {
+			m.levels = lv
+		}
 	}
-	base := cfg.Model.Tech
+	k := len(m.levels)
+	scale := make([]float64, 2*k)
+	m.staticScale, m.dynScale = scale[:k:k], scale[k:]
+	vdd := cfg.Model.Tech.VDD
 	for i, lv := range m.levels {
 		if lv.Speed <= 0 || lv.Speed > 1 || lv.VScale <= 0 || lv.VScale > 1 {
 			return nil, fmt.Errorf("dpm: level %d: speed and vscale must be in (0,1], got %+v", i, lv)
 		}
-		scaled, err := base.Scaled(1, lv.VScale)
-		if err != nil {
-			return nil, err
-		}
-		v := scaled.VDD / base.VDD
-		m.staticScale = append(m.staticScale, v) // leakage ∝ V (first order)
-		m.dynScale = append(m.dynScale, v*v)     // switching energy ∝ V²
+		// The level's supply relative to the base technology's, in the
+		// float operations tech.Params.Scaled performs.
+		v := vdd * lv.VScale / vdd
+		m.staticScale[i] = v  // leakage ∝ V (first order)
+		m.dynScale[i] = v * v // switching energy ∝ V²
 	}
 	m.rep.Policy = cfg.Policy.Name()
 	return m, nil

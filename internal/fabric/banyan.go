@@ -43,8 +43,9 @@ type banyan struct {
 	occ [][]uint64
 	// bank[s] holds the word state of the N output lines of stage s,
 	// each 4·2ˢ grids long (thompson.BanyanWires).
-	bank []*wireBank
-	// delivered is reused across Step calls (see Fabric.Step).
+	bank []wireBank
+	// delivered is reused across Step calls (see Fabric.Step); the last
+	// stage delivers at most one cell per port, so it never grows.
 	delivered []*packet.Cell
 
 	bufferCap     int
@@ -91,25 +92,33 @@ func newBanyan(cfg Config) (*banyan, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Each kind of per-stage storage is one slab, carved into rows that
+	// cannot grow into their neighbours.
+	n, half, words, bufCap := cfg.Ports, cfg.Ports/2, (cfg.Ports/2+63)/64, cfg.bufferCells()
 	b := &banyan{
 		cfg:       cfg,
 		dim:       dim,
 		latch:     make([][]*packet.Cell, dim),
 		buf:       make([][]bufRing, dim),
 		occ:       make([][]uint64, dim),
-		bank:      make([]*wireBank, dim),
-		bufferCap: cfg.bufferCells(),
+		delivered: make([]*packet.Cell, 0, n),
+		bufferCap: bufCap,
 		ebFJ:      eb,
 	}
 	wires := thompson.BanyanWires{Dimension: dim}
+	b.bank = newWireBanks(dim, n, cfg.Model.Tech.ETBitFJ(), wires.StageGrids)
+	latches := make([]*packet.Cell, dim*n)
+	rings := make([]bufRing, dim*half)
+	entries := make([]bufEntry, dim*half*bufCap)
+	occ := make([]uint64, dim*words)
 	for s := 0; s < dim; s++ {
-		b.latch[s] = make([]*packet.Cell, cfg.Ports)
-		b.buf[s] = make([]bufRing, cfg.Ports/2)
-		b.occ[s] = make([]uint64, (cfg.Ports/2+63)/64)
+		b.latch[s] = latches[s*n : (s+1)*n : (s+1)*n]
+		b.buf[s] = rings[s*half : (s+1)*half : (s+1)*half]
+		b.occ[s] = occ[s*words : (s+1)*words : (s+1)*words]
 		for k := range b.buf[s] {
-			b.buf[s][k].entries = make([]bufEntry, b.bufferCap)
+			e := (s*half + k) * bufCap
+			b.buf[s][k].entries = entries[e : e+bufCap : e+bufCap]
 		}
-		b.bank[s] = newWireBank(cfg.Ports, wires.StageGrids(s), cfg.Model.Tech.ETBitFJ())
 	}
 	return b, nil
 }

@@ -36,12 +36,13 @@ type batcherBanyan struct {
 	wavePool []*wave
 	// scratch is the stage-input shuffle buffer reused by banyanStage.
 	scratch []*packet.Cell
-	// delivered is reused across Step calls (see Fabric.Step).
+	// delivered is reused across Step calls (see Fabric.Step); one wave
+	// completes per slot, so it never outgrows the port count.
 	delivered []*packet.Cell
 	// sortBank[g] and banyanBank[s] hold per-line word states, each
 	// bank as long as its stage's wire (thompson.BatcherBanyanWires).
-	sortBank   []*wireBank
-	banyanBank []*wireBank
+	sortBank   []wireBank
+	banyanBank []wireBank
 
 	energy    core.Breakdown
 	inFlight  int
@@ -63,22 +64,23 @@ func newBatcherBanyan(cfg Config) (*batcherBanyan, error) {
 		return nil, errNeedsN4
 	}
 	w := thompson.BatcherBanyanWires{Dimension: dim}
-	b := &batcherBanyan{
+	n, sorter := cfg.Ports, w.SorterStages()
+	lines := make([]*packet.Cell, 2*n)
+	banks := newWireBanks(sorter+dim, n, cfg.Model.Tech.ETBitFJ(), func(i int) int {
+		if i < sorter {
+			return w.SorterStageGrids(i)
+		}
+		return w.BanyanStageGrids(i - sorter)
+	})
+	return &batcherBanyan{
 		cfg:        cfg,
 		dim:        dim,
 		wires:      w,
-		scratch:    make([]*packet.Cell, cfg.Ports),
-		sortBank:   make([]*wireBank, w.SorterStages()),
-		banyanBank: make([]*wireBank, dim),
-	}
-	et := cfg.Model.Tech.ETBitFJ()
-	for g := range b.sortBank {
-		b.sortBank[g] = newWireBank(cfg.Ports, w.SorterStageGrids(g), et)
-	}
-	for s := range b.banyanBank {
-		b.banyanBank[s] = newWireBank(cfg.Ports, w.BanyanStageGrids(s), et)
-	}
-	return b, nil
+		scratch:    lines[:n:n],
+		delivered:  lines[n:n],
+		sortBank:   banks[:sorter:sorter],
+		banyanBank: banks[sorter:],
+	}, nil
 }
 
 var errNeedsN4 = errors.New("fabric: Batcher-Banyan needs N >= 4 (paper §4.4)")

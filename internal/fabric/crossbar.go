@@ -14,11 +14,13 @@ import (
 // wire and the full column wire (4N grids each) and toggles the input
 // gates of the N crosspoints sharing its row (N·E_S).
 type crossbar struct {
-	cfg       Config
-	rowBank   *wireBank
-	colBank   *wireBank
+	cfg     Config
+	rowBank *wireBank
+	colBank *wireBank
+	// pending and delivered swap roles every Step (see Fabric.Step);
+	// each holds at most one cell per destination, so neither grows.
 	pending   []*packet.Cell
-	delivered []*packet.Cell // reused across Step calls (see Fabric.Step)
+	delivered []*packet.Cell
 	destBusy  []bool
 	energy    core.Breakdown
 	xpFJ      float64 // crosspoint LUT energy for an active input
@@ -26,13 +28,22 @@ type crossbar struct {
 
 func newCrossbar(cfg Config) (*crossbar, error) {
 	wires := thompson.CrossbarWires{N: cfg.Ports}
-	et := cfg.Model.Tech.ETBitFJ()
+	n := cfg.Ports
+	banks := newWireBanks(2, n, cfg.Model.Tech.ETBitFJ(), func(i int) int {
+		if i == 0 {
+			return wires.RowGrids()
+		}
+		return wires.ColGrids()
+	})
+	slots := make([]*packet.Cell, 2*n)
 	return &crossbar{
-		cfg:      cfg,
-		rowBank:  newWireBank(cfg.Ports, wires.RowGrids(), et),
-		colBank:  newWireBank(cfg.Ports, wires.ColGrids(), et),
-		destBusy: make([]bool, cfg.Ports),
-		xpFJ:     cfg.Model.Crosspoint.EnergyFJ(0b1),
+		cfg:       cfg,
+		rowBank:   &banks[0],
+		colBank:   &banks[1],
+		pending:   slots[:0:n],
+		delivered: slots[n:n],
+		destBusy:  make([]bool, n),
+		xpFJ:      cfg.Model.Crosspoint.EnergyFJ(0b1),
 	}, nil
 }
 

@@ -141,8 +141,15 @@ type wireBank struct {
 	etFJ float64
 }
 
-func newWireBank(lines, grids int, etFJ float64) *wireBank {
-	return &wireBank{state: make([]uint32, lines), grids: float64(grids), etFJ: etFJ}
+// newWireBanks builds banks wire banks of lines links each, bank i
+// grids(i) grids long, from one []wireBank and one state slab.
+func newWireBanks(banks, lines int, etFJ float64, grids func(i int) int) []wireBank {
+	bs := make([]wireBank, banks)
+	state := make([]uint32, banks*lines)
+	for i := range bs {
+		bs[i] = wireBank{state: state[i*lines : (i+1)*lines : (i+1)*lines], grids: float64(grids(i)), etFJ: etFJ}
+	}
+	return bs
 }
 
 // cross streams the cell over link line and returns the wire energy in

@@ -14,10 +14,12 @@ import (
 // Energy per transported bit follows Eq. 4: one MUX traversal (E_S grows
 // with N per Table 1) plus the worst-case ½·N² grids of input-to-MUX bus.
 type fullyConnected struct {
-	cfg       Config
-	inBank    *wireBank
+	cfg    Config
+	inBank *wireBank
+	// pending and delivered swap roles every Step (see Fabric.Step);
+	// each holds at most one cell per destination, so neither grows.
 	pending   []*packet.Cell
-	delivered []*packet.Cell // reused across Step calls (see Fabric.Step)
+	delivered []*packet.Cell
 	busy      []bool
 	energy    core.Breakdown
 	muxFJ     float64 // Table 1 N-input MUX energy for an active input
@@ -36,11 +38,15 @@ func newFullyConnected(cfg Config) (*fullyConnected, error) {
 	if cfg.FCAverageWires {
 		grids = wires.AvgGrids()
 	}
+	n := cfg.Ports
+	slots := make([]*packet.Cell, 2*n)
 	return &fullyConnected{
-		cfg:    cfg,
-		inBank: newWireBank(cfg.Ports, grids, cfg.Model.Tech.ETBitFJ()),
-		busy:   make([]bool, cfg.Ports),
-		muxFJ:  muxFJ,
+		cfg:       cfg,
+		inBank:    &newWireBanks(1, n, cfg.Model.Tech.ETBitFJ(), func(int) int { return grids })[0],
+		pending:   slots[:0:n],
+		delivered: slots[n:n],
+		busy:      make([]bool, n),
+		muxFJ:     muxFJ,
 	}, nil
 }
 

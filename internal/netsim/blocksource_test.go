@@ -133,7 +133,7 @@ func FuzzBlockSourceMatchesPerSlot(f *testing.F) {
 		}
 		flow := Flow{Rate: rate}
 		build := func() FlowSource {
-			src, err := tr.newSource(flow, int(seed&1), seed, 1024, idx)
+			src, err := tr.newSource(new(sources), flow, int(seed&1), seed, 1024, idx)
 			if err != nil {
 				if tr.Kind == "bursty" && rate > burst/(burst+1) {
 					t.Skip(err)
@@ -162,7 +162,7 @@ func FuzzBlockSourceMatchesPerSlot(f *testing.F) {
 func TestPacketSourceLoad(t *testing.T) {
 	const blocks = 4 << 20 / BlockSlots
 	for _, rate := range []float64{0.05, 0.1, 0.3, 0.6, 0.9} {
-		src, err := newPacketSource(rate, 1024, 3)
+		src, err := new(sources).packet(rate, 1024, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestOnOffSourceRejectsUnreachableRate(t *testing.T) {
 		{rate: 0, burst: 1},
 	}
 	for _, tc := range cases {
-		src, err := newOnOffSource(tc.rate, tc.burst, 11)
+		src, err := new(sources).onOff(tc.rate, tc.burst, 11)
 		if tc.bound != "" {
 			if err == nil {
 				recycleStream(src)
@@ -246,7 +246,7 @@ func BenchmarkFlowSources(b *testing.B) {
 			tr := Traffic{Kind: kind}
 			srcs := make([]FlowSource, flows)
 			for fi := range srcs {
-				src, err := tr.newSource(Flow{Rate: 0.004}, fi, flowSeed(1, fi, saltInject), 1024, idx)
+				src, err := tr.newSource(new(sources), Flow{Rate: 0.004}, fi, flowSeed(1, fi, saltInject), 1024, idx)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -429,7 +429,8 @@ func (n *Network) reconverge(slot uint64) {
 	fs.comp, fs.compStack = components(masked, fs.comp, fs.compStack)
 	comp := fs.comp
 
-	aliveIdx, aliveFlows := fs.aliveIdx[:0], fs.aliveFlows[:0]
+	aliveIdx := slices.Grow(fs.aliveIdx[:0], len(n.flows))
+	aliveFlows := slices.Grow(fs.aliveFlows[:0], len(n.flows))
 	for fi := range n.flows {
 		f := &n.flows[fi]
 		if fs.nodeDown[f.Src] || fs.nodeDown[f.Dst] || comp[f.Src] != comp[f.Dst] {
@@ -464,11 +465,20 @@ func (n *Network) reconverge(slot uint64) {
 // nodes and unusable links removed from the adjacency, reusing m's
 // adjacency storage. Links, ports, hosts and edge assignments are
 // shared with the original, so paths found on the view wire directly
-// against the full topology.
+// against the full topology. The first call carves m's rows from one
+// slab, each row as long as the full one, so no later call allocates.
 func (t *Topology) maskInto(m *Topology, nodeDown []bool, linkUp []bool) {
 	adj, linkIdx := m.adj, m.linkIdx
 	if len(adj) != t.Nodes {
-		adj, linkIdx = make([][]int, t.Nodes), make([][]int, t.Nodes)
+		rows := make([][]int, 2*t.Nodes)
+		adj, linkIdx = rows[:t.Nodes:t.Nodes], rows[t.Nodes:]
+		ints := make([]int, 2*len(t.Links))
+		a, l := ints[:len(t.Links)], ints[len(t.Links):]
+		for u := range adj {
+			d := len(t.adj[u])
+			adj[u], a = a[:0:d], a[d:]
+			linkIdx[u], l = l[:0:d], l[d:]
+		}
 	}
 	*m = *t
 	for u := range adj {
@@ -493,6 +503,7 @@ func (t *Topology) maskInto(m *Topology, nodeDown []bool, linkUp []bool) {
 // both for reuse.
 func components(t *Topology, comp, stack []int) ([]int, []int) {
 	comp = resize(comp, t.Nodes)
+	stack = slices.Grow(stack[:0], t.Nodes) // a node is pushed at most once
 	for i := range comp {
 		comp[i] = -1
 	}

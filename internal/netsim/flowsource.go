@@ -72,9 +72,10 @@ func (tr Traffic) newSources(flows []Flow, cellBits int, baseSeed int64) ([]Flow
 		}
 	}
 	srcs := make([]FlowSource, len(flows))
+	slab := sources{n: len(flows)}
 	for fi := range flows {
 		seed := flowSeed(baseSeed, fi, saltInject)
-		src, err := tr.newSource(flows[fi], fi, seed, cellBits, idx)
+		src, err := tr.newSource(&slab, flows[fi], fi, seed, cellBits, idx)
 		if err != nil {
 			return nil, fmt.Errorf("netsim: flow %d: %w", fi, err)
 		}
@@ -83,25 +84,50 @@ func (tr Traffic) newSources(flows []Flow, cellBits int, baseSeed int64) ([]Flow
 	return srcs, nil
 }
 
-func (tr Traffic) newSource(f Flow, fi int, seed int64, cellBits int, idx *traceIndex) (FlowSource, error) {
+func (tr Traffic) newSource(slab *sources, f Flow, fi int, seed int64, cellBits int, idx *traceIndex) (FlowSource, error) {
 	if tr.New != nil {
 		return tr.New(f, fi, seed)
 	}
 	switch tr.Kind {
 	case "", "uniform":
-		return newBernoulliSource(f.Rate, seed), nil
+		return slab.bernoulli(f.Rate, seed), nil
 	case "bursty":
 		mean := tr.MeanBurstSlots
 		if mean == 0 {
 			mean = 10
 		}
-		return newOnOffSource(f.Rate, mean, seed)
+		return slab.onOff(f.Rate, mean, seed)
 	case "packet":
-		return newPacketSource(f.Rate, cellBits, seed)
+		return slab.packet(f.Rate, cellBits, seed)
 	case "trace":
-		return idx.source(fi), nil
+		return slab.trace(idx, fi), nil
 	}
 	return nil, fmt.Errorf("unknown traffic kind %q (built-ins: uniform, bursty, packet, trace)", tr.Kind)
+}
+
+// sources carves a network's built-in flow sources from one slice per
+// kind, sized for every flow when its kind's first source is built, so
+// a build allocates per kind rather than per flow. The zero value
+// carves one source per allocation.
+type sources struct {
+	n        int // flows to size a kind's slice for
+	bern     []bernoulliSource
+	onOffs   []onOffSource
+	packets  []packetSource
+	traces   []traceSource
+	pktCells []int // cells per packet variant, shared by packet sources
+	pktProbs []float64
+}
+
+// take returns a pointer to the next element of *s, starting a new
+// slice of n elements when *s is full. A full slice is never grown, so
+// the pointers handed out stay valid.
+func take[T any](s *[]T, n int) *T {
+	if len(*s) == cap(*s) {
+		*s = make([]T, 0, max(n, 1))
+	}
+	*s = (*s)[:len(*s)+1]
+	return &(*s)[len(*s)-1]
 }
 
 // Seed salts keep a flow's arrival coin stream and its payload stream
@@ -167,8 +193,10 @@ type bernoulliSource struct {
 	stream *rng.Stream
 }
 
-func newBernoulliSource(rate float64, seed int64) *bernoulliSource {
-	return &bernoulliSource{rate: rate, stream: flowStream(seed)}
+func (sl *sources) bernoulli(rate float64, seed int64) *bernoulliSource {
+	s := take(&sl.bern, sl.n)
+	*s = bernoulliSource{rate: rate, stream: flowStream(seed)}
+	return s
 }
 
 func (s *bernoulliSource) NextBlock(uint64) uint64 {
@@ -192,25 +220,27 @@ type onOffSource struct {
 	stream   *rng.Stream
 }
 
-func newOnOffSource(rate, meanBurst float64, seed int64) (FlowSource, error) {
+func (sl *sources) onOff(rate, meanBurst float64, seed int64) (FlowSource, error) {
 	if meanBurst < 1 {
 		return nil, fmt.Errorf("mean burst must be >= 1 slot, got %g", meanBurst)
 	}
 	switch {
 	case rate <= 0:
-		return newBernoulliSource(0, seed), nil
+		return sl.bernoulli(0, seed), nil
 	case rate >= 1:
-		return newBernoulliSource(1, seed), nil
+		return sl.bernoulli(1, seed), nil
 	}
 	if err := traffic.CheckOnOffRate(rate, meanBurst); err != nil {
 		return nil, err
 	}
 	meanGap := meanBurst * (1 - rate) / rate
-	return &onOffSource{
+	s := take(&sl.onOffs, sl.n)
+	*s = onOffSource{
 		pOnToOff: 1 / meanBurst,
 		pOffToOn: 1 / meanGap,
 		stream:   flowStream(seed),
-	}, nil
+	}
+	return s, nil
 }
 
 func (s *onOffSource) NextBlock(uint64) uint64 {
@@ -248,23 +278,29 @@ type packetSource struct {
 	stream   *rng.Stream
 }
 
-func newPacketSource(rate float64, cellBits int, seed int64) (FlowSource, error) {
+func (sl *sources) packet(rate float64, cellBits int, seed int64) (FlowSource, error) {
 	if cellBits <= 0 {
 		return nil, fmt.Errorf("cell bits must be positive, got %d", cellBits)
 	}
-	sizes, probs := traffic.TrimodalSizesBits()
-	cells := make([]int, len(sizes))
-	mean := 0.0
-	for i, s := range sizes {
-		cells[i] = (s + cellBits - 1) / cellBits
-		mean += probs[i] * float64(cells[i])
+	if sl.pktCells == nil { // every flow of a network has the same cell size
+		sizes, probs := traffic.TrimodalSizesBits()
+		sl.pktCells, sl.pktProbs = make([]int, len(sizes)), probs
+		for i, s := range sizes {
+			sl.pktCells[i] = (s + cellBits - 1) / cellBits
+		}
 	}
-	return &packetSource{
+	mean := 0.0
+	for i, c := range sl.pktCells {
+		mean += sl.pktProbs[i] * float64(c)
+	}
+	s := take(&sl.packets, sl.n)
+	*s = packetSource{
 		pArrival: rate / (mean*(1-rate) + rate),
-		cells:    cells,
-		probs:    probs,
+		cells:    sl.pktCells,
+		probs:    sl.pktProbs,
 		stream:   flowStream(seed),
-	}, nil
+	}
+	return s, nil
 }
 
 func (s *packetSource) NextBlock(uint64) uint64 {
@@ -322,13 +358,15 @@ func indexTrace(tr *traffic.Trace) (*traceIndex, error) {
 	return idx, nil
 }
 
-// source builds flow fi's replayer: the slot pattern of trace port
-// fi mod (distinct ports), repeated with the trace's period.
-func (idx *traceIndex) source(fi int) FlowSource {
-	return &traceSource{
+// trace builds flow fi's replayer: the slot pattern of trace port fi
+// mod (distinct ports), repeated with the trace's period.
+func (sl *sources) trace(idx *traceIndex, fi int) FlowSource {
+	s := take(&sl.traces, sl.n)
+	*s = traceSource{
 		slots:  idx.slots[idx.ports[fi%len(idx.ports)]],
 		period: idx.period,
 	}
+	return s
 }
 
 type traceSource struct {

@@ -14,6 +14,7 @@ import (
 
 	"fabricpower/internal/core"
 	"fabricpower/internal/packet"
+	"fabricpower/internal/router"
 	"fabricpower/internal/telemetry"
 	"fabricpower/internal/telemetry/trace"
 	"fabricpower/internal/traffic"
@@ -794,7 +795,7 @@ func TestNetworkRouterSlotAllocationFree(t *testing.T) {
 			cfg.Load = 0.4
 			cfg.Shards = shards
 			cfg.Traffic = Traffic{New: func(f Flow, fi int, seed int64) (FlowSource, error) {
-				src, err := newOnOffSource(f.Rate, 10, seed)
+				src, err := new(sources).onOff(f.Rate, 10, seed)
 				if err != nil {
 					return nil, err
 				}
@@ -1198,6 +1199,60 @@ func BenchmarkNetworkStepJoin(b *testing.B) {
 	}
 }
 
+// netFaultsConfig is the fabricbench net-faults network at load 0.30:
+// Banyan/VOQ routers under the composite policy, shortest-path routing
+// over the uniform matrix, and renewal link failures (MTBF 3000, MTTR
+// 200 slots) when faults is set.
+func netFaultsConfig(topo *Topology, faults bool) Config {
+	cfg := testConfig(topo)
+	cfg.Arch = core.Banyan
+	cfg.Queue = router.VOQ
+	cfg.Model.Static = core.DefaultStaticPower()
+	cfg.CellBits = 1024
+	cfg.Policy = "composite"
+	cfg.Routing = ShortestPath{}
+	cfg.Load = 0.30
+	if faults {
+		cfg.Faults = &FaultPlan{MTBF: 3000, MTTR: 200}
+	}
+	return cfg
+}
+
+// TestNewAllocatesPerNode pins that building a network allocates per
+// router and per kind of storage, never per flow or per link: the
+// 48-router fat-tree (992 flows, 1,024 links) allocates at most
+// perNode more per extra router than the 12-router one (56 flows, 64
+// links). Each flow's arrival stream is one allocation of its own
+// (streams are pooled, not slabbed), so the builds run on an empty
+// pool, are not closed, and the count leaves the streams out.
+func TestNewAllocatesPerNode(t *testing.T) {
+	build := func(spines, leaves int) (allocs float64, nodes int) {
+		topo, err := FatTree2(spines, leaves)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := netFaultsConfig(topo, false)
+		for streamPool.Get() != nil {
+		}
+		flows := 0
+		allocs = testing.AllocsPerRun(5, func() {
+			net, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flows = len(net.Flows())
+		})
+		return allocs - float64(flows), topo.Nodes
+	}
+	small, sn := build(4, 8)
+	large, ln := build(16, 32)
+	const perNode = 32
+	if d := large - small; d > perNode*float64(ln-sn) {
+		t.Errorf("%v allocations at %d routers, %v at %d: %.1f per extra router, want <= %d",
+			small, sn, large, ln, d/float64(ln-sn), perNode)
+	}
+}
+
 // BenchmarkNetworkBuild is the netsim/build rung: New on the
 // fabricbench net-lowload network — the 48-router fat-tree with
 // consolidating routing and 992 bursty flows — with an idle-gated
@@ -1224,6 +1279,29 @@ func BenchmarkNetworkBuild(b *testing.B) {
 		}
 		if i == 0 && len(net.Flows()) != 992 {
 			b.Fatalf("built %d flows, want 992", len(net.Flows()))
+		}
+		b.StopTimer()
+		net.Close()
+		b.StartTimer()
+	}
+}
+
+// BenchmarkNetworkBuildVOQ is the netsim/build rung of the busy path:
+// New on the fabricbench net-faults network — the 24-router fat-tree
+// with 16 leaf hosts, Banyan/VOQ routers under the composite policy,
+// shortest-path routing over the uniform matrix at load 0.30 and
+// renewal link failures.
+func BenchmarkNetworkBuildVOQ(b *testing.B) {
+	topo, err := FatTree2(8, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := netFaultsConfig(topo, true)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		net, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
 		}
 		b.StopTimer()
 		net.Close()

@@ -149,12 +149,16 @@ type linkQueue struct {
 	head, size int
 }
 
-func newLinkQueue(capacity int) linkQueue {
-	n := 1
-	for n < capacity {
-		n <<= 1
+// newLinkQueues builds one queue per link, each ring carved from one
+// slab.
+func newLinkQueues(links, capacity int) []linkQueue {
+	n := nextPow2(capacity)
+	qs := make([]linkQueue, links)
+	ring := make([]*packet.Cell, links*n)
+	for i := range qs {
+		qs[i] = linkQueue{buf: ring[i*n : (i+1)*n : (i+1)*n], mask: n - 1, cap: capacity}
 	}
-	return linkQueue{buf: make([]*packet.Cell, n), mask: n - 1, cap: capacity}
+	return qs
 }
 
 func (q *linkQueue) full() bool  { return q.size == q.cap }
@@ -400,7 +404,7 @@ func New(cfg Config) (*Network, error) {
 		topo:        t,
 		routers:     make([]*router.Router, t.Nodes),
 		mgrs:        make([]*dpm.Manager, t.Nodes),
-		links:       make([]linkQueue, len(t.Links)),
+		links:       newLinkQueues(len(t.Links), cfg.LinkQueueCells),
 		flows:       flows,
 		srcs:        srcs,
 		payload:     make([]*rng.Stream, len(flows)),
@@ -416,26 +420,41 @@ func New(cfg Config) (*Network, error) {
 		inbound:     make([]bool, t.Nodes),
 		sleep:       make([]sleepState, t.Nodes),
 	}
+	for _, l := range t.Links {
+		if l.Capacity < 1 {
+			return nil, fmt.Errorf("netsim: link %d→%d capacity must be >= 1, got %d", l.From, l.To, l.Capacity)
+		}
+	}
+	// Each node's flows and incoming links (one per neighbor) are rows
+	// of one slab, filled in ascending index order.
+	sourced := make([]int, t.Nodes)
+	for fi := range flows {
+		sourced[flows[fi].Src]++
+	}
+	rows := make([]int32, len(flows)+len(t.Links))
+	for u := range n.nodeFlows {
+		k, d := sourced[u], t.Degree(u)
+		n.nodeFlows[u], rows = rows[:0:k], rows[k:]
+		n.nodeInLinks[u], rows = rows[:0:d], rows[d:]
+	}
 	for fi := range flows {
 		n.nodeFlows[flows[fi].Src] = append(n.nodeFlows[flows[fi].Src], int32(fi))
+	}
+	for li, l := range t.Links {
+		n.nodeInLinks[l.To] = append(n.nodeInLinks[l.To], int32(li))
 	}
 	masks := make([]uint64, len(flows))
 	for u, fs := range n.nodeFlows {
 		n.arrivals[u].flows, masks = masks[:len(fs):len(fs)], masks[len(fs):]
 	}
-	for li := range n.links {
-		if c := t.Links[li].Capacity; c < 1 {
-			return nil, fmt.Errorf("netsim: link %d→%d capacity must be >= 1, got %d",
-				t.Links[li].From, t.Links[li].To, c)
-		}
-		n.links[li] = newLinkQueue(cfg.LinkQueueCells)
-		n.nodeInLinks[t.Links[li].To] = append(n.nodeInLinks[t.Links[li].To], int32(li))
+	// A router delivers at most one cell per port per slot, so a node's
+	// staging outbox never outgrows the port count.
+	staged := make([]*packet.Cell, t.Nodes*t.Ports)
+	for u := range n.outbox {
+		n.outbox[u], staged = staged[:0:t.Ports], staged[t.Ports:]
 	}
 	cell := packet.Config{CellBits: cfg.CellBits, BusWidth: 32}
 	for u := 0; u < t.Nodes; u++ {
-		// A router delivers at most one cell per port per slot, so the
-		// staging outbox never outgrows the port count.
-		n.outbox[u] = make([]*packet.Cell, 0, t.Ports)
 		rcfg := router.Config{
 			Arch:          cfg.Arch,
 			Fabric:        fabric.Config{Ports: t.Ports, Cell: cell, Model: cfg.Model},

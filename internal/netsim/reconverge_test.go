@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -140,13 +141,20 @@ func freshWiring(t *testing.T, n *Network, policy RoutingPolicy) []Flow {
 
 // TestReconvergeAllocatesNothing pins that once a network has been
 // through its first fault event, a link failure and its repair
-// re-route every flow without allocating, under either policy.
+// re-route every flow without allocating, under either policy. The
+// first fail/repair pair sizes the re-convergence storage: it
+// allocates the same count on a 12-router and a 24-router fat-tree.
 func TestReconvergeAllocatesNothing(t *testing.T) {
 	for _, policy := range []RoutingPolicy{ShortestPath{}, Consolidate{}} {
 		t.Run(policy.Name(), func(t *testing.T) {
-			net, pair := newSpineFlapNetwork(t, policy, 400)
+			small, _ := newSpineFlapNetwork(t, 4, 8, policy, 1)
+			defer small.Close()
+			net, pair := newSpineFlapNetwork(t, 8, 16, policy, 400)
 			defer net.Close()
-			slot := uint64(1)
+			if a, b := firstFlapMallocs(small), firstFlapMallocs(net); a != b {
+				t.Errorf("first fail/repair pair: %d allocations at 12 routers, %d at 24; want the same", a, b)
+			}
+			slot := uint64(3)
 			allocs := testing.AllocsPerRun(100, func() {
 				net.applyFaults(slot)
 				net.applyFaults(slot + 1)
@@ -165,13 +173,24 @@ func TestReconvergeAllocatesNothing(t *testing.T) {
 	}
 }
 
-// newSpineFlapNetwork builds net-faults' network shape — the 24-router
-// fat-tree with 16 leaf hosts and the uniform matrix — with no
-// generated faults and an explicit schedule that fails the link from
-// spine 0 to the first leaf at every odd slot from 1 and repairs it at
-// the even slot after, flaps times.
-func newSpineFlapNetwork(tb testing.TB, policy RoutingPolicy, flaps int) (*Network, [2]int) {
-	topo, err := FatTree2(8, 16)
+// firstFlapMallocs counts the allocations of a network's first fault
+// event pair, the failure and repair at slots 1 and 2.
+func firstFlapMallocs(n *Network) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n.applyFaults(1)
+	n.applyFaults(2)
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// newSpineFlapNetwork builds a fat-tree under the uniform matrix at
+// load 0.3 — net-faults' network shape at 8 spines and 16 leaves —
+// with no generated faults and an explicit schedule that fails the
+// link from spine 0 to the first leaf at every odd slot from 1 and
+// repairs it at the even slot after, flaps times.
+func newSpineFlapNetwork(tb testing.TB, spines, leaves int, policy RoutingPolicy, flaps int) (*Network, [2]int) {
+	topo, err := FatTree2(spines, leaves)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -196,7 +215,7 @@ func newSpineFlapNetwork(tb testing.TB, policy RoutingPolicy, flaps int) (*Netwo
 // one repair of a spine link on net-faults' fat-tree (24 routers, 240
 // uniform flows, shortest-path routing), each re-routing every flow.
 func BenchmarkReconverge(b *testing.B) {
-	net, _ := newSpineFlapNetwork(b, ShortestPath{}, b.N+1)
+	net, _ := newSpineFlapNetwork(b, 8, 16, ShortestPath{}, b.N+1)
 	defer net.Close()
 	net.applyFaults(1)
 	net.applyFaults(2)

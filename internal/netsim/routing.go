@@ -48,9 +48,10 @@ type Routes struct {
 	order    []int
 }
 
-// reset empties the routes and sizes them for flows paths.
+// reset empties the routes and sizes them for flows paths, the arena
+// for at least the two endpoints of each.
 func (r *Routes) reset(flows int) {
-	r.arena = r.arena[:0]
+	r.arena = slices.Grow(r.arena[:0], 2*flows)
 	r.span = resize(r.span, flows)
 	clear(r.span)
 }

@@ -319,7 +319,7 @@ func TestTelemetrySlotLoopAllocationFree(t *testing.T) {
 			// measurement is queue drain + sampling, with the injection
 			// path's allocations out of the picture.
 			cfg.Traffic = Traffic{New: func(f Flow, fi int, seed int64) (FlowSource, error) {
-				src, err := newOnOffSource(f.Rate, 10, seed)
+				src, err := new(sources).onOff(f.Rate, 10, seed)
 				if err != nil {
 					return nil, err
 				}

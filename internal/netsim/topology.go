@@ -67,10 +67,9 @@ type Topology struct {
 	// the fat-tree's spines are pure transit).
 	Hosts []int
 
-	adj      [][]int // sorted neighbor list per node
-	linkIdx  [][]int // parallel to adj: index into Links of node->neighbor
-	edge     [][]int // host-facing ports per node
-	neighbor [][]int // neighbor per port (-1 = edge port), per node
+	adj     [][]int // sorted neighbor list per node
+	linkIdx [][]int // parallel to adj: index into Links of node->neighbor
+	edge    [][]int // host-facing ports per node
 }
 
 // NewTopology builds a topology from an undirected edge list. ports is
@@ -81,8 +80,9 @@ func NewTopology(name string, nodes int, edges [][2]int, ports int) (*Topology, 
 	if nodes < 2 {
 		return nil, fmt.Errorf("netsim: topology needs >= 2 nodes, got %d", nodes)
 	}
-	seen := make(map[[2]int]bool, len(edges))
-	adjSet := make([][]int, nodes)
+	// Adjacency rows are carved from one slab in node order, each row
+	// sized by the node's edge count before duplicates are dropped.
+	deg := make([]int, nodes+1)
 	for _, e := range edges {
 		u, v := e[0], e[1]
 		if u < 0 || u >= nodes || v < 0 || v >= nodes {
@@ -91,25 +91,39 @@ func NewTopology(name string, nodes int, edges [][2]int, ports int) (*Topology, 
 		if u == v {
 			return nil, fmt.Errorf("netsim: self-loop at node %d", u)
 		}
-		if u > v {
-			u, v = v, u
-		}
-		if seen[[2]int{u, v}] {
-			continue
-		}
-		seen[[2]int{u, v}] = true
-		adjSet[u] = append(adjSet[u], v)
-		adjSet[v] = append(adjSet[v], u)
+		deg[u+1]++
+		deg[v+1]++
 	}
-	maxDeg := 0
-	for u := range adjSet {
-		sort.Ints(adjSet[u])
-		if len(adjSet[u]) == 0 {
+	for u := 0; u < nodes; u++ {
+		deg[u+1] += deg[u] // deg[u] is now row u's offset
+	}
+	nbr := make([]int, deg[nodes])
+	fill := append([]int(nil), deg[:nodes]...)
+	for _, e := range edges {
+		u, v := e[0], e[1]
+		nbr[fill[u]], nbr[fill[v]] = v, u
+		fill[u]++
+		fill[v]++
+	}
+	// Sort each row and drop repeated neighbors, compacting the rows
+	// to the front of the slab; fill[u] becomes row u's degree.
+	links, maxDeg := 0, 0
+	for u := 0; u < nodes; u++ {
+		row := nbr[deg[u]:deg[u+1]]
+		sort.Ints(row)
+		d, last := 0, -1
+		for _, v := range row {
+			if v != last {
+				nbr[links+d], last = v, v
+				d++
+			}
+		}
+		if d == 0 {
 			return nil, fmt.Errorf("netsim: node %d is isolated", u)
 		}
-		if len(adjSet[u]) > maxDeg {
-			maxDeg = len(adjSet[u])
-		}
+		fill[u] = d
+		links += d
+		maxDeg = max(maxDeg, d)
 	}
 	if ports == 0 {
 		ports = nextPow2(maxDeg + 1)
@@ -124,44 +138,42 @@ func NewTopology(name string, nodes int, edges [][2]int, ports int) (*Topology, 
 		return nil, fmt.Errorf("netsim: ports must be a power of two >= 2, got %d", ports)
 	}
 
+	rows := make([][]int, 3*nodes)
 	t := &Topology{
-		Name:     name,
-		Nodes:    nodes,
-		Ports:    ports,
-		adj:      adjSet,
-		linkIdx:  make([][]int, nodes),
-		edge:     make([][]int, nodes),
-		neighbor: make([][]int, nodes),
+		Name:    name,
+		Nodes:   nodes,
+		Ports:   ports,
+		Links:   make([]Link, 0, links),
+		adj:     rows[:nodes:nodes],
+		linkIdx: rows[nodes : 2*nodes : 2*nodes],
+		edge:    rows[2*nodes:],
 	}
 	// Port p of node u faces its p-th smallest neighbor; the remaining
 	// ports are host-facing. The assignment is a pure function of the
-	// adjacency, so identical topologies wire identically.
-	portOf := make([]map[int]int, nodes)
+	// adjacency, so identical topologies wire identically. The link
+	// indices and the edge ports together fill nodes·ports ints.
+	ints := make([]int, nodes*ports)
+	linkIdx, edge := ints[:links], ints[links:]
 	for u := 0; u < nodes; u++ {
-		portOf[u] = make(map[int]int, len(adjSet[u]))
-		t.neighbor[u] = make([]int, ports)
-		for p := range t.neighbor[u] {
-			t.neighbor[u][p] = -1
+		d := fill[u]
+		t.adj[u], nbr = nbr[:d:d], nbr[d:]
+		t.linkIdx[u], linkIdx = linkIdx[:d:d], linkIdx[d:]
+		t.edge[u], edge = edge[:ports-d:ports-d], edge[ports-d:]
+		for i := range t.edge[u] {
+			t.edge[u][i] = d + i
 		}
-		for i, v := range adjSet[u] {
-			portOf[u][v] = i
-			t.neighbor[u][i] = v
-		}
-		for p := len(adjSet[u]); p < ports; p++ {
-			t.edge[u] = append(t.edge[u], p)
-		}
-		t.linkIdx[u] = make([]int, len(adjSet[u]))
 	}
 	for u := 0; u < nodes; u++ {
-		for i, v := range adjSet[u] {
+		for i, v := range t.adj[u] {
 			t.linkIdx[u][i] = len(t.Links)
 			t.Links = append(t.Links, Link{
 				From: u, To: v,
-				FromPort: portOf[u][v], ToPort: portOf[v][u],
+				FromPort: i, ToPort: sort.SearchInts(t.adj[v], u),
 				Capacity: 1,
 			})
 		}
 	}
+	t.Hosts = make([]int, 0, nodes)
 	for u := 0; u < nodes; u++ {
 		if len(t.edge[u]) > 0 {
 			t.Hosts = append(t.Hosts, u)

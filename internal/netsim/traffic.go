@@ -191,8 +191,9 @@ func checkDemand(hosts int, load float64) error {
 
 func zeroRates(hosts int) [][]float64 {
 	r := make([][]float64, hosts)
+	all := make([]float64, hosts*hosts)
 	for i := range r {
-		r[i] = make([]float64, hosts)
+		r[i], all = all[:hosts:hosts], all[hosts:]
 	}
 	return r
 }
@@ -204,7 +205,7 @@ func buildFlows(t *Topology, m TrafficMatrix, load float64) ([]Flow, error) {
 	if err != nil {
 		return nil, err
 	}
-	var flows []Flow
+	flows := make([]Flow, 0, len(t.Hosts)*(len(t.Hosts)-1))
 	for i, src := range t.Hosts {
 		for j, dst := range t.Hosts {
 			if i == j {

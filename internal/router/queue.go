@@ -6,7 +6,9 @@ import "fabricpower/internal/packet"
 // arrival slots, grown by doubling when full, so a warm queue pushes
 // and pops without allocating. (Popping with q = q[1:] and pushing with
 // append would keep reallocating the backing array.) The ring starts
-// empty: a VOQ router has ports² queues and most stay small.
+// empty: a VOQ router has ports² queues and most are never used, so a
+// queue takes its first ring from the router's ringChunk on its first
+// push.
 type queue struct {
 	buf   []entry // power-of-two length
 	first int     // index of the head entry
@@ -20,9 +22,9 @@ type entry struct {
 	arrival uint64
 }
 
-func (q *queue) push(c *packet.Cell, arrival uint64) {
+func (q *queue) push(c *packet.Cell, arrival uint64, rings *ringChunk) {
 	if q.size == len(q.buf) {
-		q.grow()
+		q.grow(rings)
 	}
 	q.buf[(q.first+q.size)&(len(q.buf)-1)] = entry{cell: c, arrival: arrival}
 	q.size++
@@ -39,12 +41,37 @@ func (q *queue) pop() {
 	q.size--
 }
 
-func (q *queue) grow() {
-	buf := make([]entry, max(4, 2*len(q.buf)))
+func (q *queue) grow(rings *ringChunk) {
+	if len(q.buf) == 0 {
+		q.buf = rings.carve()
+		return
+	}
+	buf := make([]entry, 2*len(q.buf))
 	for i := 0; i < q.size; i++ {
 		buf[i] = q.buf[(q.first+i)&(len(q.buf)-1)]
 	}
 	q.buf, q.first = buf, 0
+}
+
+// firstRing is the length of a queue's first ring.
+const firstRing = 4
+
+// ringChunk hands out first rings, carved from chunks of up to 64 rings
+// so that a router's first pushes allocate once per chunk rather than
+// once per queue. A carved ring cannot grow into its neighbour: a full
+// ring doubles into storage of its own.
+type ringChunk struct {
+	free     []entry
+	perChunk int // rings per chunk
+}
+
+func (rc *ringChunk) carve() []entry {
+	if len(rc.free) == 0 {
+		rc.free = make([]entry, rc.perChunk*firstRing)
+	}
+	r := rc.free[:firstRing:firstRing]
+	rc.free = rc.free[firstRing:]
+	return r
 }
 
 // flush empties the queue, calling fn (if non-nil) on each cell in

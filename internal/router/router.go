@@ -128,7 +128,7 @@ type Router struct {
 	// non-empty, admission clears it when one drains, and FlushQueues
 	// clears them all, so no slot rescans the ports² queues. Under a
 	// gate, req is occ masked to the gate's open inputs.
-	voq     [][]queue // [ingress][egress]
+	voq     [][]queue // [ingress][egress], rows of one n² slab
 	arbSLIP *arbiter.ISLIP
 	words   int
 	occ     []uint64
@@ -140,6 +140,9 @@ type Router struct {
 	// manager and the network kernel — are O(1) instead of queue scans.
 	portLen []int
 	queued  int
+
+	// rings supplies every queue's first ring.
+	rings ringChunk
 
 	metrics Metrics
 }
@@ -163,21 +166,24 @@ func New(cfg Config) (*Router, error) {
 	switch cfg.Queue {
 	case FIFO:
 		r.fifo = make([]queue, n)
-		r.arbFCFS = arbiter.NewFCFSRR()
+		r.rings.perChunk = min(64, n)
+		r.arbFCFS = arbiter.NewFCFSRR(n)
+		r.reqs = make([]arbiter.Request, 0, n)
 	case VOQ:
 		iters := cfg.ISLIPIterations
 		if iters <= 0 {
 			iters = 2
 		}
 		r.voq = make([][]queue, n)
+		rows := make([]queue, n*n)
 		for i := range r.voq {
-			r.voq[i] = make([]queue, n)
+			r.voq[i] = rows[i*n : (i+1)*n : (i+1)*n]
 		}
+		r.rings.perChunk = min(64, n*n)
 		r.words = arbiter.Words(n)
-		r.occ = make([]uint64, n*r.words)
-		if cfg.Gate != nil {
-			r.req = make([]uint64, n*r.words)
-		}
+		m := n * r.words
+		masks := make([]uint64, 2*m)
+		r.occ, r.req = masks[:m:m], masks[m:]
 		r.arbSLIP, err = arbiter.NewISLIP(n, iters)
 		if err != nil {
 			return nil, err
@@ -280,7 +286,7 @@ func (r *Router) Inject(c *packet.Cell, slot uint64) bool {
 	if q.size == 0 && r.cfg.Queue == VOQ {
 		r.occ[c.Dest*r.words+(c.Src>>6)] |= 1 << (c.Src & 63)
 	}
-	q.push(c, slot)
+	q.push(c, slot, &r.rings)
 	r.portLen[c.Src]++
 	r.queued++
 	r.metrics.AcceptedCells++

@@ -9,6 +9,7 @@ import (
 
 	"fabricpower/internal/arbiter"
 	"fabricpower/internal/core"
+	"fabricpower/internal/dpm"
 	"fabricpower/internal/fabric"
 	"fabricpower/internal/packet"
 )
@@ -45,6 +46,46 @@ func TestNewRouterAllArchitectures(t *testing.T) {
 			if r.Ports() != 8 {
 				t.Fatalf("%v: ports", a)
 			}
+		}
+	}
+}
+
+// TestNewAllocatesPerKindNotPerPort pins that building a router, its
+// fabric and its power manager allocates once per kind of storage: a
+// VOQ Banyan router under the composite policy allocates the same
+// count at 8 ports (3 stages, 64 VOQs) as at 32 (5 stages, 1,024
+// VOQs), and so does a FIFO crossbar. One allocation per stage, port
+// or queue would show up as a difference.
+func TestNewAllocatesPerKindNotPerPort(t *testing.T) {
+	build := func(arch core.Architecture, q QueueDiscipline, ports int) func() {
+		return func() {
+			cfg := routerConfig(arch, ports, q)
+			cfg.Fabric.Model.Static = core.DefaultStaticPower()
+			pol, err := dpm.NewPolicy("composite")
+			if err != nil {
+				t.Fatal(err)
+			}
+			mgr, err := dpm.New(dpm.Config{
+				Arch: arch, Ports: ports, Model: cfg.Fabric.Model,
+				CellBits: cfg.Fabric.Cell.CellBits, Policy: pol,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Gate = mgr
+			if _, err := New(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, c := range []struct {
+		arch core.Architecture
+		q    QueueDiscipline
+	}{{core.Banyan, VOQ}, {core.Crossbar, FIFO}} {
+		small := testing.AllocsPerRun(20, build(c.arch, c.q, 8))
+		large := testing.AllocsPerRun(20, build(c.arch, c.q, 32))
+		if small != large {
+			t.Errorf("%v/%v: %v allocations at 8 ports, %v at 32; want the same", c.arch, c.q, small, large)
 		}
 	}
 }

@@ -557,18 +557,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "study kind table1 characterizes gates; it has no per-point result records")
 		return
 	}
-	scenarios, err := spec.Grid.Enumerate()
+	// DecodeSpec validated the base; an axis can still sweep a field
+	// out of range, so every point is checked before it takes a slot.
+	scenarios, err := spec.Grid.Points()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	// DecodeSpec validated the base; an axis can still sweep a field
-	// out of range, so every point is checked before it takes a slot.
-	for i, sc := range scenarios {
-		if err := sc.Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, "point %d: %v", i, err)
-			return
-		}
 	}
 	n := len(scenarios)
 

@@ -504,9 +504,10 @@ func TestBadRequests(t *testing.T) {
 }
 
 // TestInvalidGridPointRejected: an axis that sweeps a field out of
-// range, or a DPM policy, topology, routing policy or traffic matrix
-// that is not built in, is answered 400 with the validation error,
-// before the spec takes a slot or appears in the listing.
+// range, a DPM policy, topology, routing policy or traffic matrix that
+// is not built in, or a network point at load 0 (whose matrix has no
+// flows) is answered 400 with the validation error, before the spec
+// takes a slot or appears in the listing.
 func TestInvalidGridPointRejected(t *testing.T) {
 	_, ts, _ := newTestServer(t, studyd.Config{})
 	for _, tc := range []struct{ spec, want string }{
@@ -517,8 +518,12 @@ func TestInvalidGridPointRejected(t *testing.T) {
 			`study: unknown DPM policy "nosuch"`},
 		{`{"version": 1, "base": {"fabric": {"ports": 4}}, "axes": [{"name": "dpm", "strings": ["idlegate", "nosuch"]}]}`,
 			`point 1: study: unknown DPM policy "nosuch"`},
-		{`{"version": 1, "base": {"network": {"nodes": 4}}, "axes": [{"name": "topology", "strings": ["ring", "nosuch"]}]}`,
+		{`{"version": 1, "base": {"traffic": {"load": 0.2}, "network": {"nodes": 4}}, "axes": [{"name": "topology", "strings": ["ring", "nosuch"]}]}`,
 			`point 1: study: network: unknown topology "nosuch"`},
+		{`{"version": 1, "base": {"network": {"topology": "ring", "nodes": 4}}}`,
+			`point 0: study: network: traffic.load 0 gives the traffic matrix no flows`},
+		{`{"version": 1, "base": {"network": {"topology": "ring", "nodes": 4}}, "axes": [{"name": "load", "floats": [0.1, 0]}]}`,
+			`point 1: study: network: traffic.load 0 gives the traffic matrix no flows`},
 		{`{"version": 1, "base": {"network": {"routing": "nosuch"}}}`,
 			`study: network: unknown routing policy "nosuch"`},
 		{`{"version": 1, "base": {"network": {"matrix": "nosuch"}}}`,

@@ -75,7 +75,7 @@ type pointTrace struct {
 // values are reused — emit must consume them synchronously), pt
 // attaches the profiler.
 func runScenario(reg *Registry, sc Scenario, topt *TelemetryOptions, emit func(any), pt *pointTrace) (Result, error) {
-	if err := sc.Validate(); err != nil {
+	if err := sc.validatePoint(); err != nil {
 		return Result{}, err
 	}
 	sd := sc.withDefaults()
@@ -454,7 +454,7 @@ func (g Grid) Run(ctx context.Context, opt RunOptions) (*GridResult, error) {
 	if reg == nil {
 		reg = Default
 	}
-	scenarios, err := g.Enumerate()
+	scenarios, err := g.Points()
 	if err != nil {
 		return nil, err
 	}

@@ -357,6 +357,20 @@ func (s Scenario) Validate() error {
 	return s.Model.validate()
 }
 
+// validatePoint is Validate for a scenario about to run rather than
+// a grid's base, which an axis may still complete: a network point
+// needs a positive load, since the traffic matrix of a zero load has
+// no flows.
+func (s Scenario) validatePoint() error {
+	if err := s.Validate(); err != nil {
+		return err
+	}
+	if s.Network != nil && s.Traffic.Load == 0 {
+		return fmt.Errorf("study: network: traffic.load 0 gives the traffic matrix no flows; set it above 0 or sweep a load axis")
+	}
+	return nil
+}
+
 // Axis is one swept dimension of a Grid: a built-in axis name and the
 // values it takes, in exactly one of the three typed lists.
 type Axis struct {
@@ -529,6 +543,22 @@ func (g Grid) Enumerate() ([]Scenario, error) {
 		feasible = append(feasible, sc)
 	}
 	return feasible, nil
+}
+
+// Points enumerates the grid and checks that every point can run, so a
+// bad axis value fails before any point has run. An error names the
+// first failing point by its index.
+func (g Grid) Points() ([]Scenario, error) {
+	scenarios, err := g.Enumerate()
+	if err != nil {
+		return nil, err
+	}
+	for i, sc := range scenarios {
+		if err := sc.validatePoint(); err != nil {
+			return nil, fmt.Errorf("point %d: %w", i, err)
+		}
+	}
+	return scenarios, nil
 }
 
 // SpecVersion is the schema version this build reads and writes.

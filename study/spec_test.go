@@ -206,6 +206,58 @@ func TestDecodeValidates(t *testing.T) {
 	}
 }
 
+// TestNetworkPointAtLoadZero: a network point at load 0 has no flows,
+// so it is rejected as a point — by Grid.Points and before Grid.Run
+// runs any point — while a base at load 0 that a load axis overrides
+// still decodes and runs, as the checked-in network specs do.
+func TestNetworkPointAtLoadZero(t *testing.T) {
+	const want = "study: network: traffic.load 0 gives the traffic matrix no flows"
+	for _, tc := range []struct{ spec, err string }{
+		{`{"version": 1, "base": {"network": {"topology": "ring", "nodes": 4}}}`, "point 0: " + want},
+		{`{"version": 1, "base": {"network": {"topology": "ring", "nodes": 4}}, "axes": [{"name": "load", "floats": [0.1, 0]}]}`, "point 1: " + want},
+		{`{"version": 1, "base": {"network": {"topology": "ring", "nodes": 4}}, "axes": [{"name": "load", "floats": [0.1, 0.2]}]}`, ""},
+	} {
+		spec, err := study.DecodeSpec(strings.NewReader(tc.spec))
+		if err != nil {
+			t.Fatalf("%s: a base at load 0 must decode: %v", tc.spec, err)
+		}
+		_, err = spec.Grid.Points()
+		if tc.err == "" {
+			if err != nil {
+				t.Errorf("%s: %v", tc.spec, err)
+			}
+			continue
+		}
+		if err == nil || !strings.HasPrefix(err.Error(), tc.err) {
+			t.Errorf("%s: Points error %v, want %q", tc.spec, err, tc.err)
+		}
+		ran := 0
+		_, err = spec.Grid.Run(context.Background(), study.RunOptions{
+			Workers: 1,
+			OnPoint: func(int, int, study.Scenario, study.Result, study.PointInfo) { ran++ },
+		})
+		if err == nil || !strings.Contains(err.Error(), want) || ran != 0 {
+			t.Errorf("%s: Run error %v after %d points, want %q before any point", tc.spec, err, ran, want)
+		}
+	}
+	for _, name := range []string{"bursty-network.json", "flaky-network.json", "green-network.json"} {
+		raw, err := os.ReadFile(filepath.Join("..", "scenarios", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := study.DecodeSpec(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if spec.Grid.Base.Traffic.Load != 0 {
+			t.Errorf("%s: base load %g, want the load-0 base a load axis overrides", name, spec.Grid.Base.Traffic.Load)
+		}
+		if _, err := spec.Grid.Points(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
 // TestCellBitsLimit: an oversized cell fails validation with an error
 // naming the field and the limit, whether it sits in the base (decode
 // time) or arrives through a cellbits axis (run time), before any cell
