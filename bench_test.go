@@ -24,7 +24,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand"
 	"testing"
 
 	"fabricpower/internal/circuits"
@@ -35,6 +34,7 @@ import (
 	"fabricpower/internal/fabric"
 	"fabricpower/internal/gates"
 	"fabricpower/internal/packet"
+	"fabricpower/internal/rng"
 	"fabricpower/internal/router"
 	"fabricpower/internal/tech"
 	"fabricpower/internal/traffic"
@@ -185,10 +185,10 @@ func benchFabric(b *testing.B, arch core.Architecture, ports int, load float64) 
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
+	draws := rng.New(1)
 	pool := make([]*packet.Cell, 0, 8*ports)
 	for i := 0; i < 8*ports; i++ {
-		pool = append(pool, &packet.Cell{ID: uint64(i + 1), Payload: packet.RandomPayload(rng, 32)})
+		pool = append(pool, &packet.Cell{ID: uint64(i + 1), Payload: packet.RandomPayload(draws, 32)})
 	}
 	destBusy := make([]bool, ports)
 	slot := uint64(0)
@@ -197,10 +197,10 @@ func benchFabric(b *testing.B, arch core.Architecture, ports int, load float64) 
 			destBusy[j] = false
 		}
 		for p := 0; p < ports; p++ {
-			if len(pool) == 0 || rng.Float64() >= load {
+			if len(pool) == 0 || draws.Float64() >= load {
 				continue
 			}
-			d := rng.Intn(ports)
+			d := draws.Intn(ports)
 			if destBusy[d] {
 				continue
 			}
@@ -289,7 +289,7 @@ func BenchmarkDPMManagedStep(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				gen, err := traffic.NewInjector(ports, 0.4, cell, traffic.Uniform{}, 1)
+				gen, err := traffic.NewInjector(ports, 0.4, cell, nil, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -342,7 +342,7 @@ func BenchmarkRouterStep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			gen, err := traffic.NewInjector(ports, 0.4, cell, traffic.Uniform{}, 1)
+			gen, err := traffic.NewInjector(ports, 0.4, cell, nil, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -385,13 +385,13 @@ func BenchmarkGateSimBanyanSwitch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
+	draws := rng.New(1)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, p := range sw.In {
 			s.SetInput(p.Valid, true)
-			s.SetBus(p.Data, rng.Uint64())
+			s.SetBus(p.Data, draws.Uint64())
 		}
 		s.Settle()
 		s.ClockEdge()
@@ -420,8 +420,8 @@ func BenchmarkCharacterizeBanyan(b *testing.B) {
 // BenchmarkWireFlipAccounting measures the XOR/popcount hot path of the
 // bit-accurate wire model.
 func BenchmarkWireFlipAccounting(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	words := packet.RandomPayload(rng, 32)
+	draws := rng.New(1)
+	words := packet.RandomPayload(draws, 32)
 	last := uint32(0)
 	flips := 0
 	b.ResetTimer()

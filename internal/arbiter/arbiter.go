@@ -31,13 +31,6 @@ type Request struct {
 	Arrival uint64
 }
 
-// Arbiter selects a conflict-free subset of requests: at most one grant
-// per ingress port and one per egress destination.
-type Arbiter interface {
-	// Grant returns the indices of the granted requests.
-	Grant(reqs []Request, slot uint64) []int
-}
-
 // FCFSRR is the paper's first-come-first-served arbiter with round-robin
 // tie-breaking, built for a port count by NewFCFSRR.
 type FCFSRR struct {
@@ -57,10 +50,12 @@ func NewFCFSRR(ports int) *FCFSRR {
 	return &FCFSRR{best: ints[:ports:ports], grants: ints[ports:ports]}
 }
 
-// Grant implements Arbiter: for every destination, the oldest request
-// wins; equal arrivals are broken by round-robin distance from the
-// rotating pointer. Each ingress port sends at most one request per slot
-// by construction of the router, so per-port uniqueness is inherited.
+// Grant returns the indices of a conflict-free subset of reqs: at most
+// one grant per egress destination and per ingress port. For every
+// destination, the oldest request wins; equal arrivals are broken by
+// round-robin distance from the rotating pointer. Each ingress port
+// sends at most one request per slot by construction of the router, so
+// per-port uniqueness is inherited.
 // Every Dest must be below the arbiter's port count. Grants are
 // returned in ascending request order; the returned slice is reused by
 // the next Grant call.

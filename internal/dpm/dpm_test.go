@@ -1,13 +1,13 @@
 package dpm_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"fabricpower/internal/core"
 	"fabricpower/internal/dpm"
 	"fabricpower/internal/fabric"
 	"fabricpower/internal/packet"
+	"fabricpower/internal/rng"
 	"fabricpower/internal/router"
 )
 
@@ -319,13 +319,13 @@ func managedSlotAllocationFree(t *testing.T, queue router.QueueDiscipline) {
 	// Pre-load a deep backlog on half the ports (the other half goes
 	// idle and exercises the gating paths), so the measured loop admits
 	// real traffic without calling Inject.
-	rng := rand.New(rand.NewSource(1))
+	draws := rng.New(1)
 	for i := 0; i < 700*ports/2; i++ {
 		c := &packet.Cell{
 			ID:      uint64(i + 1),
 			Src:     (i % (ports / 2)) * 2,
-			Dest:    rng.Intn(ports),
-			Payload: packet.RandomPayload(rng, 8),
+			Dest:    draws.Intn(ports),
+			Payload: packet.RandomPayload(draws, 8),
 		}
 		if !r.Inject(c, 0) {
 			t.Fatal("inject failed")

@@ -2,7 +2,6 @@ package energy
 
 import (
 	"fmt"
-	"math/rand"
 
 	"fabricpower/internal/circuits"
 	"fabricpower/internal/gates"
@@ -82,7 +81,7 @@ func Characterize(sw *circuits.Switch, opt CharOptions) (Table, error) {
 		if err != nil {
 			return 0, err
 		}
-		draws := rand.New(rng.New(seed))
+		draws := rng.New(seed)
 		// Select lines (MuxN) pick among occupied inputs.
 		present := make([]int, 0, n)
 		for i := 0; i < n; i++ {

@@ -1,11 +1,11 @@
 package fabric
 
 import (
-	"math/rand"
 	"testing"
 
 	"fabricpower/internal/core"
 	"fabricpower/internal/packet"
+	"fabricpower/internal/rng"
 )
 
 // TestStepAllocationFree pins the per-slot hot path at zero allocations
@@ -26,14 +26,14 @@ func TestStepAllocationFree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(1))
+			draws := rng.New(1)
 			// Fixed cell pool: delivered cells recirculate, so the
 			// measured loop injects real traffic without allocating.
 			pool := make([]*packet.Cell, 0, 8*ports)
 			for i := 0; i < 8*ports; i++ {
 				pool = append(pool, &packet.Cell{
 					ID:      uint64(i + 1),
-					Payload: packet.RandomPayload(rng, 8),
+					Payload: packet.RandomPayload(draws, 8),
 				})
 			}
 			destBusy := make([]bool, ports)
@@ -43,10 +43,10 @@ func TestStepAllocationFree(t *testing.T) {
 					destBusy[i] = false
 				}
 				for p := 0; p < ports; p++ {
-					if len(pool) == 0 || rng.Intn(2) == 0 {
+					if len(pool) == 0 || draws.Intn(2) == 0 {
 						continue
 					}
-					d := rng.Intn(ports)
+					d := draws.Intn(ports)
 					if destBusy[d] {
 						continue
 					}

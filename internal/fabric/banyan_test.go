@@ -2,12 +2,12 @@ package fabric
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"fabricpower/internal/core"
 	"fabricpower/internal/energy"
 	"fabricpower/internal/packet"
+	"fabricpower/internal/rng"
 )
 
 // fullWalk is the Banyan step the occupancy bitmasks replaced, kept as
@@ -141,7 +141,7 @@ func checkOccupancy(b *banyan) error {
 // refused cell stays at the head of its port and is offered again next
 // slot, so sustained load builds backpressure.
 type banyanTraffic struct {
-	rng     *rand.Rand
+	draws   *rng.Stream
 	ports   int
 	load    float64
 	hotspot bool
@@ -151,7 +151,7 @@ type banyanTraffic struct {
 }
 
 func newBanyanTraffic(seed int64, ports int, load float64, hotspot bool) *banyanTraffic {
-	return &banyanTraffic{rng: rand.New(rand.NewSource(seed)), ports: ports, load: load,
+	return &banyanTraffic{draws: rng.New(seed), ports: ports, load: load,
 		hotspot: hotspot, head: make([]*packet.Cell, ports)}
 }
 
@@ -159,13 +159,13 @@ func newBanyanTraffic(seed int64, ports int, load float64, hotspot bool) *banyan
 // whether the fabric took it.
 func (g *banyanTraffic) offer(try func(*packet.Cell) bool) {
 	for p := range g.head {
-		if g.head[p] == nil && g.rng.Float64() < g.load {
-			d := g.rng.Intn(g.ports)
-			if g.hotspot && g.rng.Intn(2) == 0 {
+		if g.head[p] == nil && g.draws.Float64() < g.load {
+			d := g.draws.Intn(g.ports)
+			if g.hotspot && g.draws.Intn(2) == 0 {
 				d = 0
 			}
 			g.id++
-			g.head[p] = mkCell(g.rng, g.id, p, d, 4)
+			g.head[p] = mkCell(g.draws, g.id, p, d, 4)
 		}
 		if c := g.head[p]; c != nil {
 			if try(c) {

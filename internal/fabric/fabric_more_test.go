@@ -7,6 +7,7 @@ import (
 
 	"fabricpower/internal/core"
 	"fabricpower/internal/packet"
+	"fabricpower/internal/rng"
 )
 
 // TestWireStateCarriesAcrossCells: the per-link word state persists, so
@@ -50,14 +51,14 @@ func TestBanyanTinyBufferBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(41))
+	draws := rng.New(41)
 	id := uint64(0)
 	accepted, refused := 0, 0
 	delivered := 0
 	for s := 0; s < 400; s++ {
 		for p := 0; p < 8; p++ {
 			id++
-			c := mkCell(rng, id, p, rng.Intn(8), 4)
+			c := mkCell(draws, id, p, draws.Intn(8), 4)
 			if f.Offer(c) {
 				accepted++
 			} else {
@@ -85,12 +86,12 @@ func TestBanyanBufferedCellKeepsPriority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(42))
+	draws := rng.New(42)
 	// Two cells that collide at stage 0 in a 4x4 omega: srcs 0 and 2
 	// shuffle to lines 0 and 1 (node 0); dests with the same MSB
 	// conflict.
-	a := mkCell(rng, 1, 0, 0, 4) // MSB 0 -> channel 0
-	b := mkCell(rng, 2, 2, 1, 4) // MSB 0 -> channel 0 too
+	a := mkCell(draws, 1, 0, 0, 4) // MSB 0 -> channel 0
+	b := mkCell(draws, 2, 2, 1, 4) // MSB 0 -> channel 0 too
 	if !f.Offer(a) || !f.Offer(b) {
 		t.Fatal("offers refused")
 	}
@@ -101,7 +102,7 @@ func TestBanyanBufferedCellKeepsPriority(t *testing.T) {
 	}
 	// Inject a third cell aimed at the same channel next slot; the
 	// buffered one must still come out first overall (FCFS).
-	c := mkCell(rng, 3, 0, 0, 4)
+	c := mkCell(draws, 3, 0, 0, 4)
 	f.Offer(c)
 	var order []uint64
 	for s := 1; s < 12 && len(order) < 3; s++ {
@@ -125,16 +126,16 @@ func TestBatcherWavePipelining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(43))
+	draws := rng.New(43)
 	latency := f.wires.TotalStages()
 	id := uint64(0)
 	delivered := 0
 	slots := 60
 	for s := 0; s < slots; s++ {
-		perm := rng.Perm(8)
+		perm := rand.New(draws).Perm(8)
 		for src := 0; src < 8; src++ {
 			id++
-			if !f.Offer(mkCell(rng, id, src, perm[src], 4)) {
+			if !f.Offer(mkCell(draws, id, src, perm[src], 4)) {
 				t.Fatalf("slot %d: offer refused", s)
 			}
 		}
@@ -160,7 +161,7 @@ func TestBanyanRoutingProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rng := rand.New(rand.NewSource(seed))
+		draws := rng.New(seed)
 		id := uint64(0)
 		dests := make(map[uint64]int)
 		ok := true
@@ -170,13 +171,13 @@ func TestBanyanRoutingProperty(t *testing.T) {
 				destBusy[i] = false
 			}
 			for p := 0; p < 16; p++ {
-				if rng.Float64() < 0.45 {
-					d := rng.Intn(16)
+				if draws.Float64() < 0.45 {
+					d := draws.Intn(16)
 					if destBusy[d] {
 						continue
 					}
 					id++
-					c := mkCell(rng, id, p, d, 4)
+					c := mkCell(draws, id, p, d, 4)
 					if fab.Offer(c) {
 						destBusy[d] = true
 						dests[c.ID] = d
@@ -205,7 +206,7 @@ func TestEnergyMonotoneUnderLoad(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(44))
+			draws := rng.New(44)
 			id := uint64(0)
 			destBusy := make([]bool, 8)
 			for s := 0; s < 400; s++ {
@@ -213,13 +214,13 @@ func TestEnergyMonotoneUnderLoad(t *testing.T) {
 					destBusy[i] = false
 				}
 				for p := 0; p < 8; p++ {
-					if rng.Float64() < load {
-						d := rng.Intn(8)
+					if draws.Float64() < load {
+						d := draws.Intn(8)
 						if destBusy[d] {
 							continue
 						}
 						id++
-						if f.Offer(mkCell(rng, id, p, d, 4)) {
+						if f.Offer(mkCell(draws, id, p, d, 4)) {
 							destBusy[d] = true
 						}
 					}
@@ -244,9 +245,9 @@ func TestInFlightAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(45))
+		draws := rng.New(45)
 		for i := 0; i < 4; i++ {
-			f.Offer(mkCell(rng, uint64(i+1), i, (i+3)%8, 4))
+			f.Offer(mkCell(draws, uint64(i+1), i, (i+3)%8, 4))
 		}
 		deliverAll(t, f, 40)
 		if f.InFlight() != 0 {

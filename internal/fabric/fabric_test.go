@@ -8,6 +8,7 @@ import (
 
 	"fabricpower/internal/core"
 	"fabricpower/internal/packet"
+	"fabricpower/internal/rng"
 	"fabricpower/internal/thompson"
 )
 
@@ -19,12 +20,12 @@ func testConfig(ports int) Config {
 	}
 }
 
-func mkCell(rng *rand.Rand, id uint64, src, dest int, words int) *packet.Cell {
+func mkCell(draws *rng.Stream, id uint64, src, dest int, words int) *packet.Cell {
 	return &packet.Cell{
 		ID:      id,
 		Src:     src,
 		Dest:    dest,
-		Payload: packet.RandomPayload(rng, words),
+		Payload: packet.RandomPayload(draws, words),
 	}
 }
 
@@ -119,8 +120,8 @@ func TestSingleHopDelivery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(1))
-			c := mkCell(rng, 1, 2, 3, 4)
+			draws := rng.New(1)
+			c := mkCell(draws, 1, 2, 3, 4)
 			if !f.Offer(c) {
 				t.Fatal("offer refused")
 			}
@@ -143,15 +144,15 @@ func TestSingleHopArbiterContract(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(2))
-		if !f.Offer(mkCell(rng, 1, 0, 3, 4)) {
+		draws := rng.New(2)
+		if !f.Offer(mkCell(draws, 1, 0, 3, 4)) {
 			t.Fatal("first offer refused")
 		}
-		if f.Offer(mkCell(rng, 2, 1, 3, 4)) {
+		if f.Offer(mkCell(draws, 2, 1, 3, 4)) {
 			t.Fatalf("%v: same-dest cell must be refused in one slot", arch)
 		}
 		f.Step(0)
-		if !f.Offer(mkCell(rng, 3, 1, 3, 4)) {
+		if !f.Offer(mkCell(draws, 3, 1, 3, 4)) {
 			t.Fatalf("%v: next slot should accept", arch)
 		}
 	}
@@ -163,14 +164,14 @@ func TestOfferRejectsOutOfRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(3))
+		draws := rng.New(3)
 		if f.Offer(nil) {
 			t.Errorf("%v: nil cell accepted", a)
 		}
-		if f.Offer(mkCell(rng, 1, -1, 0, 4)) {
+		if f.Offer(mkCell(draws, 1, -1, 0, 4)) {
 			t.Errorf("%v: negative src accepted", a)
 		}
-		if f.Offer(mkCell(rng, 1, 0, 4, 4)) {
+		if f.Offer(mkCell(draws, 1, 0, 4, 4)) {
 			t.Errorf("%v: dest out of range accepted", a)
 		}
 	}
@@ -179,14 +180,14 @@ func TestOfferRejectsOutOfRange(t *testing.T) {
 // TestBanyanDeliversToCorrectPorts routes every (src,dest) pair through an
 // 8x8 banyan one at a time and checks self-routing correctness.
 func TestBanyanDeliversToCorrectPorts(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
+	draws := rng.New(4)
 	for src := 0; src < 8; src++ {
 		for dest := 0; dest < 8; dest++ {
 			f, err := New(core.Banyan, testConfig(8))
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := mkCell(rng, 1, src, dest, 4)
+			c := mkCell(draws, 1, src, dest, 4)
 			if !f.Offer(c) {
 				t.Fatalf("offer %d->%d refused", src, dest)
 			}
@@ -204,8 +205,8 @@ func TestBanyanPipelineLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(5))
-	if !f.Offer(mkCell(rng, 1, 0, 5, 4)) {
+	draws := rng.New(5)
+	if !f.Offer(mkCell(draws, 1, 0, 5, 4)) {
 		t.Fatal("offer refused")
 	}
 	for s := 0; s < 2; s++ {
@@ -226,7 +227,7 @@ func TestBanyanInternalBlocking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(6))
+	draws := rng.New(6)
 	// Find a pair of (src,dest) cells with distinct dests that collide
 	// inside the fabric: brute-force search over small combinations.
 	found := false
@@ -242,8 +243,8 @@ search:
 					if err != nil {
 						t.Fatal(err)
 					}
-					g.Offer(mkCell(rng, 1, s1, d1, 4))
-					g.Offer(mkCell(rng, 2, s2, d2, 4))
+					g.Offer(mkCell(draws, 1, s1, d1, 4))
+					g.Offer(mkCell(draws, 2, s2, d2, 4))
 					for s := 0; s < 20 && g.InFlight() > 0; s++ {
 						g.Step(uint64(s))
 					}
@@ -271,7 +272,7 @@ func TestBanyanIdentityPermutationNoBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(7))
+	draws := rng.New(7)
 	id := uint64(0)
 	delivered := 0
 	for s := 0; s < 100; s++ {
@@ -279,7 +280,7 @@ func TestBanyanIdentityPermutationNoBuffers(t *testing.T) {
 			id++
 			// Identity permutation routes without internal conflicts in
 			// an omega network.
-			f.Offer(mkCell(rng, id, p, p, 4))
+			f.Offer(mkCell(draws, id, p, p, 4))
 		}
 		delivered += len(f.Step(uint64(s)))
 	}
@@ -294,14 +295,14 @@ func TestBanyanIdentityPermutationNoBuffers(t *testing.T) {
 // TestBatcherBanyanDeliversAllPairs checks sorting+routing for every
 // (src,dest) pair.
 func TestBatcherBanyanDeliversAllPairs(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
+	draws := rng.New(8)
 	for src := 0; src < 8; src++ {
 		for dest := 0; dest < 8; dest++ {
 			f, err := New(core.BatcherBanyan, testConfig(8))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !f.Offer(mkCell(rng, 1, src, dest, 4)) {
+			if !f.Offer(mkCell(draws, 1, src, dest, 4)) {
 				t.Fatalf("offer %d->%d refused", src, dest)
 			}
 			got := deliverAll(t, f, 20)
@@ -319,10 +320,10 @@ func TestBatcherBanyanFullPermutationWave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(9))
-	perm := rng.Perm(8)
+	draws := rng.New(9)
+	perm := rand.New(draws).Perm(8)
 	for src, dest := range perm {
-		if !f.Offer(mkCell(rng, uint64(src+1), src, dest, 4)) {
+		if !f.Offer(mkCell(draws, uint64(src+1), src, dest, 4)) {
 			t.Fatalf("offer %d->%d refused", src, dest)
 		}
 	}
@@ -345,15 +346,15 @@ func TestBatcherBanyanProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rng := rand.New(rand.NewSource(seed))
-		perm := rng.Perm(ports)
+		draws := rng.New(seed)
+		perm := rand.New(draws).Perm(ports)
 		mask := int(maskQ) % (1 << ports)
 		want := 0
 		for src := 0; src < ports; src++ {
 			if mask&(1<<uint(src)) == 0 {
 				continue
 			}
-			if !fab.Offer(mkCell(rng, uint64(src+1), src, perm[src], 4)) {
+			if !fab.Offer(mkCell(draws, uint64(src+1), src, perm[src], 4)) {
 				return false
 			}
 			want++
@@ -383,8 +384,8 @@ func TestEnergyAccountingBasics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(10))
-			f.Offer(mkCell(rng, 1, 1, 6, 4))
+			draws := rng.New(10)
+			f.Offer(mkCell(draws, 1, 1, 6, 4))
 			deliverAll(t, f, 30)
 			e := f.Energy()
 			if e.SwitchFJ <= 0 {
@@ -431,9 +432,9 @@ func TestAlternatingPayloadMaxWireEnergy(t *testing.T) {
 		f.Step(0)
 		return f.Energy().WireFJ
 	}
-	rng := rand.New(rand.NewSource(11))
+	draws := rng.New(11)
 	alt := run(packet.AlternatingPayload(4))
-	rnd := run(packet.RandomPayload(rng, 4))
+	rnd := run(packet.RandomPayload(draws, 4))
 	if alt <= rnd {
 		t.Fatalf("alternating payload (%g) must exceed random (%g)", alt, rnd)
 	}
@@ -535,14 +536,14 @@ func TestBanyanBufferPenaltyGrowsWithLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(12))
+		draws := rng.New(12)
 		id := uint64(0)
 		bits := 0
 		for s := 0; s < 3000; s++ {
 			for p := 0; p < 16; p++ {
-				if rng.Float64() < load {
+				if draws.Float64() < load {
 					id++
-					f.Offer(mkCell(rng, id, p, rng.Intn(16), 4))
+					f.Offer(mkCell(draws, id, p, draws.Intn(16), 4))
 				}
 			}
 			for _, c := range f.Step(uint64(s)) {
@@ -570,7 +571,7 @@ func TestFabricsConserveCells(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(13))
+			draws := rng.New(13)
 			accepted := make(map[uint64]bool)
 			delivered := make(map[uint64]bool)
 			id := uint64(0)
@@ -580,15 +581,15 @@ func TestFabricsConserveCells(t *testing.T) {
 					destBusy[i] = false
 				}
 				for p := 0; p < 8; p++ {
-					if rng.Float64() < 0.4 {
+					if draws.Float64() < 0.4 {
 						id++
-						d := rng.Intn(8)
+						d := draws.Intn(8)
 						// Respect the arbiter contract: one cell per
 						// dest per slot.
 						if destBusy[d] {
 							continue
 						}
-						c := mkCell(rng, id, p, d, 4)
+						c := mkCell(draws, id, p, d, 4)
 						if f.Offer(c) {
 							destBusy[d] = true
 							accepted[c.ID] = true

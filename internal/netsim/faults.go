@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"sort"
 
@@ -111,12 +110,13 @@ type faultState struct {
 	pairFailed []bool // the pair itself is failed (independent of endpoints)
 	pairUsable []bool // derived: !pairFailed && both endpoints up
 
-	// Generated schedules: per-entity renewal streams. nextPair and
-	// nextNode are the absolute slots of each entity's next toggle
-	// (maxUint64 when the entity has no generator). Each stream is
-	// rand.New over an rng.Stream, which only ExpFloat64 draws from.
-	pairRng  []*rand.Rand
-	nodeRng  []*rand.Rand
+	// Generated schedules: per-entity renewal streams, taken from
+	// streamPool and returned by Network.Close; only expSlots draws
+	// from them. nextPair and nextNode are the absolute slots of each
+	// entity's next toggle (maxUint64 when the entity has no
+	// generator).
+	pairRng  []*rng.Stream
+	nodeRng  []*rng.Stream
 	nextPair []uint64
 	nextNode []uint64
 
@@ -222,16 +222,16 @@ func newFaultState(plan FaultPlan, t *Topology, nflows int, seed int64) (*faultS
 		fs.nextNode[u] = neverSlot
 	}
 	if plan.MTBF > 0 {
-		fs.pairRng = make([]*rand.Rand, np)
+		fs.pairRng = make([]*rng.Stream, np)
 		for i := range fs.pairRng {
-			fs.pairRng[i] = rand.New(rng.New(flowSeed(seed, i, saltLinkFault)))
+			fs.pairRng[i] = flowStream(flowSeed(seed, i, saltLinkFault))
 			fs.nextPair[i] = expSlots(fs.pairRng[i], plan.MTBF)
 		}
 	}
 	if plan.NodeMTBF > 0 {
-		fs.nodeRng = make([]*rand.Rand, t.Nodes)
+		fs.nodeRng = make([]*rng.Stream, t.Nodes)
 		for u := range fs.nodeRng {
-			fs.nodeRng[u] = rand.New(rng.New(flowSeed(seed, u, saltNodeFault)))
+			fs.nodeRng[u] = flowStream(flowSeed(seed, u, saltNodeFault))
 			fs.nextNode[u] = expSlots(fs.nodeRng[u], plan.NodeMTBF)
 		}
 	}
@@ -241,14 +241,35 @@ func newFaultState(plan FaultPlan, t *Topology, nflows int, seed int64) (*faultS
 	return fs, nil
 }
 
-// expSlots draws an exponential duration with the given mean, at least
-// one slot, as an offset.
-func expSlots(rng *rand.Rand, mean float64) uint64 {
-	d := uint64(rng.ExpFloat64() * mean)
-	if d < 1 {
-		d = 1
+// maxFaultSlots caps one renewal duration. A plan's means have no upper
+// bound, and Go leaves the conversion of a float64 at or above 2⁶⁴ to
+// uint64 implementation-dependent: a result near 2⁶⁴ would wrap the
+// next toggle slot below the current one. 2⁶² slots outlasts any run.
+const maxFaultSlots = 1 << 62
+
+// expSlots draws an exponential duration with the given mean from s, in
+// [1, maxFaultSlots] slots, as an offset.
+func expSlots(s *rng.Stream, mean float64) uint64 {
+	d := s.ExpFloat64() * mean
+	if !(d < maxFaultSlots) { // also +Inf and NaN
+		return maxFaultSlots
 	}
-	return d
+	if d < 1 {
+		return 1
+	}
+	return uint64(d)
+}
+
+// recycleStreams returns the renewal streams to streamPool, in reverse
+// build order.
+func (fs *faultState) recycleStreams() {
+	for u := len(fs.nodeRng) - 1; u >= 0; u-- {
+		streamPool.Put(fs.nodeRng[u])
+	}
+	for i := len(fs.pairRng) - 1; i >= 0; i-- {
+		streamPool.Put(fs.pairRng[i])
+	}
+	fs.pairRng, fs.nodeRng = nil, nil
 }
 
 func (fs *faultState) recomputeNextSlot() {

@@ -1,11 +1,13 @@
 package netsim
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"fabricpower/internal/core"
+	"fabricpower/internal/rng"
 	"fabricpower/internal/sim"
 	"fabricpower/internal/tech"
 )
@@ -246,6 +248,58 @@ func TestNodeFaultReroutesRing(t *testing.T) {
 	durNS := 2000 * slotNS
 	if want := tech.PowerMW(res.ResidualFJ+res.ReconvergeFJ, durNS); rep.Power.StaticMW < want {
 		t.Errorf("total static %g mW does not include the %g mW fault overhead", rep.Power.StaticMW, want)
+	}
+}
+
+// TestExpSlotsClampsHugeMeans pins a renewal duration to [1, 2⁶²]
+// slots for any mean: converting a float64 at or above 2⁶⁴ to uint64 is
+// implementation-dependent, and a result near 2⁶⁴ would wrap the next
+// toggle slot below the current one.
+func TestExpSlotsClampsHugeMeans(t *testing.T) {
+	s := rng.New(1)
+	for _, mean := range []float64{1e-300, 0.5, 1e19, 1e300, math.MaxFloat64, math.Inf(1)} {
+		for i := 0; i < 100; i++ {
+			if d := expSlots(s, mean); d < 1 || d > 1<<62 {
+				t.Fatalf("expSlots(mean %g) = %d, want it in [1, 2^62]", mean, d)
+			}
+		}
+	}
+}
+
+// TestHugeFaultMeansRunToCompletion runs plans whose means no run can
+// reach: an MTBF of 1e300 never fails anything, and an MTTR of 1e300
+// never repairs. Both finish without error.
+func TestHugeFaultMeansRunToCompletion(t *testing.T) {
+	for name, plan := range map[string]FaultPlan{
+		"mtbf":          {MTBF: 1e300, MTTR: 40, NodeMTBF: 1e300, NodeMTTR: 30},
+		"mttr":          {MTBF: 50, MTTR: 1e300, NodeMTBF: 80, NodeMTTR: 1e300},
+		"both-infinite": {MTBF: 1e300, MTTR: 1e300},
+	} {
+		t.Run(name, func(t *testing.T) {
+			topo, err := FatTree2(2, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := testConfig(topo)
+			cfg.Load = 0.2
+			cfg.Faults = &plan
+			net, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer net.Close()
+			rep, err := net.Run(100, 400)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := rep.Net.Resilience
+			if res == nil {
+				t.Fatal("no resilience report")
+			}
+			if plan.MTBF == 1e300 && (res.ReconvergeEvents != 0 || res.NodeDownSlots != 0) {
+				t.Errorf("MTBF 1e300 toggled something: %d re-convergences, %d node down slots", res.ReconvergeEvents, res.NodeDownSlots)
+			}
+		})
 	}
 }
 

@@ -155,10 +155,10 @@ func flowSeed(base int64, fi int, salt uint64) int64 {
 	return int64(h)
 }
 
-// streamPool recycles flow streams between networks. Two 4.9 KB streams
-// per flow are ~10 MB of garbage per build of a 48-router fat-tree, and
-// Seed overwrites a stream's whole state, so a recycled stream draws
-// exactly what a fresh one would.
+// streamPool recycles flow and fault-renewal streams between networks.
+// Two 4.9 KB streams per flow are ~10 MB of garbage per build of a
+// 48-router fat-tree, and Seed overwrites a stream's whole state, so a
+// recycled stream draws exactly what a fresh one would.
 var streamPool sync.Pool
 
 // flowStream returns a stream seeded with seed, recycled when the pool

@@ -621,6 +621,47 @@ func TestClosedNetworkStreamsRecycleExactly(t *testing.T) {
 			}
 		})
 	}
+	// Link and router renewal streams come from the same pool. The
+	// networks run as parallel subtests, as Grid.Run's workers build
+	// and close them, so they take and return streams concurrently.
+	t.Run("faulted", func(t *testing.T) {
+		run := func(t *testing.T, seed int64) *Report {
+			topo, err := FatTree2(2, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := testConfig(topo)
+			cfg.Load, cfg.Seed = 0.3, seed
+			cfg.Faults = &FaultPlan{MTBF: 150, MTTR: 40, NodeMTBF: 300, NodeMTTR: 30}
+			net, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer net.Close()
+			rep, err := net.Run(100, 400)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep
+		}
+		for streamPool.Get() != nil {
+		}
+		fresh := map[int64]*Report{7: run(t, 7), 8: run(t, 8)}
+		if r := fresh[7].Net.Resilience; r == nil || r.ReconvergeEvents == 0 {
+			t.Fatal("the fault plan toggled nothing in the window; the renewal streams are untested")
+		}
+		for i := 0; i < 4; i++ {
+			seed := int64(7 + i%2)
+			t.Run(fmt.Sprintf("net=%d", i), func(t *testing.T) {
+				t.Parallel()
+				for round := 0; round < 3; round++ {
+					if got := run(t, seed); !reflect.DeepEqual(got, fresh[seed]) {
+						t.Errorf("round %d: a seed-%d network on recycled streams diverged from one on fresh streams", round, seed)
+					}
+				}
+			})
+		}
+	})
 }
 
 // TestBackpressure pins the finite-link behavior: a hotspot overload

@@ -718,9 +718,10 @@ func (n *Network) balancePools() {
 }
 
 // Close releases the shard worker goroutines, if a sharded Step started
-// any, and recycles the flows' random streams. Close is idempotent, and
-// a closed network refuses to step: Step panics and Run errors with a
-// message naming the misuse instead of silently respawning workers.
+// any, and recycles the flows' and the fault plan's random streams.
+// Close is idempotent, and a closed network refuses to step: Step
+// panics and Run errors with a message naming the misuse instead of
+// silently respawning workers.
 func (n *Network) Close() {
 	if n.closed {
 		return
@@ -734,6 +735,9 @@ func (n *Network) Close() {
 		if n.payload[fi] != nil { // a typed nil would come back from Get
 			streamPool.Put(n.payload[fi])
 		}
+	}
+	if n.fail != nil {
+		n.fail.recycleStreams()
 	}
 	for fi := len(n.srcs) - 1; fi >= 0; fi-- {
 		recycleStream(n.srcs[fi])

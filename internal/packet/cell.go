@@ -13,7 +13,6 @@ package packet
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
 
 	"fabricpower/internal/rng"
 )
@@ -27,9 +26,6 @@ type Config struct {
 	// BusWidth is the datapath width in bits (32 in the paper).
 	BusWidth int
 }
-
-// DefaultConfig returns the paper-calibrated geometry.
-func DefaultConfig() Config { return Config{CellBits: 1024, BusWidth: 32} }
 
 // Validate reports whether the geometry is usable.
 func (c Config) Validate() error {
@@ -123,7 +119,7 @@ func (c *Cell) Crossing(last uint32) (flips int, newLast uint32) {
 }
 
 // FillRandom draws the cell's payload from s — the same words, in the
-// same order, as RandomPayload over rand.New(s) — and caches its
+// same order, as RandomPayload(s, len(c.Payload)) — and caches its
 // interior flip count on the way.
 func (c *Cell) FillRandom(s *rng.Stream) {
 	var prev uint32
@@ -138,12 +134,12 @@ func (c *Cell) FillRandom(s *rng.Stream) {
 	c.interior = int32(flips) + 1
 }
 
-// RandomPayload fills a fresh payload of n words from rng (the paper's
+// RandomPayload fills a fresh payload of n words from s (the paper's
 // random binary payloads).
-func RandomPayload(rng *rand.Rand, n int) []uint32 {
+func RandomPayload(s *rng.Stream, n int) []uint32 {
 	p := make([]uint32, n)
 	for i := range p {
-		p[i] = rng.Uint32()
+		p[i] = s.Uint32()
 	}
 	return p
 }

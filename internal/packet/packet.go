@@ -2,8 +2,9 @@ package packet
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
+
+	"fabricpower/internal/rng"
 )
 
 // Packet is a variable-size TCP/IP-like packet before segmentation.
@@ -16,8 +17,9 @@ type Packet struct {
 	Payload []uint32
 }
 
-// NewRandomPacket builds a packet with a random payload of sizeBits.
-func NewRandomPacket(rng *rand.Rand, id uint64, src, dest, sizeBits int) (*Packet, error) {
+// NewRandomPacket builds a packet with a random payload of sizeBits,
+// drawn from s.
+func NewRandomPacket(s *rng.Stream, id uint64, src, dest, sizeBits int) (*Packet, error) {
 	if sizeBits < 1 {
 		return nil, fmt.Errorf("packet: size must be positive, got %d", sizeBits)
 	}
@@ -27,7 +29,7 @@ func NewRandomPacket(rng *rand.Rand, id uint64, src, dest, sizeBits int) (*Packe
 		Src:      src,
 		Dest:     dest,
 		SizeBits: sizeBits,
-		Payload:  RandomPayload(rng, words),
+		Payload:  RandomPayload(s, words),
 	}, nil
 }
 

@@ -1,13 +1,15 @@
 package packet
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"fabricpower/internal/rng"
 )
 
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
+	paper := Config{CellBits: 1024, BusWidth: 32}
+	if err := paper.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := []Config{
@@ -21,8 +23,8 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("config %+v should fail", c)
 		}
 	}
-	if DefaultConfig().Words() != 32 {
-		t.Fatalf("default words = %d, want 32", DefaultConfig().Words())
+	if paper.Words() != 32 {
+		t.Fatalf("paper words = %d, want 32", paper.Words())
 	}
 }
 
@@ -78,8 +80,8 @@ func TestFlipCountProperty(t *testing.T) {
 }
 
 func TestRandomPayloadDeterministic(t *testing.T) {
-	a := RandomPayload(rand.New(rand.NewSource(5)), 16)
-	b := RandomPayload(rand.New(rand.NewSource(5)), 16)
+	a := RandomPayload(rng.New(5), 16)
+	b := RandomPayload(rng.New(5), 16)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed must give same payload")
@@ -88,8 +90,8 @@ func TestRandomPayloadDeterministic(t *testing.T) {
 }
 
 func TestNewRandomPacket(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	p, err := NewRandomPacket(rng, 7, 1, 2, 1000)
+	draws := rng.New(1)
+	p, err := NewRandomPacket(draws, 7, 1, 2, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +101,7 @@ func TestNewRandomPacket(t *testing.T) {
 	if len(p.Payload) != (1000+31)/32 {
 		t.Fatalf("payload words = %d", len(p.Payload))
 	}
-	if _, err := NewRandomPacket(rng, 1, 0, 0, 0); err == nil {
+	if _, err := NewRandomPacket(draws, 1, 0, 0, 0); err == nil {
 		t.Fatal("zero size should fail")
 	}
 }
@@ -110,8 +112,8 @@ func TestSegmentAndReassemble(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(3))
-	p, _ := NewRandomPacket(rng, 42, 0, 3, 10*32) // 10 words -> 3 cells
+	draws := rng.New(3)
+	p, _ := NewRandomPacket(draws, 42, 0, 3, 10*32) // 10 words -> 3 cells
 	cells := seg.Split(p, 100)
 	if len(cells) != 3 {
 		t.Fatalf("cells = %d, want 3", len(cells))
@@ -159,9 +161,9 @@ func TestSegmentAndReassemble(t *testing.T) {
 func TestReassemblerInterleavedPackets(t *testing.T) {
 	cfg := Config{CellBits: 64, BusWidth: 32}
 	seg, _ := NewSegmenter(cfg)
-	rng := rand.New(rand.NewSource(9))
-	p1, _ := NewRandomPacket(rng, 1, 0, 0, 4*32)
-	p2, _ := NewRandomPacket(rng, 2, 1, 0, 4*32)
+	draws := rng.New(9)
+	p1, _ := NewRandomPacket(draws, 1, 0, 0, 4*32)
+	p2, _ := NewRandomPacket(draws, 2, 1, 0, 4*32)
 	c1 := seg.Split(p1, 0)
 	c2 := seg.Split(p2, 0)
 	r := NewReassembler()
@@ -210,8 +212,8 @@ func TestSegmentReassembleRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rng := rand.New(rand.NewSource(seed))
-		p, err := NewRandomPacket(rng, 99, 0, 1, size)
+		draws := rng.New(seed)
+		p, err := NewRandomPacket(draws, 99, 0, 1, size)
 		if err != nil {
 			return false
 		}

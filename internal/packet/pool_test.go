@@ -1,7 +1,6 @@
 package packet
 
 import (
-	"math/rand"
 	"testing"
 
 	"fabricpower/internal/rng"
@@ -9,9 +8,9 @@ import (
 
 // crossingMatches checks the cached path against the streaming one for
 // a spread of held words.
-func crossingMatches(t *testing.T, rng *rand.Rand, c *Cell, what string) {
+func crossingMatches(t *testing.T, draws *rng.Stream, c *Cell, what string) {
 	t.Helper()
-	for _, last := range []uint32{0, ^uint32(0), rng.Uint32(), rng.Uint32()} {
+	for _, last := range []uint32{0, ^uint32(0), draws.Uint32(), draws.Uint32()} {
 		wantFlips, wantLast := FlipsThrough(last, c.Payload)
 		for pass := 0; pass < 2; pass++ { // the second pass reads the cache
 			flips, newLast := c.Crossing(last)
@@ -25,21 +24,20 @@ func crossingMatches(t *testing.T, rng *rand.Rand, c *Cell, what string) {
 
 func TestCrossingMatchesFlipsThrough(t *testing.T) {
 	s := rng.New(1)
-	r := rand.New(s)
 	for _, words := range []int{1, 2, 3, 32, 64} {
 		pool := NewPool(words, 0)
 		for i := 0; i < 200; i++ {
 			c := pool.Get()
 			c.FillRandom(s)
-			crossingMatches(t, r, c, "filled")
+			crossingMatches(t, s, c, "filled")
 			pool.Put(c)
 		}
 		for i := 0; i < 50; i++ {
 			// Literal cells compute the interior count on first use.
-			crossingMatches(t, r, &Cell{Payload: RandomPayload(r, words)}, "literal")
+			crossingMatches(t, s, &Cell{Payload: RandomPayload(s, words)}, "literal")
 		}
-		crossingMatches(t, r, &Cell{Payload: AlternatingPayload(words)}, "alternating")
-		crossingMatches(t, r, &Cell{Payload: ZeroPayload(words)}, "zero")
+		crossingMatches(t, s, &Cell{Payload: AlternatingPayload(words)}, "alternating")
+		crossingMatches(t, s, &Cell{Payload: ZeroPayload(words)}, "zero")
 	}
 	if flips, last := (&Cell{}).Crossing(7); flips != 0 || last != 7 {
 		t.Fatalf("empty payload crossed as (%d, %d), want (0, 7)", flips, last)
@@ -48,7 +46,6 @@ func TestCrossingMatchesFlipsThrough(t *testing.T) {
 
 func TestCrossingAfterRecycle(t *testing.T) {
 	s := rng.New(2)
-	r := rand.New(s)
 	pool := NewPool(32, 0)
 	c := pool.Get()
 	c.FillRandom(s)
@@ -61,18 +58,18 @@ func TestCrossingAfterRecycle(t *testing.T) {
 		t.Fatal("pool did not reuse the released cell")
 	}
 	copy(d.Payload, AlternatingPayload(32))
-	crossingMatches(t, r, d, "recycled, rewritten")
+	crossingMatches(t, s, d, "recycled, rewritten")
 	pool.Put(d)
 	e := pool.Get()
 	e.FillRandom(s)
-	crossingMatches(t, r, e, "recycled, refilled")
+	crossingMatches(t, s, e, "recycled, refilled")
 }
 
-// TestFillRandomDrawsLikeRandomPayload checks a Stream fill against
-// RandomPayload over math/rand of the same seed: the payload words cells
-// were drawn with before rng.Stream.
+// TestFillRandomDrawsLikeRandomPayload checks a pooled cell's fill
+// against RandomPayload over a stream of the same seed: the same words,
+// leaving the stream at the same position.
 func TestFillRandomDrawsLikeRandomPayload(t *testing.T) {
-	a, b := rng.New(3), rand.New(rand.NewSource(3))
+	a, b := rng.New(3), rng.New(3)
 	pool := NewPool(32, 0)
 	for i := 0; i < 20; i++ {
 		c := pool.Get()

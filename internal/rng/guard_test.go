@@ -1,68 +1,61 @@
 package rng_test
 
 import (
-	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// hotPackages draw on the slot hot path, so their streams must be
-// rng.Streams. Their tests may still use math/rand as an oracle.
-var hotPackages = []string{"../netsim", "../traffic", "../packet", "../../study"}
+// moduleRoot is the root module's directory, relative to this package.
+const moduleRoot = "../.."
 
-// TestHotPackagesDoNotSeedMathRand fails if non-test code in a hot
-// package builds a math/rand source: a rand.NewSource stream costs an
-// interface call per draw and a serial ~1,840-step seeding chain.
-func TestHotPackagesDoNotSeedMathRand(t *testing.T) {
+// TestOnlyRngImportsMathRand walks every non-test Go file of the root
+// module and fails on a math/rand import outside internal/rng: every
+// draw goes through rng.Stream, so the simulator has one random-stream
+// type. Tests may still use math/rand as an oracle. fabricbench is its
+// own module and is skipped, as are testdata trees.
+func TestOnlyRngImportsMathRand(t *testing.T) {
 	fset := token.NewFileSet()
-	for _, dir := range hotPackages {
-		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	files := 0
+	err := filepath.WalkDir(moduleRoot, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		if len(files) == 0 {
-			t.Fatalf("%s: no Go files", dir)
+		rel, err := filepath.Rel(moduleRoot, path)
+		if err != nil {
+			return err
 		}
-		for _, path := range files {
-			if strings.HasSuffix(path, "_test.go") {
-				continue
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			name := d.Name()
+			if rel == "fabricbench" || rel == "internal/rng" || name == "testdata" || (rel != "." && strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
 			}
-			f, err := parser.ParseFile(fset, path, nil, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			name := mathRandName(f)
-			if name == "" {
-				continue
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok || sel.Sel.Name != "NewSource" {
-					return true
-				}
-				if id, ok := sel.X.(*ast.Ident); ok && id.Name == name {
-					t.Errorf("%s: calls %s.NewSource; draw from an rng.Stream instead", fset.Position(sel.Pos()), name)
-				}
-				return true
-			})
+			return nil
 		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		files++
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "math/rand" || strings.HasPrefix(p, "math/rand/") {
+				t.Errorf("%s imports %s; draw from an rng.Stream instead", rel, p)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// mathRandName returns the name f imports math/rand under, or "".
-func mathRandName(f *ast.File) string {
-	for _, imp := range f.Imports {
-		if path, _ := strconv.Unquote(imp.Path.Value); path != "math/rand" {
-			continue
-		}
-		if imp.Name != nil {
-			return imp.Name.Name
-		}
-		return "rand"
+	if files < 50 {
+		t.Fatalf("walked only %d non-test Go files under %s; is it the module root?", files, moduleRoot)
 	}
-	return ""
 }

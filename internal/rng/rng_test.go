@@ -43,9 +43,9 @@ var edgeSeeds = []int64{
 // 2³¹ (Int63n instead of Int31n).
 var intnArgs = [16]int{1, 2, 3, 7, 16, 100, 1000, 1<<20 + 1, 1<<31 - 1, 1 << 31, 1<<31 + 1, 1<<40 + 3, 1 << 52, 1<<62 + 1, 5, 64}
 
-// diff runs prog against a Stream (directly and through rand.New) and
-// against rand.NewSource(seed), and describes the first draw where they
-// differ, or returns "".
+// diff runs prog against a Stream and against rand.NewSource(seed), and
+// describes the first draw where they differ, or returns "". Perm and
+// rand.Rand.Seed, which Stream lacks, go through rand.New(stream).
 func diff(seed int64, prog []byte) string {
 	s := rng.New(seed)
 	r := rand.New(s)
@@ -73,9 +73,9 @@ func diff(seed int64, prog []byte) string {
 			o.Seed(v)
 			continue
 		case opIntn:
-			got, want = r.Intn(intnArgs[arg]), o.Intn(intnArgs[arg])
+			got, want = s.Intn(intnArgs[arg]), o.Intn(intnArgs[arg])
 		case opExpFloat64:
-			got, want = math.Float64bits(r.ExpFloat64()), math.Float64bits(o.ExpFloat64())
+			got, want = math.Float64bits(s.ExpFloat64()), math.Float64bits(o.ExpFloat64())
 		case opPerm:
 			got, want = r.Perm(arg), o.Perm(arg)
 		}
@@ -143,7 +143,7 @@ func TestStreamPinnedValues(t *testing.T) {
 			[4]uint64{0x6a99fa1dcb7d7dcf, 0xde0d4d54c03bce8f, 0xf967292367e624a8, 0x70baa726beec957e}},
 	} {
 		s := rng.New(pin.seed)
-		if f, u, i, n := s.Float64(), s.Uint32(), s.Int63(), rand.New(s).Intn(100); f != pin.f || u != pin.u32 || i != pin.i63 || n != pin.intn {
+		if f, u, i, n := s.Float64(), s.Uint32(), s.Int63(), s.Intn(100); f != pin.f || u != pin.u32 || i != pin.i63 || n != pin.intn {
 			t.Errorf("seed %d: Float64, Uint32, Int63, Intn(100) = %v, %d, %d, %d; want %v, %d, %d, %d",
 				pin.seed, f, u, i, n, pin.f, pin.u32, pin.i63, pin.intn)
 		}
@@ -173,8 +173,9 @@ var (
 	sinkU uint32
 )
 
-// TestStreamDrawsAllocationFree pins the hot draw sites at zero
-// allocations: the Bernoulli coin, a payload word and a cell fill.
+// TestStreamDrawsAllocationFree pins the draw sites at zero
+// allocations: the Bernoulli coin, a payload word, a cell fill, a
+// destination pick and a fault renewal time.
 func TestStreamDrawsAllocationFree(t *testing.T) {
 	s := rng.New(7)
 	c := packet.NewPool(16, 0).Get()
@@ -182,6 +183,8 @@ func TestStreamDrawsAllocationFree(t *testing.T) {
 		"Float64":    func() { sinkF = s.Float64() },
 		"Uint32":     func() { sinkU = s.Uint32() },
 		"FillRandom": func() { c.FillRandom(s) },
+		"Intn":       func() { sinkN = s.Intn(100) },
+		"ExpFloat64": func() { sinkF = s.ExpFloat64() },
 	} {
 		if a := testing.AllocsPerRun(1000, f); a != 0 {
 			t.Errorf("%s: %v allocs per call, want 0", name, a)

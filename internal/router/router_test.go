@@ -3,7 +3,6 @@ package router
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"testing"
 
@@ -12,6 +11,7 @@ import (
 	"fabricpower/internal/dpm"
 	"fabricpower/internal/fabric"
 	"fabricpower/internal/packet"
+	"fabricpower/internal/rng"
 )
 
 func routerConfig(arch core.Architecture, ports int, q QueueDiscipline) Config {
@@ -26,12 +26,12 @@ func routerConfig(arch core.Architecture, ports int, q QueueDiscipline) Config {
 	}
 }
 
-func mkCell(rng *rand.Rand, id uint64, src, dest, slot int) *packet.Cell {
+func mkCell(draws *rng.Stream, id uint64, src, dest, slot int) *packet.Cell {
 	return &packet.Cell{
 		ID:          id,
 		Src:         src,
 		Dest:        dest,
-		Payload:     packet.RandomPayload(rng, 4),
+		Payload:     packet.RandomPayload(draws, 4),
 		CreatedSlot: uint64(slot),
 	}
 }
@@ -120,8 +120,8 @@ func TestInjectAndDeliver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
-	if !r.Inject(mkCell(rng, 1, 0, 2, 0), 0) {
+	draws := rng.New(1)
+	if !r.Inject(mkCell(draws, 1, 0, 2, 0), 0) {
 		t.Fatal("inject refused")
 	}
 	got := r.Step(0)
@@ -139,11 +139,11 @@ func TestInjectAndDeliver(t *testing.T) {
 
 func TestInjectRejectsBadPorts(t *testing.T) {
 	r, _ := New(routerConfig(core.Crossbar, 4, FIFO))
-	rng := rand.New(rand.NewSource(2))
-	if r.Inject(mkCell(rng, 1, -1, 2, 0), 0) {
+	draws := rng.New(2)
+	if r.Inject(mkCell(draws, 1, -1, 2, 0), 0) {
 		t.Fatal("negative src accepted")
 	}
-	if r.Inject(mkCell(rng, 2, 0, 9, 0), 0) {
+	if r.Inject(mkCell(draws, 2, 0, 9, 0), 0) {
 		t.Fatal("bad dest accepted")
 	}
 	if r.Metrics().DroppedCells != 2 {
@@ -155,9 +155,9 @@ func TestQueueCapDropsCells(t *testing.T) {
 	cfg := routerConfig(core.Crossbar, 4, FIFO)
 	cfg.MaxQueueCells = 2
 	r, _ := New(cfg)
-	rng := rand.New(rand.NewSource(3))
+	draws := rng.New(3)
 	for i := 0; i < 5; i++ {
-		r.Inject(mkCell(rng, uint64(i+1), 0, 1, 0), 0)
+		r.Inject(mkCell(draws, uint64(i+1), 0, 1, 0), 0)
 	}
 	m := r.Metrics()
 	if m.AcceptedCells != 2 || m.DroppedCells != 3 {
@@ -172,9 +172,9 @@ func TestQueueCapDropsCells(t *testing.T) {
 // egress are serialized by the arbiter — one delivery per slot.
 func TestDestinationContentionResolvedBeforeFabric(t *testing.T) {
 	r, _ := New(routerConfig(core.Crossbar, 4, FIFO))
-	rng := rand.New(rand.NewSource(4))
-	r.Inject(mkCell(rng, 1, 0, 3, 0), 0)
-	r.Inject(mkCell(rng, 2, 1, 3, 0), 0)
+	draws := rng.New(4)
+	r.Inject(mkCell(draws, 1, 0, 3, 0), 0)
+	r.Inject(mkCell(draws, 2, 1, 3, 0), 0)
 	first := r.Step(0)
 	second := r.Step(1)
 	if len(first) != 1 || len(second) != 1 {
@@ -186,9 +186,9 @@ func TestDestinationContentionResolvedBeforeFabric(t *testing.T) {
 // destination.
 func TestFCFSOrderAcrossPorts(t *testing.T) {
 	r, _ := New(routerConfig(core.Crossbar, 4, FIFO))
-	rng := rand.New(rand.NewSource(5))
-	r.Inject(mkCell(rng, 1, 0, 3, 0), 5) // later arrival
-	r.Inject(mkCell(rng, 2, 1, 3, 0), 2) // earlier arrival
+	draws := rng.New(5)
+	r.Inject(mkCell(draws, 1, 0, 3, 0), 5) // later arrival
+	r.Inject(mkCell(draws, 2, 1, 3, 0), 2) // earlier arrival
 	got := r.Step(6)
 	if len(got) != 1 || got[0].ID != 2 {
 		t.Fatalf("FCFS violated: %v", got)
@@ -199,16 +199,16 @@ func TestFCFSOrderAcrossPorts(t *testing.T) {
 // for a free output behind it — the mechanism behind the 58.6% limit.
 func TestHOLBlockingExists(t *testing.T) {
 	r, _ := New(routerConfig(core.Crossbar, 4, FIFO))
-	rng := rand.New(rand.NewSource(6))
+	draws := rng.New(6)
 	// Port 0: head wants dest 1 (contended), second cell wants dest 2
 	// (free).
-	r.Inject(mkCell(rng, 1, 0, 1, 0), 0)
-	r.Inject(mkCell(rng, 2, 0, 2, 0), 0)
+	r.Inject(mkCell(draws, 1, 0, 1, 0), 0)
+	r.Inject(mkCell(draws, 2, 0, 2, 0), 0)
 	// Port 1: older head also wants dest 1 and wins.
-	r.Inject(mkCell(rng, 3, 1, 1, 0), 0)
+	r.Inject(mkCell(draws, 3, 1, 1, 0), 0)
 	// Make port 1's cell strictly older.
 	r2, _ := New(routerConfig(core.Crossbar, 4, FIFO))
-	r2.Inject(mkCell(rng, 3, 1, 1, 0), 0)
+	r2.Inject(mkCell(draws, 3, 1, 1, 0), 0)
 	r2.Step(0)
 	_ = r2
 	got := r.Step(1)
@@ -230,13 +230,13 @@ func TestVOQBeatsFIFOAtSaturation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(7))
+		draws := rng.New(7)
 		id := uint64(0)
 		const slots = 1500
 		for s := 0; s < slots; s++ {
 			for p := 0; p < 8; p++ {
 				id++
-				r.Inject(mkCell(rng, id, p, rng.Intn(8), s), uint64(s))
+				r.Inject(mkCell(draws, id, p, draws.Intn(8), s), uint64(s))
 			}
 			r.Step(uint64(s))
 		}
@@ -254,8 +254,8 @@ func TestVOQBeatsFIFOAtSaturation(t *testing.T) {
 
 func TestResetMetrics(t *testing.T) {
 	r, _ := New(routerConfig(core.Crossbar, 4, FIFO))
-	rng := rand.New(rand.NewSource(8))
-	r.Inject(mkCell(rng, 1, 0, 2, 0), 0)
+	draws := rng.New(8)
+	r.Inject(mkCell(draws, 1, 0, 2, 0), 0)
 	r.Step(0)
 	r.ResetMetrics()
 	m := r.Metrics()
@@ -289,13 +289,13 @@ func TestBanyanBackpressurePropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(9))
+	draws := rng.New(9)
 	id := uint64(0)
 	injected := 0
 	for s := 0; s < 200; s++ {
 		for p := 0; p < 4; p++ {
 			id++
-			if r.Inject(mkCell(rng, id, p, rng.Intn(4), s), uint64(s)) {
+			if r.Inject(mkCell(draws, id, p, draws.Intn(4), s), uint64(s)) {
 				injected++
 			}
 		}
@@ -314,8 +314,8 @@ func TestBanyanBackpressurePropagates(t *testing.T) {
 // slot.
 func TestLatencyAccounting(t *testing.T) {
 	r, _ := New(routerConfig(core.Banyan, 8, FIFO)) // 3-stage pipeline
-	rng := rand.New(rand.NewSource(10))
-	c := mkCell(rng, 1, 0, 5, 0) // created at slot 0
+	draws := rng.New(10)
+	c := mkCell(draws, 1, 0, 5, 0) // created at slot 0
 	r.Inject(c, 0)
 	var deliveredAt uint64
 	for s := uint64(0); s < 10; s++ {
@@ -515,10 +515,10 @@ func TestVOQOccupancyInvariant(t *testing.T) {
 }
 
 func gatedAdmissionMatchesReference(t *testing.T, ports int, queue QueueDiscipline) {
-	rng := rand.New(rand.NewSource(int64(ports)))
+	draws := rng.New(int64(ports))
 	cfg := routerConfig(core.Banyan, ports, queue)
 	cfg.MaxQueueCells = 3
-	gate := hashGate{seed: rng.Uint64(), ports: ports}
+	gate := hashGate{seed: draws.Uint64(), ports: ports}
 	cfg.Gate = gate
 	r, err := New(cfg)
 	if err != nil {
@@ -533,7 +533,7 @@ func gatedAdmissionMatchesReference(t *testing.T, ports int, queue QueueDiscipli
 	var got, want []admission
 	slot, id := uint64(0), uint64(0)
 	for op := 0; op < 600; op++ {
-		switch x := rng.Intn(100); {
+		switch x := draws.Intn(100); {
 		case x < 2:
 			if a, b := r.FlushQueues(nil), ref.FlushQueues(nil); a != b {
 				t.Fatalf("op %d: flushed %d cells, reference %d", op, a, b)
@@ -541,9 +541,9 @@ func gatedAdmissionMatchesReference(t *testing.T, ports int, queue QueueDiscipli
 		case x < 50:
 			// A burst whose size varies from a trickle to several
 			// cells per port.
-			for k := rng.Intn(2 * ports); k >= 0; k-- {
+			for k := draws.Intn(2 * ports); k >= 0; k-- {
 				id++
-				c := mkCell(rng, id, rng.Intn(ports), rng.Intn(ports), int(slot))
+				c := mkCell(draws, id, draws.Intn(ports), draws.Intn(ports), int(slot))
 				twin := *c
 				twin.Payload = slices.Clone(c.Payload)
 				if r.Inject(c, slot) != ref.Inject(&twin, slot) {

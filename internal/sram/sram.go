@@ -89,11 +89,6 @@ type RefreshModel struct {
 // experiments.
 func SRAMRefresh() RefreshModel { return RefreshModel{} }
 
-// DRAMRefresh returns a representative embedded-DRAM refresh model.
-func DRAMRefresh() RefreshModel {
-	return RefreshModel{EnergyFJPerBitPerRefresh: 150, IntervalNS: 64e6}
-}
-
 // RefreshEnergyFJPerBit returns E_ref: the refresh energy attributable to
 // one bit that stays buffered for residencyNS nanoseconds.
 func (r RefreshModel) RefreshEnergyFJPerBit(residencyNS float64) float64 {

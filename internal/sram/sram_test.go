@@ -74,7 +74,7 @@ func TestRefreshModels(t *testing.T) {
 	if e := SRAMRefresh().RefreshEnergyFJPerBit(1e9); e != 0 {
 		t.Fatalf("SRAM refresh must be 0, got %g", e)
 	}
-	d := DRAMRefresh()
+	d := RefreshModel{EnergyFJPerBitPerRefresh: 150, IntervalNS: 64e6} // embedded DRAM
 	if e := d.RefreshEnergyFJPerBit(0); e != 0 {
 		t.Fatal("zero residency must be 0")
 	}
@@ -132,7 +132,7 @@ func TestBitEnergyCombinesEq1(t *testing.T) {
 		t.Fatal("SRAM bit energy must equal access energy")
 	}
 	// DRAM: refresh term adds.
-	eDRAM := BitEnergy(m, DRAMRefresh(), spec, 128e6)
+	eDRAM := BitEnergy(m, RefreshModel{EnergyFJPerBitPerRefresh: 150, IntervalNS: 64e6}, spec, 128e6)
 	if eDRAM <= eSRAM {
 		t.Fatal("DRAM with long residency must exceed SRAM")
 	}

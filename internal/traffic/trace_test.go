@@ -47,7 +47,7 @@ func FuzzReadTrace(f *testing.F) {
 // cell stream — IDs, endpoints, slots and every payload word.
 func TestPlayerRewindReplaysByteIdentical(t *testing.T) {
 	geo := packet.Config{CellBits: 256, BusWidth: 32}
-	gen, err := NewInjector(8, 0.6, geo, Hotspot{Port: 2, Fraction: 0.3}, 99)
+	gen, err := NewInjector(8, 0.6, geo, &Hotspot{Port: 2, Fraction: 0.3}, 99)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,78 +4,36 @@
 // so the offered load (and hence measured egress throughput) can be swept.
 //
 // Beyond the paper's uniform Bernoulli traffic, the package provides
-// bursty (on/off Markov), hotspot and permutation patterns, a variable
-// packet-size source that exercises segmentation/reassembly, and trace
-// record/replay for reproducible experiments.
+// bursty (on/off Markov) and hotspot sources, a variable packet-size
+// source that exercises segmentation/reassembly, and trace
+// record/replay for reproducible experiments. Every draw comes from one
+// rng.Stream per source.
 package traffic
 
 import (
 	"fmt"
-	"math/rand"
 
 	"fabricpower/internal/packet"
 	"fabricpower/internal/rng"
 )
 
-// DestPattern chooses a destination port for a cell injected at src.
-type DestPattern interface {
-	Pick(rng *rand.Rand, src, ports int) int
-}
-
-// Uniform picks any port uniformly (the paper's random destinations).
-// Self-traffic is allowed, as in the paper's random TCP/IP destinations.
-type Uniform struct{}
-
-// Pick implements DestPattern.
-func (Uniform) Pick(rng *rand.Rand, src, ports int) int { return rng.Intn(ports) }
-
 // Hotspot sends Fraction of the traffic to the Port hotspot and spreads
 // the rest uniformly — the classic stress pattern for shared-resource
-// fabrics.
+// fabrics. The sources take a *Hotspot as their destination pattern; a
+// nil one picks any port uniformly (the paper's random destinations,
+// self-traffic allowed).
 type Hotspot struct {
 	Port     int
 	Fraction float64
 }
 
-// Pick implements DestPattern.
-func (h Hotspot) Pick(rng *rand.Rand, src, ports int) int {
-	if rng.Float64() < h.Fraction {
+// pick draws a destination among ports from s: a Float64 coin for the
+// hotspot, then a uniform Intn when the coin misses or h is nil.
+func (h *Hotspot) pick(s *rng.Stream, ports int) int {
+	if h != nil && s.Float64() < h.Fraction {
 		return h.Port % ports
 	}
-	return rng.Intn(ports)
-}
-
-// Permutation routes each source to a fixed destination (a contention-free
-// pattern once admitted, useful for isolating fabric-internal blocking).
-type Permutation struct {
-	Perm []int
-}
-
-// Pick implements DestPattern.
-func (p Permutation) Pick(_ *rand.Rand, src, ports int) int {
-	if len(p.Perm) == 0 {
-		return src % ports
-	}
-	return p.Perm[src%len(p.Perm)] % ports
-}
-
-// BitReverse routes src to its bit-reversed index — the canonical
-// adversarial permutation for butterfly networks.
-type BitReverse struct{}
-
-// Pick implements DestPattern.
-func (BitReverse) Pick(_ *rand.Rand, src, ports int) int {
-	bits := 0
-	for v := ports; v > 1; v >>= 1 {
-		bits++
-	}
-	r := 0
-	for i := 0; i < bits; i++ {
-		if src&(1<<uint(i)) != 0 {
-			r |= 1 << uint(bits-1-i)
-		}
-	}
-	return r % ports
+	return s.Intn(ports)
 }
 
 // Injector is the paper's cell source: at every slot, every port injects a
@@ -85,16 +43,16 @@ func (BitReverse) Pick(_ *rand.Rand, src, ports int) int {
 type Injector struct {
 	ports   int
 	load    float64
-	pattern DestPattern
-	stream  *rng.Stream // coins and payloads
-	rnd     *rand.Rand  // rand.New(stream): Pick's view of the same state
+	pattern *Hotspot
+	stream  *rng.Stream // coins, destinations and payloads
 	nextID  uint64
 	pool    *packet.Pool
 	batches packet.Batches
 }
 
-// NewInjector validates and builds a Bernoulli cell injector.
-func NewInjector(ports int, load float64, cfg packet.Config, pattern DestPattern, seed int64) (*Injector, error) {
+// NewInjector validates and builds a Bernoulli cell injector; a nil
+// pattern sends uniformly.
+func NewInjector(ports int, load float64, cfg packet.Config, pattern *Hotspot, seed int64) (*Injector, error) {
 	if ports < 1 {
 		return nil, fmt.Errorf("traffic: ports must be >= 1, got %d", ports)
 	}
@@ -104,16 +62,11 @@ func NewInjector(ports int, load float64, cfg packet.Config, pattern DestPattern
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if pattern == nil {
-		pattern = Uniform{}
-	}
-	stream := rng.New(seed)
 	return &Injector{
 		ports:   ports,
 		load:    load,
 		pattern: pattern,
-		stream:  stream,
-		rnd:     rand.New(stream),
+		stream:  rng.New(seed),
 		pool:    packet.NewPool(cfg.Words(), 0),
 	}, nil
 }
@@ -133,7 +86,7 @@ func (in *Injector) Generate(slot uint64) []*packet.Cell {
 			continue
 		}
 		in.nextID++
-		cells = append(cells, newCell(in.pool, in.stream, in.nextID, p, in.pattern.Pick(in.rnd, p, in.ports), slot))
+		cells = append(cells, newCell(in.pool, in.stream, in.nextID, p, in.pattern.pick(in.stream, in.ports), slot))
 	}
 	return in.batches.Close(cells)
 }
@@ -159,17 +112,16 @@ type OnOffInjector struct {
 	pOnToOff float64
 	pOffToOn float64
 	on       []bool
-	pattern  DestPattern
-	stream   *rng.Stream // chain coins and payloads
-	rnd      *rand.Rand  // rand.New(stream): Pick's view of the same state
+	pattern  *Hotspot
+	stream   *rng.Stream // chain coins, destinations and payloads
 	nextID   uint64
 	pool     *packet.Pool
 	batches  packet.Batches
 }
 
 // NewOnOffInjector builds a bursty injector with the given mean burst
-// length (slots) and target mean load.
-func NewOnOffInjector(ports int, meanBurst, load float64, cfg packet.Config, pattern DestPattern, seed int64) (*OnOffInjector, error) {
+// length (slots) and target mean load; a nil pattern sends uniformly.
+func NewOnOffInjector(ports int, meanBurst, load float64, cfg packet.Config, pattern *Hotspot, seed int64) (*OnOffInjector, error) {
 	if ports < 1 {
 		return nil, fmt.Errorf("traffic: ports must be >= 1, got %d", ports)
 	}
@@ -185,20 +137,15 @@ func NewOnOffInjector(ports int, meanBurst, load float64, cfg packet.Config, pat
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if pattern == nil {
-		pattern = Uniform{}
-	}
 	// load = meanBurst / (meanBurst + meanGap)  =>  meanGap = meanBurst·(1-load)/load.
 	meanGap := meanBurst * (1 - load) / load
-	stream := rng.New(seed)
 	return &OnOffInjector{
 		ports:    ports,
 		pOnToOff: 1 / meanBurst,
 		pOffToOn: 1 / meanGap,
 		on:       make([]bool, ports),
 		pattern:  pattern,
-		stream:   stream,
-		rnd:      rand.New(stream),
+		stream:   rng.New(seed),
 		pool:     packet.NewPool(cfg.Words(), 0),
 	}, nil
 }
@@ -230,7 +177,7 @@ func (in *OnOffInjector) Generate(slot uint64) []*packet.Cell {
 			continue
 		}
 		in.nextID++
-		cells = append(cells, newCell(in.pool, in.stream, in.nextID, p, in.pattern.Pick(in.rnd, p, in.ports), slot))
+		cells = append(cells, newCell(in.pool, in.stream, in.nextID, p, in.pattern.pick(in.stream, in.ports), slot))
 	}
 	return in.batches.Close(cells)
 }
@@ -248,10 +195,10 @@ type PacketInjector struct {
 	sizesBits []int
 	sizeProb  []float64
 	cfg       packet.Config
-	pattern   DestPattern
+	pattern   *Hotspot
 	seg       *packet.Segmenter
 	queues    [][]*packet.Cell
-	rnd       *rand.Rand
+	stream    *rng.Stream
 	nextID    uint64
 }
 
@@ -264,8 +211,8 @@ func TrimodalSizesBits() (sizes []int, probs []float64) {
 // NewPacketInjector builds a variable-packet-size source. load is the
 // target cell load per port; the injector draws new packets only when a
 // port's queue is empty, so the effective load saturates near the packet
-// arrival rate times mean packet length.
-func NewPacketInjector(ports int, load float64, cfg packet.Config, pattern DestPattern, seed int64) (*PacketInjector, error) {
+// arrival rate times mean packet length. A nil pattern sends uniformly.
+func NewPacketInjector(ports int, load float64, cfg packet.Config, pattern *Hotspot, seed int64) (*PacketInjector, error) {
 	if ports < 1 {
 		return nil, fmt.Errorf("traffic: ports must be >= 1, got %d", ports)
 	}
@@ -275,9 +222,6 @@ func NewPacketInjector(ports int, load float64, cfg packet.Config, pattern DestP
 	seg, err := packet.NewSegmenter(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if pattern == nil {
-		pattern = Uniform{}
 	}
 	sizes, probs := TrimodalSizesBits()
 	return &PacketInjector{
@@ -289,7 +233,7 @@ func NewPacketInjector(ports int, load float64, cfg packet.Config, pattern DestP
 		pattern:   pattern,
 		seg:       seg,
 		queues:    make([][]*packet.Cell, ports),
-		rnd:       rand.New(rng.New(seed)),
+		stream:    rng.New(seed),
 	}, nil
 }
 
@@ -309,10 +253,10 @@ func (in *PacketInjector) Generate(slot uint64) []*packet.Cell {
 	pArrival := in.load / in.meanCellsPerPacket()
 	var out []*packet.Cell
 	for p := 0; p < in.ports; p++ {
-		if len(in.queues[p]) == 0 && in.rnd.Float64() < pArrival {
+		if len(in.queues[p]) == 0 && in.stream.Float64() < pArrival {
 			size := in.pickSize()
 			in.nextID++
-			pkt, err := packet.NewRandomPacket(in.rnd, in.nextID, p, in.pattern.Pick(in.rnd, p, in.ports), size)
+			pkt, err := packet.NewRandomPacket(in.stream, in.nextID, p, in.pattern.pick(in.stream, in.ports), size)
 			if err == nil {
 				in.queues[p] = in.seg.Split(pkt, slot)
 			}
@@ -330,7 +274,7 @@ func (in *PacketInjector) Generate(slot uint64) []*packet.Cell {
 func (in *PacketInjector) Release(*packet.Cell) {}
 
 func (in *PacketInjector) pickSize() int {
-	r := in.rnd.Float64()
+	r := in.stream.Float64()
 	acc := 0.0
 	for i, p := range in.sizeProb {
 		acc += p

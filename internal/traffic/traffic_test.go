@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"fabricpower/internal/packet"
+	"fabricpower/internal/rng"
 )
 
 func cfg() packet.Config { return packet.Config{CellBits: 128, BusWidth: 32} }
@@ -92,10 +92,11 @@ func TestInjectorDeterministicForSeed(t *testing.T) {
 }
 
 func TestUniformCoversAllDests(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	s := rng.New(1)
 	seen := make(map[int]bool)
+	var uniform *Hotspot
 	for i := 0; i < 1000; i++ {
-		seen[Uniform{}.Pick(rng, 0, 8)] = true
+		seen[uniform.pick(s, 8)] = true
 	}
 	if len(seen) != 8 {
 		t.Fatalf("uniform should cover all 8 ports, saw %d", len(seen))
@@ -103,12 +104,12 @@ func TestUniformCoversAllDests(t *testing.T) {
 }
 
 func TestHotspotConcentrates(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	h := Hotspot{Port: 3, Fraction: 0.5}
+	s := rng.New(2)
+	h := &Hotspot{Port: 3, Fraction: 0.5}
 	hits := 0
 	const n = 4000
 	for i := 0; i < n; i++ {
-		if h.Pick(rng, 0, 8) == 3 {
+		if h.pick(s, 8) == 3 {
 			hits++
 		}
 	}
@@ -116,28 +117,6 @@ func TestHotspotConcentrates(t *testing.T) {
 	frac := float64(hits) / n
 	if frac < 0.5 || frac > 0.65 {
 		t.Fatalf("hotspot fraction %g outside [0.5, 0.65]", frac)
-	}
-}
-
-func TestPermutationFixed(t *testing.T) {
-	p := Permutation{Perm: []int{2, 3, 0, 1}}
-	for src, want := range []int{2, 3, 0, 1} {
-		if got := p.Pick(nil, src, 4); got != want {
-			t.Fatalf("perm[%d] = %d, want %d", src, got, want)
-		}
-	}
-	// Empty permutation falls back to identity.
-	if (Permutation{}).Pick(nil, 2, 4) != 2 {
-		t.Fatal("empty perm should be identity")
-	}
-}
-
-func TestBitReverse(t *testing.T) {
-	cases := map[int]int{0: 0, 1: 4, 2: 2, 3: 6, 4: 1, 5: 5, 6: 3, 7: 7}
-	for src, want := range cases {
-		if got := (BitReverse{}).Pick(nil, src, 8); got != want {
-			t.Errorf("bitrev(%d) = %d, want %d", src, got, want)
-		}
 	}
 }
 
@@ -347,15 +326,15 @@ func TestNewPlayerValidation(t *testing.T) {
 	}
 }
 
-// Property: all patterns return in-range destinations for any port count.
+// Property: both patterns (uniform and hotspot) return in-range
+// destinations for any port count.
 func TestPatternsInRangeProperty(t *testing.T) {
-	patterns := []DestPattern{Uniform{}, Hotspot{Port: 5, Fraction: 0.3}, Permutation{Perm: []int{1, 0}}, BitReverse{}}
-	f := func(seed int64, srcQ, portQ uint8) bool {
+	patterns := []*Hotspot{nil, {Port: 5, Fraction: 0.3}}
+	f := func(seed int64, portQ uint8) bool {
 		ports := 1 << (uint(portQ)%4 + 1) // 2..16
-		src := int(srcQ) % ports
-		rng := rand.New(rand.NewSource(seed))
+		s := rng.New(seed)
 		for _, p := range patterns {
-			d := p.Pick(rng, src, ports)
+			d := p.pick(s, ports)
 			if d < 0 || d >= ports {
 				return false
 			}

@@ -178,7 +178,7 @@ func (r *Registry) generator(spec TrafficSpec, ports int, cfg packet.Config, see
 		return traffic.NewPacketInjector(ports, spec.Load, cfg, nil, seed)
 	case "hotspot":
 		return traffic.NewInjector(ports, spec.Load, cfg,
-			traffic.Hotspot{Port: spec.HotspotPort, Fraction: *spec.HotspotFraction}, seed)
+			&traffic.Hotspot{Port: spec.HotspotPort, Fraction: *spec.HotspotFraction}, seed)
 	case "trace":
 		return tracePlayer(spec.Trace, cfg)
 	}
