@@ -7,10 +7,8 @@
 //
 //  1. runs one scenario,
 //  2. sweeps a grid (architecture × load) with a progress callback and
-//     a cancellable context,
-//  3. registers a custom traffic source into its own registry and
-//     drives it by name from a scenario, and
-//  4. prints the grid as JSON — the exact format `fabricpower run`
+//     a cancellable context, and
+//  3. prints the grid as JSON — the exact format `fabricpower run`
 //     executes, and what every paper study alias prints under
 //     -print-scenario.
 //
@@ -28,19 +26,6 @@ import (
 
 	"fabricpower/study"
 )
-
-// everyOther injects a cell at every even port on every other slot —
-// a deterministic half-load pattern no built-in generator produces.
-type everyOther struct{ ports int }
-
-func (s everyOther) Cells(slot uint64, emit func(study.Injection)) {
-	if slot%2 != 0 {
-		return
-	}
-	for p := 0; p < s.ports; p += 2 {
-		emit(study.Injection{Port: p, Dest: (p + 1) % s.ports})
-	}
-}
 
 func main() {
 	slots := flag.Uint64("slots", 800, "measured slots per operating point")
@@ -80,25 +65,7 @@ func main() {
 	}
 	fmt.Printf("%d points, bit-identical for any worker count\n\n", len(gr.Points))
 
-	// 3. A pluggable traffic source, registered into this program's own
-	//    registry and driven by name from a scenario run against it.
-	reg := study.NewRegistry()
-	if err := reg.RegisterTraffic("everyother", func(spec study.TrafficSpec, ports int, seed int64) (study.TrafficSource, error) {
-		return everyOther{ports: ports}, nil
-	}); err != nil {
-		log.Fatal(err)
-	}
-	custom := point
-	custom.Traffic = study.TrafficSpec{Kind: "everyother"}
-	cgr, err := study.Grid{Base: custom}.Run(context.Background(), study.RunOptions{Registry: reg})
-	if err != nil {
-		log.Fatal(err)
-	}
-	cres := cgr.Points[0].Result
-	fmt.Printf("custom 'everyother' source: %.2f%% throughput (half the ports, half the slots)\n\n",
-		cres.Throughput*100)
-
-	// 4. The grid as a runnable spec: save it, then
+	// 3. The grid as a runnable spec: save it, then
 	//    `fabricpower run grid.json` executes exactly this sweep.
 	fmt.Println("the same grid as a `fabricpower run` spec:")
 	spec := study.Spec{Grid: grid}

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -61,20 +62,24 @@ func (p *FaultPlan) Empty() bool {
 }
 
 func (p *FaultPlan) validate(t *Topology) error {
-	if p.MTBF < 0 || p.MTTR < 0 || p.NodeMTBF < 0 || p.NodeMTTR < 0 {
-		return fmt.Errorf("netsim: fault plan MTBF/MTTR must be >= 0")
+	// !(v >= 0) also rejects NaN, for which every ordered comparison
+	// is false: a NaN MTTR would keep each failed link down for good.
+	for _, f := range [...]struct {
+		what string
+		v    float64
+	}{
+		{"MTBF", p.MTBF}, {"MTTR", p.MTTR}, {"node MTBF", p.NodeMTBF}, {"node MTTR", p.NodeMTTR},
+		{"residual power", p.ResidualMW}, {"reconvergence cost", p.ReconvergeCostFJ},
+	} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("netsim: fault plan %s must be >= 0 and finite, got %g", f.what, f.v)
+		}
 	}
 	if p.MTBF > 0 && p.MTTR <= 0 {
 		return fmt.Errorf("netsim: fault plan with MTBF %g needs MTTR > 0", p.MTBF)
 	}
 	if p.NodeMTBF > 0 && p.NodeMTTR <= 0 {
 		return fmt.Errorf("netsim: fault plan with node MTBF %g needs node MTTR > 0", p.NodeMTBF)
-	}
-	if p.ResidualMW < 0 {
-		return fmt.Errorf("netsim: fault plan residual power must be >= 0, got %g", p.ResidualMW)
-	}
-	if p.ReconvergeCostFJ < 0 {
-		return fmt.Errorf("netsim: fault plan reconvergence cost must be >= 0, got %g", p.ReconvergeCostFJ)
 	}
 	for i, e := range p.Events {
 		if e.Node >= 0 {

@@ -320,6 +320,18 @@ func TestFaultPlanValidation(t *testing.T) {
 		{"negative residual", FaultPlan{Events: []FaultEvent{{Node: 0, Down: true}}, ResidualMW: -1}, "residual power"},
 		{"node out of range", FaultPlan{Events: []FaultEvent{{Node: 9, Down: true}}}, "out of range"},
 		{"not a link", FaultPlan{Events: []FaultEvent{{Node: -1, From: 0, To: 2, Down: true}}}, "no link"},
+		{"nan mttr", FaultPlan{MTBF: 50, MTTR: math.NaN()}, "MTTR must be >= 0 and finite"},
+		{"nan mtbf", FaultPlan{MTBF: math.NaN(), MTTR: 5}, "MTBF must be >= 0 and finite"},
+		{"inf mtbf", FaultPlan{MTBF: math.Inf(1), MTTR: 5}, "MTBF must be >= 0 and finite"},
+		{"inf mttr", FaultPlan{MTBF: 50, MTTR: math.Inf(1)}, "MTTR must be >= 0 and finite"},
+		{"nan node mttr", FaultPlan{NodeMTBF: 50, NodeMTTR: math.NaN()}, "node MTTR must be >= 0 and finite"},
+		{"nan node mtbf", FaultPlan{NodeMTBF: math.NaN(), NodeMTTR: 5}, "node MTBF must be >= 0 and finite"},
+		{"inf node mttr", FaultPlan{NodeMTBF: 50, NodeMTTR: math.Inf(1)}, "node MTTR must be >= 0 and finite"},
+		{"-inf node mtbf", FaultPlan{NodeMTBF: math.Inf(-1), NodeMTTR: 5}, "node MTBF must be >= 0 and finite"},
+		{"nan residual", FaultPlan{Events: []FaultEvent{{Node: 0, Down: true}}, ResidualMW: math.NaN()}, "residual power"},
+		{"inf residual", FaultPlan{Events: []FaultEvent{{Node: 0, Down: true}}, ResidualMW: math.Inf(1)}, "residual power"},
+		{"nan reconverge cost", FaultPlan{Events: []FaultEvent{{Node: 0, Down: true}}, ReconvergeCostFJ: math.NaN()}, "reconvergence cost"},
+		{"inf reconverge cost", FaultPlan{Events: []FaultEvent{{Node: 0, Down: true}}, ReconvergeCostFJ: math.Inf(1)}, "reconvergence cost"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -30,12 +30,12 @@ type FlowSource interface {
 // BlockSlots is the number of slots one NextBlock call decides.
 const BlockSlots = 64
 
-// FlowSourceFactory builds one flow's source. f is the routed flow
+// flowSourceFactory builds one flow's source. f is the routed flow
 // (Rate is the flow's demand in cells/slot), index its position in the
 // flow list, and seed the flow's deterministic stream seed (derived
 // from Config.Seed and the index, so every shard count replays the
 // identical arrivals).
-type FlowSourceFactory func(f Flow, index int, seed int64) (FlowSource, error)
+type flowSourceFactory func(f Flow, index int, seed int64) (FlowSource, error)
 
 // Traffic selects the per-flow injection process of a network. The
 // zero value is the Bernoulli process at each flow's matrix rate — the
@@ -52,16 +52,15 @@ type Traffic struct {
 	// the injection slots of trace source port i mod (distinct ports),
 	// cyclically, so short traces sustain their load forever.
 	Trace *traffic.Trace
-	// New, when non-nil, overrides Kind with a custom per-flow factory
-	// — the hook the study layer uses to route registered traffic
-	// kinds through the network.
-	New FlowSourceFactory
+	// custom, when non-nil, overrides Kind with a per-flow factory: a
+	// test hook that drives the kernel with scripted sources.
+	custom flowSourceFactory
 }
 
 // newSources builds one source per flow.
 func (tr Traffic) newSources(flows []Flow, cellBits int, baseSeed int64) ([]FlowSource, error) {
 	var idx *traceIndex
-	if tr.New == nil && tr.Kind == "trace" {
+	if tr.custom == nil && tr.Kind == "trace" {
 		if tr.Trace == nil {
 			return nil, fmt.Errorf("netsim: traffic kind trace needs a trace")
 		}
@@ -85,8 +84,8 @@ func (tr Traffic) newSources(flows []Flow, cellBits int, baseSeed int64) ([]Flow
 }
 
 func (tr Traffic) newSource(slab *sources, f Flow, fi int, seed int64, cellBits int, idx *traceIndex) (FlowSource, error) {
-	if tr.New != nil {
-		return tr.New(f, fi, seed)
+	if tr.custom != nil {
+		return tr.custom(f, fi, seed)
 	}
 	switch tr.Kind {
 	case "", "uniform":

@@ -178,7 +178,7 @@ func TestIdleSkipSlotAllocationFree(t *testing.T) {
 			cfg.Policy = "composite"
 			cfg.Load = 0.3
 			cfg.Shards = shards
-			cfg.Traffic = Traffic{New: func(f Flow, fi int, seed int64) (FlowSource, error) {
+			cfg.Traffic = Traffic{custom: func(f Flow, fi int, seed int64) (FlowSource, error) {
 				src, err := new(sources).onOff(f.Rate, 10, seed)
 				if err != nil {
 					return nil, err

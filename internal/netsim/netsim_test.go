@@ -835,7 +835,7 @@ func TestNetworkRouterSlotAllocationFree(t *testing.T) {
 			cfg.Policy = "composite"
 			cfg.Load = 0.4
 			cfg.Shards = shards
-			cfg.Traffic = Traffic{New: func(f Flow, fi int, seed int64) (FlowSource, error) {
+			cfg.Traffic = Traffic{custom: func(f Flow, fi int, seed int64) (FlowSource, error) {
 				src, err := new(sources).onOff(f.Rate, 10, seed)
 				if err != nil {
 					return nil, err
@@ -1005,7 +1005,7 @@ func TestNetworkTrafficKindsShapePower(t *testing.T) {
 	}
 }
 
-// TestNetworkCustomFlowSource: the Traffic.New seam drives injection
+// TestNetworkCustomFlowSource: the Traffic.custom hook drives injection
 // with a caller-supplied process.
 func TestNetworkCustomFlowSource(t *testing.T) {
 	topo, err := Chain(4)
@@ -1014,7 +1014,7 @@ func TestNetworkCustomFlowSource(t *testing.T) {
 	}
 	cfg := testConfig(topo)
 	cfg.Flows = []Flow{{Src: 0, Dst: 3, Rate: 0.5}}
-	cfg.Traffic = Traffic{New: func(f Flow, fi int, seed int64) (FlowSource, error) {
+	cfg.Traffic = Traffic{custom: func(f Flow, fi int, seed int64) (FlowSource, error) {
 		return everyThird{}, nil
 	}}
 	net, err := New(cfg)

@@ -318,7 +318,7 @@ func TestTelemetrySlotLoopAllocationFree(t *testing.T) {
 			// baseline allocation test does): the steady-state loop under
 			// measurement is queue drain + sampling, with the injection
 			// path's allocations out of the picture.
-			cfg.Traffic = Traffic{New: func(f Flow, fi int, seed int64) (FlowSource, error) {
+			cfg.Traffic = Traffic{custom: func(f Flow, fi int, seed int64) (FlowSource, error) {
 				src, err := new(sources).onOff(f.Rate, 10, seed)
 				if err != nil {
 					return nil, err

@@ -118,36 +118,3 @@ func (p *Pool) Take(from *Pool, n int) {
 	clear(from.free[k:])
 	from.free = from.free[:k]
 }
-
-// Batches hands out per-slot cell slices carved from shared chunks, so a
-// generator returns a fresh slice every slot without allocating one per
-// slot. A slice it returns is never written again: its capacity ends at
-// its length, and a full chunk is dropped, never reused.
-type Batches struct {
-	buf []*Cell
-}
-
-// batchChunk is the pointer count of one chunk.
-const batchChunk = 4096
-
-// Open returns an empty slice for one slot's cells, with room for at
-// least n before an append reallocates it. Pass the filled slice to
-// Close.
-func (b *Batches) Open(n int) []*Cell {
-	if cap(b.buf)-len(b.buf) < n {
-		b.buf = make([]*Cell, 0, max(n, batchChunk))
-	}
-	return b.buf[len(b.buf):]
-}
-
-// Close commits a slice from Open and returns it capped at its length,
-// or nil when it is empty.
-func (b *Batches) Close(s []*Cell) []*Cell {
-	if len(s) == 0 {
-		return nil
-	}
-	if end := len(b.buf) + len(s); end <= cap(b.buf) && &b.buf[:end][len(b.buf)] == &s[0] {
-		b.buf = b.buf[:end]
-	}
-	return s[:len(s):len(s)]
-}

@@ -201,6 +201,11 @@ func (h *handle) cancelNow() {
 	}
 }
 
+// slotTaken, when set, runs in every study once it holds a run slot and
+// has started streaming, just before its grid runs: a test hook that
+// keeps a slot occupied until the test releases it.
+var slotTaken func()
+
 // Server is the studyd HTTP front-end. Create it with New and mount
 // Handler on any http.Server.
 type Server struct {
@@ -660,6 +665,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		h.notePoint(records)
 	}
 
+	if slotTaken != nil {
+		slotTaken()
+	}
 	gr, runErr := spec.Grid.Run(ctx, opt)
 	completed := 0
 	if gr != nil {

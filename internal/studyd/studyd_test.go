@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -241,43 +240,24 @@ func TestDeleteCancelsRunning(t *testing.T) {
 	}
 }
 
-// gate blocks every study using the "studyd-test-gate" traffic kind
-// until released — how the backpressure tests hold a slot occupied.
-var gate = struct {
-	once sync.Once
-	mu   sync.Mutex
-	ch   chan struct{}
-}{}
-
-func gateReset() chan struct{} {
-	gate.once.Do(func() {
-		study.Default.RegisterTraffic("studyd-test-gate", func(spec study.TrafficSpec, ports int, seed int64) (study.TrafficSource, error) {
-			gate.mu.Lock()
-			ch := gate.ch
-			gate.mu.Unlock()
-			return gateSource{ch: ch}, nil
-		})
-	})
-	ch := make(chan struct{})
-	gate.mu.Lock()
-	gate.ch = ch
-	gate.mu.Unlock()
-	return ch
+// gateSlots makes every study that takes a run slot wait there until
+// the returned channel is closed — how the backpressure tests hold a
+// slot occupied. Call it before newTestServer, so the hook outlives
+// the server.
+func gateSlots(t *testing.T) chan struct{} {
+	release := make(chan struct{})
+	studyd.SetSlotTaken(func() { <-release })
+	t.Cleanup(func() { studyd.SetSlotTaken(nil) })
+	return release
 }
 
-type gateSource struct{ ch chan struct{} }
-
-func (g gateSource) Cells(slot uint64, emit func(study.Injection)) {
-	if g.ch != nil {
-		<-g.ch
-	}
-}
-
+// gatedSpec is the one-point study the backpressure tests hold in
+// their only run slot.
 const gatedSpec = `{
   "version": 1,
   "base": {
     "fabric": {"arch": "crossbar", "ports": 4},
-    "traffic": {"kind": "studyd-test-gate"},
+    "traffic": {"load": 0.2},
     "sim": {"warmupSlots": 5, "measureSlots": 20, "seed": 1}
   }
 }`
@@ -331,7 +311,7 @@ func waitDone(t *testing.T, url, id string, timeout time.Duration) studyd.StudyS
 // TestQueueFull429: past MaxConcurrent+MaxQueue the server refuses with
 // 429 and a Retry-After estimate instead of stacking work.
 func TestQueueFull429(t *testing.T) {
-	release := gateReset()
+	release := gateSlots(t)
 	released := false
 	defer func() {
 		if !released {
@@ -382,7 +362,7 @@ func TestQueueFull429(t *testing.T) {
 // TestDeleteWhileQueued: a study cancelled before it ever gets a slot
 // answers its waiting POST with 410 Gone.
 func TestDeleteWhileQueued(t *testing.T) {
-	release := gateReset()
+	release := gateSlots(t)
 	released := false
 	defer func() {
 		if !released {
@@ -504,8 +484,9 @@ func TestBadRequests(t *testing.T) {
 }
 
 // TestInvalidGridPointRejected: an axis that sweeps a field out of
-// range, a DPM policy, topology, routing policy or traffic matrix that
-// is not built in, or a network point at load 0 (whose matrix has no
+// range, a traffic kind, DPM policy, topology, routing policy or
+// traffic matrix that is not built in, a bursty load the on/off chains
+// cannot reach, or a network point at load 0 (whose matrix has no
 // flows) is answered 400 with the validation error, before the spec
 // takes a slot or appears in the listing.
 func TestInvalidGridPointRejected(t *testing.T) {
@@ -528,6 +509,12 @@ func TestInvalidGridPointRejected(t *testing.T) {
 			`study: network: unknown routing policy "nosuch"`},
 		{`{"version": 1, "base": {"network": {"matrix": "nosuch"}}}`,
 			`study: network: unknown traffic matrix "nosuch"`},
+		{`{"version": 1, "base": {"traffic": {"kind": "nosuch"}}}`,
+			`study: unknown traffic kind "nosuch" (want one of [uniform bursty packet hotspot trace])`},
+		{`{"version": 1, "base": {"fabric": {"ports": 4}}, "axes": [{"name": "traffic", "strings": ["uniform", "nosuch"]}]}`,
+			`point 1: study: unknown traffic kind "nosuch" (want one of [uniform bursty packet hotspot trace])`},
+		{`{"version": 1, "base": {"traffic": {"kind": "bursty", "load": 0.95}}}`,
+			"point 0: study: traffic: bursty rate 0.95 is unreachable"},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/studies", "application/json", strings.NewReader(tc.spec))
 		if err != nil {

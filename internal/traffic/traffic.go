@@ -36,6 +36,39 @@ func (h *Hotspot) pick(s *rng.Stream, ports int) int {
 	return s.Intn(ports)
 }
 
+// batches hands out per-slot cell slices carved from shared chunks, so an
+// injector returns a fresh slice every slot without allocating one per
+// slot. A slice it returns is never written again: its capacity ends at
+// its length, and a full chunk is dropped, never reused.
+type batches struct {
+	buf []*packet.Cell
+}
+
+// batchChunk is the pointer count of one chunk.
+const batchChunk = 4096
+
+// Open returns an empty slice for one slot's cells, with room for at
+// least n before an append reallocates it. Pass the filled slice to
+// Close.
+func (b *batches) Open(n int) []*packet.Cell {
+	if cap(b.buf)-len(b.buf) < n {
+		b.buf = make([]*packet.Cell, 0, max(n, batchChunk))
+	}
+	return b.buf[len(b.buf):]
+}
+
+// Close commits a slice from Open and returns it capped at its length,
+// or nil when it is empty.
+func (b *batches) Close(s []*packet.Cell) []*packet.Cell {
+	if len(s) == 0 {
+		return nil
+	}
+	if end := len(b.buf) + len(s); end <= cap(b.buf) && &b.buf[:end][len(b.buf)] == &s[0] {
+		b.buf = b.buf[:end]
+	}
+	return s[:len(s):len(s)]
+}
+
 // Injector is the paper's cell source: at every slot, every port injects a
 // fixed-size cell with probability Load (Bernoulli arrivals — adjusting
 // the packet generation interval of §5.2), destination drawn from the
@@ -47,7 +80,7 @@ type Injector struct {
 	stream  *rng.Stream // coins, destinations and payloads
 	nextID  uint64
 	pool    *packet.Pool
-	batches packet.Batches
+	batches batches
 }
 
 // NewInjector validates and builds a Bernoulli cell injector; a nil
@@ -116,7 +149,7 @@ type OnOffInjector struct {
 	stream   *rng.Stream // chain coins, destinations and payloads
 	nextID   uint64
 	pool     *packet.Pool
-	batches  packet.Batches
+	batches  batches
 }
 
 // NewOnOffInjector builds a bursty injector with the given mean burst

@@ -345,3 +345,41 @@ func TestPatternsInRangeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestBatchesNeverOverwriteReturnedSlices(t *testing.T) {
+	var b batches
+	cells := make([]*packet.Cell, 10)
+	for i := range cells {
+		cells[i] = &packet.Cell{ID: uint64(i)}
+	}
+	var got [][]*packet.Cell
+	for slot := 0; slot < 2000; slot++ {
+		s := b.Open(3)
+		for k := 0; k < slot%4; k++ {
+			s = append(s, cells[(slot+k)%10])
+		}
+		out := b.Close(s)
+		if len(out) == 0 {
+			if out != nil {
+				t.Fatal("empty slot returned a non-nil slice")
+			}
+			continue
+		}
+		if cap(out) != len(out) {
+			t.Fatalf("slot %d: cap %d > len %d lets an append overwrite the next slot", slot, cap(out), len(out))
+		}
+		got = append(got, out)
+	}
+	i := 0
+	for slot := 0; slot < 2000; slot++ {
+		if slot%4 == 0 {
+			continue
+		}
+		for k, c := range got[i] {
+			if c != cells[(slot+k)%10] {
+				t.Fatalf("slot %d cell %d was overwritten", slot, k)
+			}
+		}
+		i++
+	}
+}

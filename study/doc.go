@@ -42,33 +42,22 @@
 // with no copy in between.
 //
 // Traffic kinds are unified across scopes: the same TrafficSpec.Kind
-// ("uniform", "bursty", "packet", "trace", or a registered extension)
-// drives a single router's ports or — in a network scenario — every
-// flow's per-hop injection process at its matrix rate, so burstiness
-// and segmentation cross hops. A network block's Shards field
-// parallelizes that network's kernel without changing any result.
+// ("uniform", "bursty", "packet" or "trace") drives a single router's
+// ports or — in a network scenario — every flow's per-hop injection
+// process at its matrix rate, so burstiness and segmentation cross
+// hops; "hotspot" is a single-router destination pattern. A network
+// block's Shards field parallelizes that network's kernel without
+// changing any result.
 //
-// # Extension points
+// # Everything is built in
 //
-// Sweep axes, DPM policies, topologies, routing policies and traffic
-// matrices are built in. Grid.Enumerate rejects an unknown axis, and
-// Scenario.Validate an unknown policy, topology, routing or matrix
-// name, so a spec that names one fails before any point runs.
-//
-// Traffic kinds are the one extension point. Registry.RegisterTraffic
-// adds a kind: a TrafficSource emitting per-slot (port, destination)
-// injections. In network scenarios the kind is instantiated once per
-// flow (1-port view at the flow's rate) behind netsim's FlowSource
-// seam. A Registry is a value: NewRegistry makes one that knows only
-// the built-in kinds, Grid.Run resolves against RunOptions.Registry,
-// and Default serves when that is nil, as well as for RunScenario. A
-// kind registered into one registry is unknown to every other.
-// RegisterTraffic rejects an empty name, a nil factory, a built-in
-// kind and a kind already registered. Kinds resolve once per point,
-// never per slot.
-//
-// A registered source must be a deterministic function of its
-// construction seed and the slot sequence: the sweep engine's
-// bit-identical-for-any-worker-count guarantee extends to plug-ins
-// exactly as far as they are deterministic.
+// Sweep axes, traffic kinds, DPM policies, topologies, routing
+// policies and traffic matrices are all built in; there is no
+// registry to extend. Grid.Enumerate rejects an unknown axis, and
+// Scenario.Validate an unknown traffic kind, policy, topology, routing
+// or matrix name, so a spec that names one fails before any point
+// runs. Grid.Points goes on to check every enumerated point, so a
+// traffic block no point can run (an unreachable bursty load, a trace
+// kind without a path) fails before the first point too, whether the
+// base or an axis sets it.
 package study

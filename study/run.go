@@ -54,10 +54,8 @@ type (
 // is derived from (Sim.Seed, coordinates), so two scenarios that
 // describe the same operating point measure identical results —
 // regardless of which subcommand, grid or test constructed them.
-// Registered traffic kinds resolve against Default; a Grid run with
-// RunOptions.Registry resolves them against another registry.
 func RunScenario(sc Scenario) (Result, error) {
-	return runScenario(Default, sc, nil, nil, nil)
+	return runScenario(sc, nil, nil, nil)
 }
 
 // pointTrace carries one point's execution-profiler attachment: the
@@ -69,12 +67,11 @@ type pointTrace struct {
 	prefix string
 }
 
-// runScenario is RunScenario against the registry reg, with an optional
-// telemetry tap and execution profiler: topt tunes the kernel
-// collectors, emit receives each kernel sample/summary (the pointed-to
-// values are reused — emit must consume them synchronously), pt
-// attaches the profiler.
-func runScenario(reg *Registry, sc Scenario, topt *TelemetryOptions, emit func(any), pt *pointTrace) (Result, error) {
+// runScenario is RunScenario with an optional telemetry tap and
+// execution profiler: topt tunes the kernel collectors, emit receives
+// each kernel sample/summary (the pointed-to values are reused — emit
+// must consume them synchronously), pt attaches the profiler.
+func runScenario(sc Scenario, topt *TelemetryOptions, emit func(any), pt *pointTrace) (Result, error) {
 	if err := sc.validatePoint(); err != nil {
 		return Result{}, err
 	}
@@ -84,9 +81,9 @@ func runScenario(reg *Registry, sc Scenario, topt *TelemetryOptions, emit func(a
 		return Result{}, err
 	}
 	if sd.Network != nil {
-		return runNetwork(reg, sd, model, topt, emit, pt)
+		return runNetwork(sd, model, topt, emit, pt)
 	}
-	return runSingle(reg, sd, model, topt, emit)
+	return runSingle(sd, model, topt, emit)
 }
 
 func parseQueue(name string) (router.QueueDiscipline, error) {
@@ -101,9 +98,6 @@ func parseQueue(name string) (router.QueueDiscipline, error) {
 
 // loadTrace opens and parses a recorded trace file.
 func loadTrace(path string) (*traffic.Trace, error) {
-	if path == "" {
-		return nil, fmt.Errorf("study: traffic kind trace needs a trace path")
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("study: opening trace: %w", err)
@@ -121,8 +115,27 @@ func tracePlayer(path string, cfg packet.Config) (sim.Generator, error) {
 	return traffic.NewPlayer(tr, cfg)
 }
 
+// generator builds the single-router traffic generator of a built-in
+// kind, exactly as the experiment runners construct it.
+func generator(spec TrafficSpec, ports int, cfg packet.Config, seed int64) (sim.Generator, error) {
+	switch spec.Kind {
+	case "uniform":
+		return traffic.NewInjector(ports, spec.Load, cfg, nil, seed)
+	case "bursty":
+		return traffic.NewOnOffInjector(ports, spec.MeanBurstSlots, spec.Load, cfg, nil, seed)
+	case "packet":
+		return traffic.NewPacketInjector(ports, spec.Load, cfg, nil, seed)
+	case "hotspot":
+		return traffic.NewInjector(ports, spec.Load, cfg,
+			&traffic.Hotspot{Port: spec.HotspotPort, Fraction: *spec.HotspotFraction}, seed)
+	case "trace":
+		return tracePlayer(spec.Trace, cfg)
+	}
+	return nil, fmt.Errorf("study: unknown traffic kind %q (want one of %v)", spec.Kind, trafficKinds)
+}
+
 // runSingle executes a defaulted single-router scenario.
-func runSingle(reg *Registry, sd Scenario, model core.Model, topt *TelemetryOptions, emit func(any)) (Result, error) {
+func runSingle(sd Scenario, model core.Model, topt *TelemetryOptions, emit func(any)) (Result, error) {
 	arch, err := core.ParseArchitecture(sd.Fabric.Arch)
 	if err != nil {
 		return Result{}, err
@@ -166,7 +179,7 @@ func runSingle(reg *Registry, sd Scenario, model core.Model, topt *TelemetryOpti
 		return Result{}, fmt.Errorf("study: %v %d ports: %w", arch, sd.Fabric.Ports, err)
 	}
 	seed := sweep.PointSeed(sd.Sim.Seed, sd.Fabric.Ports, sd.Traffic.Load)
-	gen, err := reg.generator(sd.Traffic, sd.Fabric.Ports, cellCfg, seed)
+	gen, err := generator(sd.Traffic, sd.Fabric.Ports, cellCfg, seed)
 	if err != nil {
 		return Result{}, err
 	}
@@ -181,14 +194,7 @@ func runSingle(reg *Registry, sd Scenario, model core.Model, topt *TelemetryOpti
 			OnSample: func(s *sim.TelemetrySample) { emit(s) },
 		}
 	}
-	res, err := sim.Run(r, gen, model.Tech, sd.Fabric.CellBits, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	if sg, ok := gen.(*sourceGenerator); ok && sg.err != nil {
-		return Result{}, sg.err
-	}
-	return res, nil
+	return sim.Run(r, gen, model.Tech, sd.Fabric.CellBits, opts)
 }
 
 // networkSeed mixes the experiment base seed with the coordinates that
@@ -244,7 +250,7 @@ func faultPlan(f *FailureSpec) *netsim.FaultPlan {
 }
 
 // runNetwork executes a defaulted network scenario.
-func runNetwork(reg *Registry, sd Scenario, model core.Model, topt *TelemetryOptions, emit func(any), pt *pointTrace) (Result, error) {
+func runNetwork(sd Scenario, model core.Model, topt *TelemetryOptions, emit func(any), pt *pointTrace) (Result, error) {
 	arch, err := core.ParseArchitecture(sd.Fabric.Arch)
 	if err != nil {
 		return Result{}, err
@@ -272,10 +278,6 @@ func runNetwork(reg *Registry, sd Scenario, model core.Model, topt *TelemetryOpt
 			return Result{}, err
 		}
 	}
-	flowTraffic, err := reg.networkTraffic(sd.Traffic, tr)
-	if err != nil {
-		return Result{}, err
-	}
 	ncfg := netsim.Config{
 		Topology:       t,
 		Arch:           arch,
@@ -288,7 +290,7 @@ func runNetwork(reg *Registry, sd Scenario, model core.Model, topt *TelemetryOpt
 		Routing:        rt,
 		Matrix:         m,
 		Load:           sd.Traffic.Load,
-		Traffic:        flowTraffic,
+		Traffic:        netsim.Traffic{Kind: sd.Traffic.Kind, MeanBurstSlots: sd.Traffic.MeanBurstSlots, Trace: tr},
 		Shards:         ns.Shards,
 		IdleSkip:       ns.IdleSkip,
 		Seed:           networkSeed(sd.Sim.Seed, ns.Topology, ns.Nodes, sd.Traffic.Load),
@@ -363,9 +365,6 @@ type TelemetryOptions struct {
 
 // RunOptions tunes a grid run.
 type RunOptions struct {
-	// Registry resolves the grid's registered traffic kinds (nil means
-	// Default).
-	Registry *Registry
 	// Workers bounds the sweep parallelism (0 = one per core, 1 =
 	// sequential). Results are bit-identical for any worker count.
 	Workers int
@@ -450,10 +449,6 @@ func (g *GridResult) Results() []Result {
 // intact (Done marks them) alongside ctx's error. A failing point
 // aborts the sweep the same way, returning its wrapped error.
 func (g Grid) Run(ctx context.Context, opt RunOptions) (*GridResult, error) {
-	reg := opt.Registry
-	if reg == nil {
-		reg = Default
-	}
 	scenarios, err := g.Points()
 	if err != nil {
 		return nil, err
@@ -519,7 +514,7 @@ func (g Grid) Run(ctx context.Context, opt RunOptions) (*GridResult, error) {
 			pt = &pointTrace{rec: opt.Trace, pid: i + 1, prefix: fmt.Sprintf("p%d ", i)}
 		}
 		start := time.Now()
-		r, rerr := runScenario(reg, sc, topt, emit, pt)
+		r, rerr := runScenario(sc, topt, emit, pt)
 		dur := time.Since(start)
 		mu.Lock()
 		for _, b := range recs {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -263,94 +262,6 @@ func TestRunScenarioTrafficKinds(t *testing.T) {
 	sc = study.Scenario{DPM: "perpetualmotion", Sim: quickSim()}
 	if _, err := study.RunScenario(sc); err == nil {
 		t.Fatal("unknown policy should fail")
-	}
-}
-
-// constSource injects port 0 → port 1 every slot: the smallest useful
-// pluggable traffic source.
-type constSource struct{}
-
-func (constSource) Cells(slot uint64, emit func(study.Injection)) {
-	emit(study.Injection{Port: 0, Dest: 1})
-}
-
-// runIn runs one scenario as a one-point grid resolving its names
-// against reg.
-func runIn(reg *study.Registry, sc study.Scenario) (study.Result, error) {
-	gr, err := study.Grid{Base: sc}.Run(context.Background(), study.RunOptions{Registry: reg})
-	if err != nil {
-		return study.Result{}, err
-	}
-	return gr.Points[0].Result, nil
-}
-
-func constFactory(spec study.TrafficSpec, ports int, seed int64) (study.TrafficSource, error) {
-	return constSource{}, nil
-}
-
-// TestRegisterTraffic: an externally registered traffic kind drives a
-// scenario by name.
-func TestRegisterTraffic(t *testing.T) {
-	reg := study.NewRegistry()
-	if err := reg.RegisterTraffic("test-const", constFactory); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.RegisterTraffic("uniform", constFactory); err == nil {
-		t.Fatal("built-in kind must be rejected")
-	}
-	if err := reg.RegisterTraffic("test-const", constFactory); err == nil {
-		t.Fatal("duplicate kind must be rejected")
-	}
-	if err := reg.RegisterTraffic("test-nil", nil); err == nil {
-		t.Fatal("nil factory must be rejected")
-	}
-	if err := reg.RegisterTraffic("", constFactory); err == nil {
-		t.Fatal("empty kind must be rejected")
-	}
-	sc := study.Scenario{
-		Fabric:  study.FabricSpec{Arch: "crossbar", Ports: 4},
-		Traffic: study.TrafficSpec{Kind: "test-const"},
-		Sim:     quickSim(),
-	}
-	r, err := runIn(reg, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One cell per slot, 4 ports: throughput = 1/4.
-	if r.Throughput < 0.24 || r.Throughput > 0.26 {
-		t.Fatalf("const source throughput = %g, want 0.25", r.Throughput)
-	}
-}
-
-// TestRegisterTrafficNetwork: a registered traffic kind drives a
-// network scenario — the plug-in is instantiated per flow (1-port
-// view at the flow's rate) and its emissions inject across hops.
-func TestRegisterTrafficNetwork(t *testing.T) {
-	reg := study.NewRegistry()
-	if err := reg.RegisterTraffic("test-net-const", func(spec study.TrafficSpec, ports int, seed int64) (study.TrafficSource, error) {
-		if ports != 1 {
-			return nil, fmt.Errorf("network flows should see a 1-port view, got %d", ports)
-		}
-		return constSource{}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sc := study.Scenario{
-		Traffic: study.TrafficSpec{Kind: "test-net-const", Load: 0.2},
-		Sim:     quickSim(),
-		Network: &study.NetworkSpec{Topology: "ring", Nodes: 4, Shards: 2},
-	}
-	r, err := runIn(reg, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Net == nil || r.Net.DeliveredCells == 0 {
-		t.Fatalf("registered kind delivered nothing through the network: %+v", r.Net)
-	}
-	// constSource fires every slot on every flow: a ring of 4 hosts has
-	// 12 flows, so the measured window offers 12 cells per slot.
-	if want := 12 * sc.Sim.MeasureSlots; r.Net.OfferedCells != want {
-		t.Errorf("offered %d cells, want %d (one per flow per slot)", r.Net.OfferedCells, want)
 	}
 }
 

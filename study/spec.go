@@ -12,6 +12,7 @@ import (
 	"fabricpower/internal/core"
 	"fabricpower/internal/dpm"
 	"fabricpower/internal/netsim"
+	"fabricpower/internal/traffic"
 )
 
 // Scenario fully describes one operating point as data: model, fabric,
@@ -76,14 +77,14 @@ const maxCellBits = 1 << 16
 type TrafficSpec struct {
 	// Kind names the traffic generator: "uniform" (default), "bursty",
 	// "packet" (variable-size packets segmented into cell trains),
-	// "hotspot" (single-router only), "trace", or a kind registered with
-	// Registry.RegisterTraffic.
+	// "hotspot" (single-router only) or "trace".
 	Kind string `json:"kind,omitempty"`
 	// Load is the per-port injection probability per slot in [0,1].
 	Load float64 `json:"load,omitempty"`
-	// MeanBurstSlots tunes "bursty" (default 10).
+	// MeanBurstSlots tunes "bursty" (default 10, at least 1).
 	MeanBurstSlots float64 `json:"meanBurstSlots,omitempty"`
-	// HotspotPort and HotspotFraction tune "hotspot". A nil fraction
+	// HotspotPort and HotspotFraction tune "hotspot"; the port wraps
+	// modulo the fabric size and must not be negative. A nil fraction
 	// selects the default 0.3; an explicit 0 means literally zero —
 	// the pointer distinguishes unset from zero.
 	HotspotPort     int      `json:"hotspotPort,omitempty"`
@@ -193,6 +194,14 @@ type CharSpec struct {
 	Seed int64 `json:"seed,omitempty"`
 }
 
+// trafficKinds lists the traffic kinds, all built in. It is a package
+// value so that Validate checks a kind without allocating.
+var trafficKinds = []string{"uniform", "bursty", "packet", "hotspot", "trace"}
+
+// defaultMeanBurstSlots is the mean burst of "bursty" traffic when a
+// scenario leaves MeanBurstSlots zero.
+const defaultMeanBurstSlots = 10
+
 // clone deep-copies the scenario's pointer fields so enumerated grid
 // points can be mutated independently.
 func (s Scenario) clone() Scenario {
@@ -249,7 +258,7 @@ func (s Scenario) withDefaults() Scenario {
 		s.Traffic.Kind = "uniform"
 	}
 	if s.Traffic.MeanBurstSlots == 0 {
-		s.Traffic.MeanBurstSlots = 10
+		s.Traffic.MeanBurstSlots = defaultMeanBurstSlots
 	}
 	if s.Traffic.HotspotFraction == nil {
 		f := 0.3
@@ -285,11 +294,9 @@ func (s Scenario) withDefaults() Scenario {
 }
 
 // Validate reports the first inconsistency in the scenario: its
-// structural fields, and the DPM policy, topology, routing and matrix
-// names, which must be built-ins (an empty name means the default).
-// Traffic kinds resolve when the scenario runs, against the run's
-// Registry (RunOptions.Registry, or Default), since a program can
-// register its own.
+// structural fields, and the traffic kind, DPM policy, topology,
+// routing and matrix names, which must be built-ins (an empty name
+// means the default).
 func (s Scenario) Validate() error {
 	sd := s.withDefaults()
 	if _, err := core.ParseArchitecture(sd.Fabric.Arch); err != nil {
@@ -298,11 +305,23 @@ func (s Scenario) Validate() error {
 	if sd.Queue != "fifo" && sd.Queue != "voq" {
 		return fmt.Errorf("study: unknown queue discipline %q (want fifo or voq)", sd.Queue)
 	}
+	if !slices.Contains(trafficKinds, sd.Traffic.Kind) {
+		return fmt.Errorf("study: unknown traffic kind %q (want one of %v)", sd.Traffic.Kind, trafficKinds)
+	}
+	if sd.Traffic.Kind == "trace" && sd.Traffic.Trace == "" {
+		return fmt.Errorf("study: traffic kind trace needs a trace path")
+	}
 	if sd.Traffic.Load < 0 || sd.Traffic.Load > 1 {
 		return fmt.Errorf("study: load must be in [0,1], got %g", sd.Traffic.Load)
 	}
+	if !(sd.Traffic.MeanBurstSlots >= 1) {
+		return fmt.Errorf("study: traffic.meanBurstSlots must be >= 1, got %g", sd.Traffic.MeanBurstSlots)
+	}
 	if f := *sd.Traffic.HotspotFraction; f < 0 || f > 1 {
 		return fmt.Errorf("study: hotspot fraction must be in [0,1], got %g", f)
+	}
+	if sd.Traffic.HotspotPort < 0 {
+		return fmt.Errorf("study: traffic.hotspotPort must be >= 0, got %d", sd.Traffic.HotspotPort)
 	}
 	if sd.Fabric.CellBits <= 0 {
 		return fmt.Errorf("study: cell bits must be positive, got %d", sd.Fabric.CellBits)
@@ -358,15 +377,32 @@ func (s Scenario) Validate() error {
 }
 
 // validatePoint is Validate for a scenario about to run rather than
-// a grid's base, which an axis may still complete: a network point
+// a grid's base, which an axis may still complete. A network point
 // needs a positive load, since the traffic matrix of a zero load has
-// no flows.
+// no flows. A single-router bursty point needs a load its on/off
+// chains can reach; a network flow's rate is its matrix share, so the
+// network kernel checks that rate per flow when it builds.
 func (s Scenario) validatePoint() error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
-	if s.Network != nil && s.Traffic.Load == 0 {
-		return fmt.Errorf("study: network: traffic.load 0 gives the traffic matrix no flows; set it above 0 or sweep a load axis")
+	if s.Network != nil {
+		if s.Traffic.Load == 0 {
+			return fmt.Errorf("study: network: traffic.load 0 gives the traffic matrix no flows; set it above 0 or sweep a load axis")
+		}
+		return nil
+	}
+	if s.Traffic.Kind == "bursty" {
+		if s.Traffic.Load == 0 {
+			return fmt.Errorf("study: traffic kind bursty needs traffic.load above 0")
+		}
+		mean := s.Traffic.MeanBurstSlots
+		if mean == 0 {
+			mean = defaultMeanBurstSlots
+		}
+		if err := traffic.CheckOnOffRate(s.Traffic.Load, mean); err != nil {
+			return fmt.Errorf("study: traffic: %w", err)
+		}
 	}
 	return nil
 }

@@ -198,10 +198,52 @@ func TestDecodeValidates(t *testing.T) {
 		`{"base": {"network": {"topology": "nosuch"}}}`,
 		`{"base": {"network": {"routing": "nosuch"}}}`,
 		`{"base": {"network": {"matrix": "nosuch"}}}`,
+		`{"base": {"traffic": {"kind": "nosuch"}}}`,
+		`{"base": {"traffic": {"kind": "nosuch", "load": 0.2}, "network": {"topology": "ring", "nodes": 4}}}`,
+		`{"base": {"traffic": {"kind": "bursty", "load": 0.2, "meanBurstSlots": -3}}}`,
+		`{"base": {"traffic": {"kind": "bursty", "load": 0.2, "meanBurstSlots": -3}, "network": {"topology": "ring", "nodes": 4}}}`,
+		`{"base": {"traffic": {"kind": "trace"}}}`,
+		`{"base": {"traffic": {"kind": "trace", "load": 0.2}, "network": {"topology": "ring", "nodes": 4}}}`,
+		`{"base": {"traffic": {"kind": "hotspot", "load": 0.3, "hotspotPort": -1}}}`,
 	}
 	for _, c := range cases {
 		if _, err := study.DecodeSpec(strings.NewReader(c)); err == nil {
 			t.Errorf("invalid spec accepted: %s", c)
+		}
+	}
+}
+
+// TestTrafficPointsRejected: a traffic block a point cannot run fails
+// Grid.Points, naming the point, whether the base or an axis sets it;
+// a network's bursty load is a matrix of per-flow shares, so only the
+// network build checks it.
+func TestTrafficPointsRejected(t *testing.T) {
+	for _, tc := range []struct{ spec, err string }{
+		{`{"base": {"traffic": {"kind": "bursty", "load": 0.95}}}`,
+			"point 0: study: traffic: bursty rate 0.95 is unreachable with mean burst 10 slots"},
+		{`{"base": {"traffic": {"kind": "bursty", "meanBurstSlots": 4}}, "axes": [{"name": "load", "floats": [0.8, 0.9]}]}`,
+			"point 1: study: traffic: bursty rate 0.9 is unreachable with mean burst 4 slots"},
+		{`{"base": {"traffic": {"kind": "bursty"}}}`,
+			"point 0: study: traffic kind bursty needs traffic.load above 0"},
+		{`{"base": {"traffic": {"load": 0.2}}, "axes": [{"name": "traffic", "strings": ["uniform", "nosuch"]}]}`,
+			`point 1: study: unknown traffic kind "nosuch" (want one of [uniform bursty packet hotspot trace])`},
+		{`{"base": {"traffic": {"load": 0.2}}, "axes": [{"name": "traffic", "strings": ["bursty", "trace"]}]}`,
+			"point 1: study: traffic kind trace needs a trace path"},
+		{`{"base": {"traffic": {"kind": "bursty", "load": 0.95}, "network": {"topology": "ring", "nodes": 4}}}`, ""},
+	} {
+		spec, err := study.DecodeSpec(strings.NewReader(tc.spec))
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tc.spec, err)
+		}
+		_, err = spec.Grid.Points()
+		if tc.err == "" {
+			if err != nil {
+				t.Errorf("%s: %v", tc.spec, err)
+			}
+			continue
+		}
+		if err == nil || !strings.HasPrefix(err.Error(), tc.err) {
+			t.Errorf("%s: Points error %v, want %q", tc.spec, err, tc.err)
 		}
 	}
 }
