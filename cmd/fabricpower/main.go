@@ -84,9 +84,13 @@ var errUsage = fmt.Errorf("usage")
 // outputs byte for byte.
 func dispatch(ctx context.Context, cmd string, args []string, w io.Writer) error {
 	switch cmd {
-	case "tech":
-		return exp.TechReport(core.PaperModel(), w)
-	case "table2":
+	case "tech", "table2":
+		if len(args) != 0 {
+			return fmt.Errorf("%s: unexpected arguments %v; it takes none", cmd, args)
+		}
+		if cmd == "tech" {
+			return exp.TechReport(core.PaperModel(), w)
+		}
 		return runTable2(w)
 	case "ablate":
 		return runAblate(args, w)
@@ -310,6 +314,9 @@ func runAblate(args []string, w io.Writer) error {
 	seed := fs.Int64("seed", 1, "traffic seed")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() != 0 {
+		return fmt.Errorf("ablate: unexpected arguments %v; name the study with -study (buffer|fcwire|queue)", fs.Args())
 	}
 	base := study.Scenario{
 		Fabric:  study.FabricSpec{Ports: *ports},

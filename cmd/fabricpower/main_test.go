@@ -197,6 +197,33 @@ func TestStudyAliasFlags(t *testing.T) {
 	}
 }
 
+// TestStrayArgumentsRejected: `ablate queue` once printed the buffer
+// ablation, and tech and table2 ignored whatever followed them. A
+// positional argument now fails before any report is written, and
+// ablate's error points at -study.
+func TestStrayArgumentsRejected(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		cmd  string
+		args []string
+		want string
+	}{
+		{"ablate", []string{"queue"}, "-study"},
+		{"ablate", []string{"-ports", "8", "fcwire"}, "-study"},
+		{"tech", []string{"extra"}, "unexpected arguments [extra]"},
+		{"table2", []string{"-ports", "8"}, "unexpected arguments [-ports 8]"},
+	} {
+		var out strings.Builder
+		err := dispatch(ctx, tc.cmd, tc.args, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s %v: err = %v, want it to name %q", tc.cmd, tc.args, err, tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s %v wrote a report before failing:\n%s", tc.cmd, tc.args, out.String())
+		}
+	}
+}
+
 // TestRunRejectsBadSpecs: the run subcommand surfaces decode errors.
 func TestRunRejectsBadSpecs(t *testing.T) {
 	ctx := context.Background()

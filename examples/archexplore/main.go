@@ -1,6 +1,7 @@
 // Archexplore: the architectural design exploration the paper's abstract
 // motivates — given a port count and an expected operating load, which
-// switch fabric burns the least power?
+// switch fabric burns the least power? Each candidate is one
+// study.Scenario run by study.RunScenario.
 //
 // Run with:
 //
@@ -13,6 +14,7 @@ import (
 	"log"
 
 	"fabricpower"
+	"fabricpower/study"
 )
 
 func main() {
@@ -30,11 +32,10 @@ func main() {
 		if arch == fabricpower.BatcherBanyan && *ports < 4 {
 			continue
 		}
-		rep, err := fabricpower.Simulate(fabricpower.Options{
-			Architecture: arch,
-			Ports:        *ports,
-			OfferedLoad:  *load,
-			MeasureSlots: 2000,
+		rep, err := study.RunScenario(study.Scenario{
+			Fabric:  study.FabricSpec{Arch: arch.String(), Ports: *ports},
+			Traffic: study.TrafficSpec{Load: *load},
+			Sim:     study.SimSpec{MeasureSlots: 2000, Seed: 1},
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -3,7 +3,9 @@
 // The paper's experiments use Bernoulli (memoryless) traffic. Real
 // internet traffic is bursty, and burstiness multiplies the coincidence of
 // cells inside a multistage fabric — more interconnect contention, more
-// buffer energy. This example quantifies that on a 16×16 Banyan.
+// buffer energy. This example quantifies that on a 16×16 Banyan: each
+// shape is the traffic block of one study.Scenario, run by
+// study.RunScenario.
 //
 // Run with:
 //
@@ -14,17 +16,15 @@ import (
 	"fmt"
 	"log"
 
-	"fabricpower"
+	"fabricpower/study"
 )
 
-func run(kind fabricpower.TrafficKind, label string, burst float64) fabricpower.Report {
-	rep, err := fabricpower.Simulate(fabricpower.Options{
-		Architecture:   fabricpower.Banyan,
-		Ports:          16,
-		OfferedLoad:    0.30,
-		Traffic:        kind,
-		MeanBurstSlots: burst,
-		MeasureSlots:   4000,
+func run(traffic study.TrafficSpec, label string) study.Result {
+	traffic.Load = 0.30
+	rep, err := study.RunScenario(study.Scenario{
+		Fabric:  study.FabricSpec{Arch: "banyan", Ports: 16},
+		Traffic: traffic,
+		Sim:     study.SimSpec{MeasureSlots: 4000, Seed: 1},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -37,10 +37,11 @@ func run(kind fabricpower.TrafficKind, label string, burst float64) fabricpower.
 func main() {
 	fmt.Println("16×16 Banyan at 30% mean load under different traffic shapes")
 	fmt.Println()
-	uniform := run(fabricpower.UniformTraffic, "uniform (paper)", 0)
-	short := run(fabricpower.BurstyTraffic, "bursty, 5-slot bursts", 5)
-	long := run(fabricpower.BurstyTraffic, "bursty, 20-slot bursts", 20)
-	hot := run(fabricpower.HotspotTraffic, "30% hotspot", 0)
+	uniform := run(study.TrafficSpec{Kind: "uniform"}, "uniform (paper)")
+	short := run(study.TrafficSpec{Kind: "bursty", MeanBurstSlots: 5}, "bursty, 5-slot bursts")
+	long := run(study.TrafficSpec{Kind: "bursty", MeanBurstSlots: 20}, "bursty, 20-slot bursts")
+	// An unset hotspotFraction selects the default 30% on port 0.
+	hot := run(study.TrafficSpec{Kind: "hotspot"}, "30% hotspot")
 
 	fmt.Println()
 	fmt.Printf("burstiness penalty: %.1f×/%.1f× buffer power vs uniform (5/20-slot bursts)\n",

@@ -2,7 +2,8 @@
 //
 // The paper's constants are a 0.18 µm / 3.3 V case study, and §7 stresses
 // that the methodology generalizes. This example re-evaluates a 32×32
-// router three ways:
+// router three ways, each a study.Scenario that differs from the paper's
+// only in its model block (a study.ModelSpec) and its queue:
 //
 //  1. the paper's model as published,
 //  2. a constant-field shrink to ~0.13 µm at 1.8 V,
@@ -19,10 +20,11 @@ import (
 	"log"
 
 	"fabricpower"
+	"fabricpower/study"
 )
 
-func evaluate(label string, opt fabricpower.Options) {
-	rep, err := fabricpower.Simulate(opt)
+func evaluate(label string, sc study.Scenario) {
+	rep, err := study.RunScenario(sc)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,11 +38,11 @@ func main() {
 
 	fmt.Printf("32×32 Banyan router at %.0f%% load, three design points\n\n", load*100)
 
-	base := fabricpower.Options{
-		Architecture: fabricpower.Banyan,
-		Ports:        ports,
-		OfferedLoad:  load,
-		MeasureSlots: 2000,
+	base := study.Scenario{
+		Model:   study.PaperModel(),
+		Fabric:  study.FabricSpec{Arch: "banyan", Ports: ports},
+		Traffic: study.TrafficSpec{Load: load},
+		Sim:     study.SimSpec{MeasureSlots: 2000, Seed: 1},
 	}
 	evaluate("paper model (0.18um, 3.3V)", base)
 
@@ -49,20 +51,16 @@ func main() {
 	// wire term responds: the switch LUTs and SRAM energies are measured
 	// calibration data, not tech-derived; `fabricpower table1` re-runs
 	// the gate-level characterization behind the switch LUTs.
-	shrunk, err := fabricpower.DefaultModel().WithTechScaling(0.72, 0.55)
-	if err != nil {
-		log.Fatal(err)
-	}
+	shrunk := study.ModelSpec{TechScale: &study.TechScale{S: 0.72, SV: 0.55}}
 	withShrink := base
-	withShrink.Model = &shrunk
+	withShrink.Model = shrunk
 	evaluate("0.13um shrink at 1.8V", withShrink)
 
 	// Modernized accounting and ingress: per-word SRAM access energy and
 	// VOQ + iSLIP admission.
-	perWord := fabricpower.PerWordBufferModel()
 	modern := base
-	modern.Model = &perWord
-	modern.UseVOQ = true
+	modern.Model = study.PerWordModel()
+	modern.Queue = "voq"
 	evaluate("per-word buffers + VOQ ingress", modern)
 
 	fmt.Println()

@@ -1,5 +1,9 @@
 // Quickstart: estimate the power of one switch fabric operating point.
 //
+// The point is a study.Scenario — the same value a JSON spec file
+// describes for `fabricpower run` — executed by study.RunScenario, and
+// fabricpower.Analytic gives the paper's closed-form bound beside it.
+//
 // Run with:
 //
 //	go run ./examples/quickstart
@@ -10,15 +14,18 @@ import (
 	"log"
 
 	"fabricpower"
+	"fabricpower/study"
 )
 
 func main() {
 	// Simulate a 16×16 Banyan fabric at 30% offered load with the
 	// paper's 0.18 µm / 3.3 V model and TCP/IP-like uniform traffic.
-	report, err := fabricpower.Simulate(fabricpower.Options{
-		Architecture: fabricpower.Banyan,
-		Ports:        16,
-		OfferedLoad:  0.30,
+	// Unset fields keep the scenario defaults (1024-bit cells, 300
+	// warm-up and 3000 measured slots); the zero Model is the paper's.
+	report, err := study.RunScenario(study.Scenario{
+		Fabric:  study.FabricSpec{Arch: "banyan", Ports: 16},
+		Traffic: study.TrafficSpec{Load: 0.30},
+		Sim:     study.SimSpec{Seed: 1},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -36,7 +43,7 @@ func main() {
 
 	// Compare with the closed-form worst case of the paper's Eq. 5
 	// (contention-free path — the simulation adds the buffer penalty).
-	analytic, err := fabricpower.Analytic(fabricpower.Banyan, 16, fabricpower.DefaultModel())
+	analytic, err := fabricpower.Analytic(fabricpower.Banyan, 16, study.PaperModel())
 	if err != nil {
 		log.Fatal(err)
 	}

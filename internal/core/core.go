@@ -193,11 +193,11 @@ func PaperModel() Model {
 	}
 }
 
-// PerWordBufferModel returns the paper model with Table 2's access energy
+// PerWordModel returns the paper model with Table 2's access energy
 // interpreted per 32-bit word instead of per bit — the alternative reading
 // of §6 observation 1, which puts the 32×32 crossover at 50% rather than
 // the paper's ≈35% (see the BufferAccessGranularityBits documentation).
-func PerWordBufferModel() Model {
+func PerWordModel() Model {
 	m := PaperModel()
 	m.BufferAccessGranularityBits = m.Tech.BusWidth
 	return m

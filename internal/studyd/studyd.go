@@ -60,6 +60,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"sync"
@@ -568,6 +569,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
+	}
+	// A trace point opens its file on the server, so a client may only
+	// name a file under the server's working directory.
+	for i, sc := range scenarios {
+		if sc.Traffic.Kind == "trace" && !filepath.IsLocal(sc.Traffic.Trace) {
+			writeError(w, http.StatusBadRequest,
+				"point %d: trace %q is not a relative path inside the server's working directory", i, sc.Traffic.Trace)
+			return
+		}
 	}
 	n := len(scenarios)
 

@@ -101,9 +101,24 @@ const bigSpec = `{
 // (the client restores enumeration order).
 func TestStreamByteEquivalence(t *testing.T) {
 	_, ts, _ := newTestServer(t, studyd.Config{})
+	// trace-network names its trace file relative to the repository
+	// root, as the server sees it when serving the corpus.
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(filepath.Join("..", "..")); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Error(err)
+		}
+	}()
 	goldens := []string{
-		filepath.Join("..", "..", "scenarios", "fig10-quick.json"),
-		filepath.Join("..", "..", "scenarios", "voq-dvfs-grid.json"),
+		filepath.Join("scenarios", "fig10-quick.json"),
+		filepath.Join("scenarios", "voq-dvfs-grid.json"),
+		filepath.Join("scenarios", "trace-network.json"),
 	}
 	for _, path := range goldens {
 		data, err := os.ReadFile(path)
@@ -486,9 +501,10 @@ func TestBadRequests(t *testing.T) {
 // TestInvalidGridPointRejected: an axis that sweeps a field out of
 // range, a traffic kind, DPM policy, topology, routing policy or
 // traffic matrix that is not built in, a bursty load the on/off chains
-// cannot reach, or a network point at load 0 (whose matrix has no
-// flows) is answered 400 with the validation error, before the spec
-// takes a slot or appears in the listing.
+// cannot reach, a network point at load 0 (whose matrix has no flows)
+// or a trace file outside the server's working directory is answered
+// 400 with the validation error, before the spec takes a slot or
+// appears in the listing.
 func TestInvalidGridPointRejected(t *testing.T) {
 	_, ts, _ := newTestServer(t, studyd.Config{})
 	for _, tc := range []struct{ spec, want string }{
@@ -515,6 +531,10 @@ func TestInvalidGridPointRejected(t *testing.T) {
 			`point 1: study: unknown traffic kind "nosuch" (want one of [uniform bursty packet hotspot trace])`},
 		{`{"version": 1, "base": {"traffic": {"kind": "bursty", "load": 0.95}}}`,
 			"point 0: study: traffic: bursty rate 0.95 is unreachable"},
+		{`{"version": 1, "base": {"fabric": {"ports": 4}, "traffic": {"kind": "trace", "load": 0.2, "trace": "/etc/hostname"}}}`,
+			`point 0: trace "/etc/hostname" is not a relative path inside the server's working directory`},
+		{`{"version": 1, "base": {"fabric": {"ports": 4}, "traffic": {"kind": "trace", "load": 0.2, "trace": "../x"}}}`,
+			`point 0: trace "../x" is not a relative path inside the server's working directory`},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/studies", "application/json", strings.NewReader(tc.spec))
 		if err != nil {

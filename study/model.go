@@ -63,7 +63,7 @@ func (m ModelSpec) Build() (core.Model, error) {
 	}
 	var model core.Model
 	if m.Base == "perword" {
-		model = core.PerWordBufferModel()
+		model = core.PerWordModel()
 	} else {
 		model = core.PaperModel()
 	}

@@ -238,21 +238,40 @@ func TestRunScenarioNetworkTrafficKinds(t *testing.T) {
 	}
 }
 
-// TestRunScenarioTrafficKinds: every built-in traffic kind runs.
+// TestRunScenarioTrafficKinds: every built-in traffic kind runs, and
+// the explicit zeros the schema keeps apart from unset reach the run: a
+// hotspotFraction of 0 is a hotspot source sending nothing extra to its
+// port, and a warmupSlots of 0 measures from slot 0.
 func TestRunScenarioTrafficKinds(t *testing.T) {
-	for _, kind := range []string{"uniform", "bursty", "packet", "hotspot"} {
-		sc := study.Scenario{
+	run := func(label string, traffic study.TrafficSpec, sim study.SimSpec) study.Result {
+		traffic.Load = 0.3
+		r, err := study.RunScenario(study.Scenario{
 			Fabric:  study.FabricSpec{Arch: "fullyconnected", Ports: 8},
-			Traffic: study.TrafficSpec{Kind: kind, Load: 0.3},
-			Sim:     quickSim(),
-		}
-		r, err := study.RunScenario(sc)
+			Traffic: traffic,
+			Sim:     sim,
+		})
 		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
+			t.Fatalf("%s: %v", label, err)
 		}
-		if r.Power.TotalMW() <= 0 {
-			t.Fatalf("%s: no power", kind)
+		if r.Power.TotalMW() <= 0 || r.Throughput <= 0 {
+			t.Fatalf("%s: no power or nothing delivered (%+v)", label, r)
 		}
+		return r
+	}
+	results := map[string]study.Result{}
+	for _, kind := range []string{"uniform", "bursty", "packet", "hotspot"} {
+		results[kind] = run(kind, study.TrafficSpec{Kind: kind}, quickSim())
+	}
+	zero := 0.0
+	if r := run("hotspotFraction 0", study.TrafficSpec{Kind: "hotspot", HotspotFraction: &zero}, quickSim()); reflect.DeepEqual(r, results["hotspot"]) {
+		t.Error("hotspotFraction 0 ran the default 0.3 fraction")
+	}
+	cold, unset := quickSim(), quickSim()
+	cold.WarmupSlots = new(uint64)
+	unset.WarmupSlots = nil
+	if r := run("warmupSlots 0", study.TrafficSpec{}, cold); reflect.DeepEqual(r, results["uniform"]) ||
+		reflect.DeepEqual(r, run("warmupSlots unset", study.TrafficSpec{}, unset)) {
+		t.Error("warmupSlots 0 measured a warmed-up window, not the one from slot 0")
 	}
 	// Unknown kinds and bad references fail loudly.
 	sc := study.Scenario{Traffic: study.TrafficSpec{Kind: "antigravity", Load: 0.1}, Sim: quickSim()}
