@@ -99,6 +99,66 @@ func TestSimulateRejectsBadOptions(t *testing.T) {
 	}
 }
 
+func TestSimulateTrafficKinds(t *testing.T) {
+	for _, kind := range []string{"uniform", "bursty", "hotspot"} {
+		sc := point(FullyConnected, 8, 0.3, 100, 600)
+		sc.Traffic.Kind = kind
+		rep, err := study.RunScenario(sc)
+		if err != nil {
+			t.Fatalf("kind %s: %v", kind, err)
+		}
+		if rep.Power.TotalMW() <= 0 {
+			t.Fatalf("kind %s: no power", kind)
+		}
+	}
+}
+
+// TestOptionsExplicitZeros pins the unset-vs-zero fields of a point:
+// an unset warmupSlots or hotspotFraction resolves to its default, an
+// explicit zero (and a zero seed) stays a literal zero, and the zeros
+// run.
+func TestOptionsExplicitZeros(t *testing.T) {
+	d := study.Scenario{}.Resolved()
+	if d.Sim.WarmupSlots == nil || *d.Sim.WarmupSlots != 300 ||
+		d.Traffic.HotspotFraction == nil || *d.Traffic.HotspotFraction != 0.3 {
+		t.Fatalf("defaults: %+v", d)
+	}
+	warmup, fraction := uint64(0), 0.0
+	e := study.Scenario{
+		Traffic: study.TrafficSpec{HotspotFraction: &fraction},
+		Sim:     study.SimSpec{WarmupSlots: &warmup},
+	}.Resolved()
+	if e.Sim.WarmupSlots == nil || *e.Sim.WarmupSlots != 0 {
+		t.Fatalf("a zero warmup should stay a literal zero, got %v", e.Sim.WarmupSlots)
+	}
+	if e.Sim.Seed != 0 {
+		t.Fatalf("a zero seed should stay 0, got %d", e.Sim.Seed)
+	}
+	if e.Traffic.HotspotFraction == nil || *e.Traffic.HotspotFraction != 0 {
+		t.Fatalf("a zero hotspot fraction should stay a literal zero, got %v", e.Traffic.HotspotFraction)
+	}
+	// A zero-fraction hotspot is a uniform source: it must run and
+	// deliver, not fall back to the 0.3 default.
+	hot := point(Crossbar, 8, 0.3, 50, 400)
+	hot.Traffic.Kind = "hotspot"
+	hot.Traffic.HotspotFraction = &fraction
+	rep, err := study.RunScenario(hot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Throughput <= 0 {
+		t.Fatal("zero-fraction hotspot should still carry traffic")
+	}
+	// A zero warmup measures from slot 0 and must still measure.
+	cold, err := study.RunScenario(point(Crossbar, 8, 0.3, 0, 400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Power.TotalMW() <= 0 {
+		t.Fatal("cold-start run should still measure")
+	}
+}
+
 func TestSimulateVOQOption(t *testing.T) {
 	sc := point(Crossbar, 8, 1.0, 300, 1200)
 	sc.Queue = "voq"
