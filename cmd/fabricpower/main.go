@@ -416,9 +416,6 @@ func runSpec(ctx context.Context, cmd string, paper []byte, args []string, w io.
 			if spec.Kind == "table1" {
 				return fmt.Errorf("run: study kind table1 characterizes gates; it has no per-point result records")
 			}
-			if err := exp.CheckSpec(spec); err != nil {
-				return err
-			}
 			// A cancelled or failed sweep still emits every completed
 			// point's record (WriteResultRecords skips the rest) before
 			// surfacing the error.

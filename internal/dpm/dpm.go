@@ -178,10 +178,6 @@ type Manager struct {
 	steadyEnd uint64
 }
 
-// fullSpeedOnly is the ladder of a policy without DVFS levels. The
-// manager only reads it.
-var fullSpeedOnly = []DVFSLevel{{Name: "full", Speed: 1, VScale: 1}}
-
 // New builds a manager. The model's static parameters may be zero, in
 // which case every ledger stays at zero and an AlwaysOn manager is
 // observationally identical to running without one.
@@ -234,20 +230,15 @@ func New(cfg Config) (*Manager, error) {
 	}
 	m.dec = Decision{GatePort: flags[n:]}
 
-	m.levels = fullSpeedOnly
+	m.levels = dvfsLadder[:1:1] // full speed only
 	if p, ok := cfg.Policy.(interface{ DVFSLevels() []DVFSLevel }); ok {
-		if lv := p.DVFSLevels(); len(lv) > 0 {
-			m.levels = lv
-		}
+		m.levels = p.DVFSLevels()
 	}
 	k := len(m.levels)
 	scale := make([]float64, 2*k)
 	m.staticScale, m.dynScale = scale[:k:k], scale[k:]
 	vdd := cfg.Model.Tech.VDD
 	for i, lv := range m.levels {
-		if lv.Speed <= 0 || lv.Speed > 1 || lv.VScale <= 0 || lv.VScale > 1 {
-			return nil, fmt.Errorf("dpm: level %d: speed and vscale must be in (0,1], got %+v", i, lv)
-		}
 		// The level's supply relative to the base technology's, in the
 		// float operations tech.Params.Scaled performs.
 		v := vdd * lv.VScale / vdd

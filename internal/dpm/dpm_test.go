@@ -68,10 +68,25 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := dpm.New(dpm.Config{Arch: core.Banyan, Ports: 8, Model: bad, CellBits: 1024, Policy: dpm.AlwaysOn{}}); err == nil {
 		t.Error("invalid static model should fail")
 	}
-	levels := &dpm.LoadDVFS{Levels: []dpm.DVFSLevel{{Speed: 2, VScale: 1}}}
-	levels.Reset(8)
-	if _, err := dpm.New(dpm.Config{Arch: core.Banyan, Ports: 8, Model: model, CellBits: 1024, Policy: levels}); err == nil {
-		t.Error("out-of-range DVFS level should fail")
+}
+
+// TestDVFSLadderInRange pins the fixed ladder the manager scales energy
+// and admission by: fastest first, starting at full speed and supply,
+// with every speed and voltage scale in (0,1].
+func TestDVFSLadderInRange(t *testing.T) {
+	for _, p := range []interface{ DVFSLevels() []dpm.DVFSLevel }{&dpm.LoadDVFS{}, &dpm.Composite{}} {
+		levels := p.DVFSLevels()
+		if len(levels) < 2 || levels[0].Speed != 1 || levels[0].VScale != 1 {
+			t.Fatalf("%T: ladder %+v must start at full speed and supply", p, levels)
+		}
+		for i, lv := range levels {
+			if !(lv.Speed > 0 && lv.Speed <= 1 && lv.VScale > 0 && lv.VScale <= 1) {
+				t.Errorf("%T: level %d %+v: speed and vscale must be in (0,1]", p, i, lv)
+			}
+			if i > 0 && lv.Speed >= levels[i-1].Speed {
+				t.Errorf("%T: level %d %+v is not slower than level %d", p, i, lv, i-1)
+			}
+		}
 	}
 }
 
@@ -104,7 +119,7 @@ func TestAlwaysOnZeroStaticIsFree(t *testing.T) {
 func TestIdleGateWakeLatency(t *testing.T) {
 	model := testModel()
 	model.Static.WakeupSlots = 3
-	pol := &dpm.IdleGate{TimeoutSlots: 5}
+	pol := &dpm.IdleGate{}
 	m := newManager(t, core.Crossbar, 4, model, pol)
 	src := &fakeSource{q: make([]int, 4)}
 
@@ -150,7 +165,7 @@ func TestIdleGateWakeLatency(t *testing.T) {
 // egress domain wakes it via pipeline advance notice — transition
 // energy, no waking state.
 func TestEgressDeliveryWakesWithoutLatency(t *testing.T) {
-	pol := &dpm.IdleGate{TimeoutSlots: 2}
+	pol := &dpm.IdleGate{}
 	m := newManager(t, core.Crossbar, 4, testModel(), pol)
 	src := &fakeSource{q: make([]int, 4)}
 	for slot := uint64(0); slot < 10; slot++ {
@@ -177,7 +192,7 @@ func TestEgressDeliveryWakesWithoutLatency(t *testing.T) {
 func TestDeliveryToWakingPortChargesOnce(t *testing.T) {
 	model := testModel()
 	model.Static.WakeupSlots = 3
-	pol := &dpm.IdleGate{TimeoutSlots: 2}
+	pol := &dpm.IdleGate{}
 	m := newManager(t, core.Crossbar, 4, model, pol)
 	src := &fakeSource{q: make([]int, 4)}
 	slot := uint64(0)
@@ -217,7 +232,7 @@ func TestDeliveryToWakingPortChargesOnce(t *testing.T) {
 // TestBufferSleepLedger: with empty node buffers the SRAM goes drowsy
 // and static energy lands below the always-on reference.
 func TestBufferSleepLedger(t *testing.T) {
-	m := newManager(t, core.Banyan, 8, testModel(), &dpm.BufferSleep{DrainSlots: 3})
+	m := newManager(t, core.Banyan, 8, testModel(), &dpm.BufferSleep{})
 	src := &fakeSource{q: make([]int, 8)}
 	for slot := uint64(0); slot < 50; slot++ {
 		m.PreSlot(slot, src)
@@ -240,7 +255,7 @@ func TestBufferSleepLedger(t *testing.T) {
 // level and the duty-cycle accumulator stalls admission deterministically
 // at 1−Speed of the slots.
 func TestLoadDVFSThrottles(t *testing.T) {
-	pol := &dpm.LoadDVFS{HoldSlots: 4}
+	pol := &dpm.LoadDVFS{}
 	m := newManager(t, core.FullyConnected, 8, testModel(), pol)
 	src := &fakeSource{q: make([]int, 8)}
 	for slot := uint64(0); slot < 300; slot++ {
@@ -265,7 +280,7 @@ func TestLoadDVFSThrottles(t *testing.T) {
 // TestDVFSDynamicAdjustment: dynamic energy spent in a low-voltage slot
 // is scaled by V², recorded as a non-positive adjustment.
 func TestDVFSDynamicAdjustment(t *testing.T) {
-	pol := &dpm.LoadDVFS{HoldSlots: 2}
+	pol := &dpm.LoadDVFS{}
 	m := newManager(t, core.FullyConnected, 8, testModel(), pol)
 	src := &fakeSource{q: make([]int, 8)}
 	dyn := core.Breakdown{}

@@ -16,26 +16,19 @@ import (
 // word early, exactly, or one and two ports into the next word.
 var fuzzPorts = []int{2, 8, 63, 64, 65, 130}
 
-// fuzzPolicy builds one of the five built-in policies, tuned short so a
-// few hundred slots walk every state machine: gate timeouts, drain
-// streaks and DVFS holds of 1–4 slots.
-func fuzzPolicy(kind, tune uint8) Policy {
-	k := int(tune%4) + 1
+// fuzzPolicy builds one of the five built-in policies.
+func fuzzPolicy(kind uint8) Policy {
 	switch kind % 5 {
 	case 0:
 		return AlwaysOn{}
 	case 1:
-		return &IdleGate{TimeoutSlots: k}
+		return &IdleGate{}
 	case 2:
-		return &BufferSleep{DrainSlots: k}
+		return &BufferSleep{}
 	case 3:
-		return &LoadDVFS{HoldSlots: k}
+		return &LoadDVFS{}
 	default:
-		return &Composite{
-			Gate:   IdleGate{TimeoutSlots: k},
-			Buffer: BufferSleep{DrainSlots: k},
-			DVFS:   LoadDVFS{HoldSlots: k},
-		}
+		return &Composite{}
 	}
 }
 
@@ -71,25 +64,25 @@ func (r *refLedger) account(m *Manager) {
 	r.alwaysOnFJ += mwFJ(float64(n)*m.portIdleMW+m.bufMW, m.slotNS)
 }
 
-// refPolicy builds the reference for fuzzPolicy(kind, tune): the same
+// refPolicy builds the reference for fuzzPolicy(kind): the same
 // policy with IdleGate and BufferSleep counting idle slots in saturating
 // counters, the plain reading of their timeouts, and with an idle
 // horizon of 0, so its manager runs it every slot.
-func refPolicy(kind, tune uint8) Policy {
-	k := int(tune%4) + 1
+func refPolicy(kind uint8) Policy {
 	switch kind % 5 {
 	case 1:
-		return &refIdleGate{timeout: k}
+		return &refIdleGate{}
 	case 2:
-		return &refBufferSleep{drain: k}
+		return &refBufferSleep{}
 	case 4:
-		return &refComposite{refIdleGate{timeout: k}, refBufferSleep{drain: k}, LoadDVFS{HoldSlots: k}}
+		return &refComposite{}
 	}
-	return noHorizon{fuzzPolicy(kind, tune)}
+	return noHorizon{fuzzPolicy(kind)}
 }
 
 // noHorizon reports an idle horizon of 0 in place of a policy's own and
-// forwards its DVFS ladder.
+// forwards its DVFS ladder, or the full-speed level of a policy with
+// none.
 type noHorizon struct{ Policy }
 
 func (noHorizon) IdleHorizon() uint64 { return 0 }
@@ -98,13 +91,10 @@ func (p noHorizon) DVFSLevels() []DVFSLevel {
 	if l, ok := p.Policy.(interface{ DVFSLevels() []DVFSLevel }); ok {
 		return l.DVFSLevels()
 	}
-	return nil
+	return dvfsLadder[:1:1]
 }
 
-type refIdleGate struct {
-	timeout int
-	idle    []int
-}
+type refIdleGate struct{ idle []int }
 
 func (g *refIdleGate) Name() string        { return "idlegate" }
 func (g *refIdleGate) Reset(ports int)     { g.idle = make([]int, ports) }
@@ -115,12 +105,12 @@ func (g *refIdleGate) Decide(obs *Observation, dec *Decision) {
 			g.idle[p] = 0
 			continue
 		}
-		g.idle[p] = min(g.idle[p]+1, g.timeout)
-		dec.GatePort[p] = g.idle[p] >= g.timeout
+		g.idle[p] = min(g.idle[p]+1, idleGateTimeout)
+		dec.GatePort[p] = g.idle[p] >= idleGateTimeout
 	}
 }
 
-type refBufferSleep struct{ drain, empty int }
+type refBufferSleep struct{ empty int }
 
 func (b *refBufferSleep) Name() string        { return "buffersleep" }
 func (b *refBufferSleep) Reset(int)           { b.empty = 0 }
@@ -130,8 +120,8 @@ func (b *refBufferSleep) Decide(obs *Observation, dec *Decision) {
 		b.empty = 0
 		return
 	}
-	b.empty = min(b.empty+1, b.drain)
-	dec.BufferSleep = b.empty >= b.drain
+	b.empty = min(b.empty+1, bufferDrainSlots)
+	dec.BufferSleep = b.empty >= bufferDrainSlots
 }
 
 type refComposite struct {
@@ -151,7 +141,7 @@ func (c *refComposite) Decide(obs *Observation, dec *Decision) {
 	c.buf.Decide(obs, dec)
 	c.dvfs.Decide(obs, dec)
 }
-func (c *refComposite) DVFSLevels() []DVFSLevel { return c.dvfs.Levels }
+func (c *refComposite) DVFSLevels() []DVFSLevel { return dvfsLadder }
 func (c *refComposite) IdleHorizon() uint64     { return 0 }
 
 // checkTwin asserts that the twin manager, which replays each idle
@@ -206,8 +196,7 @@ func checkLedger(t *testing.T, m *Manager, ref *refLedger, when string) {
 // measurement restart, or one busy slot:
 // queue churn on a few ports, a buffered-cell count, PreSlot, egress
 // deliveries (biased toward gated and waking ports), and PostSlot.
-// Bit 0 of wake selects WakeupSlots 3 over 0; its other bits tune the
-// policy. The manager runs the reference policy (refPolicy) every slot;
+// Bit 0 of wake selects WakeupSlots 3 over 0. The manager runs the reference policy (refPolicy) every slot;
 // a twin manager runs the same program with the built-in policy and its
 // idle horizons, replaying each idle
 // stretch — from its first slot, which still carries the busy slot's
@@ -227,11 +216,11 @@ func runManagerProgram(t *testing.T, policy, wake, ports uint8, prog []byte) {
 	if wake&1 == 1 {
 		model.Static.WakeupSlots = 3
 	}
-	m, err := New(Config{Arch: arch, Ports: n, Model: model, CellBits: 256, Policy: refPolicy(policy, wake>>1)})
+	m, err := New(Config{Arch: arch, Ports: n, Model: model, CellBits: 256, Policy: refPolicy(policy)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin, err := New(Config{Arch: arch, Ports: n, Model: model, CellBits: 256, Policy: fuzzPolicy(policy, wake>>1)})
+	twin, err := New(Config{Arch: arch, Ports: n, Model: model, CellBits: 256, Policy: fuzzPolicy(policy)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,18 +90,18 @@ func (AlwaysOn) Decide(*Observation, *Decision) {}
 // fixpoint.
 func (AlwaysOn) IdleHorizon() uint64 { return Unbounded }
 
-// IdleGate clock-gates a port's switch/wire domain after the port has
-// been idle — empty ingress queue and no egress delivery — for
-// TimeoutSlots consecutive slots. Pending work reopens the gate at the
-// cost of the model's wakeup latency, which queued cells pay as extra
-// measured latency.
-type IdleGate struct {
-	// TimeoutSlots is the idle streak required before gating
-	// (default 8).
-	TimeoutSlots int
+// idleGateTimeout is the idle streak, in slots, after which IdleGate
+// gates a port.
+const idleGateTimeout = 8
 
+// IdleGate clock-gates a port's switch/wire domain after the port has
+// been idle — empty ingress queue and no egress delivery — for 8
+// consecutive slots (idleGateTimeout). Pending work reopens the gate at
+// the cost of the model's wakeup latency, which queued cells pay as
+// extra measured latency.
+type IdleGate struct {
 	// gateAt[p] is the first tick port p asks to be gated: its last
-	// busy tick plus TimeoutSlots, which an idle Decide leaves alone.
+	// busy tick plus idleGateTimeout, which an idle Decide leaves alone.
 	gateAt []uint64
 	now    uint64 // the tick last decided
 }
@@ -111,12 +111,9 @@ func (g *IdleGate) Name() string { return "idlegate" }
 
 // Reset implements Policy.
 func (g *IdleGate) Reset(ports int) {
-	if g.TimeoutSlots <= 0 {
-		g.TimeoutSlots = 8
-	}
 	g.gateAt = make([]uint64, ports)
 	for p := range g.gateAt {
-		g.gateAt[p] = uint64(g.TimeoutSlots) - 1 // as if busy at tick −1
+		g.gateAt[p] = idleGateTimeout - 1 // as if busy at tick −1
 	}
 }
 
@@ -126,10 +123,10 @@ func (g *IdleGate) Decide(obs *Observation, dec *Decision) {
 	// bounds checks.
 	n := obs.Ports
 	queue, active, gateAt, gate := obs.QueueLen[:n], obs.PortActive[:n], g.gateAt[:n], dec.GatePort[:n]
-	tick, timeout := obs.Tick, uint64(g.TimeoutSlots)
+	tick := obs.Tick
 	for p := range gateAt {
 		if queue[p] > 0 || active[p] {
-			gateAt[p] = tick + timeout
+			gateAt[p] = tick + idleGateTimeout
 			continue
 		}
 		gate[p] = tick >= gateAt[p]
@@ -150,18 +147,18 @@ func (g *IdleGate) IdleHorizon() uint64 {
 	return h
 }
 
+// bufferDrainSlots is the empty streak, in slots, after which
+// BufferSleep puts the SRAM banks to sleep.
+const bufferDrainSlots = 4
+
 // BufferSleep puts the fabric's SRAM banks into the drowsy
 // (retention-voltage) state once they have drained: zero buffered cells
-// for DrainSlots consecutive slots. A buffering event while drowsy
-// wakes the banks — the manager charges the transition energy; the
-// write itself proceeds at full speed (drowsy wakeup is sub-slot).
+// for 4 consecutive slots (bufferDrainSlots). A buffering event while
+// drowsy wakes the banks — the manager charges the transition energy;
+// the write itself proceeds at full speed (drowsy wakeup is sub-slot).
 // Only the Banyan has internal buffers; on bufferless fabrics the
 // policy is a no-op.
 type BufferSleep struct {
-	// DrainSlots is the empty streak required before sleeping
-	// (default 4).
-	DrainSlots int
-
 	// sleepAt is the first tick the banks ask to sleep, stamped like
 	// IdleGate's gateAt.
 	sleepAt, now uint64
@@ -172,17 +169,14 @@ func (b *BufferSleep) Name() string { return "buffersleep" }
 
 // Reset implements Policy.
 func (b *BufferSleep) Reset(int) {
-	if b.DrainSlots <= 0 {
-		b.DrainSlots = 4
-	}
-	b.sleepAt = uint64(b.DrainSlots) - 1
+	b.sleepAt = bufferDrainSlots - 1
 }
 
 // Decide implements Policy.
 func (b *BufferSleep) Decide(obs *Observation, dec *Decision) {
 	b.now = obs.Tick
 	if obs.BufferedCells > 0 {
-		b.sleepAt = obs.Tick + uint64(b.DrainSlots)
+		b.sleepAt = obs.Tick + bufferDrainSlots
 		return
 	}
 	dec.BufferSleep = obs.Tick >= b.sleepAt
@@ -209,35 +203,34 @@ type DVFSLevel struct {
 	VScale float64
 }
 
-// DefaultDVFSLevels returns the three-point ladder LoadDVFS uses unless
-// configured otherwise: full speed, a 0.75× mid point and a 0.5× low
-// point with correspondingly scaled rails.
-func DefaultDVFSLevels() []DVFSLevel {
-	return []DVFSLevel{
-		{Name: "full", Speed: 1.00, VScale: 1.00},
-		{Name: "mid", Speed: 0.75, VScale: 0.85},
-		{Name: "low", Speed: 0.50, VScale: 0.70},
-	}
+// dvfsLadder is LoadDVFS's operating ladder, fastest first: full
+// speed, a 0.75× mid point and a 0.5× low point with correspondingly
+// scaled rails. Every speed and voltage scale lies in (0,1]. The
+// manager only reads it.
+var dvfsLadder = []DVFSLevel{
+	{Name: "full", Speed: 1.00, VScale: 1.00},
+	{Name: "mid", Speed: 0.75, VScale: 0.85},
+	{Name: "low", Speed: 0.50, VScale: 0.70},
 }
+
+const (
+	// dvfsHoldSlots is the evidence, in slots, LoadDVFS requires
+	// before slowing down.
+	dvfsHoldSlots = 64
+	// dvfsHeadroom is the load fraction of a level's speed above which
+	// the level is too slow: level l serves ewma-load up to
+	// dvfsHeadroom·Speed(l).
+	dvfsHeadroom = 0.7
+)
 
 // LoadDVFS tracks delivered load and walks the DVFS ladder: it drops to
 // a slower/lower-voltage level only after the load has justified it for
-// HoldSlots consecutive slots (one level per step), and jumps straight
-// back to the speed the load demands when traffic returns or queues
-// build. Every level change pays the manager's transition freeze, so
-// the hysteresis is what keeps the policy from thrashing.
+// 64 consecutive slots (one level per step), and jumps straight back to
+// the speed the load demands when traffic returns or queues build. A
+// level serves load up to 0.7 of its speed. Every level change pays the
+// manager's transition freeze, so the hysteresis is what keeps the
+// policy from thrashing.
 type LoadDVFS struct {
-	// Levels is the operating ladder, fastest first (default
-	// DefaultDVFSLevels).
-	Levels []DVFSLevel
-	// HoldSlots is the evidence required before slowing down
-	// (default 64).
-	HoldSlots int
-	// Headroom is the load fraction of a level's speed above which the
-	// level is considered too slow (default 0.7): level l serves
-	// ewma-load up to Headroom·Speed(l).
-	Headroom float64
-
 	level int
 	hold  int
 }
@@ -247,24 +240,15 @@ func (d *LoadDVFS) Name() string { return "loaddvfs" }
 
 // Reset implements Policy.
 func (d *LoadDVFS) Reset(int) {
-	if len(d.Levels) == 0 {
-		d.Levels = DefaultDVFSLevels()
-	}
-	if d.HoldSlots <= 0 {
-		d.HoldSlots = 64
-	}
-	if d.Headroom <= 0 || d.Headroom > 1 {
-		d.Headroom = 0.7
-	}
 	d.level = 0
 	d.hold = 0
 }
 
 // DVFSLevels exposes the ladder to the manager.
-func (d *LoadDVFS) DVFSLevels() []DVFSLevel { return d.Levels }
+func (d *LoadDVFS) DVFSLevels() []DVFSLevel { return dvfsLadder }
 
-// IdleHorizon implements Policy: 0, as idle slots count toward
-// HoldSlots.
+// IdleHorizon implements Policy: 0, as idle slots count toward the
+// hold.
 func (d *LoadDVFS) IdleHorizon() uint64 { return 0 }
 
 // Decide implements Policy.
@@ -272,8 +256,8 @@ func (d *LoadDVFS) Decide(obs *Observation, dec *Decision) {
 	// The slowest level whose speed still covers the load with headroom.
 	target := 0
 	if obs.Backlog <= obs.Ports {
-		for i := len(d.Levels) - 1; i > 0; i-- {
-			if obs.Load <= d.Headroom*d.Levels[i].Speed {
+		for i := len(dvfsLadder) - 1; i > 0; i-- {
+			if obs.Load <= dvfsHeadroom*dvfsLadder[i].Speed {
 				target = i
 				break
 			}
@@ -285,7 +269,7 @@ func (d *LoadDVFS) Decide(obs *Observation, dec *Decision) {
 		d.hold = 0
 	case target > d.level: // could slow down: require sustained evidence
 		d.hold++
-		if d.hold >= d.HoldSlots {
+		if d.hold >= dvfsHoldSlots {
 			d.level++ // one rung at a time
 			d.hold = 0
 		}
@@ -328,10 +312,9 @@ func (c *Composite) IdleHorizon() uint64 {
 }
 
 // DVFSLevels exposes the inner ladder to the manager.
-func (c *Composite) DVFSLevels() []DVFSLevel { return c.DVFS.Levels }
+func (c *Composite) DVFSLevels() []DVFSLevel { return dvfsLadder }
 
-// builtinPolicies maps the built-in names to their default-tuned
-// constructors.
+// builtinPolicy maps a built-in name to a fresh policy.
 func builtinPolicy(name string) (Policy, bool) {
 	switch name {
 	case "alwayson":
@@ -348,7 +331,7 @@ func builtinPolicy(name string) (Policy, bool) {
 	return nil, false
 }
 
-// NewPolicy builds a built-in policy from its name with default tuning.
+// NewPolicy builds a built-in policy from its name.
 func NewPolicy(name string) (Policy, error) {
 	if p, ok := builtinPolicy(name); ok {
 		return p, nil

@@ -81,9 +81,6 @@ func TestPaperSpecsCanonical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if err := CheckSpec(spec); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
 		var buf bytes.Buffer
 		if err := spec.Encode(&buf); err != nil {
 			t.Fatal(err)
@@ -331,6 +328,30 @@ func TestCrossoverPerWordAccounting(t *testing.T) {
 	var buf bytes.Buffer
 	if err := c.Render(&buf); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCrossoverShapeCheckedBeforeRun: a crossover grid that is not
+// loads × archs with arch innermost fails before any point runs.
+func TestCrossoverShapeCheckedBeforeRun(t *testing.T) {
+	base := study.Scenario{Fabric: study.FabricSpec{Ports: 8}, Sim: quickSim()}
+	for _, tc := range []struct {
+		spec study.Spec
+		want string
+	}{
+		{gridSpec("crossover", base, archAxis(core.Banyan, core.Crossbar), floatAxis("load", 0.1, 0.3)),
+			"must sweep the load axis before the arch axis"},
+		{gridSpec("crossover", base, floatAxis("load", 0.1, 0.3), archAxis(core.Banyan, core.Crossbar), intAxis("seed", 1, 2)),
+			"crossover grid shape 8 != 2 loads × 2 archs"},
+	} {
+		ran := 0
+		opt := study.RunOptions{OnPoint: func(int, int, study.Scenario, study.Result, study.PointInfo) { ran++ }}
+		if _, err := RunSpecOpts(context.Background(), tc.spec, opt); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("err = %v, want %q", err, tc.want)
+		}
+		if ran != 0 {
+			t.Errorf("%q: %d points ran before the shape check failed", tc.want, ran)
+		}
 	}
 }
 

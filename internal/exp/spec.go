@@ -87,16 +87,6 @@ func axisStrings(axes []study.Axis, name string, fallback []string) []string {
 	return fallback
 }
 
-// CheckSpec rejects a spec whose report would silently drop part of
-// it: the single-point kinds (point, table1) render one scenario, so
-// they take no axes.
-func CheckSpec(spec study.Spec) error {
-	if (spec.Kind == "point" || spec.Kind == "table1") && len(spec.Axes) > 0 {
-		return fmt.Errorf("exp: study kind %q runs one scenario and takes no axes (got %d); drop the kind to sweep with the generic table", spec.Kind, len(spec.Axes))
-	}
-	return nil
-}
-
 // RunSpecOpts executes a declarative spec and returns the study report
 // of its kind: the paper's kinds render their figure or table, an
 // empty kind the generic per-point table. Progress callbacks,
@@ -105,7 +95,7 @@ func CheckSpec(spec study.Spec) error {
 // run one scenario and emit no grid events). A cancelled ctx aborts
 // the grid between points and surfaces ctx's error.
 func RunSpecOpts(ctx context.Context, spec study.Spec, opt study.RunOptions) (Report, error) {
-	if err := CheckSpec(spec); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	switch spec.Kind {

@@ -29,10 +29,6 @@ type Crossover struct {
 // spec sweeps loads outermost, so each load's architectures are one
 // contiguous run of points.
 func crossoverFromSpec(ctx context.Context, spec study.Spec, opt study.RunOptions) (*Crossover, error) {
-	gr, err := spec.Grid.Run(ctx, opt)
-	if err != nil {
-		return nil, err
-	}
 	base := spec.Base.Resolved()
 	loads := axisFloats(spec.Axes, "load", []float64{base.Traffic.Load})
 	names := axisStrings(spec.Axes, "arch", []string{base.Fabric.Arch})
@@ -40,20 +36,31 @@ func crossoverFromSpec(ctx context.Context, spec study.Spec, opt study.RunOption
 	if err != nil {
 		return nil, err
 	}
-	if len(gr.Points) != len(loads)*len(archs) {
+	// The grid must be loads × archs, arch innermost; check its shape
+	// before any point runs.
+	points, err := spec.Grid.Enumerate()
+	if err != nil {
+		return nil, err
+	}
+	if len(points) != len(loads)*len(archs) {
 		return nil, fmt.Errorf("exp: crossover grid shape %d != %d loads × %d archs",
-			len(gr.Points), len(loads), len(archs))
+			len(points), len(loads), len(archs))
+	}
+	for i, sc := range points {
+		if sc = sc.Resolved(); sc.Traffic.Load != loads[i/len(archs)] || sc.Fabric.Arch != names[i%len(archs)] {
+			return nil, fmt.Errorf("exp: crossover spec must sweep the load axis before the arch axis")
+		}
+	}
+	gr, err := spec.Grid.Run(ctx, opt)
+	if err != nil {
+		return nil, err
 	}
 	c := &Crossover{Ports: base.Fabric.Ports, Loads: loads}
 	for li, load := range loads {
 		best := core.Architecture(-1)
 		bestP := 0.0
 		for ai, arch := range archs {
-			pt := gr.Points[li*len(archs)+ai]
-			if sc := pt.Scenario.Resolved(); sc.Traffic.Load != load || sc.Fabric.Arch != names[ai] {
-				return nil, fmt.Errorf("exp: crossover spec must sweep the load axis before the arch axis")
-			}
-			res := pt.Result
+			res := gr.Points[li*len(archs)+ai].Result
 			if best < 0 || res.Power.TotalMW() < bestP {
 				best = arch
 				bestP = res.Power.TotalMW()

@@ -116,7 +116,7 @@ func TestLinkFaultPartitionsChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig(topo)
-	cfg.Flows = []Flow{{Src: 0, Dst: 3, Rate: 0.5}}
+	cfg.flows = []Flow{{Src: 0, Dst: 3, Rate: 0.5}}
 	cfg.Faults = &FaultPlan{
 		Events: []FaultEvent{
 			{Slot: 500, Node: -1, From: 2, To: 1, Down: true}, // order-insensitive
@@ -195,7 +195,7 @@ func TestNodeFaultReroutesRing(t *testing.T) {
 	}
 	down := 1
 	cfg := testConfig(topo)
-	cfg.Flows = []Flow{{Src: 0, Dst: 2, Rate: 0.4}}
+	cfg.flows = []Flow{{Src: 0, Dst: 2, Rate: 0.4}}
 	cfg.Faults = &FaultPlan{
 		Events: []FaultEvent{
 			{Slot: 500, Node: down, Down: true},

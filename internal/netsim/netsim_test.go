@@ -115,7 +115,7 @@ func TestTopologyRejectsBadInput(t *testing.T) {
 }
 
 func TestMatrices(t *testing.T) {
-	for _, m := range []TrafficMatrix{UniformMatrix{}, GravityMatrix{}, HotspotMatrix{Hot: 1}} {
+	for _, m := range []TrafficMatrix{UniformMatrix{}, GravityMatrix{}, HotspotMatrix{}} {
 		rates, err := m.Rates(4, 0.4)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
@@ -133,13 +133,13 @@ func TestMatrices(t *testing.T) {
 			}
 		}
 	}
-	// Hotspot concentrates.
-	rates, err := HotspotMatrix{Hot: 0, Fraction: 0.8}.Rates(4, 0.4)
+	// Hotspot concentrates half of every other host's load on host 0.
+	rates, err := HotspotMatrix{}.Rates(4, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(rates[2][0]-0.32) > 1e-12 {
-		t.Errorf("hotspot rate = %g, want 0.32", rates[2][0])
+	if rates[2][0] != 0.2 || rates[2][1] != 0.1 {
+		t.Errorf("hotspot rates %g (to host 0) and %g (to host 1), want 0.2 and 0.1", rates[2][0], rates[2][1])
 	}
 }
 
@@ -341,8 +341,7 @@ func TestConsolidateConcentrates(t *testing.T) {
 // perHopConsolidate is the reference form of Consolidate.Route: fresh
 // search arrays per flow, and every relaxation looks its link up with
 // LinkIndex instead of reading the adjacency's parallel link index.
-func perHopConsolidate(c Consolidate, t *Topology, flows []Flow) [][]int {
-	c = c.withDefaults()
+func perHopConsolidate(t *Topology, flows []Flow) [][]int {
 	paths := make([][]int, len(flows))
 	linkRate := make([]float64, len(t.Links))
 	nodeUsed := make([]bool, t.Nodes)
@@ -388,13 +387,13 @@ func perHopConsolidate(c Consolidate, t *Topology, flows []Flow) [][]int {
 				li := t.LinkIndex(u, v)
 				cost := 1.0
 				if !nodeUsed[v] {
-					cost += c.NodeWakeCost
+					cost += nodeWakeCost
 				}
 				if linkRate[li] == 0 {
-					cost += c.LinkWakeCost
+					cost += linkWakeCost
 				}
-				if linkRate[li]+f.Rate > c.CapacityFraction*float64(t.Links[li].Capacity) {
-					cost += c.OverloadCost
+				if linkRate[li]+f.Rate > consolidateFill*float64(t.Links[li].Capacity) {
+					cost += overloadCost
 				}
 				if d := dist[u] + cost; d < dist[v] {
 					dist[v] = d
@@ -422,8 +421,8 @@ func perHopConsolidate(c Consolidate, t *Topology, flows []Flow) [][]int {
 
 // TestConsolidateMatchesPerHopLinkIndex routes every built-in topology
 // shape (and the 64-router benchmark fat-tree, and one with faster
-// links) at several loads and tunings, and demands the exact paths of
-// the per-hop LinkIndex reference.
+// links) at several loads, and demands the exact paths of the per-hop
+// LinkIndex reference.
 func TestConsolidateMatchesPerHopLinkIndex(t *testing.T) {
 	builds := map[string]func() (*Topology, error){
 		"chain":     func() (*Topology, error) { return Chain(6) },
@@ -441,7 +440,6 @@ func TestConsolidateMatchesPerHopLinkIndex(t *testing.T) {
 			return topo, err
 		},
 	}
-	tunings := []Consolidate{{}, {NodeWakeCost: 3, LinkWakeCost: 0.5, CapacityFraction: 0.5, OverloadCost: 2}}
 	var out Routes // reused across topologies, as across re-convergences
 	for name, build := range builds {
 		topo, err := build()
@@ -456,14 +454,12 @@ func TestConsolidateMatchesPerHopLinkIndex(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for ci, c := range tunings {
-					got, err := routeInto(c, topo, flows, &out)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want := perHopConsolidate(c, topo, flows); !reflect.DeepEqual(got, want) {
-						t.Errorf("%s %s load %g tuning %d: paths differ from the per-hop LinkIndex reference", name, m.Name(), load, ci)
-					}
+				got, err := routeInto(Consolidate{}, topo, flows, &out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := perHopConsolidate(topo, flows); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %s load %g: paths differ from the per-hop LinkIndex reference", name, m.Name(), load)
 				}
 			}
 		}
@@ -479,7 +475,7 @@ func TestMultiHopDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig(topo)
-	cfg.Flows = []Flow{{Src: 0, Dst: 3, Rate: 0.3}}
+	cfg.flows = []Flow{{Src: 0, Dst: 3, Rate: 0.3}}
 	net, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -675,10 +671,13 @@ func TestBackpressure(t *testing.T) {
 	cfg := testConfig(topo)
 	cfg.MaxQueueCells = 8
 	cfg.LinkQueueCells = 4
-	// Every leaf hammers leaf 1 (host index 0 is node 1: hub is not a
-	// host... Hosts of a star include the hub, so aim at host index 1).
-	cfg.Matrix = HotspotMatrix{Hot: 1, Fraction: 1}
-	cfg.Load = 0.9
+	// Every other host hammers host 1 at 0.9 cells per slot.
+	hot := topo.Hosts[1]
+	for _, h := range topo.Hosts {
+		if h != hot {
+			cfg.flows = append(cfg.flows, Flow{Src: h, Dst: hot, Rate: 0.9})
+		}
+	}
 	net, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -760,7 +759,7 @@ func TestNetworkRunContinues(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig(topo)
-	cfg.Flows = []Flow{{Src: 0, Dst: 3, Rate: 0.4}}
+	cfg.flows = []Flow{{Src: 0, Dst: 3, Rate: 0.4}}
 	net, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -787,7 +786,7 @@ func TestNetworkRejectsZeroCapacityLink(t *testing.T) {
 	}
 	topo.Links[2].Capacity = 0
 	cfg := testConfig(topo)
-	cfg.Flows = []Flow{{Src: 0, Dst: 3, Rate: 0.1}}
+	cfg.flows = []Flow{{Src: 0, Dst: 3, Rate: 0.1}}
 	if _, err := New(cfg); err == nil {
 		t.Error("zero-capacity link accepted; transit would silently blackhole")
 	}
@@ -1013,7 +1012,7 @@ func TestNetworkCustomFlowSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig(topo)
-	cfg.Flows = []Flow{{Src: 0, Dst: 3, Rate: 0.5}}
+	cfg.flows = []Flow{{Src: 0, Dst: 3, Rate: 0.5}}
 	cfg.Traffic = Traffic{custom: func(f Flow, fi int, seed int64) (FlowSource, error) {
 		return everyThird{}, nil
 	}}
@@ -1179,7 +1178,7 @@ func BenchmarkNetworkStepSharded(b *testing.B) {
 				cfg := testConfig(topo)
 				cfg.Model = model
 				cfg.Policy = "idlegate"
-				cfg.Flows = permutationFlows(topo, load)
+				cfg.flows = permutationFlows(topo, load)
 				cfg.Traffic = Traffic{Kind: "bursty"}
 				cfg.Shards = 1
 				cfg.IdleSkip = skip
@@ -1218,7 +1217,7 @@ func BenchmarkNetworkStepJoin(b *testing.B) {
 			cfg := testConfig(topo)
 			cfg.Model = model
 			cfg.Policy = "idlegate"
-			cfg.Flows = permutationFlows(topo, 0.05)
+			cfg.flows = permutationFlows(topo, 0.05)
 			cfg.Traffic = Traffic{Kind: "bursty"}
 			cfg.Shards = shards
 			net, err := New(cfg)

@@ -47,14 +47,15 @@ type Config struct {
 	// Routing maps flows to paths (default ShortestPath).
 	Routing RoutingPolicy
 	// Matrix generates the demand between host nodes (default
-	// UniformMatrix). Ignored when Flows is non-empty.
+	// UniformMatrix).
 	Matrix TrafficMatrix
 	// Load is the per-host offered load in cells per slot, fed to
-	// Matrix. Ignored when Flows is non-empty.
+	// Matrix.
 	Load float64
-	// Flows overrides Matrix+Load with an explicit demand list
-	// (rates in cells/slot); tests use it to pin exact flows.
-	Flows []Flow
+	// flows overrides Matrix+Load with an explicit demand list (rates
+	// in cells/slot) for tests that pin exact flows. Nil builds the
+	// flows from Matrix at Load.
+	flows []Flow
 	// Traffic selects the per-flow injection process (default: a
 	// Bernoulli stream per flow at its matrix rate). See FlowSource.
 	Traffic Traffic
@@ -351,7 +352,7 @@ func New(cfg Config) (*Network, error) {
 	default:
 		return nil, fmt.Errorf("netsim: unknown IdleSkip %q (want auto, on or off)", cfg.IdleSkip)
 	}
-	flows := cfg.Flows
+	flows := cfg.flows
 	if len(flows) == 0 {
 		var err error
 		flows, err = buildFlows(t, cfg.Matrix, cfg.Load)
@@ -536,7 +537,7 @@ func New(cfg Config) (*Network, error) {
 	if cfg.Telemetry != nil {
 		n.tel = newTelCollector(n)
 		for w := range n.shards {
-			n.shards[w].telLat = make([]uint64, n.tel.cfg.LatencyBuckets)
+			n.shards[w].telLat = make([]uint64, latencyBuckets)
 		}
 	}
 	if cfg.Trace != nil && cfg.Trace.Recorder != nil {

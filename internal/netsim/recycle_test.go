@@ -52,7 +52,7 @@ func TestNetworkLiveTrafficAllocationFree(t *testing.T) {
 					cfg := testConfig(topo)
 					cfg.Load = 0.3
 					cfg.Shards = tc.shards
-					cfg.Flows = tc.flows
+					cfg.flows = tc.flows
 					cfg.partition = tc.part
 					cfg.Traffic = kind
 					net, err := New(cfg)
@@ -159,7 +159,7 @@ func TestPayloadStreamsSeedOnFirstCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig(topo)
-	cfg.Flows = []Flow{{Src: 2, Dst: 4, Rate: 0}, {Src: 3, Dst: 5, Rate: 0.3}, {Src: 4, Dst: 2, Rate: 0}}
+	cfg.flows = []Flow{{Src: 2, Dst: 4, Rate: 0}, {Src: 3, Dst: 5, Rate: 0.3}, {Src: 4, Dst: 2, Rate: 0}}
 	for streamPool.Get() != nil {
 	}
 	net, err := New(cfg)
@@ -169,7 +169,7 @@ func TestPayloadStreamsSeedOnFirstCell(t *testing.T) {
 	if _, err := net.Run(50, 200); err != nil {
 		t.Fatal(err)
 	}
-	for fi, f := range cfg.Flows {
+	for fi, f := range cfg.flows {
 		if got, want := net.payload[fi] != nil, f.Rate > 0; got != want {
 			t.Errorf("flow %d (rate %v): payload stream seeded = %v, want %v", fi, f.Rate, got, want)
 		}

@@ -157,51 +157,33 @@ func bfsDist(t *Topology, dst int, dist, queue []int) []int {
 	return queue
 }
 
+// The consolidating policy's hop prices, in hop units: first use of an
+// idle router or link, and a hop over a link the flow would push past
+// consolidateFill of its capacity.
+const (
+	nodeWakeCost    = 1
+	linkWakeCost    = 0.25
+	consolidateFill = 0.9
+	overloadCost    = 8
+)
+
 // Consolidate is the energy-aware policy: it routes flows sequentially
 // (heaviest first) and prices each candidate hop by what it would wake
-// up — an unused router costs NodeWakeCost on top of the hop, an unused
-// link LinkWakeCost — so later flows are pulled onto the routers and
-// links earlier flows already keep busy. Routers the final assignment
-// never touches stay completely idle, which is precisely the state a
-// gating/sleeping DPM policy converts into static-power savings. A soft
-// capacity penalty spills flows onto fresh paths once the consolidated
-// ones fill up, bounding the latency cost of the concentration.
-type Consolidate struct {
-	// NodeWakeCost prices first use of an idle router, in hop units
-	// (default 1).
-	NodeWakeCost float64
-	// LinkWakeCost prices first use of an idle link (default 0.25).
-	LinkWakeCost float64
-	// CapacityFraction is the fill level of a link's capacity beyond
-	// which OverloadCost applies (default 0.9).
-	CapacityFraction float64
-	// OverloadCost prices a hop over a link the flow would push past
-	// CapacityFraction (default 8).
-	OverloadCost float64
-}
+// up — an unused router costs 1 on top of the hop, an unused link 0.25
+// — so later flows are pulled onto the routers and links earlier flows
+// already keep busy. Routers the final assignment never touches stay
+// completely idle, which is precisely the state a gating/sleeping DPM
+// policy converts into static-power savings. A soft capacity penalty
+// (8 for a hop past 0.9 of the link's capacity) spills flows onto fresh
+// paths once the consolidated ones fill up, bounding the latency cost
+// of the concentration.
+type Consolidate struct{}
 
 // Name implements RoutingPolicy.
 func (Consolidate) Name() string { return "consolidate" }
 
-func (c Consolidate) withDefaults() Consolidate {
-	if c.NodeWakeCost == 0 {
-		c.NodeWakeCost = 1
-	}
-	if c.LinkWakeCost == 0 {
-		c.LinkWakeCost = 0.25
-	}
-	if c.CapacityFraction == 0 {
-		c.CapacityFraction = 0.9
-	}
-	if c.OverloadCost == 0 {
-		c.OverloadCost = 8
-	}
-	return c
-}
-
 // Route implements RoutingPolicy.
 func (c Consolidate) Route(t *Topology, flows []Flow, out *Routes) error {
-	c = c.withDefaults()
 	linkRate := resize(out.linkRate, len(t.Links))
 	nodeUsed := resize(out.nodeUsed, t.Nodes)
 	clear(linkRate)
@@ -278,14 +260,14 @@ func (c Consolidate) dijkstra(t *Topology, f *Flow, fi int, out *Routes) ([]int,
 			li := links[i]
 			cost := 1.0
 			if !nodeUsed[v] {
-				cost += c.NodeWakeCost
+				cost += nodeWakeCost
 			}
 			if linkRate[li] == 0 {
-				cost += c.LinkWakeCost
+				cost += linkWakeCost
 			}
 			cap := float64(t.Links[li].Capacity)
-			if linkRate[li]+f.Rate > c.CapacityFraction*cap {
-				cost += c.OverloadCost
+			if linkRate[li]+f.Rate > consolidateFill*cap {
+				cost += overloadCost
 			}
 			if d := dist[u] + cost; d < dist[v] {
 				dist[v] = d
@@ -304,8 +286,7 @@ func (c Consolidate) dijkstra(t *Topology, f *Flow, fi int, out *Routes) ([]int,
 	return path, nil
 }
 
-// NewRouting builds a built-in routing policy from its name with
-// default tuning.
+// NewRouting builds a built-in routing policy from its name.
 func NewRouting(name string) (RoutingPolicy, error) {
 	switch name {
 	case "shortest":

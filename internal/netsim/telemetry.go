@@ -28,10 +28,6 @@ type TelemetryConfig struct {
 	// per-slot cost of an attached collector is a few counter
 	// increments.
 	Every uint64
-	// LatencyBuckets sizes the latency histograms (default 16):
-	// bucket 0 counts zero-slot latencies, bucket i counts
-	// [2^(i-1), 2^i) slots, the last bucket absorbs the tail.
-	LatencyBuckets int
 	// OnSample receives each interval sample. The pointed-to sample
 	// (and its slices) is reused across intervals: sinks must consume
 	// or copy it before returning.
@@ -45,11 +41,13 @@ func (tc TelemetryConfig) withDefaults() TelemetryConfig {
 	if tc.Every == 0 {
 		tc.Every = 64
 	}
-	if tc.LatencyBuckets < 2 {
-		tc.LatencyBuckets = 16
-	}
 	return tc
 }
+
+// latencyBuckets sizes the latency histograms: bucket 0 counts
+// zero-slot latencies, bucket i counts [2^(i-1), 2^i) slots, the last
+// bucket absorbs the tail.
+const latencyBuckets = 16
 
 // LinkSample is one link's activity over a sample interval plus its
 // instantaneous state at the sample slot.
@@ -163,13 +161,13 @@ func newTelCollector(n *Network) *telCollector {
 		flowHist:      make([][]uint64, len(n.flows)),
 	}
 	for fi := range t.flowHist {
-		t.flowHist[fi] = make([]uint64, cfg.LatencyBuckets)
+		t.flowHist[fi] = make([]uint64, latencyBuckets)
 	}
 	t.sample = TelemetrySample{
 		Kind:       "net_sample",
 		NodeQueues: make([]int, n.topo.Nodes),
 		Links:      make([]LinkSample, len(n.links)),
-		Latency:    make([]uint64, cfg.LatencyBuckets),
+		Latency:    make([]uint64, latencyBuckets),
 	}
 	for li := range n.links {
 		t.sample.Links[li].From = n.topo.Links[li].From

@@ -145,7 +145,7 @@ func TestTelemetrySampleLedger(t *testing.T) {
 	cfg := testConfig(topo)
 	cfg.Model.Static = core.DefaultStaticPower()
 	cfg.Policy = "composite"
-	cfg.Flows = []Flow{{Src: 0, Dst: 3, Rate: 0.5}}
+	cfg.flows = []Flow{{Src: 0, Dst: 3, Rate: 0.5}}
 	cfg.Faults = &FaultPlan{Events: []FaultEvent{
 		{Slot: 500, Node: -1, From: 1, To: 2, Down: true},
 		{Slot: 900, Node: -1, From: 1, To: 2, Down: false},

@@ -10,11 +10,12 @@
 // backbone, and how much traffic engineering can save — are network
 // level. Following the switch-off routing line of work (Giroire et al.)
 // the package pairs a topology layer (chain, ring, star, 2-level
-// fat-tree, arbitrary adjacency), a flow layer (traffic matrices routed
-// by pluggable policies: shortest-path baseline and an energy-aware
-// consolidating policy; per-flow injection processes behind the
-// FlowSource seam: Bernoulli, bursty, segmented packets, trace replay,
-// custom), and a slot-synchronous kernel that steps all routers in
+// fat-tree, arbitrary adjacency), a flow layer (built-in traffic
+// matrices routed by a built-in policy: shortest-path baseline or an
+// energy-aware consolidating policy, each picked by name with one fixed
+// tuning; per-flow injection processes behind the FlowSource seam:
+// Bernoulli, bursty, segmented packets, trace replay), and a
+// slot-synchronous kernel that steps all routers in
 // lockstep and forwards delivered cells to next-hop ingress with
 // backpressure.
 //

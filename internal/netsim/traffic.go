@@ -59,85 +59,59 @@ func (UniformMatrix) Rates(hosts int, load float64) ([][]float64, error) {
 
 // GravityMatrix draws demand proportional to the product of endpoint
 // weights — the classic estimate for backbone traffic (big sites talk
-// more, to everyone). Each row is normalized so host i still sources
-// exactly load cells per slot; the weights shape where that load goes.
-type GravityMatrix struct {
-	// Weights holds one positive mass per host; nil defaults to
-	// 1, 2, …, hosts (a mild size skew).
-	Weights []float64
-}
+// more, to everyone). Host i weighs i+1 (a mild size skew). Each row is
+// normalized so host i still sources exactly load cells per slot; the
+// weights shape where that load goes.
+type GravityMatrix struct{}
 
 // Name implements TrafficMatrix.
 func (GravityMatrix) Name() string { return "gravity" }
 
 // Rates implements TrafficMatrix.
-func (g GravityMatrix) Rates(hosts int, load float64) ([][]float64, error) {
+func (GravityMatrix) Rates(hosts int, load float64) ([][]float64, error) {
 	if err := checkDemand(hosts, load); err != nil {
 		return nil, err
-	}
-	w := g.Weights
-	if w == nil {
-		w = make([]float64, hosts)
-		for i := range w {
-			w[i] = float64(i + 1)
-		}
-	}
-	if len(w) != hosts {
-		return nil, fmt.Errorf("netsim: gravity weights: got %d, want %d", len(w), hosts)
-	}
-	for i, v := range w {
-		if v <= 0 {
-			return nil, fmt.Errorf("netsim: gravity weight %d must be positive, got %g", i, v)
-		}
 	}
 	r := zeroRates(hosts)
 	for i := 0; i < hosts; i++ {
 		sum := 0.0
 		for j := 0; j < hosts; j++ {
 			if i != j {
-				sum += w[j]
+				sum += float64(j + 1)
 			}
 		}
 		for j := 0; j < hosts; j++ {
 			if i != j {
-				r[i][j] = load * w[j] / sum
+				r[i][j] = load * float64(j+1) / sum
 			}
 		}
 	}
 	return r, nil
 }
 
-// HotspotMatrix sends Fraction of every host's load to one egress host
-// and spreads the rest uniformly — the hotspot-to-egress pattern
-// (an exit point to the rest of the internet).
-type HotspotMatrix struct {
-	// Hot is the hotspot's index into Topology.Hosts.
-	Hot int
-	// Fraction of each source's load aimed at the hotspot (default 0.5).
-	Fraction float64
-}
+// The hotspot matrix aims hotspotFraction of every other host's load at
+// host hotspotHost.
+const (
+	hotspotHost     = 0
+	hotspotFraction = 0.5
+)
+
+// HotspotMatrix sends half of every host's load to one egress host
+// (host 0) and spreads the rest uniformly — the hotspot-to-egress
+// pattern (an exit point to the rest of the internet).
+type HotspotMatrix struct{}
 
 // Name implements TrafficMatrix.
 func (HotspotMatrix) Name() string { return "hotspot" }
 
 // Rates implements TrafficMatrix.
-func (h HotspotMatrix) Rates(hosts int, load float64) ([][]float64, error) {
+func (HotspotMatrix) Rates(hosts int, load float64) ([][]float64, error) {
 	if err := checkDemand(hosts, load); err != nil {
 		return nil, err
 	}
-	if h.Hot < 0 || h.Hot >= hosts {
-		return nil, fmt.Errorf("netsim: hotspot host %d out of range [0,%d)", h.Hot, hosts)
-	}
-	frac := h.Fraction
-	if frac == 0 {
-		frac = 0.5
-	}
-	if frac < 0 || frac > 1 {
-		return nil, fmt.Errorf("netsim: hotspot fraction must be in [0,1], got %g", frac)
-	}
 	r := zeroRates(hosts)
 	for i := 0; i < hosts; i++ {
-		if i == h.Hot {
+		if i == hotspotHost {
 			// The hotspot itself has no hotspot to send to: uniform.
 			for j := 0; j < hosts; j++ {
 				if j != i {
@@ -146,15 +120,15 @@ func (h HotspotMatrix) Rates(hosts int, load float64) ([][]float64, error) {
 			}
 			continue
 		}
-		r[i][h.Hot] = load * frac
-		rest := load * (1 - frac)
+		r[i][hotspotHost] = load * hotspotFraction
+		rest := load * (1 - hotspotFraction)
 		others := hosts - 2 // not self, not the hotspot
 		if others == 0 {
-			r[i][h.Hot] = load
+			r[i][hotspotHost] = load
 			continue
 		}
 		for j := 0; j < hosts; j++ {
-			if j != i && j != h.Hot {
+			if j != i && j != hotspotHost {
 				r[i][j] = rest / float64(others)
 			}
 		}
@@ -162,8 +136,7 @@ func (h HotspotMatrix) Rates(hosts int, load float64) ([][]float64, error) {
 	return r, nil
 }
 
-// NewMatrix builds a built-in traffic matrix from its name with
-// default tuning.
+// NewMatrix builds a built-in traffic matrix from its name.
 func NewMatrix(name string) (TrafficMatrix, error) {
 	switch name {
 	case "uniform":

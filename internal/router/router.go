@@ -31,6 +31,10 @@ const (
 	VOQ
 )
 
+// islipIterations is the number of iSLIP request-grant-accept rounds a
+// VOQ router runs per slot.
+const islipIterations = 2
+
 func (q QueueDiscipline) String() string {
 	switch q {
 	case FIFO:
@@ -68,8 +72,6 @@ type Config struct {
 	// MaxQueueCells caps each ingress queue; 0 means unbounded. Cells
 	// arriving at a full queue are dropped and counted.
 	MaxQueueCells int
-	// ISLIPIterations configures the VOQ matcher (default 2).
-	ISLIPIterations int
 	// Gate, when non-nil, power-gates ingress admission per port (see
 	// PortGate). The paper's always-on router leaves it nil.
 	Gate PortGate
@@ -170,10 +172,6 @@ func New(cfg Config) (*Router, error) {
 		r.arbFCFS = arbiter.NewFCFSRR(n)
 		r.reqs = make([]arbiter.Request, 0, n)
 	case VOQ:
-		iters := cfg.ISLIPIterations
-		if iters <= 0 {
-			iters = 2
-		}
 		r.voq = make([][]queue, n)
 		rows := make([]queue, n*n)
 		for i := range r.voq {
@@ -184,7 +182,7 @@ func New(cfg Config) (*Router, error) {
 		m := n * r.words
 		masks := make([]uint64, 2*m)
 		r.occ, r.req = masks[:m:m], masks[m:]
-		r.arbSLIP, err = arbiter.NewISLIP(n, iters)
+		r.arbSLIP, err = arbiter.NewISLIP(n, islipIterations)
 		if err != nil {
 			return nil, err
 		}

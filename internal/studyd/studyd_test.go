@@ -535,6 +535,10 @@ func TestInvalidGridPointRejected(t *testing.T) {
 			`point 0: trace "/etc/hostname" is not a relative path inside the server's working directory`},
 		{`{"version": 1, "base": {"fabric": {"ports": 4}, "traffic": {"kind": "trace", "load": 0.2, "trace": "../x"}}}`,
 			`point 0: trace "../x" is not a relative path inside the server's working directory`},
+		{`{"version": 1, "study": "fig11", "base": {"fabric": {"ports": 4}}}`,
+			`study: unknown study kind "fig11"`},
+		{`{"version": 1, "study": "point", "base": {"fabric": {"ports": 4}}, "axes": [{"name": "load", "floats": [0.1, 0.2]}]}`,
+			`study: study kind "point" runs one scenario and takes no axes (got 1)`},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/studies", "application/json", strings.NewReader(tc.spec))
 		if err != nil {

@@ -39,22 +39,38 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 // (§5.2), so every architecture at one (ports, load) point must see an
 // identical cell stream.
 func PointSeed(base int64, ports int, load float64) int64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
+	h := mix(fnvOffset64, uint64(base))
+	h = mix(h, uint64(ports))
+	return int64(mix(h, math.Float64bits(load)))
+}
+
+// NetworkSeed is PointSeed for a network point: it mixes the topology
+// name, node count and load into the base seed — but not the routing
+// or DPM policy, so every (routing, policy) pair at one point is
+// compared under the identical offered cell sequence.
+func NetworkSeed(base int64, topo string, nodes int, load float64) int64 {
+	h := mix(fnvOffset64, uint64(base))
+	for _, b := range []byte(topo) {
+		h ^= uint64(b)
+		h *= fnvPrime64
 	}
-	mix(uint64(base))
-	mix(uint64(ports))
-	mix(math.Float64bits(load))
-	return int64(h)
+	h = mix(h, uint64(nodes))
+	return int64(mix(h, math.Float64bits(load)))
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// mix folds v's eight bytes, low byte first, into the FNV-1a hash h.
+func mix(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xff
+		h *= fnvPrime64
+		v >>= 8
+	}
+	return h
 }
 
 // Map evaluates fn over every item on up to workers goroutines and

@@ -154,6 +154,20 @@ func TestPointSeedProperties(t *testing.T) {
 	}
 }
 
+// TestSeedsPinned pins both seed mixers to values they have always
+// produced: every golden report and benchmark digest depends on them.
+func TestSeedsPinned(t *testing.T) {
+	for _, tc := range []struct{ got, want int64 }{
+		{PointSeed(1, 16, 0.3), 2931261075022574776},
+		{NetworkSeed(1, "fattree", 48, 0.05), 1760590788145741390},
+		{NetworkSeed(-3, "ring", 4, 0.9), -1741535452084320499},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("seed %d, want %d", tc.got, tc.want)
+		}
+	}
+}
+
 // TestMapRecoversPanics pins the robustness contract: a panicking grid
 // point becomes an error carrying the point index — sequentially and in
 // parallel — instead of crashing the whole study.

@@ -53,10 +53,12 @@
 //
 // Sweep axes, traffic kinds, DPM policies, topologies, routing
 // policies and traffic matrices are all built in; there is no
-// registry to extend. Grid.Enumerate rejects an unknown axis, and
-// Scenario.Validate an unknown traffic kind, policy, topology, routing
-// or matrix name, so a spec that names one fails before any point
-// runs. Grid.Points goes on to check every enumerated point, so a
+// registry to extend, and each policy, routing and matrix has one
+// tuning, which a spec picks by name. Grid.Enumerate rejects an
+// unknown axis, Spec.Validate an unknown study kind or an axis on a
+// single-point kind, and Scenario.Validate an unknown traffic kind,
+// policy, topology, routing or matrix name, so a spec that names one
+// fails before any point runs. Grid.Points goes on to check every enumerated point, so a
 // traffic block no point can run (an unreachable bursty load, a trace
 // kind without a path) fails before the first point too, whether the
 // base or an axis sets it.

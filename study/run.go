@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sync"
 	"time"
@@ -197,33 +196,6 @@ func runSingle(sd Scenario, model core.Model, topt *TelemetryOptions, emit func(
 	return sim.Run(r, gen, model.Tech, sd.Fabric.CellBits, opts)
 }
 
-// networkSeed mixes the experiment base seed with the coordinates that
-// must share a traffic stream: topology and load — but not routing or
-// DPM policy, so every (routing, policy) pair at one point is compared
-// under the identical offered cell sequence.
-func networkSeed(base int64, topo string, nodes int, load float64) int64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
-	mix(uint64(base))
-	for _, b := range []byte(topo) {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	mix(uint64(nodes))
-	mix(math.Float64bits(load))
-	return int64(h)
-}
-
 // faultPlan lowers a non-empty failures block into the kernel's plan.
 func faultPlan(f *FailureSpec) *netsim.FaultPlan {
 	if f.empty() {
@@ -293,15 +265,14 @@ func runNetwork(sd Scenario, model core.Model, topt *TelemetryOptions, emit func
 		Traffic:        netsim.Traffic{Kind: sd.Traffic.Kind, MeanBurstSlots: sd.Traffic.MeanBurstSlots, Trace: tr},
 		Shards:         ns.Shards,
 		IdleSkip:       ns.IdleSkip,
-		Seed:           networkSeed(sd.Sim.Seed, ns.Topology, ns.Nodes, sd.Traffic.Load),
+		Seed:           sweep.NetworkSeed(sd.Sim.Seed, ns.Topology, ns.Nodes, sd.Traffic.Load),
 		Faults:         faultPlan(ns.Failures),
 	}
 	if emit != nil {
 		ncfg.Telemetry = &netsim.TelemetryConfig{
-			Every:          topt.Every,
-			LatencyBuckets: topt.LatencyBuckets,
-			OnSample:       func(s *netsim.TelemetrySample) { emit(s) },
-			OnSummary:      func(s *netsim.TelemetrySummary) { emit(s) },
+			Every:     topt.Every,
+			OnSample:  func(s *netsim.TelemetrySample) { emit(s) },
+			OnSummary: func(s *netsim.TelemetrySummary) { emit(s) },
 		}
 	}
 	if pt != nil {
@@ -359,8 +330,6 @@ type TelemetryOptions struct {
 	Out io.Writer
 	// Every is the sample interval in slots (default 64).
 	Every uint64
-	// LatencyBuckets sizes the latency histograms (default 16).
-	LatencyBuckets int
 }
 
 // RunOptions tunes a grid run.

@@ -647,7 +647,7 @@ func decorateDecodeErr(what string, err error) error {
 }
 
 // DecodeSpec parses a spec from JSON, rejecting unknown fields and
-// unsupported schema versions, and validates the base scenario.
+// unsupported schema versions, and validates it (Spec.Validate).
 func DecodeSpec(r io.Reader) (Spec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -665,10 +665,28 @@ func DecodeSpec(r io.Reader) (Spec, error) {
 	if s.Version == 0 {
 		s.Version = SpecVersion
 	}
-	if err := s.Base.Validate(); err != nil {
+	if err := s.Validate(); err != nil {
 		return Spec{}, err
 	}
 	return s, nil
+}
+
+// specKinds lists the report kinds a spec may name; the empty kind is
+// the generic per-point table.
+var specKinds = []string{"", "point", "fig9", "fig10", "crossover", "saturate", "table1", "dpm", "net"}
+
+// Validate checks the spec's kind and its base scenario: the kind must
+// be one of the report kinds, and the single-point kinds ("point",
+// "table1") render one scenario, so they take no axes. Axis values are
+// checked per point by Grid.Points.
+func (s Spec) Validate() error {
+	if !slices.Contains(specKinds, s.Kind) {
+		return fmt.Errorf("study: unknown study kind %q (want one of %q)", s.Kind, specKinds)
+	}
+	if (s.Kind == "point" || s.Kind == "table1") && len(s.Axes) > 0 {
+		return fmt.Errorf("study: study kind %q runs one scenario and takes no axes (got %d); drop the kind to sweep with the generic table", s.Kind, len(s.Axes))
+	}
+	return s.Base.Validate()
 }
 
 // DecodeScenario parses a bare scenario from JSON, rejecting unknown

@@ -205,6 +205,10 @@ func TestDecodeValidates(t *testing.T) {
 		`{"base": {"traffic": {"kind": "trace"}}}`,
 		`{"base": {"traffic": {"kind": "trace", "load": 0.2}, "network": {"topology": "ring", "nodes": 4}}}`,
 		`{"base": {"traffic": {"kind": "hotspot", "load": 0.3, "hotspotPort": -1}}}`,
+		`{"study": "fig11", "base": {}}`,
+		`{"study": "Fig9", "base": {}}`,
+		`{"study": "point", "base": {"traffic": {"load": 0.2}}, "axes": [{"name": "load", "floats": [0.1, 0.4]}]}`,
+		`{"study": "table1", "base": {"char": {"cycles": 24, "busWidth": 8}}, "axes": [{"name": "seed", "ints": [1, 2]}]}`,
 	}
 	for _, c := range cases {
 		if _, err := study.DecodeSpec(strings.NewReader(c)); err == nil {
