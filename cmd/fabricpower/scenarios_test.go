@@ -56,8 +56,9 @@ var updateGolden = os.Getenv("UPDATE_GOLDEN") != ""
 
 // TestScenarioGoldenOutputs is the scenario corpus as a regression
 // suite: every checked-in scenarios/*.json runs through `fabricpower
-// run`, and each `fabricpower ablate` study at its defaults, and must
-// reproduce its pinned report in scenarios/golden/ byte for byte. A model change that shifts any number shows up here as a
+// run`, each `fabricpower ablate` study at its defaults, and the
+// flag-less `tech` and `table2` reports, and each must reproduce its
+// pinned report in scenarios/golden/ byte for byte. A model change that shifts any number shows up here as a
 // diff — re-pin deliberately with UPDATE_GOLDEN=1 and review what
 // moved.
 func TestScenarioGoldenOutputs(t *testing.T) {
@@ -102,6 +103,11 @@ func TestScenarioGoldenOutputs(t *testing.T) {
 	for _, study := range []string{"buffer", "fcwire", "queue"} {
 		cases = append(cases, goldenCase{"ablate-" + study, filepath.Join("scenarios", "golden", "ablate", study+".txt"),
 			"ablate", []string{"-study", study}})
+	}
+	// tech and table2 take no flags and print fixed reports, pinned in
+	// scenarios/golden/paper/.
+	for _, cmd := range []string{"tech", "table2"} {
+		cases = append(cases, goldenCase{cmd, filepath.Join("scenarios", "golden", "paper", cmd+".txt"), cmd, nil})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
