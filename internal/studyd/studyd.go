@@ -620,12 +620,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer func() { <-s.slots }()
-	s.gActive.Add(1)
-	// The study_finish frame is the last thing a client observes, so
-	// the gauge drops before it is written; the defer covers the exits
-	// that never reach it.
-	settleActive := sync.OnceFunc(func() { s.gActive.Add(-1) })
-	defer settleActive()
 
 	// The study's context: client disconnect, DELETE, per-study
 	// timeout and server shutdown all funnel into one cancellation.
@@ -637,7 +631,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	// The handle reads "running" before the active gauge counts it, so
+	// a study /healthz counts as active is never listed as queued.
 	h.start(cancel)
+	s.gActive.Add(1)
+	// The study_finish frame is the last thing a client observes, so
+	// the gauge drops before it is written; the defer covers the exits
+	// that never reach it.
+	settleActive := sync.OnceFunc(func() { s.gActive.Add(-1) })
+	defer settleActive()
 	started := time.Now()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")

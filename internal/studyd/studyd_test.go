@@ -277,7 +277,8 @@ const gatedSpec = `{
   }
 }`
 
-// waitActive polls /healthz until the server reports n running studies.
+// waitActive polls /healthz until the server reports n running studies,
+// then checks that the study listing agrees.
 func waitActive(t *testing.T, url string, n int64, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -292,12 +293,35 @@ func waitActive(t *testing.T, url string, n int64, timeout time.Duration) {
 		err = json.NewDecoder(resp.Body).Decode(&h)
 		resp.Body.Close()
 		if err == nil && h.Active == n {
-			return
+			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("server never reached %d active studies", n)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+	// Every study the gauge counts holds a run slot, so the listing
+	// must show at least n running. (Callers hold their studies at the
+	// gate, so none finishes in between.)
+	resp, err := http.Get(url + "/v1/studies")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list struct {
+		Studies []studyd.StudyStatus `json:"studies"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	running := int64(0)
+	for _, st := range list.Studies {
+		if st.State == "running" {
+			running++
+		}
+	}
+	if running < n {
+		t.Fatalf("/healthz counts %d active studies but the listing shows %d running: %+v", n, running, list.Studies)
 	}
 }
 
