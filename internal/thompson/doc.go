@@ -9,18 +9,15 @@
 // one grid square carries a full bus (32 wires at 1 µm pitch ≈ 32 µm in the
 // paper's 0.18 µm case study).
 //
-// The package provides two complementary facilities:
+// The package provides the canonical closed-form layouts
+// (CrossbarWires, FullyConnectedWires, BanyanWires, BatcherBanyanWires)
+// reproducing the paper's manual embeddings of Figures 4–8 and the
+// wire-length terms of Eqs. 3–6; they drive the power model.
 //
-//   - A generic embedding engine (Graph, Grid, Embed) that places vertex
-//     squares and routes edges with a breadth-first router under the
-//     one-edge-per-grid-edge constraint, reporting per-edge wire lengths.
-//     This is the general model of Thompson's thesis, usable for arbitrary
-//     fabric topologies.
-//
-//   - Canonical closed-form layouts (CrossbarWires, FullyConnectedWires,
-//     BanyanWires, BatcherBanyanWires) reproducing the paper's manual
-//     embeddings of Figures 4–8 and the wire-length terms of Eqs. 3–6.
-//
-// The closed forms drive the power model; the generic engine only
-// validates them.
+// The package tests hold a generic embedding engine (Graph, Grid, Embed
+// and the crossbar/Banyan graph builders) that places vertex squares and
+// routes edges with a breadth-first router under the
+// one-edge-per-grid-edge constraint — the general model of Thompson's
+// thesis — and check the closed forms against it. Only the tests use it,
+// so it is compiled only into them.
 package thompson
