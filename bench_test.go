@@ -92,7 +92,7 @@ func BenchmarkTable1Characterization(b *testing.B) {
 // BenchmarkTable2SRAM regenerates Table 2 from the calibrated SRAM model.
 func BenchmarkTable2SRAM(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t2, err := exp.RunTable2(core.PaperModel())
+		t2, err := exp.RunTable2()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -298,7 +298,7 @@ func runAndRender(ctx context.Context, spec study.Spec, opt study.RunOptions, cs
 }
 
 func runTable2(w io.Writer) error {
-	t2, err := exp.RunTable2(core.PaperModel())
+	t2, err := exp.RunTable2()
 	if err != nil {
 		return err
 	}

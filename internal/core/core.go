@@ -8,7 +8,8 @@
 //   - E_S_bit on node switches: input-vector indexed look-up tables
 //     (internal/energy) pre-characterized at gate level.
 //   - E_B_bit on internal buffers: Eq. 1, E_access + E_ref
-//     (internal/sram), paid when interconnect contention parks a packet.
+//     (internal/sram), paid when interconnect contention parks a packet;
+//     the buffers are SRAM, so E_ref is zero.
 //   - E_W_bit on interconnect wires: Eq. 2, ½·C_W·V² per polarity flip,
 //     with wire lengths in Thompson grids (internal/tech,
 //     internal/thompson) so E_W = m·E_T.
@@ -128,26 +129,21 @@ func (b *Breakdown) Accumulate(c Component, fj float64) {
 	}
 }
 
-// Model bundles every parameter the bit-energy framework needs: the
-// technology point, the node-switch LUTs, and the buffer memory model.
-// The fully-connected fabric's N-input MUX is not a field: it is always
-// Table 1's (energy.PaperMuxEnergyFJ) at the fabric's port count.
+// NodeBufferBits is each buffered node's share of the shared SRAM: the
+// paper's 4 Kbit per Banyan node, following the "a few packets is
+// enough" results it cites.
+const NodeBufferBits = 4096
+
+// Model holds what a spec can vary in the bit-energy framework: the
+// technology point and the buffer accounting, plus the static-power
+// extension. The paper's tables are not fields: the node-switch LUTs are
+// always Table 1's (energy.PaperCrosspointFJ, PaperBanyanFJ,
+// PaperBatcherFJ and, at the fabric's port count, PaperMuxEnergyFJ), the
+// buffer access energy is Table 2's (sram.AccessEnergyFJPerBit) and each
+// buffered node holds NodeBufferBits.
 type Model struct {
 	// Tech is the process operating point (E_T derivation, voltages).
 	Tech tech.Params
-
-	// Crosspoint, Banyan2x2 and Batcher2x2 are the node-switch LUTs.
-	Crosspoint energy.Table
-	Banyan2x2  energy.Table
-	Batcher2x2 energy.Table
-
-	// BufferAccess and Refresh give Eq. 1's E_access and E_ref.
-	BufferAccess sram.AccessModel
-	Refresh      sram.RefreshModel
-
-	// PerNodeBufferBits sizes each buffered node's share of the shared
-	// SRAM (4 Kbit in the paper).
-	PerNodeBufferBits int
 
 	// BufferAccessesPerEvent counts how many E_access charges one
 	// buffering event costs per bit. The paper's Eq. 1 charges a single
@@ -177,17 +173,10 @@ type Model struct {
 }
 
 // PaperModel returns the model of the paper's case study: 0.18 µm/3.3 V
-// technology, Table 1 reference LUTs, Table 2 SRAM calibration, 4 Kbit
-// node buffers, single-access buffering.
+// technology, single-access per-bit buffering.
 func PaperModel() Model {
 	return Model{
 		Tech:                        tech.Default180nm(),
-		Crosspoint:                  energy.PaperCrosspoint(),
-		Banyan2x2:                   energy.PaperBanyan(),
-		Batcher2x2:                  energy.PaperBatcher(),
-		BufferAccess:                sram.DefaultAccessModel(),
-		Refresh:                     sram.SRAMRefresh(),
-		PerNodeBufferBits:           4096,
 		BufferAccessesPerEvent:      1,
 		BufferAccessGranularityBits: 1,
 	}
@@ -208,15 +197,6 @@ func (m Model) Validate() error {
 	if err := m.Tech.Validate(); err != nil {
 		return err
 	}
-	if m.Crosspoint == nil || m.Banyan2x2 == nil || m.Batcher2x2 == nil {
-		return fmt.Errorf("core: model is missing node-switch tables")
-	}
-	if err := m.BufferAccess.Validate(); err != nil {
-		return err
-	}
-	if m.PerNodeBufferBits <= 0 {
-		return fmt.Errorf("core: per-node buffer must be positive, got %d", m.PerNodeBufferBits)
-	}
 	if m.BufferAccessesPerEvent < 1 || m.BufferAccessesPerEvent > 2 {
 		return fmt.Errorf("core: buffer accesses per event must be 1 or 2, got %d", m.BufferAccessesPerEvent)
 	}
@@ -227,21 +207,16 @@ func (m Model) Validate() error {
 }
 
 // BanyanBufferBitEnergyFJ returns E_B_bit for one buffering event in an
-// N=2^dim Banyan fabric: Eq. 1 evaluated against the shared SRAM that
-// fabric size implies (Table 2), times BufferAccessesPerEvent.
+// N=2^dim Banyan fabric: Eq. 1's access energy for the shared SRAM that
+// fabric size implies (Table 2), times BufferAccessesPerEvent, divided by
+// BufferAccessGranularityBits. SRAM has no refresh term.
 func (m Model) BanyanBufferBitEnergyFJ(dim int) (float64, error) {
-	spec, err := sram.BanyanBufferSpec(dim, m.PerNodeBufferBits)
+	spec, err := sram.BanyanBufferSpec(dim, NodeBufferBits)
 	if err != nil {
 		return 0, err
 	}
-	// Residency for the refresh term: one cell time is a good bound for
-	// the SRAM case (zero anyway); DRAM users can extend via Refresh.
-	e := sram.BitEnergy(m.BufferAccess, m.Refresh, spec, m.Tech.CellTimeNS(m.PerNodeBufferBits/4))
-	gran := m.BufferAccessGranularityBits
-	if gran < 1 {
-		gran = 1
-	}
-	return e * float64(m.BufferAccessesPerEvent) / float64(gran), nil
+	e := sram.AccessEnergyFJPerBit(spec.SharedBits())
+	return e * float64(m.BufferAccessesPerEvent) / float64(m.BufferAccessGranularityBits), nil
 }
 
 // dimOf returns log2(n), rejecting non-powers of two.
@@ -268,7 +243,7 @@ func (m Model) CrossbarBitEnergy(n int) (Breakdown, error) {
 	}
 	w := thompson.CrossbarWires{N: n}
 	return Breakdown{
-		SwitchFJ: float64(n) * m.Crosspoint.EnergyFJ(0b1),
+		SwitchFJ: float64(n) * energy.PaperCrosspointFJ(0b1),
 		WireFJ:   m.Tech.WireBitEnergyFJ(float64(w.PathGrids(0, 0))),
 	}, nil
 }
@@ -318,7 +293,7 @@ func (m Model) BanyanBitEnergy(n int, contended []bool) (Breakdown, error) {
 			b.BufferFJ += eb
 		}
 	}
-	b.SwitchFJ = float64(dim) * m.Banyan2x2.EnergyFJ(0b01)
+	b.SwitchFJ = float64(dim) * energy.PaperBanyanFJ(0b01)
 	return b, nil
 }
 
@@ -340,8 +315,8 @@ func (m Model) BatcherBanyanBitEnergy(n int) (Breakdown, error) {
 	w := thompson.BatcherBanyanWires{Dimension: dim}
 	var b Breakdown
 	b.WireFJ = m.Tech.WireBitEnergyFJ(float64(w.PathGrids()))
-	b.SwitchFJ = float64(w.SorterStages())*m.Batcher2x2.EnergyFJ(0b01) +
-		float64(dim)*m.Banyan2x2.EnergyFJ(0b01)
+	b.SwitchFJ = float64(w.SorterStages())*energy.PaperBatcherFJ(0b01) +
+		float64(dim)*energy.PaperBanyanFJ(0b01)
 	return b, nil
 }
 

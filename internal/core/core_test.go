@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"fabricpower/internal/energy"
+	"fabricpower/internal/sram"
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -70,16 +71,6 @@ func TestPaperModelValidates(t *testing.T) {
 
 func TestValidateCatchesGaps(t *testing.T) {
 	m := PaperModel()
-	m.Crosspoint = nil
-	if err := m.Validate(); err == nil {
-		t.Error("missing table should fail")
-	}
-	m = PaperModel()
-	m.PerNodeBufferBits = 0
-	if err := m.Validate(); err == nil {
-		t.Error("zero buffer should fail")
-	}
-	m = PaperModel()
 	m.BufferAccessesPerEvent = 3
 	if err := m.Validate(); err == nil {
 		t.Error("3 accesses should fail")
@@ -277,6 +268,31 @@ func TestBufferPenaltyDominates(t *testing.T) {
 		if eb <= free.TotalFJ() {
 			t.Errorf("N=%d: one buffering (%g fJ) should exceed the free path (%g fJ)", n, eb, free.TotalFJ())
 		}
+	}
+}
+
+// TestBanyanBufferBitEnergyEq1 pins Eq. 1 for SRAM buffers: E_B_bit is
+// Table 2's access energy for the fabric's shared SRAM (no refresh term),
+// times the accesses per event, divided by the access granularity.
+func TestBanyanBufferBitEnergyEq1(t *testing.T) {
+	for _, m := range []Model{PaperModel(), PerWordModel()} {
+		for dim := 2; dim <= 5; dim++ {
+			spec, err := sram.BanyanBufferSpec(dim, NodeBufferBits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := sram.AccessEnergyFJPerBit(spec.SharedBits()) / float64(m.BufferAccessGranularityBits)
+			got, err := m.BanyanBufferBitEnergyFJ(dim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("granularity %d, dim %d: E_B = %g fJ, want %g", m.BufferAccessGranularityBits, dim, got, want)
+			}
+		}
+	}
+	if _, err := PaperModel().BanyanBufferBitEnergyFJ(0); err == nil {
+		t.Error("dim 0 should fail")
 	}
 }
 

@@ -145,7 +145,7 @@ func (m Model) Inventory(a Architecture, n int) (Inventory, error) {
 			SwitchNodes:       dim * n / 2,
 			WireDrivers:       dim * n,
 			BufferBanks:       dim * n / 2,
-			BufferBitsPerBank: m.PerNodeBufferBits,
+			BufferBitsPerBank: NodeBufferBits,
 		}, nil
 	case BatcherBanyan:
 		dim, err := dimOf(n)

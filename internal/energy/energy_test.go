@@ -80,17 +80,15 @@ func TestPopcountLUTBasics(t *testing.T) {
 }
 
 func TestPaperTable1Values(t *testing.T) {
-	xp := PaperCrosspoint()
-	if xp.EnergyFJ(0b0) != 0 || xp.EnergyFJ(0b1) != 220 {
-		t.Fatalf("crosspoint: %g/%g", xp.EnergyFJ(0), xp.EnergyFJ(1))
+	if PaperCrosspointFJ(0b0) != 0 || PaperCrosspointFJ(0b1) != 220 {
+		t.Fatalf("crosspoint: %g/%g", PaperCrosspointFJ(0), PaperCrosspointFJ(1))
 	}
-	bn := PaperBanyan()
-	if bn.EnergyFJ(0b00) != 0 || bn.EnergyFJ(0b01) != 1080 ||
-		bn.EnergyFJ(0b10) != 1080 || bn.EnergyFJ(0b11) != 1821 {
+	if PaperBanyanFJ(0b00) != 0 || PaperBanyanFJ(0b01) != 1080 ||
+		PaperBanyanFJ(0b10) != 1080 || PaperBanyanFJ(0b11) != 1821 {
 		t.Fatal("banyan values do not match Table 1")
 	}
-	bt := PaperBatcher()
-	if bt.EnergyFJ(0b01) != 1253 || bt.EnergyFJ(0b11) != 2025 {
+	if PaperBatcherFJ(0b00) != 0 || PaperBatcherFJ(0b01) != 1253 ||
+		PaperBatcherFJ(0b10) != 1253 || PaperBatcherFJ(0b11) != 2025 {
 		t.Fatal("batcher values do not match Table 1")
 	}
 	for n, want := range map[int]float64{4: 431, 8: 782, 16: 1350, 32: 2515} {
@@ -104,11 +102,11 @@ func TestPaperTable1Values(t *testing.T) {
 // TestPaperConcurrencyDiscount verifies the §3.1 observation encoded in
 // Table 1: processing two packets costs more than one but less than two.
 func TestPaperConcurrencyDiscount(t *testing.T) {
-	for _, l := range []*DenseLUT{PaperBanyan(), PaperBatcher()} {
-		one := l.EnergyFJ(0b01)
-		two := l.EnergyFJ(0b11)
+	for name, lut := range map[string]func(Vector) float64{"banyan": PaperBanyanFJ, "batcher": PaperBatcherFJ} {
+		one := lut(0b01)
+		two := lut(0b11)
 		if !(two > one && two < 2*one) {
-			t.Errorf("%s: E[11]=%g not in (E[01]=%g, 2·E[01]=%g)", l.Name(), two, one, 2*one)
+			t.Errorf("%s: E[11]=%g not in (E[01]=%g, 2·E[01]=%g)", name, two, one, 2*one)
 		}
 	}
 }

@@ -11,9 +11,8 @@
 //
 // Two table sources are provided:
 //
-//   - The paper's published Table 1 values (Paper* constructors), used as
-//     the reference characterization so experiments run against the
-//     authors' numbers.
+//   - The paper's published Table 1 values (the Paper* functions), the
+//     fixed reference characterization every experiment runs against.
 //
 //   - Characterize, which drives an internal/circuits netlist with random
 //     payload streams per input vector and measures toggle energy with the
@@ -139,51 +138,25 @@ func (l *PopcountLUT) EnergyFJ(v Vector) float64 {
 	return l.fj[k]
 }
 
-// mustDense builds a dense LUT from literal values, panicking on
-// programmer error (used only for the compiled-in paper tables).
-func mustDense(name string, inputs int, vals map[Vector]float64) *DenseLUT {
-	l, err := NewDenseLUT(name, inputs)
-	if err != nil {
-		panic(err)
-	}
-	for v, fj := range vals {
-		if err := l.Set(v, fj); err != nil {
-			panic(err)
-		}
-	}
-	return l
-}
+// Table 1's node-switch energies per bit-time, indexed by input vector.
+var (
+	paperCrosspointFJ = [...]float64{0b0: 0, 0b1: 220}
+	paperBanyanFJ     = [...]float64{0b00: 0, 0b01: 1080, 0b10: 1080, 0b11: 1821}
+	paperBatcherFJ    = [...]float64{0b00: 0, 0b01: 1253, 0b10: 1253, 0b11: 2025}
+)
 
-// PaperCrosspoint returns Table 1's crossbar crosspoint LUT:
-// [0] = 0 fJ, [1] = 220 fJ.
-func PaperCrosspoint() *DenseLUT {
-	return mustDense("crosspoint(paper)", 1, map[Vector]float64{
-		0b0: 0,
-		0b1: 220,
-	})
-}
+// PaperCrosspointFJ returns Table 1's crossbar crosspoint energy for the
+// one-input vector v: [0] = 0 fJ, [1] = 220 fJ.
+func PaperCrosspointFJ(v Vector) float64 { return paperCrosspointFJ[v] }
 
-// PaperBanyan returns Table 1's Banyan 2×2 binary switch LUT:
-// [0,0] = 0, [0,1] = [1,0] = 1080 fJ, [1,1] = 1821 fJ.
-func PaperBanyan() *DenseLUT {
-	return mustDense("banyan2x2(paper)", 2, map[Vector]float64{
-		0b00: 0,
-		0b01: 1080,
-		0b10: 1080,
-		0b11: 1821,
-	})
-}
+// PaperBanyanFJ returns Table 1's Banyan 2×2 binary switch energy for the
+// two-input vector v: [0,0] = 0, [0,1] = [1,0] = 1080 fJ, [1,1] = 1821 fJ.
+func PaperBanyanFJ(v Vector) float64 { return paperBanyanFJ[v] }
 
-// PaperBatcher returns Table 1's Batcher 2×2 sorting switch LUT:
-// [0,0] = 0, [0,1] = [1,0] = 1253 fJ, [1,1] = 2025 fJ.
-func PaperBatcher() *DenseLUT {
-	return mustDense("batcher2x2(paper)", 2, map[Vector]float64{
-		0b00: 0,
-		0b01: 1253,
-		0b10: 1253,
-		0b11: 2025,
-	})
-}
+// PaperBatcherFJ returns Table 1's Batcher 2×2 sorting switch energy for
+// the two-input vector v: [0,0] = 0, [0,1] = [1,0] = 1253 fJ,
+// [1,1] = 2025 fJ.
+func PaperBatcherFJ(v Vector) float64 { return paperBatcherFJ[v] }
 
 // paperMuxFJ lists Table 1's N-input MUX energies.
 var paperMuxFJ = map[int]float64{

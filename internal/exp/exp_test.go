@@ -510,7 +510,7 @@ func TestQueueAblation(t *testing.T) {
 }
 
 func TestTable2MatchesPaper(t *testing.T) {
-	t2, err := RunTable2(core.PaperModel())
+	t2, err := RunTable2()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,25 +115,22 @@ func RunTable1(tp core.Model, opt Table1Options) (*Table1, error) {
 	if anchorRaw <= 0 {
 		return nil, fmt.Errorf("exp: banyan anchor characterized at %g fJ", anchorRaw)
 	}
-	scale := energy.PaperBanyan().EnergyFJ(0b01) / anchorRaw
+	scale := energy.PaperBanyanFJ(0b01) / anchorRaw
 
 	t1 := &Table1{AnchorScale: scale}
 	add := func(name, vec string, paperFJ, charFJ float64) {
 		t1.Rows = append(t1.Rows, Table1Row{Switch: name, Vector: vec, PaperFJ: paperFJ, CharFJ: charFJ * scale})
 	}
 
-	paperXP := energy.PaperCrosspoint()
-	add("crossbar 1x1", "[0]", paperXP.EnergyFJ(0b0), xpTab.EnergyFJ(0b0))
-	add("crossbar 1x1", "[1]", paperXP.EnergyFJ(0b1), xpTab.EnergyFJ(0b1))
+	add("crossbar 1x1", "[0]", energy.PaperCrosspointFJ(0b0), xpTab.EnergyFJ(0b0))
+	add("crossbar 1x1", "[1]", energy.PaperCrosspointFJ(0b1), xpTab.EnergyFJ(0b1))
 
-	paperBN := energy.PaperBanyan()
 	for _, v := range []energy.Vector{0b00, 0b01, 0b10, 0b11} {
-		add("banyan 2x2", "["+v.String()+"]", paperBN.EnergyFJ(v), bnTab.EnergyFJ(v))
+		add("banyan 2x2", "["+v.String()+"]", energy.PaperBanyanFJ(v), bnTab.EnergyFJ(v))
 	}
 
-	paperBT := energy.PaperBatcher()
 	for _, v := range []energy.Vector{0b00, 0b01, 0b10, 0b11} {
-		add("batcher 2x2", "["+v.String()+"]", paperBT.EnergyFJ(v), btTab.EnergyFJ(v))
+		add("batcher 2x2", "["+v.String()+"]", energy.PaperBatcherFJ(v), btTab.EnergyFJ(v))
 	}
 
 	for i, n := range opt.MuxSizes {
@@ -183,9 +180,9 @@ type Table2 struct {
 }
 
 // RunTable2 regenerates the paper's Table 2 from the calibrated SRAM
-// access model.
-func RunTable2(model core.Model) (*Table2, error) {
-	rows, err := sram.Table2(model.BufferAccess, []int{2, 3, 4, 5}, model.PerNodeBufferBits)
+// access energy.
+func RunTable2() (*Table2, error) {
+	rows, err := sram.Table2([]int{2, 3, 4, 5}, core.NodeBufferBits)
 	if err != nil {
 		return nil, err
 	}

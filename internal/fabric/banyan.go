@@ -234,7 +234,7 @@ func (b *banyan) stepNode(s, k int, cellBits float64) bool {
 	// transported cells this slot.
 	if vec != 0 {
 		b.energy.Accumulate(core.SwitchComponent,
-			b.cfg.Model.Banyan2x2.EnergyFJ(vec)*cellBits)
+			energy.PaperBanyanFJ(vec)*cellBits)
 	}
 	// Cells still latched at this node now try to park in the node
 	// buffer (interconnect contention or downstream blocking), freeing

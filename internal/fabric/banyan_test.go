@@ -85,7 +85,7 @@ func (f *fullWalk) step(slot uint64) []*packet.Cell {
 				vec |= 1 << uint(o)
 			}
 			if vec != 0 {
-				b.energy.Accumulate(core.SwitchComponent, b.cfg.Model.Banyan2x2.EnergyFJ(vec)*cellBits)
+				b.energy.Accumulate(core.SwitchComponent, energy.PaperBanyanFJ(vec)*cellBits)
 			}
 			for d := 0; d < 2; d++ {
 				line := 2*k + d

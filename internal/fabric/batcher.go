@@ -232,7 +232,7 @@ func (b *batcherBanyan) sortStage(w *wave) {
 			vec |= 0b10
 		}
 		b.energy.Accumulate(core.SwitchComponent,
-			b.cfg.Model.Batcher2x2.EnergyFJ(vec)*cellBits)
+			energy.PaperBatcherFJ(vec)*cellBits)
 		// Link energy: each occupied output line crosses the stage wire.
 		if cc := w.cells[lo]; cc != nil {
 			b.energy.Accumulate(core.WireComponent,
@@ -294,7 +294,7 @@ func (b *batcherBanyan) banyanStage(w *wave, s int) {
 		}
 		if vec != 0 {
 			b.energy.Accumulate(core.SwitchComponent,
-				b.cfg.Model.Banyan2x2.EnergyFJ(vec)*cellBits)
+				energy.PaperBanyanFJ(vec)*cellBits)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fabricpower/internal/core"
+	"fabricpower/internal/energy"
 	"fabricpower/internal/packet"
 	"fabricpower/internal/thompson"
 )
@@ -23,7 +24,6 @@ type crossbar struct {
 	delivered []*packet.Cell
 	destBusy  []bool
 	energy    core.Breakdown
-	xpFJ      float64 // crosspoint LUT energy for an active input
 }
 
 func newCrossbar(cfg Config) (*crossbar, error) {
@@ -43,7 +43,6 @@ func newCrossbar(cfg Config) (*crossbar, error) {
 		pending:   slots[:0:n],
 		delivered: slots[n:n],
 		destBusy:  make([]bool, n),
-		xpFJ:      cfg.Model.Crosspoint.EnergyFJ(0b1),
 	}, nil
 }
 
@@ -78,7 +77,7 @@ func (x *crossbar) Step(slot uint64) []*packet.Cell {
 	cellBits := float64(x.cfg.Cell.CellBits)
 	for _, c := range delivered {
 		// N crosspoints on the row see the bit stream (Eq. 3's N·E_S).
-		x.energy.Accumulate(core.SwitchComponent, float64(x.cfg.Ports)*x.xpFJ*cellBits)
+		x.energy.Accumulate(core.SwitchComponent, float64(x.cfg.Ports)*energy.PaperCrosspointFJ(0b1)*cellBits)
 		// Full row and column wires, flip-accurate.
 		x.energy.Accumulate(core.WireComponent, x.rowBank.cross(c.Src, c))
 		x.energy.Accumulate(core.WireComponent, x.colBank.cross(c.Dest, c))

@@ -34,11 +34,11 @@ type Config struct {
 	Ports int
 	// Cell fixes the cell geometry.
 	Cell packet.Config
-	// Model supplies LUTs, technology and buffer constants.
+	// Model supplies the technology point and the buffer accounting.
 	Model core.Model
 	// BufferCells caps each Banyan node buffer, in cells. 0 derives it
-	// from Model.PerNodeBufferBits / Cell.CellBits (the paper's 4 Kbit
-	// node buffer holds 4 cells of 1 Kbit).
+	// from core.NodeBufferBits / Cell.CellBits (the paper's 4 Kbit node
+	// buffer holds 4 cells of 1 Kbit).
 	BufferCells int
 	// FCAverageWires switches the fully-connected fabric from the
 	// paper's worst-case ½·N² wire charge (Eq. 4) to the routed-average
@@ -68,7 +68,7 @@ func (c Config) bufferCells() int {
 	if c.BufferCells > 0 {
 		return c.BufferCells
 	}
-	n := c.Model.PerNodeBufferBits / c.Cell.CellBits
+	n := core.NodeBufferBits / c.Cell.CellBits
 	if n < 1 {
 		n = 1
 	}

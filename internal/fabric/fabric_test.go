@@ -44,7 +44,7 @@ func TestConfigValidate(t *testing.T) {
 		t.Error("negative buffer should fail")
 	}
 	c = testConfig(8)
-	c.Model.Crosspoint = nil
+	c.Model.BufferAccessesPerEvent = 3
 	if err := c.Validate(); err == nil {
 		t.Error("invalid model should fail")
 	}

@@ -15,11 +15,13 @@
 //     which scale with the array dimensions) takes over and the per-bit
 //     energy grows approximately linearly with capacity.
 //
-// AccessModel captures exactly this piecewise behaviour with constants
-// calibrated so Table 2 is reproduced; the calibration points and fit are
-// checked by the package tests. A DRAM refresh term is provided for Eq. 1
-// (E_B_bit = E_access + E_ref) completeness; the paper's experiments use
-// SRAM, whose refresh energy is zero.
+// AccessEnergyFJPerBit captures exactly this piecewise behaviour with
+// constants calibrated so Table 2 is reproduced; the calibration points
+// and fit are checked by the package tests.
+//
+// Eq. 1 prices a buffered bit as E_B_bit = E_access + E_ref. The refresh
+// term E_ref is a DRAM cost; the paper's buffers are SRAM, whose refresh
+// energy is zero, so it is not modelled and E_B_bit is E_access.
 package sram
 
 import (
@@ -27,76 +29,28 @@ import (
 	"math"
 )
 
-// AccessModel computes the per-bit buffer access energy for a shared
-// SRAM of a given capacity. Energies are in femtojoules to match the rest
-// of the code base (Table 2 quotes picojoules; 1 pJ = 1000 fJ).
-type AccessModel struct {
-	// FloorFJ is the peripheral-dominated minimum per-bit access energy.
-	FloorFJ float64
-	// BaseFJ and SlopeFJPerKbit give the array-dominated linear regime:
-	// E = BaseFJ + SlopeFJPerKbit × (capacity in Kbit).
-	BaseFJ         float64
-	SlopeFJPerKbit float64
-}
-
-// DefaultAccessModel returns the model calibrated to the paper's Table 2
-// (off-the-shelf 0.18 µm 3.3 V SRAM at 133 MHz). The linear regime is the
-// exact fit through the 128 Kbit and 320 Kbit rows; the floor matches the
-// 16/48 Kbit rows.
-func DefaultAccessModel() AccessModel {
-	return AccessModel{
-		FloorFJ:        140e3,
-		BaseFJ:         108666.67,
-		SlopeFJPerKbit: 354.1667,
-	}
-}
-
-// Validate reports whether the model constants are usable.
-func (m AccessModel) Validate() error {
-	if m.FloorFJ <= 0 {
-		return fmt.Errorf("sram: floor energy must be positive, got %g", m.FloorFJ)
-	}
-	if m.BaseFJ < 0 || m.SlopeFJPerKbit < 0 {
-		return fmt.Errorf("sram: linear regime must be non-negative (base %g, slope %g)", m.BaseFJ, m.SlopeFJPerKbit)
-	}
-	return nil
-}
+// The Table 2 calibration of an off-the-shelf 0.18 µm 3.3 V SRAM at
+// 133 MHz, in femtojoules to match the rest of the code base (Table 2
+// quotes picojoules; 1 pJ = 1000 fJ). The floor matches the 16/48 Kbit
+// rows; the linear regime E = base + slope × (capacity in Kbit) is the
+// exact fit through the 128 Kbit and 320 Kbit rows.
+const (
+	// floorFJ is the peripheral-dominated minimum per-bit access energy.
+	floorFJ = 140e3
+	// baseFJ and slopeFJPerKbit give the array-dominated linear regime.
+	baseFJ         = 108666.67
+	slopeFJPerKbit = 354.1667
+)
 
 // AccessEnergyFJPerBit returns E_access for one bit buffered in a shared
 // SRAM of the given capacity in bits.
-func (m AccessModel) AccessEnergyFJPerBit(capacityBits int) float64 {
+func AccessEnergyFJPerBit(capacityBits int) float64 {
 	if capacityBits <= 0 {
 		return 0
 	}
 	kbit := float64(capacityBits) / 1024.0
-	linear := m.BaseFJ + m.SlopeFJPerKbit*kbit
-	return math.Max(m.FloorFJ, linear)
-}
-
-// RefreshModel is the DRAM refresh term of Eq. 1. Refresh energy is
-// charged per bit per refresh interval and amortized over the bits
-// buffered during that interval; for SRAM it is zero.
-type RefreshModel struct {
-	// EnergyFJPerBitPerRefresh is the energy to refresh one stored bit
-	// once.
-	EnergyFJPerBitPerRefresh float64
-	// IntervalNS is the refresh period (typically 64 ms for DRAM);
-	// zero disables refresh (SRAM).
-	IntervalNS float64
-}
-
-// SRAMRefresh returns the zero refresh model used by the paper's
-// experiments.
-func SRAMRefresh() RefreshModel { return RefreshModel{} }
-
-// RefreshEnergyFJPerBit returns E_ref: the refresh energy attributable to
-// one bit that stays buffered for residencyNS nanoseconds.
-func (r RefreshModel) RefreshEnergyFJPerBit(residencyNS float64) float64 {
-	if r.IntervalNS <= 0 || residencyNS <= 0 {
-		return 0
-	}
-	refreshes := residencyNS / r.IntervalNS
-	return refreshes * r.EnergyFJPerBitPerRefresh
+	linear := baseFJ + slopeFJPerKbit*kbit
+	return math.Max(floorFJ, linear)
 }
 
 // BufferSpec sizes the shared buffer memory of a fabric: each buffered
@@ -132,13 +86,6 @@ func BanyanBufferSpec(dim, perNodeBits int) (BufferSpec, error) {
 	return BufferSpec{PerNodeBits: perNodeBits, NumNodes: n / 2 * dim}, nil
 }
 
-// BitEnergy combines Eq. 1: E_B_bit = E_access + E_ref for a bit buffered
-// once in the shared memory, with the given residency for the refresh
-// term.
-func BitEnergy(m AccessModel, r RefreshModel, spec BufferSpec, residencyNS float64) float64 {
-	return m.AccessEnergyFJPerBit(spec.SharedBits()) + r.RefreshEnergyFJPerBit(residencyNS)
-}
-
 // Table2Row is one row of the paper's Table 2.
 type Table2Row struct {
 	// Ports is the fabric size N (N×N Banyan).
@@ -152,12 +99,8 @@ type Table2Row struct {
 }
 
 // Table2 regenerates the paper's Table 2 for the given fabric dimensions
-// using the access model (use DefaultAccessModel for the calibrated
-// reproduction; the paper's rows are dims 2,3,4,5 with 4 Kbit per node).
-func Table2(m AccessModel, dims []int, perNodeBits int) ([]Table2Row, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
+// (the paper's rows are dims 2,3,4,5 with 4 Kbit per node).
+func Table2(dims []int, perNodeBits int) ([]Table2Row, error) {
 	rows := make([]Table2Row, 0, len(dims))
 	for _, dim := range dims {
 		spec, err := BanyanBufferSpec(dim, perNodeBits)
@@ -168,7 +111,7 @@ func Table2(m AccessModel, dims []int, perNodeBits int) ([]Table2Row, error) {
 			Ports:       1 << uint(dim),
 			Switches:    spec.NumNodes,
 			SharedKbit:  spec.SharedBits() / 1024,
-			BitEnergyPJ: m.AccessEnergyFJPerBit(spec.SharedBits()) / 1000.0,
+			BitEnergyPJ: AccessEnergyFJPerBit(spec.SharedBits()) / 1000.0,
 		})
 	}
 	return rows, nil

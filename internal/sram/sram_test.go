@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 )
 
-// TestTable2Reproduction is the headline check: the default model must
+// TestTable2Reproduction is the headline check: the calibration must
 // reproduce the paper's Table 2 within 2%.
 func TestTable2Reproduction(t *testing.T) {
 	want := []Table2Row{
@@ -15,7 +15,7 @@ func TestTable2Reproduction(t *testing.T) {
 		{Ports: 16, Switches: 32, SharedKbit: 128, BitEnergyPJ: 154},
 		{Ports: 32, Switches: 80, SharedKbit: 320, BitEnergyPJ: 222},
 	}
-	rows, err := Table2(DefaultAccessModel(), []int{2, 3, 4, 5}, 4096)
+	rows, err := Table2([]int{2, 3, 4, 5}, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,57 +34,23 @@ func TestTable2Reproduction(t *testing.T) {
 }
 
 func TestAccessModelFloor(t *testing.T) {
-	m := DefaultAccessModel()
-	small := m.AccessEnergyFJPerBit(1024)
-	if small != m.FloorFJ {
-		t.Fatalf("tiny SRAM should hit the peripheral floor: %g vs %g", small, m.FloorFJ)
+	small := AccessEnergyFJPerBit(1024)
+	if small != floorFJ {
+		t.Fatalf("tiny SRAM should hit the peripheral floor: %g vs %g", small, floorFJ)
 	}
-	if m.AccessEnergyFJPerBit(0) != 0 || m.AccessEnergyFJPerBit(-5) != 0 {
+	if AccessEnergyFJPerBit(0) != 0 || AccessEnergyFJPerBit(-5) != 0 {
 		t.Fatal("non-positive capacity should be 0")
 	}
 }
 
 func TestAccessModelMonotone(t *testing.T) {
-	m := DefaultAccessModel()
 	prev := 0.0
 	for _, kb := range []int{16, 48, 128, 320, 640, 1280} {
-		e := m.AccessEnergyFJPerBit(kb * 1024)
+		e := AccessEnergyFJPerBit(kb * 1024)
 		if e < prev {
 			t.Fatalf("access energy must be non-decreasing with size: %g after %g at %d Kbit", e, prev, kb)
 		}
 		prev = e
-	}
-}
-
-func TestAccessModelValidate(t *testing.T) {
-	if err := DefaultAccessModel().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := AccessModel{FloorFJ: 0, BaseFJ: 1, SlopeFJPerKbit: 1}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("zero floor should fail")
-	}
-	bad = AccessModel{FloorFJ: 1, BaseFJ: -1, SlopeFJPerKbit: 1}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("negative base should fail")
-	}
-}
-
-func TestRefreshModels(t *testing.T) {
-	if e := SRAMRefresh().RefreshEnergyFJPerBit(1e9); e != 0 {
-		t.Fatalf("SRAM refresh must be 0, got %g", e)
-	}
-	d := RefreshModel{EnergyFJPerBitPerRefresh: 150, IntervalNS: 64e6} // embedded DRAM
-	if e := d.RefreshEnergyFJPerBit(0); e != 0 {
-		t.Fatal("zero residency must be 0")
-	}
-	one := d.RefreshEnergyFJPerBit(d.IntervalNS)
-	if math.Abs(one-d.EnergyFJPerBitPerRefresh) > 1e-9 {
-		t.Fatalf("one interval residency = %g, want %g", one, d.EnergyFJPerBitPerRefresh)
-	}
-	two := d.RefreshEnergyFJPerBit(2 * d.IntervalNS)
-	if math.Abs(two-2*one) > 1e-9 {
-		t.Fatal("refresh energy must be linear in residency")
 	}
 }
 
@@ -123,28 +89,12 @@ func TestBufferSpecValidate(t *testing.T) {
 	}
 }
 
-func TestBitEnergyCombinesEq1(t *testing.T) {
-	m := DefaultAccessModel()
-	spec, _ := BanyanBufferSpec(4, 4096)
-	// SRAM: E_B = E_access only.
-	eSRAM := BitEnergy(m, SRAMRefresh(), spec, 1e6)
-	if eSRAM != m.AccessEnergyFJPerBit(spec.SharedBits()) {
-		t.Fatal("SRAM bit energy must equal access energy")
-	}
-	// DRAM: refresh term adds.
-	eDRAM := BitEnergy(m, RefreshModel{EnergyFJPerBitPerRefresh: 150, IntervalNS: 64e6}, spec, 128e6)
-	if eDRAM <= eSRAM {
-		t.Fatal("DRAM with long residency must exceed SRAM")
-	}
-}
-
-func TestTable2RejectsInvalidModel(t *testing.T) {
-	bad := AccessModel{}
-	if _, err := Table2(bad, []int{2}, 4096); err == nil {
-		t.Fatal("invalid model should fail")
-	}
-	if _, err := Table2(DefaultAccessModel(), []int{0}, 4096); err == nil {
+func TestTable2RejectsInvalidSizes(t *testing.T) {
+	if _, err := Table2([]int{0}, 4096); err == nil {
 		t.Fatal("invalid dim should fail")
+	}
+	if _, err := Table2([]int{2}, 0); err == nil {
+		t.Fatal("zero per-node bits should fail")
 	}
 }
 
@@ -152,10 +102,9 @@ func TestTable2RejectsInvalidModel(t *testing.T) {
 // per-grid wire energy (87 fJ); the paper's §5.1 observation that drives
 // the Banyan results.
 func TestBufferPenaltyProperty(t *testing.T) {
-	m := DefaultAccessModel()
 	f := func(kb uint16) bool {
 		bits := (int(kb%1024) + 1) * 1024
-		return m.AccessEnergyFJPerBit(bits) > 100*87.12
+		return AccessEnergyFJPerBit(bits) > 100*87.12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -165,11 +114,10 @@ func TestBufferPenaltyProperty(t *testing.T) {
 // Property: access energy is within 1% of max(floor, base+slope·kbit) for
 // any size — guards against regressions in the piecewise form.
 func TestAccessModelPiecewiseProperty(t *testing.T) {
-	m := DefaultAccessModel()
 	f := func(kb uint16) bool {
 		bits := int(kb)*64 + 1
-		want := math.Max(m.FloorFJ, m.BaseFJ+m.SlopeFJPerKbit*float64(bits)/1024.0)
-		got := m.AccessEnergyFJPerBit(bits)
+		want := math.Max(floorFJ, baseFJ+slopeFJPerKbit*float64(bits)/1024.0)
+		got := AccessEnergyFJPerBit(bits)
 		return math.Abs(got-want) <= 1e-9*want
 	}
 	if err := quick.Check(f, nil); err != nil {
