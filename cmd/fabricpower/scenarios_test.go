@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -129,6 +130,45 @@ func TestScenarioGoldenOutputs(t *testing.T) {
 			}
 			if out.String() != string(want) {
 				t.Errorf("%s %v drifted from its pinned report:\n--- got ---\n%s\n--- want ---\n%s", tc.cmd, tc.args, out.String(), want)
+			}
+		})
+	}
+}
+
+// TestTelemetryGoldenOutputs pins the telemetry JSONL stream byte for
+// byte, field order included: voq-dvfs-grid carries sim_sample records
+// with DPM activity, flaky-network net_sample records with faults and
+// DPM plus the end-of-run net_flows summaries. Re-pin with
+// UPDATE_GOLDEN=1 like TestScenarioGoldenOutputs.
+func TestTelemetryGoldenOutputs(t *testing.T) {
+	repoRoot, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"voq-dvfs-grid", "flaky-network"} {
+		t.Run(name, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), name+".jsonl")
+			args := []string{filepath.Join(repoRoot, "scenarios", name+".json"),
+				"-workers", "1", "-telemetry", out, "-tsample", "500"}
+			if err := dispatch(context.Background(), "run", args, io.Discard); err != nil {
+				t.Fatalf("run %v: %v", args, err)
+			}
+			got, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden := filepath.Join(repoRoot, "scenarios", "golden", "telemetry", name+".jsonl")
+			if updateGolden {
+				if err := os.WriteFile(golden, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Errorf("telemetry stream of %s drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", name, golden, got, want)
 			}
 		})
 	}
