@@ -8,6 +8,7 @@ import (
 	"fabricpower/internal/core"
 	"fabricpower/internal/dpm"
 	"fabricpower/internal/router"
+	"fabricpower/internal/sim"
 	"fabricpower/internal/telemetry/trace"
 )
 
@@ -110,9 +111,13 @@ func TestIdleSkipTelemetrySampleSlots(t *testing.T) {
 		cfg.IdleSkip = idleSkip
 		var slots []uint64
 		var samples []TelemetrySample
-		cfg.Telemetry = &TelemetryConfig{
+		cfg.Telemetry = &sim.TelemetryConfig{
 			Every: 50,
-			OnSample: func(s *TelemetrySample) {
+			Emit: func(v any) {
+				s, ok := v.(*TelemetrySample)
+				if !ok {
+					return
+				}
 				slots = append(slots, s.Slot)
 				// The collector reuses the sample's slices: copy them.
 				c := *s
@@ -350,18 +355,20 @@ func FuzzNetworkIdleSkipMatchesFullStep(f *testing.F) {
 			}
 			var r fuzzRun
 			if opts&(1<<9) != 0 {
-				cfg.Telemetry = &TelemetryConfig{
+				cfg.Telemetry = &sim.TelemetryConfig{
 					Every: uint64(size)%50 + 1,
-					OnSample: func(s *TelemetrySample) {
-						c := *s
-						c.NodeQueues = append([]int(nil), s.NodeQueues...)
-						c.Links = append([]LinkSample(nil), s.Links...)
-						c.Latency = append([]uint64(nil), s.Latency...)
-						r.samples = append(r.samples, c)
-					},
-					OnSummary: func(s *TelemetrySummary) {
-						s.NodeCostNS = nil // wall-clock, so never deterministic
-						r.summary = s
+					Emit: func(v any) {
+						switch s := v.(type) {
+						case *TelemetrySample:
+							c := *s
+							c.NodeQueues = append([]int(nil), s.NodeQueues...)
+							c.Links = append([]LinkSample(nil), s.Links...)
+							c.Latency = append([]uint64(nil), s.Latency...)
+							r.samples = append(r.samples, c)
+						case *TelemetrySummary:
+							s.NodeCostNS = nil // wall-clock, so never deterministic
+							r.summary = s
+						}
 					},
 				}
 			}

@@ -15,6 +15,7 @@ import (
 	"fabricpower/internal/core"
 	"fabricpower/internal/packet"
 	"fabricpower/internal/router"
+	"fabricpower/internal/sim"
 	"fabricpower/internal/telemetry"
 	"fabricpower/internal/telemetry/trace"
 	"fabricpower/internal/traffic"
@@ -936,7 +937,11 @@ func TestShardedRunYields(t *testing.T) {
 	ranBeforeLast := false
 	cfg := telTestConfig(topo)
 	cfg.Shards = 2
-	cfg.Telemetry = &TelemetryConfig{Every: 50, OnSample: func(*TelemetrySample) { ranBeforeLast = ran.Load() }}
+	cfg.Telemetry = &sim.TelemetryConfig{Every: 50, Emit: func(v any) {
+		if _, ok := v.(*TelemetrySample); ok {
+			ranBeforeLast = ran.Load()
+		}
+	}}
 	net, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -1130,9 +1135,9 @@ func BenchmarkNetworkStepSharded(b *testing.B) {
 					cfg.Shards = shards
 					if tel == "on" {
 						w := telemetry.NewWriter(io.Discard)
-						cfg.Telemetry = &TelemetryConfig{
-							Every:    64,
-							OnSample: func(s *TelemetrySample) { w.Emit(s) },
+						cfg.Telemetry = &sim.TelemetryConfig{
+							Every: 64,
+							Emit:  func(v any) { w.Emit(v) },
 						}
 					}
 					if tr == "on" {

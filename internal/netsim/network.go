@@ -69,12 +69,14 @@ type Config struct {
 	// fault-free fast path, byte-identical to a build without the
 	// field.
 	Faults *FaultPlan
-	// Telemetry attaches an every-K-slots sampling collector (power,
-	// per-link utilization, queue occupancy, DPM residency, fault
-	// state, latency histograms — see TelemetryConfig). Nil leaves the
-	// kernel on its telemetry-free fast path: no telemetry branch is
-	// taken and results are byte-identical to a run without the field.
-	Telemetry *TelemetryConfig
+	// Telemetry attaches an every-K-slots sampling collector: its Emit
+	// receives a *TelemetrySample per interval (power, per-link
+	// utilization, queue occupancy, DPM residency, fault state, latency
+	// histograms) and a *TelemetrySummary at the end of each Run. Nil
+	// leaves the kernel on its telemetry-free fast path: no telemetry
+	// branch is taken and results are byte-identical to a run without
+	// the field.
+	Telemetry *sim.TelemetryConfig
 	// Trace attaches the execution profiler (see TraceConfig): sampled
 	// per-shard phase spans, barrier waits and per-node cost onto a
 	// trace.Recorder. Same contract as Telemetry: nil means the
@@ -661,7 +663,7 @@ func (n *Network) Step(slot uint64) {
 	if slot != n.slot {
 		panic(fmt.Sprintf("netsim: Step(%d) out of order: the next slot is %d", slot, n.slot))
 	}
-	if n.tel != nil && slot >= n.tel.nextSlot {
+	if n.tel != nil && n.tel.Due(slot) {
 		// Close the interval before this slot's fault events apply, so
 		// a sample's instantaneous state matches the slots it covers.
 		n.take(slot)
@@ -1285,14 +1287,7 @@ func (n *Network) beginMeasurement() {
 		n.tel.rebase()
 	}
 	for u, r := range n.routers {
-		r.ResetMetrics()
-		r.Fabric().ResetEnergy()
-		if n.mgrs[u] != nil {
-			n.mgrs[u].BeginMeasurement()
-		}
-		if bc, ok := r.Fabric().(interface{ BufferEvents() uint64 }); ok {
-			n.bufferBase[u] = bc.BufferEvents()
-		}
+		n.bufferBase[u] = sim.BeginWindow(r, n.mgrs[u])
 	}
 	for w := range n.shards {
 		s := &n.shards[w]
@@ -1339,9 +1334,7 @@ func (n *Network) Run(warmup, measure uint64) (*Report, error) {
 	n.catchUpAll(n.slot)
 	if n.tel != nil {
 		n.take(n.slot) // flush the final partial interval
-		if n.tel.cfg.OnSummary != nil {
-			n.tel.cfg.OnSummary(n.summarize(n.slot))
-		}
+		n.tel.Emit(n.summarize(n.slot))
 	}
 	return n.report(measure), nil
 }

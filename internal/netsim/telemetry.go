@@ -5,45 +5,6 @@ import (
 	"fabricpower/internal/telemetry"
 )
 
-// TelemetryConfig attaches a sampling collector to a network run: every
-// Every slots the kernel emits one TelemetrySample covering the interval
-// since the previous sample — dynamic/static power, end-to-end cell
-// counters, per-link utilization and queue occupancy, per-node ingress
-// backlog, DPM state residency, fault up/down state, and a cell-latency
-// histogram — and at the end of Run one TelemetrySummary with per-flow
-// delivery counts and latency histograms.
-//
-// The collector follows the fault plan's contract with the hot loop:
-// a nil TelemetryConfig leaves the kernel on its telemetry-free fast
-// path (every telemetry branch is guarded and not taken), so runs
-// without one are byte-identical to builds without the feature. With a
-// collector attached, per-shard private buffers (latency buckets) and
-// single-writer counters (per-link moves, per-flow ledgers) are merged
-// at the slot barrier, single-threaded, so emitted series are
-// bit-identical for any shard count. Sampling reuses one sample struct
-// and never allocates; only the caller's OnSample/OnSummary sinks do.
-type TelemetryConfig struct {
-	// Every is the sample interval in slots (default 64). Larger
-	// intervals amortize the sampling walk over more slots; the
-	// per-slot cost of an attached collector is a few counter
-	// increments.
-	Every uint64
-	// OnSample receives each interval sample. The pointed-to sample
-	// (and its slices) is reused across intervals: sinks must consume
-	// or copy it before returning.
-	OnSample func(*TelemetrySample)
-	// OnSummary receives the per-flow summary at the end of each Run.
-	// The summary is freshly allocated and may be retained.
-	OnSummary func(*TelemetrySummary)
-}
-
-func (tc TelemetryConfig) withDefaults() TelemetryConfig {
-	if tc.Every == 0 {
-		tc.Every = 64
-	}
-	return tc
-}
-
 // latencyBuckets sizes the latency histograms: bucket 0 counts
 // zero-slot latencies, bucket i counts [2^(i-1), 2^i) slots, the last
 // bucket absorbs the tail.
@@ -121,24 +82,32 @@ type TelemetrySummary struct {
 	NodeCostNS []uint64 `json:"nodeCostNS,omitempty"`
 }
 
-// telCollector is the per-network sampling state. Hot-path counters are
-// single-writer under the sharding ownership rules: linkMoved[li] is
-// incremented only by the draining (destination) shard, the per-flow
-// ledgers only by the flow's destination shard, and per-shard latency
-// buckets live on the shard itself (shard.telLat). Everything merges in
-// take(), which runs single-threaded at the slot barrier.
+// telCollector is the per-network sampling state behind
+// Config.Telemetry: every Every slots the kernel emits one
+// TelemetrySample covering the interval since the previous sample —
+// dynamic/static power, end-to-end cell counters, per-link utilization
+// and queue occupancy, per-node ingress backlog, DPM state residency,
+// fault up/down state, and a cell-latency histogram — and at the end
+// of Run one TelemetrySummary with per-flow delivery counts and
+// latency histograms.
+//
+// It follows the fault plan's contract with the hot loop: a nil config
+// leaves the kernel on its telemetry-free fast path (every telemetry
+// branch is guarded and not taken). Hot-path counters are single-writer
+// under the sharding ownership rules: linkMoved[li] is incremented only
+// by the draining (destination) shard, the per-flow ledgers only by the
+// flow's destination shard, and per-shard latency buckets live on the
+// shard itself (shard.telLat). Everything merges in take(), which runs
+// single-threaded at the slot barrier, so emitted series are
+// bit-identical for any shard count. Sampling reuses one sample struct
+// and never allocates; only the caller's sink does.
 type telCollector struct {
-	cfg    TelemetryConfig
-	slotNS float64
-
-	startSlot uint64 // inclusive start of the current interval
-	nextSlot  uint64 // first slot that triggers the next sample
-
-	sample TelemetrySample
-	// tap differences the routers' energy, drop and DPM ledgers;
-	// the last* fields are the end-to-end baselines. Both are rebased
-	// to zero when beginMeasurement resets the underlying ledgers.
-	tap             sim.LedgerTap
+	// Sampler keeps the interval clock and differences the routers'
+	// energy, drop and DPM ledgers; the last* fields are the end-to-end
+	// baselines. Both are rebased to zero when beginMeasurement resets
+	// the underlying ledgers.
+	sim.Sampler
+	sample          TelemetrySample
 	lastOffered     uint64
 	lastDelivered   uint64
 	lastLinkDropped uint64
@@ -151,11 +120,8 @@ type telCollector struct {
 }
 
 func newTelCollector(n *Network) *telCollector {
-	cfg := n.cfg.Telemetry.withDefaults()
 	t := &telCollector{
-		cfg:           cfg,
-		slotNS:        n.cfg.Model.Tech.CellTimeNS(n.cfg.CellBits),
-		nextSlot:      cfg.Every,
+		Sampler:       sim.NewSampler(n.cfg.Telemetry, n.cfg.Model.Tech.CellTimeNS(n.cfg.CellBits)),
 		linkMoved:     make([]uint64, len(n.links)),
 		flowDelivered: make([]uint64, len(n.flows)),
 		flowHist:      make([][]uint64, len(n.flows)),
@@ -176,7 +142,7 @@ func newTelCollector(n *Network) *telCollector {
 	return t
 }
 
-// take closes the interval [t.startSlot, slot), fills the reused sample
+// take closes the interval ending at slot, fills the reused sample
 // and hands it to the sink. Runs single-threaded between slots (from
 // Step before the phases, from beginMeasurement, and at the end of
 // Run), so every ledger it reads is quiescent. Allocation-free.
@@ -187,9 +153,7 @@ func (n *Network) take(slot uint64) {
 	}
 	n.catchUpAll(slot)
 	t := n.tel
-	interval := slot - t.startSlot
-	t.startSlot = slot
-	t.nextSlot = slot + t.cfg.Every
+	interval := t.Close(slot)
 	if interval == 0 {
 		return
 	}
@@ -207,7 +171,7 @@ func (n *Network) take(slot uint64) {
 		smp.NodeQueues[u] = q
 		queued += q
 	}
-	smp.DynamicMW, smp.StaticMW, smp.NodeDroppedCells, smp.DPM = t.tap.Interval(now, float64(interval)*t.slotNS)
+	smp.DynamicMW, smp.StaticMW, smp.NodeDroppedCells, smp.DPM = t.Difference(now, interval)
 	smp.QueuedCells = queued
 
 	// End-to-end counters and latency buckets: merge the shard-private
@@ -253,9 +217,7 @@ func (n *Network) take(slot uint64) {
 		}
 	}
 
-	if t.cfg.OnSample != nil {
-		t.cfg.OnSample(smp)
-	}
+	t.Emit(smp)
 	if n.prof != nil {
 		// The telemetry merge is coordinator work; show it on the
 		// coordinator row so sampling cost is visible in the trace.
@@ -266,7 +228,7 @@ func (n *Network) take(slot uint64) {
 // rebase zeroes the delta baselines after beginMeasurement reset the
 // cumulative ledgers underneath them.
 func (t *telCollector) rebase() {
-	t.tap.Rebase()
+	t.Rebase()
 	t.lastOffered, t.lastDelivered, t.lastLinkDropped = 0, 0, 0
 }
 

@@ -35,15 +35,10 @@ func marshalStream(t *testing.T, build func() (*Topology, error), shards int) []
 	cfg.Shards = shards
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	cfg.Telemetry = &TelemetryConfig{
+	cfg.Telemetry = &sim.TelemetryConfig{
 		Every: 50,
-		OnSample: func(s *TelemetrySample) {
-			if err := enc.Encode(s); err != nil {
-				t.Fatal(err)
-			}
-		},
-		OnSummary: func(s *TelemetrySummary) {
-			if err := enc.Encode(s); err != nil {
+		Emit: func(v any) {
+			if err := enc.Encode(v); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -104,12 +99,7 @@ func TestTelemetryDoesNotPerturbReport(t *testing.T) {
 			{Slot: 300, Node: -1, From: 0, To: 1, Down: false},
 		}}
 		if withTel {
-			cfg.Telemetry = &TelemetryConfig{
-				Every:    32,
-				OnSample: func(*TelemetrySample) {},
-				OnSummary: func(*TelemetrySummary) {
-				},
-			}
+			cfg.Telemetry = &sim.TelemetryConfig{Every: 32, Emit: func(any) {}}
 		}
 		net, err := New(cfg)
 		if err != nil {
@@ -166,9 +156,14 @@ func TestTelemetrySampleLedger(t *testing.T) {
 	var nodeDropped uint64
 	var act sim.DPMTelemetry
 	slotNS := cfg.Model.Tech.CellTimeNS(cfg.CellBits)
-	cfg.Telemetry = &TelemetryConfig{
+	cfg.Telemetry = &sim.TelemetryConfig{
 		Every: 100,
-		OnSample: func(s *TelemetrySample) {
+		Emit: func(v any) {
+			s, ok := v.(*TelemetrySample)
+			if !ok {
+				summary = v.(*TelemetrySummary)
+				return
+			}
 			// mW × ns = pJ = 1e3 fJ.
 			energyFJ += (s.DynamicMW + s.StaticMW) * float64(s.Interval) * slotNS * 1e3
 			nodeDropped += s.NodeDroppedCells
@@ -198,7 +193,6 @@ func TestTelemetrySampleLedger(t *testing.T) {
 			}
 			snaps = append(snaps, sn)
 		},
-		OnSummary: func(s *TelemetrySummary) { summary = s },
 	}
 	net, err := New(cfg)
 	if err != nil {
@@ -326,9 +320,9 @@ func TestTelemetrySlotLoopAllocationFree(t *testing.T) {
 				return &cutoffSource{inner: src, cutoff: 500}, nil
 			}}
 			var samples int
-			cfg.Telemetry = &TelemetryConfig{
-				Every:    64,
-				OnSample: func(*TelemetrySample) { samples++ },
+			cfg.Telemetry = &sim.TelemetryConfig{
+				Every: 64,
+				Emit:  func(any) { samples++ },
 			}
 			net, err := New(cfg)
 			if err != nil {

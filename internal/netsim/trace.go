@@ -31,7 +31,7 @@ type TraceConfig struct {
 	// Recorder receives the spans (required).
 	Recorder *trace.Recorder
 	// Every is the sampling interval in slots (default 64, like
-	// TelemetryConfig.Every). Only sampled slots are timed and emitted,
+	// sim.TelemetryConfig.Every). Only sampled slots are timed and emitted,
 	// which keeps tracing-on overhead a few percent and a ring of
 	// DefaultSpanCap spans covering a long trailing window.
 	Every uint64

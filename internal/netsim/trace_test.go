@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"fabricpower/internal/sim"
 	"fabricpower/internal/telemetry/trace"
 )
 
@@ -205,7 +206,11 @@ func TestTraceSummaryNodeCost(t *testing.T) {
 	}
 	cfg := traceTestConfig(topo)
 	var sum *TelemetrySummary
-	cfg.Telemetry = &TelemetryConfig{Every: 50, OnSummary: func(s *TelemetrySummary) { sum = s }}
+	cfg.Telemetry = &sim.TelemetryConfig{Every: 50, Emit: func(v any) {
+		if s, ok := v.(*TelemetrySummary); ok {
+			sum = s
+		}
+	}}
 	cfg.Trace = &TraceConfig{Recorder: trace.NewRecorder(0), Every: 32}
 	net, err := New(cfg)
 	if err != nil {

@@ -83,11 +83,11 @@ func Run(r *router.Router, gen Generator, tp tech.Params, cellBits int, opt Opti
 	mgr := opt.DPM
 	var pr *probe
 	if opt.Telemetry != nil {
-		pr = newProbe(*opt.Telemetry, tp, cellBits)
+		pr = newProbe(opt.Telemetry, tp, cellBits)
 	}
 	slot := uint64(0)
 	for ; slot < opt.WarmupSlots; slot++ {
-		if pr != nil && slot >= pr.nextSlot {
+		if pr != nil && pr.Due(slot) {
 			pr.take(slot, r, mgr)
 		}
 		runSlot(r, gen, mgr, slot)
@@ -98,19 +98,11 @@ func Run(r *router.Router, gen Generator, tp tech.Params, cellBits int, opt Opti
 		pr.take(slot, r, mgr)
 		pr.rebase()
 	}
-	r.ResetMetrics()
-	r.Fabric().ResetEnergy()
-	if mgr != nil {
-		mgr.BeginMeasurement()
-	}
-	var bufferBase uint64
-	if bc, ok := r.Fabric().(bufferEventCounter); ok {
-		bufferBase = bc.BufferEvents()
-	}
+	bufferBase := BeginWindow(r, mgr)
 
 	end := opt.WarmupSlots + opt.MeasureSlots
 	for ; slot < end; slot++ {
-		if pr != nil && slot >= pr.nextSlot {
+		if pr != nil && pr.Due(slot) {
 			pr.take(slot, r, mgr)
 		}
 		runSlot(r, gen, mgr, slot)
@@ -156,11 +148,27 @@ func runSlot(r *router.Router, gen Generator, mgr *dpm.Manager, slot uint64) {
 	}
 }
 
+// BeginWindow opens router r's measured window, the opening half of
+// Snapshot: it resets the router's metrics, its fabric's energy and,
+// when mgr is non-nil, the manager's ledgers, and returns the fabric's
+// BufferEvents reading for Snapshot's bufferBase (0 for a fabric
+// without buffers).
+func BeginWindow(r *router.Router, mgr *dpm.Manager) (bufferBase uint64) {
+	r.ResetMetrics()
+	r.Fabric().ResetEnergy()
+	if mgr != nil {
+		mgr.BeginMeasurement()
+	}
+	if bc, ok := r.Fabric().(bufferEventCounter); ok {
+		bufferBase = bc.BufferEvents()
+	}
+	return bufferBase
+}
+
 // Snapshot assembles a Result from the router's current measured
 // window: metrics and fabric energy accumulated since the last
-// ResetMetrics/ResetEnergy (and, with a manager, BeginMeasurement) over
-// slots slots. bufferBase is the fabric's BufferEvents reading at the
-// reset. External drivers that step routers themselves — the network
+// BeginWindow over slots slots; bufferBase is what BeginWindow
+// returned. External drivers that step routers themselves — the network
 // kernel in internal/netsim steps many in lockstep, possibly sharded
 // across goroutines — use it to close their windows with exactly Run's
 // accounting; callers must quiesce their stepping (netsim's phase

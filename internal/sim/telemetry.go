@@ -6,26 +6,23 @@ import (
 	"fabricpower/internal/tech"
 )
 
-// TelemetryConfig attaches an every-K-slots probe to a single-router
-// run: each sample covers the interval since the previous one with the
-// same power accounting Snapshot uses for the whole window. A nil
-// config leaves Run on its probe-free fast path; results are identical
-// either way, because the probe only reads ledgers the run already
-// keeps.
+// TelemetryConfig attaches an every-K-slots sampler to a run of either
+// kernel: Run's single router (Options.Telemetry) or a network
+// (netsim.Config.Telemetry). Each sample covers the interval since the
+// previous one with the same power accounting Snapshot uses for the
+// whole window. A nil config leaves the kernel on its telemetry-free
+// fast path; results are identical either way, because sampling only
+// reads ledgers the run already keeps.
 type TelemetryConfig struct {
 	// Every is the sample interval in slots (default 64).
 	Every uint64
-	// OnSample receives each interval sample. The pointed-to sample is
-	// reused across intervals: sinks must consume or copy it before
-	// returning.
-	OnSample func(*TelemetrySample)
-}
-
-func (tc TelemetryConfig) withDefaults() TelemetryConfig {
-	if tc.Every == 0 {
-		tc.Every = 64
-	}
-	return tc
+	// Emit receives every record of the run: a *TelemetrySample per
+	// interval from Run, a *netsim.TelemetrySample per interval and a
+	// *netsim.TelemetrySummary at the end of each network Run. Samples
+	// are reused across intervals: sinks must consume or copy them
+	// before returning. A summary is freshly allocated and may be
+	// retained. Nil samples without emitting.
+	Emit func(any)
 }
 
 // DPMTelemetry is the power managers' state-machine activity over
@@ -73,24 +70,58 @@ func (l *Ledger) Read(r *router.Router, mgr *dpm.Manager) {
 	l.DroppedCells += r.Metrics().DroppedCells
 }
 
-// LedgerTap turns successive Ledger readings into interval figures.
-// Rebase it when the ledgers underneath are reset (after warmup).
-type LedgerTap struct {
+// Sampler is the interval clock both kernels' telemetry collectors
+// share: it closes intervals every TelemetryConfig.Every slots and
+// differences successive Ledger readings into interval figures. The
+// kernels keep only what is their own: the sample they fill and their
+// end-to-end baselines.
+type Sampler struct {
+	every  uint64
+	emit   func(any)
+	slotNS float64
+
+	start uint64 // inclusive start of the current interval
+	next  uint64 // first slot that closes the current interval
+
 	last Ledger
 	dpm  DPMTelemetry
 }
 
-// Interval closes an interval of durationNS at reading now: the
-// dynamic and static power over it, the cells dropped during it, and
-// its DPM activity (nil when now read no manager). The returned
-// pointer is reused by the next call.
-func (t *LedgerTap) Interval(now Ledger, durationNS float64) (dynamicMW, staticMW float64, dropped uint64, act *DPMTelemetry) {
-	dynamicMW = tech.PowerMW(now.DynamicFJ-t.last.DynamicFJ, durationNS)
-	staticMW = tech.PowerMW(now.StaticFJ-t.last.StaticFJ, durationNS)
-	dropped = now.DroppedCells - t.last.DroppedCells
+// NewSampler starts a sampler at slot 0 for a kernel whose slots last
+// slotNS nanoseconds.
+func NewSampler(cfg *TelemetryConfig, slotNS float64) Sampler {
+	every := cfg.Every
+	if every == 0 {
+		every = 64
+	}
+	return Sampler{every: every, emit: cfg.Emit, slotNS: slotNS, next: every}
+}
+
+// Due reports whether slot closes the current interval.
+func (s *Sampler) Due(slot uint64) bool { return slot >= s.next }
+
+// Close ends the interval [start, slot), starts the next one at slot
+// and returns the ended interval's length in slots (zero: nothing to
+// sample).
+func (s *Sampler) Close(slot uint64) (interval uint64) {
+	interval = slot - s.start
+	s.start = slot
+	s.next = slot + s.every
+	return interval
+}
+
+// Difference turns reading now, taken at the end of an interval of the
+// given slots, into that interval's figures: the dynamic and static power over it, the cells dropped
+// during it, and its DPM activity (nil when now read no manager). The
+// returned pointer is reused by the next call.
+func (s *Sampler) Difference(now Ledger, interval uint64) (dynamicMW, staticMW float64, dropped uint64, act *DPMTelemetry) {
+	durationNS := float64(interval) * s.slotNS
+	dynamicMW = tech.PowerMW(now.DynamicFJ-s.last.DynamicFJ, durationNS)
+	staticMW = tech.PowerMW(now.StaticFJ-s.last.StaticFJ, durationNS)
+	dropped = now.DroppedCells - s.last.DroppedCells
 	if now.Managed {
-		d, prev := &now.DPM, &t.last.DPM
-		t.dpm = DPMTelemetry{
+		d, prev := &now.DPM, &s.last.DPM
+		s.dpm = DPMTelemetry{
 			GatedPortSlots: d.GatedPortSlots - prev.GatedPortSlots,
 			DrowsySlots:    d.DrowsySlots - prev.DrowsySlots,
 			StalledSlots:   d.StalledSlots - prev.StalledSlots,
@@ -98,14 +129,22 @@ func (t *LedgerTap) Interval(now Ledger, durationNS float64) (dynamicMW, staticM
 			WakeEvents:     d.WakeEvents - prev.WakeEvents,
 			DVFSShifts:     d.DVFSShifts - prev.DVFSShifts,
 		}
-		act = &t.dpm
+		act = &s.dpm
 	}
-	t.last = now
+	s.last = now
 	return dynamicMW, staticMW, dropped, act
 }
 
-// Rebase zeroes the baseline after the ledgers were reset.
-func (t *LedgerTap) Rebase() { t.last = Ledger{} }
+// Rebase zeroes the ledger baseline after BeginWindow reset the
+// ledgers underneath it.
+func (s *Sampler) Rebase() { s.last = Ledger{} }
+
+// Emit hands v to the config's sink, if there is one.
+func (s *Sampler) Emit(v any) {
+	if s.emit != nil {
+		s.emit(v)
+	}
+}
 
 // TelemetrySample is one interval of a single-router time series. Slot
 // is the exclusive end of the covered window [Slot-Interval, Slot);
@@ -129,34 +168,22 @@ type TelemetrySample struct {
 
 // probe is the run-scoped sampling state behind Options.Telemetry.
 type probe struct {
-	cfg    TelemetryConfig
-	slotNS float64
-
-	startSlot uint64
-	nextSlot  uint64
-
-	sample TelemetrySample
-	tap    LedgerTap
-
+	Sampler
+	sample        TelemetrySample
 	lastDelivered uint64
 }
 
-func newProbe(cfg TelemetryConfig, tp tech.Params, cellBits int) *probe {
-	cfg = cfg.withDefaults()
+func newProbe(cfg *TelemetryConfig, tp tech.Params, cellBits int) *probe {
 	return &probe{
-		cfg:      cfg,
-		slotNS:   tp.CellTimeNS(cellBits),
-		nextSlot: cfg.Every,
-		sample:   TelemetrySample{Kind: "sim_sample"},
+		Sampler: NewSampler(cfg, tp.CellTimeNS(cellBits)),
+		sample:  TelemetrySample{Kind: "sim_sample"},
 	}
 }
 
-// take closes the interval [p.startSlot, slot) against the router's
+// take closes the interval ending at slot against the router's
 // cumulative ledgers and hands the reused sample to the sink.
 func (p *probe) take(slot uint64, r *router.Router, mgr *dpm.Manager) {
-	interval := slot - p.startSlot
-	p.startSlot = slot
-	p.nextSlot = slot + p.cfg.Every
+	interval := p.Close(slot)
 	if interval == 0 {
 		return
 	}
@@ -166,21 +193,18 @@ func (p *probe) take(slot uint64, r *router.Router, mgr *dpm.Manager) {
 
 	var now Ledger
 	now.Read(r, mgr)
-	smp.DynamicMW, smp.StaticMW, smp.DroppedCells, smp.DPM = p.tap.Interval(now, float64(interval)*p.slotNS)
+	smp.DynamicMW, smp.StaticMW, smp.DroppedCells, smp.DPM = p.Difference(now, interval)
 
 	delivered := r.Metrics().DeliveredCells
 	smp.DeliveredCells = delivered - p.lastDelivered
 	p.lastDelivered = delivered
 	smp.QueuedCells = r.QueuedCells()
 	smp.BufferedCells = r.BufferedCells()
-
-	if p.cfg.OnSample != nil {
-		p.cfg.OnSample(smp)
-	}
+	p.Emit(smp)
 }
 
 // rebase zeroes the delta baselines after the warmup reset.
 func (p *probe) rebase() {
-	p.tap.Rebase()
+	p.Rebase()
 	p.lastDelivered = 0
 }

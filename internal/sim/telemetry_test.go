@@ -47,7 +47,8 @@ func TestTelemetrySampleLedger(t *testing.T) {
 	res, err := Run(r, testGen(t, ports, 0.35, 9), model.Tech, cell.CellBits, Options{
 		MeasureSlots: slots,
 		DPM:          mgr,
-		Telemetry: &TelemetryConfig{Every: every, OnSample: func(s *TelemetrySample) {
+		Telemetry: &TelemetryConfig{Every: every, Emit: func(v any) {
+			s := v.(*TelemetrySample)
 			// mW × ns = pJ = 1e3 fJ.
 			energyFJ += (s.DynamicMW + s.StaticMW) * float64(s.Interval) * slotNS * 1e3
 			covered += s.Interval

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"sync"
 	"time"
 
@@ -54,7 +55,7 @@ type (
 // describe the same operating point measure identical results —
 // regardless of which subcommand, grid or test constructed them.
 func RunScenario(sc Scenario) (Result, error) {
-	return runScenario(sc, nil, nil, nil)
+	return runScenario(sc, nil, nil)
 }
 
 // pointTrace carries one point's execution-profiler attachment: the
@@ -66,11 +67,11 @@ type pointTrace struct {
 	prefix string
 }
 
-// runScenario is RunScenario with an optional telemetry tap and
-// execution profiler: topt tunes the kernel collectors, emit receives
-// each kernel sample/summary (the pointed-to values are reused — emit
-// must consume them synchronously), pt attaches the profiler.
-func runScenario(sc Scenario, topt *TelemetryOptions, emit func(any), pt *pointTrace) (Result, error) {
+// runScenario is RunScenario with an optional telemetry sampler and
+// execution profiler: tel goes to whichever kernel runs the point (its
+// Emit receives each kernel sample and summary; samples are reused, so
+// it must consume them synchronously), pt attaches the profiler.
+func runScenario(sc Scenario, tel *sim.TelemetryConfig, pt *pointTrace) (Result, error) {
 	if err := sc.validatePoint(); err != nil {
 		return Result{}, err
 	}
@@ -80,9 +81,9 @@ func runScenario(sc Scenario, topt *TelemetryOptions, emit func(any), pt *pointT
 		return Result{}, err
 	}
 	if sd.Network != nil {
-		return runNetwork(sd, model, topt, emit, pt)
+		return runNetwork(sd, model, tel, pt)
 	}
-	return runSingle(sd, model, topt, emit)
+	return runSingle(sd, model, tel)
 }
 
 func parseQueue(name string) (router.QueueDiscipline, error) {
@@ -134,7 +135,7 @@ func generator(spec TrafficSpec, ports int, cfg packet.Config, seed int64) (sim.
 }
 
 // runSingle executes a defaulted single-router scenario.
-func runSingle(sd Scenario, model core.Model, topt *TelemetryOptions, emit func(any)) (Result, error) {
+func runSingle(sd Scenario, model core.Model, tel *sim.TelemetryConfig) (Result, error) {
 	arch, err := core.ParseArchitecture(sd.Fabric.Arch)
 	if err != nil {
 		return Result{}, err
@@ -186,12 +187,7 @@ func runSingle(sd Scenario, model core.Model, topt *TelemetryOptions, emit func(
 		WarmupSlots:  *sd.Sim.WarmupSlots,
 		MeasureSlots: sd.Sim.MeasureSlots,
 		DPM:          mgr,
-	}
-	if emit != nil {
-		opts.Telemetry = &sim.TelemetryConfig{
-			Every:    topt.Every,
-			OnSample: func(s *sim.TelemetrySample) { emit(s) },
-		}
+		Telemetry:    tel,
 	}
 	return sim.Run(r, gen, model.Tech, sd.Fabric.CellBits, opts)
 }
@@ -222,7 +218,7 @@ func faultPlan(f *FailureSpec) *netsim.FaultPlan {
 }
 
 // runNetwork executes a defaulted network scenario.
-func runNetwork(sd Scenario, model core.Model, topt *TelemetryOptions, emit func(any), pt *pointTrace) (Result, error) {
+func runNetwork(sd Scenario, model core.Model, tel *sim.TelemetryConfig, pt *pointTrace) (Result, error) {
 	arch, err := core.ParseArchitecture(sd.Fabric.Arch)
 	if err != nil {
 		return Result{}, err
@@ -267,13 +263,7 @@ func runNetwork(sd Scenario, model core.Model, topt *TelemetryOptions, emit func
 		IdleSkip:       ns.IdleSkip,
 		Seed:           sweep.NetworkSeed(sd.Sim.Seed, ns.Topology, ns.Nodes, sd.Traffic.Load),
 		Faults:         faultPlan(ns.Failures),
-	}
-	if emit != nil {
-		ncfg.Telemetry = &netsim.TelemetryConfig{
-			Every:     topt.Every,
-			OnSample:  func(s *netsim.TelemetrySample) { emit(s) },
-			OnSummary: func(s *netsim.TelemetrySummary) { emit(s) },
-		}
+		Telemetry:      tel,
 	}
 	if pt != nil {
 		ncfg.Trace = &netsim.TraceConfig{Recorder: pt.rec, PID: pt.pid, Prefix: pt.prefix}
@@ -432,10 +422,8 @@ func (g Grid) Run(ctx context.Context, opt RunOptions) (*GridResult, error) {
 	var mu sync.Mutex
 	n := len(scenarios)
 	var telw *telemetry.Writer
-	var topt *TelemetryOptions
 	if opt.Telemetry != nil && opt.Telemetry.Out != nil {
-		topt = opt.Telemetry
-		telw = telemetry.NewWriter(topt.Out)
+		telw = telemetry.NewWriter(opt.Telemetry.Out)
 	}
 	results, done, err := sweep.Map(ctx, opt.Workers, scenarios, func(worker, i int, sc Scenario) (Result, error) {
 		if opt.OnEvent != nil {
@@ -446,44 +434,24 @@ func (g Grid) Run(ctx context.Context, opt RunOptions) (*GridResult, error) {
 			})
 			mu.Unlock()
 		}
-		// Kernel samples are buffered per point (the kernels reuse their
+		// Kernel records are buffered per point (the kernels reuse their
 		// sample structs, so each is marshaled as it arrives) and
 		// flushed as one contiguous block when the point completes.
 		var recs []json.RawMessage
-		var emit func(any)
+		var tel *sim.TelemetryConfig
 		if telw != nil {
-			emit = func(v any) {
-				var rec any
-				switch s := v.(type) {
-				case *netsim.TelemetrySample:
-					rec = struct {
-						Point int `json:"point"`
-						*netsim.TelemetrySample
-					}{i, s}
-				case *netsim.TelemetrySummary:
-					rec = struct {
-						Point int `json:"point"`
-						*netsim.TelemetrySummary
-					}{i, s}
-				case *sim.TelemetrySample:
-					rec = struct {
-						Point int `json:"point"`
-						*sim.TelemetrySample
-					}{i, s}
-				default:
-					rec = v
+			tel = &sim.TelemetryConfig{Every: opt.Telemetry.Every, Emit: func(v any) {
+				if b, merr := json.Marshal(v); merr == nil {
+					recs = append(recs, tagPoint(i, b))
 				}
-				if b, merr := json.Marshal(rec); merr == nil {
-					recs = append(recs, b)
-				}
-			}
+			}}
 		}
 		var pt *pointTrace
 		if opt.Trace != nil {
 			pt = &pointTrace{rec: opt.Trace, pid: i + 1, prefix: fmt.Sprintf("p%d ", i)}
 		}
 		start := time.Now()
-		r, rerr := runScenario(sc, topt, emit, pt)
+		r, rerr := runScenario(sc, tel, pt)
 		dur := time.Since(start)
 		mu.Lock()
 		for _, b := range recs {
@@ -515,4 +483,14 @@ func (g Grid) Run(ctx context.Context, opt RunOptions) (*GridResult, error) {
 		}
 	}
 	return out, err
+}
+
+// tagPoint splices "point":i in as the first member of the marshaled
+// record obj: the same bytes as marshaling a struct that embeds the
+// record behind a leading Point field.
+func tagPoint(i int, obj []byte) json.RawMessage {
+	rec := append(make([]byte, 0, len(obj)+16), `{"point":`...)
+	rec = strconv.AppendInt(rec, int64(i), 10)
+	rec = append(rec, ',')
+	return append(rec, obj[1:]...)
 }
