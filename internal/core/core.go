@@ -129,18 +129,13 @@ func (b *Breakdown) Accumulate(c Component, fj float64) {
 	}
 }
 
-// NodeBufferBits is each buffered node's share of the shared SRAM: the
-// paper's 4 Kbit per Banyan node, following the "a few packets is
-// enough" results it cites.
-const NodeBufferBits = 4096
-
 // Model holds what a spec can vary in the bit-energy framework: the
 // technology point and the buffer accounting, plus the static-power
 // extension. The paper's tables are not fields: the node-switch LUTs are
 // always Table 1's (energy.PaperCrosspointFJ, PaperBanyanFJ,
 // PaperBatcherFJ and, at the fabric's port count, PaperMuxEnergyFJ), the
 // buffer access energy is Table 2's (sram.AccessEnergyFJPerBit) and each
-// buffered node holds NodeBufferBits.
+// buffered node holds sram.NodeBufferBits.
 type Model struct {
 	// Tech is the process operating point (E_T derivation, voltages).
 	Tech tech.Params
@@ -211,7 +206,7 @@ func (m Model) Validate() error {
 // fabric size implies (Table 2), times BufferAccessesPerEvent, divided by
 // BufferAccessGranularityBits. SRAM has no refresh term.
 func (m Model) BanyanBufferBitEnergyFJ(dim int) (float64, error) {
-	spec, err := sram.BanyanBufferSpec(dim, NodeBufferBits)
+	spec, err := sram.BanyanBufferSpec(dim)
 	if err != nil {
 		return 0, err
 	}

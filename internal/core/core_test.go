@@ -277,7 +277,7 @@ func TestBufferPenaltyDominates(t *testing.T) {
 func TestBanyanBufferBitEnergyEq1(t *testing.T) {
 	for _, m := range []Model{PaperModel(), PerWordModel()} {
 		for dim := 2; dim <= 5; dim++ {
-			spec, err := sram.BanyanBufferSpec(dim, NodeBufferBits)
+			spec, err := sram.BanyanBufferSpec(dim)
 			if err != nil {
 				t.Fatal(err)
 			}

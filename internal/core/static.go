@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"fabricpower/internal/sram"
+)
 
 // StaticPower extends the bit-energy framework with the always-on power
 // the DAC 2002 model omits: leakage and clock-tree power drawn by every
@@ -145,7 +149,7 @@ func (m Model) Inventory(a Architecture, n int) (Inventory, error) {
 			SwitchNodes:       dim * n / 2,
 			WireDrivers:       dim * n,
 			BufferBanks:       dim * n / 2,
-			BufferBitsPerBank: NodeBufferBits,
+			BufferBitsPerBank: sram.NodeBufferBits,
 		}, nil
 	case BatcherBanyan:
 		dim, err := dimOf(n)

@@ -120,7 +120,7 @@ func Characterize(sw *circuits.Switch, opt CharOptions) (Table, error) {
 	}
 
 	if n <= opt.MaxDenseInputs {
-		lut, err := NewDenseLUT(sw.Name+"(char)", n)
+		lut, err := NewDenseLUT(n)
 		if err != nil {
 			return nil, err
 		}
@@ -138,7 +138,7 @@ func Characterize(sw *circuits.Switch, opt CharOptions) (Table, error) {
 
 	// Wide switch: one representative vector per occupancy count, with
 	// the occupied ports spread across the range.
-	lut, err := NewPopcountLUT(sw.Name+"(char)", n)
+	lut, err := NewPopcountLUT(n)
 	if err != nil {
 		return nil, err
 	}

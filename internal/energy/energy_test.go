@@ -21,12 +21,9 @@ func TestVectorPopcountAndString(t *testing.T) {
 }
 
 func TestDenseLUTBasics(t *testing.T) {
-	l, err := NewDenseLUT("test", 2)
+	l, err := NewDenseLUT(2)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if l.Name() != "test" || l.Inputs() != 2 {
-		t.Fatal("metadata")
 	}
 	if err := l.Set(0b11, 100); err != nil {
 		t.Fatal(err)
@@ -46,16 +43,16 @@ func TestDenseLUTBasics(t *testing.T) {
 }
 
 func TestDenseLUTRejectsBadSizes(t *testing.T) {
-	if _, err := NewDenseLUT("x", 0); err == nil {
+	if _, err := NewDenseLUT(0); err == nil {
 		t.Fatal("0 inputs should fail")
 	}
-	if _, err := NewDenseLUT("x", 17); err == nil {
+	if _, err := NewDenseLUT(17); err == nil {
 		t.Fatal("17 inputs should fail (dense cap)")
 	}
 }
 
 func TestPopcountLUTBasics(t *testing.T) {
-	l, err := NewPopcountLUT("mux", 8)
+	l, err := NewPopcountLUT(8)
 	if err != nil {
 		t.Fatal(err)
 	}

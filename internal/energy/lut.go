@@ -45,8 +45,6 @@ func (v Vector) String() string {
 // Table is an input-vector indexed bit-energy table for one switch type.
 // EnergyFJ returns the switch's energy per bit-time in state v, in fJ.
 type Table interface {
-	Name() string
-	Inputs() int
 	EnergyFJ(v Vector) float64
 }
 
@@ -54,25 +52,18 @@ type Table interface {
 // few inputs (2×2 switches, crosspoints), exactly the regime the paper
 // notes keeps 2ⁿ manageable.
 type DenseLUT struct {
-	name   string
 	inputs int
 	fj     []float64
 }
 
 // NewDenseLUT returns a zero-filled dense LUT for a switch with the given
 // number of inputs (must be 1..16).
-func NewDenseLUT(name string, inputs int) (*DenseLUT, error) {
+func NewDenseLUT(inputs int) (*DenseLUT, error) {
 	if inputs < 1 || inputs > 16 {
 		return nil, fmt.Errorf("energy: dense LUT supports 1..16 inputs, got %d", inputs)
 	}
-	return &DenseLUT{name: name, inputs: inputs, fj: make([]float64, 1<<uint(inputs))}, nil
+	return &DenseLUT{inputs: inputs, fj: make([]float64, 1<<uint(inputs))}, nil
 }
-
-// Name returns the switch-type name.
-func (l *DenseLUT) Name() string { return l.name }
-
-// Inputs returns the number of input ports.
-func (l *DenseLUT) Inputs() int { return l.inputs }
 
 // Set assigns the energy for one vector.
 func (l *DenseLUT) Set(v Vector, fj float64) error {
@@ -98,24 +89,17 @@ func (l *DenseLUT) EnergyFJ(v Vector) float64 {
 // wide switches (the N-input MUX) whose energy the paper reports as "very
 // close among different input vectors" for the same occupancy.
 type PopcountLUT struct {
-	name   string
 	inputs int
 	fj     []float64 // indexed by popcount 0..inputs
 }
 
 // NewPopcountLUT returns a zero-filled popcount LUT.
-func NewPopcountLUT(name string, inputs int) (*PopcountLUT, error) {
+func NewPopcountLUT(inputs int) (*PopcountLUT, error) {
 	if inputs < 1 || inputs > 64 {
 		return nil, fmt.Errorf("energy: popcount LUT supports 1..64 inputs, got %d", inputs)
 	}
-	return &PopcountLUT{name: name, inputs: inputs, fj: make([]float64, inputs+1)}, nil
+	return &PopcountLUT{inputs: inputs, fj: make([]float64, inputs+1)}, nil
 }
-
-// Name returns the switch-type name.
-func (l *PopcountLUT) Name() string { return l.name }
-
-// Inputs returns the number of input ports.
-func (l *PopcountLUT) Inputs() int { return l.inputs }
 
 // SetPopcount assigns the energy for all vectors with k occupied inputs.
 func (l *PopcountLUT) SetPopcount(k int, fj float64) error {

@@ -182,7 +182,7 @@ type Table2 struct {
 // RunTable2 regenerates the paper's Table 2 from the calibrated SRAM
 // access energy.
 func RunTable2() (*Table2, error) {
-	rows, err := sram.Table2([]int{2, 3, 4, 5}, core.NodeBufferBits)
+	rows, err := sram.Table2([]int{2, 3, 4, 5})
 	if err != nil {
 		return nil, err
 	}

@@ -25,6 +25,7 @@ import (
 
 	"fabricpower/internal/core"
 	"fabricpower/internal/packet"
+	"fabricpower/internal/sram"
 )
 
 // Config assembles everything a fabric model needs.
@@ -37,7 +38,7 @@ type Config struct {
 	// Model supplies the technology point and the buffer accounting.
 	Model core.Model
 	// BufferCells caps each Banyan node buffer, in cells. 0 derives it
-	// from core.NodeBufferBits / Cell.CellBits (the paper's 4 Kbit node
+	// from sram.NodeBufferBits / Cell.CellBits (the paper's 4 Kbit node
 	// buffer holds 4 cells of 1 Kbit).
 	BufferCells int
 	// FCAverageWires switches the fully-connected fabric from the
@@ -68,7 +69,7 @@ func (c Config) bufferCells() int {
 	if c.BufferCells > 0 {
 		return c.BufferCells
 	}
-	n := core.NodeBufferBits / c.Cell.CellBits
+	n := sram.NodeBufferBits / c.Cell.CellBits
 	if n < 1 {
 		n = 1
 	}

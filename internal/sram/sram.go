@@ -53,9 +53,13 @@ func AccessEnergyFJPerBit(capacityBits int) float64 {
 	return math.Max(floorFJ, linear)
 }
 
+// NodeBufferBits is each buffered node's share of the shared SRAM: the
+// paper's 4 Kbit per Banyan node, following the "a few packets is
+// enough" results it cites.
+const NodeBufferBits = 4096
+
 // BufferSpec sizes the shared buffer memory of a fabric: each buffered
-// node switch owns PerNodeBits of a shared SRAM (the paper uses 4 Kbit per
-// Banyan node, following the "a few packets is enough" results it cites).
+// node switch owns PerNodeBits of a shared SRAM.
 type BufferSpec struct {
 	PerNodeBits int
 	NumNodes    int
@@ -64,26 +68,15 @@ type BufferSpec struct {
 // SharedBits returns the total shared SRAM capacity.
 func (b BufferSpec) SharedBits() int { return b.PerNodeBits * b.NumNodes }
 
-// Validate reports whether the spec is usable.
-func (b BufferSpec) Validate() error {
-	if b.PerNodeBits <= 0 || b.NumNodes <= 0 {
-		return fmt.Errorf("sram: buffer spec must be positive, got %d bits × %d nodes", b.PerNodeBits, b.NumNodes)
-	}
-	return nil
-}
-
 // BanyanBufferSpec returns the buffer sizing for an N=2^dim Banyan fabric:
-// ½·N·log₂N node switches with perNodeBits each (Table 2's "Number of
+// ½·N·log₂N node switches with NodeBufferBits each (Table 2's "Number of
 // Switches" and "Shared SRAM Size" columns).
-func BanyanBufferSpec(dim, perNodeBits int) (BufferSpec, error) {
+func BanyanBufferSpec(dim int) (BufferSpec, error) {
 	if dim < 1 {
 		return BufferSpec{}, fmt.Errorf("sram: banyan dimension must be >= 1, got %d", dim)
 	}
-	if perNodeBits <= 0 {
-		return BufferSpec{}, fmt.Errorf("sram: per-node bits must be positive, got %d", perNodeBits)
-	}
 	n := 1 << uint(dim)
-	return BufferSpec{PerNodeBits: perNodeBits, NumNodes: n / 2 * dim}, nil
+	return BufferSpec{PerNodeBits: NodeBufferBits, NumNodes: n / 2 * dim}, nil
 }
 
 // Table2Row is one row of the paper's Table 2.
@@ -99,11 +92,11 @@ type Table2Row struct {
 }
 
 // Table2 regenerates the paper's Table 2 for the given fabric dimensions
-// (the paper's rows are dims 2,3,4,5 with 4 Kbit per node).
-func Table2(dims []int, perNodeBits int) ([]Table2Row, error) {
+// (the paper's rows are dims 2,3,4,5).
+func Table2(dims []int) ([]Table2Row, error) {
 	rows := make([]Table2Row, 0, len(dims))
 	for _, dim := range dims {
-		spec, err := BanyanBufferSpec(dim, perNodeBits)
+		spec, err := BanyanBufferSpec(dim)
 		if err != nil {
 			return nil, err
 		}

@@ -15,7 +15,7 @@ func TestTable2Reproduction(t *testing.T) {
 		{Ports: 16, Switches: 32, SharedKbit: 128, BitEnergyPJ: 154},
 		{Ports: 32, Switches: 80, SharedKbit: 320, BitEnergyPJ: 222},
 	}
-	rows, err := Table2([]int{2, 3, 4, 5}, 4096)
+	rows, err := Table2([]int{2, 3, 4, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestBanyanBufferSpec(t *testing.T) {
 	for _, tc := range []struct {
 		dim, switches int
 	}{{2, 4}, {3, 12}, {4, 32}, {5, 80}} {
-		spec, err := BanyanBufferSpec(tc.dim, 4096)
+		spec, err := BanyanBufferSpec(tc.dim)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,33 +68,15 @@ func TestBanyanBufferSpec(t *testing.T) {
 		if spec.SharedBits() != tc.switches*4096 {
 			t.Errorf("dim %d: shared bits %d", tc.dim, spec.SharedBits())
 		}
-		if err := spec.Validate(); err != nil {
-			t.Errorf("dim %d: %v", tc.dim, err)
-		}
 	}
-	if _, err := BanyanBufferSpec(0, 4096); err == nil {
+	if _, err := BanyanBufferSpec(0); err == nil {
 		t.Error("dim 0 should fail")
-	}
-	if _, err := BanyanBufferSpec(3, 0); err == nil {
-		t.Error("zero per-node bits should fail")
-	}
-}
-
-func TestBufferSpecValidate(t *testing.T) {
-	if err := (BufferSpec{PerNodeBits: 0, NumNodes: 4}).Validate(); err == nil {
-		t.Error("zero bits should fail")
-	}
-	if err := (BufferSpec{PerNodeBits: 4096, NumNodes: 0}).Validate(); err == nil {
-		t.Error("zero nodes should fail")
 	}
 }
 
 func TestTable2RejectsInvalidSizes(t *testing.T) {
-	if _, err := Table2([]int{0}, 4096); err == nil {
+	if _, err := Table2([]int{0}); err == nil {
 		t.Fatal("invalid dim should fail")
-	}
-	if _, err := Table2([]int{2}, 0); err == nil {
-		t.Fatal("zero per-node bits should fail")
 	}
 }
 
