@@ -36,11 +36,11 @@ type DPMTelemetry struct {
 	DVFSShifts     uint64 `json:"dvfsShifts"`
 }
 
-// Ledger is a cumulative reading of the ledgers a telemetry probe
-// differences into interval samples: fabric energy plus the DVFS
-// adjustment, static plus transition energy, ingress drops and the
-// DPM counters. Both kernels' probes read routers through it, so a
-// single router and a network sample the same accounting.
+// Ledger is a cumulative reading of the ledgers a Sampler differences
+// into interval samples: fabric energy plus the DVFS adjustment,
+// static plus transition energy, ingress drops and the DPM counters.
+// Both kernels read routers through it, so a single router and a
+// network sample the same accounting.
 type Ledger struct {
 	DynamicFJ    float64
 	StaticFJ     float64
