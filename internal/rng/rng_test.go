@@ -23,6 +23,7 @@ const (
 	opIntn
 	opExpFloat64
 	opPerm
+	opFill // Stream.Fill vs as many Source.Uint64 calls
 	numOps
 )
 
@@ -78,6 +79,14 @@ func diff(seed int64, prog []byte) string {
 			got, want = math.Float64bits(s.ExpFloat64()), math.Float64bits(o.ExpFloat64())
 		case opPerm:
 			got, want = r.Perm(arg), o.Perm(arg)
+		case opFill:
+			// Up to 1,576 words: past both wrap points of the register.
+			w := make([]uint64, 1+7*arg*arg)
+			s.Fill(w)
+			for j := range w {
+				w[j] -= o.Uint64()
+			}
+			got, want = w, make([]uint64, len(w))
 		}
 		if !reflect.DeepEqual(got, want) {
 			return fmt.Sprintf("seed %d, op %d (byte %#x): stream drew %v, math/rand %v", seed, i, b, got, want)
@@ -168,6 +177,92 @@ func FuzzStreamMatchesMathRand(f *testing.F) {
 	})
 }
 
+// TestFillMatchesUint64 fills runs of lengths on both sides of the
+// register's wrap points (the tap wraps first after 273 words from a
+// fresh seed, the feed after 334, both every 607) between single draws,
+// and checks every word against a twin stream drawn by Uint64.
+func TestFillMatchesUint64(t *testing.T) {
+	lengths := []int{1, 2, 272, 273, 274, 60, 333, 334, 335, 606, 607, 608, 1, 1214, 2048, 5000, 0, 3}
+	for _, seed := range edgeSeeds {
+		s, twin := rng.New(seed), rng.New(seed)
+		for i, n := range lengths {
+			w := make([]uint64, n)
+			s.Fill(w)
+			for j, got := range w {
+				if want := twin.Uint64(); got != want {
+					t.Fatalf("seed %d, fill %d (%d words): word %d = %#x, Uint64 drew %#x", seed, i, n, j, got, want)
+				}
+			}
+			if got, want := s.Uint64(), twin.Uint64(); got != want {
+				t.Fatalf("seed %d: Uint64 after fill %d = %#x, twin drew %#x", seed, i, got, want)
+			}
+		}
+	}
+}
+
+// float64Of is Float64's value for word w before its redraw test.
+func float64Of(w uint64) float64 { return float64(int64(w&(1<<63-1))) / (1 << 63) }
+
+// TestBelowBoundary checks Below(p) at its boundary for every threshold
+// the built-in sources use and for random p: the word just below it
+// draws a value < p, the word at it one ≥ p. The thresholds are 0, 1,
+// the bursty ON→OFF probability 1/meanBurst, and the smallest per-flow
+// rates at 128 hosts: a uniform matrix at 5% or 10% load over 127
+// destinations, and the bursty OFF→ON probability of those rates.
+func TestBelowBoundary(t *testing.T) {
+	ps := []float64{0, 1, 1.0 / 10, 1.0 / 12, 1.0 / 4, 0.5, 0.3, 1e-300, math.SmallestNonzeroFloat64, math.Nextafter(1, 0)}
+	for _, load := range []float64{0.05, 0.10} {
+		rate := load / 127
+		ps = append(ps, rate, rate/(10*(1-rate)), 1/(10*(1-rate)/rate))
+	}
+	meta := rand.New(rand.NewSource(38))
+	for i := 0; i < 2000; i++ {
+		ps = append(ps, meta.Float64(), math.Ldexp(meta.Float64(), -meta.Intn(70)))
+	}
+	for _, p := range ps {
+		b := rng.Below(p)
+		if b > 0 && float64Of(b-1) >= p {
+			t.Errorf("Below(%g) = %#x: word %#x draws %g, not below p", p, b, b-1, float64Of(b-1))
+		}
+		if float64Of(b) < p {
+			t.Errorf("Below(%g) = %#x: word %#x draws %g, below p", p, b, b, float64Of(b))
+		}
+	}
+	keep := rng.Below(1)
+	if float64Of(keep-1) >= 1 || float64Of(keep) != 1 || float64Of(1<<63-1) != 1 {
+		t.Errorf("Below(1) = %#x is not where Float64's redraws start", keep)
+	}
+	for _, p := range []float64{-1, math.Inf(-1), math.NaN()} {
+		if b := rng.Below(p); b != 0 {
+			t.Errorf("Below(%g) = %#x, want 0", p, b)
+		}
+	}
+	for _, p := range []float64{1.5, math.Inf(1)} {
+		if b := rng.Below(p); b != keep {
+			t.Errorf("Below(%g) = %#x, want Below(1) = %#x", p, b, keep)
+		}
+	}
+}
+
+// TestBelowCoinMatchesFloat64 draws the coin Float64() < p and the
+// integer coin from twin streams, word for word, redraws included.
+func TestBelowCoinMatchesFloat64(t *testing.T) {
+	keep := rng.Below(1)
+	for _, p := range []float64{0, 0.004, 0.1, 0.5, 0.9, 1} {
+		s, twin := rng.New(int64(p*1000)+1), rng.New(int64(p*1000)+1)
+		below := rng.Below(p)
+		for i := 0; i < 100000; i++ {
+			x := twin.Uint64() & (1<<63 - 1)
+			for x >= keep {
+				x = twin.Uint64() & (1<<63 - 1)
+			}
+			if got, want := x < below, s.Float64() < p; got != want {
+				t.Fatalf("p %g draw %d: integer coin %v, Float64 coin %v", p, i, got, want)
+			}
+		}
+	}
+}
+
 var (
 	sinkF float64
 	sinkU uint32
@@ -179,10 +274,12 @@ var (
 func TestStreamDrawsAllocationFree(t *testing.T) {
 	s := rng.New(7)
 	c := packet.NewPool(16, 0).Get()
+	var words [700]uint64
 	for name, f := range map[string]func(){
 		"Float64":    func() { sinkF = s.Float64() },
 		"Uint32":     func() { sinkU = s.Uint32() },
 		"FillRandom": func() { c.FillRandom(s) },
+		"Fill":       func() { s.Fill(words[:]) },
 		"Intn":       func() { sinkN = s.Intn(100) },
 		"ExpFloat64": func() { sinkF = s.ExpFloat64() },
 	} {
