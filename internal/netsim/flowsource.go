@@ -10,25 +10,34 @@ import (
 )
 
 // FlowSource is the per-hop injection seam of the network kernel: one
-// instance drives one flow's arrival process, a block of BlockSlots
-// slots at a time. Bit i of NextBlock(first) is the arrival decision
-// for slot first+i; the kernel injects a fresh cell at the flow's
-// source edge in every slot whose bit is set.
+// instance drives one flow's arrival process, a window of up to
+// windowBlocks blocks of BlockSlots slots at a time. NextBlocks(first,
+// dst) decides the len(dst) blocks that start at slot first: bit i of
+// dst[b] is the arrival decision for slot first+b·BlockSlots+i, and the
+// kernel injects a fresh cell at the flow's source edge in every slot
+// whose bit is set. It overwrites every word of dst.
 //
-// The owning shard calls NextBlock once per block, in ascending block
-// order with first a multiple of BlockSlots, from the block of the
-// network's first slot on. The mask must be a pure function of the
-// construction seed and the slots decided so far, and NextBlock must
-// not allocate: it runs on the slot hot path of every shard. Deciding
-// a block at once is exact because arrivals are exogenous: no source
-// reads simulation state, so the k-th slot's draws are the same
-// whether they run one per slot or 64 in a row.
+// The owning shard calls NextBlocks with 1 ≤ len(dst) ≤ windowBlocks,
+// from slot 0 on, each window starting at the slot after the last one
+// ended, so every slot is decided exactly once and in order; a window
+// never runs past the block that holds the last slot of the current
+// Run. The masks must be a pure function of the construction seed and
+// the slots decided so far — however they are cut into windows — and
+// NextBlocks must not allocate: it runs on the slot hot path of every
+// shard. Deciding a window at once is exact because arrivals are
+// exogenous: no source reads simulation state, so the k-th slot's draws
+// are the same whether they run one per slot or thousands in a row.
 type FlowSource interface {
-	NextBlock(first uint64) uint64
+	NextBlocks(first uint64, dst []uint64)
 }
 
-// BlockSlots is the number of slots one NextBlock call decides.
+// BlockSlots is the number of slots one mask word decides.
 const BlockSlots = 64
+
+// windowBlocks is the most blocks one NextBlocks call decides: 2,048
+// slots, so a coin source draws its stream well past the generator's
+// 607-word register while that register sits in cache.
+const windowBlocks = 32
 
 // flowSourceFactory builds one flow's source. f is the routed flow
 // (Rate is the flow's demand in cells/slot), index its position in the
@@ -110,8 +119,7 @@ func (tr Traffic) newSource(slab *sources, f Flow, fi int, seed int64, cellBits 
 // carves one source per allocation.
 type sources struct {
 	n        int // flows to size a kind's slice for
-	bern     []bernoulliSource
-	onOffs   []onOffSource
+	coins    []coinSource
 	packets  []packetSource
 	traces   []traceSource
 	pktCells []int // cells per packet variant, shared by packet sources
@@ -171,54 +179,94 @@ func flowStream(seed int64) *rng.Stream {
 	return s
 }
 
+// sourceStream returns a built-in source's stream, or nil for a source
+// without one.
+func sourceStream(src FlowSource) *rng.Stream {
+	switch s := src.(type) {
+	case *coinSource:
+		return s.stream
+	case *packetSource:
+		return s.stream
+	}
+	return nil
+}
+
 // recycleStream returns a built-in source's stream to streamPool; other
 // sources keep theirs.
 func recycleStream(src FlowSource) {
-	switch s := src.(type) {
-	case *bernoulliSource:
-		streamPool.Put(s.stream)
-	case *onOffSource:
-		streamPool.Put(s.stream)
-	case *packetSource:
-		streamPool.Put(s.stream)
+	if st := sourceStream(src); st != nil {
+		streamPool.Put(st)
 	}
 }
 
-// bernoulliSource draws an independent coin at the flow's rate every
-// slot — the network analogue of the paper's adjustable packet
-// generation interval.
-type bernoulliSource struct {
-	rate   float64
-	stream *rng.Stream
+// keepBelow is rng.Below(1): Float64 keeps a word whose low 63 bits
+// are below it and draws again on the others.
+var keepBelow = rng.Below(1)
+
+// coinChunk is the number of words a coin source fills at a time.
+const coinChunk = 256
+
+// stayRun returns the first index j ≥ i of words whose low 63 bits lie
+// outside [lo, lo+span): one unsigned compare per word, since x-lo
+// wraps above span for x < lo.
+func stayRun(words []uint64, i int, lo, span uint64) int {
+	for i < len(words) && words[i]&(1<<63-1)-lo < span {
+		i++
+	}
+	return i
 }
 
-func (sl *sources) bernoulli(rate float64, seed int64) *bernoulliSource {
-	s := take(&sl.bern, sl.n)
-	*s = bernoulliSource{rate: rate, stream: flowStream(seed)}
+// setRun sets bits [from, from+k) of the bit string dst.
+func setRun(dst []uint64, from, k int) {
+	for k > 0 {
+		n := min(k, BlockSlots-from%BlockSlots)
+		dst[from/BlockSlots] |= (uint64(1)<<n - 1) << (from % BlockSlots)
+		from += n
+		k -= n
+	}
+}
+
+// coinSource is the uniform and the bursty process: a chain of two
+// states that draws one coin per slot and injects in every slot it ends
+// ON. The coin is Float64() below a probability, decided on the integer
+// word through rng.Below: in each state, the kept words of one range
+// leave the chain where it is and the other kept words switch it.
+type coinSource struct {
+	stayOn, stayOff coinRange
+	on              bool
+	stream          *rng.Stream
+}
+
+// coinRange is the span of low-63-bit words [lo, lo+span) that keep a
+// coinSource in its state.
+type coinRange struct{ lo, span uint64 }
+
+// bernoulli draws an independent coin at the flow's rate every slot —
+// the network analogue of the paper's adjustable packet generation
+// interval: a word below rng.Below(rate) is an arrival in either state.
+func (sl *sources) bernoulli(rate float64, seed int64) *coinSource {
+	b := rng.Below(rate)
+	return sl.coin(coinRange{0, b}, coinRange{b, keepBelow - b}, seed)
+}
+
+// coin carves a coinSource with the given stay ranges, starting OFF.
+func (sl *sources) coin(stayOn, stayOff coinRange, seed int64) *coinSource {
+	s := take(&sl.coins, sl.n)
+	*s = coinSource{stayOn: stayOn, stayOff: stayOff, stream: flowStream(seed)}
 	return s
 }
 
-func (s *bernoulliSource) NextBlock(uint64) uint64 {
-	st, rate := s.stream, s.rate
-	var m uint64
-	for i := 0; i < BlockSlots; i++ {
-		if st.Float64() < rate {
-			m |= 1 << i
-		}
-	}
-	return m
+// onOffProbs returns the bursty chain's per-slot probabilities of
+// leaving ON and leaving OFF.
+func onOffProbs(rate, meanBurst float64) (onToOff, offToOn float64) {
+	meanGap := meanBurst * (1 - rate) / rate
+	return 1 / meanBurst, 1 / meanGap
 }
 
-// onOffSource is the bursty process: an on/off Markov chain that
-// injects every slot while ON. Mean load equals rate because the mean
-// gap is meanBurst·(1-rate)/rate.
-type onOffSource struct {
-	pOnToOff float64
-	pOffToOn float64
-	on       bool
-	stream   *rng.Stream
-}
-
+// onOff builds the bursty process: an on/off Markov chain that injects
+// every slot while ON. Mean load equals rate because the mean gap is
+// meanBurst·(1-rate)/rate. A word below the threshold of the current
+// state's leaving probability switches the chain.
 func (sl *sources) onOff(rate, meanBurst float64, seed int64) (FlowSource, error) {
 	if meanBurst < 1 {
 		return nil, fmt.Errorf("mean burst must be >= 1 slot, got %g", meanBurst)
@@ -232,33 +280,46 @@ func (sl *sources) onOff(rate, meanBurst float64, seed int64) (FlowSource, error
 	if err := traffic.CheckOnOffRate(rate, meanBurst); err != nil {
 		return nil, err
 	}
-	meanGap := meanBurst * (1 - rate) / rate
-	s := take(&sl.onOffs, sl.n)
-	*s = onOffSource{
-		pOnToOff: 1 / meanBurst,
-		pOffToOn: 1 / meanGap,
-		stream:   flowStream(seed),
-	}
-	return s, nil
+	onToOff, offToOn := onOffProbs(rate, meanBurst)
+	toOff, toOn := rng.Below(onToOff), rng.Below(offToOn)
+	return sl.coin(coinRange{toOff, keepBelow - toOff}, coinRange{toOn, keepBelow - toOn}, seed), nil
 }
 
-func (s *onOffSource) NextBlock(uint64) uint64 {
-	st, on := s.stream, s.on
-	var m uint64
-	for i := 0; i < BlockSlots; i++ {
-		if on {
-			if st.Float64() < s.pOnToOff {
-				on = false
+func (s *coinSource) NextBlocks(_ uint64, dst []uint64) {
+	clear(dst)
+	on, keep := s.on, keepBelow
+	var buf [coinChunk]uint64
+	// Each kept word decides one slot; a redrawn word decides none, so
+	// filling no more words than slots left never draws past the window.
+	for slot, slots := 0, len(dst)*BlockSlots; slot < slots; {
+		words := buf[:min(slots-slot, coinChunk)]
+		s.stream.Fill(words)
+		for i := 0; ; {
+			// A run of slots that stay in the current state, then the
+			// word that switches it or one that Float64 redraws.
+			stay := s.stayOff
+			if on {
+				stay = s.stayOn
 			}
-		} else if st.Float64() < s.pOffToOn {
-			on = true
-		}
-		if on {
-			m |= 1 << i
+			j := stayRun(words, i, stay.lo, stay.span)
+			if on {
+				setRun(dst, slot, j-i)
+			}
+			slot += j - i
+			if i = j; i == len(words) {
+				break
+			}
+			x := words[i] & (1<<63 - 1)
+			i++
+			if x < keep {
+				if on = !on; on {
+					dst[slot/BlockSlots] |= 1 << (slot % BlockSlots)
+				}
+				slot++
+			}
 		}
 	}
 	s.on = on
-	return m
 }
 
 // packetSource models host traffic: variable-size packets (the classic
@@ -302,18 +363,20 @@ func (sl *sources) packet(rate float64, cellBits int, seed int64) (FlowSource, e
 	return s, nil
 }
 
-func (s *packetSource) NextBlock(uint64) uint64 {
-	var m uint64
-	for i := 0; i < BlockSlots; i++ {
-		if s.queued == 0 && s.stream.Float64() < s.pArrival {
-			s.queued = s.packetCells(s.stream.Float64())
+func (s *packetSource) NextBlocks(_ uint64, dst []uint64) {
+	for b := range dst {
+		var m uint64
+		for i := 0; i < BlockSlots; i++ {
+			if s.queued == 0 && s.stream.Float64() < s.pArrival {
+				s.queued = s.packetCells(s.stream.Float64())
+			}
+			if s.queued > 0 {
+				s.queued--
+				m |= 1 << i
+			}
 		}
-		if s.queued > 0 {
-			s.queued--
-			m |= 1 << i
-		}
+		dst[b] = m
 	}
-	return m
 }
 
 // packetCells maps a uniform draw r onto a packet size in cells.
@@ -374,22 +437,24 @@ type traceSource struct {
 	pos    int
 }
 
-func (s *traceSource) NextBlock(first uint64) uint64 {
-	var m uint64
+func (s *traceSource) NextBlocks(first uint64, dst []uint64) {
 	t := first % s.period
-	for i := 0; i < BlockSlots; i++ {
-		if t == 0 {
-			s.pos = 0
+	for b := range dst {
+		var m uint64
+		for i := 0; i < BlockSlots; i++ {
+			if t == 0 {
+				s.pos = 0
+			}
+			for s.pos < len(s.slots) && s.slots[s.pos] < t {
+				s.pos++
+			}
+			if s.pos < len(s.slots) && s.slots[s.pos] == t {
+				m |= 1 << i
+			}
+			if t++; t == s.period {
+				t = 0
+			}
 		}
-		for s.pos < len(s.slots) && s.slots[s.pos] < t {
-			s.pos++
-		}
-		if s.pos < len(s.slots) && s.slots[s.pos] == t {
-			m |= 1 << i
-		}
-		if t++; t == s.period {
-			t = 0
-		}
+		dst[b] = m
 	}
-	return m
 }

@@ -801,15 +801,17 @@ type cutoffSource struct {
 	cutoff uint64
 }
 
-func (s *cutoffSource) NextBlock(first uint64) uint64 {
+func (s *cutoffSource) NextBlocks(first uint64, dst []uint64) {
 	if first >= s.cutoff {
-		return 0
+		clear(dst)
+		return
 	}
-	m := s.inner.NextBlock(first)
-	if k := s.cutoff - first; k < BlockSlots {
-		m &= 1<<k - 1
+	s.inner.NextBlocks(first, dst)
+	for b := range dst {
+		if k := s.cutoff - min(s.cutoff, first+uint64(b)*BlockSlots); k < BlockSlots {
+			dst[b] &= 1<<k - 1
+		}
 	}
-	return m
 }
 
 // TestNetworkRouterSlotAllocationFree extends the single-device
@@ -1039,14 +1041,16 @@ func TestNetworkCustomFlowSource(t *testing.T) {
 
 type everyThird struct{}
 
-func (everyThird) NextBlock(first uint64) uint64 {
-	var m uint64
-	for i := uint64(0); i < BlockSlots; i++ {
-		if (first+i)%3 == 0 {
-			m |= 1 << i
+func (everyThird) NextBlocks(first uint64, dst []uint64) {
+	for b := range dst {
+		var m uint64
+		for i := uint64(0); i < BlockSlots; i++ {
+			if (first+uint64(b)*BlockSlots+i)%3 == 0 {
+				m |= 1 << i
+			}
 		}
+		dst[b] = m
 	}
-	return m
 }
 
 // TestNetworkUnknownTrafficKind: name resolution fails loudly.

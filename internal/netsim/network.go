@@ -288,6 +288,7 @@ type Network struct {
 	flows   []Flow
 	words   int
 	slot    uint64 // next slot to simulate; Run continues from here
+	runEnd  uint64 // the slot the current Run stops at; windows end by its block
 
 	// Per-flow streams: the arrival process, the payload stream and the
 	// cell-ID counter, each a pure function of (Seed, flow index). The
@@ -446,9 +447,11 @@ func New(cfg Config) (*Network, error) {
 	for li, l := range t.Links {
 		n.nodeInLinks[l.To] = append(n.nodeInLinks[l.To], int32(li))
 	}
-	masks := make([]uint64, len(flows))
+	masks := make([]uint64, (len(flows)+t.Nodes)*windowBlocks)
 	for u, fs := range n.nodeFlows {
-		n.arrivals[u].flows, masks = masks[:len(fs):len(fs)], masks[len(fs):]
+		a, k := &n.arrivals[u], len(fs)*windowBlocks
+		a.any, masks = masks[:windowBlocks:windowBlocks], masks[windowBlocks:]
+		a.flows, masks = masks[:k:k], masks[k:]
 	}
 	// A router delivers at most one cell per port per slot, so a node's
 	// staging outbox never outgrows the port count.
@@ -852,19 +855,21 @@ type sleepState struct {
 }
 
 // nextWake returns the slot a node falling asleep after slot must next
-// be visited: its next arrival in the loaded block; failing that, the
-// next block start if it sources flows, since every source decides
-// every block; otherwise never, until a link push or a fault wakes it.
+// be visited: its next arrival in the loaded window; failing that, the
+// window's end if it sources flows, since every source decides every
+// window; otherwise never, until a link push or a fault wakes it.
 func (n *Network) nextWake(u int, slot uint64) uint64 {
-	if i := slot%BlockSlots + 1; i < BlockSlots {
-		if rest := n.arrivals[u].any >> i; rest != 0 {
-			return slot + 1 + uint64(bits.TrailingZeros64(rest))
+	if len(n.nodeFlows[u]) == 0 {
+		return neverSlot
+	}
+	a := &n.arrivals[u]
+	for next := slot + 1; next < a.end; next += BlockSlots - next%BlockSlots {
+		off := next - a.first
+		if rest := a.any[off/BlockSlots] >> (off % BlockSlots); rest != 0 {
+			return next + uint64(bits.TrailingZeros64(rest))
 		}
 	}
-	if len(n.nodeFlows[u]) > 0 {
-		return slot - slot%BlockSlots + BlockSlots
-	}
-	return neverSlot
+	return a.end
 }
 
 // catchUp replays the slots sleeping node u skipped up to slot, leaving
@@ -898,16 +903,16 @@ func (n *Network) catchUpAll(slot uint64) {
 // of its previous state.
 func (n *Network) injectNode(s *shard, u int, slot uint64) (arrived bool) {
 	a := &n.arrivals[u]
-	if blk := slot/BlockSlots + 1; a.block != blk {
-		a.block = blk
-		n.nextBlock(u, slot-slot%BlockSlots)
+	for slot >= a.end {
+		n.nextWindow(u)
 	}
-	bit := uint64(1) << (slot % BlockSlots)
-	if a.any&bit == 0 {
+	off := slot - a.first
+	b, bit := int(off/BlockSlots), uint64(1)<<(off%BlockSlots)
+	if a.any[b]&bit == 0 {
 		return false
 	}
 	for j, fi := range n.nodeFlows[u] {
-		if a.flows[j]&bit == 0 {
+		if a.flows[j*windowBlocks+b]&bit == 0 {
 			continue
 		}
 		f := &n.flows[fi]
@@ -946,27 +951,40 @@ func (n *Network) injectNode(s *shard, u int, slot uint64) (arrived bool) {
 	return arrived
 }
 
-// nodeArrivals holds one node's arrival decisions for the current
-// 64-slot block: bit i of flows[j] is flow nodeFlows[u][j]'s decision
-// for slot block·64+i, and any ORs them.
+// nodeArrivals holds one node's arrival decisions for the loaded
+// window, slots [first, end): bit i of flows[j·windowBlocks+b] is flow
+// nodeFlows[u][j]'s decision for slot first+b·BlockSlots+i, and any[b]
+// ORs block b over the flows. Both are carved from one slab at New.
 type nodeArrivals struct {
-	block uint64 // the loaded block plus one; 0 before the first
-	any   uint64
-	flows []uint64
+	first, end uint64 // end is 0 before the first window
+	any        []uint64
+	flows      []uint64
 }
 
-// nextBlock decides node u's arrivals for the block starting at slot
-// first, one source after another in flow order, so each source's
-// stream stays in cache for its whole block. Every source decides
-// every block whatever the fault or queue state — fault state must not
-// perturb the injection streams, or runs with different plans would
-// see different traffic.
-func (n *Network) nextBlock(u int, first uint64) {
+// nextWindow decides node u's arrivals for the window that starts where
+// the loaded one ends, one source after another in flow order, so each
+// source's stream stays in cache for its whole window. The window holds
+// windowBlocks blocks, or fewer where that reaches the block holding
+// the last slot of the current Run: a run draws no coin past its own
+// end. Every source decides every window whatever the fault or queue
+// state — fault state must not perturb the injection streams, or runs
+// with different plans would see different traffic.
+func (n *Network) nextWindow(u int) {
 	a := &n.arrivals[u]
-	a.any = 0
+	a.first = a.end
+	blocks := windowBlocks
+	if n.runEnd > a.first {
+		blocks = min(blocks, int((n.runEnd-a.first+BlockSlots-1)/BlockSlots))
+	}
+	a.end = a.first + uint64(blocks)*BlockSlots
+	or := a.any[:blocks]
+	clear(or)
 	for j, fi := range n.nodeFlows[u] {
-		a.flows[j] = n.srcs[fi].NextBlock(first)
-		a.any |= a.flows[j]
+		m := a.flows[j*windowBlocks : j*windowBlocks+blocks]
+		n.srcs[fi].NextBlocks(a.first, m)
+		for b, w := range m {
+			or[b] |= w
+		}
 	}
 }
 
@@ -1319,6 +1337,7 @@ func (n *Network) Run(warmup, measure uint64) (*Report, error) {
 	if n.closed {
 		return nil, fmt.Errorf("netsim: Run on a closed Network")
 	}
+	n.runEnd = n.slot + warmup + measure
 	for end := n.slot + warmup; n.slot < end; {
 		n.yield()
 		n.Step(n.slot)
